@@ -174,7 +174,7 @@ impl Honeypot {
 
     /// The OFFER-FILES message describing files, as published to the
     /// server.
-    fn offer_message(&self, files: &[AdvertisedFile]) -> ClientServerMessage {
+    fn offer_message(files: &[AdvertisedFile]) -> ClientServerMessage {
         ClientServerMessage::OfferFiles {
             files: files
                 .iter()
@@ -210,7 +210,7 @@ impl Honeypot {
                 // Advertise immediately after the session is granted
                 // (paper §III-B, "File display").
                 vec![
-                    Action::SendServer(self.offer_message(&self.shared.clone())),
+                    Action::SendServer(Self::offer_message(&self.shared)),
                     Action::Report(StatusReport {
                         honeypot: self.config.id,
                         at: now,
@@ -233,7 +233,7 @@ impl Honeypot {
     /// listing the honeypot as a provider.
     pub fn keepalive(&mut self, _now: SimTime) -> Vec<Action> {
         if matches!(self.status, HoneypotStatus::Connected { .. }) {
-            vec![Action::SendServer(self.offer_message(&self.shared.clone()))]
+            vec![Action::SendServer(Self::offer_message(&self.shared))]
         } else {
             Vec::new()
         }
@@ -420,7 +420,7 @@ impl Honeypot {
                 } else {
                     // Publish only the newly adopted files; OFFER-FILES is
                     // additive on the server side.
-                    vec![Action::SendServer(self.offer_message(&adopted))]
+                    vec![Action::SendServer(Self::offer_message(&adopted))]
                 }
             }
             PeerMessage::FileRequest { file_id } => {

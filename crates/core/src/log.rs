@@ -403,6 +403,77 @@ pub struct HoneypotLog {
     name_index: HashMap<String, NameIdx>,
     /// Files observed (advertised files, queried files, shared-list files).
     pub files: FileTable,
+    /// Collection cursors over `peer_names` / `files` (see [`Self::take_chunk`]).
+    #[serde(skip)]
+    name_cursor: ChunkCursor,
+    #[serde(skip)]
+    file_cursor: ChunkCursor,
+}
+
+/// Marks a [`ChunkCursor::local`] slot as "not referenced by the chunk
+/// being cut".
+const UNSET: u32 = u32::MAX;
+
+/// What [`HoneypotLog::take_chunk`] remembers about one interning table
+/// between collections: how much of it earlier chunks already carried, and
+/// the scratch that renumbers the entries the next chunk carries.
+///
+/// The scratch is persistent and reset only where touched, so cutting a
+/// chunk costs O(new + referenced) however large the table has grown.
+#[derive(Clone, Debug, Default)]
+struct ChunkCursor {
+    /// One slot per table entry earlier chunks already carried (so its
+    /// length is the table length at the previous `take_chunk`; entries at
+    /// or past it are new).  `local[i]` is the chunk-local index of old
+    /// entry `i` while a chunk is being cut, [`UNSET`] otherwise.
+    local: Vec<u32>,
+    /// The old entries the chunk being cut refers to.
+    touched: Vec<u32>,
+}
+
+impl ChunkCursor {
+    /// Notes that the chunk being cut refers to table entry `idx`.
+    fn mark(&mut self, idx: u32) {
+        if let Some(slot) = self.local.get_mut(idx as usize) {
+            if *slot == UNSET {
+                *slot = 0;
+                self.touched.push(idx);
+            }
+        }
+    }
+
+    /// Numbers the marked entries in ascending table order; new entries
+    /// follow them, so the chunk's table is a subsequence of the
+    /// honeypot's.
+    fn number(&mut self) {
+        self.touched.sort_unstable();
+        for (k, &idx) in self.touched.iter().enumerate() {
+            self.local[idx as usize] = k as u32;
+        }
+    }
+
+    /// The chunk-local index of table entry `idx` (marked or new).
+    fn local_of(&self, idx: u32) -> u32 {
+        match self.local.get(idx as usize) {
+            Some(&local) => local,
+            None => (self.touched.len() + (idx as usize - self.local.len())) as u32,
+        }
+    }
+
+    /// The table entries the chunk carries, in chunk-local order.
+    fn carried(&self, table_len: usize) -> impl Iterator<Item = u32> + '_ {
+        self.touched.iter().copied().chain(self.local.len() as u32..table_len as u32)
+    }
+
+    /// Closes the chunk: clears the touched slots and extends "already
+    /// carried" to the end of the table.
+    fn advance(&mut self, table_len: usize) {
+        for &idx in &self.touched {
+            self.local[idx as usize] = UNSET;
+        }
+        self.touched.clear();
+        self.local.resize(table_len, UNSET);
+    }
 }
 
 impl HoneypotLog {
@@ -415,6 +486,8 @@ impl HoneypotLog {
             peer_names: Vec::new(),
             name_index: HashMap::new(),
             files: FileTable::new(),
+            name_cursor: ChunkCursor::default(),
+            file_cursor: ChunkCursor::default(),
         }
     }
 
@@ -434,6 +507,11 @@ impl HoneypotLog {
         self.records.push(record);
     }
 
+    /// True when records or shared lists await collection.
+    pub fn has_pending(&self) -> bool {
+        !self.records.is_empty() || !self.shared_lists.is_empty()
+    }
+
     /// Number of records of a given kind.
     pub fn count_kind(&self, kind: QueryKind) -> usize {
         self.records.iter().filter(|r| r.kind == kind).count()
@@ -443,7 +521,68 @@ impl HoneypotLog {
     /// interning tables in place — the honeypot keeps logging while the
     /// manager periodically collects (paper §III-A: "the manager
     /// periodically gathers the data collected by honeypots").
+    ///
+    /// The chunk is compact but self-contained: its name/file tables hold
+    /// exactly the entries its records and shared lists refer to plus the
+    /// entries interned since the previous `take_chunk`, in ascending
+    /// table order, and its indices are rewritten to that chunk-local
+    /// numbering.  Every older entry reached the manager in an earlier
+    /// chunk and new entries keep their order, so merging chunks in
+    /// collection order interns the manager's global tables in the same
+    /// order as shipping the whole tables every time would — at a cost of
+    /// O(new + referenced) per collection instead of O(table).
     pub fn take_chunk(&mut self) -> LogChunk {
+        let mut records = std::mem::take(&mut self.records);
+        let mut shared_lists = std::mem::take(&mut self.shared_lists);
+
+        for r in &records {
+            self.name_cursor.mark(r.name);
+            if r.file != FILE_NONE {
+                self.file_cursor.mark(r.file);
+            }
+        }
+        for &f in &shared_lists.files {
+            self.file_cursor.mark(f);
+        }
+        self.name_cursor.number();
+        self.file_cursor.number();
+
+        let (name_cur, file_cur) = (&self.name_cursor, &self.file_cursor);
+        for r in &mut records {
+            r.name = name_cur.local_of(r.name);
+            if r.file != FILE_NONE {
+                r.file = file_cur.local_of(r.file);
+            }
+        }
+        for f in &mut shared_lists.files {
+            *f = file_cur.local_of(*f);
+        }
+
+        let peer_names = name_cur
+            .carried(self.peer_names.len())
+            .map(|i| self.peer_names[i as usize].clone())
+            .collect();
+        let mut files = FileTable::new();
+        for i in file_cur.carried(self.files.len()) {
+            files.intern(self.files.id(i), self.files.name(i), self.files.size(i));
+        }
+
+        self.name_cursor.advance(self.peer_names.len());
+        self.file_cursor.advance(self.files.len());
+        LogChunk {
+            honeypot: self.honeypot,
+            server: self.server.clone(),
+            records,
+            shared_lists,
+            peer_names,
+            files,
+        }
+    }
+
+    /// The historical chunk shape — whole-table snapshots, indices
+    /// untouched — kept as the differential oracle for [`Self::take_chunk`].
+    #[cfg(test)]
+    pub(crate) fn take_snapshot_chunk(&mut self) -> LogChunk {
         LogChunk {
             honeypot: self.honeypot,
             server: self.server.clone(),
@@ -457,8 +596,10 @@ impl HoneypotLog {
 
 /// A collected batch of log data handed from a honeypot to the manager.
 ///
-/// Name/file tables are snapshots of the honeypot's interning state; record
-/// indices refer to them.
+/// Self-contained: record and shared-list indices refer to the chunk's own
+/// name/file tables, which carry the entries this chunk refers to plus
+/// those interned since the previous chunk (see
+/// [`HoneypotLog::take_chunk`]) — never the honeypot's whole history.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct LogChunk {
     pub honeypot: HoneypotId,
@@ -467,6 +608,28 @@ pub struct LogChunk {
     pub shared_lists: SharedLists,
     pub peer_names: Vec<String>,
     pub files: FileTable,
+}
+
+impl LogChunk {
+    /// Checks that every record and shared-list index falls inside the
+    /// chunk's own tables — what [`crate::Manager::collect`] relies on.
+    /// Chunks cut by [`HoneypotLog::take_chunk`] always pass; decoders of
+    /// untrusted bytes must call this before handing a chunk on.
+    pub fn check_indices(&self) -> Result<(), &'static str> {
+        let (n_names, n_files) = (self.peer_names.len(), self.files.len());
+        for r in &self.records {
+            if r.name as usize >= n_names {
+                return Err("record name index out of range");
+            }
+            if r.file != FILE_NONE && r.file as usize >= n_files {
+                return Err("record file index out of range");
+            }
+        }
+        if self.shared_lists.files.iter().any(|&f| f as usize >= n_files) {
+            return Err("shared-list file index out of range");
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -533,20 +696,93 @@ mod tests {
     }
 
     #[test]
-    fn take_chunk_drains_records_but_keeps_tables() {
+    fn take_chunk_drains_records_and_carries_referenced_tables() {
         let mut log = HoneypotLog::new(HoneypotId(3), server());
         let r = sample_record(&mut log, QueryKind::Hello);
         log.push(r);
+        log.intern_name("aMule 2.2");
         let chunk = log.take_chunk();
         assert_eq!(chunk.records.len(), 1);
         assert_eq!(chunk.honeypot, HoneypotId(3));
+        assert_eq!(chunk.peer_names.len(), 2, "new names travel even when unreferenced");
         assert!(log.records.is_empty(), "records drained");
-        assert_eq!(log.peer_names.len(), 1, "interning survives");
-        // A second chunk still carries the name table snapshot.
-        let r2 = sample_record(&mut log, QueryKind::StartUpload);
+        assert_eq!(log.peer_names.len(), 2, "interning survives");
+        // A second chunk carries exactly the one name its record refers to,
+        // renumbered to the chunk's own table.
+        let mut r2 = sample_record(&mut log, QueryKind::StartUpload);
+        r2.name = log.intern_name("aMule 2.2");
         log.push(r2);
         let chunk2 = log.take_chunk();
-        assert_eq!(chunk2.peer_names, vec!["eMule v0.49a".to_string()]);
+        assert_eq!(chunk2.peer_names, vec!["aMule 2.2".to_string()]);
+        assert_eq!(chunk2.records[0].name, 0);
+        assert!(chunk2.files.is_empty());
+        assert_eq!(chunk2.check_indices(), Ok(()));
+    }
+
+    #[test]
+    fn quiet_period_chunk_is_empty() {
+        let mut log = HoneypotLog::new(HoneypotId(0), server());
+        log.files.intern(FileId::from_seed(b"advertised"), "advertised.avi", 1);
+        let r = sample_record(&mut log, QueryKind::Hello);
+        log.push(r);
+        let first = log.take_chunk();
+        assert_eq!(first.files.len(), 1, "advertised-but-never-queried file travels once");
+        assert!(!log.has_pending());
+        let quiet = log.take_chunk();
+        assert!(quiet.records.is_empty() && quiet.shared_lists.is_empty());
+        assert!(
+            quiet.peer_names.is_empty() && quiet.files.is_empty(),
+            "nothing new, nothing referenced: empty tables"
+        );
+    }
+
+    #[test]
+    fn chunk_tables_are_ascending_subsequences_with_local_indices() {
+        let mut log = HoneypotLog::new(HoneypotId(0), server());
+        let ids: Vec<FileId> = (0..6u8).map(|i| FileId::from_seed(&[i])).collect();
+        for (i, id) in ids.iter().enumerate() {
+            log.files.intern(*id, &format!("f{i}"), i as u64);
+        }
+        log.take_chunk();
+        // Refer to old entries 4 and 1 (in that order), then intern a new one.
+        let mut r = sample_record(&mut log, QueryKind::RequestPart);
+        r.file = 4;
+        log.push(r);
+        log.shared_lists.push(SimTime::from_secs(1), IpHash([2; 16]), [1, 4]);
+        let fresh = log.files.intern(FileId::from_seed(b"new"), "new", 9);
+        log.shared_lists.push(SimTime::from_secs(2), IpHash([2; 16]), [fresh]);
+        let chunk = log.take_chunk();
+        let carried: Vec<FileId> =
+            (0..chunk.files.len() as u32).map(|i| chunk.files.id(i)).collect();
+        assert_eq!(carried, vec![ids[1], ids[4], FileId::from_seed(b"new")]);
+        assert_eq!(chunk.records[0].file, 1);
+        assert_eq!(chunk.shared_lists.get(0).files, &[0, 1]);
+        assert_eq!(chunk.shared_lists.get(1).files, &[2]);
+        assert_eq!(chunk.files.name(1), "f4");
+        assert_eq!(chunk.files.size(2), 9);
+    }
+
+    #[test]
+    fn check_indices_flags_each_dangling_reference() {
+        let mut log = HoneypotLog::new(HoneypotId(0), server());
+        let file = log.files.intern(FileId::from_seed(b"f"), "f", 1);
+        let mut r = sample_record(&mut log, QueryKind::StartUpload);
+        r.file = file;
+        log.push(r);
+        log.shared_lists.push(SimTime::ZERO, IpHash([1; 16]), [file]);
+        let good = log.take_chunk();
+        assert_eq!(good.check_indices(), Ok(()));
+
+        let mut bad = good.clone();
+        bad.records[0].name = 1;
+        assert_eq!(bad.check_indices(), Err("record name index out of range"));
+        let mut bad = good.clone();
+        bad.records[0].file = 1;
+        assert_eq!(bad.check_indices(), Err("record file index out of range"));
+        let mut bad = good;
+        bad.files = FileTable::new();
+        bad.records[0].file = FILE_NONE;
+        assert_eq!(bad.check_indices(), Err("shared-list file index out of range"));
     }
 
     #[test]

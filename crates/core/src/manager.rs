@@ -143,8 +143,13 @@ impl Manager {
         idx
     }
 
-    /// Ingests one collected log chunk, translating per-honeypot interned
-    /// indices into the global tables and applying step-2 anonymisation.
+    /// Ingests one collected log chunk, translating its chunk-local
+    /// interned indices into the global tables and applying step-2
+    /// anonymisation.
+    ///
+    /// # Panics
+    /// If a record or shared list refers past the chunk's own tables
+    /// (see [`LogChunk::check_indices`]; wire decoders reject such chunks).
     pub fn collect(&mut self, chunk: LogChunk) {
         self.chunks_collected += 1;
         // Translate the chunk's name table into global indices.
@@ -157,6 +162,8 @@ impl Manager {
                 self.files.intern(chunk.files.id(idx), chunk.files.name(idx), chunk.files.size(idx))
             })
             .collect();
+        self.records.reserve(chunk.records.len());
+        self.shared_lists.reserve(chunk.shared_lists.len());
         for r in chunk.records {
             self.records.push(AnonRecord {
                 at: r.at,
@@ -288,7 +295,7 @@ impl std::fmt::Debug for Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anonymize::{AnonPeerId, IpHasher};
+    use crate::anonymize::{AnonPeerId, IpHash, IpHasher};
     use crate::log::{HoneypotLog, QueryKind, QueryRecord};
     use crate::types::IdStatus;
     use edonkey_proto::{ClientId, FileId, Ipv4, UserId};
@@ -459,5 +466,179 @@ mod tests {
         assert_eq!(log.shared_lists[0].files, vec![0]);
         assert_eq!(log.duration, SimTime::from_days(2));
         assert_eq!(log.shared_files_final, 3);
+    }
+
+    /// A compact-chunk log and its snapshot-chunk twin, driven by the same
+    /// operations.
+    struct Twin {
+        compact: HoneypotLog,
+        snapshot: HoneypotLog,
+    }
+
+    impl Twin {
+        fn new(hp: u32) -> Self {
+            let log = HoneypotLog::new(HoneypotId(hp), server());
+            Twin { compact: log.clone(), snapshot: log }
+        }
+
+        fn each(&mut self, f: impl Fn(&mut HoneypotLog)) {
+            f(&mut self.compact);
+            f(&mut self.snapshot);
+        }
+
+        /// Collects both sides; the compact chunk must stand on its own and
+        /// never outgrow the snapshot.
+        fn collect_into(&mut self, compact: &mut Manager, snapshot: &mut Manager, seed: u64) {
+            let chunk = self.compact.take_chunk();
+            let whole = self.snapshot.take_snapshot_chunk();
+            assert_eq!(chunk.check_indices(), Ok(()), "seed {seed}");
+            assert!(chunk.files.len() <= whole.files.len(), "seed {seed}");
+            assert!(chunk.peer_names.len() <= whole.peer_names.len(), "seed {seed}");
+            compact.collect(chunk);
+            snapshot.collect(whole);
+        }
+    }
+
+    /// A START-UPLOAD for `file`, or a HELLO when there is none.
+    fn record(at: SimTime, peer: IpHash, name: u32, file: u32) -> QueryRecord {
+        QueryRecord {
+            at,
+            kind: if file == FILE_NONE { QueryKind::Hello } else { QueryKind::StartUpload },
+            peer,
+            port: 4662,
+            id_status: IdStatus::High,
+            user_id: UserId::from_seed(b"u"),
+            name,
+            version: 1,
+            file,
+        }
+    }
+
+    fn pool_file(i: u64) -> (FileId, String, u64) {
+        (FileId::from_seed(&i.to_le_bytes()), format!("file {i}.avi"), 1000 + i)
+    }
+
+    /// One seeded interleaving of interning, logging and collection on 1–3
+    /// honeypots, merged once through compact chunks and once through the
+    /// historical whole-table snapshots.
+    fn differential_case(seed: u64) {
+        let mut rng = netsim::Rng::seed_from(seed);
+        let hasher = IpHasher::from_seed(11);
+        let n_hp = 1 + rng.below(3) as u32;
+        let mut twins: Vec<Twin> = (0..n_hp).map(Twin::new).collect();
+        let mut compact = Manager::new(specs(n_hp));
+        let mut snapshot = Manager::new(specs(n_hp));
+        for step in 0..400u64 {
+            let twin = &mut twins[rng.below(u64::from(n_hp)) as usize];
+            let name = format!("client {}", rng.below(12));
+            let (id, file_name, size) = pool_file(rng.below(60));
+            let peer = hasher.hash(Ipv4(rng.below(25) as u32));
+            let at = SimTime::from_secs(step);
+            match rng.below(10) {
+                0 => twin.each(|log| {
+                    log.intern_name(&name);
+                }),
+                1 => twin.each(|log| {
+                    log.files.intern(id, &file_name, size);
+                }),
+                2..=5 => {
+                    let with_file = rng.chance(0.6);
+                    twin.each(|log| {
+                        let name = log.intern_name(&name);
+                        let file = if with_file {
+                            log.files.intern(id, &file_name, size)
+                        } else {
+                            FILE_NONE
+                        };
+                        log.push(record(at, peer, name, file));
+                    });
+                }
+                6 | 7 => {
+                    let listed: Vec<u64> = (0..rng.below(6)).map(|_| rng.below(60)).collect();
+                    twin.each(|log| {
+                        log.shared_lists.begin(at, peer);
+                        for &i in &listed {
+                            let (id, name, size) = pool_file(i);
+                            let idx = log.files.intern(id, &name, size);
+                            log.shared_lists.append_file(idx);
+                        }
+                    });
+                }
+                _ => twin.collect_into(&mut compact, &mut snapshot, seed),
+            }
+        }
+        for twin in &mut twins {
+            twin.collect_into(&mut compact, &mut snapshot, seed);
+        }
+        let a = compact.finalize(SimTime::from_days(1), 4, 2);
+        let b = snapshot.finalize(SimTime::from_days(1), 4, 2);
+        assert_eq!(a.records, b.records, "seed {seed}");
+        assert_eq!(a.shared_lists, b.shared_lists, "seed {seed}");
+        assert_eq!(a.peer_names, b.peer_names, "seed {seed}");
+        assert_eq!(a.files, b.files, "seed {seed}: file table order");
+        assert_eq!(a.distinct_peers, b.distinct_peers, "seed {seed}");
+    }
+
+    #[test]
+    fn compact_chunks_merge_exactly_like_snapshot_chunks() {
+        for seed in 0..300 {
+            // Name the seed whatever failed, an index panic included.
+            std::panic::catch_unwind(|| differential_case(seed))
+                .unwrap_or_else(|_| panic!("compact and snapshot chunks diverge at seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn advertised_but_never_queried_files_reach_the_global_table() {
+        let mut log = HoneypotLog::new(HoneypotId(0), server());
+        for i in 0..3 {
+            let (id, name, size) = pool_file(i);
+            log.files.intern(id, &name, size);
+        }
+        let mut mgr = Manager::new(specs(1));
+        mgr.collect(log.take_chunk());
+        // Only file 1 is ever queried, a collection later.
+        let name = log.intern_name("eMule");
+        let peer = IpHasher::from_seed(7).hash(Ipv4::new(1, 1, 1, 1));
+        log.push(record(SimTime::from_secs(5), peer, name, 1));
+        let chunk = log.take_chunk();
+        assert_eq!(chunk.files.len(), 1, "the later chunk carries the one referenced file");
+        mgr.collect(chunk);
+        let merged = mgr.finalize(SimTime::from_days(1), 3, 1);
+        assert_eq!(merged.files.len(), 3);
+        assert_eq!(merged.files.id(merged.records[0].file), pool_file(1).0);
+    }
+
+    #[test]
+    fn compact_chunks_resolve_when_delivered_out_of_order_and_twice() {
+        let mut log = HoneypotLog::new(HoneypotId(0), server());
+        let peer = IpHasher::from_seed(7).hash(Ipv4::new(1, 1, 1, 1));
+        let mut chunks = Vec::new();
+        // Chunk k queries files k and k-1: every chunk after the first
+        // refers to one old entry and one new one.
+        for k in 0..4u64 {
+            for i in [k, k.saturating_sub(1)] {
+                let (id, file_name, size) = pool_file(i);
+                let name = log.intern_name(&format!("client {i}"));
+                let file = log.files.intern(id, &file_name, size);
+                log.push(record(SimTime::from_secs(i), peer, name, file));
+            }
+            chunks.push(log.take_chunk());
+        }
+        let mut mgr = Manager::new(specs(1));
+        for seq in [2usize, 0, 3, 2, 1, 0] {
+            mgr.collect_sequenced(seq as u64, chunks[seq].clone());
+        }
+        assert_eq!(mgr.chunks_collected(), 4, "duplicates dropped");
+        let merged = mgr.finalize(SimTime::from_days(1), 4, 1);
+        assert_eq!(merged.files.len(), 4);
+        assert_eq!(merged.records.len(), 8);
+        for r in &merged.records {
+            // Each record was logged at `secs == file pool index` by a
+            // client named after it.
+            let i = r.at.as_secs() as u64;
+            assert_eq!(merged.files.id(r.file), pool_file(i).0);
+            assert_eq!(merged.peer_names[r.name as usize], format!("client {i}"));
+        }
     }
 }

@@ -220,6 +220,15 @@ impl HoneypotHost {
         self.honeypot.lock().collect_log()
     }
 
+    /// Collects the buffered log only if it holds a record or a shared
+    /// list.  A chunk's tables carry what was interned since the previous
+    /// *cut*, so a periodic uploader that skips empty collections must not
+    /// cut them in the first place — this is its entry point.
+    pub fn collect_pending_log(&self) -> Option<LogChunk> {
+        let mut hp = self.honeypot.lock();
+        hp.log().has_pending().then(|| hp.collect_log())
+    }
+
     /// Status reports seen so far.
     pub fn status_reports(&self) -> Vec<StatusReport> {
         self.status.lock().clone()

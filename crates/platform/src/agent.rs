@@ -508,8 +508,10 @@ fn session(
             && (shutting_down || now >= collect_due)
         {
             collect_due = now + Duration::from_millis(cfg.collect_ms.max(1));
-            let chunk = st.host.as_ref().unwrap().collect_log();
-            if !chunk.records.is_empty() || !chunk.shared_lists.is_empty() {
+            // A log without records or lists is left alone: table entries
+            // interned meanwhile wait for the chunk that has data to carry
+            // them, instead of being cut into a chunk nobody uploads.
+            if let Some(chunk) = st.host.as_ref().unwrap().collect_pending_log() {
                 let seq = st.next_send(frontier);
                 if let Some(end) = upload_chunk(&mut conn, st, seq, chunk)? {
                     if matches!(end, SessionEnd::Killed) {

@@ -12,10 +12,10 @@
 use edonkey_proto::control::opcodes;
 use edonkey_proto::{ClientId, FileId, Ipv4, ProtoError};
 use honeypot::anonymize::IpHash;
-use honeypot::log::{LogChunk, PackedQueryRecord, SharedLists, PACKED_RECORD_BYTES};
+use honeypot::log::{FileTable, LogChunk, PackedQueryRecord, SharedLists, PACKED_RECORD_BYTES};
 use honeypot::{
-    AdvertisedFile, ContentStrategy, FileStrategy, HoneypotId, HoneypotLog, HoneypotStatus,
-    ServerInfo, StatusReport,
+    AdvertisedFile, ContentStrategy, FileStrategy, HoneypotId, HoneypotStatus, ServerInfo,
+    StatusReport,
 };
 use netsim::SimTime;
 
@@ -417,17 +417,24 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     for _ in 0..n_names {
         peer_names.push(r.string()?);
     }
-    // Rebuild the file table through a throw-away log, preserving intern
-    // order (ids in a table are unique, so re-interning is order-exact).
-    let mut scratch = HoneypotLog::new(honeypot, server.clone());
+    // Re-interning preserves table order only while ids are unique: a
+    // repeated id would silently shorten the table and shift every later
+    // index, so it is a malformed chunk, not a mergeable one.
+    let mut files = FileTable::new();
     let n_files = r.u32()? as usize;
-    for _ in 0..n_files {
+    for row in 0..n_files {
         let id = FileId(r.bytes16()?);
         let name = r.string()?;
         let size = r.u64()?;
-        scratch.files.intern(id, &name, size);
+        if files.intern(id, &name, size) as usize != row {
+            return Err(ProtoError::Invalid("repeated file id in chunk table"));
+        }
     }
-    Ok(LogChunk { honeypot, server, records, shared_lists, peer_names, files: scratch.files })
+    let chunk = LogChunk { honeypot, server, records, shared_lists, peer_names, files };
+    // A CRC-valid frame can still refer past its own tables; the merge
+    // thread indexes them unchecked, so refuse here.
+    chunk.check_indices().map_err(ProtoError::Invalid)?;
+    Ok(chunk)
 }
 
 // ---------------------------------------------------------------------------
@@ -516,15 +523,11 @@ mod tests {
     use super::*;
     use edonkey_proto::UserId;
     use honeypot::log::{QueryRecord, FILE_NONE};
-    use honeypot::{IdStatus, QueryKind};
+    use honeypot::{HoneypotLog, HoneypotSpec, IdStatus, Manager, QueryKind};
 
-    fn sample_chunk() -> LogChunk {
-        let server = ServerInfo::new("srv", Ipv4::new(127, 0, 0, 1), 4661);
-        let mut log = HoneypotLog::new(HoneypotId(2), server);
-        let name = log.intern_name("eMule v0.49");
-        let file = log.files.intern(FileId::from_seed(b"f1"), "vacation video.avi", 700 << 20);
-        log.push(QueryRecord {
-            at: SimTime::from_millis(1234),
+    fn hello(at_ms: u64, name: u32) -> QueryRecord {
+        QueryRecord {
+            at: SimTime::from_millis(at_ms),
             kind: QueryKind::Hello,
             peer: IpHash([7; 16]),
             port: 4662,
@@ -533,7 +536,16 @@ mod tests {
             name,
             version: 0x49,
             file: FILE_NONE,
-        });
+        }
+    }
+
+    fn sample_chunk() -> LogChunk {
+        let server = ServerInfo::new("srv", Ipv4::new(127, 0, 0, 1), 4661);
+        let mut log = HoneypotLog::new(HoneypotId(2), server);
+        let name = log.intern_name("eMule v0.49");
+        let file = log.files.intern(FileId::from_seed(b"f1"), "vacation video.avi", 700 << 20);
+        log.files.intern(FileId::from_seed(b"f2"), "holiday.mp3", 5 << 20);
+        log.push(hello(1234, name));
         log.push(QueryRecord {
             at: SimTime::from_millis(2345),
             kind: QueryKind::RequestPart,
@@ -671,6 +683,110 @@ mod tests {
         }
         // The rebuilt table's lookup index must be live, not stale.
         assert_eq!(got.files.lookup(&chunk.files.id(0)), Some(0));
+    }
+
+    fn decode_chunk(chunk: &LogChunk) -> Result<ControlMessage, ProtoError> {
+        let msg = ControlMessage::LogUpload { agent: 2, seq: 0, chunk: chunk.clone() };
+        ControlMessage::decode(opcodes::LOG_CHUNK, &msg.encode_payload())
+    }
+
+    #[test]
+    fn record_name_index_past_chunk_table_rejected() {
+        let mut chunk = sample_chunk();
+        chunk.records[0].name = chunk.peer_names.len() as u32;
+        assert!(matches!(decode_chunk(&chunk), Err(ProtoError::Invalid(_))));
+    }
+
+    #[test]
+    fn record_file_index_past_chunk_table_rejected() {
+        let mut chunk = sample_chunk();
+        chunk.records[1].file = chunk.files.len() as u32;
+        assert!(matches!(decode_chunk(&chunk), Err(ProtoError::Invalid(_))));
+    }
+
+    #[test]
+    fn shared_list_file_index_past_chunk_table_rejected() {
+        let mut chunk = sample_chunk();
+        let (at, peer) = (SimTime::from_millis(5), IpHash([9; 16]));
+        chunk.shared_lists.push(at, peer, [0, chunk.files.len() as u32]);
+        assert!(matches!(decode_chunk(&chunk), Err(ProtoError::Invalid(_))));
+    }
+
+    #[test]
+    fn repeated_file_id_in_chunk_table_rejected() {
+        // `FileTable` cannot hold a repeated id, so doctor the bytes: the
+        // second table row takes the first row's id.
+        let chunk = sample_chunk();
+        let msg = ControlMessage::LogUpload { agent: 2, seq: 0, chunk: chunk.clone() };
+        let mut payload = msg.encode_payload();
+        let second = chunk.files.id(1).0;
+        let at = payload.windows(16).rposition(|w| w == second).expect("id on the wire");
+        payload[at..at + 16].copy_from_slice(&chunk.files.id(0).0);
+        assert!(matches!(
+            ControlMessage::decode(opcodes::LOG_CHUNK, &payload),
+            Err(ProtoError::Invalid("repeated file id in chunk table"))
+        ));
+    }
+
+    /// The "decode never panics" property of the frame layer, carried one
+    /// step further: whatever mutated LOG_CHUNK payload still decodes must
+    /// also merge without panicking.  Seeded; a failure names its seed.
+    #[test]
+    fn decoded_chunks_never_panic_the_merge() {
+        let clean =
+            ControlMessage::LogUpload { agent: 2, seq: 0, chunk: sample_chunk() }.encode_payload();
+        let spec = |id| HoneypotSpec {
+            id: HoneypotId(id),
+            content: ContentStrategy::NoContent,
+            server: ServerInfo::new("srv", Ipv4::new(127, 0, 0, 1), 4661),
+        };
+        let mut merged = 0;
+        for seed in 0..4000u64 {
+            let mut rng = netsim::Rng::seed_from(seed);
+            let mut payload = clean.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(payload.len() as u64) as usize;
+                // Small values land index and count fields just out of range.
+                payload[at] =
+                    if rng.chance(0.5) { rng.below(4) as u8 } else { rng.next_u32() as u8 };
+            }
+            let outcome = std::panic::catch_unwind(|| {
+                let Ok(ControlMessage::LogUpload { chunk, .. }) =
+                    ControlMessage::decode(opcodes::LOG_CHUNK, &payload)
+                else {
+                    return false;
+                };
+                let mut mgr = Manager::new((0..3).map(spec).collect());
+                mgr.collect(chunk);
+                mgr.finalize(SimTime::from_secs(60), 1, 1);
+                true
+            });
+            merged += u32::from(outcome.unwrap_or_else(|_| panic!("seed {seed} panicked")));
+        }
+        assert!(merged > 100, "the sweep must reach the merge, not only the rejections");
+    }
+
+    #[test]
+    fn chunk_size_follows_new_data_not_table_history() {
+        let server = ServerInfo::new("srv", Ipv4::new(127, 0, 0, 1), 4661);
+        let mut log = HoneypotLog::new(HoneypotId(0), server);
+        let name = log.intern_name("eMule v0.49");
+        log.push(hello(1, name));
+        log.take_chunk();
+        // The honeypot's table grows by 1,500 files (a greedy adoption
+        // spree), all collected...
+        for i in 0..1500u32 {
+            log.files.intern(FileId::from_seed(&i.to_le_bytes()), "some adopted file.avi", 1 << 20);
+        }
+        let grown = log.take_chunk();
+        assert_eq!(grown.files.len(), 1500);
+        // ...after which one HELLO costs one HELLO.
+        log.push(hello(2, name));
+        let chunk = log.take_chunk();
+        assert_eq!(chunk.files.len(), 0);
+        assert_eq!(chunk.peer_names.len(), 1);
+        let frame = ControlMessage::LogUpload { agent: 0, seq: 2, chunk }.encode_frame();
+        assert!(frame.len() < 300, "one-HELLO chunk encodes to {} bytes", frame.len());
     }
 
     #[test]

@@ -168,12 +168,14 @@ impl SimServer {
         };
         let addr = reg.addr;
         for f in files {
-            if !reg.offered.contains(&f.file_id) {
+            // `reg.offered` and the provider lists move in lock-step (here
+            // and in `disconnect`), so "already offered" is read off the
+            // file's provider list — a handful of honeypots — instead of
+            // scanning the client's whole offer set per file.
+            let providers = self.index.entry(f.file_id).or_default();
+            if !providers.contains(&session) {
+                providers.push(session);
                 reg.offered.push(f.file_id);
-                let providers = self.index.entry(f.file_id).or_default();
-                if !providers.contains(&session) {
-                    providers.push(session);
-                }
                 self.metadata
                     .entry(f.file_id)
                     .or_insert_with(|| (f.name().unwrap_or("").to_string(), f.size().unwrap_or(0)));
@@ -465,6 +467,74 @@ mod tests {
         assert_eq!(s.provider_sessions(&f), &[1]);
         s.disconnect(T0, 1);
         assert_eq!(s.indexed_files(), 0, "no double-entry to clean twice");
+    }
+
+    /// What one captured session left behind: the server's tables before
+    /// the disconnect, and every capture record including it.
+    struct OfferOutcome {
+        index: HashMap<FileId, Vec<u64>>,
+        metadata: HashMap<FileId, (String, u64)>,
+        records: Vec<ServerRecord>,
+    }
+
+    /// Runs `offers` OFFER-FILES of the same `n`-file list through one
+    /// captured session, then disconnects.
+    fn offer_repeatedly(tag: &str, n: u32, offers: usize) -> OfferOutcome {
+        use honeypot::serverlog::ServerLogReader;
+
+        let dir = std::env::temp_dir().join(format!("simsrv-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = crate::config::ServerCaptureConfig::default();
+        let mut s = server();
+        s.attach_capture(ServerCapture::create(&dir, &cfg).unwrap());
+        let ids: Vec<FileId> = (0..n).map(|i| FileId::from_seed(&i.to_le_bytes())).collect();
+        s.login(T0, 1, addr(1), true);
+        for _ in 0..offers {
+            s.offer_files(T0, 1, &offer(&ids));
+        }
+        let (index, metadata) = (s.index.clone(), s.metadata.clone());
+        s.disconnect(T0, 1);
+        s.take_capture().unwrap().finish().unwrap();
+        let mut reader = ServerLogReader::open(&dir).unwrap();
+        let records = std::iter::from_fn(|| reader.next()).collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        OfferOutcome { index, metadata, records }
+    }
+
+    #[test]
+    fn reoffering_a_large_list_changes_nothing() {
+        let once = offer_repeatedly("once", 3000, 1);
+        let twice = offer_repeatedly("twice", 3000, 2);
+        assert_eq!(once.index.len(), 3000);
+        assert!(once.index.values().all(|providers| providers == &[1]));
+        assert_eq!(twice.index, once.index, "no duplicate provider entries, no new files");
+        assert_eq!(twice.metadata, once.metadata);
+        // login, offer(s), disconnect — the keep-alive is captured like the
+        // first offer, and the disconnect withdraws each file once.
+        let (rec1, rec2) = (&once.records, &twice.records);
+        assert_eq!((rec1.len(), rec2.len()), (3, 4));
+        assert_eq!(rec2[2], rec2[1], "a re-offer is captured exactly like the first offer");
+        assert_eq!(rec2[1], rec1[1]);
+        assert_eq!(rec1[2].payload, 3000, "withdrawn count");
+        assert_eq!(rec2[3], rec1[2], "the disconnect is unchanged by the re-offer");
+    }
+
+    #[test]
+    fn disconnect_relogin_reoffer_registers_every_file_again() {
+        let mut s = server();
+        let ids: Vec<FileId> = (0..200u32).map(|i| FileId::from_seed(&i.to_le_bytes())).collect();
+        s.login(T0, 1, addr(1), true);
+        s.login(T0, 2, addr(2), true);
+        s.offer_files(T0, 1, &offer(&ids));
+        s.offer_files(T0, 2, &offer(&ids[..50]));
+        s.disconnect(T0, 1);
+        assert_eq!(s.indexed_files(), 50, "only the other provider's files remain");
+        s.login(T0, 1, addr(1), true);
+        s.offer_files(T0, 1, &offer(&ids));
+        assert_eq!(s.indexed_files(), 200);
+        assert!(ids.iter().all(|f| s.provider_sessions(f).contains(&1)));
+        assert_eq!(s.provider_sessions(&ids[0]), &[2, 1]);
+        assert_eq!(s.clients[&1].offered, ids, "offer set rebuilt in offer order");
     }
 
     #[test]

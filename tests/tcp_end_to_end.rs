@@ -216,6 +216,26 @@ fn greedy_loopback_run_flows_through_merge_pipeline() {
 }
 
 #[test]
+fn quiet_collections_cut_no_chunk_and_lose_no_table_entry() {
+    let server = NetServer::start().unwrap();
+    let host = start_honeypot(&server, ContentStrategy::NoContent, false);
+    assert!(host.collect_pending_log().is_none(), "no traffic yet: nothing to cut");
+
+    // The peer asks for a file the honeypot does not advertise, so the
+    // advertised one is never referenced by a record...
+    let other = FileId::from_seed(b"some-other-file");
+    let mut peer = ScriptedPeer::login(server.addr(), "asker").unwrap();
+    let _ = peer.attempt_download(host.peer_addr(), other, 1, Duration::from_millis(150), &[]);
+    let chunk = host.collect_pending_log().expect("traffic was logged");
+    // ...and still rides in the first chunk that is cut.
+    let carried: Vec<FileId> = (0..chunk.files.len() as u32).map(|i| chunk.files.id(i)).collect();
+    assert_eq!(carried, vec![FileId::from_seed(b"test-file"), other]);
+    assert!(host.collect_pending_log().is_none(), "quiet again");
+    assert!(host.stop().files.is_empty(), "a quiet final chunk carries empty tables");
+    server.stop();
+}
+
+#[test]
 fn keyword_search_over_tcp_finds_honeypot_files() {
     let server = NetServer::start().unwrap();
     let host = start_honeypot(&server, ContentStrategy::NoContent, false);
