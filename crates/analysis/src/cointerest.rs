@@ -15,10 +15,10 @@
 use std::collections::HashMap;
 
 use honeypot::{MeasurementLog, QueryKind};
-use serde::Serialize;
+use netsim::{json_object, Json};
 
 /// An edge of the file projection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FilePairEdge {
     pub file_a: u32,
     pub file_b: u32,
@@ -29,7 +29,7 @@ pub struct FilePairEdge {
 }
 
 /// Aggregate co-interest statistics.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CoInterestStats {
     /// Peers with at least one START-UPLOAD.
     pub querying_peers: u64,
@@ -41,6 +41,25 @@ pub struct CoInterestStats {
     pub file_pairs: u64,
     /// Strongest file pairs by common-peer count.
     pub top_pairs: Vec<FilePairEdge>,
+}
+
+impl CoInterestStats {
+    /// The statistics as a JSON object, one key per field (`--json`).
+    pub fn to_json(&self) -> Json {
+        let pair = |p: &FilePairEdge| {
+            json_object! {
+                "file_a": p.file_a, "file_b": p.file_b,
+                "common_peers": p.common_peers, "jaccard": p.jaccard,
+            }
+        };
+        json_object! {
+            "querying_peers": self.querying_peers,
+            "multi_file_peers": self.multi_file_peers,
+            "mean_files_per_peer": self.mean_files_per_peer,
+            "file_pairs": self.file_pairs,
+            "top_pairs": self.top_pairs.iter().map(pair).collect::<Vec<_>>(),
+        }
+    }
 }
 
 /// The peer→files incidence derived from START-UPLOAD records.

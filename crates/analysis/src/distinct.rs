@@ -7,12 +7,11 @@
 use honeypot::{AnonPeerId, MeasurementLog, QueryKind};
 use netsim::metrics::FirstSeen;
 use netsim::time::MS_PER_DAY;
-use serde::Serialize;
 
 use crate::index::{cumulate, new_per_bucket, LogIndex};
 
 /// The two series of Fig. 2/3, daily buckets.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PeerGrowth {
     /// Cumulative distinct peers at the end of each day.
     pub cumulative: Vec<u64>,

@@ -3,7 +3,7 @@
 //! Every figure of the paper scans the same record vector, and the full
 //! experiment pipeline used to re-scan it once per figure — a dozen passes
 //! over hundreds of thousands of records.  [`LogIndex`] makes a single
-//! (rayon-parallel) pass and materialises every aggregate the analysis
+//! (parallel) pass and materialises every aggregate the analysis
 //! modules need:
 //!
 //! * per-peer first-seen times, split by `(strategy, kind)` — from which
@@ -34,7 +34,7 @@
 //! chunks (independent of worker-thread count) and merges partial
 //! accumulators in chunk order with order-insensitive operations (min,
 //! add, bitwise or).  The result is therefore a pure function of the log,
-//! whatever rayon pool it runs on — asserted by
+//! however many workers it runs on — asserted by
 //! `tests/index_equivalence.rs::index_is_thread_count_independent`.  The
 //! same argument makes the streaming builder chunking-insensitive: any
 //! partition of the records into pushes yields the same index.
@@ -45,7 +45,6 @@ use honeypot::log::FILE_NONE;
 use honeypot::{AnonRecord, ContentStrategy, MeasurementLog, QueryKind};
 use netsim::time::{MS_PER_DAY, MS_PER_HOUR};
 use netsim::SimTime;
-use rayon::prelude::*;
 
 use crate::subset::PeerSet;
 
@@ -55,18 +54,17 @@ pub(crate) const KINDS: usize = 3;
 pub(crate) const STRATEGIES: usize = 2;
 /// Chunks the record vector is split into for the parallel build.  Fixed —
 /// not derived from the thread count — so the merge order, and with it the
-/// result, never depends on the pool executing it.
+/// result, never depends on the workers executing it.
 const BUILD_CHUNKS: usize = 16;
 
 /// Below this record count [`LogIndex::build`] stays sequential.  Each
 /// parallel chunk allocates its own universe-sized accumulators
 /// (`Partial::new` holds 9 peer-indexed vectors), so on small logs the
 /// 16-way split costs more in allocation + merge than the scan saves —
-/// `BENCH_baseline.json` measured the parallel path at 45.8M records/s vs
-/// 57.5M sequential on a 547k-record log.  Both paths produce identical
-/// results (see `tests/index_equivalence.rs`); this is purely a
-/// performance crossover.  Public so the bench binary can report which
-/// path `build()` selects for a given log.
+/// PR 1's baseline (CHANGES.md) measured the chunked path at 45.8M
+/// records/s vs 57.5M sequential on a 547k-record log.  Both paths
+/// produce identical results (see `tests/index_equivalence.rs`); this is
+/// purely a performance crossover.
 pub const PAR_BUILD_MIN_RECORDS: usize = 2_000_000;
 
 /// Sentinel for "never observed" in first-seen arrays.
@@ -340,19 +338,19 @@ impl IndexBuilder {
 
 impl LogIndex {
     /// Builds the index in one pass over the log, auto-selecting the
-    /// execution: sequential below [`PAR_BUILD_MIN_RECORDS`] or on a
-    /// single-thread pool (where the chunked build only adds allocation
-    /// and merge overhead), rayon-parallel otherwise.  The two paths are
+    /// execution: sequential below [`PAR_BUILD_MIN_RECORDS`] or with a
+    /// single worker (where the chunked build only adds allocation and
+    /// merge overhead), parallel otherwise.  The two paths are
     /// result-identical, so the choice is invisible to callers.
     pub fn build(log: &MeasurementLog) -> LogIndex {
-        if log.records.len() < PAR_BUILD_MIN_RECORDS || rayon::current_num_threads() <= 1 {
+        if log.records.len() < PAR_BUILD_MIN_RECORDS || netsim::par::workers() <= 1 {
             Self::build_sequential(log)
         } else {
             Self::build_parallel(log)
         }
     }
 
-    /// The rayon-parallel chunked build (forced; [`LogIndex::build`]
+    /// The parallel chunked build (forced; [`LogIndex::build`]
     /// normally decides).
     pub fn build_parallel(log: &MeasurementLog) -> LogIndex {
         let chunk = log.records.len().div_ceil(BUILD_CHUNKS).max(1);
@@ -360,7 +358,7 @@ impl LogIndex {
     }
 
     /// Sequential reference build (single chunk) — the baseline for the
-    /// equivalence tests and the `perf_baseline` binary.
+    /// equivalence tests.
     pub fn build_sequential(log: &MeasurementLog) -> LogIndex {
         Self::build_chunked(log, log.records.len().max(1))
     }
@@ -377,15 +375,12 @@ impl LogIndex {
             chunk_size = chunk_size,
             universe = log.distinct_peers
         );
-        let builders: Vec<IndexBuilder> = log
-            .records
-            .par_chunks(chunk_size)
-            .map(|records| {
-                let mut b = IndexBuilder::for_log(log);
-                b.push_records(records);
-                b
-            })
-            .collect();
+        let chunks: Vec<&[AnonRecord]> = log.records.chunks(chunk_size).collect();
+        let builders: Vec<IndexBuilder> = netsim::par::par_map(chunks, |records| {
+            let mut b = IndexBuilder::for_log(log);
+            b.push_records(records);
+            b
+        });
         // Merge sequentially in chunk order: with order-insensitive fold
         // operations this is equivalent to any parallel reduction tree,
         // and it keeps the merge cost off the worker threads.

@@ -12,7 +12,7 @@
 //! * [`toppeer`] — single-peer query series and plateau detection
 //!   (Figs. 8–9);
 //! * [`subset`] — Monte-Carlo subset sampling over honeypots and files
-//!   (Figs. 10–12), rayon-parallel;
+//!   (Figs. 10–12), parallel;
 //! * [`cointerest`] — peer–peer and file–file co-interest projections (the
 //!   paper's §V analysis agenda);
 //! * [`population`] — demographics: high/low IDs, client software,

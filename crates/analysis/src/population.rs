@@ -8,10 +8,9 @@
 use std::collections::HashMap;
 
 use honeypot::{IdStatus, MeasurementLog, QueryKind};
-use serde::Serialize;
 
 /// High/low ID breakdown over distinct peers.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IdStatusBreakdown {
     pub high: u64,
     pub low: u64,

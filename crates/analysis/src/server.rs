@@ -32,7 +32,6 @@ use honeypot::serverlog::{ServerQueryKind, SERVER_QUERY_KINDS};
 use honeypot::{IpHash, MeasurementLog, ServerRecord, SERVER_PEER_SESSION_BASE};
 use netsim::time::{MS_PER_DAY, MS_PER_HOUR};
 use netsim::SimTime;
-use serde::Serialize;
 
 use crate::distinct::peer_growth;
 use crate::index::{cumulate, new_per_bucket, NEVER};
@@ -160,7 +159,7 @@ impl ServerIndexBuilder {
 
 /// The finished server-side index: every aggregate the cross-validation
 /// figures need, independent of capture length.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServerIndex {
     /// Total capture records consumed.
     pub records: u64,
@@ -192,7 +191,7 @@ impl ServerIndex {
 
 /// The cross-validation scores between a server capture and a honeypot
 /// measurement of the same run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CrossValidation {
     /// Distinct peers seen by the server.
     pub server_peers: u64,
@@ -232,7 +231,7 @@ pub struct CrossValidation {
 /// leave headroom below the measured values while still catching a broken
 /// modality: a shuffled capture or a mis-joined popularity table scores
 /// near zero.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Tolerance {
     pub min_discovery_corr: f64,
     pub min_diurnal_corr: f64,

@@ -8,12 +8,11 @@
 use honeypot::{AnonPeerId, ContentStrategy, HoneypotId, MeasurementLog, QueryKind};
 use netsim::metrics::{BucketSeries, FirstSeen};
 use netsim::time::MS_PER_DAY;
-use serde::Serialize;
 
 use crate::index::{cumulate, new_per_bucket, LogIndex};
 
 /// A per-day cumulative series for each strategy group.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StrategyComparison {
     /// Cumulative value per day for the random-content group.
     pub random_content: Vec<u64>,

@@ -8,12 +8,10 @@
 //! work; instead each Monte-Carlo *permutation* of the full set yields, via
 //! incremental unions, one sample for every `n` at once (a uniformly random
 //! permutation's n-prefix is a uniformly random n-subset).  Permutations
-//! run in parallel with rayon.
+//! run in parallel on `netsim::par`.
 
 use honeypot::{MeasurementLog, QueryKind};
 use netsim::Rng;
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// A set of peers as a fixed-width bitset.
 #[derive(Clone, Debug, Default)]
@@ -59,7 +57,7 @@ impl PeerSet {
 }
 
 /// One point of a subset curve.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SubsetPoint {
     /// Subset size.
     pub n: usize,
@@ -76,21 +74,18 @@ pub fn subset_curve(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPo
         return Vec::new();
     }
     let universe_words = sets[0].words.len();
-    let per_permutation: Vec<Vec<u64>> = (0..samples)
-        .into_par_iter()
-        .map(|s| {
-            let mut rng = Rng::seed_from(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut order: Vec<usize> = (0..sets.len()).collect();
-            rng.shuffle(&mut order);
-            let mut acc = PeerSet { words: vec![0; universe_words] };
-            let mut sizes = Vec::with_capacity(sets.len());
-            for &idx in &order {
-                sizes.push(acc.union_with(&sets[idx]));
-            }
-            acc.clear();
-            sizes
-        })
-        .collect();
+    let per_permutation: Vec<Vec<u64>> = netsim::par::par_map((0..samples).collect(), |s| {
+        let mut rng = Rng::seed_from(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut order: Vec<usize> = (0..sets.len()).collect();
+        rng.shuffle(&mut order);
+        let mut acc = PeerSet { words: vec![0; universe_words] };
+        let mut sizes = Vec::with_capacity(sets.len());
+        for &idx in &order {
+            sizes.push(acc.union_with(&sets[idx]));
+        }
+        acc.clear();
+        sizes
+    });
 
     (0..sets.len())
         .map(|i| {
@@ -104,8 +99,7 @@ pub fn subset_curve(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPo
 }
 
 /// Sequential reference implementation of [`subset_curve`] (same
-/// permutation trick, no rayon) — used by the parallelism ablation bench
-/// and as a cross-check in tests.
+/// permutation trick, one thread) — the cross-check in tests.
 pub fn subset_curve_sequential(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPoint> {
     if sets.is_empty() || samples == 0 {
         return Vec::new();
@@ -241,11 +235,18 @@ mod tests {
             b.insert(i + 30);
             c.insert(i * 3);
         }
-        let par = subset_curve(&[a.clone(), b.clone(), c.clone()], 20, 5);
-        let seq = subset_curve_sequential(&[a, b, c], 20, 5);
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!((p.n, p.min, p.max), (s.n, s.min, s.max));
-            assert!((p.avg - s.avg).abs() < 1e-9);
+        let sets = [a, b, c];
+        let seq = subset_curve_sequential(&sets, 20, 5);
+        for workers in [1, 2, 8] {
+            let par = netsim::par::with_workers(workers, || subset_curve(&sets, 20, 5));
+            assert_eq!(par.len(), seq.len());
+            for (p, s) in par.iter().zip(&seq) {
+                assert_eq!(
+                    (p.n, p.min, p.max, p.avg.to_bits()),
+                    (s.n, s.min, s.max, s.avg.to_bits()),
+                    "{workers} workers"
+                );
+            }
         }
     }
 

@@ -1,13 +1,12 @@
 //! Table I — basic statistics of a measurement.
 
 use honeypot::MeasurementLog;
-use serde::Serialize;
 
 use crate::distinct::peer_growth;
 use crate::index::LogIndex;
 
 /// One column of the paper's Table I.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BasicStats {
     pub honeypots: usize,
     pub duration_days: f64,

@@ -4,12 +4,11 @@
 use honeypot::{MeasurementLog, QueryKind};
 use netsim::metrics::BucketSeries;
 use netsim::time::MS_PER_HOUR;
-use serde::Serialize;
 
 use crate::index::LogIndex;
 
 /// An hourly count series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HourlySeries {
     pub counts: Vec<u64>,
 }

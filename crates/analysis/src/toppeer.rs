@@ -11,7 +11,6 @@ use std::collections::HashMap;
 use honeypot::{AnonPeerId, ContentStrategy, MeasurementLog, QueryKind};
 use netsim::metrics::BucketSeries;
 use netsim::time::MS_PER_DAY;
-use serde::Serialize;
 
 use crate::index::LogIndex;
 use crate::strategy::StrategyComparison;
@@ -68,7 +67,7 @@ pub fn plateaus(cumulative: &[u64], min_days: usize) -> Vec<(usize, usize)> {
 }
 
 /// Summary row for reports.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TopPeerSummary {
     pub peer: u32,
     pub start_upload_rc: u64,

@@ -1,7 +1,7 @@
 //! The index-correctness guarantee: every figure derived from
 //! [`LogIndex`] equals the one computed by the original direct scan, and
-//! the index itself is a pure function of the log regardless of the rayon
-//! pool that builds it.  Together with `sim/tests/determinism.rs` this
+//! the index itself is a pure function of the log regardless of how many
+//! workers build it.  Together with `sim/tests/determinism.rs` this
 //! pins both axes of the hot-path overhaul: same log whatever the queue,
 //! same figures whatever the path that computes them.
 
@@ -177,11 +177,10 @@ fn index_is_thread_count_independent() {
     let log = busy_log(11);
     let reference = LogIndex::build_sequential(&log);
     for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         // Force the chunked path: build() would auto-select sequential for
         // a log this small, and the property under test is that the
         // *parallel* build is schedule-independent.
-        let ix = pool.install(|| LogIndex::build_parallel(&log));
+        let ix = netsim::par::with_workers(threads, || LogIndex::build_parallel(&log));
         assert_growth_eq(&ix.peer_growth(), &reference.peer_growth(), "peer_growth");
         assert_growth_eq(&ix.file_growth(), &reference.file_growth(), "file_growth");
         for kind in KINDS {

@@ -21,10 +21,9 @@ use std::collections::HashMap;
 
 use edonkey_proto::md4::Md4;
 use edonkey_proto::Ipv4;
-use serde::{Deserialize, Serialize};
 
 /// The salted one-way hash of one peer IP (step 1 output).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct IpHash(pub [u8; 16]);
 
 /// Step-1 hasher: IP → salted MD4.
@@ -64,7 +63,7 @@ impl IpHasher {
 
 /// The anonymised peer identifier produced by step 2 (dense, 0-based, in
 /// order of first appearance across the merged logs).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct AnonPeerId(pub u32);
 
 /// Step-2 mapping: hash → dense integer, coherent across honeypot logs.

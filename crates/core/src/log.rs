@@ -16,13 +16,12 @@ use std::collections::HashMap;
 
 use edonkey_proto::{FileId, UserId};
 use netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::anonymize::IpHash;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
 
 /// The message types a honeypot logs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum QueryKind {
     Hello,
     StartUpload,
@@ -51,7 +50,7 @@ pub const FILE_NONE: FileIdx = u32::MAX;
 
 /// One logged query, as written by the honeypot (step-1 anonymised: the
 /// peer IP appears only as its salted hash).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QueryRecord {
     /// Reception timestamp.
     pub at: SimTime,
@@ -210,7 +209,7 @@ impl PackedQueryRecord {
 /// `files[bounds[i]..bounds[i+1]]`.  Appending a list is a few `Vec`
 /// pushes into already-warm tails, and iterating lists in log order walks
 /// the arena sequentially.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SharedLists {
     at: Vec<SimTime>,
     peer: Vec<IpHash>,
@@ -294,19 +293,18 @@ impl SharedLists {
 }
 
 /// Deduplicated file metadata observed during a measurement.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct FileTable {
     ids: Vec<FileId>,
     names: Vec<String>,
     sizes: Vec<u64>,
-    #[serde(skip)]
     index: HashMap<FileId, FileIdx>,
 }
 
-// Manual impls: the lookup index is a rebuildable cache (serde also skips
-// it), equality is defined by the table contents alone, and rendering a
-// HashMap would make the Debug output — which tests compare across runs —
-// depend on per-map iteration order.
+// Manual impls: the lookup index is a rebuildable cache (the storage codec
+// does not write it), equality is defined by the table contents alone, and
+// rendering a HashMap would make the Debug output — which tests compare
+// across runs — depend on per-map iteration order.
 impl PartialEq for FileTable {
     fn eq(&self, other: &Self) -> bool {
         self.ids == other.ids && self.names == other.names && self.sizes == other.sizes
@@ -390,7 +388,7 @@ impl FileTable {
 }
 
 /// The full log of one honeypot.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HoneypotLog {
     pub honeypot: HoneypotId,
     /// Server the honeypot was connected to while recording.
@@ -399,14 +397,11 @@ pub struct HoneypotLog {
     pub shared_lists: SharedLists,
     /// Interned peer client names.
     pub peer_names: Vec<String>,
-    #[serde(skip)]
     name_index: HashMap<String, NameIdx>,
     /// Files observed (advertised files, queried files, shared-list files).
     pub files: FileTable,
     /// Collection cursors over `peer_names` / `files` (see [`Self::take_chunk`]).
-    #[serde(skip)]
     name_cursor: ChunkCursor,
-    #[serde(skip)]
     file_cursor: ChunkCursor,
 }
 
@@ -600,7 +595,7 @@ impl HoneypotLog {
 /// name/file tables, which carry the entries this chunk refers to plus
 /// those interned since the previous chunk (see
 /// [`HoneypotLog::take_chunk`]) — never the honeypot's whole history.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LogChunk {
     pub honeypot: HoneypotId,
     pub server: ServerInfo,
@@ -685,14 +680,22 @@ mod tests {
 
     #[test]
     fn file_table_index_rebuild() {
-        let mut t = FileTable::new();
+        // The .edhp container carries the id/name/size columns only: the
+        // lookup index comes back from the decode path, and rebuilding it
+        // from the decoded columns gives the same mapping.
         let f = FileId::from_seed(b"x");
-        t.intern(f, "x", 1);
-        let json = serde_json::to_string(&t).unwrap();
-        let mut back: FileTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.lookup(&f), None, "index is not serialised");
+        let mut log = crate::MeasurementLog::default();
+        log.files.intern(FileId::from_seed(b"w"), "w", 2);
+        log.files.intern(f, "x", 1);
+        let path = std::env::temp_dir().join(format!("edhp-log-index-{}.edhp", std::process::id()));
+        crate::storage::save(&log, &path).unwrap();
+        let mut back = crate::storage::load(&path).unwrap().files;
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.lookup(&f), Some(1), "decoding rebuilds the index");
         back.rebuild_index();
-        assert_eq!(back.lookup(&f), Some(0));
+        assert_eq!(back.lookup(&f), Some(1));
+        assert_eq!(back.intern(f, "x", 1), 1, "a rebuilt index still deduplicates");
+        assert_eq!(back.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use edonkey_proto::UserId;
 use netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::anonymize::AnonPeerId;
 use crate::log::{FileIdx, FileTable, NameIdx, QueryKind};
@@ -17,7 +16,7 @@ use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
 
 /// Static description of one honeypot within the merged dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HoneypotMeta {
     pub id: HoneypotId,
     pub content: ContentStrategy,
@@ -25,7 +24,7 @@ pub struct HoneypotMeta {
 }
 
 /// One fully anonymised query record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AnonRecord {
     pub at: SimTime,
     pub honeypot: HoneypotId,
@@ -44,7 +43,7 @@ pub struct AnonRecord {
 }
 
 /// One anonymised shared-file list observation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AnonSharedList {
     pub at: SimTime,
     pub honeypot: HoneypotId,
@@ -53,7 +52,7 @@ pub struct AnonSharedList {
 }
 
 /// The merged measurement dataset.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MeasurementLog {
     /// Participating honeypots, indexed by `HoneypotId.0`.
     pub honeypots: Vec<HoneypotMeta>,

@@ -16,10 +16,9 @@
 
 use edonkey_proto::FileId;
 use netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// How the honeypot answers REQUEST-PART queries.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ContentStrategy {
     /// Ignore part requests entirely; the peer is clocked by its own
     /// timeout and detects the dead source quickly.
@@ -40,7 +39,7 @@ impl ContentStrategy {
 }
 
 /// One file a honeypot advertises.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AdvertisedFile {
     pub id: FileId,
     pub name: String,
@@ -54,7 +53,7 @@ impl AdvertisedFile {
 }
 
 /// Which files the honeypot advertises.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FileStrategy {
     /// The manager supplies the exact list (the paper's *distributed*
     /// measurement: the same four files on all 24 honeypots).

@@ -2,10 +2,9 @@
 
 use edonkey_proto::{ClientId, Ipv4};
 use netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one honeypot within a measurement (0-based index).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct HoneypotId(pub u32);
 
 impl std::fmt::Display for HoneypotId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for HoneypotId {
 
 /// Description of the eDonkey server a honeypot is connected to.  The paper
 /// records server name, IP and port with every log (§III-B).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ServerInfo {
     pub name: String,
     pub ip: Ipv4,
@@ -30,7 +29,7 @@ impl ServerInfo {
 }
 
 /// Whether a peer holds a directly-reachable (high) or NATed (low) ID.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IdStatus {
     High,
     Low,
@@ -47,7 +46,7 @@ impl IdStatus {
 }
 
 /// Liveness of a honeypot as tracked by the manager.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HoneypotStatus {
     /// Not launched yet.
     Pending,
@@ -72,7 +71,7 @@ impl HoneypotStatus {
 /// A status report a honeypot sends its manager after a launch attempt or a
 /// periodic check (paper §III-A: "reports its status (connected or not), as
 /// well as its clientID").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StatusReport {
     pub honeypot: HoneypotId,
     pub at: SimTime,

@@ -1,72 +1,104 @@
-//! Property-based tests of the measurement platform: anonymisation
-//! coherence, log interning, manager merging.
+//! Seeded property tests of the measurement platform: anonymisation
+//! coherence, log interning, manager merging.  Every case is generated
+//! from its seed alone, and a failure names the seed.
 
-use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 use edonkey_proto::{FileId, Ipv4, UserId};
 use honeypot::anonymize::{AnonMap, IpHasher, NameAnonymizer};
 use honeypot::log::{HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
 use honeypot::types::IdStatus;
 use honeypot::{HoneypotId, HoneypotSpec, Manager, ServerInfo};
-use netsim::SimTime;
+use netsim::{Rng, SimTime};
+
+/// Cases per property.
+const CASES: u64 = 256;
 
 fn server() -> ServerInfo {
     ServerInfo::new("s", Ipv4::new(9, 9, 9, 9), 4661)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Between `min` and `max - 1` generated items.
+fn vec_of<T>(rng: &mut Rng, min: u64, max: u64, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    (0..rng.range(min, max)).map(|_| item(rng)).collect()
+}
 
-    #[test]
-    fn ip_hashing_is_injective_on_samples(ips in prop::collection::hash_set(any::<u32>(), 2..200)) {
+/// Between `min` and `max` characters drawn from `alphabet`.
+fn arb_word(rng: &mut Rng, alphabet: &[u8], min: u64, max: u64) -> String {
+    (0..rng.range(min, max + 1)).map(|_| *rng.choose(alphabet) as char).collect()
+}
+
+const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+
+/// Source IPs with repeats: drawn from a pool a few times smaller than the
+/// sample, so the same peer shows up again (and at both honeypots).
+fn arb_ips(rng: &mut Rng, min: u64, max: u64) -> Vec<u32> {
+    let pool = vec_of(rng, 1, max / 2, |r| r.next_u32());
+    vec_of(rng, min, max, |r| *r.choose(&pool))
+}
+
+#[test]
+fn ip_hashing_is_injective_on_samples() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let ips: HashSet<u32> = vec_of(&mut rng, 2, 200, |r| r.next_u32()).into_iter().collect();
         let hasher = IpHasher::from_seed(1);
-        let hashes: std::collections::HashSet<_> =
-            ips.iter().map(|&ip| hasher.hash(Ipv4(ip))).collect();
-        prop_assert_eq!(hashes.len(), ips.len(), "distinct IPs must hash distinctly");
+        let hashes: HashSet<_> = ips.iter().map(|&ip| hasher.hash(Ipv4(ip))).collect();
+        assert_eq!(hashes.len(), ips.len(), "seed {seed}: distinct IPs must hash distinctly");
     }
+}
 
-    #[test]
-    fn anon_map_is_a_bijection_onto_a_prefix(ips in prop::collection::vec(any::<u32>(), 0..300)) {
+#[test]
+fn anon_map_is_a_bijection_onto_a_prefix() {
+    for seed in 0..CASES {
+        let ips = arb_ips(&mut Rng::seed_from(seed), 0, 300);
         let hasher = IpHasher::from_seed(2);
         let mut map = AnonMap::new();
-        let mut by_ip = std::collections::HashMap::new();
+        let mut by_ip = HashMap::new();
         for &ip in &ips {
             let id = map.intern(hasher.hash(Ipv4(ip)));
             // Same IP always yields the same ID.
             if let Some(prev) = by_ip.insert(ip, id) {
-                prop_assert_eq!(prev, id);
+                assert_eq!(prev, id, "seed {seed}");
             }
         }
-        let distinct: std::collections::HashSet<_> = by_ip.values().collect();
-        prop_assert_eq!(distinct.len(), by_ip.len(), "distinct IPs get distinct IDs");
-        prop_assert_eq!(map.len(), by_ip.len());
+        let distinct: HashSet<_> = by_ip.values().collect();
+        assert_eq!(distinct.len(), by_ip.len(), "seed {seed}: distinct IPs get distinct IDs");
+        assert_eq!(map.len(), by_ip.len(), "seed {seed}");
         // IDs form the dense prefix 0..n.
         let mut ids: Vec<u32> = by_ip.values().map(|a| a.0).collect();
         ids.sort_unstable();
         ids.dedup();
-        prop_assert_eq!(ids, (0..map.len() as u32).collect::<Vec<_>>());
+        assert_eq!(ids, (0..map.len() as u32).collect::<Vec<_>>(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn name_anonymiser_never_leaks_rare_words(
-        rare in "[a-z]{4,12}",
-        common in "[a-z]{4,12}",
-        reps in 5u32..20,
-    ) {
-        prop_assume!(rare != common);
+#[test]
+fn name_anonymiser_never_leaks_rare_words() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let rare = arb_word(&mut rng, LOWER, 4, 12);
+        let common = arb_word(&mut rng, LOWER, 4, 12);
+        if rare == common {
+            continue;
+        }
         let mut counter = NameAnonymizer::new();
-        for _ in 0..reps {
+        for _ in 0..rng.range(5, 20) {
             counter.count(&common);
         }
         counter.count(&format!("{rare} {common}"));
         let frozen = counter.freeze(3);
         let out = frozen.anonymize(&format!("{rare}.{common}.{rare}"));
-        prop_assert!(!out.contains(&rare), "rare word leaked: {out}");
-        prop_assert!(out.contains(&common), "common word lost: {out}");
+        assert!(!out.contains(&rare), "seed {seed}: rare word leaked: {out}");
+        assert!(out.contains(&common), "seed {seed}: common word lost: {out}");
     }
+}
 
-    #[test]
-    fn anonymised_output_is_deterministic(names in prop::collection::vec("[a-z ]{1,20}", 1..30)) {
+#[test]
+fn anonymised_output_is_deterministic() {
+    for seed in 0..CASES {
+        let names =
+            vec_of(&mut Rng::seed_from(seed), 1, 30, |r| arb_word(r, b"abcdefghij ", 1, 20));
         let build = || {
             let mut counter = NameAnonymizer::new();
             for n in &names {
@@ -77,15 +109,30 @@ proptest! {
         let a = build();
         let b = build();
         for n in &names {
-            prop_assert_eq!(a.anonymize(n), b.anonymize(n));
+            assert_eq!(a.anonymize(n), b.anonymize(n), "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn manager_merge_preserves_record_counts_and_coherence(
-        peers_a in prop::collection::vec(any::<u32>(), 1..60),
-        peers_b in prop::collection::vec(any::<u32>(), 1..60),
-    ) {
+#[test]
+fn manager_merge_preserves_record_counts_and_coherence() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let peers_a = arb_ips(&mut rng, 1, 60);
+        // The second honeypot also sees some of the first one's peers.
+        let peers_b =
+            vec_of(
+                &mut rng,
+                1,
+                60,
+                |r| {
+                    if r.chance(0.3) {
+                        *r.choose(&peers_a)
+                    } else {
+                        r.next_u32()
+                    }
+                },
+            );
         let hasher = IpHasher::from_seed(3);
         let make_chunk = |hp: u32, ips: &[u32]| {
             let mut log = HoneypotLog::new(HoneypotId(hp), server());
@@ -106,45 +153,47 @@ proptest! {
             }
             log.take_chunk()
         };
-        let specs = vec![
-            HoneypotSpec { id: HoneypotId(0), content: honeypot::ContentStrategy::NoContent, server: server() },
-            HoneypotSpec { id: HoneypotId(1), content: honeypot::ContentStrategy::RandomContent, server: server() },
-        ];
-        let mut mgr = Manager::new(specs);
+        let spec = |id, content| HoneypotSpec { id: HoneypotId(id), content, server: server() };
+        let mut mgr = Manager::new(vec![
+            spec(0, honeypot::ContentStrategy::NoContent),
+            spec(1, honeypot::ContentStrategy::RandomContent),
+        ]);
         mgr.collect(make_chunk(0, &peers_a));
         mgr.collect(make_chunk(1, &peers_b));
         let merged = mgr.finalize(SimTime::from_days(1), 1, 2);
 
-        prop_assert_eq!(merged.records.len(), peers_a.len() + peers_b.len());
-        prop_assert!(merged.validate().is_empty(), "{:?}", merged.validate());
+        assert_eq!(merged.records.len(), peers_a.len() + peers_b.len(), "seed {seed}");
+        assert!(merged.validate().is_empty(), "seed {seed}: {:?}", merged.validate());
 
         // Coherence: an IP appearing in both honeypots' logs maps to one ID.
-        let expect_distinct: std::collections::HashSet<u32> =
-            peers_a.iter().chain(&peers_b).copied().collect();
-        prop_assert_eq!(merged.distinct_peers as usize, expect_distinct.len());
+        let expect_distinct: HashSet<u32> = peers_a.iter().chain(&peers_b).copied().collect();
+        assert_eq!(merged.distinct_peers as usize, expect_distinct.len(), "seed {seed}");
 
         // Per-record check: same source IP ⇒ same anon id across honeypots.
-        let mut id_of_ip = std::collections::HashMap::new();
+        let mut id_of_ip = HashMap::new();
         for (r, &ip) in merged.records.iter().zip(peers_a.iter().chain(&peers_b)) {
             if let Some(prev) = id_of_ip.insert(ip, r.peer) {
-                prop_assert_eq!(prev, r.peer, "IP {} mapped to two ids", ip);
+                assert_eq!(prev, r.peer, "seed {seed}: IP {ip} mapped to two ids");
             }
         }
     }
+}
 
-    #[test]
-    fn file_table_interning_is_idempotent(entries in prop::collection::vec((any::<[u8;16]>(), "[a-z]{1,8}", any::<u32>()), 0..100)) {
+#[test]
+fn file_table_interning_is_idempotent() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        // Ids from a small pool, so files are re-interned.
+        let entries = vec_of(&mut rng, 0, 100, |r| {
+            (FileId::from_seed(&[r.below(40) as u8]), arb_word(r, LOWER, 1, 8), r.next_u32())
+        });
         let mut table = honeypot::log::FileTable::new();
-        let mut expect: std::collections::HashMap<[u8;16], u32> = std::collections::HashMap::new();
+        let mut expect: HashMap<FileId, u32> = HashMap::new();
         for (id, name, size) in &entries {
-            let idx = table.intern(FileId(*id), name, u64::from(*size));
-            match expect.entry(*id) {
-                std::collections::hash_map::Entry::Vacant(e) => { e.insert(idx); }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    prop_assert_eq!(*e.get(), idx, "re-interning must return the same index");
-                }
-            }
+            let idx = table.intern(*id, name, u64::from(*size));
+            let first = *expect.entry(*id).or_insert(idx);
+            assert_eq!(first, idx, "seed {seed}: re-interning must return the same index");
         }
-        prop_assert_eq!(table.len(), expect.len());
+        assert_eq!(table.len(), expect.len(), "seed {seed}");
     }
 }

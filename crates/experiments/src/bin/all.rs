@@ -12,29 +12,44 @@ use edonkey_analysis::LogIndex;
 use edonkey_experiments::figures;
 use edonkey_experiments::{Measurement, Options};
 use honeypot::MeasurementLog;
-use serde_json::json;
+use netsim::{json_object, Json};
 
 /// Paper-reported values each artefact is compared against.
-fn paper_reference() -> serde_json::Value {
-    json!({
-        "table1": {
-            "distributed": { "honeypots": 24, "days": 32, "shared_files": 4,
-                              "distinct_peers": 110_049, "distinct_files": 28_007, "space_tb": 9 },
-            "greedy": { "honeypots": 1, "days": 15, "shared_files": 3_175,
-                         "distinct_peers": 871_445, "distinct_files": 267_047, "space_tb": 90 },
+fn paper_reference() -> Json {
+    json_object! {
+        "table1": json_object! {
+            "distributed": json_object! {
+                "honeypots": 24, "days": 32, "shared_files": 4,
+                "distinct_peers": 110_049, "distinct_files": 28_007, "space_tb": 9,
+            },
+            "greedy": json_object! {
+                "honeypots": 1, "days": 15, "shared_files": 3_175,
+                "distinct_peers": 871_445, "distinct_files": 267_047, "space_tb": 90,
+            },
         },
-        "fig02": { "total_peers": 110_049, "tail_new_per_day": 2_500 },
-        "fig03": { "total_peers": 871_445, "tail_new_per_day": 54_000 },
-        "fig04": { "first_query_min": 10, "day_night": "clear oscillation, peaks daytime" },
-        "fig05": { "ordering": "random content > no content (distinct HELLO peers)" },
-        "fig06": { "ordering": "random content > no content (distinct START-UPLOAD peers)" },
-        "fig07": { "final_random": 1_900_000, "final_no": 1_500_000 },
-        "fig08": { "ordering": "top peer sends more START-UPLOAD to random content (~5.5k vs ~4k)" },
-        "fig09": { "ordering": "top peer sends more REQUEST-PART to random content (~11k vs ~8k)" },
-        "fig10": { "single_min": 13_000, "single_max": 37_000, "union_24": 110_049 },
-        "fig11": { "peers_per_file": 1_000, "union_100": 100_000 },
-        "fig12": { "peers_per_file": 2_700, "union_100": 270_000, "best_file_peers": 13_373, "worst_file_peers": 2 },
-    })
+        "fig02": json_object! { "total_peers": 110_049, "tail_new_per_day": 2_500 },
+        "fig03": json_object! { "total_peers": 871_445, "tail_new_per_day": 54_000 },
+        "fig04": json_object! {
+            "first_query_min": 10, "day_night": "clear oscillation, peaks daytime",
+        },
+        "fig05": json_object! { "ordering": "random content > no content (distinct HELLO peers)" },
+        "fig06": json_object! {
+            "ordering": "random content > no content (distinct START-UPLOAD peers)",
+        },
+        "fig07": json_object! { "final_random": 1_900_000, "final_no": 1_500_000 },
+        "fig08": json_object! {
+            "ordering": "top peer sends more START-UPLOAD to random content (~5.5k vs ~4k)",
+        },
+        "fig09": json_object! {
+            "ordering": "top peer sends more REQUEST-PART to random content (~11k vs ~8k)",
+        },
+        "fig10": json_object! { "single_min": 13_000, "single_max": 37_000, "union_24": 110_049 },
+        "fig11": json_object! { "peers_per_file": 1_000, "union_100": 100_000 },
+        "fig12": json_object! {
+            "peers_per_file": 2_700, "union_100": 270_000,
+            "best_file_peers": 13_373, "worst_file_peers": 2,
+        },
+    }
 }
 
 fn main() {
@@ -68,12 +83,11 @@ fn main() {
     // run on their own OS threads; each log's index is then built once and
     // serves every figure below.
     let t_phase = Instant::now();
-    let (dist, greedy) = crossbeam::scope(|s| {
-        let d = s.spawn(|_| opts.run(Measurement::Distributed));
-        let g = s.spawn(|_| opts.run(Measurement::Greedy));
+    let (dist, greedy) = std::thread::scope(|s| {
+        let d = s.spawn(|| opts.run(Measurement::Distributed));
+        let g = s.spawn(|| opts.run(Measurement::Greedy));
         (d.join().expect("distributed run"), g.join().expect("greedy run"))
-    })
-    .expect("scoped simulation threads");
+    });
     eprintln!(
         "[all] phase simulate: {:.2}s (both measurements, concurrent)",
         t_phase.elapsed().as_secs_f64()
@@ -123,17 +137,17 @@ fn main() {
     }
 
     if opts.json {
-        let combined: serde_json::Value = artefacts
-            .iter()
-            .map(|(id, a)| ((*id).to_string(), a.data.clone()))
-            .collect::<serde_json::Map<_, _>>()
-            .into();
-        println!("{}", serde_json::to_string_pretty(&combined).expect("serialisable"));
+        println!("{}", raw_data(&artefacts).pretty());
     }
     eprintln!("[all] total: {:.2}s", t_total.elapsed().as_secs_f64());
 }
 
-fn summary_line(id: &str, data: &serde_json::Value) -> String {
+/// Every artefact's data under its id.
+fn raw_data(artefacts: &[(&str, figures::Artefact)]) -> Json {
+    Json::object(artefacts.iter().map(|(id, a)| (*id, a.data.clone())))
+}
+
+fn summary_line(id: &str, data: &Json) -> String {
     match id {
         "table1" => {
             format!(
@@ -161,12 +175,12 @@ fn summary_line(id: &str, data: &serde_json::Value) -> String {
             "singles {}–{}, union(24) {}",
             data["single_min"],
             data["single_max"],
-            data["avg"].as_array().and_then(|a| a.last()).cloned().unwrap_or(json!(0))
+            data["avg"].as_array().and_then(|a| a.last()).unwrap_or(&Json::Int(0))
         ),
         "fig11" | "fig12" => format!(
             "≈{:.0} peers/file, union(100) {}, best file {}, worst {}",
             data["peers_per_file"].as_f64().unwrap_or(0.0),
-            data["avg"].as_array().and_then(|a| a.last()).cloned().unwrap_or(json!(0)),
+            data["avg"].as_array().and_then(|a| a.last()).unwrap_or(&Json::Int(0)),
             data["best_file_peers"],
             data["worst_file_peers"]
         ),
@@ -230,16 +244,6 @@ fn render_experiments_md(
         let _ = writeln!(md, "* measured: {}\n", summary_line(id, &artefact.data));
         let _ = writeln!(md, "```text\n{}```\n", artefact.text);
     }
-    let _ = writeln!(
-        md,
-        "## Raw data\n\n```json\n{}\n```",
-        serde_json::to_string_pretty(
-            &artefacts
-                .iter()
-                .map(|(id, a)| ((*id).to_string(), a.data.clone()))
-                .collect::<serde_json::Map<_, _>>()
-        )
-        .expect("serialisable")
-    );
+    let _ = writeln!(md, "## Raw data\n\n```json\n{}\n```", raw_data(artefacts).pretty());
     md
 }

@@ -46,6 +46,6 @@ fn main() {
     println!("{}", ascii_table(&["co-peers", "peers"], &rows));
 
     if opts.json {
-        println!("{}", serde_json::to_string_pretty(&stats).expect("serialisable"));
+        println!("{}", stats.to_json().pretty());
     }
 }

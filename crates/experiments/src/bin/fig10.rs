@@ -11,6 +11,6 @@ fn main() {
     let artefact = figures::fig10(&ix, opts.samples, opts.seed);
     println!("{}", artefact.text);
     if opts.json {
-        println!("{}", serde_json::to_string_pretty(&artefact.data).expect("serialisable"));
+        println!("{}", artefact.data.pretty());
     }
 }

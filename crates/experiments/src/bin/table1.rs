@@ -10,6 +10,6 @@ fn main() {
     let artefact = table1(&dist, &greedy);
     println!("{}", artefact.text);
     if opts.json {
-        println!("{}", serde_json::to_string_pretty(&artefact.data).expect("serialisable"));
+        println!("{}", artefact.data.pretty());
     }
 }

@@ -13,14 +13,14 @@ use edonkey_analysis::{
     subset_curve, LogIndex, StrategyComparison, SubsetPoint,
 };
 use honeypot::{MeasurementLog, QueryKind};
-use serde_json::json;
+use netsim::{json_object, Json};
 
 /// A rendered experiment artefact.
 pub struct Artefact {
     /// Human-readable report.
     pub text: String,
     /// Machine-readable data (written into EXPERIMENTS.md's JSON block).
-    pub data: serde_json::Value,
+    pub data: Json,
 }
 
 /// Table I: basic statistics of both measurements.
@@ -59,18 +59,18 @@ pub fn table1(dist: &MeasurementLog, greedy: &MeasurementLog) -> Artefact {
         "Table I — basic statistics of the collected data\n{}",
         ascii_table(&["statistic", "distributed", "greedy"], &rows)
     );
-    let data = json!({
-        "distributed": {
+    let data = json_object! {
+        "distributed": json_object! {
             "honeypots": d.honeypots, "days": d.duration_days,
             "shared_files": d.shared_files, "distinct_peers": d.distinct_peers,
             "distinct_files": d.distinct_files, "space_tb": d.distinct_files_tb(),
         },
-        "greedy": {
+        "greedy": json_object! {
             "honeypots": g.honeypots, "days": g.duration_days,
             "shared_files": g.shared_files, "distinct_peers": g.distinct_peers,
             "distinct_files": g.distinct_files, "space_tb": g.distinct_files_tb(),
         },
-    });
+    };
     Artefact { text, data }
 }
 
@@ -91,13 +91,13 @@ pub fn fig_growth(ix: &LogIndex, fig_no: u8) -> Artefact {
         series_table("day", &days, &[("total_peers", &g.cumulative), ("new_peers", &g.new_per_day)]),
         chart,
     );
-    let data = json!({
+    let data = json_object! {
         "total_peers": g.total(),
         "tail_new_per_day": g.tail_rate(5),
         "cumulative": g.cumulative,
         "new_per_day": g.new_per_day,
         "distinct_files_total": files.total(),
-    });
+    };
     Artefact { text, data }
 }
 
@@ -120,15 +120,20 @@ pub fn fig04(ix: &LogIndex) -> Artefact {
         chart,
         series_table("hour", &hours, &[("hello", &week)]),
     );
-    let data = json!({
+    let data = json_object! {
         "first_query_min": first_ms as f64 / 60_000.0,
         "day_night_ratio": ratio,
         "hourly_first_week": week,
-    });
+    };
     Artefact { text, data }
 }
 
-fn strategy_artefact(title: String, c: &StrategyComparison, extra: serde_json::Value) -> Artefact {
+/// `extra` holds the figure's own entries of the data object.
+fn strategy_artefact(
+    title: String,
+    c: &StrategyComparison,
+    extra: Vec<(&'static str, Json)>,
+) -> Artefact {
     let days: Vec<u64> = (0..c.random_content.len() as u64).collect();
     let (rc, nc) = c.finals();
     let chart = ascii_chart(
@@ -151,18 +156,13 @@ fn strategy_artefact(title: String, c: &StrategyComparison, extra: serde_json::V
         ),
         chart,
     );
-    let mut data = json!({
-        "random_content": c.random_content,
-        "no_content": c.no_content,
-        "final_random": rc,
-        "final_no": nc,
-    });
-    if let (Some(obj), Some(ex)) = (data.as_object_mut(), extra.as_object()) {
-        for (k, v) in ex {
-            obj.insert(k.clone(), v.clone());
-        }
-    }
-    Artefact { text, data }
+    let shared = [
+        ("random_content", Json::from(c.random_content.as_slice())),
+        ("no_content", Json::from(c.no_content.as_slice())),
+        ("final_random", Json::from(rc)),
+        ("final_no", Json::from(nc)),
+    ];
+    Artefact { text, data: Json::object(shared.into_iter().chain(extra)) }
 }
 
 /// Fig. 5: distinct peers sending HELLO per strategy group.
@@ -171,7 +171,7 @@ pub fn fig05(ix: &LogIndex) -> Artefact {
     strategy_artefact(
         "Fig. 5 — distinct peers sending HELLO, by content strategy".into(),
         &c,
-        json!({}),
+        Vec::new(),
     )
 }
 
@@ -181,7 +181,7 @@ pub fn fig06(ix: &LogIndex) -> Artefact {
     strategy_artefact(
         "Fig. 6 — distinct peers sending START-UPLOAD, by content strategy".into(),
         &c,
-        json!({}),
+        Vec::new(),
     )
 }
 
@@ -191,7 +191,7 @@ pub fn fig07(ix: &LogIndex) -> Artefact {
     strategy_artefact(
         "Fig. 7 — REQUEST-PART messages received, by content strategy".into(),
         &c,
-        json!({}),
+        Vec::new(),
     )
 }
 
@@ -202,8 +202,7 @@ pub fn fig_top_peer(log: &MeasurementLog, ix: &LogIndex, fig_no: u8) -> Artefact
     let kind = if fig_no == 8 { QueryKind::StartUpload } else { QueryKind::RequestPart };
     let Some(peer) = ix.top_peer(QueryKind::StartUpload) else {
         return Artefact {
-            text: format!("Fig. {fig_no} — no queries recorded"),
-            data: json!(null),
+            text: format!("Fig. {fig_no} — no queries recorded"), data: Json::Null
         };
     };
     let c = peer_series(log, peer, kind);
@@ -216,7 +215,11 @@ pub fn fig_top_peer(log: &MeasurementLog, ix: &LogIndex, fig_no: u8) -> Artefact
             peer.0
         ),
         &c,
-        json!({ "peer": peer.0, "plateaus_rc": flat_rc, "plateaus_nc": flat_nc }),
+        vec![
+            ("peer", peer.0.into()),
+            ("plateaus_rc", flat_rc.clone().into()),
+            ("plateaus_nc", flat_nc.clone().into()),
+        ],
     );
     artefact.text.push_str(&format!(
         "plateaus (≥2 quiet days): random content {flat_rc:?}, no content {flat_nc:?}\n"
@@ -224,7 +227,12 @@ pub fn fig_top_peer(log: &MeasurementLog, ix: &LogIndex, fig_no: u8) -> Artefact
     artefact
 }
 
-fn subset_artefact(title: String, curve: &[SubsetPoint], per_file: serde_json::Value) -> Artefact {
+/// `extra` holds the figure's own entries of the data object.
+fn subset_artefact(
+    title: String,
+    curve: &[SubsetPoint],
+    extra: Vec<(&'static str, Json)>,
+) -> Artefact {
     let ns: Vec<u64> = curve.iter().map(|p| p.n as u64).collect();
     let avg: Vec<u64> = curve.iter().map(|p| p.avg.round() as u64).collect();
     let min: Vec<u64> = curve.iter().map(|p| p.min).collect();
@@ -243,16 +251,13 @@ fn subset_artefact(title: String, curve: &[SubsetPoint], per_file: serde_json::V
         series_table("n", &ns, &[("avg", &avg), ("min", &min), ("max", &max)]),
         chart,
     );
-    let mut data = json!({
-        "n": ns, "avg": curve.iter().map(|p| p.avg).collect::<Vec<_>>(),
-        "min": min, "max": max,
-    });
-    if let (Some(obj), Some(ex)) = (data.as_object_mut(), per_file.as_object()) {
-        for (k, v) in ex {
-            obj.insert(k.clone(), v.clone());
-        }
-    }
-    Artefact { text, data }
+    let shared = [
+        ("n", Json::from(ns)),
+        ("avg", Json::from(curve.iter().map(|p| p.avg).collect::<Vec<_>>())),
+        ("min", Json::from(min)),
+        ("max", Json::from(max)),
+    ];
+    Artefact { text, data: Json::object(shared.into_iter().chain(extra)) }
 }
 
 /// Fig. 10: distinct peers vs number of honeypots (100 random subsets per
@@ -268,7 +273,7 @@ pub fn fig10(ix: &LogIndex, samples: usize, seed: u64) -> Artefact {
             format_count(single_max)
         ),
         &curve,
-        json!({ "single_min": single_min, "single_max": single_max }),
+        vec![("single_min", single_min.into()), ("single_max", single_max.into())],
     )
 }
 
@@ -293,13 +298,13 @@ pub fn fig_files(ix: &LogIndex, fig_no: u8, samples: usize, seed: u64) -> Artefa
             format_count(counts.last().copied().unwrap_or(0)),
         ),
         &curve,
-        json!({
-            "set": label,
-            "peers_per_file": per_file,
-            "best_file_peers": counts.first().copied().unwrap_or(0),
-            "worst_file_peers": counts.last().copied().unwrap_or(0),
-            "queried_files": counts.len(),
-        }),
+        vec![
+            ("set", label.into()),
+            ("peers_per_file", per_file.into()),
+            ("best_file_peers", counts.first().copied().unwrap_or(0).into()),
+            ("worst_file_peers", counts.last().copied().unwrap_or(0).into()),
+            ("queried_files", counts.len().into()),
+        ],
     )
 }
 
@@ -351,7 +356,7 @@ mod tests {
         let (_, ix) = fixture();
         for f in [fig05(&ix), fig06(&ix), fig07(&ix)] {
             assert!(f.text.contains("random content"));
-            assert!(f.data["final_random"].is_u64());
+            assert!(f.data["final_random"].as_u64().is_some());
         }
     }
 

@@ -9,8 +9,8 @@
 //! Binaries accept `--scale F` (population scale; 1.0 = paper scale),
 //! `--seed N`, `--samples N` (Monte-Carlo subsets), `--json`, plus the
 //! run-cache (`--no-cache`, `--cache-dir DIR`) and execution
-//! (`--sharded`, `--threads N`) knobs — completed runs are reused from
-//! the content-addressed cache ([`cache`]) across invocations and across
+//! (`--sharded`) knobs — completed runs are reused from the
+//! content-addressed cache ([`cache`]) across invocations and across
 //! binaries.
 
 pub mod cache;

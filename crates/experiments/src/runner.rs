@@ -30,15 +30,12 @@ pub struct Options {
     /// Directory to load previously saved measurement logs from (skips the
     /// simulation when the file exists).
     pub load: Option<std::path::PathBuf>,
-    /// Size of the rayon worker pool used by the parallel analyses
-    /// (`None` = rayon's default, one worker per core).
-    pub threads: Option<usize>,
     /// Disable the content-addressed run cache (`--no-cache`).
     pub no_cache: bool,
     /// Run-cache directory (`--cache-dir`; default
     /// `target/run-cache` at the workspace root).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Execute scenarios lane-sharded on the rayon pool (`--sharded`).
+    /// Execute scenarios lane-sharded, lanes in parallel (`--sharded`).
     pub sharded: bool,
     /// Run the live control-plane loopback demo (manager daemon + agents
     /// over real TCP) instead of / before the simulated measurements.
@@ -62,7 +59,6 @@ impl Default for Options {
             json: false,
             save: None,
             load: None,
-            threads: None,
             no_cache: false,
             cache_dir: None,
             sharded: false,
@@ -101,14 +97,6 @@ impl Options {
                 "--json" => opts.json = true,
                 "--save" => opts.save = Some(take_value(&mut i).into()),
                 "--load" => opts.load = Some(take_value(&mut i).into()),
-                "--threads" => {
-                    let n: usize =
-                        take_value(&mut i).parse().unwrap_or_else(|_| usage("--threads"));
-                    if n == 0 {
-                        usage("--threads must be at least 1");
-                    }
-                    opts.threads = Some(n);
-                }
                 "--no-cache" => opts.no_cache = true,
                 "--cache-dir" => opts.cache_dir = Some(take_value(&mut i).into()),
                 "--sharded" => opts.sharded = true,
@@ -131,7 +119,6 @@ impl Options {
         if opts.checkpoint_interval.is_some() && opts.spool_dir.is_none() {
             usage("--checkpoint-interval requires --spool-dir");
         }
-        opts.install_thread_pool();
         opts
     }
 
@@ -142,16 +129,6 @@ impl Options {
             dir: dir.clone(),
             checkpoint_interval_ms: self.checkpoint_interval,
         })
-    }
-
-    /// Sizes rayon's global pool to `--threads` (first caller wins; a
-    /// no-op when unset or when a pool already exists).
-    pub fn install_thread_pool(&self) {
-        if let Some(n) = self.threads {
-            if let Err(e) = rayon::ThreadPoolBuilder::new().num_threads(n).build_global() {
-                eprintln!("[run] rayon pool already initialised ({e}); --threads ignored");
-            }
-        }
     }
 
     /// The scenario configuration for a measurement under these options.
@@ -290,10 +267,9 @@ fn usage(offender: &str) -> ! {
          --json       also emit machine-readable JSON\n\
          --save DIR   store the measurement logs under DIR (EDHP format)\n\
          --load DIR   reuse measurement logs from DIR instead of re-running\n\
-         --threads N  size of the rayon worker pool (default: one per core)\n\
          --no-cache   bypass the content-addressed run cache\n\
          --cache-dir DIR  run-cache location (default target/run-cache)\n\
-         --sharded    lane-sharded execution on the rayon pool\n\
+         --sharded    lane-sharded execution, lanes in parallel\n\
          --live-loopback  live control-plane demo over loopback TCP (all)\n\
          --spool-dir DIR  durable spools + manager checkpoint for the live\n\
          \x20             demo; also exercises a manager crash/recovery\n\

@@ -13,12 +13,11 @@ use edonkey_proto::SearchExpr;
 use edonkey_sim::{CatalogConfig, HoneypotSetup, ScenarioConfig};
 use honeypot::ContentStrategy;
 use netsim::SimTime;
-use serde::Serialize;
 
 use crate::scenarios;
 
 /// How target files are spread over the honeypots.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Coordination {
     /// Every honeypot advertises every target file (the paper's
     /// distributed measurement did this with its four files).  Maximises
@@ -40,7 +39,7 @@ impl Coordination {
 }
 
 /// What a targeted scenario is measuring.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TargetInfo {
     pub keyword: String,
     /// Catalog indices of the target files.

@@ -1,5 +1,5 @@
 //! The lane-sharding determinism guarantee on the paper's calibrated
-//! scenarios: the rayon-parallel sharded execution and its lane-ordered
+//! scenarios: the parallel sharded execution and its lane-ordered
 //! sequential reference must produce **bit-identical** measurement logs —
 //! the same discipline `determinism.rs` pins for the queue choice.
 //!

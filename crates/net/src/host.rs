@@ -3,7 +3,7 @@
 //! The host owns two socket roles:
 //!
 //! * a **client connection** to the eDonkey server (login, OFFER-FILES,
-//!   keep-alives) with a dedicated writer fed by a crossbeam channel, so
+//!   keep-alives) with a dedicated writer fed by an mpsc channel, so
 //!   peer-connection threads can publish greedy adoptions without sharing
 //!   the socket;
 //! * a **listener** for incoming peer connections; each accepted peer gets
@@ -15,15 +15,15 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Sender};
 use edonkey_proto::{ClientServerMessage, Ipv4};
 use honeypot::{Action, ConnId, Honeypot, LogChunk, StatusReport};
+use netsim::sync::lock;
 use netsim::SimTime;
-use parking_lot::Mutex;
 
 use crate::framing::{write_server_message_to, FramedStream, NetError};
 
@@ -66,7 +66,7 @@ impl HoneypotHost {
         let mut writer_stream = server_framed.try_clone_stream()?;
         let shutdown_stream = server_framed.try_clone_stream()?;
 
-        let (to_server, from_host) = unbounded::<ClientServerMessage>();
+        let (to_server, from_host) = channel::<ClientServerMessage>();
         let status: Arc<Mutex<Vec<StatusReport>>> = Arc::new(Mutex::new(Vec::new()));
 
         // Kick off the login handshake.
@@ -112,13 +112,13 @@ impl HoneypotHost {
         let server_reader = std::thread::spawn(move || {
             while let Ok(msg) = server_framed.read_server_message(true) {
                 let now = SimTime::from_millis(reader_started.elapsed().as_millis() as u64);
-                let actions = reader_honeypot.lock().on_server_message(now, &msg);
+                let actions = lock(&reader_honeypot).on_server_message(now, &msg);
                 route_actions(actions, &reader_sender, &reader_status);
             }
             if !reader_stopping.load(Ordering::SeqCst) {
                 reader_lost.store(true, Ordering::SeqCst);
                 let now = SimTime::from_millis(reader_started.elapsed().as_millis() as u64);
-                let actions = reader_honeypot.lock().on_disconnected(now);
+                let actions = lock(&reader_honeypot).on_disconnected(now);
                 route_actions(actions, &reader_sender, &reader_status);
             }
         });
@@ -162,7 +162,7 @@ impl HoneypotHost {
                 live.fetch_add(1, Ordering::Relaxed);
                 std::thread::spawn(move || {
                     let _ = serve_peer(stream, conn_id, &hp, &sender, &status, started);
-                    hp.lock().on_peer_disconnected(conn_id);
+                    lock(&hp).on_peer_disconnected(conn_id);
                     live.fetch_sub(1, Ordering::Relaxed);
                 });
             }
@@ -200,7 +200,7 @@ impl HoneypotHost {
     pub fn wait_connected(&self, timeout: std::time::Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if matches!(self.honeypot.lock().status(), honeypot::HoneypotStatus::Connected { .. }) {
+            if matches!(lock(&self.honeypot).status(), honeypot::HoneypotStatus::Connected { .. }) {
                 return true;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -211,13 +211,13 @@ impl HoneypotHost {
     /// Sends a keep-alive OFFER-FILES now.
     pub fn keepalive(&self) {
         let now = self.now();
-        let actions = self.honeypot.lock().keepalive(now);
+        let actions = lock(&self.honeypot).keepalive(now);
         route_actions(actions, &self.to_server, &self.status);
     }
 
     /// Collects the honeypot's buffered log.
     pub fn collect_log(&self) -> LogChunk {
-        self.honeypot.lock().collect_log()
+        lock(&self.honeypot).collect_log()
     }
 
     /// Collects the buffered log only if it holds a record or a shared
@@ -225,13 +225,13 @@ impl HoneypotHost {
     /// *cut*, so a periodic uploader that skips empty collections must not
     /// cut them in the first place — this is its entry point.
     pub fn collect_pending_log(&self) -> Option<LogChunk> {
-        let mut hp = self.honeypot.lock();
+        let mut hp = lock(&self.honeypot);
         hp.log().has_pending().then(|| hp.collect_log())
     }
 
     /// Status reports seen so far.
     pub fn status_reports(&self) -> Vec<StatusReport> {
-        self.status.lock().clone()
+        lock(&self.status).clone()
     }
 
     /// Currently connected peer count.
@@ -268,7 +268,7 @@ impl HoneypotHost {
         }
         // Drop our own sender; once every clone is gone the writer's recv
         // fails and it exits too.
-        let (dummy, _) = unbounded();
+        let (dummy, _) = channel();
         self.to_server = dummy;
         if let Some(t) = self.server_writer.take() {
             let _ = t.join();
@@ -287,7 +287,7 @@ fn route_actions(
             Action::SendServer(msg) => {
                 let _ = to_server.send(msg);
             }
-            Action::Report(r) => status.lock().push(r),
+            Action::Report(r) => lock(status).push(r),
             Action::Reply(_) => {
                 debug_assert!(false, "replies are handled by the peer thread");
             }
@@ -315,14 +315,14 @@ fn serve_peer(
             Err(e) => return Err(e),
         };
         let now = SimTime::from_millis(started.elapsed().as_millis() as u64);
-        let actions = honeypot.lock().on_peer_message(now, conn, src_ip, &msg);
+        let actions = lock(honeypot).on_peer_message(now, conn, src_ip, &msg);
         for a in actions {
             match a {
                 Action::Reply(reply) => framed.write_peer_message(&reply)?,
                 Action::SendServer(m) => {
                     let _ = to_server.send(m);
                 }
-                Action::Report(r) => status.lock().push(r),
+                Action::Report(r) => lock(status).push(r),
             }
         }
     }

@@ -2,19 +2,19 @@
 //!
 //! Speaks the real wire protocol over loopback (or any interface): LOGIN →
 //! ID-CHANGE, OFFER-FILES indexing, GET-SOURCES → FOUND-SOURCES.  One
-//! thread per connection; shared index behind a `parking_lot` lock.  This
+//! thread per connection; shared index behind a mutex.  This
 //! is the server side of the zero-simulation proof that the honeypot
 //! platform speaks genuine eDonkey.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerAddr};
-use parking_lot::Mutex;
+use netsim::sync::lock;
 
 use crate::framing::{FramedStream, NetError};
 
@@ -84,7 +84,7 @@ impl NetServer {
                 let Ok(msg) = edonkey_proto::UdpMessage::decode(&buf[..n]) else { continue };
                 match msg {
                     edonkey_proto::UdpMessage::GlobStatReq { challenge } => {
-                        let idx = udp_index.lock();
+                        let idx = lock(&udp_index);
                         let res = edonkey_proto::UdpMessage::GlobStatRes {
                             challenge,
                             users: idx.users,
@@ -96,7 +96,7 @@ impl NetServer {
                     edonkey_proto::UdpMessage::GlobGetSources { files } => {
                         for file in files {
                             let sources =
-                                udp_index.lock().providers.get(&file).cloned().unwrap_or_default();
+                                lock(&udp_index).providers.get(&file).cloned().unwrap_or_default();
                             if !sources.is_empty() {
                                 let res =
                                     edonkey_proto::UdpMessage::GlobFoundSources { file, sources };
@@ -132,12 +132,12 @@ impl NetServer {
 
     /// Number of logged-in users (diagnostics).
     pub fn users(&self) -> u32 {
-        self.index.lock().users
+        lock(&self.index).users
     }
 
     /// Number of indexed files (diagnostics).
     pub fn indexed_files(&self) -> usize {
-        self.index.lock().providers.len()
+        lock(&self.index).providers.len()
     }
 
     /// Stops accepting and joins the accept loop.  Existing per-connection
@@ -188,7 +188,7 @@ fn serve_connection(
             ClientServerMessage::LoginRequest { port, .. } => {
                 announced_port = port;
                 logged_in = true;
-                index.lock().users += 1;
+                lock(index).users += 1;
                 // Loopback peers are directly reachable: hand out a high ID
                 // when the IP encodes one, a low ID otherwise.
                 let ip = match peer_sock.ip() {
@@ -216,7 +216,7 @@ fn serve_connection(
                     std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
                 };
                 let addr = PeerAddr::new(ip, announced_port);
-                let mut idx = index.lock();
+                let mut idx = lock(index);
                 for f in files {
                     let list = idx.providers.entry(f.file_id).or_default();
                     if !list.contains(&addr) {
@@ -230,7 +230,7 @@ fn serve_connection(
                 }
             }
             ClientServerMessage::GetSources { file_id } => {
-                let sources = index.lock().providers.get(&file_id).cloned().unwrap_or_default();
+                let sources = lock(index).providers.get(&file_id).cloned().unwrap_or_default();
                 framed.write_server_message(&ClientServerMessage::FoundSources {
                     file_id,
                     sources,
@@ -238,7 +238,7 @@ fn serve_connection(
             }
             ClientServerMessage::SearchRequest { expr } => {
                 let files = {
-                    let idx = index.lock();
+                    let idx = lock(index);
                     idx.providers
                         .iter()
                         .filter(|(_, providers)| !providers.is_empty())
@@ -264,7 +264,7 @@ fn serve_connection(
         std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
     };
     let addr = PeerAddr::new(ip, announced_port);
-    let mut idx = index.lock();
+    let mut idx = lock(index);
     if logged_in {
         idx.users = idx.users.saturating_sub(1);
     }

@@ -8,13 +8,13 @@
 //! when the cursor reaches them.  For workloads whose pending events
 //! cluster tightly in time — like this simulator's retry/timeout traffic —
 //! most pushes land outside the current window (O(1) append) and pops are
-//! O(1), versus O(log n) sift costs for a heap.  The `event_queue`
-//! ablation bench and the `perf_baseline` binary compare both under the
-//! simulator's actual scheduling pattern.
+//! O(1), versus O(log n) sift costs for a heap.  The `netsim.queue_*`
+//! layers of `benchmark/` time it under the simulator's actual
+//! scheduling pattern.
 //!
 //! Semantics match [`crate::event::EventQueue`] exactly: FIFO order among
 //! equal timestamps, monotone pops.  A property test in
-//! `tests/queue_equivalence.rs` asserts the two yield identical
+//! `tests/proptests.rs` asserts the two yield identical
 //! `(time, payload)` sequences on arbitrary schedules.
 
 use crate::queue::PendingQueue;

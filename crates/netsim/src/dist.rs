@@ -8,8 +8,6 @@
 //!   skewed per-file peer count: best file 13,373 peers, worst 2);
 //! * [`DiurnalCurve`] — the day/night activity modulation behind Fig. 4.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::Rng;
 
 /// Exponential variate with the given rate (events per unit time).
@@ -121,7 +119,7 @@ impl Zipf {
 /// We model the rate multiplier as a raised cosine with configurable
 /// amplitude, peaking at `peak_hour` local time, averaging 1.0 over a day so
 /// it scales rates without changing daily totals.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DiurnalCurve {
     /// Hour of local day at which activity peaks (e.g. 15 ≈ mid-afternoon).
     pub peak_hour: f64,

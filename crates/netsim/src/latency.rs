@@ -6,12 +6,10 @@
 //! Figs. 8–9).  The latency model therefore distinguishes a per-link base
 //! RTT, jitter, and a throughput term for data-bearing messages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::Rng;
 
 /// Latency/bandwidth parameters for a class of links.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
     /// Minimum one-way delay in ms.
     pub base_ms: u64,

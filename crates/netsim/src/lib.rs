@@ -17,10 +17,14 @@
 //! * [`dist`] — exponential/Poisson/normal/log-normal/Zipf sampling and the
 //!   diurnal activity curve;
 //! * [`latency`] — link latency/bandwidth models;
+//! * [`json`] — the workspace's JSON value, printer and reader;
 //! * [`metrics`] — bucketed time series and first-seen tracking;
 //! * [`obs`] — the structured-event facade and per-thread flight
 //!   recorder shared by the whole workspace (see `platform::obs` for
-//!   the registry/scraper built on top).
+//!   the registry/scraper built on top);
+//! * [`par`] — the order-preserving parallel map the analyses and the
+//!   lane-sharded scenarios run on;
+//! * [`sync`] — poison-recovering mutex locking for the threaded crates.
 //!
 //! Everything is deterministic: a simulation is a pure function of its
 //! configuration and one 64-bit seed.
@@ -29,11 +33,14 @@ pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
+pub mod json;
 pub mod latency;
 pub mod metrics;
 pub mod obs;
+pub mod par;
 pub mod queue;
 pub mod rng;
+pub mod sync;
 pub mod time;
 pub mod wheel;
 
@@ -41,6 +48,7 @@ pub use calendar::CalendarQueue;
 pub use dist::{DiurnalCurve, Zipf};
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use event::EventQueue;
+pub use json::Json;
 pub use latency::LatencyModel;
 pub use metrics::{BucketSeries, FirstSeen};
 pub use queue::PendingQueue;

@@ -9,12 +9,10 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use serde::Serialize;
-
 use crate::time::SimTime;
 
 /// Counts events in fixed-width time buckets.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BucketSeries {
     /// Bucket width in milliseconds.
     bucket_ms: u64,

@@ -35,6 +35,8 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::json::push_str_literal;
+
 /// Event verbosity, ordered: a global level of `Info` records `Error`,
 /// `Warn` and `Info` events and skips `Debug`/`Trace`.  `Off` disables
 /// recording entirely (the default).
@@ -264,30 +266,13 @@ impl EventRecord {
                     }
                 }
                 Value::Bool(v) => s.push_str(if *v { "true" } else { "false" }),
-                Value::Str(v) => push_json_str(&mut s, v),
-                Value::Text(v) => push_json_str(&mut s, v.as_str()),
+                Value::Str(v) => push_str_literal(&mut s, v),
+                Value::Text(v) => push_str_literal(&mut s, v.as_str()),
             }
         }
         s.push('}');
         s
     }
-}
-
-/// Escapes `v` into `out` as a JSON string literal.
-fn push_json_str(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Events retained per thread before overwrite-oldest kicks in.

@@ -4,8 +4,6 @@
 //! `u64`.  The paper reports its figures in hours and days; those are views
 //! over the same clock ([`SimTime::as_hours`], [`SimTime::day_index`], …).
 
-use serde::{Deserialize, Serialize};
-
 /// Milliseconds in one second.
 pub const MS_PER_SEC: u64 = 1_000;
 /// Milliseconds in one minute.
@@ -16,7 +14,7 @@ pub const MS_PER_HOUR: u64 = 60 * MS_PER_MIN;
 pub const MS_PER_DAY: u64 = 24 * MS_PER_HOUR;
 
 /// An instant on the simulation clock (ms since measurement start).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -1,11 +1,18 @@
-//! Property-based tests of the simulation engine's invariants.
-
-use proptest::prelude::*;
+//! Seeded property tests of the simulation engine's invariants: every
+//! case is generated from its seed alone, and a failure names the seed.
 
 use netsim::dist::{poisson, Zipf};
 use netsim::engine::{Engine, Scheduler, World};
 use netsim::metrics::{BucketSeries, FirstSeen};
-use netsim::{CalendarQueue, EventQueue, Rng, SimTime, TimingWheel};
+use netsim::{CalendarQueue, EventQueue, Json, Rng, SimTime, TimingWheel};
+
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// A vector of up to `max_len - 1` generated items.
+fn vec_of<T>(rng: &mut Rng, max_len: u64, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    (0..rng.below(max_len)).map(|_| item(rng)).collect()
+}
 
 /// Drives an arbitrary push/pop schedule through both queue
 /// implementations and asserts they yield the same `(time, payload)`
@@ -101,69 +108,43 @@ fn assert_three_queues_agree(ops: &[(u8, u64)]) {
     }
 }
 
-/// Deterministic companion to `all_three_queues_agree_on_any_schedule`:
-/// same ground (overflow wraparound, unpop probes, tie classes) on fixed
-/// seeds, exercised even when the proptest harness is unavailable.
 #[test]
-fn all_three_queues_agree_on_seeded_schedule() {
-    let mut rng = Rng::seed_from(0x5EED_0007);
-    for _ in 0..10 {
-        let ops: Vec<(u8, u64)> =
-            (0..600).map(|_| (rng.below(256) as u8, rng.below(u64::MAX / 4))).collect();
-        assert_three_queues_agree(&ops);
+fn calendar_queue_matches_heap_on_any_schedule() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        // Against a 200 ms calendar span: mostly the simulator's tight
+        // clusters, deliberate ties (delay 0), and jumps of several laps.
+        let ops = vec_of(&mut rng, 800, |r| {
+            let delay = match r.below(10) {
+                0 => 0,
+                1..=5 => r.below(120),
+                6..=8 => r.below(1_500),
+                _ => r.below(5_000),
+            };
+            (r.chance(0.55), delay)
+        });
+        std::panic::catch_unwind(|| assert_queues_agree(&ops))
+            .unwrap_or_else(|_| panic!("calendar vs heap diverged at seed {seed}"));
     }
 }
 
-/// Deterministic companion to `calendar_queue_matches_heap_on_any_schedule`
-/// covering the same ground (wrap-around, tie classes, interleaving) on a
-/// fixed seed, so the equivalence is still exercised when the proptest
-/// harness is unavailable.
 #[test]
-fn calendar_queue_matches_heap_on_seeded_schedule() {
-    let mut rng = Rng::seed_from(0xED0_2009);
-    for round in 0..20 {
-        let ops: Vec<(bool, u64)> = (0..800)
-            .map(|_| {
-                let push = rng.chance(0.55);
-                // Mostly tight clusters with occasional multi-lap jumps and
-                // deliberate ties (delay 0).
-                let delay = match rng.below(10) {
-                    0 => 0,
-                    1..=6 => rng.below(120),
-                    7 | 8 => rng.below(1_000),
-                    _ => rng.below(5_000),
-                };
-                (push, delay)
-            })
-            .collect();
-        assert_queues_agree(&ops);
-        let _ = round;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn calendar_queue_matches_heap_on_any_schedule(
-        ops in prop::collection::vec((any::<bool>(), 0u64..1_500), 0..400),
-    ) {
-        // Delays up to 1 500 ms against a 200 ms calendar span: most pushes
-        // wrap at least once, many wrap several laps.
-        assert_queues_agree(&ops);
-    }
-
-    #[test]
-    fn all_three_queues_agree_on_any_schedule(
-        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 0..300),
-    ) {
+fn all_three_queues_agree_on_any_schedule() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
         // Choice 4 maps to a far-future push past the wheel's top rotation;
         // the rest mix near pushes (ties included), pops, and unpop probes.
-        assert_three_queues_agree(&ops);
+        let ops = vec_of(&mut rng, 600, |r| (r.next_u32() as u8, r.next_u64()));
+        std::panic::catch_unwind(|| assert_three_queues_agree(&ops))
+            .unwrap_or_else(|_| panic!("queues diverged at seed {seed}"));
     }
+}
 
-    #[test]
-    fn event_queue_pops_sorted_and_stable(times in prop::collection::vec(0u64..1_000, 1..200)) {
+#[test]
+fn event_queue_pops_sorted_and_stable() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let times: Vec<u64> = (0..rng.range(1, 200)).map(|_| rng.below(1_000)).collect();
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime(t), i);
@@ -173,104 +154,133 @@ proptest! {
         while let Some((t, idx)) = q.pop() {
             popped += 1;
             if let Some((pt, pidx)) = prev {
-                prop_assert!(t >= pt, "times must be non-decreasing");
+                assert!(t >= pt, "seed {seed}: times must be non-decreasing");
                 if t == pt {
-                    prop_assert!(idx > pidx, "ties must preserve insertion order");
+                    assert!(idx > pidx, "seed {seed}: ties must preserve insertion order");
                 }
             }
-            prop_assert_eq!(SimTime(times[idx]), t, "payload must carry its own time");
+            assert_eq!(SimTime(times[idx]), t, "seed {seed}: payload must carry its own time");
             prev = Some((t, idx));
         }
-        prop_assert_eq!(popped, times.len());
+        assert_eq!(popped, times.len(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn rng_below_in_bounds(seed in any::<u64>(), n in 1u64..1_000_000) {
+#[test]
+fn rng_below_in_bounds() {
+    for seed in 0..CASES {
         let mut rng = Rng::seed_from(seed);
+        let n = rng.range(1, 1_000_000);
         for _ in 0..50 {
-            prop_assert!(rng.below(n) < n);
+            assert!(rng.below(n) < n, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn rng_sample_indices_invariants(seed in any::<u64>(), n in 1usize..500, frac in 0.0f64..1.0) {
-        let k = ((n as f64) * frac) as usize;
+#[test]
+fn rng_sample_indices_invariants() {
+    for seed in 0..CASES {
         let mut rng = Rng::seed_from(seed);
+        let n = rng.range(1, 500) as usize;
+        let k = ((n as f64) * rng.f64()) as usize;
         let s = rng.sample_indices(n, k);
-        prop_assert_eq!(s.len(), k);
+        assert_eq!(s.len(), k, "seed {seed}");
         let set: std::collections::HashSet<_> = s.iter().collect();
-        prop_assert_eq!(set.len(), k);
-        prop_assert!(s.iter().all(|&i| i < n));
+        assert_eq!(set.len(), k, "seed {seed}");
+        assert!(s.iter().all(|&i| i < n), "seed {seed}");
     }
+}
 
-    #[test]
-    fn zipf_probabilities_form_a_distribution(n in 1usize..2_000, s in 0.0f64..2.5) {
-        let z = Zipf::new(n, s);
+#[test]
+fn zipf_probabilities_form_a_distribution() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let n = rng.range(1, 2_000) as usize;
+        let z = Zipf::new(n, 2.5 * rng.f64());
         let total: f64 = (0..n).map(|k| z.probability(k)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-6, "sum {total}");
+        assert!((total - 1.0).abs() < 1e-6, "seed {seed}: sum {total}");
         // Monotone non-increasing in rank.
         for k in 1..n.min(50) {
-            prop_assert!(z.probability(k) <= z.probability(k - 1) + 1e-12);
+            assert!(z.probability(k) <= z.probability(k - 1) + 1e-12, "seed {seed}: rank {k}");
         }
     }
+}
 
-    #[test]
-    fn zipf_samples_in_range(seed in any::<u64>(), n in 1usize..500) {
+#[test]
+fn zipf_samples_in_range() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let n = rng.range(1, 500) as usize;
         let z = Zipf::new(n, 1.0);
-        let mut rng = Rng::seed_from(seed);
         for _ in 0..50 {
-            prop_assert!(z.sample(&mut rng) < n);
+            assert!(z.sample(&mut rng) < n, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn poisson_is_finite_and_plausible(seed in any::<u64>(), lambda in 0.0f64..2_000.0) {
+#[test]
+fn poisson_is_finite_and_plausible() {
+    for seed in 0..CASES {
         let mut rng = Rng::seed_from(seed);
+        let lambda = 2_000.0 * rng.f64();
         let x = poisson(&mut rng, lambda);
         // A draw 60σ above the mean indicates a broken sampler, not luck.
-        prop_assert!((x as f64) < lambda + 60.0 * lambda.sqrt() + 60.0);
+        assert!(
+            (x as f64) < lambda + 60.0 * lambda.sqrt() + 60.0,
+            "seed {seed}: {x} at λ {lambda}"
+        );
     }
+}
 
-    #[test]
-    fn bucket_series_total_is_preserved(events in prop::collection::vec((0u64..100_000_000, 1u64..5), 0..200)) {
+#[test]
+fn bucket_series_total_is_preserved() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let events = vec_of(&mut rng, 200, |r| (r.below(100_000_000), r.range(1, 5)));
         let mut s = BucketSeries::hourly();
         let mut expect = 0;
         for &(t, n) in &events {
             s.add(SimTime(t), n);
             expect += n;
         }
-        prop_assert_eq!(s.total(), expect);
+        assert_eq!(s.total(), expect, "seed {seed}");
         let cum = s.cumulative(s.len());
         if let Some(&last) = cum.last() {
-            prop_assert_eq!(last, expect);
+            assert_eq!(last, expect, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn first_seen_distinct_matches_set(keys in prop::collection::vec(0u32..50, 0..300)) {
+#[test]
+fn first_seen_distinct_matches_set() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let keys = vec_of(&mut rng, 300, |r| r.below(50) as u32);
         let mut fs = FirstSeen::new();
         for (i, &k) in keys.iter().enumerate() {
             fs.observe(k, SimTime(i as u64));
         }
         let expect: std::collections::HashSet<_> = keys.iter().collect();
-        prop_assert_eq!(fs.distinct(), expect.len());
+        assert_eq!(fs.distinct(), expect.len(), "seed {seed}");
         // New-per-bucket sums to distinct.
         let per: u64 = fs.new_per_bucket(1_000, 0).iter().sum();
-        prop_assert_eq!(per as usize, expect.len());
+        assert_eq!(per as usize, expect.len(), "seed {seed}");
     }
+}
 
-    #[test]
-    fn engine_handles_every_scheduled_event_before_horizon(
-        times in prop::collection::vec(0u64..10_000, 1..100),
-        horizon in 1u64..12_000,
-    ) {
-        struct Count(u64);
-        impl World for Count {
-            type Event = ();
-            fn handle(&mut self, _: SimTime, _: (), _: &mut Scheduler<'_, ()>) {
-                self.0 += 1;
-            }
+#[test]
+fn engine_handles_every_scheduled_event_before_horizon() {
+    struct Count(u64);
+    impl World for Count {
+        type Event = ();
+        fn handle(&mut self, _: SimTime, _: (), _: &mut Scheduler<'_, ()>) {
+            self.0 += 1;
         }
+    }
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let times: Vec<u64> = (0..rng.range(1, 100)).map(|_| rng.below(10_000)).collect();
+        let horizon = rng.range(1, 12_000);
         let mut engine: Engine<Count> = Engine::new();
         for &t in &times {
             engine.schedule(SimTime(t), ());
@@ -278,6 +288,71 @@ proptest! {
         let mut world = Count(0);
         engine.run_until(&mut world, SimTime(horizon));
         let expect = times.iter().filter(|&&t| t < horizon).count() as u64;
-        prop_assert_eq!(world.0, expect);
+        assert_eq!(world.0, expect, "seed {seed}");
+    }
+}
+
+/// A random JSON value, nested at most `depth` levels below this one.  The
+/// awkward scalars — `u64::MAX`, `i64::MIN`, `-0.0`, subnormals, NaN and
+/// the infinities, strings of quotes, backslashes, control characters and
+/// non-ASCII — are drawn as often as the ordinary ones.
+fn arb_json(rng: &mut Rng, depth: u32) -> Json {
+    const CHARS: [char; 16] = [
+        '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', 'a', ' ',
+        'é', '€', '😀',
+    ];
+    let string = |r: &mut Rng| (0..r.below(12)).map(|_| *r.choose(&CHARS)).collect::<String>();
+    match rng.below(if depth == 0 { 12 } else { 14 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.chance(0.5)),
+        2 => Json::from(rng.next_u64() >> rng.below(64)),
+        3 => Json::from(u64::MAX),
+        4 => Json::from(-((rng.next_u64() >> rng.range(1, 64)) as i64) - 1),
+        5 => Json::from(i64::MIN),
+        6 => Json::F64(f64::from_bits(rng.next_u64())),
+        7 => Json::F64(-0.0),
+        8 => Json::F64(f64::from_bits(rng.range(1, 1 << 52))), // subnormal
+        9 => Json::F64(*rng.choose(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY])),
+        10 => Json::F64((rng.f64() - 0.5) * 1e6),
+        11 => Json::Str(string(rng)),
+        12 => Json::Array(vec_of(rng, 5, |r| arb_json(r, depth - 1))),
+        _ => Json::object(vec_of(rng, 5, |r| (string(r), arb_json(r, depth - 1)))),
+    }
+}
+
+#[test]
+fn json_survives_writer_reader_writer() {
+    for seed in 0..4 * CASES {
+        let value = arb_json(&mut Rng::seed_from(seed), 3);
+        for text in [value.to_string(), value.pretty()] {
+            let back: Json =
+                text.parse().unwrap_or_else(|e| panic!("seed {seed}: {e} in own output {text}"));
+            assert_eq!(back.to_string(), value.to_string(), "seed {seed}");
+            assert_eq!(back.pretty(), value.pretty(), "seed {seed}");
+        }
+        // Only a non-finite float (printed as null) may read back different.
+        let lossy = value.to_string().contains("null");
+        assert!(lossy || value.to_string().parse::<Json>().unwrap() == value, "seed {seed}");
+    }
+}
+
+#[test]
+fn json_reader_never_panics_on_damaged_text() {
+    for seed in 0..4 * CASES {
+        let mut rng = Rng::seed_from(seed);
+        let mut text = arb_json(&mut rng, 3).pretty().into_bytes();
+        for _ in 0..rng.range(1, 4) {
+            let at = rng.below(text.len() as u64) as usize;
+            match rng.below(3) {
+                0 => text[at] = *rng.choose(b"{}[]\",:\\u-e.0 "),
+                1 => text.truncate(at),
+                _ => text.insert(at, *rng.choose(b"{}[]\",:\\u-e.0 ")),
+            }
+            if text.is_empty() {
+                break;
+            }
+        }
+        // Errors are fine; panics are not.
+        let _ = String::from_utf8_lossy(&text).parse::<Json>();
     }
 }

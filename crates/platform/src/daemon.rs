@@ -42,14 +42,14 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use edonkey_proto::control::{opcodes, ControlEvent};
 use honeypot::{HoneypotId, HoneypotSpec, HoneypotStatus, Manager, MeasurementLog, StatusReport};
+use netsim::sync::lock;
 use netsim::SimTime;
-use parking_lot::Mutex;
 
 use edonkey_proto::control::MAX_CONTROL_PAYLOAD;
 
@@ -378,7 +378,7 @@ impl Daemon {
         let snapshot = cfg.checkpoint.as_ref().and_then(|o| load_checkpoint(&o.dir));
         let mut restored = false;
         if let Some(d) = &durable {
-            let records: Vec<SpoolRecord> = d.wal.lock().spool.unacked().to_vec();
+            let records: Vec<SpoolRecord> = lock(&d.wal).spool.unacked().to_vec();
             restored = !records.is_empty();
             for rec in &records {
                 let Ok(ControlMessage::LogUpload { agent, seq, chunk }) =
@@ -489,7 +489,7 @@ impl Daemon {
                         match classify_accept(&e) {
                             AcceptError::Transient => {}
                             AcceptError::Resource => {
-                                accept_inner.metrics.lock().accept_resource_errors += 1;
+                                lock(&accept_inner.metrics).accept_resource_errors += 1;
                                 if let Some(pause) = accept_backoff.next_delay() {
                                     std::thread::sleep(pause);
                                 }
@@ -503,7 +503,7 @@ impl Daemon {
                 // absorbs — never a hot error loop.
                 let active = accept_inner.active_conns.load(Ordering::SeqCst);
                 if active >= accept_inner.cfg.max_connections {
-                    let mut metrics = accept_inner.metrics.lock();
+                    let mut metrics = lock(&accept_inner.metrics);
                     metrics.connections_rejected += 1;
                     drop(metrics);
                     drop(stream);
@@ -512,10 +512,10 @@ impl Daemon {
                 }
                 let now_active = accept_inner.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
                 {
-                    let mut metrics = accept_inner.metrics.lock();
+                    let mut metrics = lock(&accept_inner.metrics);
                     metrics.connections_peak = metrics.connections_peak.max(now_active as u64);
                 }
-                injectors[next_shard].lock().push(stream);
+                lock(&injectors[next_shard]).push(stream);
                 next_shard = (next_shard + 1) % injectors.len();
             }
         });
@@ -564,22 +564,22 @@ impl Daemon {
     /// Relaunches issued by the core accounting (initial launches not
     /// counted).
     pub fn relaunch_count(&self) -> u64 {
-        self.inner.core.lock().as_ref().map_or(0, |m| m.relaunch_count())
+        lock(&self.inner.core).as_ref().map_or(0, |m| m.relaunch_count())
     }
 
     /// Chunks merged so far.
     pub fn chunks_collected(&self) -> u64 {
-        self.inner.core.lock().as_ref().map_or(0, |m| m.chunks_collected())
+        lock(&self.inner.core).as_ref().map_or(0, |m| m.chunks_collected())
     }
 
     /// Highest merged upload sequence for an agent.
     pub fn collected_seq_high(&self, agent: u32) -> Option<u64> {
-        self.inner.core.lock().as_ref().and_then(|m| m.collected_seq_high(HoneypotId(agent)))
+        lock(&self.inner.core).as_ref().and_then(|m| m.collected_seq_high(HoneypotId(agent)))
     }
 
     /// The honeypot peer-listener address of a registered, ready agent.
     pub fn agent_peer_addr(&self, agent: u32) -> Option<SocketAddr> {
-        let slots = self.inner.slots.lock();
+        let slots = lock(&self.inner.slots);
         let slot = slots.get(agent as usize)?;
         if !slot.registered {
             return None;
@@ -593,7 +593,7 @@ impl Daemon {
         let deadline = Instant::now() + timeout;
         loop {
             {
-                let slots = self.inner.slots.lock();
+                let slots = lock(&self.inner.slots);
                 if slots.iter().all(|s| s.registered && s.peer_port.is_some()) {
                     return true;
                 }
@@ -607,18 +607,18 @@ impl Daemon {
 
     /// Snapshot of the platform metrics.
     pub fn metrics(&self) -> PlatformMetrics {
-        self.inner.metrics.lock().clone()
+        lock(&self.inner.metrics).clone()
     }
 
     /// The exact order in which `(agent, seq)` chunks were merged.
     pub fn chunk_order(&self) -> Vec<(u32, u64)> {
-        self.inner.chunk_order.lock().clone()
+        lock(&self.inner.chunk_order).clone()
     }
 
     /// Asks a live agent to tear down and restart its honeypot in place.
     pub fn relaunch_agent(&self, agent: u32) -> bool {
         let outbox = {
-            let slots = self.inner.slots.lock();
+            let slots = lock(&self.inner.slots);
             slots.get(agent as usize).and_then(|s| s.outbox.clone())
         };
         match outbox {
@@ -658,7 +658,7 @@ impl Daemon {
         }
 
         let outboxes: Vec<Arc<Outbox>> = {
-            let slots = self.inner.slots.lock();
+            let slots = lock(&self.inner.slots);
             slots.iter().filter_map(|s| s.outbox.clone()).collect()
         };
         for o in &outboxes {
@@ -668,7 +668,7 @@ impl Daemon {
         let deadline = Instant::now() + drain;
         loop {
             {
-                let slots = self.inner.slots.lock();
+                let slots = lock(&self.inner.slots);
                 if slots.iter().all(|s| !s.registered || s.goodbye) {
                     break;
                 }
@@ -703,7 +703,7 @@ impl Daemon {
         // Credit uptime of anything still registered (e.g. drain timeout).
         {
             let now = Instant::now();
-            let mut slots = self.inner.slots.lock();
+            let mut slots = lock(&self.inner.slots);
             for i in 0..slots.len() {
                 if slots[i].registered {
                     let slot = &mut slots[i];
@@ -711,7 +711,7 @@ impl Daemon {
                     slot.outbox = None;
                     if let Some(since) = slot.registered_at.take() {
                         let ms = now.duration_since(since).as_millis() as u64;
-                        self.inner.metrics.lock().agents[i].uptime_ms += ms;
+                        lock(&self.inner.metrics).agents[i].uptime_ms += ms;
                     }
                 }
             }
@@ -724,10 +724,10 @@ impl Daemon {
             let _ = save_checkpoint_with(&d.opts.dir, &build_checkpoint(&self.inner), &faults);
         }
 
-        let mgr = self.inner.core.lock().take().expect("finish called once");
+        let mgr = lock(&self.inner.core).take().expect("finish called once");
         let log = mgr.finalize(duration, shared_files_final, name_threshold);
-        let metrics = self.inner.metrics.lock().clone();
-        let order = self.inner.chunk_order.lock().clone();
+        let metrics = lock(&self.inner.metrics).clone();
+        let order = lock(&self.inner.chunk_order).clone();
         (log, metrics, order)
     }
 }
@@ -801,7 +801,7 @@ fn reactor_loop(
         let t0 = Instant::now();
         let mut activity = false;
 
-        for stream in injector.lock().drain(..) {
+        for stream in lock(&injector).drain(..) {
             match ReactorConn::adopt(stream) {
                 Ok(mut conn) => {
                     conn.decoder.set_max_payload(inner.cfg.max_frame_bytes);
@@ -910,7 +910,7 @@ fn flush_latency(
         return;
     }
     {
-        let mut metrics = inner.metrics.lock();
+        let mut metrics = lock(&inner.metrics);
         metrics.reactor_loop_micros.merge(latency);
         metrics.reactor_loop_hist.merge(hist);
     }
@@ -951,7 +951,7 @@ fn process_events(
                         continue;
                     }
                 }
-                inner.metrics.lock().corrupt_frames += 1;
+                lock(&inner.metrics).corrupt_frames += 1;
             }
             ControlEvent::Frame(frame) => {
                 if frame.opcode == opcodes::LOG_CHUNK {
@@ -994,24 +994,24 @@ fn handle_chunk_frame(
     // queue.  Nothing is lost; latency is traded for survival.
     let limit = inner.cfg.merge_queue_limit;
     if limit > 0 && inner.merge_depth.load(Ordering::SeqCst) >= limit {
-        inner.metrics.lock().chunks_shed += 1;
+        lock(&inner.metrics).chunks_shed += 1;
         return;
     }
     // Occupancy gauges, read against the merge frontier at arrival.
     let in_flight = {
-        let mut slots = inner.slots.lock();
+        let mut slots = lock(&inner.slots);
         let slot = &mut slots[i];
         slot.highest_enqueued = Some(slot.highest_enqueued.map_or(seq, |h| h.max(seq)));
         (seq >= slot.expected_seq).then(|| seq + 1 - slot.expected_seq)
     };
     if let Some(in_flight) = in_flight {
-        let mut metrics = inner.metrics.lock();
+        let mut metrics = lock(&inner.metrics);
         let m = &mut metrics.agents[i];
         m.window_peak = m.window_peak.max(in_flight);
     }
     let depth = inner.merge_depth.fetch_add(1, Ordering::SeqCst) + 1;
     {
-        let mut metrics = inner.metrics.lock();
+        let mut metrics = lock(&inner.metrics);
         metrics.merge_queue_peak = metrics.merge_queue_peak.max(depth as u64);
     }
     let _ = merge_tx.send(MergeMsg::Chunk {
@@ -1033,7 +1033,7 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
         ControlMessage::Heartbeat { seq, sent_micros, rtt_micros, flags, .. } => {
             let Some(i) = conn.agent else { return };
             {
-                let mut metrics = inner.metrics.lock();
+                let mut metrics = lock(&inner.metrics);
                 metrics.agents[i].heartbeats += 1;
                 if rtt_micros > 0 {
                     metrics.agents[i].rtt.record(rtt_micros);
@@ -1063,15 +1063,15 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
         ControlMessage::Status(report) => {
             let Some(i) = conn.agent else { return };
             if matches!(report.status, HoneypotStatus::Connected { .. }) {
-                inner.slots.lock()[i].backoff.reset();
+                lock(&inner.slots)[i].backoff.reset();
             }
-            if let Some(core) = inner.core.lock().as_mut() {
+            if let Some(core) = lock(&inner.core).as_mut() {
                 core.on_status(report);
             }
         }
         ControlMessage::Ready { peer_port, .. } => {
             let Some(i) = conn.agent else { return };
-            inner.slots.lock()[i].peer_port = Some(peer_port);
+            lock(&inner.slots)[i].peer_port = Some(peer_port);
         }
         ControlMessage::Goodbye { .. } if conn.agent.is_some() => {
             conn.close = Some(CloseReason::Goodbye);
@@ -1088,7 +1088,7 @@ fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool
     let now = Instant::now();
     let mut credit_ms = None;
     let (next_seq, config) = {
-        let mut slots = inner.slots.lock();
+        let mut slots = lock(&inner.slots);
         let Some(slot) = slots.get_mut(i) else {
             conn.close = Some(CloseReason::Gone);
             return;
@@ -1106,7 +1106,7 @@ fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool
         (slot.expected_seq, slot.config.clone())
     };
     {
-        let mut metrics = inner.metrics.lock();
+        let mut metrics = lock(&inner.metrics);
         if let Some(ms) = credit_ms {
             metrics.agents[i].uptime_ms += ms;
         }
@@ -1145,7 +1145,7 @@ fn effective_window(inner: &Inner) -> u32 {
     let depth = inner.merge_depth.load(Ordering::SeqCst).min(limit);
     let scaled = ((u64::from(full) * (limit - depth) as u64) / limit as u64).max(1) as u32;
     if scaled < full {
-        inner.metrics.lock().window_shrinks += 1;
+        lock(&inner.metrics).window_shrinks += 1;
     }
     scaled
 }
@@ -1155,10 +1155,10 @@ fn effective_window(inner: &Inner) -> u32 {
 fn close_conn(inner: &Inner, conn: ReactorConn) {
     inner.active_conns.fetch_sub(1, Ordering::SeqCst);
     match conn.close {
-        Some(CloseReason::HandshakeTimeout) => inner.metrics.lock().handshake_timeouts += 1,
-        Some(CloseReason::IdleTimeout) => inner.metrics.lock().idle_reaped += 1,
-        Some(CloseReason::SlowLoris) => inner.metrics.lock().slow_loris_reaped += 1,
-        Some(CloseReason::Protocol) => inner.metrics.lock().protocol_violations += 1,
+        Some(CloseReason::HandshakeTimeout) => lock(&inner.metrics).handshake_timeouts += 1,
+        Some(CloseReason::IdleTimeout) => lock(&inner.metrics).idle_reaped += 1,
+        Some(CloseReason::SlowLoris) => lock(&inner.metrics).slow_loris_reaped += 1,
+        Some(CloseReason::Protocol) => lock(&inner.metrics).protocol_violations += 1,
         _ => {}
     }
     let Some(i) = conn.agent else { return };
@@ -1166,7 +1166,7 @@ fn close_conn(inner: &Inner, conn: ReactorConn) {
     let now = Instant::now();
     let mut credit_ms = None;
     {
-        let mut slots = inner.slots.lock();
+        let mut slots = lock(&inner.slots);
         let slot = &mut slots[i];
         let ours = slot.outbox.as_ref().is_some_and(|o| Arc::ptr_eq(o, &conn.outbox));
         if ours {
@@ -1181,12 +1181,12 @@ fn close_conn(inner: &Inner, conn: ReactorConn) {
         }
     }
     if let Some(ms) = credit_ms {
-        inner.metrics.lock().agents[i].uptime_ms += ms;
+        lock(&inner.metrics).agents[i].uptime_ms += ms;
     }
 }
 
 fn touch(inner: &Inner, agent_idx: usize) {
-    inner.slots.lock()[agent_idx].last_activity = Some(Instant::now());
+    lock(&inner.slots)[agent_idx].last_activity = Some(Instant::now());
 }
 
 // ---------------------------------------------------------------------------
@@ -1271,12 +1271,12 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                 }
                 dwell_batch.record(queued_at.elapsed().as_micros() as u64);
                 inner.merge_depth.fetch_sub(1, Ordering::SeqCst);
-                let expected = inner.slots.lock()[agent].expected_seq;
+                let expected = lock(&inner.slots)[agent].expected_seq;
                 if seq < expected {
                     // Duplicate after a lost ack, a go-back-N resend or a
                     // manager crash: already merged (and, in durable mode,
                     // already in the WAL) — the cumulative ack re-covers it.
-                    inner.metrics.lock().agents[agent].duplicate_chunks += 1;
+                    lock(&inner.metrics).agents[agent].duplicate_chunks += 1;
                     replies.note_ack(&outbox, agent);
                     continue;
                 }
@@ -1291,7 +1291,7 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                 // acked chunk is always recoverable and a replayed WAL
                 // reproduces the merge exactly.
                 if let Some(d) = &inner.durable {
-                    let mut wal = d.wal.lock();
+                    let mut wal = lock(&d.wal);
                     let wseq = wal.next_seq;
                     match wal.spool.append(wseq, &payload) {
                         Ok(()) => wal.next_seq += 1,
@@ -1301,7 +1301,7 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                             // agent re-sends, so `acked ⇒ durable` holds
                             // even while the WAL is refusing writes.
                             drop(wal);
-                            inner.metrics.lock().wal_append_failures += 1;
+                            lock(&inner.metrics).wal_append_failures += 1;
                             obs_event!(
                                 obs::Level::Error,
                                 "daemon",
@@ -1314,13 +1314,13 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                         }
                     }
                 }
-                let merged = match inner.core.lock().as_mut() {
+                let merged = match lock(&inner.core).as_mut() {
                     Some(core) => core.collect_sequenced(seq, chunk),
                     None => false,
                 };
                 if merged {
-                    inner.chunk_order.lock().push((agent as u32, seq));
-                    let mut metrics = inner.metrics.lock();
+                    lock(&inner.chunk_order).push((agent as u32, seq));
+                    let mut metrics = lock(&inner.metrics);
                     // `note_merged` is the exactly-once ledger; `chunks_merged`
                     // must track it one-for-one or `double_merge_violation`
                     // fires.
@@ -1328,7 +1328,7 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                     metrics.agents[agent].chunks_merged += 1;
                     metrics.agents[agent].chunk_bytes += bytes;
                 }
-                inner.slots.lock()[agent].expected_seq = seq + 1;
+                lock(&inner.slots)[agent].expected_seq = seq + 1;
                 replies.note_ack(&outbox, agent);
             }
             MergeMsg::CorruptChunk { agent, outbox } => {
@@ -1336,9 +1336,9 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                 // A damaged upload is re-requested, never merged.  The
                 // resume point is exact because this entry was queued
                 // behind every chunk received ahead of the bad frame.
-                let want = inner.slots.lock()[agent].expected_seq;
+                let want = lock(&inner.slots)[agent].expected_seq;
                 {
-                    let mut metrics = inner.metrics.lock();
+                    let mut metrics = lock(&inner.metrics);
                     metrics.corrupt_frames += 1;
                     metrics.agents[agent].chunk_retries += 1;
                 }
@@ -1347,21 +1347,21 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
         }
     }
     if dwell_batch.count() > 0 {
-        inner.metrics.lock().merge_dwell_micros.merge(&dwell_batch);
+        lock(&inner.metrics).merge_dwell_micros.merge(&dwell_batch);
         live.dwell.merge(&dwell_batch);
     }
     // One cumulative ack per connection per burst: the frontier at the
     // end of the burst covers every chunk merged (or deduplicated) in it.
     for (outbox, agent) in replies.acks {
         let (frontier, lag) = {
-            let slots = inner.slots.lock();
+            let slots = lock(&inner.slots);
             let slot = &slots[agent];
             let lag =
                 slot.highest_enqueued.map_or(0, |h| (h + 1).saturating_sub(slot.expected_seq));
             (slot.expected_seq, lag)
         };
         {
-            let mut metrics = inner.metrics.lock();
+            let mut metrics = lock(&inner.metrics);
             let m = &mut metrics.agents[agent];
             m.frontier_lag_peak = m.frontier_lag_peak.max(lag);
             metrics.frontier_lag_chunks.record(lag);
@@ -1383,13 +1383,13 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
 /// Builds the supervision snapshot from the live slot and metric state.
 fn build_checkpoint(inner: &Inner) -> ManagerCheckpoint {
     let slot_view: Vec<(u64, u32, u32, bool)> = {
-        let slots = inner.slots.lock();
+        let slots = lock(&inner.slots);
         slots
             .iter()
             .map(|s| (s.expected_seq, s.next_incarnation, s.backoff.attempts(), s.goodbye))
             .collect()
     };
-    let metrics = inner.metrics.lock();
+    let metrics = lock(&inner.metrics);
     ManagerCheckpoint {
         slots: slot_view
             .into_iter()
@@ -1414,7 +1414,7 @@ fn maybe_checkpoint(inner: &Inner) {
     let Some(d) = &inner.durable else { return };
     let now = Instant::now();
     {
-        let mut last = d.last_snapshot.lock();
+        let mut last = lock(&d.last_snapshot);
         if now.duration_since(*last) < Duration::from_millis(d.opts.interval_ms) {
             return;
         }
@@ -1426,7 +1426,7 @@ fn maybe_checkpoint(inner: &Inner) {
         // knows.  Quarantine it: recovery then derives everything from the
         // WAL (which is authoritative for the measurement) instead of
         // resurrecting supervision state the daemon failed to keep fresh.
-        inner.metrics.lock().checkpoint_failures += 1;
+        lock(&inner.metrics).checkpoint_failures += 1;
         let _ = quarantine_checkpoint(&d.opts.dir);
         obs_event!(
             obs::Level::Error,
@@ -1451,7 +1451,7 @@ fn supervision_tick(inner: &Arc<Inner>) {
     // and taking it (`None`) latches the death so it is reported once.
     let mut died: Vec<usize> = Vec::new();
     {
-        let mut slots = inner.slots.lock();
+        let mut slots = lock(&inner.slots);
         for (i, slot) in slots.iter_mut().enumerate() {
             if !slot.goodbye && slot.last_activity.is_some_and(|t| now.duration_since(t) > timeout)
             {
@@ -1466,13 +1466,13 @@ fn supervision_tick(inner: &Arc<Inner>) {
         // Credit uptime and record the death.
         let mut credit = None;
         {
-            let mut slots = inner.slots.lock();
+            let mut slots = lock(&inner.slots);
             if let Some(since) = slots[i].registered_at.take() {
                 credit = Some(now.duration_since(since).as_millis() as u64);
             }
         }
         {
-            let mut metrics = inner.metrics.lock();
+            let mut metrics = lock(&inner.metrics);
             metrics.agents[i].deaths += 1;
             if let Some(ms) = credit {
                 metrics.agents[i].uptime_ms += ms;
@@ -1484,21 +1484,21 @@ fn supervision_tick(inner: &Arc<Inner>) {
             at: inner.now_sim(),
             status: HoneypotStatus::Dead,
         };
-        if let Some(core) = inner.core.lock().as_mut() {
+        if let Some(core) = lock(&inner.core).as_mut() {
             core.on_status(report);
         }
     }
 
     // Launches: the core's pure query says who, the slot's backoff gate
     // says when, `mark_relaunched` does the counting exactly once.
-    let needing: Vec<HoneypotId> = match inner.core.lock().as_ref() {
+    let needing: Vec<HoneypotId> = match lock(&inner.core).as_ref() {
         Some(core) => core.needing_relaunch(),
         None => return,
     };
     for id in needing {
         let i = id.0 as usize;
         let launch = {
-            let mut slots = inner.slots.lock();
+            let mut slots = lock(&inner.slots);
             let slot = &mut slots[i];
             if slot.goodbye || slot.registered || slot.next_launch_at.is_some_and(|t| now < t) {
                 None
@@ -1521,7 +1521,7 @@ fn supervision_tick(inner: &Arc<Inner>) {
         let Some(incarnation) = launch else { continue };
         // The core counts exactly once per incident (launches from
         // `Pending` are free); mirror its decision in the metrics.
-        let counted = match inner.core.lock().as_mut() {
+        let counted = match lock(&inner.core).as_mut() {
             Some(core) => {
                 let was_pending = matches!(core.status_of(id), HoneypotStatus::Pending);
                 core.mark_relaunched(id);
@@ -1530,7 +1530,7 @@ fn supervision_tick(inner: &Arc<Inner>) {
             None => false,
         };
         if counted {
-            inner.metrics.lock().agents[i].relaunches += 1;
+            lock(&inner.metrics).agents[i].relaunches += 1;
         }
         obs_event!(
             obs::Level::Info,

@@ -9,7 +9,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -19,8 +19,8 @@ use honeypot::{
     ContentStrategy, FileStrategy, HoneypotId, HoneypotSpec, MeasurementLog, ServerInfo,
 };
 use netsim::rng::stream_seed;
+use netsim::sync::lock;
 use netsim::SimTime;
-use parking_lot::Mutex;
 
 use crate::agent::{run_agent_with, AgentExit, AgentOptions};
 use crate::daemon::{Daemon, DaemonConfig};
@@ -254,7 +254,7 @@ impl LoopbackDeployment {
             server.stop();
         }
         let mut exits = Vec::new();
-        let handles = std::mem::take(&mut *self.handles.lock());
+        let handles = std::mem::take(&mut *lock(&self.handles));
         for handle in handles {
             if let Ok(exit) = handle.join() {
                 exits.push(exit);
@@ -290,7 +290,7 @@ fn make_launcher(
         let journal = journal.clone();
         let handle =
             std::thread::spawn(move || run_agent_with(addr, agent, incarnation, journal, opts));
-        handles.lock().push(handle);
+        lock(&handles).push(handle);
     })
 }
 

@@ -15,9 +15,9 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use netsim::sync::lock;
 
 /// The flavour of write failure to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,12 +71,12 @@ impl DiskFaults {
     /// Arms the injector: the next `count` writes fail with `kind`
     /// (`None` = every write until [`Self::clear`]).
     pub fn inject(&self, kind: DiskFaultKind, count: Option<u64>) {
-        *self.inner.armed.lock() = Some(Armed { kind, remaining: count });
+        *lock(&self.inner.armed) = Some(Armed { kind, remaining: count });
     }
 
     /// Disarms the injector.
     pub fn clear(&self) {
-        *self.inner.armed.lock() = None;
+        *lock(&self.inner.armed) = None;
     }
 
     /// Number of writes actually failed so far.
@@ -87,7 +87,7 @@ impl DiskFaults {
     /// Called by a durable layer on the write path: consumes one armed
     /// fault, or `None` when the handle is quiet.
     pub fn check(&self) -> Option<DiskFaultKind> {
-        let mut armed = self.inner.armed.lock();
+        let mut armed = lock(&self.inner.armed);
         let hit = match armed.as_mut() {
             None => return None,
             Some(a) => {

@@ -9,11 +9,11 @@
 //! order, through corruption, crashes and reconnects.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use honeypot::{HoneypotSpec, LogChunk, Manager, MeasurementLog};
+use netsim::sync::lock;
 use netsim::SimTime;
-use parking_lot::Mutex;
 
 /// A shared, append-only record of every chunk agents handed to the wire.
 #[derive(Clone, Default)]
@@ -29,21 +29,21 @@ impl ChunkJournal {
     /// Records the pre-transport copy of an upload.  Re-recording the same
     /// key (a retry of an unacked chunk) keeps the first copy.
     pub fn record(&self, agent: u32, seq: u64, chunk: LogChunk) {
-        self.inner.lock().entry((agent, seq)).or_insert(chunk);
+        lock(&self.inner).entry((agent, seq)).or_insert(chunk);
     }
 
     /// The recorded copy for `(agent, seq)`.
     pub fn get(&self, agent: u32, seq: u64) -> Option<LogChunk> {
-        self.inner.lock().get(&(agent, seq)).cloned()
+        lock(&self.inner).get(&(agent, seq)).cloned()
     }
 
     /// Number of distinct chunks recorded.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock(&self.inner).is_empty()
     }
 
     /// Replays the journal in the given merge order through a fresh

@@ -2,8 +2,8 @@
 //! snapshot scraper samples periodically.
 //!
 //! Handles are cheap `Arc` clones; recording a histogram sample takes a
-//! `parking_lot` mutex private to that instrument (uncontended in
-//! steady state — each instrument has one dominant writer thread).
+//! mutex private to that instrument (uncontended in steady state — each
+//! instrument has one dominant writer thread).
 //! Snapshots iterate a `BTreeMap`, so output ordering is deterministic
 //! regardless of registration order races.
 //!
@@ -13,9 +13,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use parking_lot::Mutex;
+use netsim::sync::lock;
 
 use super::hist::Histogram;
 
@@ -69,17 +69,17 @@ impl Default for HistogramHandle {
 impl HistogramHandle {
     /// Records one sample (typically microseconds).
     pub fn record(&self, value: u64) {
-        self.0.lock().record(value);
+        lock(&self.0).record(value);
     }
 
     /// A copy of the current distribution.
     pub fn snapshot(&self) -> Histogram {
-        self.0.lock().clone()
+        lock(&self.0).clone()
     }
 
     /// Folds another histogram in (shard merge).
     pub fn merge(&self, other: &Histogram) {
-        self.0.lock().merge(other);
+        lock(&self.0).merge(other);
     }
 }
 
@@ -120,22 +120,22 @@ impl Registry {
 
     /// Returns the counter named `name`, creating it on first use.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.inner.lock().counters.entry(name).or_default().clone()
+        lock(&self.inner).counters.entry(name).or_default().clone()
     }
 
     /// Returns the gauge named `name`, creating it on first use.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.inner.lock().gauges.entry(name).or_default().clone()
+        lock(&self.inner).gauges.entry(name).or_default().clone()
     }
 
     /// Returns the histogram named `name`, creating it on first use.
     pub fn histogram(&self, name: &'static str) -> HistogramHandle {
-        self.inner.lock().histograms.entry(name).or_default().clone()
+        lock(&self.inner).histograms.entry(name).or_default().clone()
     }
 
     /// Copies every instrument's current state.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         RegistrySnapshot {
             counters: inner.counters.iter().map(|(k, v)| (*k, v.get())).collect(),
             gauges: inner.gauges.iter().map(|(k, v)| (*k, v.get())).collect(),

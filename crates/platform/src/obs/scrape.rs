@@ -210,19 +210,15 @@ mod tests {
         let n = scraper.stop();
         assert!(n >= 2, "expected several samples, got {n}");
 
-        // Series file: every line parses as a flat JSON object with the
+        // Series file: every line parses as a JSON object with the
         // schema marker and monotonically increasing sample numbers.
         let file = std::fs::File::open(&series).expect("series exists");
         let mut last_sample = None::<u64>;
         for line in std::io::BufReader::new(file).lines() {
             let line = line.expect("line");
-            assert!(line.starts_with("{\"schema\":\"obs-v1\""), "{line}");
-            let sample: u64 = line
-                .split("\"sample\":")
-                .nth(1)
-                .and_then(|s| s.split(',').next())
-                .and_then(|s| s.parse().ok())
-                .expect("sample field");
+            let doc: netsim::Json = line.parse().unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(doc["schema"].as_str(), Some("obs-v1"), "{line}");
+            let sample = doc["sample"].as_u64().expect("sample field");
             if let Some(prev) = last_sample {
                 assert!(sample > prev);
             }

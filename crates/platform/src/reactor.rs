@@ -28,11 +28,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use edonkey_proto::control::{ControlDecoder, ControlEvent};
-use parking_lot::Mutex;
+use netsim::sync::lock;
 
 use crate::impair::{ImpairPlan, ImpairedLink};
 use crate::messages::ControlMessage;
@@ -57,18 +57,18 @@ impl Outbox {
 
     /// Enqueues one typed message as a complete frame.
     pub(crate) fn push_msg(&self, msg: &ControlMessage) {
-        self.buf.lock().extend_from_slice(&msg.encode_frame());
+        lock(&self.buf).extend_from_slice(&msg.encode_frame());
     }
 
     /// Bytes waiting to be written.
     pub(crate) fn pending(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     /// Takes the whole queue (the impaired write path moves it into the
     /// link's schedule).
     pub(crate) fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.buf.lock())
+        std::mem::take(&mut *lock(&self.buf))
     }
 
     /// Writes as much of the queue as the socket will take right now.
@@ -76,7 +76,7 @@ impl Outbox {
     /// would block with bytes still queued.  `Err` is fatal to the
     /// connection.
     pub(crate) fn flush(&self, stream: &mut TcpStream) -> std::io::Result<bool> {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         let mut written = 0usize;
         while written < buf.len() {
             match stream.write(&buf[written..]) {

@@ -11,8 +11,6 @@
 //!   otherwise (*low ID*) (footnote 2).
 //! * [`PeerAddr`] — IPv4 + TCP port of a peer, as carried in `FOUND-SOURCES`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::md4::{md4, to_hex};
 
 /// Threshold separating low IDs from high IDs: IDs below `2^24` are
@@ -21,7 +19,7 @@ use crate::md4::{md4, to_hex};
 pub const LOW_ID_LIMIT: u32 = 1 << 24;
 
 /// The 16-byte eDonkey file hash.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub [u8; 16]);
 
 impl FileId {
@@ -62,7 +60,7 @@ impl std::fmt::Display for FileId {
 }
 
 /// The 16-byte eDonkey user hash, stable across sessions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub [u8; 16]);
 
 impl UserId {
@@ -90,7 +88,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// Server-assigned session identifier.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u32);
 
 impl ClientId {
@@ -137,8 +135,8 @@ impl std::fmt::Debug for ClientId {
 
 /// An IPv4 address (we keep our own 4-byte newtype rather than
 /// `std::net::Ipv4Addr` so that the simulated world and the wire codec share
-/// one plain-old-data representation that is `serde`-friendly and orderable).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// one plain-old-data representation that is orderable).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -184,7 +182,7 @@ impl From<Ipv4> for std::net::Ipv4Addr {
 }
 
 /// A peer's network endpoint as carried in `FOUND-SOURCES` answers.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PeerAddr {
     pub ip: Ipv4,
     pub port: u16,

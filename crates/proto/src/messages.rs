@@ -7,8 +7,6 @@
 //! START-UPLOAD and REQUEST-PART — but the full set here is what a
 //! well-behaved client needs to *pass for a normal peer* (paper §III-B).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::ids::{ClientId, FileId, Ipv4, PeerAddr, UserId};
 use crate::opcodes::{client_server as cs, peer, server_client as sc};
@@ -20,7 +18,7 @@ use crate::wire::{Reader, Writer};
 ///
 /// On the wire: file hash, client ID, port, then a tag list carrying at
 /// least the name and size.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PublishedFile {
     pub file_id: FileId,
     /// Publisher's client ID as known to the server (0 while unpublished).
@@ -90,7 +88,7 @@ impl PublishedFile {
 }
 
 /// Messages on the client↔server TCP session.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ClientServerMessage {
     /// Client → server, first message: identify and request a session.
     LoginRequest { user_id: UserId, client_id: ClientId, port: u16, tags: Vec<Tag> },
@@ -225,7 +223,7 @@ impl ClientServerMessage {
 
 /// One requested byte range, half-open `[start, end)`, as used by
 /// REQUEST-PARTS.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PartRange {
     pub start: u32,
     pub end: u32,
@@ -247,7 +245,7 @@ impl PartRange {
 }
 
 /// Messages on a client↔client (peer) session.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PeerMessage {
     /// Session opening: the downloading peer introduces itself.
     Hello { user_id: UserId, client_id: ClientId, port: u16, tags: Vec<Tag> },

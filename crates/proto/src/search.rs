@@ -19,13 +19,11 @@
 //! 0x03       numeric constraint: u32 LE value, u8 comparator, tag name
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::wire::{Reader, Writer};
 
 /// Numeric comparators of `0x03` constraints.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Comparator {
     Equal,
     Greater,
@@ -69,7 +67,7 @@ impl Comparator {
 }
 
 /// A boolean search expression.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SearchExpr {
     /// Both sub-expressions must match.
     And(Box<SearchExpr>, Box<SearchExpr>),

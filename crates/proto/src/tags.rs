@@ -15,8 +15,6 @@
 //! value              (string: u16 LE length + bytes; u32: 4 bytes LE)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::wire::{Reader, Writer};
 
@@ -48,7 +46,7 @@ pub const TAGTYPE_STRING: u8 = 0x02;
 pub const TAGTYPE_U32: u8 = 0x03;
 
 /// A tag name: either a one-byte well-known ID or a free-form string.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TagName {
     Special(u8),
     Named(String),
@@ -80,14 +78,14 @@ impl TagName {
 }
 
 /// A tag value (classic string / u32 subset).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TagValue {
     String(String),
     U32(u32),
 }
 
 /// One name/value metadata pair.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Tag {
     pub name: TagName,
     pub value: TagValue,

@@ -15,8 +15,6 @@
 //! 0x9B GLOB-FOUND-SOURCES file hash, u8 count, count × (ip u32 LE, port u16)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::ids::{FileId, Ipv4, PeerAddr};
 use crate::opcodes::PROTO_EDONKEY;
@@ -31,7 +29,7 @@ pub mod opcodes {
 }
 
 /// A UDP datagram message.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum UdpMessage {
     /// Client → server: status ping with an anti-spoof challenge.
     GlobStatReq { challenge: u32 },

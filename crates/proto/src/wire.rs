@@ -5,51 +5,49 @@
 //! bounds-checked cursor over a received payload.  Every multi-byte integer
 //! on the eDonkey wire is little-endian.
 
-use bytes::{BufMut, BytesMut};
-
 use crate::error::ProtoError;
 
 /// Append-only little-endian byte sink.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Writer { buf: BytesMut::with_capacity(64) }
+        Writer { buf: Vec::with_capacity(64) }
     }
 
     /// Creates a writer with the given initial capacity (use when the caller
     /// knows the approximate payload size, e.g. SENDING-PART bodies).
     pub fn with_capacity(cap: usize) -> Self {
-        Writer { buf: BytesMut::with_capacity(cap) }
+        Writer { buf: Vec::with_capacity(cap) }
     }
 
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// A 16-byte hash (file ID / user ID).
     pub fn hash(&mut self, v: &[u8; 16]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// u16-length-prefixed string.
@@ -69,11 +67,6 @@ impl Writer {
 
     /// Finishes and returns the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.to_vec()
-    }
-
-    /// Finishes into a `bytes::BytesMut` (zero-copy handoff to sockets).
-    pub fn into_bytes_mut(self) -> BytesMut {
         self.buf
     }
 }

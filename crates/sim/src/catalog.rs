@@ -13,10 +13,9 @@
 use edonkey_proto::FileId;
 use netsim::dist::log_normal;
 use netsim::{Rng, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// Broad content classes with distinct size and naming profiles.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FileClass {
     Video,
     Audio,
@@ -48,7 +47,7 @@ pub struct CatalogFile {
 }
 
 /// Catalog generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CatalogConfig {
     /// Number of files in the universe.
     pub n_files: usize,

@@ -10,12 +10,11 @@
 use honeypot::strategy::ContentStrategy;
 use netsim::time::{MS_PER_HOUR, MS_PER_MIN, MS_PER_SEC};
 use netsim::{DiurnalCurve, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::CatalogConfig;
 
 /// How one honeypot is set up within a scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HoneypotSetup {
     pub content: ContentStrategy,
     /// Catalog indices of the fixed advertised files, or `None` for greedy.
@@ -57,7 +56,7 @@ impl HoneypotSetup {
 }
 
 /// Peer arrival process.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PopulationConfig {
     /// Expected new interested peers per day *per unit of advertised
     /// popularity mass* (see `Catalog::popularity_sum`).  The instantaneous
@@ -100,7 +99,7 @@ impl Default for PopulationConfig {
 }
 
 /// Download behaviour of genuine peers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BehaviorConfig {
     /// Probability a session stops after HELLO (alive-probe / PEX-style
     /// contacts) — the gap between Fig. 5 and Fig. 6 magnitudes.
@@ -169,7 +168,7 @@ impl Default for BehaviorConfig {
 
 /// Community-level blacklisting (the paper's §IV-B hypothesis: honeypots do
 /// get noticed, and faster when they send nothing).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BlacklistConfig {
     /// Asymptotic skip probability: the community never blacklists a
     /// honeypot completely (new users keep arriving), so the skip
@@ -203,7 +202,7 @@ impl Default for BlacklistConfig {
 /// sources last `nc_timeout_ms × budget` instead of the transfer time, so
 /// no-content honeypots accumulate fewer queries per day from the same
 /// peer — the pacing difference of Figs. 8–9.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RobotConfig {
     /// Number of robot peers (0 disables the feature).
     pub count: usize,
@@ -245,7 +244,7 @@ impl Default for RobotConfig {
 /// itself, so it stays out of the config (and out of the run-cache
 /// content address) and is supplied to `run_scenario_with_capture`
 /// directly.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServerCaptureConfig {
     /// Records per compressed frame (the writer's only in-memory buffer;
     /// bounds capture RSS).
@@ -269,7 +268,7 @@ impl Default for ServerCaptureConfig {
 
 /// Failure injection: honeypot crashes that the manager must notice and
 /// repair (exercises the relaunch path end-to-end).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CrashConfig {
     /// Mean time between crashes per honeypot, ms (exponential).
     pub mtbf_ms: u64,
@@ -283,7 +282,7 @@ pub struct CrashConfig {
 /// tightly-clustered retry/keepalive traffic, the timing wheel wins on
 /// million-peer populations where pending-event counts make per-operation
 /// `log n` visible, and the heap is the safe general-purpose default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueKind {
     /// Binary heap ([`netsim::EventQueue`]).
     #[default]
@@ -303,12 +302,12 @@ pub enum QueueKind {
 /// reference (`lanes.rs` tests pin this), though *not* to the coupled
 /// execution — lanes draw from split RNG streams, so the two modes are two
 /// different (equally valid) samples of the same scenario distribution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// One world, one event loop — the classic execution.
     #[default]
     Coupled,
-    /// Per-honeypot lanes run on a rayon pool, merged deterministically by
+    /// Per-honeypot lanes run in parallel, merged deterministically by
     /// `(SimTime, lane, seq)` (see [`crate::lanes`]).
     Sharded,
 }

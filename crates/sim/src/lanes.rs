@@ -8,7 +8,7 @@
 //! *lane per honeypot* — an independent [`EdonkeyWorld`] owning that
 //! honeypot, its own arrival process, and a dedicated RNG stream split
 //! from the scenario seed (`netsim::rng::stream_seed`) — and the lanes run
-//! on a rayon pool.  Greedy honeypots adapt their advertised list to the
+//! on `netsim::par`.  Greedy honeypots adapt their advertised list to the
 //! shared-list traffic they observe, a cross-honeypot feedback loop, so
 //! any scenario containing one stays a single lane (the coupled engine):
 //! strategy semantics are never sharded away.
@@ -19,7 +19,7 @@
 //! another lane's draws, so the per-lane outputs do not depend on thread
 //! count or scheduling.  The merge stage (`honeypot::merge`) then orders
 //! all lane events by the unique key `(SimTime, lane, seq)` and re-interns
-//! peer ids in merged-stream order.  [`run_sharded`] (rayon) and
+//! peer ids in merged-stream order.  [`run_sharded`] (parallel) and
 //! [`run_sharded_reference`] (plain sequential loop over the same lanes)
 //! therefore produce **bit-identical** [`MeasurementLog`]s — pinned by
 //! `tests/lanes_equivalence.rs` and the experiments crate's scenario
@@ -50,7 +50,6 @@
 
 use honeypot::merge::LaneHarvest;
 use honeypot::MeasurementLog;
-use rayon::prelude::*;
 
 use crate::config::{ExecMode, ScenarioConfig};
 use crate::world::{run_lane, run_scenario, SimOutput, WorldStats};
@@ -100,13 +99,13 @@ fn lane_config(config: &ScenarioConfig, hp: usize) -> ScenarioConfig {
     lane
 }
 
-/// Runs a sharded scenario on the ambient rayon pool.
+/// Runs a sharded scenario, lanes in parallel.
 pub fn run_sharded(config: ScenarioConfig) -> SimOutput {
     run_lanes(config, true)
 }
 
 /// The lane-ordered sequential reference: same lanes, same merge, plain
-/// loop instead of the rayon pool.  Exists so tests can pin that
+/// loop instead of worker threads.  Exists so tests can pin that
 /// parallelism never changes the output.
 pub fn run_sharded_reference(config: ScenarioConfig) -> SimOutput {
     run_lanes(config, false)
@@ -125,11 +124,11 @@ fn run_lanes(config: ScenarioConfig, parallel: bool) -> SimOutput {
     let name_threshold = config.name_threshold;
     let lane_cfgs: Vec<ScenarioConfig> =
         (0..config.honeypots.len()).map(|i| lane_config(&config, i)).collect();
-    // Lanes are independent; collect() preserves lane order regardless of
+    // Lanes are independent; par_map preserves lane order regardless of
     // which thread finishes first, so the merge input — and therefore the
     // merged log — is schedule-independent.
     let outs: Vec<LaneOutput> = if parallel {
-        lane_cfgs.into_par_iter().map(run_lane).collect()
+        netsim::par::par_map(lane_cfgs, run_lane)
     } else {
         lane_cfgs.into_iter().map(run_lane).collect()
     };
@@ -214,7 +213,7 @@ mod tests {
         assert_eq!(
             format!("{:?}", a.log),
             format!("{:?}", b.log),
-            "rayon lanes vs sequential reference must be bit-identical"
+            "parallel lanes vs sequential reference must be bit-identical"
         );
         assert_eq!(a.relaunches, b.relaunches);
         assert_eq!(a.stats.arrivals, b.stats.arrivals);

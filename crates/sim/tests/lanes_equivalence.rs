@@ -1,4 +1,4 @@
-//! Lane-sharding equivalence, pinned across explicit rayon pool sizes:
+//! Lane-sharding equivalence, pinned across explicit worker counts:
 //! the merged log of a sharded run is a pure function of the scenario
 //! config — same bytes whether the lanes run on 1, 2, or 8 workers, and
 //! same bytes as the lane-ordered sequential reference.  Companion to the
@@ -11,7 +11,7 @@ use honeypot::strategy::ContentStrategy;
 use netsim::SimTime;
 
 /// Five fixed-list honeypots with uneven attractiveness and both content
-/// strategies — enough lanes that a rayon pool actually interleaves them.
+/// strategies — enough lanes that worker threads actually interleave them.
 fn five_hp_config(seed: u64) -> ScenarioConfig {
     let mut c = ScenarioConfig::tiny(seed);
     c.duration = SimTime::from_days(2);
@@ -33,12 +33,11 @@ fn sharded_log_is_identical_for_every_pool_size() {
     assert!(!reference.log.records.is_empty());
 
     for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        let out = pool.install(|| run_sharded(config.clone()));
+        let out = netsim::par::with_workers(threads, || run_sharded(config.clone()));
         assert_eq!(
             format!("{:?}", out.log),
             format!("{:?}", reference.log),
-            "sharded log must not depend on the pool size ({threads} threads)"
+            "sharded log must not depend on the worker count ({threads} threads)"
         );
         assert_eq!(out.relaunches, reference.relaunches);
         assert_eq!(out.stats.arrivals, reference.stats.arrivals);

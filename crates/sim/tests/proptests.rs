@@ -1,6 +1,7 @@
-//! Property-based tests of the simulated world's building blocks.
+//! Seeded property tests of the simulated world's building blocks.  Every
+//! case is generated from its seed alone, and a failure names the seed.
 
-use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 use edonkey_proto::{ClientServerMessage, FileId, Ipv4, PeerAddr, PublishedFile};
 use edonkey_sim::catalog::{Catalog, CatalogConfig};
@@ -10,67 +11,78 @@ use edonkey_sim::ScenarioConfig;
 use honeypot::ServerInfo;
 use netsim::{Rng, SimTime};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property.
+const CASES: u64 = 256;
 
-    #[test]
-    fn catalog_invariants(n in 1usize..2_000, zipf in 0.0f64..1.5, sigma in 0.0f64..1.5, seed in any::<u64>()) {
+#[test]
+fn catalog_invariants() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let n = rng.range(1, 2_000) as usize;
         let config = CatalogConfig {
             n_files: n,
-            zipf_exponent: zipf,
-            popularity_sigma: sigma,
+            zipf_exponent: 1.5 * rng.f64(),
+            popularity_sigma: 1.5 * rng.f64(),
             ..Default::default()
         };
-        let mut rng = Rng::seed_from(seed);
         let c = Catalog::generate(&config, &mut rng);
-        prop_assert_eq!(c.len(), n);
-        let mut ids = std::collections::HashSet::new();
+        assert_eq!(c.len(), n, "seed {seed}");
+        let mut ids = HashSet::new();
         for i in 0..n as u32 {
             let f = c.file(i);
-            prop_assert!(f.popularity > 0.0 && f.popularity.is_finite());
-            prop_assert!(f.size > 0 && f.size < u64::from(u32::MAX), "u32 offsets");
-            prop_assert!(ids.insert(f.id), "duplicate file id");
+            assert!(f.popularity > 0.0 && f.popularity.is_finite(), "seed {seed}: file {i}");
+            assert!(f.size > 0 && f.size < u64::from(u32::MAX), "seed {seed}: u32 offsets");
+            assert!(ids.insert(f.id), "seed {seed}: duplicate file id");
         }
         // Popularity-weighted sampling stays in range.
-        let mut rng = Rng::seed_from(seed ^ 1);
         for _ in 0..20 {
-            prop_assert!((c.sample_by_popularity(&mut rng) as usize) < n);
+            assert!((c.sample_by_popularity(&mut rng) as usize) < n, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn identity_factory_unique_ips(seed in any::<u64>(), count in 1usize..2_000) {
-        let mut f = IdentityFactory::new(Rng::seed_from(seed));
-        let mut ips = std::collections::HashSet::new();
+#[test]
+fn identity_factory_unique_ips() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let count = rng.range(1, 2_000);
+        let mut f = IdentityFactory::new(rng);
+        let mut ips = HashSet::new();
         for _ in 0..count {
             let p = f.create();
-            prop_assert!(ips.insert(p.ip));
+            assert!(ips.insert(p.ip), "seed {seed}: IP handed out twice");
             if p.client_id.is_high() {
-                prop_assert_eq!(p.client_id.ip(), Some(p.ip));
+                assert_eq!(p.client_id.ip(), Some(p.ip), "seed {seed}");
             }
         }
     }
+}
 
-    #[test]
-    fn server_index_is_consistent_under_arbitrary_operations(
-        ops in prop::collection::vec((0u64..8, any::<u8>(), any::<bool>()), 1..120),
-    ) {
+#[test]
+fn server_index_is_consistent_under_arbitrary_operations() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
         // Model: sessions 0..8 randomly log in, offer one of 256 files, or
         // disconnect; the index must always agree with a naive model.
         let mut server = SimServer::new(ServerInfo::new("s", Ipv4::new(1, 1, 1, 1), 4661));
-        let mut model: std::collections::HashMap<FileId, std::collections::HashSet<u64>> =
-            std::collections::HashMap::new();
-        let mut logged_in: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (session, file_byte, action) in ops {
-            let fid = FileId::from_seed(&[file_byte]);
+        let mut model: HashMap<FileId, HashSet<u64>> = HashMap::new();
+        let mut logged_in: HashSet<u64> = HashSet::new();
+        for _ in 0..rng.range(1, 120) {
+            let session = rng.below(8);
+            let fid = FileId::from_seed(&[rng.next_u32() as u8]);
             if !logged_in.contains(&session) {
-                server.login(SimTime::ZERO, session, PeerAddr::new(Ipv4::new(10, 0, 0, session as u8 + 1), 4662), true);
+                let addr = PeerAddr::new(Ipv4::new(10, 0, 0, session as u8 + 1), 4662);
+                server.login(SimTime::ZERO, session, addr, true);
                 logged_in.insert(session);
             }
-            if action {
-                server.offer_files(SimTime::ZERO, session, &ClientServerMessage::OfferFiles {
-                    files: vec![PublishedFile::new(fid, "f", 1)],
-                });
+            if rng.chance(0.5) {
+                server.offer_files(
+                    SimTime::ZERO,
+                    session,
+                    &ClientServerMessage::OfferFiles {
+                        files: vec![PublishedFile::new(fid, "f", 1)],
+                    },
+                );
                 model.entry(fid).or_default().insert(session);
             } else {
                 server.disconnect(SimTime::ZERO, session);
@@ -81,21 +93,22 @@ proptest! {
                 model.retain(|_, v| !v.is_empty());
             }
         }
-        prop_assert_eq!(server.clients(), logged_in.len());
-        prop_assert_eq!(server.indexed_files(), model.len());
+        assert_eq!(server.clients(), logged_in.len(), "seed {seed}");
+        assert_eq!(server.indexed_files(), model.len(), "seed {seed}");
         for (fid, providers) in &model {
-            let got: std::collections::HashSet<u64> =
-                server.provider_sessions(fid).iter().copied().collect();
-            prop_assert_eq!(&got, providers);
+            let got: HashSet<u64> = server.provider_sessions(fid).iter().copied().collect();
+            assert_eq!(&got, providers, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn tiny_scenarios_always_produce_valid_logs(seed in any::<u64>()) {
+#[test]
+fn tiny_scenarios_always_produce_valid_logs() {
+    for seed in 0..CASES {
         let out = edonkey_sim::run_scenario(ScenarioConfig::tiny(seed).scaled(0.1));
-        prop_assert!(out.log.validate().is_empty(), "{:?}", out.log.validate());
+        assert!(out.log.validate().is_empty(), "seed {seed}: {:?}", out.log.validate());
         // Aggregate counters must dominate logged records.
         let hello = out.log.records_of(honeypot::QueryKind::Hello).count() as u64;
-        prop_assert!(out.stats.hello_sent >= hello);
+        assert!(out.stats.hello_sent >= hello, "seed {seed}");
     }
 }

@@ -17,8 +17,9 @@
 //! serializes on [`obs_lock`] and restores `Level::Off` before
 //! releasing it.
 
+use std::io::Read;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use edonkey_honeypots::control::{
     ConnEvent, ControlConn, ControlMessage, Daemon, DaemonConfig, ObsConfig,
@@ -31,7 +32,7 @@ use edonkey_honeypots::platform::{
 use edonkey_honeypots::proto::{FileId, Ipv4, UserId};
 use edonkey_honeypots::sim::{run_scenario, ScenarioConfig};
 use netsim::obs::{set_level, Level};
-use netsim::SimTime;
+use netsim::{Json, SimTime};
 
 /// Serializes tests that flip the process-global observability level.
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -133,7 +134,7 @@ fn test_agent_config(id: u32) -> edonkey_honeypots::control::AgentConfig {
 }
 
 fn wait_for(conn: &mut ControlConn, pred: impl Fn(&ControlMessage) -> bool) -> ControlMessage {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         for ev in conn.poll_until(deadline).expect("poll") {
             if let ConnEvent::Msg(m) = ev {
@@ -142,8 +143,22 @@ fn wait_for(conn: &mut ControlConn, pred: impl Fn(&ControlMessage) -> bool) -> C
                 }
             }
         }
-        assert!(std::time::Instant::now() < deadline, "expected control message never arrived");
+        assert!(Instant::now() < deadline, "expected control message never arrived");
     }
+}
+
+/// One scrape of a live daemon's snapshot endpoint, down to the
+/// reactor-loop latency histogram.
+fn reactor_loop_histogram(addr: std::net::SocketAddr) -> Json {
+    let mut reply = String::new();
+    std::net::TcpStream::connect(addr)
+        .expect("connect scrape endpoint")
+        .read_to_string(&mut reply)
+        .expect("read snapshot");
+    let snap: Json = reply.parse().unwrap_or_else(|e| panic!("{e}: {reply}"));
+    assert_eq!(snap["schema"].as_str(), Some("obs-v1"), "{snap}");
+    assert!(snap["sample"].as_u64().is_some(), "snapshot sample number missing: {snap}");
+    snap["histograms"]["reactor_loop_micros"].clone()
 }
 
 /// Runs the fixed three-agent chunk workload against a fresh daemon and
@@ -164,6 +179,10 @@ fn run_fixed_workload(
     // The verbose run must genuinely be observed while bytes are
     // compared: its scrape endpoint is live for the whole workload.
     assert_eq!(daemon.obs_addr().is_some(), observed, "scraper endpoint mirrors the obs config");
+    // The registry is process-wide: count what earlier daemons left in it.
+    let loop_samples_before = daemon
+        .obs_addr()
+        .map(|addr| reactor_loop_histogram(addr)["count"].as_u64().expect("histogram count"));
 
     for agent in 0..AGENTS {
         let mut conn = ControlConn::connect(daemon.addr()).expect("connect");
@@ -180,6 +199,23 @@ fn run_fixed_workload(
             );
         }
         conn.send(&ControlMessage::Goodbye { agent, final_seq: CHUNKS }).expect("goodbye");
+    }
+
+    // The observed daemon's reactor-loop histogram goes hot while it runs
+    // (the shards flush their latency batches into the registry the
+    // scraper samples), with ordered percentiles.
+    if let (Some(addr), Some(before)) = (daemon.obs_addr(), loop_samples_before) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let hist = reactor_loop_histogram(addr);
+            if hist["count"].as_u64() > Some(before) {
+                let (p50, p99) = (hist["p50"].as_u64(), hist["p99"].as_u64());
+                assert!(p50.is_some() && p50 <= p99, "percentiles must be ordered: {hist}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "reactor-loop histogram never went hot: {hist}");
+            std::thread::sleep(Duration::from_millis(25));
+        }
     }
 
     let (log, metrics, _order) =
