@@ -369,13 +369,25 @@ fn session(
             let _ = spool.trim_acked(frontier - 1);
         }
         st.window.clear();
-        st.backlog = spool.unacked().iter().filter(|r| r.seq >= frontier).cloned().collect();
-        for rec in &st.backlog {
+        st.backlog.clear();
+        let replayed = spool.for_each_record(|seq, payload| {
             if let Ok(ControlMessage::LogUpload { agent, seq, chunk }) =
-                ControlMessage::decode(opcodes::LOG_CHUNK, &rec.payload)
+                ControlMessage::decode(opcodes::LOG_CHUNK, payload)
             {
                 st.journal.record(agent, seq, chunk);
             }
+            st.backlog.push_back(SpoolRecord { seq, payload: payload.to_vec() });
+        });
+        if let Err(e) = replayed {
+            // What was read is re-sent; the rest stays on disk for the
+            // next session to try again.
+            obs_event!(
+                obs::Level::Warn,
+                "agent",
+                "spool_replay_failed",
+                agent = st.agent,
+                error = obs::InlineStr::new(&e.to_string())
+            );
         }
     } else {
         // In-memory path: drop what the frontier covers, keep the rest.
@@ -561,7 +573,8 @@ fn upload_chunk(
     // The journal copy is taken before any fault can touch the bytes: it
     // is the ground truth of what this agent tried to report.
     st.journal.record(st.agent, seq, chunk.clone());
-    let msg = ControlMessage::LogUpload { agent: st.agent, seq, chunk };
+    // One encoding serves both the spool record and the wire frame.
+    let payload = ControlMessage::LogUpload { agent: st.agent, seq, chunk }.encode_payload();
     if let Some(spool) = &mut st.spool {
         // Durable before the first send: ack-or-replay from here on.  A
         // failing disk gets a short budgeted retry (transient ENOSPC
@@ -569,7 +582,6 @@ fn upload_chunk(
         // crashing: the chunk stays in the in-memory window, heartbeats
         // carry the degraded flag, and the next successful append clears
         // it.  Degraded-mode chunks lose crash durability, nothing else.
-        let payload = msg.encode_payload();
         let mut disk_retry =
             Backoff::new(RetryPolicy::disk(), RETRY_SEED ^ u64::from(st.agent) ^ 0xD15C, seq);
         loop {
@@ -603,7 +615,7 @@ fn upload_chunk(
         // this chunk.  Only the spool can save it now.
         return Ok(Some(SessionEnd::Killed));
     }
-    let frame = msg.encode_frame();
+    let frame = encode_control_frame(opcodes::LOG_CHUNK, &payload);
     let kill_now = st.fault.kill_after_chunk == Some(seq);
 
     if st.fault.should_truncate(seq, &mut st.fstate) {

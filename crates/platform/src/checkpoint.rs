@@ -244,6 +244,25 @@ mod tests {
         }
     }
 
+    /// `sample().encode()` from the last build with the bitwise CRC.
+    #[rustfmt::skip]
+    const PARENT_SAMPLE_CHECKPOINT: [u8; 127] = [
+        0x45, 0x44, 0x43, 0x4b, 0x01, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd2, 0x04, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x5a, 0x18, 0xf9,
+    ];
+
+    #[test]
+    fn checkpoint_written_by_the_bitwise_crc_build_decodes_and_re_encodes_identically() {
+        assert_eq!(ManagerCheckpoint::decode(&PARENT_SAMPLE_CHECKPOINT), Some(sample()));
+        assert_eq!(sample().encode(), PARENT_SAMPLE_CHECKPOINT);
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "edhp-ckpt-{tag}-{}-{:?}",

@@ -64,7 +64,7 @@ use crate::metrics::{PlatformMetrics, RttStats};
 use crate::obs::{self, Histogram, HistogramHandle, Registry};
 use crate::reactor::{CloseReason, Outbox, ReactorConn};
 use crate::retry::{Backoff, RetryPolicy};
-use crate::spool::{Spool, SpoolRecord};
+use crate::spool::Spool;
 use crate::transport::{classify_accept, AcceptError};
 use netsim::obs_event;
 /// Shard sleep when a whole pass moved no bytes.
@@ -360,6 +360,8 @@ impl Daemon {
         let mut metrics = PlatformMetrics::new(n);
         let mut chunk_order: Vec<(u32, u64)> = Vec::new();
 
+        let snapshot = cfg.checkpoint.as_ref().and_then(|o| load_checkpoint(&o.dir));
+        let mut restored = false;
         let durable = match &cfg.checkpoint {
             Some(opts) => {
                 let mut spool = Spool::open(opts.wal_dir())?;
@@ -367,6 +369,39 @@ impl Daemon {
                     spool.set_faults(faults.clone());
                 }
                 let next_seq = spool.last_seq().map_or(0, |s| s + 1);
+                // Replay streams record by record: recovery holds one WAL
+                // segment in memory, however much the WAL has made durable.
+                spool.for_each_record(|wseq, payload| {
+                    restored = true;
+                    let Ok(ControlMessage::LogUpload { agent, seq, chunk }) =
+                        ControlMessage::decode(opcodes::LOG_CHUNK, payload)
+                    else {
+                        // It passed its CRC, so these are the bytes that
+                        // were acked: skipping them is a loss to report.
+                        metrics.wal_undecodable_records += 1;
+                        obs_event!(
+                            obs::Level::Error,
+                            "daemon",
+                            "wal_record_undecodable",
+                            wal_seq = wseq,
+                            bytes = payload.len()
+                        );
+                        return;
+                    };
+                    let i = agent as usize;
+                    if i >= slots.len() {
+                        return;
+                    }
+                    if core.collect_sequenced(seq, chunk) {
+                        chunk_order.push((agent, seq));
+                        metrics.agents[i].note_merged(seq);
+                        metrics.agents[i].chunks_merged += 1;
+                        metrics.agents[i].chunk_bytes += payload.len() as u64;
+                    }
+                    if seq >= slots[i].expected_seq {
+                        slots[i].expected_seq = seq + 1;
+                    }
+                })?;
                 Some(Durable {
                     opts: opts.clone(),
                     wal: Mutex::new(Wal { spool, next_seq }),
@@ -375,33 +410,6 @@ impl Daemon {
             }
             None => None,
         };
-        let snapshot = cfg.checkpoint.as_ref().and_then(|o| load_checkpoint(&o.dir));
-        let mut restored = false;
-        if let Some(d) = &durable {
-            let records: Vec<SpoolRecord> = lock(&d.wal).spool.unacked().to_vec();
-            restored = !records.is_empty();
-            for rec in &records {
-                let Ok(ControlMessage::LogUpload { agent, seq, chunk }) =
-                    ControlMessage::decode(opcodes::LOG_CHUNK, &rec.payload)
-                else {
-                    continue;
-                };
-                let i = agent as usize;
-                if i >= slots.len() {
-                    continue;
-                }
-                let bytes = rec.payload.len() as u64;
-                if core.collect_sequenced(seq, chunk) {
-                    chunk_order.push((agent, seq));
-                    metrics.agents[i].note_merged(seq);
-                    metrics.agents[i].chunks_merged += 1;
-                    metrics.agents[i].chunk_bytes += bytes;
-                }
-                if seq >= slots[i].expected_seq {
-                    slots[i].expected_seq = seq + 1;
-                }
-            }
-        }
         if let Some(snap) = &snapshot {
             restored = true;
             for (i, s) in snap.slots.iter().enumerate().take(slots.len()) {
@@ -1541,5 +1549,67 @@ fn supervision_tick(inner: &Arc<Inner>) {
             counted = counted
         );
         (inner.launcher)(id.0, incarnation, inner.addr);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edonkey_proto::Ipv4;
+    use honeypot::log::{FileTable, SharedLists};
+    use honeypot::{ContentStrategy, FileStrategy, LogChunk, ServerInfo};
+
+    #[test]
+    fn recovery_counts_an_undecodable_wal_record_and_keeps_replaying() {
+        let dir =
+            std::env::temp_dir().join(format!("edhp-daemon-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = CheckpointOptions::new(&dir);
+        let server = ServerInfo::new("wal-test", Ipv4::new(127, 0, 0, 1), 4661);
+        let upload = |seq: u64| {
+            let chunk = LogChunk {
+                honeypot: HoneypotId(0),
+                server: server.clone(),
+                records: Vec::new(),
+                shared_lists: SharedLists::new(),
+                peer_names: Vec::new(),
+                files: FileTable::new(),
+            };
+            ControlMessage::LogUpload { agent: 0, seq, chunk }.encode_payload()
+        };
+        {
+            let mut wal = Spool::open(opts.wal_dir()).unwrap();
+            wal.append(0, &upload(0)).unwrap();
+            wal.append(1, b"not a log upload").unwrap();
+            wal.append(2, &upload(1)).unwrap();
+        }
+        let config = AgentConfig {
+            id: HoneypotId(0),
+            content: ContentStrategy::NoContent,
+            files: FileStrategy::Fixed(Vec::new()),
+            server: server.clone(),
+            ip_salt: 7,
+            rng_seed: 7,
+            heartbeat_ms: 50,
+            collect_ms: 60,
+            client_name: "wal-agent".into(),
+        };
+        let daemon = Daemon::start(
+            DaemonConfig {
+                heartbeat_timeout_ms: 60_000,
+                checkpoint: Some(opts),
+                ..DaemonConfig::default()
+            },
+            vec![config],
+            Box::new(|_, _, _| {}),
+        )
+        .unwrap();
+        let (_log, metrics, order) =
+            daemon.finish(SimTime::from_secs(60), 0, 1, Duration::from_millis(100));
+        assert_eq!(order, vec![(0, 0), (0, 1)], "both good chunks merged, in WAL order");
+        assert_eq!(metrics.agents[0].chunks_merged, 2);
+        assert_eq!(metrics.wal_undecodable_records, 1);
+        assert_eq!(metrics.manager_restores, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

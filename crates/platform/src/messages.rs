@@ -685,6 +685,44 @@ mod tests {
         assert_eq!(got.files.lookup(&chunk.files.id(0)), Some(0));
     }
 
+    /// `LogUpload { agent: 2, seq: 5, chunk: sample_chunk() }` as framed by
+    /// the last build with the bitwise CRC.
+    #[rustfmt::skip]
+    const PARENT_LOG_UPLOAD_FRAME: [u8; 300] = [
+        0xec, 0x02, 0x20, 0x21, 0x01, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x73, 0x72, 0x76, 0x01, 0x00,
+        0x00, 0x7f, 0x35, 0x12, 0x02, 0x00, 0x00, 0x00, 0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07,
+        0x07, 0x36, 0x12, 0x00, 0xdc, 0x08, 0x5d, 0xb8, 0xeb, 0xc2, 0x95, 0x97, 0x27, 0xcc, 0x41, 0xc6,
+        0xf9, 0xdf, 0xd3, 0x56, 0x00, 0x00, 0x00, 0x00, 0x49, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+        0x29, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x08, 0x08, 0x08, 0x08, 0x08, 0x08, 0x08,
+        0x08, 0x08, 0x08, 0x08, 0x08, 0x08, 0x08, 0x08, 0x08, 0x36, 0x12, 0x01, 0x49, 0x31, 0x89, 0x2e,
+        0x11, 0x0d, 0x7e, 0x4b, 0x75, 0xc7, 0x26, 0xfe, 0x6f, 0xc4, 0x96, 0x53, 0x00, 0x00, 0x00, 0x00,
+        0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xe7, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07,
+        0x07, 0x07, 0x07, 0x07, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x0b, 0x00, 0x00, 0x00, 0x65, 0x4d, 0x75, 0x6c, 0x65, 0x20, 0x76, 0x30, 0x2e, 0x34, 0x39, 0x02,
+        0x00, 0x00, 0x00, 0x1f, 0xe6, 0x37, 0xca, 0xa4, 0xf1, 0x5d, 0xad, 0x46, 0x0e, 0xad, 0xf1, 0xc8,
+        0x31, 0xbf, 0xe6, 0x12, 0x00, 0x00, 0x00, 0x76, 0x61, 0x63, 0x61, 0x74, 0x69, 0x6f, 0x6e, 0x20,
+        0x76, 0x69, 0x64, 0x65, 0x6f, 0x2e, 0x61, 0x76, 0x69, 0x00, 0x00, 0xc0, 0x2b, 0x00, 0x00, 0x00,
+        0x00, 0x8c, 0xca, 0x2d, 0xad, 0xef, 0x45, 0xa4, 0x76, 0x31, 0xc4, 0xdc, 0x04, 0xd4, 0x01, 0x94,
+        0x5f, 0x0b, 0x00, 0x00, 0x00, 0x68, 0x6f, 0x6c, 0x69, 0x64, 0x61, 0x79, 0x2e, 0x6d, 0x70, 0x33,
+        0x00, 0x00, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x69, 0x38, 0xf1,
+    ];
+
+    #[test]
+    fn frame_written_by_the_bitwise_crc_build_decodes_and_re_encodes_identically() {
+        use edonkey_proto::control::{decode_control_frame, ControlEvent};
+        let (event, used) = decode_control_frame(&PARENT_LOG_UPLOAD_FRAME).unwrap();
+        assert_eq!(used, PARENT_LOG_UPLOAD_FRAME.len());
+        let ControlEvent::Frame(frame) = event else { panic!("old frame fails the table CRC") };
+        assert_eq!(frame.opcode, opcodes::LOG_CHUNK);
+        let got = ControlMessage::decode(frame.opcode, &frame.payload).unwrap();
+        let want = ControlMessage::LogUpload { agent: 2, seq: 5, chunk: sample_chunk() };
+        assert_eq!(got.encode_payload(), want.encode_payload());
+        assert_eq!(got.encode_frame(), PARENT_LOG_UPLOAD_FRAME);
+    }
+
     fn decode_chunk(chunk: &LogChunk) -> Result<ControlMessage, ProtoError> {
         let msg = ControlMessage::LogUpload { agent: 2, seq: 0, chunk: chunk.clone() };
         ControlMessage::decode(opcodes::LOG_CHUNK, &msg.encode_payload())

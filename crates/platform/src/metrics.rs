@@ -190,6 +190,9 @@ pub struct PlatformMetrics {
     /// Checkpoint snapshot writes that failed; the stale on-disk snapshot
     /// is quarantined and the daemon keeps serving from the chunk WAL.
     pub checkpoint_failures: u64,
+    /// WAL records that passed their CRC at recovery but did not decode as
+    /// a log upload; recovery skipped them and kept replaying.
+    pub wal_undecodable_records: u64,
 }
 
 impl PlatformMetrics {
@@ -303,6 +306,10 @@ impl PlatformMetrics {
         out.push_str(&format!("  \"window_shrinks\": {},\n", self.window_shrinks));
         out.push_str(&format!("  \"wal_append_failures\": {},\n", self.wal_append_failures));
         out.push_str(&format!("  \"checkpoint_failures\": {},\n", self.checkpoint_failures));
+        out.push_str(&format!(
+            "  \"wal_undecodable_records\": {},\n",
+            self.wal_undecodable_records
+        ));
         out.push_str(&format!(
             "  \"degraded_heartbeats\": {},\n",
             self.total_degraded_heartbeats()

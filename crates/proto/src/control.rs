@@ -86,19 +86,96 @@ pub mod opcodes {
     pub const GOODBYE: u8 = 0x32;
 }
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the classic
-/// zlib polynomial, computed bitwise; control frames are far from the hot
-/// path, so a lookup table would be wasted cache.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables (8 KB): `CRC_TABLES[k][b]` is the CRC state
+/// after byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the state with eight independent loads instead of 64 shift/xor
+/// rounds.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Streaming CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF` —
+/// the classic zlib polynomial): feed the bytes in any number of pieces,
+/// the result equals [`crc32`] over their concatenation.  Every durable
+/// byte of the control plane passes through this on each hop (frame, spool,
+/// WAL), so it is table-driven.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32 { state: !0 }
+    }
+}
+
+impl Crc32 {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything fed so far (more may follow).
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+/// One-shot [`Crc32`].
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 /// A framing-validated control frame.
@@ -243,6 +320,66 @@ mod tests {
         // Standard check value of CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time definition the tables are derived from: the
+    /// oracle for the differential tests below.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_oracle() {
+        use netsim::Rng;
+        // Every short length (the `chunks_exact(8)` remainder path) at
+        // every offset into an 8-aligned buffer.
+        let mut rng = Rng::seed_from(0xC8C3_2000);
+        let mut buf = vec![0u8; 48];
+        rng.fill_bytes(&mut buf);
+        for offset in 0..8 {
+            for len in 0..=32 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "offset {offset} len {len}");
+            }
+        }
+        for seed in 0..2_000u64 {
+            let mut rng = Rng::seed_from(seed);
+            let offset = rng.below(8) as usize;
+            let len = rng.below(4_097) as usize;
+            let mut buf = vec![0u8; offset + len];
+            rng.fill_bytes(&mut buf);
+            let data = &buf[offset..];
+            assert_eq!(crc32(data), crc32_bitwise(data), "seed {seed} offset {offset} len {len}");
+        }
+    }
+
+    #[test]
+    fn streaming_crc_is_independent_of_the_split_points() {
+        use netsim::Rng;
+        for seed in 0..2_000u64 {
+            let mut rng = Rng::seed_from(seed ^ 0x5711_7000);
+            let mut data = vec![0u8; rng.below(4_097) as usize];
+            rng.fill_bytes(&mut data);
+            let mut cuts: Vec<usize> =
+                (0..rng.below(65)).map(|_| rng.below(data.len() as u64 + 1) as usize).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for &cut in &cuts {
+                crc.update(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(crc.finish(), crc32(&data), "seed {seed} cuts {cuts:?}");
+        }
     }
 
     #[test]
