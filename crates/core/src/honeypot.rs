@@ -349,48 +349,28 @@ impl Honeypot {
                 vec![Action::Reply(PeerMessage::AcceptUpload)]
             }
             PeerMessage::RequestParts { file_id, ranges } => {
-                let Some(session) = self.sessions.get(&conn) else {
+                if !self.log_request_parts(now, conn, file_id) {
                     return Vec::new();
-                };
-                let file_idx = self
-                    .log
-                    .files
-                    .lookup(file_id)
-                    .unwrap_or_else(|| self.log.files.intern(*file_id, "", 0));
-                self.log.push(QueryRecord {
-                    at: now,
-                    kind: QueryKind::RequestPart,
-                    peer: session.ip_hash,
-                    port: session.port,
-                    id_status: session.id_status,
-                    user_id: session.user_id,
-                    name: session.name_idx,
-                    version: session.version,
-                    file: file_idx,
-                });
-                match self.config.content {
-                    // The no-content strategy: stay silent.
-                    ContentStrategy::NoContent => Vec::new(),
-                    ContentStrategy::RandomContent => ranges
-                        .iter()
-                        .filter(|rg| !rg.is_empty())
-                        .map(|rg| {
-                            let data = if self.config.materialize_content {
-                                let mut buf = vec![0u8; rg.len() as usize];
-                                self.rng.fill_bytes(&mut buf);
-                                buf
-                            } else {
-                                Vec::new()
-                            };
-                            Action::Reply(PeerMessage::SendingPart {
-                                file_id: *file_id,
-                                start: rg.start,
-                                end: rg.end,
-                                data,
-                            })
-                        })
-                        .collect(),
                 }
+                let mut content =
+                    self.config.materialize_content.then(|| self.rng.substream("content"));
+                ranges
+                    .iter()
+                    .filter(|rg| !rg.is_empty())
+                    .map(|rg| {
+                        let mut data = Vec::new();
+                        if let Some(content) = &mut content {
+                            data.resize(rg.len() as usize, 0);
+                            content.fill_bytes(&mut data);
+                        }
+                        Action::Reply(PeerMessage::SendingPart {
+                            file_id: *file_id,
+                            start: rg.start,
+                            end: rg.end,
+                            data,
+                        })
+                    })
+                    .collect()
             }
             PeerMessage::AskSharedFilesAnswer { files } => {
                 let Some(session) = self.sessions.get(&conn) else {
@@ -442,6 +422,48 @@ impl Honeypot {
             | PeerMessage::AskSharedFiles
             | PeerMessage::FileRequestAnswer { .. } => Vec::new(),
         }
+    }
+
+    /// Logs one REQUEST-PARTS; true if it is answered with content (there is
+    /// a session and the strategy is random-content).
+    fn log_request_parts(&mut self, now: SimTime, conn: ConnId, file_id: &FileId) -> bool {
+        if !matches!(self.status, HoneypotStatus::Connected { .. }) {
+            return false;
+        }
+        let Some(session) = self.sessions.get(&conn) else {
+            return false;
+        };
+        let file_idx = self
+            .log
+            .files
+            .lookup(file_id)
+            .unwrap_or_else(|| self.log.files.intern(*file_id, "", 0));
+        self.log.push(QueryRecord {
+            at: now,
+            kind: QueryKind::RequestPart,
+            peer: session.ip_hash,
+            port: session.port,
+            id_status: session.id_status,
+            user_id: session.user_id,
+            name: session.name_idx,
+            version: session.version,
+            file: file_idx,
+        });
+        self.config.content == ContentStrategy::RandomContent
+    }
+
+    /// REQUEST-PARTS for a transport that streams its answer: logs the
+    /// request like [`Honeypot::on_peer_message`] and, unless the honeypot
+    /// stays silent, returns the generator the content comes from.  It is a
+    /// stream of its own, so the transport can produce the blocks one at a
+    /// time after it has let go of the honeypot.
+    pub fn on_request_parts(
+        &mut self,
+        now: SimTime,
+        conn: ConnId,
+        file_id: &FileId,
+    ) -> Option<Rng> {
+        self.log_request_parts(now, conn, file_id).then(|| self.rng.substream("content"))
     }
 
     /// Forgets a peer connection (transport closed it).

@@ -8,37 +8,80 @@
 //!   the socket;
 //! * a **listener** for incoming peer connections; each accepted peer gets
 //!   a thread that decodes frames, drives the shared honeypot state
-//!   machine, and writes back the `Reply` actions.
+//!   machine, and writes back the `Reply` actions — all replies of one
+//!   message in one `write`, SENDING-PART content streamed one block at a
+//!   time without the honeypot held.
 //!
 //! Time is wall-clock milliseconds since host start, mapped onto
 //! [`netsim::SimTime`] so the log schema is identical to the simulation's.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use edonkey_proto::{ClientServerMessage, Ipv4};
-use honeypot::{Action, ConnId, Honeypot, LogChunk, StatusReport};
+use edonkey_proto::parts::BLOCK_SIZE;
+use edonkey_proto::{ClientServerMessage, Ipv4, PartRange, PeerMessage};
+use honeypot::{Action, ConnId, Honeypot, HoneypotStatus, LogChunk, StatusReport};
 use netsim::sync::lock;
 use netsim::SimTime;
 
-use crate::framing::{write_server_message_to, FramedStream, NetError};
+use crate::accept::{accept_until, remote_ipv4, wake_accept};
+use crate::framing::{FramedStream, NetError};
+
+/// What the host's threads share.
+struct Shared {
+    honeypot: Mutex<Honeypot>,
+    /// Signalled whenever the server session may have changed the
+    /// honeypot's status.
+    status_changed: Condvar,
+    status: Mutex<Vec<StatusReport>>,
+    started: Instant,
+    /// Live peer connections.  A peer thread removes its own entry when it
+    /// ends.
+    peers: Mutex<HashMap<ConnId, LivePeer>>,
+    /// Set first thing by [`HoneypotHost::stop`]: ends the accept loop, and
+    /// lets the server-session reader tell a deliberate kill from the
+    /// server dropping us.
+    stopping: AtomicBool,
+    /// Latched by the reader thread when the server session dies while the
+    /// host was *not* stopping.
+    session_lost: AtomicBool,
+}
+
+/// What [`HoneypotHost::stop`] needs to end one peer connection.
+struct LivePeer {
+    /// Shared with the serving thread; shutting it down fails its read.
+    stream: Arc<TcpStream>,
+    thread: JoinHandle<()>,
+}
+
+impl Shared {
+    fn new(honeypot: Honeypot) -> Self {
+        Shared {
+            honeypot: Mutex::new(honeypot),
+            status_changed: Condvar::new(),
+            status: Mutex::new(Vec::new()),
+            started: Instant::now(),
+            peers: Mutex::new(HashMap::new()),
+            stopping: AtomicBool::new(false),
+            session_lost: AtomicBool::new(false),
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_millis(self.started.elapsed().as_millis() as u64)
+    }
+}
 
 /// A honeypot running over TCP.
 pub struct HoneypotHost {
-    honeypot: Arc<Mutex<Honeypot>>,
+    shared: Arc<Shared>,
     peer_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Set by [`stop`] before it tears down the server session, so the
-    /// reader thread can tell a deliberate kill from the server dropping us.
-    stopping: Arc<AtomicBool>,
-    /// Latched by the reader thread when the server session dies while the
-    /// host was *not* stopping.
-    session_lost: Arc<AtomicBool>,
-    started: Instant,
     accept_thread: Option<JoinHandle<()>>,
     server_reader: Option<JoinHandle<()>>,
     server_writer: Option<JoinHandle<()>>,
@@ -46,51 +89,48 @@ pub struct HoneypotHost {
     /// A clone of the server-session stream, kept to force-shutdown the
     /// reader thread on stop.
     server_stream: TcpStream,
-    status: Arc<Mutex<Vec<StatusReport>>>,
-    live_peers: Arc<AtomicU64>,
 }
 
 impl HoneypotHost {
     /// Connects `honeypot` to the server at `server_addr` and starts
     /// listening for peers on an ephemeral loopback port.
     pub fn start(mut honeypot: Honeypot, server_addr: SocketAddr) -> Result<Self, NetError> {
-        let started = Instant::now();
-        let now = SimTime::ZERO;
-
         // Peer listener first: its port is announced in the login.
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let peer_addr = listener.local_addr()?;
 
-        let server_stream = TcpStream::connect(server_addr)?;
-        let mut server_framed = FramedStream::new(server_stream);
-        let mut writer_stream = server_framed.try_clone_stream()?;
+        let mut server_framed = FramedStream::new(TcpStream::connect(server_addr)?);
+        let mut server_out = FramedStream::new(server_framed.try_clone_stream()?);
         let shutdown_stream = server_framed.try_clone_stream()?;
 
         let (to_server, from_host) = channel::<ClientServerMessage>();
-        let status: Arc<Mutex<Vec<StatusReport>>> = Arc::new(Mutex::new(Vec::new()));
 
         // Kick off the login handshake.
-        let connect_actions = honeypot.connect(now);
-        let honeypot = Arc::new(Mutex::new(honeypot));
-        route_actions(connect_actions, &to_server, &status);
+        let connect_actions = honeypot.connect(SimTime::ZERO);
+        let shared = Arc::new(Shared::new(honeypot));
+        route_actions(connect_actions, &to_server, &shared.status);
 
-        // Server writer: drains the channel onto the socket.
+        // Server writer: drains the channel onto the socket, everything
+        // queued at the moment it wakes in one write.
         let server_writer = std::thread::spawn(move || {
-            while let Ok(msg) = from_host.recv() {
-                // Patch the announced port into the login so peers can find
-                // the real listener.
-                let msg = match msg {
-                    ClientServerMessage::LoginRequest { user_id, client_id, tags, .. } => {
-                        ClientServerMessage::LoginRequest {
-                            user_id,
-                            client_id,
-                            port: peer_addr.port(),
-                            tags,
+            while let Ok(first) = from_host.recv() {
+                for msg in std::iter::once(first).chain(from_host.try_iter()) {
+                    // Patch the announced port into the login so peers can
+                    // find the real listener.
+                    let msg = match msg {
+                        ClientServerMessage::LoginRequest { user_id, client_id, tags, .. } => {
+                            ClientServerMessage::LoginRequest {
+                                user_id,
+                                client_id,
+                                port: peer_addr.port(),
+                                tags,
+                            }
                         }
-                    }
-                    other => other,
-                };
-                if write_server_message_to(&mut writer_stream, &msg).is_err() {
+                        other => other,
+                    };
+                    server_out.queue_server_message(&msg);
+                }
+                if server_out.flush().is_err() {
                     break;
                 }
             }
@@ -101,87 +141,56 @@ impl HoneypotHost {
         // dropping us mid-session: report it as a clean disconnect instead
         // of silently parking the host, so a supervisor can distinguish
         // crash from kill.
-        let stopping = Arc::new(AtomicBool::new(false));
-        let session_lost = Arc::new(AtomicBool::new(false));
-        let reader_honeypot = honeypot.clone();
+        let reader_shared = shared.clone();
         let reader_sender = to_server.clone();
-        let reader_status = status.clone();
-        let reader_started = started;
-        let reader_stopping = stopping.clone();
-        let reader_lost = session_lost.clone();
         let server_reader = std::thread::spawn(move || {
+            let shared = reader_shared;
             while let Ok(msg) = server_framed.read_server_message(true) {
-                let now = SimTime::from_millis(reader_started.elapsed().as_millis() as u64);
-                let actions = lock(&reader_honeypot).on_server_message(now, &msg);
-                route_actions(actions, &reader_sender, &reader_status);
+                let actions = lock(&shared.honeypot).on_server_message(shared.now(), &msg);
+                shared.status_changed.notify_all();
+                route_actions(actions, &reader_sender, &shared.status);
             }
-            if !reader_stopping.load(Ordering::SeqCst) {
-                reader_lost.store(true, Ordering::SeqCst);
-                let now = SimTime::from_millis(reader_started.elapsed().as_millis() as u64);
-                let actions = lock(&reader_honeypot).on_disconnected(now);
-                route_actions(actions, &reader_sender, &reader_status);
+            if !shared.stopping.load(Ordering::SeqCst) {
+                shared.session_lost.store(true, Ordering::SeqCst);
+                let actions = lock(&shared.honeypot).on_disconnected(shared.now());
+                route_actions(actions, &reader_sender, &shared.status);
             }
         });
 
         // Peer accept loop.
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let live_peers = Arc::new(AtomicU64::new(0));
-        let accept_shutdown = shutdown.clone();
-        let accept_honeypot = honeypot.clone();
+        let accept_shared = shared.clone();
         let accept_sender = to_server.clone();
-        let accept_status = status.clone();
-        let accept_live = live_peers.clone();
-        let next_conn = AtomicU64::new(1);
+        let mut next_conn = 0;
         let accept_thread = std::thread::spawn(move || {
-            // Transient accept errors (EMFILE/ENFILE when peers flood in,
-            // ECONNABORTED, EINTR) must not kill the listener: back off and
-            // retry, escalating while the condition persists and resetting
-            // on the next successful accept.
-            let mut accept_errors: u32 = 0;
-            for conn in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match conn {
-                    Ok(s) => {
-                        accept_errors = 0;
-                        s
-                    }
-                    Err(_) => {
-                        accept_errors = accept_errors.saturating_add(1);
-                        let pause = (5u64 << accept_errors.min(6)).min(250);
-                        std::thread::sleep(std::time::Duration::from_millis(pause));
-                        continue;
-                    }
-                };
-                let conn_id = ConnId(next_conn.fetch_add(1, Ordering::Relaxed));
-                let hp = accept_honeypot.clone();
+            accept_until(&listener, &accept_shared.stopping, |stream| {
+                let stream = Arc::new(stream);
+                next_conn += 1;
+                let conn = ConnId(next_conn);
+                let shared = accept_shared.clone();
                 let sender = accept_sender.clone();
-                let status = accept_status.clone();
-                let live = accept_live.clone();
-                live.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    let _ = serve_peer(stream, conn_id, &hp, &sender, &status, started);
-                    lock(&hp).on_peer_disconnected(conn_id);
-                    live.fetch_sub(1, Ordering::Relaxed);
+                let peer_stream = stream.clone();
+                // The registry is held across the spawn, so the thread's own
+                // removal cannot come before the insertion.
+                let mut peers = lock(&accept_shared.peers);
+                let thread = std::thread::spawn(move || {
+                    if let Ok(src_ip) = remote_ipv4(&peer_stream) {
+                        let _ = serve_peer(&*peer_stream, src_ip, conn, &shared, &sender);
+                    }
+                    lock(&shared.honeypot).on_peer_disconnected(conn);
+                    lock(&shared.peers).remove(&conn);
                 });
-            }
+                peers.insert(conn, LivePeer { stream, thread });
+            });
         });
 
         Ok(HoneypotHost {
-            honeypot,
+            shared,
             peer_addr,
-            shutdown,
-            stopping,
-            session_lost,
-            started,
             accept_thread: Some(accept_thread),
             server_reader: Some(server_reader),
             server_writer: Some(server_writer),
             to_server,
             server_stream: shutdown_stream,
-            status,
-            live_peers,
         })
     }
 
@@ -192,32 +201,31 @@ impl HoneypotHost {
 
     /// Milliseconds since host start, as the log's time base.
     pub fn now(&self) -> SimTime {
-        SimTime::from_millis(self.started.elapsed().as_millis() as u64)
+        self.shared.now()
     }
 
     /// Waits until the honeypot reports Connected (the login round trip
     /// completed), up to `timeout`.
-    pub fn wait_connected(&self, timeout: std::time::Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if matches!(lock(&self.honeypot).status(), honeypot::HoneypotStatus::Connected { .. }) {
-                return true;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        false
+    pub fn wait_connected(&self, timeout: Duration) -> bool {
+        let connected = |hp: &Honeypot| matches!(hp.status(), HoneypotStatus::Connected { .. });
+        let (hp, _) = self
+            .shared
+            .status_changed
+            .wait_timeout_while(lock(&self.shared.honeypot), timeout, |hp| !connected(hp))
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        connected(&hp)
     }
 
     /// Sends a keep-alive OFFER-FILES now.
     pub fn keepalive(&self) {
         let now = self.now();
-        let actions = lock(&self.honeypot).keepalive(now);
-        route_actions(actions, &self.to_server, &self.status);
+        let actions = lock(&self.shared.honeypot).keepalive(now);
+        route_actions(actions, &self.to_server, &self.shared.status);
     }
 
     /// Collects the honeypot's buffered log.
     pub fn collect_log(&self) -> LogChunk {
-        lock(&self.honeypot).collect_log()
+        lock(&self.shared.honeypot).collect_log()
     }
 
     /// Collects the buffered log only if it holds a record or a shared
@@ -225,18 +233,18 @@ impl HoneypotHost {
     /// *cut*, so a periodic uploader that skips empty collections must not
     /// cut them in the first place — this is its entry point.
     pub fn collect_pending_log(&self) -> Option<LogChunk> {
-        let mut hp = lock(&self.honeypot);
+        let mut hp = lock(&self.shared.honeypot);
         hp.log().has_pending().then(|| hp.collect_log())
     }
 
     /// Status reports seen so far.
     pub fn status_reports(&self) -> Vec<StatusReport> {
-        lock(&self.status).clone()
+        lock(&self.shared.status).clone()
     }
 
     /// Currently connected peer count.
     pub fn live_peers(&self) -> u64 {
-        self.live_peers.load(Ordering::Relaxed)
+        lock(&self.shared.peers).len() as u64
     }
 
     /// True if the server session died while the host was *not* being
@@ -244,25 +252,32 @@ impl HoneypotHost {
     /// has already been transitioned to `Disconnected` and a status report
     /// pushed, so a supervisor can relaunch rather than hang.
     pub fn server_session_lost(&self) -> bool {
-        self.session_lost.load(Ordering::SeqCst)
+        self.shared.session_lost.load(Ordering::SeqCst)
     }
 
-    /// Stops the host: collects the final log chunk, closes the listener,
-    /// tears down the server session and joins the service threads.
+    /// Stops the host: closes the listener, ends and joins every live peer
+    /// connection, tears down the server session, joins the service threads
+    /// and only then cuts the final log chunk — so it holds every record
+    /// the host ever logged, and `live_peers()` is 0 on return.
     pub fn stop(mut self) -> LogChunk {
-        let chunk = self.collect_log();
-        self.stopping.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throw-away connection, then join
-        // the accept loop (its per-peer threads exit when their peers
-        // disconnect).
-        let _ = TcpStream::connect(self.peer_addr);
+        self.shared.stopping.store(true, Ordering::SeqCst);
+        wake_accept(self.peer_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        // No new peer can arrive.  Shut the live ones down (their blocking
+        // reads fail) and join them outside the registry lock, which an
+        // ending peer thread takes to remove itself.
+        let live: Vec<_> = lock(&self.shared.peers).drain().map(|(_, peer)| peer).collect();
+        for peer in &live {
+            let _ = peer.stream.shutdown(Shutdown::Both);
+        }
+        for peer in live {
+            let _ = peer.thread.join();
+        }
         // Kill the server session: the reader's blocking read fails and the
         // thread exits, dropping its channel sender.
-        let _ = self.server_stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.server_stream.shutdown(Shutdown::Both);
         if let Some(t) = self.server_reader.take() {
             let _ = t.join();
         }
@@ -273,7 +288,7 @@ impl HoneypotHost {
         if let Some(t) = self.server_writer.take() {
             let _ = t.join();
         }
-        chunk
+        self.collect_log()
     }
 }
 
@@ -296,34 +311,167 @@ fn route_actions(
 }
 
 fn serve_peer(
-    stream: TcpStream,
+    stream: impl Read + Write,
+    src_ip: Ipv4,
     conn: ConnId,
-    honeypot: &Mutex<Honeypot>,
+    shared: &Shared,
     to_server: &Sender<ClientServerMessage>,
-    status: &Mutex<Vec<StatusReport>>,
-    started: Instant,
 ) -> Result<(), NetError> {
-    let src_ip = match stream.peer_addr()?.ip() {
-        std::net::IpAddr::V4(v4) => Ipv4::from(v4),
-        std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
-    };
-    let mut framed = FramedStream::new(stream);
+    let mut framed = FramedStream::over(stream);
     loop {
         let msg = match framed.read_peer_message() {
             Ok(m) => m,
             Err(NetError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let now = SimTime::from_millis(started.elapsed().as_millis() as u64);
-        let actions = lock(honeypot).on_peer_message(now, conn, src_ip, &msg);
+        let now = shared.now();
+        if let PeerMessage::RequestParts { file_id, ranges } = &msg {
+            // The honeypot only logs the request and hands out a content
+            // generator; the blocks are produced here, straight into the
+            // write buffer, one in flight at a time.
+            let content = lock(&shared.honeypot).on_request_parts(now, conn, file_id);
+            let Some(mut content) = content else { continue };
+            for range in ranges {
+                for start in (range.start..range.end).step_by(BLOCK_SIZE as usize) {
+                    let end = range.end.min(start.saturating_add(BLOCK_SIZE as u32));
+                    framed.queue_sending_part(file_id, PartRange::new(start, end), |block| {
+                        content.fill_bytes(block)
+                    });
+                    framed.flush()?;
+                }
+            }
+            continue;
+        }
+        let actions = lock(&shared.honeypot).on_peer_message(now, conn, src_ip, &msg);
         for a in actions {
             match a {
-                Action::Reply(reply) => framed.write_peer_message(&reply)?,
+                Action::Reply(reply) => framed.queue_peer_message(&reply),
                 Action::SendServer(m) => {
                     let _ = to_server.send(m);
                 }
-                Action::Report(r) => lock(status).push(r),
+                Action::Report(r) => lock(&shared.status).push(r),
             }
         }
+        framed.flush()?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framing::testing::{unhex, Script};
+    use crate::NetServer;
+    use edonkey_proto::codec::{decode_frame, encode_peer_message};
+    use edonkey_proto::tags::{special, Tag};
+    use edonkey_proto::{ClientId, FileId, UserId};
+    use honeypot::{
+        AdvertisedFile, ContentStrategy, HoneypotConfig, HoneypotId, IpHasher, QueryKind,
+        ServerInfo,
+    };
+    use netsim::Rng;
+
+    /// HELLO-ANSWER + ASK-SHARED-FILES as the parent build (one `write` per
+    /// message) put them on the wire for `fixture_honeypot`.
+    const HELLO_STEP: &str = "e3310000004cc7232063d3cdb74443adeba6e2e3bf7d7f000001361202000000\
+         020100010800636c69656e742d30030100113c000000e3010000004e";
+
+    fn fixture_file() -> FileId {
+        FileId::from_seed(b"fixture-file")
+    }
+
+    fn fixture_honeypot(server_port: u16) -> Honeypot {
+        let config = HoneypotConfig::fixed(
+            HoneypotId(0),
+            ContentStrategy::RandomContent,
+            vec![AdvertisedFile::new(fixture_file(), "fixture file.avi", 1 << 20)],
+        );
+        Honeypot::new(
+            config,
+            ServerInfo::new("fixture", Ipv4::new(127, 0, 0, 1), server_port),
+            IpHasher::from_seed(1),
+            Rng::seed_from(2),
+        )
+    }
+
+    fn hello() -> PeerMessage {
+        PeerMessage::Hello {
+            user_id: UserId::from_seed(b"fixture-peer"),
+            client_id: ClientId(0x0100_007F),
+            port: 4662,
+            tags: vec![
+                Tag::string(special::NAME, "fixture-peer"),
+                Tag::u32(special::VERSION, 0x49),
+            ],
+        }
+    }
+
+    #[test]
+    fn each_protocol_step_is_one_write_of_the_parents_bytes() {
+        let mut honeypot = fixture_honeypot(4661);
+        honeypot.connect(SimTime::ZERO);
+        honeypot.on_server_message(
+            SimTime::ZERO,
+            &ClientServerMessage::IdChange { client_id: ClientId(0x0100_007F) },
+        );
+        let shared = Shared::new(honeypot);
+        let (to_server, _from_host) = channel();
+        let block = BLOCK_SIZE as u32;
+        let ranges = [0, 1, 2].map(|i| PartRange::new(i * block, (i + 1) * block));
+        let mut script = Script::new(
+            [
+                hello(),
+                PeerMessage::StartUpload { file_id: fixture_file() },
+                PeerMessage::RequestParts { file_id: fixture_file(), ranges },
+            ]
+            .iter()
+            .map(encode_peer_message),
+        );
+        serve_peer(&mut script, Ipv4::new(127, 0, 0, 1), ConnId(1), &shared, &to_server).unwrap();
+
+        assert_eq!(script.writes.len(), 5, "HELLO step, START-UPLOAD step, three blocks");
+        assert_eq!(script.writes[0], unhex(HELLO_STEP));
+        assert_eq!(script.writes[1], encode_peer_message(&PeerMessage::AcceptUpload));
+        for (written, range) in script.writes[2..].iter().zip(ranges) {
+            let (raw, used) = decode_frame(written).unwrap();
+            assert_eq!(used, written.len(), "one frame per write");
+            let part = PeerMessage::decode_payload(raw.opcode, &raw.payload).unwrap();
+            let PeerMessage::SendingPart { file_id, start, end, data } = &part else {
+                panic!("expected SENDING-PART, got {part:?}")
+            };
+            assert_eq!((*file_id, *start, *end), (fixture_file(), range.start, range.end));
+            assert!(data.iter().any(|&b| b != 0), "content is materialised");
+            assert_eq!(*written, encode_peer_message(&part));
+        }
+        let kinds: Vec<_> =
+            lock(&shared.honeypot).collect_log().records.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart]);
+    }
+
+    #[test]
+    fn stop_ends_live_peers_before_the_final_cut() {
+        let server = NetServer::start().unwrap();
+        let host =
+            HoneypotHost::start(fixture_honeypot(server.addr().port()), server.addr()).unwrap();
+        assert!(host.wait_connected(Duration::from_secs(5)));
+
+        // A peer mid-session: HELLO answered, connection held open.
+        let mut peer = FramedStream::new(TcpStream::connect(host.peer_addr()).unwrap());
+        peer.write_peer_message(&hello()).unwrap();
+        assert!(matches!(peer.read_peer_message().unwrap(), PeerMessage::HelloAnswer { .. }));
+        assert_eq!(peer.read_peer_message().unwrap(), PeerMessage::AskSharedFiles);
+        assert_eq!(host.live_peers(), 1);
+
+        let shared = host.shared.clone();
+        let chunk = host.stop();
+        assert_eq!(chunk.records.len(), 1, "the HELLO is in the final chunk");
+        assert!(lock(&shared.peers).is_empty(), "no live peer outlives stop");
+        assert_eq!(lock(&shared.honeypot).live_sessions(), 0, "its thread ran to the end");
+        // Nothing can be logged behind the cut: the session is over for the
+        // peer too, where it used to go on being served into a log nobody
+        // would collect.
+        let _ = peer.write_peer_message(&PeerMessage::StartUpload { file_id: fixture_file() });
+        assert!(peer.read_peer_message().is_err());
+        assert!(!lock(&shared.honeypot).log().has_pending());
+        server.stop();
     }
 }

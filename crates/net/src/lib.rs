@@ -6,7 +6,8 @@
 //! speaks actual eDonkey — binary frames, directional opcodes, tag lists —
 //! end to end:
 //!
-//! * [`framing`] — blocking framed streams over `TcpStream`;
+//! * [`framing`] — blocking framed streams over `TcpStream`: Nagle off,
+//!   one `write` per protocol step, reads straight into the frame decoder;
 //! * [`server`] — a threaded eDonkey index server (login / offer /
 //!   get-sources);
 //! * [`host`] — runs a honeypot over sockets: server session + peer
@@ -14,6 +15,7 @@
 //! * [`peer`] — a scripted genuine peer driving the paper's Fig. 1 message
 //!   flow for tests and examples.
 
+mod accept;
 pub mod framing;
 pub mod host;
 pub mod peer;

@@ -8,6 +8,8 @@
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use edonkey_proto::messages::SendingPartRef;
+use edonkey_proto::opcodes::peer::SENDING_PART;
 use edonkey_proto::tags::{special, Tag};
 use edonkey_proto::{
     ClientId, ClientServerMessage, FileId, PartRange, PeerAddr, PeerMessage, PublishedFile,
@@ -56,11 +58,7 @@ impl ScriptedPeer {
             match server.read_server_message(true)? {
                 ClientServerMessage::IdChange { client_id: id } => client_id = id,
                 ClientServerMessage::ServerMessage { .. } => {}
-                other => {
-                    return Err(NetError::Proto(edonkey_proto::ProtoError::Invalid(Box::leak(
-                        format!("unexpected login reply {other:?}").into_boxed_str(),
-                    ))))
-                }
+                other => return Err(NetError::Unexpected(format!("login reply {other:?}"))),
             }
         }
         Ok(ScriptedPeer { user_id, name: name.to_string(), server, client_id })
@@ -75,9 +73,7 @@ impl ScriptedPeer {
                 ClientServerMessage::ServerMessage { .. }
                 | ClientServerMessage::ServerStatus { .. } => continue,
                 other => {
-                    return Err(NetError::Proto(edonkey_proto::ProtoError::Invalid(Box::leak(
-                        format!("unexpected answer {other:?}").into_boxed_str(),
-                    ))))
+                    return Err(NetError::Unexpected(format!("answer to GET-SOURCES {other:?}")))
                 }
             }
         }
@@ -92,9 +88,7 @@ impl ScriptedPeer {
                 ClientServerMessage::ServerMessage { .. }
                 | ClientServerMessage::ServerStatus { .. } => continue,
                 other => {
-                    return Err(NetError::Proto(edonkey_proto::ProtoError::Invalid(Box::leak(
-                        format!("unexpected answer {other:?}").into_boxed_str(),
-                    ))))
+                    return Err(NetError::Unexpected(format!("answer to SEARCH-REQUEST {other:?}")))
                 }
             }
         }
@@ -186,11 +180,17 @@ impl ScriptedPeer {
             // Expect up to three SENDING-PART answers; any timeout ends the
             // wait for this request.
             for _ in 0..3 {
-                match conn.read_peer_message() {
-                    Ok(PeerMessage::SendingPart { data, .. }) => {
+                // A block is only counted, so it is decoded where it lies.
+                let msg = match conn.read_frame() {
+                    Ok(frame) if frame.opcode == SENDING_PART => {
                         answered = true;
-                        out.bytes_received += data.len();
+                        out.bytes_received += SendingPartRef::decode(frame.payload)?.data.len();
+                        continue;
                     }
+                    Ok(frame) => Ok(PeerMessage::decode_payload(frame.opcode, frame.payload)?),
+                    Err(e) => Err(e),
+                };
+                match msg {
                     Ok(PeerMessage::AskSharedFiles) => {
                         out.was_asked_shared_files = true;
                         self.answer_shared(&mut conn, shared_files)?;

@@ -6,16 +6,17 @@
 //! is the server side of the zero-simulation proof that the honeypot
 //! platform speaks genuine eDonkey.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::collections::{HashMap, HashSet};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerAddr};
 use netsim::sync::lock;
 
+use crate::accept::{accept_until, remote_ipv4, wake_accept};
 use crate::framing::{FramedStream, NetError};
 
 #[derive(Default)]
@@ -51,36 +52,35 @@ impl NetServer {
         // failure must not leak a blocking accept loop.
         let udp = UdpSocket::bind("127.0.0.1:0")?;
         let udp_addr = udp.local_addr()?;
-        udp.set_read_timeout(Some(Duration::from_millis(200)))?;
 
         let accept_shutdown = shutdown.clone();
         let accept_index = index.clone();
         let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
+            accept_until(&listener, &accept_shutdown, |stream| {
                 let index = accept_index.clone();
                 let low = next_low.clone();
                 std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &index, &low);
+                    if let Ok(ip) = remote_ipv4(&stream) {
+                        let _ = serve_connection(stream, ip, &index, &low);
+                    }
                 });
-            }
+            });
         });
 
         // UDP responder: global source queries and status pings (the side
         // channel through which peers not connected to this server still
-        // find its providers — the paper's §III-B remark).
+        // find its providers — the paper's §III-B remark).  It blocks in
+        // `recv_from`; `stop` wakes it with a datagram.
         let udp_shutdown = shutdown.clone();
         let udp_index = index.clone();
         let udp_thread = std::thread::spawn(move || {
             let mut buf = [0u8; 4096];
             loop {
+                let received = udp.recv_from(&mut buf);
                 if udp_shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok((n, from)) = udp.recv_from(&mut buf) else { continue };
+                let Ok((n, from)) = received else { continue };
                 let Ok(msg) = edonkey_proto::UdpMessage::decode(&buf[..n]) else { continue };
                 match msg {
                     edonkey_proto::UdpMessage::GlobStatReq { challenge } => {
@@ -148,9 +148,12 @@ impl NetServer {
 
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throw-away connection; the UDP
-        // thread exits at its next read timeout.
-        let _ = TcpStream::connect(self.addr);
+        // Wake both blocking service threads: the accept loop with a
+        // throw-away connection, the UDP responder with an empty datagram.
+        wake_accept(self.addr);
+        if let Ok(waker) = UdpSocket::bind("127.0.0.1:0") {
+            let _ = waker.send_to(&[], self.udp_addr);
+        }
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -169,14 +172,14 @@ impl Drop for NetServer {
 }
 
 fn serve_connection(
-    stream: TcpStream,
+    stream: impl Read + Write,
+    ip: Ipv4,
     index: &Mutex<Index>,
     next_low: &AtomicU64,
 ) -> Result<(), NetError> {
-    let peer_sock = stream.peer_addr()?;
-    let mut framed = FramedStream::new(stream);
+    let mut framed = FramedStream::over(stream);
     let mut announced_port = 0u16;
-    let mut offered: Vec<FileId> = Vec::new();
+    let mut offered: HashSet<FileId> = HashSet::new();
     let mut logged_in = false;
 
     let result = loop {
@@ -191,10 +194,6 @@ fn serve_connection(
                 lock(index).users += 1;
                 // Loopback peers are directly reachable: hand out a high ID
                 // when the IP encodes one, a low ID otherwise.
-                let ip = match peer_sock.ip() {
-                    std::net::IpAddr::V4(v4) => Ipv4::from(v4),
-                    std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
-                };
                 let candidate = ClientId::high_from_ip(ip);
                 let client_id = if candidate.is_high() {
                     candidate
@@ -202,19 +201,16 @@ fn serve_connection(
                     let n = next_low.fetch_add(1, Ordering::Relaxed) as u32;
                     ClientId::low(1 + n % (edonkey_proto::ids::LOW_ID_LIMIT - 2))
                 };
-                framed.write_server_message(&ClientServerMessage::IdChange { client_id })?;
-                framed.write_server_message(&ClientServerMessage::ServerMessage {
+                framed.queue_server_message(&ClientServerMessage::IdChange { client_id });
+                framed.queue_server_message(&ClientServerMessage::ServerMessage {
                     text: "welcome to edonkey-net test server".into(),
-                })?;
+                });
+                framed.flush()?;
             }
             ClientServerMessage::OfferFiles { files } => {
                 if !logged_in {
                     continue;
                 }
-                let ip = match peer_sock.ip() {
-                    std::net::IpAddr::V4(v4) => Ipv4::from(v4),
-                    std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
-                };
                 let addr = PeerAddr::new(ip, announced_port);
                 let mut idx = lock(index);
                 for f in files {
@@ -222,11 +218,12 @@ fn serve_connection(
                     if !list.contains(&addr) {
                         list.push(addr);
                     }
-                    if !offered.contains(&f.file_id) {
-                        offered.push(f.file_id);
-                    }
-                    let meta = (f.name().unwrap_or("").to_string(), f.size().unwrap_or(0));
-                    idx.metadata.entry(f.file_id).or_insert(meta);
+                    // A keep-alive re-offers everything (≈ 3,000 files for
+                    // the greedy honeypot): a set, not a scan per file.
+                    offered.insert(f.file_id);
+                    idx.metadata.entry(f.file_id).or_insert_with(|| {
+                        (f.name().unwrap_or("").to_string(), f.size().unwrap_or(0))
+                    });
                 }
             }
             ClientServerMessage::GetSources { file_id } => {
@@ -259,10 +256,6 @@ fn serve_connection(
     };
 
     // Withdraw this client's state.
-    let ip = match peer_sock.ip() {
-        std::net::IpAddr::V4(v4) => Ipv4::from(v4),
-        std::net::IpAddr::V6(_) => Ipv4::new(127, 0, 0, 1),
-    };
     let addr = PeerAddr::new(ip, announced_port);
     let mut idx = lock(index);
     if logged_in {
@@ -288,6 +281,8 @@ fn serve_connection(
 mod tests {
     use super::*;
     use edonkey_proto::{PublishedFile, UserId};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn login(framed: &mut FramedStream, port: u16) -> ClientId {
         framed
@@ -308,6 +303,50 @@ mod tests {
             panic!("expected SERVER-MESSAGE")
         };
         client_id
+    }
+
+    /// ID-CHANGE + MOTD as the parent build (one `write` per message) put
+    /// them on the wire for a client at 127.0.0.1.
+    const LOGIN_STEP: &str = "e305000000407f000001e32500000038220077656c636f6d6520746f206564\
+         6f6e6b65792d6e6574207465737420736572766572";
+
+    #[test]
+    fn login_burst_is_one_write_and_a_keepalive_reoffer_indexes_nothing_twice() {
+        use crate::framing::testing::{unhex, Script};
+        use edonkey_proto::codec::encode_client_server_message;
+
+        let files: Vec<PublishedFile> = (0..3_000u32)
+            .map(|i| PublishedFile::new(FileId::from_seed(&i.to_le_bytes()), "adopted.avi", 1_000))
+            .collect();
+        let offer = ClientServerMessage::OfferFiles { files };
+        let mut script = Script::new(
+            [
+                ClientServerMessage::LoginRequest {
+                    user_id: UserId::from_seed(b"t"),
+                    client_id: ClientId(0),
+                    port: 4662,
+                    tags: vec![],
+                },
+                offer.clone(),
+                offer,
+                ClientServerMessage::GetSources { file_id: FileId::from_seed(&7u32.to_le_bytes()) },
+            ]
+            .iter()
+            .map(encode_client_server_message),
+        );
+        let index = Mutex::new(Index::default());
+        let ip = Ipv4::new(127, 0, 0, 1);
+        serve_connection(&mut script, ip, &index, &AtomicU64::new(1)).unwrap();
+
+        assert_eq!(script.writes.len(), 2, "the login burst, then FOUND-SOURCES");
+        assert_eq!(script.writes[0], unhex(LOGIN_STEP));
+        let found = ClientServerMessage::FoundSources {
+            file_id: FileId::from_seed(&7u32.to_le_bytes()),
+            sources: vec![PeerAddr::new(ip, 4662)],
+        };
+        assert_eq!(script.writes[1], encode_client_server_message(&found), "offered once");
+        let idx = lock(&index);
+        assert!(idx.providers.is_empty() && idx.users == 0, "all withdrawn on disconnect");
     }
 
     #[test]

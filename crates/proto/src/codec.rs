@@ -13,9 +13,12 @@
 //! [`FrameDecoder`] is an incremental decoder suitable for a TCP stream: feed
 //! it arbitrary chunks, pull out complete frames.
 
+use std::io::Read;
+
 use crate::error::ProtoError;
-use crate::messages::{ClientServerMessage, PeerMessage};
-use crate::opcodes::{MAX_FRAME_LEN, PROTO_EDONKEY, PROTO_EMULE, PROTO_PACKED};
+use crate::ids::FileId;
+use crate::messages::{encode_sending_part, ClientServerMessage, PartRange, PeerMessage};
+use crate::opcodes::{peer, MAX_FRAME_LEN, PROTO_EDONKEY, PROTO_EMULE, PROTO_PACKED};
 use crate::wire::Writer;
 
 /// A raw, framing-validated frame: opcode plus opaque payload.
@@ -26,34 +29,79 @@ pub struct RawFrame {
     pub payload: Vec<u8>,
 }
 
+/// A framing-validated frame borrowed from the buffer it was received in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrameRef<'a> {
+    pub proto: u8,
+    pub opcode: u8,
+    pub payload: &'a [u8],
+}
+
+impl FrameRef<'_> {
+    pub fn to_raw(&self) -> RawFrame {
+        RawFrame { proto: self.proto, opcode: self.opcode, payload: self.payload.to_vec() }
+    }
+}
+
+/// Appends one frame to `out`: the header, then whatever `payload` writes.
+/// Frames accumulate, so every reply of one protocol step can leave in a
+/// single `write`.
+fn frame_into(out: &mut Vec<u8>, opcode: u8, payload: impl FnOnce(&mut Writer)) {
+    let at = out.len();
+    out.extend_from_slice(&[PROTO_EDONKEY, 0, 0, 0, 0, opcode]);
+    let mut w = Writer::from_vec(std::mem::take(out));
+    payload(&mut w);
+    *out = w.into_bytes();
+    let len = (out.len() - at - 5) as u32;
+    out[at + 1..at + 5].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Encodes one already-serialised payload into a full frame.
 pub fn encode_frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(6 + payload.len());
-    out.push(PROTO_EDONKEY);
-    out.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
-    out.push(opcode);
-    out.extend_from_slice(payload);
+    frame_into(&mut out, opcode, |w| w.bytes(payload));
     out
+}
+
+/// Appends a peer message to `out` as a full frame.
+pub fn encode_peer_message_into(msg: &PeerMessage, out: &mut Vec<u8>) {
+    frame_into(out, msg.opcode(), |w| msg.encode_payload(w));
+}
+
+/// Appends a client↔server message to `out` as a full frame.
+pub fn encode_client_server_message_into(msg: &ClientServerMessage, out: &mut Vec<u8>) {
+    frame_into(out, msg.opcode(), |w| msg.encode_payload(w));
+}
+
+/// Appends a SENDING-PART frame for `range` to `out`, its content produced
+/// in place by `fill`.  The bytes equal [`encode_peer_message_into`] of the
+/// owned message with the same content.
+pub fn encode_sending_part_into(
+    file_id: &FileId,
+    range: PartRange,
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    frame_into(out, peer::SENDING_PART, |w| encode_sending_part(w, file_id, range, fill));
 }
 
 /// Encodes a peer message into a full frame.
 pub fn encode_peer_message(msg: &PeerMessage) -> Vec<u8> {
-    let mut w = Writer::new();
-    msg.encode_payload(&mut w);
-    encode_frame(msg.opcode(), &w.into_bytes())
+    let mut out = Vec::new();
+    encode_peer_message_into(msg, &mut out);
+    out
 }
 
 /// Encodes a client↔server message into a full frame.
 pub fn encode_client_server_message(msg: &ClientServerMessage) -> Vec<u8> {
-    let mut w = Writer::new();
-    msg.encode_payload(&mut w);
-    encode_frame(msg.opcode(), &w.into_bytes())
+    let mut out = Vec::new();
+    encode_client_server_message_into(msg, &mut out);
+    out
 }
 
-/// Decodes exactly one frame from `data`, returning it and the number of
-/// bytes consumed.  Fails on partial input (use [`FrameDecoder`] for
-/// streams).
-pub fn decode_frame(data: &[u8]) -> Result<(RawFrame, usize), ProtoError> {
+/// Validates the frame header at the front of `data` and returns the
+/// frame's total length (header included).
+fn frame_total(data: &[u8]) -> Result<usize, ProtoError> {
     if data.len() < 6 {
         return Err(ProtoError::Truncated("frame header"));
     }
@@ -68,14 +116,33 @@ pub fn decode_frame(data: &[u8]) -> Result<(RawFrame, usize), ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::OversizedFrame { declared: len, limit: MAX_FRAME_LEN });
     }
-    let total = 5 + len as usize;
+    Ok(5 + len as usize)
+}
+
+/// Decodes exactly one frame from the front of `data` without copying its
+/// payload, returning it and the number of bytes consumed.
+pub fn peek_frame(data: &[u8]) -> Result<(FrameRef<'_>, usize), ProtoError> {
+    let total = frame_total(data)?;
     if data.len() < total {
         return Err(ProtoError::Truncated("frame body"));
     }
-    let opcode = data[5];
-    let payload = data[6..total].to_vec();
-    Ok((RawFrame { proto, opcode, payload }, total))
+    Ok((FrameRef { proto: data[0], opcode: data[5], payload: &data[6..total] }, total))
 }
+
+/// Decodes exactly one frame from `data`, returning it and the number of
+/// bytes consumed.  Fails on partial input (use [`FrameDecoder`] for
+/// streams).
+pub fn decode_frame(data: &[u8]) -> Result<(RawFrame, usize), ProtoError> {
+    let (frame, used) = peek_frame(data)?;
+    Ok((frame.to_raw(), used))
+}
+
+/// What [`FrameDecoder::read_from`] asks its source for when the frame at
+/// the front needs less (or its header has not arrived).
+const MIN_READ: usize = 4 * 1024;
+/// The most one read asks for — and so the most a declared length can make
+/// the buffer grow ahead of the bytes themselves; fits a SENDING-PART block.
+const MAX_READ: usize = 256 * 1024;
 
 /// Incremental frame decoder for byte streams.
 ///
@@ -92,11 +159,17 @@ pub fn decode_frame(data: &[u8]) -> Result<(RawFrame, usize), ProtoError> {
 /// assert_eq!(PeerMessage::decode_payload(raw.opcode, &raw.payload).unwrap(),
 ///            PeerMessage::AskSharedFiles);
 /// ```
+///
+/// A socket reader skips both copies of that: [`FrameDecoder::read_from`]
+/// receives straight into the decoder's buffer and
+/// [`FrameDecoder::next_borrowed`] lends the frame out of it.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Storage, initialised over its whole length; `buf[start..end]` holds
+    /// the received, not-yet-decoded bytes.
     buf: Vec<u8>,
-    /// Read offset into `buf`; consumed prefixes are compacted lazily.
     start: usize,
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -104,30 +177,80 @@ impl FrameDecoder {
         Self::default()
     }
 
+    /// Makes `buf[end..end + n]` valid.  The pending bytes move to the
+    /// front before the storage grows, so it never holds a dead prefix;
+    /// `exact` growth keeps a socket reader's buffer at what its frames
+    /// need, amortised growth keeps a run of small `feed`s linear.
+    fn make_room(&mut self, n: usize, exact: bool) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end >= n {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let needed = self.end + n;
+        if self.buf.len() < needed {
+            if exact {
+                self.buf.reserve_exact(needed - self.buf.len());
+            }
+            self.buf.resize(needed, 0);
+        }
+    }
+
     /// Appends received bytes.
     pub fn feed(&mut self, data: &[u8]) {
-        // Compact when the dead prefix dominates, so long sessions do not
-        // grow the buffer without bound.
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(data);
+        self.make_room(data.len(), false);
+        self.buf[self.end..self.end + data.len()].copy_from_slice(data);
+        self.end += data.len();
+    }
+
+    /// Receives from `src` straight into the buffer with one `read`, sized
+    /// to what the frame at the front still misses: a large frame ends
+    /// where its last read ends, so nothing is ever moved to make room for
+    /// the next one.  Returns the byte count, 0 at end of stream.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let want = self.missing().unwrap_or(0).clamp(MIN_READ, MAX_READ);
+        self.make_room(want, true);
+        let n = src.read(&mut self.buf[self.end..self.end + want])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Number of buffered, not-yet-decoded bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
-    /// Pulls the next complete frame, `Ok(None)` if more bytes are needed.
+    /// Allocated size of the buffer (diagnostics).
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Bytes still to arrive before the frame at the front is complete: 0
+    /// when [`FrameDecoder::next_borrowed`] would return it.  Fails like
+    /// `next_borrowed` on a fatal framing error.
+    pub fn missing(&self) -> Result<usize, ProtoError> {
+        let pending = &self.buf[self.start..self.end];
+        match frame_total(pending) {
+            Ok(total) => Ok(total.saturating_sub(pending.len())),
+            Err(ProtoError::Truncated(_)) => Ok(6 - pending.len()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Pulls the next complete frame without copying it, `Ok(None)` if more
+    /// bytes are needed.  The frame borrows the decoder's buffer and is
+    /// gone at the next `feed` or `read_from`.
     ///
     /// Framing errors (bad marker, oversized length) are fatal for the
     /// stream: the caller should drop the connection, as resynchronising an
     /// eDonkey stream is not possible in general.
-    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, ProtoError> {
-        let pending = &self.buf[self.start..];
-        match decode_frame(pending) {
+    pub fn next_borrowed(&mut self) -> Result<Option<FrameRef<'_>>, ProtoError> {
+        match peek_frame(&self.buf[self.start..self.end]) {
             Ok((frame, used)) => {
                 self.start += used;
                 Ok(Some(frame))
@@ -135,6 +258,12 @@ impl FrameDecoder {
             Err(ProtoError::Truncated(_)) => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    /// Pulls the next complete frame as an owned copy; see
+    /// [`FrameDecoder::next_borrowed`].
+    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, ProtoError> {
+        Ok(self.next_borrowed()?.map(|frame| frame.to_raw()))
     }
 }
 

@@ -244,6 +244,54 @@ impl PartRange {
     }
 }
 
+/// A SENDING-PART payload decoded in place: the content stays in the buffer
+/// it arrived in.  A block is 180 KB, so a downloader that only stores or
+/// counts the bytes should not pay for an owned [`PeerMessage`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SendingPartRef<'a> {
+    pub file_id: FileId,
+    pub start: u32,
+    pub end: u32,
+    pub data: &'a [u8],
+}
+
+impl<'a> SendingPartRef<'a> {
+    /// Decodes the payload of a frame whose opcode is SENDING-PART.
+    pub fn decode(payload: &'a [u8]) -> Result<Self, ProtoError> {
+        let mut r = Reader::new(payload);
+        let file_id = FileId(r.hash()?);
+        let start = r.u32()?;
+        let end = r.u32()?;
+        if end < start {
+            return Err(ProtoError::Invalid("SENDING-PART end before start"));
+        }
+        let data = r.take(r.remaining())?;
+        if data.len() as u64 != u64::from(end - start) {
+            return Err(ProtoError::Invalid("SENDING-PART data length mismatch"));
+        }
+        Ok(SendingPartRef { file_id, start, end, data })
+    }
+}
+
+fn sending_part_header(w: &mut Writer, file_id: &FileId, start: u32, end: u32) {
+    w.hash(&file_id.0);
+    w.u32(start);
+    w.u32(end);
+}
+
+/// Encodes a SENDING-PART payload whose `range.len()` content bytes are
+/// produced in place by `fill`, so the sender never holds a block outside
+/// the buffer it leaves in.
+pub fn encode_sending_part(
+    w: &mut Writer,
+    file_id: &FileId,
+    range: PartRange,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    sending_part_header(w, file_id, range.start, range.end);
+    w.fill(range.len() as usize, fill);
+}
+
 /// Messages on a client↔client (peer) session.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PeerMessage {
@@ -345,9 +393,7 @@ impl PeerMessage {
                 }
             }
             PeerMessage::SendingPart { file_id, start, end, data } => {
-                w.hash(&file_id.0);
-                w.u32(*start);
-                w.u32(*end);
+                sending_part_header(w, file_id, *start, *end);
                 w.bytes(data);
             }
             PeerMessage::AskSharedFiles => {}
@@ -402,17 +448,13 @@ impl PeerMessage {
                 PeerMessage::RequestParts { file_id, ranges }
             }
             peer::SENDING_PART => {
-                let file_id = FileId(r.hash()?);
-                let start = r.u32()?;
-                let end = r.u32()?;
-                if end < start {
-                    return Err(ProtoError::Invalid("SENDING-PART end before start"));
+                let part = SendingPartRef::decode(r.take(r.remaining())?)?;
+                PeerMessage::SendingPart {
+                    file_id: part.file_id,
+                    start: part.start,
+                    end: part.end,
+                    data: part.data.to_vec(),
                 }
-                let data = r.take(r.remaining())?.to_vec();
-                if data.len() as u64 != u64::from(end - start) {
-                    return Err(ProtoError::Invalid("SENDING-PART data length mismatch"));
-                }
-                PeerMessage::SendingPart { file_id, start, end, data }
             }
             peer::ASK_SHARED_FILES => PeerMessage::AskSharedFiles,
             peer::ASK_SHARED_FILES_ANSWER => {

@@ -25,6 +25,12 @@ impl Writer {
         Writer { buf: Vec::with_capacity(cap) }
     }
 
+    /// Continues at the end of `buf`, so several frames can share one
+    /// buffer; [`Writer::into_bytes`] hands it back.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -43,6 +49,14 @@ impl Writer {
 
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends `n` bytes produced in place by `fill` (which sees them
+    /// zeroed), for content that never needs a buffer of its own.
+    pub fn fill(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        fill(&mut self.buf[at..]);
     }
 
     /// A 16-byte hash (file ID / user ID).

@@ -4,15 +4,18 @@
 //! chunking.  Every case is generated from its seed alone, and a failure
 //! names the seed.
 
-use edonkey_proto::codec::{decode_frame, encode_frame, encode_peer_message, FrameDecoder};
+use edonkey_proto::codec::{
+    decode_frame, encode_frame, encode_peer_message, FrameDecoder, RawFrame,
+};
 use edonkey_proto::control::{
     decode_control_frame, decode_control_frame_capped, encode_control_frame, ControlDecoder,
 };
 use edonkey_proto::md4::{md4, Md4};
 use edonkey_proto::messages::{PartRange, PeerMessage, PublishedFile};
+use edonkey_proto::parts::BLOCK_SIZE;
 use edonkey_proto::tags::{Tag, TagName, TagValue};
 use edonkey_proto::wire::{Reader, Writer};
-use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerAddr, UserId};
+use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerAddr, ProtoError, UserId};
 use netsim::Rng;
 
 /// Cases per property.
@@ -252,6 +255,135 @@ fn frames_survive_concatenated_streaming() {
         }
         assert_eq!(got, msgs, "seed {seed}");
     }
+}
+
+/// A source that hands its bytes out in pieces of 1..=64 KB, whatever the
+/// reader asks for — a socket's habit.
+struct Trickle<'a> {
+    data: &'a [u8],
+    rng: Rng,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let piece = self.rng.range(1, 64 * 1024 + 1) as usize;
+        let n = piece.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// What `feed` + `next_frame` made of a stream before the decoder could
+/// read for itself: `decode_frame` off the front of the accumulated bytes,
+/// every payload copied out, until the bytes run out or framing breaks.
+fn frames_by_copy(stream: &[u8]) -> (Vec<RawFrame>, Option<ProtoError>) {
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    loop {
+        match decode_frame(&stream[pos..]) {
+            Ok((frame, used)) => {
+                frames.push(frame);
+                pos += used;
+            }
+            Err(ProtoError::Truncated(_)) => return (frames, None),
+            Err(fatal) => return (frames, Some(fatal)),
+        }
+    }
+}
+
+#[test]
+fn read_path_lends_the_frames_the_copying_path_returned() {
+    let block = BLOCK_SIZE as u32;
+    for seed in 0..1_000 {
+        let mut rng = Rng::seed_from(seed);
+        let mut msgs: Vec<PeerMessage> =
+            (0..rng.range(1, 8)).map(|_| arb_peer_message(&mut rng)).collect();
+        // Every stream carries one full block among the small messages.
+        let part = PeerMessage::SendingPart {
+            file_id: FileId(arb_hash(&mut rng)),
+            start: block,
+            end: 2 * block,
+            data: vec![seed as u8; block as usize],
+        };
+        msgs.insert(rng.below(msgs.len() as u64 + 1) as usize, part);
+        let mut stream = Vec::new();
+        for m in &msgs {
+            stream.extend_from_slice(&encode_peer_message(m));
+        }
+        // A third of the streams end in a frame no decoder may pass.
+        match seed % 9 {
+            0 => stream.extend_from_slice(&[0x42, 1, 0, 0, 0, 0x4E]),
+            1 => stream.extend_from_slice(&[0xE3, 0xFF, 0xFF, 0xFF, 0xFF, 0x4E]),
+            2 => stream.extend_from_slice(&[0xE3, 0, 0, 0, 0, 0x4E]),
+            _ => {}
+        }
+        let (expected, fatal) = frames_by_copy(&stream);
+        assert_eq!(expected.len(), msgs.len(), "seed {seed}");
+        assert_eq!(fatal.is_some(), seed % 9 < 3, "seed {seed}");
+
+        // The kept `feed`/`next_frame` path, fed in the same kind of pieces.
+        let mut fed = FrameDecoder::new();
+        let mut got = Vec::new();
+        let mut fed_fatal = None;
+        let mut rest = &stream[..];
+        while !rest.is_empty() && fed_fatal.is_none() {
+            let (piece, tail) = rest.split_at(rest.len().min(rng.range(1, 64 * 1024 + 1) as usize));
+            rest = tail;
+            fed.feed(piece);
+            loop {
+                match fed.next_frame() {
+                    Ok(Some(frame)) => got.push(frame),
+                    Ok(None) => break,
+                    Err(e) => {
+                        fed_fatal = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        assert_eq!(got, expected, "seed {seed}");
+        assert_eq!(fed_fatal, fatal, "seed {seed}");
+
+        // The read path: sized reads into the decoder's buffer, frames lent.
+        let mut dec = FrameDecoder::new();
+        let mut src = Trickle { data: &stream, rng: Rng::seed_from(seed ^ 0x5EED) };
+        let mut lent = 0;
+        let read_fatal = loop {
+            match dec.missing() {
+                Ok(0) => {
+                    let frame = dec.next_borrowed().unwrap().expect("no byte is missing");
+                    assert_eq!(frame.to_raw(), expected[lent], "seed {seed} frame {lent}");
+                    lent += 1;
+                }
+                Ok(_) => {
+                    if dec.read_from(&mut src).unwrap() == 0 {
+                        break None;
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(dec.next_borrowed(), Err(e.clone()), "seed {seed}");
+                    break Some(e);
+                }
+            }
+            assert!(
+                dec.capacity() <= expected_max_frame(&expected) + 64 * 1024,
+                "seed {seed}: buffer grew to {}",
+                dec.capacity()
+            );
+        };
+        assert_eq!(lent, expected.len(), "seed {seed}");
+        assert_eq!(read_fatal, fatal, "seed {seed}");
+        if fatal.is_none() {
+            assert_eq!(dec.buffered(), 0, "seed {seed}");
+            assert_eq!(fed.buffered(), 0, "seed {seed}");
+        }
+    }
+}
+
+/// The longest frame of a stream, header included.
+fn expected_max_frame(frames: &[RawFrame]) -> usize {
+    frames.iter().map(|f| 6 + f.payload.len()).max().unwrap_or(0)
 }
 
 #[test]
