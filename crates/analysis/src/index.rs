@@ -64,7 +64,12 @@ const BUILD_CHUNKS: usize = 16;
 /// PR 1's baseline (CHANGES.md) measured the chunked path at 45.8M
 /// records/s vs 57.5M sequential on a 547k-record log.  Both paths
 /// produce identical results (see `tests/index_equivalence.rs`); this is
-/// purely a performance crossover.
+/// purely a performance crossover.  Measured again for PR 24 on the 2-vCPU
+/// benchmark box before anyone re-tunes it: the two vCPUs deliver ≈ 1.4×
+/// in aggregate (one spin loop 1.36 s, two concurrent 1.95 s each), a
+/// 2-chunk parallel build of the 2.47 M-record `analyse-saved` logs bought
+/// 0.02 s for `peak_rss_mb` 191 → 228, and a field-split two-thread build
+/// bought nothing.
 pub const PAR_BUILD_MIN_RECORDS: usize = 2_000_000;
 
 /// Sentinel for "never observed" in first-seen arrays.

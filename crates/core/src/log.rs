@@ -13,6 +13,7 @@
 //! measurement with tens of millions of records stays within memory.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use edonkey_proto::{FileId, UserId};
 use netsim::SimTime;
@@ -298,7 +299,10 @@ pub struct FileTable {
     ids: Vec<FileId>,
     names: Vec<String>,
     sizes: Vec<u64>,
-    index: HashMap<FileId, FileIdx>,
+    /// `FileId → index`, built on first [`Self::intern`] / [`Self::lookup`]:
+    /// a table decoded by `storage::load` is only ever read by position,
+    /// and hashing its ids was most of the cost of decoding it.
+    index: OnceLock<HashMap<FileId, FileIdx>>,
 }
 
 // Manual impls: the lookup index is a rebuildable cache (the storage codec
@@ -328,22 +332,45 @@ impl FileTable {
         Self::default()
     }
 
+    /// A table of already-decoded columns, entry `i` being
+    /// `(ids[i], names[i], sizes[i])`; `None` when an id repeats (or the
+    /// columns differ in length), which no interned table can contain.
+    pub fn from_columns(ids: Vec<FileId>, names: Vec<String>, sizes: Vec<u64>) -> Option<Self> {
+        if names.len() != ids.len() || sizes.len() != ids.len() {
+            return None;
+        }
+        let mut sorted: Vec<u128> = ids.iter().map(|id| u128::from_be_bytes(id.0)).collect();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        Some(FileTable { ids, names, sizes, index: OnceLock::new() })
+    }
+
+    fn index(&self) -> &HashMap<FileId, FileIdx> {
+        self.index.get_or_init(|| {
+            self.ids.iter().enumerate().map(|(i, id)| (*id, i as FileIdx)).collect()
+        })
+    }
+
     /// Interns a file, keeping the first-seen name/size.
     pub fn intern(&mut self, id: FileId, name: &str, size: u64) -> FileIdx {
-        if let Some(&idx) = self.index.get(&id) {
+        self.index();
+        let index = self.index.get_mut().expect("index built on the line above");
+        if let Some(&idx) = index.get(&id) {
             return idx;
         }
         let idx = self.ids.len() as FileIdx;
         self.ids.push(id);
         self.names.push(name.to_string());
         self.sizes.push(size);
-        self.index.insert(id, idx);
+        index.insert(id, idx);
         idx
     }
 
     /// Looks a file up by ID.
     pub fn lookup(&self, id: &FileId) -> Option<FileIdx> {
-        self.index.get(id).copied()
+        self.index().get(id).copied()
     }
 
     pub fn id(&self, idx: FileIdx) -> FileId {
@@ -379,11 +406,6 @@ impl FileTable {
         for n in &mut self.names {
             *n = f(n);
         }
-    }
-
-    /// Rebuilds the lookup index (needed after deserialisation).
-    pub fn rebuild_index(&mut self) {
-        self.index = self.ids.iter().enumerate().map(|(i, id)| (*id, i as FileIdx)).collect();
     }
 }
 
@@ -680,22 +702,24 @@ mod tests {
 
     #[test]
     fn file_table_index_rebuild() {
-        // The .edhp container carries the id/name/size columns only: the
-        // lookup index comes back from the decode path, and rebuilding it
-        // from the decoded columns gives the same mapping.
+        // The .edhp container carries the id/name/size columns only: a
+        // decoded table builds its lookup index on first use, from those
+        // columns, and gets the mapping the writer's table had.
         let f = FileId::from_seed(b"x");
         let mut log = crate::MeasurementLog::default();
         log.files.intern(FileId::from_seed(b"w"), "w", 2);
         log.files.intern(f, "x", 1);
         let path = std::env::temp_dir().join(format!("edhp-log-index-{}.edhp", std::process::id()));
         crate::storage::save(&log, &path).unwrap();
-        let mut back = crate::storage::load(&path).unwrap().files;
+        let back = crate::storage::load(&path).unwrap().files;
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.lookup(&f), Some(1), "decoding rebuilds the index");
-        back.rebuild_index();
-        assert_eq!(back.lookup(&f), Some(1));
-        assert_eq!(back.intern(f, "x", 1), 1, "a rebuilt index still deduplicates");
-        assert_eq!(back.len(), 2);
+        let mut interned_first = back.clone();
+        assert_eq!(back.lookup(&f), Some(1), "the first lookup builds the index");
+        assert_eq!(back.lookup(&FileId::from_seed(b"absent")), None);
+        assert_eq!(interned_first.intern(f, "x", 1), 1, "so does the first intern, and it dedups");
+        assert_eq!(interned_first.intern(FileId::from_seed(b"y"), "y", 3), 2);
+        assert_eq!(interned_first.len(), 3);
+        assert_eq!(interned_first.lookup(&f), Some(1));
     }
 
     #[test]

@@ -6,28 +6,62 @@
 //! log of ~10⁷ records serialises in seconds and reloads for re-analysis
 //! without re-running the measurement).
 //!
-//! The format is strict: a magic header, a version, and length-prefixed
-//! sections.  Loading validates lengths and indices, so truncated or
-//! corrupted files fail cleanly instead of producing quietly wrong
-//! datasets.
+//! The format is strict: a magic header, a version, length-prefixed
+//! sections and a 16-byte trailer, with nothing after it.  **[`load`]
+//! returns only validated logs**: every count is bounded by the file's
+//! length before anything is reserved for it, and every record and
+//! shared-list index is range-checked as it is decoded (the conditions of
+//! [`MeasurementLog::validate`]), so a truncated, padded or bit-flipped
+//! file fails cleanly instead of producing a quietly wrong dataset — and
+//! callers need no validation pass of their own.
+//!
+//! Both directions move the fixed-stride sections (records, shared-list
+//! indices) a block of [`BLOCK_RECORDS`] records at a time: a few hundred
+//! `read`/`write` calls per file, never the whole file in memory.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use edonkey_proto::{FileId, Ipv4, UserId};
 use netsim::SimTime;
 
 use crate::anonymize::AnonPeerId;
-use crate::log::{FileTable, QueryKind};
+use crate::log::{FileTable, QueryKind, FILE_NONE};
 use crate::measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
 use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
+
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod tests;
 
 /// File magic: "EDHP".
 const MAGIC: [u8; 4] = *b"EDHP";
 /// Current format version.  Public because run-cache keys incorporate it:
 /// bumping the format must invalidate every cached entry.
 pub const VERSION: u32 = 1;
+
+/// Magic + version.
+const HEADER_BYTES: usize = 8;
+/// `distinct_peers` u32, `duration` u64, `shared_files_final` u32.
+const TRAILER_BYTES: usize = 16;
+/// One record: `at` u64, `honeypot` u32, `kind` u8, `peer` u32, `port` u16,
+/// `id_status` u8, `user_id` 16 bytes, `name` u32, `version` u32, `file` u32.
+const RECORD_BYTES: usize = 48;
+/// A shared list's fixed part: `at` u64, `honeypot` u32, `peer` u32 and the
+/// u32 count of the file indices that follow.
+const LIST_HEADER_BYTES: usize = 20;
+/// Smallest honeypot entry (empty server name).
+const HONEYPOT_MIN_BYTES: usize = 15;
+/// Smallest file-table entry (empty name).
+const FILE_MIN_BYTES: usize = 28;
+/// Records per buffer-full, in both directions.
+const BLOCK_RECORDS: usize = 4096;
+const BLOCK_BYTES: usize = BLOCK_RECORDS * RECORD_BYTES;
+/// Longest string [`load`] accepts.
+const STRING_LIMIT: usize = 1 << 16;
 
 /// Errors of the storage layer.
 #[derive(Debug)]
@@ -60,391 +94,315 @@ impl From<io::Error> for StorageError {
     }
 }
 
-struct Out<W: Write> {
-    w: W,
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("a 4-byte field"))
 }
 
-impl<W: Write> Out<W> {
-    fn u8(&mut self, v: u8) -> io::Result<()> {
-        self.w.write_all(&[v])
-    }
-    fn u16(&mut self, v: u16) -> io::Result<()> {
-        self.w.write_all(&v.to_le_bytes())
-    }
-    fn u32(&mut self, v: u32) -> io::Result<()> {
-        self.w.write_all(&v.to_le_bytes())
-    }
-    fn u64(&mut self, v: u64) -> io::Result<()> {
-        self.w.write_all(&v.to_le_bytes())
-    }
-    fn bytes(&mut self, v: &[u8]) -> io::Result<()> {
-        self.w.write_all(v)
-    }
-    fn string(&mut self, s: &str) -> io::Result<()> {
-        self.u32(s.len() as u32)?;
-        self.bytes(s.as_bytes())
-    }
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte field"))
 }
 
-struct In<R: Read> {
-    r: R,
-}
-
-impl<R: Read> In<R> {
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        let mut b = [0u8; 1];
-        self.r.read_exact(&mut b)?;
-        Ok(b[0])
-    }
-    fn u16(&mut self) -> Result<u16, StorageError> {
-        let mut b = [0u8; 2];
-        self.r.read_exact(&mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let mut b = [0u8; 4];
-        self.r.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let mut b = [0u8; 8];
-        self.r.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn hash(&mut self) -> Result<[u8; 16], StorageError> {
-        let mut b = [0u8; 16];
-        self.r.read_exact(&mut b)?;
-        Ok(b)
-    }
-    fn string(&mut self, limit: usize) -> Result<String, StorageError> {
-        let len = self.u32()? as usize;
-        if len > limit {
-            return Err(StorageError::Corrupt("string length exceeds limit"));
-        }
-        let mut buf = vec![0u8; len];
-        self.r.read_exact(&mut buf)?;
-        String::from_utf8(buf).map_err(|_| StorageError::Corrupt("invalid UTF-8"))
-    }
-}
-
-fn kind_to_u8(k: QueryKind) -> u8 {
-    match k {
+/// Writes one record at its fixed offsets.
+fn encode_record(r: &AnonRecord, b: &mut [u8; RECORD_BYTES]) {
+    b[0..8].copy_from_slice(&r.at.as_millis().to_le_bytes());
+    b[8..12].copy_from_slice(&r.honeypot.0.to_le_bytes());
+    b[12] = match r.kind {
         QueryKind::Hello => 0,
         QueryKind::StartUpload => 1,
         QueryKind::RequestPart => 2,
-    }
+    };
+    b[13..17].copy_from_slice(&r.peer.0.to_le_bytes());
+    b[17..19].copy_from_slice(&r.port.to_le_bytes());
+    b[19] = match r.id_status {
+        IdStatus::Low => 0,
+        IdStatus::High => 1,
+    };
+    b[20..36].copy_from_slice(&r.user_id.0);
+    b[36..40].copy_from_slice(&r.name.to_le_bytes());
+    b[40..44].copy_from_slice(&r.version.to_le_bytes());
+    b[44..48].copy_from_slice(&r.file.to_le_bytes());
 }
 
-fn kind_from_u8(v: u8) -> Result<QueryKind, StorageError> {
-    Ok(match v {
-        0 => QueryKind::Hello,
-        1 => QueryKind::StartUpload,
-        2 => QueryKind::RequestPart,
-        _ => return Err(StorageError::Corrupt("unknown query kind")),
+/// Reads one record back.  The two enum bytes are all that can be wrong
+/// with a record on its own; [`load`] checks its indices.
+fn decode_record(b: &[u8; RECORD_BYTES]) -> Result<AnonRecord, StorageError> {
+    Ok(AnonRecord {
+        at: SimTime::from_millis(le_u64(&b[0..8])),
+        honeypot: HoneypotId(le_u32(&b[8..12])),
+        kind: match b[12] {
+            0 => QueryKind::Hello,
+            1 => QueryKind::StartUpload,
+            2 => QueryKind::RequestPart,
+            _ => return Err(StorageError::Corrupt("unknown query kind")),
+        },
+        peer: AnonPeerId(le_u32(&b[13..17])),
+        port: u16::from_le_bytes([b[17], b[18]]),
+        id_status: match b[19] {
+            0 => IdStatus::Low,
+            1 => IdStatus::High,
+            _ => return Err(StorageError::Corrupt("id status byte is neither 0 nor 1")),
+        },
+        user_id: UserId(b[20..36].try_into().expect("a 16-byte field")),
+        name: le_u32(&b[36..40]),
+        version: le_u32(&b[40..44]),
+        file: le_u32(&b[44..48]),
     })
+}
+
+fn write_string(w: &mut impl Write, s: &str) -> io::Result<()> {
+    w.write_all(&(s.len() as u32).to_le_bytes())?;
+    w.write_all(s.as_bytes())
+}
+
+/// Encodes `items` at a fixed stride of `N` bytes into `block` and writes
+/// them a block at a time (a full block bypasses the writer's own buffer).
+fn write_each<T, const N: usize>(
+    w: &mut impl Write,
+    block: &mut [u8],
+    items: &[T],
+    encode: impl Fn(&T, &mut [u8; N]),
+) -> io::Result<()> {
+    for chunk in items.chunks(block.len() / N) {
+        let slots = &mut block[..chunk.len() * N];
+        for (item, slot) in chunk.iter().zip(slots.chunks_exact_mut(N)) {
+            encode(item, slot.try_into().expect("chunks_exact_mut yields N bytes"));
+        }
+        w.write_all(slots)?;
+    }
+    Ok(())
 }
 
 /// Serialises a measurement log to `path`.
 pub fn save(log: &MeasurementLog, path: &Path) -> Result<(), StorageError> {
-    let file = std::fs::File::create(path)?;
-    let mut out = Out { w: BufWriter::new(file) };
-    out.bytes(&MAGIC)?;
-    out.u32(VERSION)?;
+    let mut w = BufWriter::with_capacity(BLOCK_BYTES, File::create(path)?);
+    let mut block = vec![0u8; BLOCK_BYTES];
+    w.write_all(&MAGIC)?;
+    w.write_all(&VERSION.to_le_bytes())?;
 
-    out.u32(log.honeypots.len() as u32)?;
+    w.write_all(&(log.honeypots.len() as u32).to_le_bytes())?;
     for h in &log.honeypots {
-        out.u32(h.id.0)?;
-        out.u8(match h.content {
+        w.write_all(&h.id.0.to_le_bytes())?;
+        w.write_all(&[match h.content {
             ContentStrategy::NoContent => 0,
             ContentStrategy::RandomContent => 1,
-        })?;
-        out.string(&h.server.name)?;
-        out.u32(h.server.ip.0)?;
-        out.u16(h.server.port)?;
+        }])?;
+        write_string(&mut w, &h.server.name)?;
+        w.write_all(&h.server.ip.0.to_le_bytes())?;
+        w.write_all(&h.server.port.to_le_bytes())?;
     }
 
-    out.u32(log.peer_names.len() as u32)?;
+    w.write_all(&(log.peer_names.len() as u32).to_le_bytes())?;
     for n in &log.peer_names {
-        out.string(n)?;
+        write_string(&mut w, n)?;
     }
 
-    out.u32(log.files.len() as u32)?;
+    w.write_all(&(log.files.len() as u32).to_le_bytes())?;
     for i in 0..log.files.len() as u32 {
-        out.bytes(&log.files.id(i).0)?;
-        out.string(log.files.name(i))?;
-        out.u64(log.files.size(i))?;
+        w.write_all(&log.files.id(i).0)?;
+        write_string(&mut w, log.files.name(i))?;
+        w.write_all(&log.files.size(i).to_le_bytes())?;
     }
 
-    out.u64(log.records.len() as u64)?;
-    for r in &log.records {
-        out.u64(r.at.as_millis())?;
-        out.u32(r.honeypot.0)?;
-        out.u8(kind_to_u8(r.kind))?;
-        out.u32(r.peer.0)?;
-        out.u16(r.port)?;
-        out.u8(match r.id_status {
-            IdStatus::High => 1,
-            IdStatus::Low => 0,
-        })?;
-        out.bytes(&r.user_id.0)?;
-        out.u32(r.name)?;
-        out.u32(r.version)?;
-        out.u32(r.file)?;
-    }
+    w.write_all(&(log.records.len() as u64).to_le_bytes())?;
+    write_each(&mut w, &mut block, &log.records, encode_record)?;
 
-    out.u64(log.shared_lists.len() as u64)?;
+    w.write_all(&(log.shared_lists.len() as u64).to_le_bytes())?;
     for l in &log.shared_lists {
-        out.u64(l.at.as_millis())?;
-        out.u32(l.honeypot.0)?;
-        out.u32(l.peer.0)?;
-        out.u32(l.files.len() as u32)?;
-        for &f in &l.files {
-            out.u32(f)?;
-        }
+        w.write_all(&l.at.as_millis().to_le_bytes())?;
+        w.write_all(&l.honeypot.0.to_le_bytes())?;
+        w.write_all(&l.peer.0.to_le_bytes())?;
+        w.write_all(&(l.files.len() as u32).to_le_bytes())?;
+        write_each(&mut w, &mut block, &l.files, |f, slot: &mut [u8; 4]| *slot = f.to_le_bytes())?;
     }
 
-    out.u32(log.distinct_peers)?;
-    out.u64(log.duration.as_millis())?;
-    out.u32(log.shared_files_final)?;
-    out.w.flush()?;
+    w.write_all(&log.distinct_peers.to_le_bytes())?;
+    w.write_all(&log.duration.as_millis().to_le_bytes())?;
+    w.write_all(&log.shared_files_final.to_le_bytes())?;
+    w.flush()?;
     Ok(())
 }
 
-/// Deserialises a measurement log from `path` and validates it.
+/// The sections between header and trailer, a block at a time.
+type Sections = BufReader<io::Take<File>>;
+
+/// Section bytes not yet consumed, buffered or not.
+fn bytes_left(r: &Sections) -> u64 {
+    r.buffer().len() as u64 + r.get_ref().limit()
+}
+
+fn array<const N: usize>(r: &mut Sections) -> Result<[u8; N], StorageError> {
+    let mut b = [0u8; N];
+    r.read_exact(&mut b)?;
+    Ok(b)
+}
+
+fn string(r: &mut Sections) -> Result<String, StorageError> {
+    let len = u32::from_le_bytes(array(r)?) as usize;
+    if len > STRING_LIMIT {
+        return Err(StorageError::Corrupt("string length exceeds limit"));
+    }
+    let mut bytes = vec![0u8; len];
+    r.read_exact(&mut bytes)?;
+    String::from_utf8(bytes).map_err(|_| StorageError::Corrupt("invalid UTF-8"))
+}
+
+/// Reads an `N`-byte element count and accepts it only if the rest of the
+/// file can hold that many elements of at least `min_bytes` each, so
+/// nothing `load` reserves exceeds the file's own length.
+fn count<const N: usize>(
+    r: &mut Sections,
+    min_bytes: usize,
+    what: &'static str,
+) -> Result<usize, StorageError> {
+    let mut wide = [0u8; 8];
+    wide[..N].copy_from_slice(&array::<N>(r)?);
+    let n = u64::from_le_bytes(wide);
+    if n > bytes_left(r) / min_bytes as u64 {
+        return Err(StorageError::Corrupt(what));
+    }
+    Ok(n as usize)
+}
+
+/// Decodes `count` items of a fixed stride of `N` bytes straight out of
+/// the reader's block; only an item that straddles two blocks is copied.
+fn read_each<const N: usize>(
+    r: &mut Sections,
+    count: usize,
+    mut decode: impl FnMut(&[u8; N]) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut left = count;
+    while left > 0 {
+        let whole = left.min(r.fill_buf()?.len() / N);
+        for item in r.buffer()[..whole * N].chunks_exact(N) {
+            decode(item.try_into().expect("chunks_exact yields N bytes"))?;
+        }
+        r.consume(whole * N);
+        left -= whole;
+        if whole == 0 {
+            decode(&array(r)?)?;
+            left -= 1;
+        }
+    }
+    Ok(())
+}
+
+/// Deserialises a measurement log from `path`.  An `Ok` log is valid:
+/// [`MeasurementLog::validate`] would find nothing.
 pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
-    let file = std::fs::File::open(path)?;
-    let mut inp = In { r: BufReader::new(file) };
-    let mut magic = [0u8; 4];
-    inp.r.read_exact(&mut magic)?;
-    if magic != MAGIC {
+    let mut file = File::open(path)?;
+    let mut header = [0u8; HEADER_BYTES];
+    file.read_exact(&mut header)?;
+    if header[..4] != MAGIC {
         return Err(StorageError::BadMagic);
     }
-    let version = inp.u32()?;
+    let version = le_u32(&header[4..]);
     if version != VERSION {
         return Err(StorageError::UnsupportedVersion(version));
     }
 
-    let n_hp = inp.u32()? as usize;
+    // The trailer first, before a buffered reader owns the file position:
+    // the index checks need `distinct_peers`, and where the trailer starts
+    // bounds every count that follows.
+    let trailer_at = file.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
+    let sections = trailer_at
+        .checked_sub(HEADER_BYTES as u64)
+        .ok_or(StorageError::Corrupt("file ends before the trailer"))?;
+    let mut trailer = [0u8; TRAILER_BYTES];
+    file.read_exact(&mut trailer)?;
+    file.seek(SeekFrom::Start(HEADER_BYTES as u64))?;
+    let distinct_peers = le_u32(&trailer[0..4]);
+    let r = &mut BufReader::with_capacity(BLOCK_BYTES, file.take(sections));
+
+    let n_hp = count::<4>(r, HONEYPOT_MIN_BYTES, "honeypot count exceeds the file's length")?;
     if n_hp > 10_000 {
         return Err(StorageError::Corrupt("implausible honeypot count"));
     }
     let mut honeypots = Vec::with_capacity(n_hp);
     for _ in 0..n_hp {
-        let id = HoneypotId(inp.u32()?);
-        let content = match inp.u8()? {
+        let id = HoneypotId(u32::from_le_bytes(array(r)?));
+        let content = match array::<1>(r)?[0] {
             0 => ContentStrategy::NoContent,
             1 => ContentStrategy::RandomContent,
             _ => return Err(StorageError::Corrupt("unknown content strategy")),
         };
-        let name = inp.string(1 << 16)?;
-        let ip = Ipv4(inp.u32()?);
-        let port = inp.u16()?;
+        let name = string(r)?;
+        let ip = Ipv4(u32::from_le_bytes(array(r)?));
+        let port = u16::from_le_bytes(array(r)?);
         honeypots.push(HoneypotMeta { id, content, server: ServerInfo::new(name, ip, port) });
     }
 
-    let n_names = inp.u32()? as usize;
-    let mut peer_names = Vec::with_capacity(n_names.min(1 << 20));
+    let n_names = count::<4>(r, 4, "peer-name count exceeds the file's length")?;
+    let mut peer_names = Vec::with_capacity(n_names);
     for _ in 0..n_names {
-        peer_names.push(inp.string(1 << 16)?);
+        peer_names.push(string(r)?);
     }
 
-    let n_files = inp.u32()? as usize;
-    let mut files = FileTable::new();
+    let n_files = count::<4>(r, FILE_MIN_BYTES, "file count exceeds the file's length")?;
+    let mut ids = Vec::with_capacity(n_files);
+    let mut names = Vec::with_capacity(n_files);
+    let mut sizes = Vec::with_capacity(n_files);
     for _ in 0..n_files {
-        let id = FileId(inp.hash()?);
-        let name = inp.string(1 << 16)?;
-        let size = inp.u64()?;
-        files.intern(id, &name, size);
+        ids.push(FileId(array(r)?));
+        names.push(string(r)?);
+        sizes.push(u64::from_le_bytes(array(r)?));
     }
-    if files.len() != n_files {
-        return Err(StorageError::Corrupt("duplicate file ids"));
-    }
+    let files = FileTable::from_columns(ids, names, sizes)
+        .ok_or(StorageError::Corrupt("duplicate file ids"))?;
 
-    let n_records = inp.u64()? as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 24));
-    for _ in 0..n_records {
-        records.push(AnonRecord {
-            at: SimTime::from_millis(inp.u64()?),
-            honeypot: HoneypotId(inp.u32()?),
-            kind: kind_from_u8(inp.u8()?)?,
-            peer: AnonPeerId(inp.u32()?),
-            port: inp.u16()?,
-            id_status: if inp.u8()? == 1 { IdStatus::High } else { IdStatus::Low },
-            user_id: UserId(inp.hash()?),
-            name: inp.u32()?,
-            version: inp.u32()?,
-            file: inp.u32()?,
-        });
-    }
+    // `MeasurementLog::validate`'s five conditions on a record and two on
+    // a shared list, applied as each is decoded.
+    let (n_hp, n_names, n_files) = (n_hp as u32, n_names as u32, n_files as u32);
+    let record_in_range = |r: &AnonRecord| {
+        r.peer.0 < distinct_peers
+            && r.name < n_names
+            && (r.file == FILE_NONE || (r.file < n_files && r.kind != QueryKind::Hello))
+            && r.honeypot.0 < n_hp
+    };
 
-    let n_lists = inp.u64()? as usize;
-    let mut shared_lists = Vec::with_capacity(n_lists.min(1 << 24));
+    let n_records = count::<8>(r, RECORD_BYTES, "record count exceeds the file's length")?;
+    let mut records = Vec::with_capacity(n_records);
+    read_each(r, n_records, |b| {
+        let r = decode_record(b)?;
+        if !record_in_range(&r) {
+            return Err(StorageError::Corrupt("record index out of range"));
+        }
+        records.push(r);
+        Ok(())
+    })?;
+
+    let n_lists = count::<8>(r, LIST_HEADER_BYTES, "shared-list count exceeds the file's length")?;
+    let mut shared_lists = Vec::with_capacity(n_lists);
     for _ in 0..n_lists {
-        let at = SimTime::from_millis(inp.u64()?);
-        let honeypot = HoneypotId(inp.u32()?);
-        let peer = AnonPeerId(inp.u32()?);
-        let n = inp.u32()? as usize;
-        if n > n_files {
-            return Err(StorageError::Corrupt("shared list longer than file table"));
+        let at = SimTime::from_millis(u64::from_le_bytes(array(r)?));
+        let honeypot = HoneypotId(u32::from_le_bytes(array(r)?));
+        let peer = AnonPeerId(u32::from_le_bytes(array(r)?));
+        let n = count::<4>(r, 4, "shared list runs past the end of the file")?;
+        if peer.0 >= distinct_peers || n > n_files as usize {
+            return Err(StorageError::Corrupt("shared-list peer id or length out of range"));
         }
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            list.push(inp.u32()?);
-        }
-        shared_lists.push(AnonSharedList { at, honeypot, peer, files: list });
+        let mut files = Vec::with_capacity(n);
+        read_each(r, n, |b| {
+            let file = u32::from_le_bytes(*b);
+            if file >= n_files {
+                return Err(StorageError::Corrupt("shared-list file index out of range"));
+            }
+            files.push(file);
+            Ok(())
+        })?;
+        shared_lists.push(AnonSharedList { at, honeypot, peer, files });
     }
 
-    let log = MeasurementLog {
+    if bytes_left(r) != 0 {
+        return Err(StorageError::Corrupt("bytes after the trailer"));
+    }
+    Ok(MeasurementLog {
         honeypots,
         records,
         shared_lists,
         peer_names,
         files,
-        distinct_peers: inp.u32()?,
-        duration: SimTime::from_millis(inp.u64()?),
-        shared_files_final: inp.u32()?,
-    };
-    let problems = log.validate();
-    if !problems.is_empty() {
-        return Err(StorageError::Corrupt("indices out of range after load"));
-    }
-    Ok(log)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::log::FILE_NONE;
-
-    fn sample_log() -> MeasurementLog {
-        let mut files = FileTable::new();
-        let f0 = files.intern(FileId::from_seed(b"a"), "file a.avi", 700 << 20);
-        MeasurementLog {
-            honeypots: vec![HoneypotMeta {
-                id: HoneypotId(0),
-                content: ContentStrategy::RandomContent,
-                server: ServerInfo::new("srv", Ipv4::new(1, 2, 3, 4), 4661),
-            }],
-            records: vec![
-                AnonRecord {
-                    at: SimTime::from_secs(5),
-                    honeypot: HoneypotId(0),
-                    kind: QueryKind::Hello,
-                    peer: AnonPeerId(0),
-                    port: 4662,
-                    id_status: IdStatus::High,
-                    user_id: UserId::from_seed(b"u"),
-                    name: 0,
-                    version: 0x49,
-                    file: FILE_NONE,
-                },
-                AnonRecord {
-                    at: SimTime::from_secs(9),
-                    honeypot: HoneypotId(0),
-                    kind: QueryKind::StartUpload,
-                    peer: AnonPeerId(1),
-                    port: 4663,
-                    id_status: IdStatus::Low,
-                    user_id: UserId::from_seed(b"v"),
-                    name: 0,
-                    version: 0x3c,
-                    file: f0,
-                },
-            ],
-            shared_lists: vec![AnonSharedList {
-                at: SimTime::from_secs(7),
-                honeypot: HoneypotId(0),
-                peer: AnonPeerId(0),
-                files: vec![f0],
-            }],
-            peer_names: vec!["eMule".into()],
-            files,
-            distinct_peers: 2,
-            duration: SimTime::from_days(1),
-            shared_files_final: 1,
-        }
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("edhp-test-{}-{name}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        let log = sample_log();
-        let path = tmp("roundtrip.edhp");
-        save(&log, &path).unwrap();
-        let back = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(back.records.len(), log.records.len());
-        for (a, b) in back.records.iter().zip(&log.records) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(back.shared_lists, log.shared_lists);
-        assert_eq!(back.peer_names, log.peer_names);
-        assert_eq!(back.distinct_peers, log.distinct_peers);
-        assert_eq!(back.duration, log.duration);
-        assert_eq!(back.shared_files_final, log.shared_files_final);
-        assert_eq!(back.files.len(), log.files.len());
-        assert_eq!(back.files.name(0), log.files.name(0));
-        assert_eq!(back.files.total_size(), log.files.total_size());
-        assert_eq!(back.honeypots.len(), 1);
-        assert_eq!(back.honeypots[0].content, ContentStrategy::RandomContent);
-        assert_eq!(back.honeypots[0].server.name, "srv");
-        // The loaded file table's index works.
-        assert_eq!(back.files.lookup(&FileId::from_seed(b"a")), Some(0));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let path = tmp("magic.edhp");
-        std::fs::write(&path, b"NOPE....").unwrap();
-        assert!(matches!(load(&path), Err(StorageError::BadMagic)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let path = tmp("version.edhp");
-        let mut data = Vec::new();
-        data.extend_from_slice(&MAGIC);
-        data.extend_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, data).unwrap();
-        assert!(matches!(load(&path), Err(StorageError::UnsupportedVersion(99))));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let log = sample_log();
-        let path = tmp("trunc.edhp");
-        save(&log, &path).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        for cut in [8, 20, data.len() / 2, data.len() - 1] {
-            std::fs::write(&path, &data[..cut]).unwrap();
-            assert!(load(&path).is_err(), "cut at {cut} must fail");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupted_indices_detected() {
-        let log = sample_log();
-        let path = tmp("corrupt.edhp");
-        save(&log, &path).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        // Flip the distinct_peers trailer (last 16 bytes: u32 + u64 + u32 →
-        // distinct_peers is at len-16..len-12).
-        let n = data.len();
-        data[n - 16..n - 12].copy_from_slice(&0u32.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        assert!(
-            matches!(load(&path), Err(StorageError::Corrupt(_))),
-            "peer ids now exceed distinct_peers"
-        );
-        std::fs::remove_file(&path).ok();
-    }
+        distinct_peers,
+        duration: SimTime::from_millis(le_u64(&trailer[4..12])),
+        shared_files_final: le_u32(&trailer[12..16]),
+    })
 }

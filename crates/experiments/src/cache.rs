@@ -87,29 +87,16 @@ impl RunCache {
 
     /// Looks `config` up, returning its cached log on a clean hit.
     ///
-    /// Misses and *any* failure — unreadable file, bad magic, truncation,
-    /// failed validation — return `None` so the caller falls back to a
-    /// fresh simulation; failures are reported on stderr.
+    /// A missing entry is the silent miss; *any* other failure —
+    /// unreadable file, bad magic, truncation, an index out of range —
+    /// is reported on stderr and also returns `None`, so the caller falls
+    /// back to a fresh simulation.  `storage::load` returns only validated
+    /// logs, so a hit is never a log a fresh run could not have produced.
     pub fn load(&self, config: &ScenarioConfig) -> Option<MeasurementLog> {
         let path = self.entry_path(config);
-        if !path.exists() {
-            return None;
-        }
         match honeypot::storage::load(&path) {
-            Ok(log) => {
-                // storage::load validates decoded indices already, but be
-                // explicit: a cache must never serve a log a fresh run
-                // could not have produced.
-                if log.validate().is_empty() {
-                    Some(log)
-                } else {
-                    eprintln!(
-                        "[cache] {} decodes but fails validation; ignoring entry",
-                        path.display()
-                    );
-                    None
-                }
-            }
+            Ok(log) => Some(log),
+            Err(honeypot::StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => {
                 eprintln!("[cache] {} unreadable ({e}); ignoring entry", path.display());
                 None
@@ -119,7 +106,8 @@ impl RunCache {
 
     /// Stores `log` as `config`'s entry (write-to-temp + rename, so a
     /// crashed writer can only ever leave a stray temp file, not a
-    /// half-written entry under the final name).
+    /// half-written entry under the final name; a writer that merely
+    /// *fails* — disk full, rename refused — removes its temp file).
     ///
     /// The temp name is unique per *call* — pid plus a process-wide
     /// counter — so two figure binaries (or two threads of one) storing
@@ -137,12 +125,16 @@ impl RunCache {
             std::process::id(),
             STORE_SERIAL.fetch_add(1, Ordering::Relaxed)
         ));
-        honeypot::storage::save(log, &tmp).map_err(|e| match e {
-            honeypot::StorageError::Io(io) => io,
-            other => std::io::Error::other(other.to_string()),
-        })?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
+        let stored = honeypot::storage::save(log, &tmp)
+            .map_err(|e| match e {
+                honeypot::StorageError::Io(io) => io,
+                other => std::io::Error::other(other.to_string()),
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if stored.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        stored.map(|()| path)
     }
 }
 

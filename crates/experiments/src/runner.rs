@@ -162,32 +162,22 @@ impl Options {
         };
         if let Some(dir) = &self.load {
             let path = dir.join(format!("{label}.edhp"));
-            if path.exists() {
-                match honeypot::storage::load(&path) {
-                    // A log that decodes but fails validation (truncated
-                    // write, foreign file) would silently corrupt every
-                    // figure — fall back to re-running instead.
-                    Ok(log) => {
-                        let problems = log.validate();
-                        if problems.is_empty() {
-                            eprintln!(
-                                "[run] {label}: loaded {} records from {}",
-                                log.records.len(),
-                                path.display()
-                            );
-                            return log;
-                        }
-                        eprintln!(
-                            "[run] {label}: {} fails validation ({} problems, first: {}); re-running",
-                            path.display(),
-                            problems.len(),
-                            problems.first().map(String::as_str).unwrap_or("?"),
-                        );
-                    }
-                    Err(e) => eprintln!(
-                        "[run] {label}: could not load {}: {e}; re-running",
+            // `storage::load` returns only validated logs: a file that is
+            // truncated, foreign or holds an index out of range (it would
+            // silently corrupt every figure) is an `Err` here, and the
+            // measurement is re-run instead.  A missing file is the silent case.
+            match honeypot::storage::load(&path) {
+                Ok(log) => {
+                    eprintln!(
+                        "[run] {label}: loaded {} records from {}",
+                        log.records.len(),
                         path.display()
-                    ),
+                    );
+                    return log;
+                }
+                Err(honeypot::StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    eprintln!("[run] {label}: could not load {}: {e}; re-running", path.display())
                 }
             }
         }

@@ -58,6 +58,63 @@ fn corrupt_entry_is_ignored_and_rerun() {
 }
 
 #[test]
+fn truncated_entry_is_a_miss_until_a_store_overwrites_it() {
+    let dir = temp_cache("truncated");
+    let cache = RunCache::new(dir.clone());
+    let config = ScenarioConfig::tiny(11);
+    let out = run_scenario(config.clone());
+    let path = cache.store(&config, &out.log).expect("store");
+
+    // One byte short — what a writer killed mid-copy of an entry leaves.
+    let file = std::fs::OpenOptions::new().write(true).open(&path).expect("open entry");
+    let len = file.metadata().expect("metadata").len();
+    file.set_len(len - 1).expect("truncate");
+    drop(file);
+    assert!(cache.load(&config).is_none(), "truncated entry must read as a miss");
+
+    cache.store(&config, &out.log).expect("store over the bad entry");
+    assert_eq!(std::fs::metadata(&path).expect("metadata").len(), len);
+    let hit = cache.load(&config).expect("clean hit after the overwrite");
+    assert_eq!(format!("{:?}", hit), format!("{:?}", out.log));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_store_leaves_no_temp_file() {
+    let dir = temp_cache("litter");
+    let cache = RunCache::new(dir.clone());
+    let config = ScenarioConfig::tiny(12);
+    let out = run_scenario(config.clone());
+    let temp_files = || {
+        std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .count()
+    };
+
+    // A non-empty directory under the entry's name: the temp file is
+    // written in full and then cannot be renamed into place.
+    std::fs::create_dir_all(cache.entry_path(&config).join("in-the-way")).expect("blocker");
+    assert!(cache.store(&config, &out.log).is_err(), "rename onto a directory must fail");
+    assert_eq!(temp_files(), 0, "a store that fails must take its temp file with it");
+
+    // A read-only cache directory: the temp file cannot even be created
+    // (or, for root, which ignores the mode, the rename fails as above).
+    let writable = std::fs::metadata(&dir).expect("metadata").permissions();
+    let mut read_only = writable.clone();
+    read_only.set_readonly(true);
+    std::fs::set_permissions(&dir, read_only).expect("chmod");
+    let stored = cache.store(&config, &out.log);
+    std::fs::set_permissions(&dir, writable).expect("chmod back");
+    assert!(stored.is_err());
+    assert_eq!(temp_files(), 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn runner_populates_then_reuses_the_cache() {
     let dir = temp_cache("runner");
     let opts = Options {
