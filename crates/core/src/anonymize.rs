@@ -70,7 +70,6 @@ pub struct AnonPeerId(pub u32);
 #[derive(Clone, Debug, Default)]
 pub struct AnonMap {
     map: HashMap<IpHash, AnonPeerId>,
-    order: Vec<IpHash>,
 }
 
 impl AnonMap {
@@ -82,24 +81,12 @@ impl AnonMap {
     /// first sight.
     pub fn intern(&mut self, hash: IpHash) -> AnonPeerId {
         let next = AnonPeerId(self.map.len() as u32);
-        let id = *self.map.entry(hash).or_insert(next);
-        if id == next {
-            self.order.push(hash);
-        }
-        id
+        *self.map.entry(hash).or_insert(next)
     }
 
     /// Lookup without assignment.
     pub fn get(&self, hash: &IpHash) -> Option<AnonPeerId> {
         self.map.get(hash).copied()
-    }
-
-    /// The interned hashes in assignment order: `hashes()[id.0]` is the hash
-    /// that was mapped to `id`.  Lane-sharded execution uses this to carry a
-    /// lane's peer identities into the global merge without re-reading any
-    /// raw log.
-    pub fn hashes(&self) -> &[IpHash] {
-        &self.order
     }
 
     /// Number of distinct peers interned.
@@ -337,7 +324,7 @@ mod tests {
             map.intern(*h);
         }
         map.intern(hs[0]); // re-intern must not duplicate
-        assert_eq!(map.hashes(), &hs[..]);
+        assert_eq!(map.len(), hs.len());
         for (i, h) in hs.iter().enumerate() {
             assert_eq!(map.get(h), Some(AnonPeerId(i as u32)));
         }

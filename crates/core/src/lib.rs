@@ -25,7 +25,6 @@ pub mod honeypot;
 pub mod log;
 pub mod manager;
 pub mod measurement;
-pub mod merge;
 pub mod serverlog;
 pub mod storage;
 pub mod strategy;
@@ -38,7 +37,6 @@ pub use log::{
 };
 pub use manager::{HoneypotSpec, Manager};
 pub use measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
-pub use merge::{merge_lanes, LaneHarvest};
 pub use serverlog::{
     PackedServerRecord, ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind,
     ServerRecord, SERVER_PEER_SESSION_BASE,

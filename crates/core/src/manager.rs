@@ -219,30 +219,6 @@ impl Manager {
         self.anon.len()
     }
 
-    /// Extracts the manager's pre-finalisation merge state for the global
-    /// merge of a lane-sharded run (see [`crate::merge`]).
-    ///
-    /// Unlike [`Manager::finalize`], no file-name anonymisation happens
-    /// here: the word-frequency threshold is defined over the *whole*
-    /// corpus, so it must be applied once after all lanes are merged, not
-    /// per lane.  Peer ids in the harvested records are lane-local; the
-    /// accompanying `peer_hashes` table lets the merge re-intern them into
-    /// a global dictionary.
-    pub fn harvest(self) -> crate::merge::LaneHarvest {
-        crate::merge::LaneHarvest {
-            honeypots: self
-                .specs
-                .iter()
-                .map(|s| HoneypotMeta { id: s.id, content: s.content, server: s.server.clone() })
-                .collect(),
-            records: self.records,
-            shared_lists: self.shared_lists,
-            peer_names: self.peer_names,
-            peer_hashes: self.anon.hashes().to_vec(),
-            files: self.files,
-        }
-    }
-
     /// Completes the measurement: applies file-name word anonymisation and
     /// returns the merged dataset.
     ///

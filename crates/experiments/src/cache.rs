@@ -8,7 +8,7 @@
 //! [`honeypot::storage::VERSION`], storing each log as
 //! `<cache-dir>/<hash>.edhp`:
 //!
-//! * identical configs (same seed, scale, knobs, execution mode) across
+//! * identical configs (same seed, scale, knobs) across
 //!   invocations — and across *binaries* — reuse one run;
 //! * any config change, however small, changes the key (a miss, never a
 //!   wrong hit);
@@ -33,7 +33,8 @@ use honeypot::MeasurementLog;
 /// Cache key schema version: bump when the key derivation itself changes.
 /// 2: `ScenarioConfig` grew `server_capture`, which appears in the hashed
 /// `Debug` rendering — old keys would alias configs that now differ.
-const CACHE_SCHEMA: u32 = 2;
+/// 3: `ScenarioConfig` lost `exec` and `lane` (one execution mode).
+const CACHE_SCHEMA: u32 = 3;
 
 /// The stable cache key of a configuration (32 hex chars).
 pub fn cache_key(config: &ScenarioConfig) -> String {
@@ -192,8 +193,8 @@ mod tests {
         seed.seed = 43;
         let mut scale = base.clone();
         scale.population.rate_per_popularity *= 1.000001;
-        let mut exec = base.clone();
-        exec.exec = edonkey_sim::ExecMode::Sharded;
+        let mut name_threshold = base.clone();
+        name_threshold.name_threshold += 1;
         let mut capture = base.clone();
         capture.server_capture = Some(edonkey_sim::ServerCaptureConfig::default());
         let mut capture_knob = capture.clone();
@@ -202,7 +203,7 @@ mod tests {
             cache_key(&base),
             cache_key(&seed),
             cache_key(&scale),
-            cache_key(&exec),
+            cache_key(&name_threshold),
             cache_key(&capture),
             cache_key(&capture_knob),
         ];

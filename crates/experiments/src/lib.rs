@@ -8,10 +8,9 @@
 //!
 //! Binaries accept `--scale F` (population scale; 1.0 = paper scale),
 //! `--seed N`, `--samples N` (Monte-Carlo subsets), `--json`, plus the
-//! run-cache (`--no-cache`, `--cache-dir DIR`) and execution
-//! (`--sharded`) knobs — completed runs are reused from the
-//! content-addressed cache ([`cache`]) across invocations and across
-//! binaries.
+//! run-cache knobs (`--no-cache`, `--cache-dir DIR`) — completed runs are
+//! reused from the content-addressed cache ([`cache`]) across invocations
+//! and across binaries.
 
 pub mod cache;
 pub mod figures;

@@ -1,7 +1,7 @@
 //! End-to-end experiment execution and shared CLI plumbing for the
 //! per-figure binaries.
 
-use edonkey_sim::{run_scenario, ExecMode, ScenarioConfig, SimOutput};
+use edonkey_sim::{run_scenario, ScenarioConfig, SimOutput};
 use honeypot::MeasurementLog;
 
 use crate::cache::RunCache;
@@ -35,8 +35,6 @@ pub struct Options {
     /// Run-cache directory (`--cache-dir`; default
     /// `target/run-cache` at the workspace root).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Execute scenarios lane-sharded, lanes in parallel (`--sharded`).
-    pub sharded: bool,
     /// Run the live control-plane loopback demo (manager daemon + agents
     /// over real TCP) instead of / before the simulated measurements.
     pub live_loopback: bool,
@@ -61,7 +59,6 @@ impl Default for Options {
             load: None,
             no_cache: false,
             cache_dir: None,
-            sharded: false,
             live_loopback: false,
             spool_dir: None,
             checkpoint_interval: None,
@@ -99,7 +96,6 @@ impl Options {
                 "--load" => opts.load = Some(take_value(&mut i).into()),
                 "--no-cache" => opts.no_cache = true,
                 "--cache-dir" => opts.cache_dir = Some(take_value(&mut i).into()),
-                "--sharded" => opts.sharded = true,
                 "--live-loopback" => opts.live_loopback = true,
                 "--spool-dir" => opts.spool_dir = Some(take_value(&mut i).into()),
                 "--checkpoint-interval" => {
@@ -133,14 +129,10 @@ impl Options {
 
     /// The scenario configuration for a measurement under these options.
     pub fn scenario(&self, which: Measurement) -> ScenarioConfig {
-        let mut config = match which {
+        match which {
             Measurement::Distributed => scenarios::distributed(self.seed, self.scale),
             Measurement::Greedy => scenarios::greedy(self.seed, self.scale),
-        };
-        if self.sharded {
-            config.exec = ExecMode::Sharded;
         }
-        config
     }
 
     /// The run cache under these options.
@@ -259,7 +251,6 @@ fn usage(offender: &str) -> ! {
          --load DIR   reuse measurement logs from DIR instead of re-running\n\
          --no-cache   bypass the content-addressed run cache\n\
          --cache-dir DIR  run-cache location (default target/run-cache)\n\
-         --sharded    lane-sharded execution, lanes in parallel\n\
          --live-loopback  live control-plane demo over loopback TCP (all)\n\
          --spool-dir DIR  durable spools + manager checkpoint for the live\n\
          \x20             demo; also exercises a manager crash/recovery\n\

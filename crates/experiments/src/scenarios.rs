@@ -14,8 +14,8 @@
 
 use edonkey_sim::catalog::FileClass;
 use edonkey_sim::{
-    BehaviorConfig, BlacklistConfig, CatalogConfig, ExecMode, HoneypotSetup, PopulationConfig,
-    QueueKind, RobotConfig, ScenarioConfig, ServerCaptureConfig,
+    BehaviorConfig, BlacklistConfig, CatalogConfig, HoneypotSetup, PopulationConfig, QueueKind,
+    RobotConfig, ScenarioConfig, ServerCaptureConfig,
 };
 use honeypot::ContentStrategy;
 use netsim::time::{MS_PER_HOUR, MS_PER_MIN, MS_PER_SEC};
@@ -135,10 +135,6 @@ pub fn distributed(seed: u64, scale: f64) -> ScenarioConfig {
         // pattern the calendar queue wins on (results are identical either
         // way; see the sim crate's determinism test).
         queue: QueueKind::Calendar,
-        // Calibrated figures stay on the coupled engine; `--sharded`
-        // switches this at the runner level.
-        exec: ExecMode::Coupled,
-        lane: 0,
     };
 
     let catalog = config.build_catalog();
@@ -232,8 +228,6 @@ pub fn greedy(seed: u64, scale: f64) -> ScenarioConfig {
         keepalive_ms: 30 * MS_PER_MIN,
         name_threshold: 3,
         queue: QueueKind::Calendar,
-        exec: ExecMode::Coupled,
-        lane: 0,
     };
 
     let catalog = config.build_catalog();

@@ -154,4 +154,4 @@ fn golden_key_is_stable_across_processes() {
     assert_eq!(key, GOLDEN_TINY_1, "cache key drifted — see test doc comment");
 }
 
-const GOLDEN_TINY_1: &str = "752537b63dcb701ab69db4f9070db70e";
+const GOLDEN_TINY_1: &str = "b962e273f027773cce5899c624f3f597";

@@ -22,8 +22,7 @@
 //! * [`obs`] — the structured-event facade and per-thread flight
 //!   recorder shared by the whole workspace (see `platform::obs` for
 //!   the registry/scraper built on top);
-//! * [`par`] — the order-preserving parallel map the analyses and the
-//!   lane-sharded scenarios run on;
+//! * [`par`] — the order-preserving parallel map the analyses run on;
 //! * [`sync`] — poison-recovering mutex locking for the threaded crates.
 //!
 //! Everything is deterministic: a simulation is a pure function of its

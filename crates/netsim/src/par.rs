@@ -1,8 +1,8 @@
 //! The workspace's one data-parallel primitive: an order-preserving map
 //! on scoped OS threads.
 //!
-//! Callers (lane-sharded scenarios, the chunked index build, Monte-Carlo
-//! subset sampling) hand over independent work items and rely on nothing
+//! Callers (the chunked index build, Monte-Carlo subset sampling) hand
+//! over independent work items and rely on nothing
 //! but the output order, so their results are the same on any number of
 //! workers — which the equivalence tests pin through [`with_workers`].
 

@@ -23,14 +23,14 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// Derives an independent 64-bit seed for a numbered stream of a master
 /// seed.
 ///
-/// Used by lane-sharded execution: lane `n` of a scenario seeded with `s`
-/// roots its behavioural RNG at `stream_seed(s, n)`, so lanes draw from
-/// decorrelated streams while remaining a pure function of `(seed, lane)` —
-/// no lane ever observes another lane's draws, which is what makes the
-/// sharded schedule independent of thread interleaving.  Stream 0 is
-/// reserved to mean "the unsharded stream": `stream_seed(s, 0) != s`, so
-/// callers that want the classic single-stream behaviour should use the
-/// master seed directly rather than stream 0.
+/// Used wherever one seed must feed several independent actors — the live
+/// deployment's per-agent and IP-salt seeds, each agent incarnation's
+/// retry jitter, each impaired link's fault schedule: stream `n` of a
+/// master seed `s` is `stream_seed(s, n)`, so actors draw from
+/// decorrelated streams while each remains a pure function of `(s, n)`,
+/// independent of thread interleaving.  No stream is the master itself
+/// (`stream_seed(s, 0) != s`), so callers that want the master's own
+/// sequence should seed from `s` directly.
 #[inline]
 pub fn stream_seed(master: u64, stream: u64) -> u64 {
     // Mix the stream number through the golden-ratio increment first so

@@ -60,7 +60,7 @@ use crate::checkpoint::{
 use crate::diskfault::DiskFaults;
 use crate::impair::ImpairPlan;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
-use crate::metrics::{PlatformMetrics, RttStats};
+use crate::metrics::PlatformMetrics;
 use crate::obs::{self, Histogram, HistogramHandle, Registry};
 use crate::reactor::{CloseReason, Outbox, ReactorConn};
 use crate::retry::{Backoff, RetryPolicy};
@@ -775,8 +775,7 @@ fn reactor_loop(
     let mut conns: Vec<ReactorConn> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut events: Vec<ControlEvent> = Vec::new();
-    let mut latency = RttStats::default();
-    let mut latency_hist = Histogram::new();
+    let mut latency = Histogram::new();
     let live_hist = Registry::global().histogram("reactor_loop_micros");
     let mut last_flush = Instant::now();
     loop {
@@ -803,7 +802,7 @@ fn reactor_loop(
             for conn in conns.drain(..) {
                 close_conn(&inner, conn);
             }
-            flush_latency(&inner, &mut latency, &mut latency_hist, &live_hist);
+            flush_latency(&inner, &mut latency, &live_hist);
             return;
         }
         let t0 = Instant::now();
@@ -854,17 +853,16 @@ fn reactor_loop(
         if activity {
             let micros = (t0.elapsed().as_micros() as u64).max(1);
             latency.record(micros);
-            latency_hist.record(micros);
         } else {
             std::thread::sleep(IDLE_SLEEP);
         }
         // Flush by count under load, by time when quiet, so the live
         // registry the scraper samples never sits on a stale batch for
         // more than one flush interval.
-        if latency.count >= LATENCY_FLUSH_EVERY
-            || (latency.count > 0 && last_flush.elapsed() >= LATENCY_FLUSH_INTERVAL)
+        if latency.count() >= LATENCY_FLUSH_EVERY
+            || (latency.count() > 0 && last_flush.elapsed() >= LATENCY_FLUSH_INTERVAL)
         {
-            flush_latency(&inner, &mut latency, &mut latency_hist, &live_hist);
+            flush_latency(&inner, &mut latency, &live_hist);
             last_flush = Instant::now();
         }
     }
@@ -904,27 +902,16 @@ fn reap_hostile(inner: &Inner, conn: &mut ReactorConn) {
     }
 }
 
-/// Folds a shard's local latency batch into the shared metrics (both the
-/// legacy [`RttStats`] and the percentile histogram) and the live
-/// registry the scraper samples — one lock round per
+/// Folds a shard's local latency batch into the shared metrics and the
+/// live registry the scraper samples — one lock round per
 /// [`LATENCY_FLUSH_EVERY`] active passes.
-fn flush_latency(
-    inner: &Inner,
-    latency: &mut RttStats,
-    hist: &mut Histogram,
-    live: &HistogramHandle,
-) {
-    if latency.count == 0 {
+fn flush_latency(inner: &Inner, batch: &mut Histogram, live: &HistogramHandle) {
+    if batch.count() == 0 {
         return;
     }
-    {
-        let mut metrics = lock(&inner.metrics);
-        metrics.reactor_loop_micros.merge(latency);
-        metrics.reactor_loop_hist.merge(hist);
-    }
-    live.merge(hist);
-    *latency = RttStats::default();
-    *hist = Histogram::new();
+    lock(&inner.metrics).reactor_loop_hist.merge(batch);
+    live.merge(batch);
+    *batch = Histogram::new();
 }
 
 /// Handles one connection's decoded events.  Uploads (and corrupt upload
@@ -1045,7 +1032,6 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
                 metrics.agents[i].heartbeats += 1;
                 if rtt_micros > 0 {
                     metrics.agents[i].rtt.record(rtt_micros);
-                    metrics.heartbeat_rtt_hist.record(rtt_micros);
                 }
                 if flags & heartbeat_flags::SPOOL_DEGRADED != 0 {
                     // The agent is uploading from memory only; its disk

@@ -92,7 +92,7 @@ pub use fault::{FaultPlan, FaultState};
 pub use impair::{ImpairPlan, ImpairStats, ImpairedLink, Partition};
 pub use journal::{measurement_diff, ChunkJournal};
 pub use messages::{AgentConfig, ControlMessage};
-pub use metrics::{AgentMetrics, PlatformMetrics, RttStats};
+pub use metrics::{AgentMetrics, PlatformMetrics};
 pub use obs::{FlightDumpOnPanic, Histogram, ObsConfig, Registry, Scraper};
 pub use retry::{Backoff, RetryPolicy};
 pub use spool::{Spool, SpoolConfig, SpoolRecord};

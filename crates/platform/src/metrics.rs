@@ -7,65 +7,20 @@
 //! is written by hand (like the bench reports) so the output is identical
 //! under every build of the workspace.
 //!
-//! PR 10 pairs the headline [`RttStats`] (kept verbatim — BENCH parsers
-//! read `count`/`min`/`mean`/`max`) with log-linear
-//! [`crate::obs::Histogram`]s so the same JSON objects also carry
-//! `p50`/`p90`/`p99`, and adds distribution objects for merge-queue
-//! dwell and ack-frontier lag.
+//! Latency distributions are log-linear [`Histogram`]s; each JSON object
+//! keeps the integer `count`/`min`/`mean`/`max` keys BENCH parsers read
+//! and adds `p50`/`p90`/`p99`.  Merge-queue dwell and ack-frontier lag get
+//! distribution objects of their own.
 
 use crate::obs::Histogram;
-
-/// Streaming min/mean/max over heartbeat round-trip times, in microseconds.
-#[derive(Clone, Debug, Default)]
-pub struct RttStats {
-    pub count: u64,
-    pub sum_micros: u64,
-    pub min_micros: u64,
-    pub max_micros: u64,
-}
-
-impl RttStats {
-    /// Records one RTT sample.
-    pub fn record(&mut self, micros: u64) {
-        if self.count == 0 || micros < self.min_micros {
-            self.min_micros = micros;
-        }
-        if micros > self.max_micros {
-            self.max_micros = micros;
-        }
-        self.count += 1;
-        self.sum_micros += micros;
-    }
-
-    /// Mean RTT in microseconds (0 with no samples).
-    pub fn mean_micros(&self) -> u64 {
-        self.sum_micros.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Folds another sample set into this one (used to pool per-shard
-    /// reactor latency batches without holding the metrics lock hot).
-    pub fn merge(&mut self, other: &RttStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 || other.min_micros < self.min_micros {
-            self.min_micros = other.min_micros;
-        }
-        if other.max_micros > self.max_micros {
-            self.max_micros = other.max_micros;
-        }
-        self.count += other.count;
-        self.sum_micros += other.sum_micros;
-    }
-}
 
 /// Per-agent control-plane counters.
 #[derive(Clone, Debug, Default)]
 pub struct AgentMetrics {
     /// Heartbeats received by the daemon.
     pub heartbeats: u64,
-    /// RTTs the agent measured and piggybacked on later heartbeats.
-    pub rtt: RttStats,
+    /// RTTs (µs) the agent measured and piggybacked on later heartbeats.
+    pub rtt: Histogram,
     /// Relaunches issued (initial launch not counted).
     pub relaunches: u64,
     /// Times the supervision loop declared the agent dead.
@@ -145,14 +100,9 @@ pub struct PlatformMetrics {
     pub corrupt_frames: u64,
     /// Times a daemon recovered state from a checkpoint directory.
     pub manager_restores: u64,
-    /// Reactor-shard loop iteration latency (active passes only).
-    pub reactor_loop_micros: RttStats,
-    /// Same samples as `reactor_loop_micros`, bucketed for percentiles;
+    /// Reactor-shard loop iteration latency in µs (active passes only);
     /// per-shard batches fold in via [`Histogram::merge`].
     pub reactor_loop_hist: Histogram,
-    /// Heartbeat RTT distribution pooled over all agents (the per-agent
-    /// [`RttStats`] keep the headline min/mean/max).
-    pub heartbeat_rtt_hist: Histogram,
     /// Merge-queue dwell: microseconds a chunk waited between the
     /// reactor enqueueing it and the merge thread picking it up.
     pub merge_dwell_micros: Histogram,
@@ -260,21 +210,11 @@ impl PlatformMetrics {
         None
     }
 
-    /// RTT statistics pooled over all agents.
-    pub fn pooled_rtt(&self) -> RttStats {
-        let mut pooled = RttStats::default();
+    /// Heartbeat RTTs pooled over all agents.
+    pub fn pooled_rtt(&self) -> Histogram {
+        let mut pooled = Histogram::new();
         for a in &self.agents {
-            if a.rtt.count == 0 {
-                continue;
-            }
-            if pooled.count == 0 || a.rtt.min_micros < pooled.min_micros {
-                pooled.min_micros = a.rtt.min_micros;
-            }
-            if a.rtt.max_micros > pooled.max_micros {
-                pooled.max_micros = a.rtt.max_micros;
-            }
-            pooled.count += a.rtt.count;
-            pooled.sum_micros += a.rtt.sum_micros;
+            pooled.merge(&a.rtt);
         }
         pooled
     }
@@ -314,30 +254,13 @@ impl PlatformMetrics {
             "  \"degraded_heartbeats\": {},\n",
             self.total_degraded_heartbeats()
         ));
-        // The existing count/min/mean/max keys are load-bearing (BENCH
-        // parsers); the histogram only *adds* percentile keys.
         out.push_str(&format!(
-            "  \"reactor_loop_micros\": {{\"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}, \
-             \"p50\": {}, \"p90\": {}, \"p99\": {}}},\n",
-            self.reactor_loop_micros.count,
-            self.reactor_loop_micros.min_micros,
-            self.reactor_loop_micros.mean_micros(),
-            self.reactor_loop_micros.max_micros,
-            self.reactor_loop_hist.p50(),
-            self.reactor_loop_hist.p90(),
-            self.reactor_loop_hist.p99()
+            "  \"reactor_loop_micros\": {},\n",
+            legacy_json(&self.reactor_loop_hist)
         ));
-        let rtt = self.pooled_rtt();
         out.push_str(&format!(
-            "  \"heartbeat_rtt_micros\": {{\"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}, \
-             \"p50\": {}, \"p90\": {}, \"p99\": {}}},\n",
-            rtt.count,
-            rtt.min_micros,
-            rtt.mean_micros(),
-            rtt.max_micros,
-            self.heartbeat_rtt_hist.p50(),
-            self.heartbeat_rtt_hist.p90(),
-            self.heartbeat_rtt_hist.p99()
+            "  \"heartbeat_rtt_micros\": {},\n",
+            legacy_json(&self.pooled_rtt())
         ));
         out.push_str(&format!(
             "  \"merge_dwell_micros\": {},\n",
@@ -368,7 +291,7 @@ impl PlatformMetrics {
                 a.resumes,
                 a.registrations,
                 a.uptime_ms,
-                a.rtt.mean_micros(),
+                integer_mean(&a.rtt),
                 a.window_peak,
                 a.frontier_lag_peak,
                 ranges.join(", "),
@@ -380,22 +303,31 @@ impl PlatformMetrics {
     }
 }
 
+/// `sum / count`, rounded down; 0 with no samples.
+fn integer_mean(h: &Histogram) -> u64 {
+    h.sum().checked_div(h.count()).unwrap_or(0)
+}
+
+/// The spaced `{"count": .., "min": .., "mean": .., "max": .., "p50": ..,
+/// "p90": .., "p99": ..}` object of the report's two oldest latency keys,
+/// integer mean included: BENCH parsers read these bytes.
+fn legacy_json(h: &Histogram) -> String {
+    format!(
+        "{{\"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \
+         \"p99\": {}}}",
+        h.count(),
+        h.min(),
+        integer_mean(h),
+        h.max(),
+        h.p50(),
+        h.p90(),
+        h.p99()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rtt_stats_track_extremes() {
-        let mut s = RttStats::default();
-        assert_eq!(s.mean_micros(), 0);
-        s.record(100);
-        s.record(300);
-        s.record(200);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min_micros, 100);
-        assert_eq!(s.max_micros, 300);
-        assert_eq!(s.mean_micros(), 200);
-    }
 
     #[test]
     fn totals_sum_over_agents() {
@@ -409,9 +341,9 @@ mod tests {
         assert_eq!(m.total_chunk_retries(), 1);
         assert_eq!(m.total_chunks_merged(), 4);
         let pooled = m.pooled_rtt();
-        assert_eq!(pooled.count, 2);
-        assert_eq!(pooled.min_micros, 50);
-        assert_eq!(pooled.max_micros, 150);
+        assert_eq!(pooled.count(), 2);
+        assert_eq!(pooled.min(), 50);
+        assert_eq!(pooled.max(), 150);
     }
 
     #[test]
@@ -447,9 +379,7 @@ mod tests {
     fn json_report_surfaces_percentiles_beside_legacy_keys() {
         let mut m = PlatformMetrics::new(1);
         for v in 1..=100u64 {
-            m.reactor_loop_micros.record(v);
             m.reactor_loop_hist.record(v);
-            m.heartbeat_rtt_hist.record(v * 10);
             m.merge_dwell_micros.record(v);
             m.frontier_lag_chunks.record(v % 8);
         }
@@ -463,6 +393,64 @@ mod tests {
         assert!(json.contains("\"frontier_lag_chunks\": {\"count\":100,"));
         assert!(json.matches("\"p99\":").count() >= 4);
     }
+
+    /// `to_json` of a fixed report, captured from the build before the
+    /// latency objects moved from min/mean/max counters onto histograms:
+    /// the report's bytes did not change.
+    #[test]
+    fn json_report_matches_the_pre_histogram_fixture() {
+        let mut m = PlatformMetrics::new(2);
+        for (agent, rtts) in [(0usize, &[120u64, 80, 95][..]), (1, &[300, 45][..])] {
+            m.agents[agent].heartbeats = rtts.len() as u64 + 1;
+            for &r in rtts {
+                m.agents[agent].rtt.record(r);
+            }
+        }
+        m.agents[1].note_merged(0);
+        m.agents[1].chunks_merged = 1;
+        for v in 1..=100u64 {
+            m.reactor_loop_hist.record((v * 37) % 250 + 1);
+        }
+        assert_eq!(m.to_json(), FIXTURE);
+    }
+
+    const FIXTURE: &str = r#"{
+  "agents": 2,
+  "relaunches": 0,
+  "chunk_retries": 0,
+  "chunks_merged": 1,
+  "chunk_bytes": 0,
+  "heartbeats": 7,
+  "resumes": 0,
+  "duplicate_chunks": 0,
+  "corrupt_frames": 0,
+  "manager_restores": 0,
+  "window_peak": 0,
+  "frontier_lag_peak": 0,
+  "merge_queue_peak": 0,
+  "connections_rejected": 0,
+  "connections_peak": 0,
+  "handshake_timeouts": 0,
+  "idle_reaped": 0,
+  "slow_loris_reaped": 0,
+  "protocol_violations": 0,
+  "accept_resource_errors": 0,
+  "chunks_shed": 0,
+  "window_shrinks": 0,
+  "wal_append_failures": 0,
+  "checkpoint_failures": 0,
+  "wal_undecodable_records": 0,
+  "degraded_heartbeats": 0,
+  "reactor_loop_micros": {"count": 100, "min": 7, "mean": 127, "max": 250, "p50": 124, "p90": 216, "p99": 248},
+  "heartbeat_rtt_micros": {"count": 5, "min": 45, "mean": 128, "max": 300, "p50": 92, "p90": 288, "p99": 288},
+  "merge_dwell_micros": {"count":0,"min":0,"mean":0.0,"max":0,"p50":0,"p90":0,"p99":0},
+  "frontier_lag_chunks": {"count":0,"min":0,"mean":0.0,"max":0,"p50":0,"p90":0,"p99":0},
+  "per_agent": [
+    {"agent": 0, "heartbeats": 4, "relaunches": 0, "deaths": 0, "chunks_merged": 0, "chunk_bytes": 0, "chunk_retries": 0, "duplicate_chunks": 0, "resumes": 0, "registrations": 0, "uptime_ms": 0, "rtt_mean_micros": 98, "window_peak": 0, "frontier_lag_peak": 0, "merged_ranges": []},
+    {"agent": 1, "heartbeats": 3, "relaunches": 0, "deaths": 0, "chunks_merged": 1, "chunk_bytes": 0, "chunk_retries": 0, "duplicate_chunks": 0, "resumes": 0, "registrations": 0, "uptime_ms": 0, "rtt_mean_micros": 172, "window_peak": 0, "frontier_lag_peak": 0, "merged_ranges": [[0, 0]]}
+  ]
+}
+"#;
 
     #[test]
     fn json_report_carries_headline_counters() {

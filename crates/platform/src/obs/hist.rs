@@ -7,7 +7,8 @@
 //! relative quantile error is bounded by 1/16 ≈ 6%, plenty for p50/p99
 //! operational latencies, while the whole histogram is a fixed
 //! `64 × 16` array of `u64` — no allocation after construction, and
-//! `merge` is element-wise addition exactly like `RttStats::merge`.
+//! `merge` is element-wise addition (plus min/max), so merged shards
+//! equal one histogram of the combined stream.
 
 /// Linear sub-buckets per power-of-two decade.
 const SUBS: usize = 16;
@@ -83,8 +84,8 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds `other` into `self`; used to combine per-shard histograms
-    /// exactly like `RttStats::merge`.
+    /// Folds `other` into `self`; used to combine per-shard and
+    /// per-agent histograms.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;

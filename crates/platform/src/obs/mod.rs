@@ -7,8 +7,8 @@
 //!   [`netsim::obs`] (it lives in the workspace's bottom crate so the
 //!   sim engine and analysis can instrument through the same facade);
 //!   emit with [`netsim::obs_event!`];
-//! * [`hist`] — mergeable log-linear [`Histogram`]s (p50/p90/p99/max)
-//!   replacing min/mean/max `RttStats` where percentiles matter;
+//! * [`hist`] — mergeable log-linear [`Histogram`]s (count/min/mean/max
+//!   plus p50/p90/p99), the one latency summary of the platform;
 //! * [`registry`] — the named instrument [`Registry`] with a shared
 //!   [`Registry::global`];
 //! * [`scrape`] — the periodic [`Scraper`]: JSONL time series plus a

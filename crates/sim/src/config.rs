@@ -295,23 +295,6 @@ pub enum QueueKind {
     Wheel,
 }
 
-/// How the scenario is executed.
-///
-/// Like [`QueueKind`], this is a performance knob with a determinism
-/// contract: a sharded run is bit-identical to its lane-ordered sequential
-/// reference (`lanes.rs` tests pin this), though *not* to the coupled
-/// execution — lanes draw from split RNG streams, so the two modes are two
-/// different (equally valid) samples of the same scenario distribution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One world, one event loop — the classic execution.
-    #[default]
-    Coupled,
-    /// Per-honeypot lanes run in parallel, merged deterministically by
-    /// `(SimTime, lane, seq)` (see [`crate::lanes`]).
-    Sharded,
-}
-
 /// The full scenario.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
@@ -341,14 +324,6 @@ pub struct ScenarioConfig {
     pub name_threshold: u32,
     /// Engine queue selection (performance only; results are identical).
     pub queue: QueueKind,
-    /// Execution mode (coupled vs lane-sharded).
-    pub exec: ExecMode,
-    /// Lane number when this configuration *is* one lane of a sharded run:
-    /// 0 means "not a lane" (the default); lane `n ≥ 1` re-roots the
-    /// world's behavioural RNG at `netsim::rng::stream_seed(seed, n)` and
-    /// mints peer identities from the lane's disjoint serial slice.
-    /// Scenario authors never set this — `crate::lanes` does.
-    pub lane: u32,
 }
 
 impl ScenarioConfig {
@@ -371,8 +346,6 @@ impl ScenarioConfig {
             keepalive_ms: 30 * MS_PER_MIN,
             name_threshold: 3,
             queue: QueueKind::default(),
-            exec: ExecMode::default(),
-            lane: 0,
         }
     }
 

@@ -52,28 +52,12 @@ pub struct IdentityFactory {
     /// Fraction of peers behind NAT (low ID).  Studies of 2008-era eDonkey
     /// populations put this around 30–40 %.
     pub low_id_fraction: f64,
-    base_serial: u64,
     next_serial: u64,
 }
 
-/// Serial-space stride between lanes of a sharded run: each lane mints
-/// identities from its own `2^26`-wide slice of the bijective scramble
-/// domain, so user hashes are globally unique and cross-lane IP collisions
-/// are no more likely than within a single factory (the first-octet fold
-/// makes the serial→IP map lossy either way; a collision reads as one
-/// NAT-shared address, as on the real network).  64 lanes
-/// (`MAX_HONEYPOTS`) × 2^26 tiles the 32-bit domain exactly.
-pub const LANE_SERIAL_STRIDE: u64 = 1 << 26;
-
 impl IdentityFactory {
     pub fn new(rng: Rng) -> Self {
-        IdentityFactory { rng, low_id_fraction: 0.35, base_serial: 0, next_serial: 0 }
-    }
-
-    /// A factory whose serials start at `base` — used by lane-sharded
-    /// execution to give each lane a disjoint identity space.
-    pub fn with_base(rng: Rng, base: u64) -> Self {
-        IdentityFactory { rng, low_id_fraction: 0.35, base_serial: base, next_serial: base }
+        IdentityFactory { rng, low_id_fraction: 0.35, next_serial: 0 }
     }
 
     /// Creates the `n`-th peer identity.  IPs are unique by construction:
@@ -113,7 +97,7 @@ impl IdentityFactory {
 
     /// Number of identities created so far.
     pub fn created(&self) -> u64 {
-        self.next_serial - self.base_serial
+        self.next_serial
     }
 }
 
@@ -202,22 +186,6 @@ mod tests {
             assert!((4660..4676).contains(&p.port));
             assert!(!p.name().is_empty());
         }
-    }
-
-    #[test]
-    fn disjoint_serial_bases_never_collide_on_ip_or_user_id() {
-        let mut a = IdentityFactory::new(Rng::seed_from(1));
-        let mut b = IdentityFactory::with_base(Rng::seed_from(1), LANE_SERIAL_STRIDE);
-        let mut ips = std::collections::HashSet::new();
-        let mut users = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            let pa = a.create();
-            let pb = b.create();
-            assert!(ips.insert(pa.ip) && ips.insert(pb.ip), "cross-lane IP collision");
-            assert!(users.insert(pa.user_id) && users.insert(pb.user_id));
-        }
-        assert_eq!(a.created(), 10_000);
-        assert_eq!(b.created(), 10_000, "created() counts from the base");
     }
 
     #[test]

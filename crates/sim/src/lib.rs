@@ -28,7 +28,6 @@ pub mod capture;
 pub mod catalog;
 pub mod config;
 pub mod identity;
-pub mod lanes;
 pub mod peer;
 pub mod server;
 pub mod world;
@@ -36,10 +35,9 @@ pub mod world;
 pub use capture::ServerCapture;
 pub use catalog::{Catalog, CatalogConfig};
 pub use config::{
-    BehaviorConfig, BlacklistConfig, CrashConfig, ExecMode, HoneypotSetup, PopulationConfig,
-    QueueKind, RobotConfig, ScenarioConfig, ServerCaptureConfig,
+    BehaviorConfig, BlacklistConfig, CrashConfig, HoneypotSetup, PopulationConfig, QueueKind,
+    RobotConfig, ScenarioConfig, ServerCaptureConfig,
 };
-pub use lanes::{run_sharded, run_sharded_reference, shardable};
 pub use server::SimServer;
 pub use world::{
     run_scenario, run_scenario_with_capture, CaptureRunOutput, EdonkeyWorld, Event, SimOutput,

@@ -85,22 +85,6 @@ pub struct WorldStats {
     pub crashes: u64,
 }
 
-impl WorldStats {
-    /// Adds another world's counters (lane-sharded runs sum their lanes).
-    pub fn absorb(&mut self, other: &WorldStats) {
-        self.arrivals += other.arrivals;
-        self.skipped_invisible += other.skipped_invisible;
-        self.sessions += other.sessions;
-        self.hello_sent += other.hello_sent;
-        self.start_upload_sent += other.start_upload_sent;
-        self.request_parts_sent += other.request_parts_sent;
-        self.detections_nc += other.detections_nc;
-        self.detections_rc += other.detections_rc;
-        self.dead_contacts += other.dead_contacts;
-        self.crashes += other.crashes;
-    }
-}
-
 /// The world state machine.
 pub struct EdonkeyWorld {
     pub config: ScenarioConfig,
@@ -178,23 +162,6 @@ impl EdonkeyWorld {
             server.attach_capture(cap);
         }
 
-        // Lane-sharded runs share the catalog and the step-1 salt with
-        // every sibling lane (both derive from the unsalted root above, so
-        // the same peer IP hashes identically across lanes), but all
-        // *behavioural* randomness — honeypot, identity, arrival and
-        // behaviour streams — comes from a lane-specific root: lanes are
-        // decorrelated, and each is a pure function of `(seed, lane)`
-        // regardless of scheduling.
-        if config.lane != 0 {
-            root = Rng::seed_from(netsim::rng::stream_seed(config.seed, u64::from(config.lane)));
-        }
-        // Disjoint per-lane identity serials keep user hashes globally
-        // unique across lanes (see `identity::LANE_SERIAL_STRIDE`).
-        let identity_base = match config.lane {
-            0 => 0,
-            n => u64::from(n - 1) * crate::identity::LANE_SERIAL_STRIDE,
-        };
-
         let mut honeypots = Vec::with_capacity(config.honeypots.len());
         let mut hp_attract = Vec::with_capacity(config.honeypots.len());
         let mut specs = Vec::with_capacity(config.honeypots.len());
@@ -242,7 +209,7 @@ impl EdonkeyWorld {
             honeypots,
             hp_attract,
             manager,
-            identities: IdentityFactory::with_base(root.substream("identities"), identity_base),
+            identities: IdentityFactory::new(root.substream("identities")),
             peers: PeerTable::new(),
             scratch_order: Vec::new(),
             scratch_wanted: Vec::new(),
@@ -1049,26 +1016,6 @@ impl EdonkeyWorld {
         SimOutput { log, stats: self.stats, relaunches, events_handled: 0 }
     }
 
-    /// Finishes one lane of a sharded run: collects outstanding logs but
-    /// stops *before* finalisation, handing the manager's merge state to
-    /// the caller for the global `(SimTime, lane, seq)` merge
-    /// (see [`crate::lanes`] and `honeypot::merge`).
-    pub fn finish_lane(mut self, _duration: SimTime) -> crate::lanes::LaneOutput {
-        for hp in &mut self.honeypots {
-            let chunk = hp.collect_log();
-            self.manager.collect(chunk);
-        }
-        let shared_final = self.honeypots.iter().map(|h| h.shared_files().len()).max().unwrap_or(0);
-        let relaunches = self.manager.relaunch_count();
-        crate::lanes::LaneOutput {
-            harvest: self.manager.harvest(),
-            stats: self.stats,
-            relaunches,
-            shared_files_final: shared_final as u32,
-            events_handled: 0,
-        }
-    }
-
     /// Number of materialised peers (diagnostics).
     pub fn peer_count(&self) -> usize {
         self.peers.len()
@@ -1095,8 +1042,8 @@ pub struct SimOutput {
     pub log: MeasurementLog,
     pub stats: WorldStats,
     pub relaunches: u64,
-    /// Discrete events the engine dispatched (summed over lanes for a
-    /// sharded run) — the numerator of events-per-second throughput.
+    /// Discrete events the engine dispatched — the numerator of
+    /// events-per-second throughput.
     pub events_handled: u64,
 }
 
@@ -1235,37 +1182,14 @@ fn block_triple(size: u64, cursor: u32) -> [PartRange; 3] {
 
 /// Runs a scenario end-to-end and returns its output.
 ///
-/// Dispatches on [`crate::config::ExecMode`] and
-/// [`crate::config::QueueKind`] once, up front; all three queues produce
-/// byte-identical output (see `tests/determinism.rs`), so the queue choice
-/// only affects wall-clock time.
+/// Dispatches on [`crate::config::QueueKind`] once, up front; all three
+/// queues produce byte-identical output (see `tests/determinism.rs`), so
+/// the queue choice only affects wall-clock time.
 pub fn run_scenario(config: ScenarioConfig) -> SimOutput {
-    if config.exec == crate::config::ExecMode::Sharded && config.lane == 0 {
-        return crate::lanes::run_sharded(config);
-    }
     match config.queue {
         QueueKind::Heap => run_scenario_on(config, EventQueue::new()),
         QueueKind::Calendar => run_scenario_on(config, CalendarQueue::for_simulation()),
         QueueKind::Wheel => run_scenario_on(config, TimingWheel::for_simulation()),
-    }
-}
-
-/// Runs one lane of a sharded scenario on the configured queue, stopping
-/// before finalisation (the global merge happens in [`crate::lanes`]).
-pub(crate) fn run_lane(config: ScenarioConfig) -> crate::lanes::LaneOutput {
-    fn on<Q: PendingQueue<Event>>(config: ScenarioConfig, queue: Q) -> crate::lanes::LaneOutput {
-        let duration = config.duration;
-        let mut engine = Engine::with_queue(queue);
-        let mut world = EdonkeyWorld::new(config, &mut engine);
-        engine.run_until(&mut world, duration);
-        let mut out = world.finish_lane(duration);
-        out.events_handled = engine.events_handled();
-        out
-    }
-    match config.queue {
-        QueueKind::Heap => on(config, EventQueue::new()),
-        QueueKind::Calendar => on(config, CalendarQueue::for_simulation()),
-        QueueKind::Wheel => on(config, TimingWheel::for_simulation()),
     }
 }
 
@@ -1324,17 +1248,10 @@ pub struct CaptureRunOutput {
 /// Runs a scenario with the server-side query capture streaming into
 /// `dir` (see `honeypot::serverlog` for the on-disk format).  The capture
 /// knobs come from `config.server_capture` (defaults when `None`).
-///
-/// Requires the coupled engine: a lane-sharded run splits the server into
-/// per-lane replicas, and a sliced capture would not be one server's view.
 pub fn run_scenario_with_capture(
     config: ScenarioConfig,
     dir: &std::path::Path,
 ) -> std::io::Result<CaptureRunOutput> {
-    assert!(
-        config.exec == crate::config::ExecMode::Coupled,
-        "server capture requires the coupled engine (one server, one event loop)"
-    );
     fn on<Q: PendingQueue<Event>>(
         config: ScenarioConfig,
         queue: Q,

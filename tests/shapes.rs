@@ -4,7 +4,7 @@
 
 use edonkey_honeypots::analysis::{
     file_peer_counts, first_event_ms, hourly_counts, peer_growth, peer_series, peer_sets_by_file,
-    popular_files, random_files, subset_curve, top_peer,
+    peer_sets_by_honeypot, popular_files, random_files, subset_curve, top_peer,
 };
 use edonkey_honeypots::experiments::{Measurement, Options};
 use edonkey_honeypots::platform::{MeasurementLog, QueryKind};
@@ -63,6 +63,38 @@ fn fig08_09_shape_top_peer_dominates_and_prefers_random_content() {
     let parts = peer_series(&log, top, QueryKind::RequestPart);
     let (rc_p, nc_p) = parts.finals();
     assert!(rc_p > nc_p, "REQUEST-PART pacing must favour random content: {rc_p} vs {nc_p}");
+}
+
+#[test]
+fn fig10_shape_overlap_makes_each_added_honeypot_worth_less() {
+    // One peer contacts several honeypots (a provider subset), so the
+    // honeypots' peer sets overlap and each added honeypot brings fewer new
+    // peers — but never none (paper Fig. 10).  Measured on this log at
+    // seeds 40/1/2/3: the per-honeypot counts sum to 5.09–5.22× the union,
+    // the 2nd honeypot adds ≈202 peers and the 24th ≈25 (7.8–8.3×), and the
+    // largest single honeypot sees 2.0–2.3× the smallest (2.26× at seed 40).  Per-honeypot
+    // lanes with no shared peers (the deleted sharded mode) read 1.00× and
+    // 1.07× on the first two checks.
+    let log = distributed();
+    let sets = peer_sets_by_honeypot(&log);
+    assert_eq!(sets.len(), 24);
+    let counts: Vec<u64> = sets.iter().map(|s| s.count()).collect();
+    let sum: u64 = counts.iter().sum();
+    let union = u64::from(log.distinct_peers);
+    assert!(sum >= 3 * union, "honeypots must share peers: sum {sum}, union {union}");
+
+    let curve = subset_curve(&sets, 20, 1);
+    let gain = |n: usize| curve[n - 1].avg - curve[n - 2].avg;
+    let (second, last) = (gain(2), gain(24));
+    assert!(second >= 4.0 * last, "returns must diminish: 2nd adds {second}, 24th adds {last}");
+    assert!(last > 0.0, "the 24th honeypot must still add peers");
+
+    let max = *counts.iter().max().unwrap();
+    let min = *counts.iter().min().unwrap();
+    assert!(
+        max as f64 >= 1.5 * min as f64,
+        "attractiveness must spread single-honeypot counts: {min}..{max}"
+    );
 }
 
 #[test]
