@@ -4,8 +4,7 @@
 //! number of distinct peers observed so far and the number of peers seen
 //! for the first time that day — the two curves of Figs. 2/3.
 
-use honeypot::{AnonPeerId, MeasurementLog, QueryKind};
-use netsim::metrics::FirstSeen;
+use honeypot::QueryKind;
 use netsim::time::MS_PER_DAY;
 
 use crate::index::{cumulate, new_per_bucket, LogIndex};
@@ -36,74 +35,24 @@ impl PeerGrowth {
     }
 }
 
-/// Computes peer growth over all records (any message kind counts as an
-/// observation, as in the paper's "observed peers").
-pub fn peer_growth(log: &MeasurementLog) -> PeerGrowth {
-    peer_growth_filtered(log, None)
-}
-
-/// Computes peer growth restricted to one message kind (`Some(kind)`), or
-/// any kind (`None`).
-pub fn peer_growth_filtered(log: &MeasurementLog, kind: Option<QueryKind>) -> PeerGrowth {
-    let mut first: FirstSeen<AnonPeerId> = FirstSeen::new();
-    for r in &log.records {
-        if kind.is_none_or(|k| r.kind == k) {
-            first.observe(r.peer, r.at);
-        }
-    }
-    let days = log.duration.as_millis().div_ceil(MS_PER_DAY).max(1) as usize;
-    let new_per_day = first.new_per_bucket(MS_PER_DAY, days);
-    let mut cumulative = Vec::with_capacity(new_per_day.len());
-    let mut acc = 0;
-    for &n in &new_per_day {
-        acc += n;
-        cumulative.push(acc);
-    }
-    PeerGrowth { cumulative, new_per_day }
-}
-
-/// Distinct-file growth (Table I's "distinct files" and the file-side
-/// counterpart of Figs. 2/3): files are observed through START-UPLOAD /
-/// REQUEST-PART queries and through shared-file lists.
-pub fn file_growth(log: &MeasurementLog) -> PeerGrowth {
-    let mut first: FirstSeen<u32> = FirstSeen::new();
-    for r in &log.records {
-        if r.file != honeypot::log::FILE_NONE {
-            first.observe(r.file, r.at);
-        }
-    }
-    for l in &log.shared_lists {
-        for &f in &l.files {
-            first.observe(f, l.at);
-        }
-    }
-    let days = log.duration.as_millis().div_ceil(MS_PER_DAY).max(1) as usize;
-    let new_per_day = first.new_per_bucket(MS_PER_DAY, days);
-    let mut cumulative = Vec::with_capacity(new_per_day.len());
-    let mut acc = 0;
-    for &n in &new_per_day {
-        acc += n;
-        cumulative.push(acc);
-    }
-    PeerGrowth { cumulative, new_per_day }
-}
-
-/// Index-backed equivalents of this module's scans; asserted equal to the
-/// direct functions in `tests/index_equivalence.rs`.
 impl LogIndex {
-    /// Indexed [`peer_growth`].
+    /// Peer growth over all records (any message kind counts as an
+    /// observation, as in the paper's "observed peers").
     pub fn peer_growth(&self) -> PeerGrowth {
         self.peer_growth_filtered(None)
     }
 
-    /// Indexed [`peer_growth_filtered`].
+    /// Peer growth restricted to one message kind (`Some(kind)`), or any
+    /// kind (`None`).
     pub fn peer_growth_filtered(&self, kind: Option<QueryKind>) -> PeerGrowth {
         let firsts = self.peer_first_merged(kind);
         let new_per_day = new_per_bucket(&firsts, MS_PER_DAY, self.days());
         PeerGrowth { cumulative: cumulate(new_per_day.clone()), new_per_day }
     }
 
-    /// Indexed [`file_growth`].
+    /// Distinct-file growth (Table I's "distinct files" and the file-side
+    /// counterpart of Figs. 2/3): files are observed through START-UPLOAD /
+    /// REQUEST-PART queries and through shared-file lists.
     pub fn file_growth(&self) -> PeerGrowth {
         let new_per_day = new_per_bucket(self.file_first(), MS_PER_DAY, self.days());
         PeerGrowth { cumulative: cumulate(new_per_day.clone()), new_per_day }
@@ -124,7 +73,7 @@ mod tests {
             (0, QueryKind::Hello, 0, SimTime::from_hours(50)),
             (1, QueryKind::Hello, 0, SimTime::from_hours(30)),
         ]);
-        let g = peer_growth(&log);
+        let g = LogIndex::build(&log).peer_growth();
         assert_eq!(g.new_per_day[0], 1);
         assert_eq!(g.new_per_day[1], 1);
         assert_eq!(g.new_per_day[2], 0);
@@ -134,13 +83,13 @@ mod tests {
 
     #[test]
     fn filtered_growth_respects_kind() {
-        let log = synthetic_log(&[
+        let ix = LogIndex::build(&synthetic_log(&[
             (0, QueryKind::Hello, 0, SimTime::from_hours(1)),
             (1, QueryKind::StartUpload, 0, SimTime::from_hours(2)),
-        ]);
-        let g = peer_growth_filtered(&log, Some(QueryKind::StartUpload));
+        ]));
+        let g = ix.peer_growth_filtered(Some(QueryKind::StartUpload));
         assert_eq!(g.total(), 1);
-        let g = peer_growth_filtered(&log, None);
+        let g = ix.peer_growth_filtered(None);
         assert_eq!(g.total(), 2);
     }
 
@@ -156,7 +105,7 @@ mod tests {
     #[test]
     fn series_span_full_duration_even_when_quiet() {
         let log = synthetic_log(&[(0, QueryKind::Hello, 0, SimTime::from_hours(1))]);
-        let g = peer_growth(&log);
+        let g = LogIndex::build(&log).peer_growth();
         assert_eq!(g.cumulative.len(), 3, "duration is 3 days in the fixture");
     }
 
@@ -171,7 +120,7 @@ mod tests {
             peer: honeypot::AnonPeerId(0),
             files: vec![1, 2],
         });
-        let g = file_growth(&log);
+        let g = LogIndex::build(&log).file_growth();
         assert_eq!(g.total(), 3);
         assert_eq!(g.new_per_day[0], 1);
         assert_eq!(g.new_per_day[1], 2);

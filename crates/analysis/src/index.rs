@@ -1,43 +1,34 @@
-//! A one-pass index over a [`MeasurementLog`].
+//! A one-pass index over a [`MeasurementLog`] — the crate's only path from
+//! records to figure statistics.
 //!
-//! Every figure of the paper scans the same record vector, and the full
-//! experiment pipeline used to re-scan it once per figure — a dozen passes
-//! over hundreds of thousands of records.  [`LogIndex`] makes a single
-//! (parallel) pass and materialises every aggregate the analysis
-//! modules need:
+//! [`LogIndex`] reads the record vector once and materialises every
+//! aggregate the figures need:
 //!
 //! * per-peer first-seen times, split by `(strategy, kind)` — from which
 //!   the Figs. 2/3/5/6 growth curves derive by min-merging;
 //! * per-peer query counts per kind (the Figs. 8/9 top-peer search);
 //! * per-kind hourly and per-`(strategy, kind)` daily count series
 //!   (Figs. 4 and 7);
+//! * the top START-UPLOAD peer's own per-`(strategy, kind)` daily series
+//!   (Figs. 8–9);
 //! * per-honeypot and per-file distinct-peer bitsets (Figs. 10–12);
 //! * per-file first-seen times including shared-list observations
 //!   (Table I's distinct-file count and growth).
 //!
-//! The index-derived results are asserted identical to the direct-scan
-//! functions in `tests/index_equivalence.rs`; each analysis module hosts
-//! the `impl LogIndex` block for its own figures, so the module stays the
-//! home of that figure family's logic.
+//! Each analysis module hosts the `impl LogIndex` block for its own
+//! figures, so the module stays the home of that figure family's logic.
+//! `tests/index_equivalence.rs` keeps the per-figure record scans this
+//! index replaced as its oracle.
 //!
 //! # Streaming
-//! The scan itself lives in [`IndexBuilder`], which consumes records
-//! chunk-at-a-time (or one at a time): a caller replaying a spooled
-//! measurement can feed records as they decode and never hold the full
-//! record vector alongside the index.  [`LogIndex::build`] and both forced
-//! variants are thin drivers over the builder — the sequential path feeds
-//! one builder, the parallel path feeds one builder per fixed chunk and
-//! [`IndexBuilder::absorb`]s them in chunk order.
-//!
-//! # Determinism
-//! The parallel build splits the record vector into a *fixed* number of
-//! chunks (independent of worker-thread count) and merges partial
-//! accumulators in chunk order with order-insensitive operations (min,
-//! add, bitwise or).  The result is therefore a pure function of the log,
-//! however many workers it runs on — asserted by
-//! `tests/index_equivalence.rs::index_is_thread_count_independent`.  The
-//! same argument makes the streaming builder chunking-insensitive: any
-//! partition of the records into pushes yields the same index.
+//! The scan lives in [`IndexBuilder`], which consumes records in any
+//! chunking (whole log, storage-decode batches, one at a time) with
+//! order-insensitive folds (min / add / bitwise or), so any partition of
+//! the same records yields the same index.  The top peer is only known once
+//! every record has been counted, and records are honeypot-major rather
+//! than time-ordered, so [`IndexBuilder::finish`] makes a second pass over
+//! the records for that one peer's series.  [`LogIndex::build`] is the
+//! builder driven over a whole in-memory log.
 
 use std::collections::HashMap;
 
@@ -47,33 +38,18 @@ use netsim::time::{MS_PER_DAY, MS_PER_HOUR};
 use netsim::SimTime;
 
 use crate::subset::PeerSet;
+use crate::toppeer::busiest;
 
 /// Number of query kinds (`QueryKind` variants).
 pub(crate) const KINDS: usize = 3;
 /// Number of content strategies.
 pub(crate) const STRATEGIES: usize = 2;
-/// Chunks the record vector is split into for the parallel build.  Fixed —
-/// not derived from the thread count — so the merge order, and with it the
-/// result, never depends on the workers executing it.
-const BUILD_CHUNKS: usize = 16;
-
-/// Below this record count [`LogIndex::build`] stays sequential.  Each
-/// parallel chunk allocates its own universe-sized accumulators
-/// (`Partial::new` holds 9 peer-indexed vectors), so on small logs the
-/// 16-way split costs more in allocation + merge than the scan saves —
-/// PR 1's baseline (CHANGES.md) measured the chunked path at 45.8M
-/// records/s vs 57.5M sequential on a 547k-record log.  Both paths
-/// produce identical results (see `tests/index_equivalence.rs`); this is
-/// purely a performance crossover.  Measured again for PR 24 on the 2-vCPU
-/// benchmark box before anyone re-tunes it: the two vCPUs deliver ≈ 1.4×
-/// in aggregate (one spin loop 1.36 s, two concurrent 1.95 s each), a
-/// 2-chunk parallel build of the 2.47 M-record `analyse-saved` logs bought
-/// 0.02 s for `peak_rss_mb` 191 → 228, and a field-split two-thread build
-/// bought nothing.
-pub const PAR_BUILD_MIN_RECORDS: usize = 2_000_000;
 
 /// Sentinel for "never observed" in first-seen arrays.
 pub(crate) const NEVER: u64 = u64::MAX;
+
+/// One vector per `(strategy, kind)` cell.
+type Cells = [[Vec<u64>; KINDS]; STRATEGIES];
 
 pub(crate) fn kind_idx(kind: QueryKind) -> usize {
     match kind {
@@ -102,13 +78,13 @@ pub struct LogIndex {
     hours: usize,
     /// `first_seen[s][k][peer]` = earliest time (ms) peer sent kind `k` to
     /// a honeypot of strategy `s`; [`NEVER`] if it never did.
-    first_seen: [[Vec<u64>; KINDS]; STRATEGIES],
+    first_seen: Cells,
     /// `counts[k][peer]` = number of records of kind `k` from `peer`.
     counts: [Vec<u64>; KINDS],
     /// Hourly record counts per kind (ragged; padded on read).
     hourly: [Vec<u64>; KINDS],
     /// Daily record counts per `(strategy, kind)` (ragged; padded on read).
-    daily: [[Vec<u64>; KINDS]; STRATEGIES],
+    daily: Cells,
     /// Earliest record timestamp (ms) per kind; [`NEVER`] if none.
     kind_first_ms: [u64; KINDS],
     /// Distinct peers per honeypot, any kind (Fig. 10).
@@ -120,88 +96,9 @@ pub struct LogIndex {
     /// the file; [`NEVER`] sentinel.  Ragged: grown to the largest index
     /// observed.
     file_first: Vec<u64>,
-}
-
-/// Per-chunk accumulator of the parallel build.
-struct Partial {
-    first_seen: [[Vec<u64>; KINDS]; STRATEGIES],
-    counts: [Vec<u64>; KINDS],
-    hourly: [Vec<u64>; KINDS],
-    daily: [[Vec<u64>; KINDS]; STRATEGIES],
-    kind_first_ms: [u64; KINDS],
-    honeypot_peers: Vec<PeerSet>,
-    file_peers: HashMap<u32, PeerSet>,
-    file_first: Vec<u64>,
-}
-
-impl Partial {
-    fn new(universe: usize, honeypots: usize) -> Self {
-        Partial {
-            first_seen: std::array::from_fn(|_| std::array::from_fn(|_| vec![NEVER; universe])),
-            counts: std::array::from_fn(|_| vec![0; universe]),
-            hourly: std::array::from_fn(|_| Vec::new()),
-            daily: std::array::from_fn(|_| std::array::from_fn(|_| Vec::new())),
-            kind_first_ms: [NEVER; KINDS],
-            honeypot_peers: (0..honeypots).map(|_| PeerSet::new(universe)).collect(),
-            file_peers: HashMap::new(),
-            file_first: Vec::new(),
-        }
-    }
-
-    /// Folds `other` into `self`.  Every operation is order-insensitive
-    /// (min / add / or), so any merge order yields the same index.
-    fn merge(mut self, other: Partial) -> Self {
-        for s in 0..STRATEGIES {
-            for k in 0..KINDS {
-                for (a, b) in self.first_seen[s][k].iter_mut().zip(&other.first_seen[s][k]) {
-                    *a = (*a).min(*b);
-                }
-                add_ragged(&mut self.daily[s][k], &other.daily[s][k]);
-            }
-        }
-        for k in 0..KINDS {
-            for (a, b) in self.counts[k].iter_mut().zip(&other.counts[k]) {
-                *a += *b;
-            }
-            add_ragged(&mut self.hourly[k], &other.hourly[k]);
-            self.kind_first_ms[k] = self.kind_first_ms[k].min(other.kind_first_ms[k]);
-        }
-        for (a, b) in self.honeypot_peers.iter_mut().zip(&other.honeypot_peers) {
-            a.union_with(b);
-        }
-        for (file, set) in other.file_peers {
-            match self.file_peers.entry(file) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(set);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().union_with(&set);
-                }
-            }
-        }
-        min_ragged(&mut self.file_first, &other.file_first);
-        self
-    }
-}
-
-/// `a[i] += b[i]`, growing `a` as needed.
-fn add_ragged(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), 0);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += *y;
-    }
-}
-
-/// `a[i] = min(a[i], b[i])` under the [`NEVER`] sentinel, growing `a`.
-fn min_ragged(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), NEVER);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = (*x).min(*y);
-    }
+    /// `daily` restricted to the records of `top_peer(StartUpload)`; all
+    /// empty when there is no such peer.
+    top_daily: Cells,
 }
 
 /// Sets `v[idx] = min(v[idx], value)`, growing `v` with [`NEVER`].
@@ -220,23 +117,36 @@ fn bump_ragged(v: &mut Vec<u64>, idx: usize) {
     v[idx] += 1;
 }
 
+/// A copy of a ragged count series, zero-padded to at least `len`.
+fn padded(v: &[u64], len: usize) -> Vec<u64> {
+    let mut v = v.to_vec();
+    if v.len() < len {
+        v.resize(len, 0);
+    }
+    v
+}
+
 /// Incremental construction of a [`LogIndex`].
 ///
 /// The builder is seeded from the measurement *header* — distinct-peer
 /// count, honeypot strategies, duration — and then fed records in any
 /// chunking: whole log, storage-decode batches, or one at a time.  Every
 /// accumulation is order- and chunking-insensitive (min / add / bitwise
-/// or), so any partition of the same records yields the same index.  Two
-/// builders over disjoint record subsets can also be combined with
-/// [`IndexBuilder::absorb`], which is how the parallel build merges its
-/// per-chunk workers.
+/// or), so any partition of the same records yields the same index.
 pub struct IndexBuilder {
     universe: usize,
     days: usize,
     hours: usize,
     /// Honeypot id → strategy index, from the header.
     strategy_of: Vec<usize>,
-    acc: Partial,
+    first_seen: Cells,
+    counts: [Vec<u64>; KINDS],
+    hourly: [Vec<u64>; KINDS],
+    daily: Cells,
+    kind_first_ms: [u64; KINDS],
+    honeypot_peers: Vec<PeerSet>,
+    file_peers: HashMap<u32, PeerSet>,
+    file_first: Vec<u64>,
 }
 
 impl IndexBuilder {
@@ -256,28 +166,34 @@ impl IndexBuilder {
             days: duration.as_millis().div_ceil(MS_PER_DAY).max(1) as usize,
             hours: duration.as_millis().div_ceil(MS_PER_HOUR).max(1) as usize,
             strategy_of: strategies.iter().map(|&s| strategy_idx(s)).collect(),
-            acc: Partial::new(universe, strategies.len()),
+            first_seen: std::array::from_fn(|_| std::array::from_fn(|_| vec![NEVER; universe])),
+            counts: std::array::from_fn(|_| vec![0; universe]),
+            hourly: Default::default(),
+            daily: Cells::default(),
+            kind_first_ms: [NEVER; KINDS],
+            honeypot_peers: (0..strategies.len()).map(|_| PeerSet::new(universe)).collect(),
+            file_peers: HashMap::new(),
+            file_first: Vec::new(),
         }
     }
 
     /// Accumulates one record.
     pub fn push_record(&mut self, r: &AnonRecord) {
-        let p = &mut self.acc;
         let at = r.at.as_millis();
         let k = kind_idx(r.kind);
         let s = self.strategy_of[r.honeypot.0 as usize];
         let peer = r.peer.0 as usize;
-        let fs = &mut p.first_seen[s][k][peer];
+        let fs = &mut self.first_seen[s][k][peer];
         *fs = (*fs).min(at);
-        p.counts[k][peer] += 1;
-        bump_ragged(&mut p.hourly[k], (at / MS_PER_HOUR) as usize);
-        bump_ragged(&mut p.daily[s][k], (at / MS_PER_DAY) as usize);
-        p.kind_first_ms[k] = p.kind_first_ms[k].min(at);
-        p.honeypot_peers[r.honeypot.0 as usize].insert(r.peer.0);
+        self.counts[k][peer] += 1;
+        bump_ragged(&mut self.hourly[k], (at / MS_PER_HOUR) as usize);
+        bump_ragged(&mut self.daily[s][k], (at / MS_PER_DAY) as usize);
+        self.kind_first_ms[k] = self.kind_first_ms[k].min(at);
+        self.honeypot_peers[r.honeypot.0 as usize].insert(r.peer.0);
         if r.file != FILE_NONE {
-            observe_ragged(&mut p.file_first, r.file as usize, at);
+            observe_ragged(&mut self.file_first, r.file as usize, at);
             if r.kind == QueryKind::StartUpload {
-                p.file_peers
+                self.file_peers
                     .entry(r.file)
                     .or_insert_with(|| PeerSet::new(self.universe))
                     .insert(r.peer.0);
@@ -298,77 +214,47 @@ impl IndexBuilder {
     pub fn push_shared_list(&mut self, at: SimTime, files: &[u32]) {
         let at = at.as_millis();
         for &f in files {
-            observe_ragged(&mut self.acc.file_first, f as usize, at);
+            observe_ragged(&mut self.file_first, f as usize, at);
         }
     }
 
-    /// Folds another builder's accumulation into this one.  The two must
-    /// share dimensions (built from the same header); the merge is
-    /// order-insensitive.
-    pub fn absorb(&mut self, other: IndexBuilder) {
-        debug_assert_eq!(self.universe, other.universe, "builders from different headers");
-        let acc = std::mem::replace(&mut self.acc, Partial::new(0, 0));
-        self.acc = acc.merge(other.acc);
-    }
-
-    /// Finalises into the immutable index.
-    pub fn finish(self) -> LogIndex {
-        let Partial {
-            first_seen,
-            counts,
-            hourly,
-            daily,
-            kind_first_ms,
-            honeypot_peers,
-            file_peers,
-            file_first,
-        } = self.acc;
-        let mut file_peers: Vec<(u32, PeerSet)> = file_peers.into_iter().collect();
+    /// Finalises into the immutable index.  `records` must be the records
+    /// pushed (in any order): the second pass keeps only the top
+    /// START-UPLOAD peer's, for its per-day series.
+    pub fn finish(self, records: &[AnonRecord]) -> LogIndex {
+        let mut top_daily = Cells::default();
+        if let Some(top) = busiest(&self.counts[kind_idx(QueryKind::StartUpload)]) {
+            for r in records.iter().filter(|r| r.peer == top) {
+                let s = self.strategy_of[r.honeypot.0 as usize];
+                bump_ragged(
+                    &mut top_daily[s][kind_idx(r.kind)],
+                    (r.at.as_millis() / MS_PER_DAY) as usize,
+                );
+            }
+        }
+        let mut file_peers: Vec<(u32, PeerSet)> = self.file_peers.into_iter().collect();
         file_peers.sort_by_key(|(f, _)| *f);
         LogIndex {
             universe: self.universe,
             days: self.days,
             hours: self.hours,
-            first_seen,
-            counts,
-            hourly,
-            daily,
-            kind_first_ms,
-            honeypot_peers,
+            first_seen: self.first_seen,
+            counts: self.counts,
+            hourly: self.hourly,
+            daily: self.daily,
+            kind_first_ms: self.kind_first_ms,
+            honeypot_peers: self.honeypot_peers,
             file_peers,
-            file_first,
+            file_first: self.file_first,
+            top_daily,
         }
     }
 }
 
 impl LogIndex {
-    /// Builds the index in one pass over the log, auto-selecting the
-    /// execution: sequential below [`PAR_BUILD_MIN_RECORDS`] or with a
-    /// single worker (where the chunked build only adds allocation and
-    /// merge overhead), parallel otherwise.  The two paths are
-    /// result-identical, so the choice is invisible to callers.
+    /// Builds the index over a whole log: one pass over its records and
+    /// shared lists, then the top peer's second pass.
     pub fn build(log: &MeasurementLog) -> LogIndex {
-        if log.records.len() < PAR_BUILD_MIN_RECORDS || netsim::par::workers() <= 1 {
-            Self::build_sequential(log)
-        } else {
-            Self::build_parallel(log)
-        }
-    }
-
-    /// The parallel chunked build (forced; [`LogIndex::build`]
-    /// normally decides).
-    pub fn build_parallel(log: &MeasurementLog) -> LogIndex {
-        let chunk = log.records.len().div_ceil(BUILD_CHUNKS).max(1);
-        Self::build_chunked(log, chunk)
-    }
-
-    /// Sequential reference build (single chunk) — the baseline for the
-    /// equivalence tests.
-    pub fn build_sequential(log: &MeasurementLog) -> LogIndex {
-        Self::build_chunked(log, log.records.len().max(1))
-    }
-
-    fn build_chunked(log: &MeasurementLog, chunk_size: usize) -> LogIndex {
         // Span events keyed on record counts (deterministic for a given
         // log), so index builds show up in the flight recorder with
         // enough context to reconstruct what was being built.
@@ -377,30 +263,12 @@ impl LogIndex {
             "analysis",
             "index_build_begin",
             records = log.records.len(),
-            chunk_size = chunk_size,
             universe = log.distinct_peers
         );
-        let chunks: Vec<&[AnonRecord]> = log.records.chunks(chunk_size).collect();
-        let builders: Vec<IndexBuilder> = netsim::par::par_map(chunks, |records| {
-            let mut b = IndexBuilder::for_log(log);
-            b.push_records(records);
-            b
-        });
-        // Merge sequentially in chunk order: with order-insensitive fold
-        // operations this is equivalent to any parallel reduction tree,
-        // and it keeps the merge cost off the worker threads.
-        let mut merged = builders
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.absorb(b);
-                a
-            })
-            .unwrap_or_else(|| IndexBuilder::for_log(log));
-
-        // Shared-list observations also establish file first-seen times
-        // (they are few compared to records; a sequential pass suffices).
+        let mut builder = IndexBuilder::for_log(log);
+        builder.push_records(&log.records);
         for list in &log.shared_lists {
-            merged.push_shared_list(list.at, &list.files);
+            builder.push_shared_list(list.at, &list.files);
         }
         netsim::obs_event!(
             netsim::obs::Level::Trace,
@@ -409,7 +277,7 @@ impl LogIndex {
             records = log.records.len(),
             shared_lists = log.shared_lists.len()
         );
-        merged.finish()
+        builder.finish(&log.records)
     }
 
     /// Number of distinct peers (the per-peer array dimension).
@@ -455,20 +323,18 @@ impl LogIndex {
 
     /// Hourly record counts of one kind, padded to the measurement span.
     pub(crate) fn hourly_padded(&self, kind: QueryKind) -> Vec<u64> {
-        let mut v = self.hourly[kind_idx(kind)].clone();
-        if v.len() < self.hours {
-            v.resize(self.hours, 0);
-        }
-        v
+        padded(&self.hourly[kind_idx(kind)], self.hours)
     }
 
     /// Daily record counts for one `(strategy, kind)` cell, padded.
     pub(crate) fn daily_padded(&self, strategy: ContentStrategy, kind: QueryKind) -> Vec<u64> {
-        let mut v = self.daily[strategy_idx(strategy)][kind_idx(kind)].clone();
-        if v.len() < self.days {
-            v.resize(self.days, 0);
-        }
-        v
+        padded(&self.daily[strategy_idx(strategy)][kind_idx(kind)], self.days)
+    }
+
+    /// The top START-UPLOAD peer's daily record counts for one
+    /// `(strategy, kind)` cell, padded.
+    pub(crate) fn top_daily_padded(&self, strategy: ContentStrategy, kind: QueryKind) -> Vec<u64> {
+        padded(&self.top_daily[strategy_idx(strategy)][kind_idx(kind)], self.days)
     }
 
     /// Earliest record timestamp (ms) of a kind.
@@ -483,15 +349,13 @@ impl LogIndex {
         &self.file_first
     }
 
-    /// Per-honeypot distinct-peer sets, any query kind — the indexed
-    /// equivalent of [`crate::subset::peer_sets_by_honeypot`] (Fig. 10).
+    /// Per-honeypot distinct-peer sets, any query kind (Fig. 10).
     pub fn honeypot_peer_sets(&self) -> &[PeerSet] {
         &self.honeypot_peers
     }
 
     /// Per-file distinct-peer sets over START-UPLOAD queries, sorted by
-    /// file index — the indexed equivalent of
-    /// [`crate::subset::peer_sets_by_file`] (Figs. 11–12).
+    /// file index (Figs. 11–12).
     pub fn file_peer_sets(&self) -> &[(u32, PeerSet)] {
         &self.file_peers
     }
@@ -532,7 +396,6 @@ pub(crate) fn cumulate(mut series: Vec<u64>) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::testutil::synthetic_log;
-    use netsim::SimTime;
 
     #[test]
     fn empty_log_builds_an_empty_index() {
@@ -544,23 +407,6 @@ mod tests {
         assert_eq!(ix.honeypot_peer_sets().len(), 2, "fixture always has 2 honeypots");
         assert!(ix.honeypot_peer_sets().iter().all(|s| s.count() == 0));
         assert!(ix.file_peer_sets().is_empty());
-    }
-
-    #[test]
-    fn chunked_and_sequential_builds_agree() {
-        let log = synthetic_log(&[
-            (0, QueryKind::Hello, 0, SimTime::from_hours(1)),
-            (1, QueryKind::StartUpload, 1, SimTime::from_hours(2)),
-            (2, QueryKind::RequestPart, 0, SimTime::from_hours(26)),
-            (0, QueryKind::Hello, 1, SimTime::from_hours(50)),
-        ]);
-        let a = LogIndex::build_chunked(&log, 1); // 4 chunks
-        let b = LogIndex::build_sequential(&log);
-        assert_eq!(a.peer_first_merged(None), b.peer_first_merged(None));
-        assert_eq!(a.peer_counts(QueryKind::Hello), b.peer_counts(QueryKind::Hello));
-        assert_eq!(a.hourly_padded(QueryKind::Hello), b.hourly_padded(QueryKind::Hello));
-        assert_eq!(a.kind_first(QueryKind::RequestPart), b.kind_first(QueryKind::RequestPart));
-        assert_eq!(a.file_first(), b.file_first());
     }
 
     #[test]

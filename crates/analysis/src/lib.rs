@@ -3,6 +3,8 @@
 //! Analytics over merged honeypot measurement logs — one module per family
 //! of results in the paper's evaluation (§IV):
 //!
+//! * [`index`] — [`LogIndex`], the one pass over a log's records that
+//!   every figure statistic below is read from;
 //! * [`table`] — Table I basic statistics;
 //! * [`distinct`] — distinct-peer/file growth and new-per-day series
 //!   (Figs. 2–3);
@@ -21,7 +23,11 @@
 //!   cross-validation (the "ten weeks of an eDonkey server" modality);
 //! * [`report`] — ASCII tables/charts and formatting helpers.
 //!
-//! All functions are pure over [`honeypot::MeasurementLog`].
+//! The figure statistics are methods of [`LogIndex`]; [`basic_stats`]
+//! reads only a log's header and file table.  The record vector itself is
+//! read by the index build and by three consumers outside the paper's
+//! figures: [`population`], [`cointerest`] and the popularity join of
+//! [`cross_validate`].
 
 pub mod cointerest;
 pub mod distinct;
@@ -37,20 +43,17 @@ pub mod timeseries;
 pub mod toppeer;
 
 pub use cointerest::{co_interest, peer_degree_histogram, CoInterestStats, FilePairEdge};
-pub use distinct::{file_growth, peer_growth, peer_growth_filtered, PeerGrowth};
+pub use distinct::PeerGrowth;
 pub use index::{IndexBuilder, LogIndex};
 pub use population::{
     client_software, gini, honeypot_load_gini, id_status_breakdown, queries_per_peer_histogram,
     IdStatusBreakdown,
 };
 pub use server::{cross_validate, CrossValidation, ServerIndex, ServerIndexBuilder, Tolerance};
-pub use strategy::{distinct_peers_by_strategy, messages_by_strategy, StrategyComparison};
+pub use strategy::StrategyComparison;
 pub use subset::{
-    file_peer_counts, peer_sets_by_file, peer_sets_by_honeypot, popular_files, random_files,
-    subset_curve, subset_curve_sequential, PeerSet, SubsetPoint,
+    file_peer_counts, popular_files, random_files, subset_curve, PeerSet, SubsetPoint,
 };
 pub use table::{basic_stats, BasicStats};
-pub use timeseries::{first_event_ms, hourly_counts, HourlySeries};
-pub use toppeer::{
-    peer_series, plateaus, top_peer, top_peer_summary, top_peer_summary_indexed, TopPeerSummary,
-};
+pub use timeseries::HourlySeries;
+pub use toppeer::plateaus;

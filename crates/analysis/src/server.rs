@@ -20,7 +20,8 @@
 //! [`honeypot::ServerLogReader`], never materialising the capture) and its
 //! accumulation is chunking-insensitive (min / add / max only).
 //! [`cross_validate`] joins the finished [`ServerIndex`] against a
-//! honeypot [`MeasurementLog`] of the same run and scores the agreement;
+//! honeypot [`MeasurementLog`] of the same run (and its [`LogIndex`]) and
+//! scores the agreement;
 //! [`Tolerance`] holds the documented acceptance thresholds the CI smoke
 //! gate enforces.
 
@@ -33,9 +34,8 @@ use honeypot::{IpHash, MeasurementLog, ServerRecord, SERVER_PEER_SESSION_BASE};
 use netsim::time::{MS_PER_DAY, MS_PER_HOUR};
 use netsim::SimTime;
 
-use crate::distinct::peer_growth;
-use crate::index::{cumulate, new_per_bucket, NEVER};
-use crate::timeseries::{hourly_counts, HourlySeries};
+use crate::index::{cumulate, new_per_bucket, LogIndex, NEVER};
+use crate::timeseries::HourlySeries;
 
 /// Number of server query kinds.
 const SERVER_KINDS: usize = SERVER_QUERY_KINDS.len();
@@ -286,10 +286,17 @@ impl Tolerance {
 }
 
 /// Scores the agreement between a server capture and the honeypot
-/// measurement of the same run.
-pub fn cross_validate(server: &ServerIndex, log: &MeasurementLog) -> CrossValidation {
-    let hp_growth = peer_growth(log);
-    let hp_hourly = hourly_counts(log, honeypot::QueryKind::Hello);
+/// measurement of the same run.  The discovery curve and the hourly HELLO
+/// series come from `ix`, the index of `log`; the popularity join reads
+/// `log`'s records and shared lists directly, because it keys files by
+/// [`FileId`] over every observation, which the index does not keep.
+pub fn cross_validate(
+    server: &ServerIndex,
+    log: &MeasurementLog,
+    ix: &LogIndex,
+) -> CrossValidation {
+    let hp_growth = ix.peer_growth();
+    let hp_hourly = ix.hourly_counts(honeypot::QueryKind::Hello);
 
     // Per-file honeypot popularity, keyed by FileId through the log's
     // file table for the join: download-path queries (the files the
@@ -538,7 +545,7 @@ mod tests {
                 payload: 1,
             });
         }
-        let cv = cross_validate(&b.finish(), &log);
+        let cv = cross_validate(&b.finish(), &log, &LogIndex::build(&log));
         assert_eq!(cv.server_peers, 3);
         assert_eq!(cv.honeypot_peers, 2);
         assert!((cv.peer_coverage - 2.0 / 3.0).abs() < 1e-9);

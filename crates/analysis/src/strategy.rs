@@ -5,8 +5,7 @@
 //! the number of distinct peers having sent HELLO (Fig. 5) and START-UPLOAD
 //! (Fig. 6), and the cumulative number of REQUEST-PART messages (Fig. 7).
 
-use honeypot::{AnonPeerId, ContentStrategy, HoneypotId, MeasurementLog, QueryKind};
-use netsim::metrics::{BucketSeries, FirstSeen};
+use honeypot::{ContentStrategy, QueryKind};
 use netsim::time::MS_PER_DAY;
 
 use crate::index::{cumulate, new_per_bucket, LogIndex};
@@ -37,51 +36,9 @@ impl StrategyComparison {
     }
 }
 
-fn group_of(log: &MeasurementLog, hp: HoneypotId) -> ContentStrategy {
-    log.honeypots[hp.0 as usize].content
-}
-
-fn days_of(log: &MeasurementLog) -> usize {
-    log.duration.as_millis().div_ceil(MS_PER_DAY).max(1) as usize
-}
-
-/// Distinct peers having sent `kind` to each group, cumulative per day
-/// (Figs. 5 and 6).
-pub fn distinct_peers_by_strategy(log: &MeasurementLog, kind: QueryKind) -> StrategyComparison {
-    let mut rc: FirstSeen<AnonPeerId> = FirstSeen::new();
-    let mut nc: FirstSeen<AnonPeerId> = FirstSeen::new();
-    for r in log.records_of(kind) {
-        match group_of(log, r.honeypot) {
-            ContentStrategy::RandomContent => rc.observe(r.peer, r.at),
-            ContentStrategy::NoContent => nc.observe(r.peer, r.at),
-        };
-    }
-    let days = days_of(log);
-    StrategyComparison {
-        random_content: rc.cumulative_per_bucket(MS_PER_DAY, days),
-        no_content: nc.cumulative_per_bucket(MS_PER_DAY, days),
-    }
-}
-
-/// Total messages of `kind` received by each group, cumulative per day
-/// (Fig. 7 with `QueryKind::RequestPart`).
-pub fn messages_by_strategy(log: &MeasurementLog, kind: QueryKind) -> StrategyComparison {
-    let mut rc = BucketSeries::daily();
-    let mut nc = BucketSeries::daily();
-    for r in log.records_of(kind) {
-        match group_of(log, r.honeypot) {
-            ContentStrategy::RandomContent => rc.record(r.at),
-            ContentStrategy::NoContent => nc.record(r.at),
-        }
-    }
-    let days = days_of(log);
-    StrategyComparison { random_content: rc.cumulative(days), no_content: nc.cumulative(days) }
-}
-
-/// Index-backed equivalents of this module's scans; asserted equal to the
-/// direct functions in `tests/index_equivalence.rs`.
 impl LogIndex {
-    /// Indexed [`distinct_peers_by_strategy`].
+    /// Distinct peers having sent `kind` to each group, cumulative per day
+    /// (Figs. 5 and 6).
     pub fn distinct_peers_by_strategy(&self, kind: QueryKind) -> StrategyComparison {
         let days = self.days();
         let per_group = |s: ContentStrategy| {
@@ -93,7 +50,8 @@ impl LogIndex {
         }
     }
 
-    /// Indexed [`messages_by_strategy`].
+    /// Total messages of `kind` received by each group, cumulative per day
+    /// (Fig. 7 with `QueryKind::RequestPart`).
     pub fn messages_by_strategy(&self, kind: QueryKind) -> StrategyComparison {
         StrategyComparison {
             random_content: cumulate(self.daily_padded(ContentStrategy::RandomContent, kind)),
@@ -119,7 +77,7 @@ mod tests {
             (1, QueryKind::Hello, 1, SimTime::from_hours(3)), // rc
             (1, QueryKind::Hello, 1, SimTime::from_hours(40)), // repeat, day 1
         ]);
-        let c = distinct_peers_by_strategy(&log, QueryKind::Hello);
+        let c = LogIndex::build(&log).distinct_peers_by_strategy(QueryKind::Hello);
         assert_eq!(c.no_content, vec![1, 1, 1]);
         assert_eq!(c.random_content, vec![2, 2, 2], "repeat contact not double-counted");
         assert_eq!(c.finals(), (2, 1));
@@ -135,7 +93,7 @@ mod tests {
             (0, QueryKind::RequestPart, 1, SimTime::from_hours(31)),
             (0, QueryKind::RequestPart, 1, SimTime::from_hours(60)),
         ]);
-        let c = messages_by_strategy(&log, QueryKind::RequestPart);
+        let c = LogIndex::build(&log).messages_by_strategy(QueryKind::RequestPart);
         assert_eq!(c.no_content, vec![1, 2, 2]);
         assert_eq!(c.random_content, vec![0, 2, 3]);
     }
@@ -146,14 +104,13 @@ mod tests {
             (0, QueryKind::Hello, 1, SimTime::from_hours(1)),
             (1, QueryKind::StartUpload, 1, SimTime::from_hours(1)),
         ]);
-        let c = distinct_peers_by_strategy(&log, QueryKind::StartUpload);
+        let c = LogIndex::build(&log).distinct_peers_by_strategy(QueryKind::StartUpload);
         assert_eq!(c.finals(), (1, 0));
     }
 
     #[test]
     fn empty_log_yields_flat_series() {
-        let log = synthetic_log(&[]);
-        let c = distinct_peers_by_strategy(&log, QueryKind::Hello);
+        let c = LogIndex::build(&synthetic_log(&[])).distinct_peers_by_strategy(QueryKind::Hello);
         assert_eq!(c.finals(), (0, 0));
         assert!(!c.random_wins());
         assert_eq!(c.no_content.len(), 3);

@@ -10,7 +10,6 @@
 //! permutation's n-prefix is a uniformly random n-subset).  Permutations
 //! run in parallel on `netsim::par`.
 
-use honeypot::{MeasurementLog, QueryKind};
 use netsim::Rng;
 
 /// A set of peers as a fixed-width bitset.
@@ -50,10 +49,6 @@ impl PeerSet {
         }
         count
     }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
 }
 
 /// One point of a subset curve.
@@ -83,7 +78,6 @@ pub fn subset_curve(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPo
         for &idx in &order {
             sizes.push(acc.union_with(&sets[idx]));
         }
-        acc.clear();
         sizes
     });
 
@@ -96,63 +90,6 @@ pub fn subset_curve(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPo
             SubsetPoint { n: i + 1, avg: sum as f64 / samples as f64, min, max }
         })
         .collect()
-}
-
-/// Sequential reference implementation of [`subset_curve`] (same
-/// permutation trick, one thread) — the cross-check in tests.
-pub fn subset_curve_sequential(sets: &[PeerSet], samples: usize, seed: u64) -> Vec<SubsetPoint> {
-    if sets.is_empty() || samples == 0 {
-        return Vec::new();
-    }
-    let universe_words = sets[0].words.len();
-    let mut per_permutation: Vec<Vec<u64>> = Vec::with_capacity(samples);
-    for s in 0..samples {
-        let mut rng = Rng::seed_from(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut order: Vec<usize> = (0..sets.len()).collect();
-        rng.shuffle(&mut order);
-        let mut acc = PeerSet { words: vec![0; universe_words] };
-        let mut sizes = Vec::with_capacity(sets.len());
-        for &idx in &order {
-            sizes.push(acc.union_with(&sets[idx]));
-        }
-        per_permutation.push(sizes);
-    }
-    (0..sets.len())
-        .map(|i| {
-            let values = per_permutation.iter().map(|p| p[i]);
-            let min = values.clone().min().expect("samples > 0");
-            let max = values.clone().max().expect("samples > 0");
-            let sum: u64 = values.sum();
-            SubsetPoint { n: i + 1, avg: sum as f64 / samples as f64, min, max }
-        })
-        .collect()
-}
-
-/// Per-honeypot distinct-peer sets (any query kind), for Fig. 10.
-pub fn peer_sets_by_honeypot(log: &MeasurementLog) -> Vec<PeerSet> {
-    let universe = log.distinct_peers as usize;
-    let mut sets: Vec<PeerSet> = (0..log.honeypots.len()).map(|_| PeerSet::new(universe)).collect();
-    for r in &log.records {
-        sets[r.honeypot.0 as usize].insert(r.peer.0);
-    }
-    sets
-}
-
-/// Per-file distinct-peer sets over the files peers actually queried
-/// (START-UPLOAD), for Figs. 11–12.  Returns `(file_idx, set)` pairs.
-pub fn peer_sets_by_file(log: &MeasurementLog) -> Vec<(u32, PeerSet)> {
-    use std::collections::HashMap;
-    let universe = log.distinct_peers as usize;
-    let mut by_file: HashMap<u32, PeerSet> = HashMap::new();
-    for r in log.records_of(QueryKind::StartUpload) {
-        if r.file != honeypot::log::FILE_NONE {
-            by_file.entry(r.file).or_insert_with(|| PeerSet::new(universe)).insert(r.peer.0);
-        }
-    }
-    let mut out: Vec<(u32, PeerSet)> = by_file.into_iter().collect();
-    // Deterministic order (HashMap iteration is not).
-    out.sort_by_key(|(f, _)| *f);
-    out
 }
 
 /// Selects the Fig. 11 *random-files* sample: `k` files drawn uniformly
@@ -184,6 +121,8 @@ pub fn file_peer_counts(sets: &[(u32, PeerSet)]) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::testutil::synthetic_log;
+    use crate::LogIndex;
+    use honeypot::QueryKind;
     use netsim::SimTime;
 
     #[test]
@@ -236,8 +175,8 @@ mod tests {
             c.insert(i * 3);
         }
         let sets = [a, b, c];
-        let seq = subset_curve_sequential(&sets, 20, 5);
-        for workers in [1, 2, 8] {
+        let seq = netsim::par::with_workers(1, || subset_curve(&sets, 20, 5));
+        for workers in [2, 8] {
             let par = netsim::par::with_workers(workers, || subset_curve(&sets, 20, 5));
             assert_eq!(par.len(), seq.len());
             for (p, s) in par.iter().zip(&seq) {
@@ -275,7 +214,8 @@ mod tests {
             (1, QueryKind::Hello, 0, SimTime::from_hours(1)),
             (1, QueryKind::Hello, 1, SimTime::from_hours(1)),
         ]);
-        let sets = peer_sets_by_honeypot(&log);
+        let ix = LogIndex::build(&log);
+        let sets = ix.honeypot_peer_sets();
         assert_eq!(sets.len(), 2);
         assert_eq!(sets[0].count(), 2);
         assert_eq!(sets[1].count(), 1);
@@ -289,7 +229,8 @@ mod tests {
             (2, QueryKind::Hello, 0, SimTime::from_hours(1)), // no file
             (2, QueryKind::RequestPart, 0, SimTime::from_hours(1)), // file 0, but not SU
         ]);
-        let sets = peer_sets_by_file(&log);
+        let ix = LogIndex::build(&log);
+        let sets = ix.file_peer_sets();
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].0, 0);
         assert_eq!(sets[0].1.count(), 2);

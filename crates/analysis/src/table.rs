@@ -2,7 +2,6 @@
 
 use honeypot::MeasurementLog;
 
-use crate::distinct::peer_growth;
 use crate::index::LogIndex;
 
 /// One column of the paper's Table I.
@@ -24,7 +23,8 @@ impl BasicStats {
     }
 }
 
-/// Computes the Table I column for a measurement.
+/// Computes the Table I column for a measurement from its header fields
+/// and file table (no record is read).
 pub fn basic_stats(log: &MeasurementLog) -> BasicStats {
     BasicStats {
         honeypots: log.honeypots.len(),
@@ -36,15 +36,9 @@ pub fn basic_stats(log: &MeasurementLog) -> BasicStats {
     }
 }
 
-/// Sanity: `distinct_peers` must agree with a full scan (used by tests and
-/// the experiment runner's self-check).
-pub fn recount_distinct_peers(log: &MeasurementLog) -> u64 {
-    peer_growth(log).total()
-}
-
 impl LogIndex {
-    /// Indexed [`recount_distinct_peers`] — the runner's self-check without
-    /// the extra record scan.
+    /// Distinct peers counted from the records — the experiment runner's
+    /// self-check against the header's `distinct_peers`.
     pub fn recount_distinct_peers(&self) -> u64 {
         self.peer_growth().total()
     }
@@ -69,7 +63,7 @@ mod tests {
         assert!((s.duration_days - 3.0).abs() < 1e-9);
         assert_eq!(s.shared_files, 4);
         assert_eq!(s.distinct_files, 3);
-        assert_eq!(recount_distinct_peers(&log), 2);
+        assert_eq!(LogIndex::build(&log).recount_distinct_peers(), 2);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Hourly message-volume series (paper Fig. 4: HELLO messages per hour over
 //! the first week, exhibiting the day-night oscillation).
 
-use honeypot::{MeasurementLog, QueryKind};
-use netsim::metrics::BucketSeries;
-use netsim::time::MS_PER_HOUR;
+use honeypot::QueryKind;
 
 use crate::index::LogIndex;
 
@@ -14,14 +12,6 @@ pub struct HourlySeries {
 }
 
 impl HourlySeries {
-    /// Restricts to the first `hours` buckets (Fig. 4 plots 168 h).
-    pub fn first_hours(&self, hours: usize) -> Vec<u64> {
-        let mut v = self.counts.clone();
-        v.truncate(hours);
-        v.resize(hours.min(v.len().max(hours)), 0);
-        v
-    }
-
     /// Ratio between the mean of the daily maxima and the mean of the
     /// daily minima — the strength of the day/night oscillation.
     pub fn day_night_ratio(&self) -> f64 {
@@ -43,38 +33,20 @@ impl HourlySeries {
         }
     }
 
-    /// Time (in ms from start) of the first non-empty bucket's first event
-    /// is not recoverable from buckets; see [`first_event_ms`] instead.
+    /// Total count over all buckets.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 }
 
-/// Hourly counts of one message kind across the whole measurement.
-pub fn hourly_counts(log: &MeasurementLog, kind: QueryKind) -> HourlySeries {
-    let mut series = BucketSeries::hourly();
-    for r in log.records_of(kind) {
-        series.record(r.at);
-    }
-    let hours = log.duration.as_millis().div_ceil(MS_PER_HOUR).max(1) as usize;
-    HourlySeries { counts: series.to_vec(hours) }
-}
-
-/// Timestamp (ms) of the earliest record of the given kind — the paper
-/// notes its first query arrived ten minutes into the measurement.
-pub fn first_event_ms(log: &MeasurementLog, kind: QueryKind) -> Option<u64> {
-    log.records_of(kind).map(|r| r.at.as_millis()).min()
-}
-
-/// Index-backed equivalents of this module's scans; asserted equal to the
-/// direct functions in `tests/index_equivalence.rs`.
 impl LogIndex {
-    /// Indexed [`hourly_counts`].
+    /// Hourly counts of one message kind across the whole measurement.
     pub fn hourly_counts(&self, kind: QueryKind) -> HourlySeries {
         HourlySeries { counts: self.hourly_padded(kind) }
     }
 
-    /// Indexed [`first_event_ms`].
+    /// Timestamp (ms) of the earliest record of the given kind — the paper
+    /// notes its first query arrived ten minutes into the measurement.
     pub fn first_event_ms(&self, kind: QueryKind) -> Option<u64> {
         self.kind_first(kind)
     }
@@ -94,7 +66,7 @@ mod tests {
             (2, QueryKind::Hello, 0, SimTime::from_mins(70)),
             (3, QueryKind::StartUpload, 0, SimTime::from_mins(20)),
         ]);
-        let s = hourly_counts(&log, QueryKind::Hello);
+        let s = LogIndex::build(&log).hourly_counts(QueryKind::Hello);
         assert_eq!(s.counts[0], 2);
         assert_eq!(s.counts[1], 1);
         assert_eq!(s.total(), 3, "START-UPLOAD not counted");
@@ -103,12 +75,12 @@ mod tests {
 
     #[test]
     fn first_event_found() {
-        let log = synthetic_log(&[
+        let ix = LogIndex::build(&synthetic_log(&[
             (0, QueryKind::Hello, 0, SimTime::from_mins(10)),
             (1, QueryKind::Hello, 0, SimTime::from_mins(5)),
-        ]);
-        assert_eq!(first_event_ms(&log, QueryKind::Hello), Some(300_000));
-        assert_eq!(first_event_ms(&log, QueryKind::RequestPart), None);
+        ]));
+        assert_eq!(ix.first_event_ms(QueryKind::Hello), Some(300_000));
+        assert_eq!(ix.first_event_ms(QueryKind::RequestPart), None);
     }
 
     #[test]
@@ -122,13 +94,5 @@ mod tests {
         assert!((flat.day_night_ratio() - 1.0).abs() < 1e-9);
         let short = HourlySeries { counts: vec![5; 10] };
         assert_eq!(short.day_night_ratio(), 1.0, "under a day: no ratio");
-    }
-
-    #[test]
-    fn first_hours_truncates() {
-        let s = HourlySeries { counts: (0..100u64).collect() };
-        let week = s.first_hours(24);
-        assert_eq!(week.len(), 24);
-        assert_eq!(week[23], 23);
     }
 }

@@ -105,20 +105,7 @@ fn main() {
     );
 
     let t_phase = Instant::now();
-    let artefacts: Vec<(&str, figures::Artefact)> = vec![
-        ("table1", figures::table1(&dist, &greedy)),
-        ("fig02", figures::fig_growth(&dist_ix, 2)),
-        ("fig03", figures::fig_growth(&greedy_ix, 3)),
-        ("fig04", figures::fig04(&dist_ix)),
-        ("fig05", figures::fig05(&dist_ix)),
-        ("fig06", figures::fig06(&dist_ix)),
-        ("fig07", figures::fig07(&dist_ix)),
-        ("fig08", figures::fig_top_peer(&dist, &dist_ix, 8)),
-        ("fig09", figures::fig_top_peer(&dist, &dist_ix, 9)),
-        ("fig10", figures::fig10(&dist_ix, opts.samples, opts.seed)),
-        ("fig11", figures::fig_files(&greedy_ix, 11, opts.samples, opts.seed)),
-        ("fig12", figures::fig_files(&greedy_ix, 12, opts.samples, opts.seed)),
-    ];
+    let artefacts = figures::all(&dist, &greedy, &dist_ix, &greedy_ix, opts.samples, opts.seed);
     eprintln!("[all] phase figures: {:.2}s", t_phase.elapsed().as_secs_f64());
 
     for (_, a) in &artefacts {

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use edonkey_analysis::{cross_validate, ServerIndexBuilder, Tolerance};
+use edonkey_analysis::{cross_validate, LogIndex, ServerIndexBuilder, Tolerance};
 use edonkey_experiments::scenarios;
 use edonkey_sim::run_scenario_with_capture;
 use honeypot::ServerLogReader;
@@ -146,7 +146,8 @@ fn main() {
 
     // The cross-validation figures: the same run seen from the server and
     // from the honeypots.
-    let cv = cross_validate(&server_ix, &run.output.log);
+    let log = &run.output.log;
+    let cv = cross_validate(&server_ix, log, &LogIndex::build(log));
     println!("server-side capture, {} simulated days @ scale {scale}", days);
     println!("  server records        {}", server_ix.records);
     println!("  compressed            {:.2} B/record", stats.bytes_per_record());

@@ -7,7 +7,7 @@
 //! ```
 
 use edonkey_analysis::report::{ascii_table, format_count};
-use edonkey_analysis::{basic_stats, file_peer_counts, peer_sets_by_file};
+use edonkey_analysis::{basic_stats, file_peer_counts, LogIndex};
 use edonkey_experiments::targeted::{targeted, Coordination};
 use edonkey_experiments::Options;
 use edonkey_sim::run_scenario;
@@ -26,8 +26,7 @@ fn main() {
         );
         let out = run_scenario(config);
         let stats = basic_stats(&out.log);
-        let sets = peer_sets_by_file(&out.log);
-        let counts = file_peer_counts(&sets);
+        let counts = file_peer_counts(LogIndex::build(&out.log).file_peer_sets());
         let covered = counts.iter().filter(|&&c| c > 0).count();
         rows.push(vec![
             strategy.label().to_string(),

@@ -111,7 +111,7 @@ pub fn targeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edonkey_analysis::{peer_sets_by_file, subset_curve};
+    use edonkey_analysis::{subset_curve, LogIndex};
     use edonkey_sim::run_scenario;
 
     #[test]
@@ -171,7 +171,8 @@ mod tests {
         // Every queried file is one of the targets.
         let catalog_targets: std::collections::HashSet<u32> = info.files.iter().copied().collect();
         assert!(!catalog_targets.is_empty());
-        let sets = peer_sets_by_file(&out.log);
+        let ix = LogIndex::build(&out.log);
+        let sets = ix.file_peer_sets();
         assert!(!sets.is_empty());
         // Coverage keeps growing with more target files (the paper's
         // conclusion that bigger target sets pay off).

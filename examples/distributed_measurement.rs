@@ -11,9 +11,7 @@
 //! ```
 
 use edonkey_honeypots::analysis::report::format_count;
-use edonkey_honeypots::analysis::{
-    distinct_peers_by_strategy, hourly_counts, messages_by_strategy, peer_growth,
-};
+use edonkey_honeypots::analysis::LogIndex;
 use edonkey_honeypots::experiments::{Measurement, Options};
 use edonkey_honeypots::platform::QueryKind;
 
@@ -24,18 +22,18 @@ fn main() {
         // intentional via the dedicated experiment binaries.
         opts.scale = 0.05;
     }
-    let log = opts.run(Measurement::Distributed);
+    let ix = LogIndex::build(&opts.run(Measurement::Distributed));
 
-    let growth = peer_growth(&log);
+    let growth = ix.peer_growth();
     println!(
         "distinct peers: {} (last-5-day rate {:.0}/day)",
         format_count(growth.total()),
         growth.tail_rate(5)
     );
 
-    let hello = distinct_peers_by_strategy(&log, QueryKind::Hello);
-    let upload = distinct_peers_by_strategy(&log, QueryKind::StartUpload);
-    let parts = messages_by_strategy(&log, QueryKind::RequestPart);
+    let hello = ix.distinct_peers_by_strategy(QueryKind::Hello);
+    let upload = ix.distinct_peers_by_strategy(QueryKind::StartUpload);
+    let parts = ix.messages_by_strategy(QueryKind::RequestPart);
     println!("\nstrategy comparison (random-content vs no-content):");
     println!("  distinct HELLO peers:        {:>9} vs {:>9}", hello.finals().0, hello.finals().1);
     println!("  distinct START-UPLOAD peers: {:>9} vs {:>9}", upload.finals().0, upload.finals().1);
@@ -45,6 +43,6 @@ fn main() {
         if hello.random_wins() { "wins" } else { "does NOT win" }
     );
 
-    let hourly = hourly_counts(&log, QueryKind::Hello);
+    let hourly = ix.hourly_counts(QueryKind::Hello);
     println!("\nday/night ratio of HELLO arrivals: {:.1}×", hourly.day_night_ratio());
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use edonkey_honeypots::analysis::report::{format_bytes, format_count};
-use edonkey_honeypots::analysis::{basic_stats, file_peer_counts, peer_growth, peer_sets_by_file};
+use edonkey_honeypots::analysis::{basic_stats, file_peer_counts, LogIndex};
 use edonkey_honeypots::experiments::{Measurement, Options};
 
 fn main() {
@@ -29,14 +29,14 @@ fn main() {
         format_bytes(stats.distinct_files_bytes)
     );
 
-    let growth = peer_growth(&log);
+    let ix = LogIndex::build(&log);
+    let growth = ix.peer_growth();
     println!("\nnew peers per day (note the day-1 initialisation dip, paper Fig. 3):");
     for (day, n) in growth.new_per_day.iter().enumerate() {
         println!("  day {day:>2}: {}", format_count(*n));
     }
 
-    let sets = peer_sets_by_file(&log);
-    let counts = file_peer_counts(&sets);
+    let counts = file_peer_counts(ix.file_peer_sets());
     println!(
         "\nper-file interest over {} queried files: best {}, median {}, worst {}",
         counts.len(),

@@ -6,7 +6,7 @@
 //! ```
 
 use edonkey_honeypots::analysis::report::{ascii_table, format_bytes, format_count};
-use edonkey_honeypots::analysis::{basic_stats, peer_growth};
+use edonkey_honeypots::analysis::{basic_stats, LogIndex};
 use edonkey_honeypots::platform::QueryKind;
 use edonkey_honeypots::sim::{run_scenario, ScenarioConfig};
 
@@ -34,7 +34,7 @@ fn main() {
     ];
     println!("{}", ascii_table(&["statistic", "value"], &rows));
 
-    let growth = peer_growth(&out.log);
+    let growth = LogIndex::build(&out.log).peer_growth();
     println!("peers per day: {:?}", growth.new_per_day);
     println!(
         "simulation: {} arrivals, {} sessions, {} detections",

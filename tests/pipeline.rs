@@ -1,9 +1,7 @@
 //! End-to-end integration tests of the full pipeline: simulated eDonkey
 //! world → honeypot platform → manager merge/anonymisation → analysis.
 
-use edonkey_honeypots::analysis::{
-    basic_stats, distinct_peers_by_strategy, peer_growth, peer_sets_by_honeypot, subset_curve,
-};
+use edonkey_honeypots::analysis::{basic_stats, subset_curve, LogIndex};
 use edonkey_honeypots::experiments::{Measurement, Options};
 use edonkey_honeypots::platform::QueryKind;
 use edonkey_honeypots::sim::{run_scenario, ScenarioConfig};
@@ -25,7 +23,7 @@ fn distributed_pipeline_end_to_end() {
     assert!(stats.distinct_files_bytes > 0);
 
     // Growth must be roughly linear: every day discovers new peers.
-    let growth = peer_growth(&log);
+    let growth = LogIndex::build(&log).peer_growth();
     assert_eq!(growth.cumulative.len(), 32);
     let active_days = growth.new_per_day.iter().filter(|&&n| n > 0).count();
     assert!(active_days >= 30, "peer discovery must continue: {active_days} active days");
@@ -33,16 +31,16 @@ fn distributed_pipeline_end_to_end() {
 
 #[test]
 fn strategy_gap_matches_paper_ordering() {
-    let log = small_opts(12).run(Measurement::Distributed);
+    let ix = LogIndex::build(&small_opts(12).run(Measurement::Distributed));
     // Paper §IV-B: random content sees at least as many distinct peers and
     // strictly more REQUEST-PARTs.
-    let hello = distinct_peers_by_strategy(&log, QueryKind::Hello);
+    let hello = ix.distinct_peers_by_strategy(QueryKind::Hello);
     let (rc, nc) = hello.finals();
     assert!(
         rc as f64 >= nc as f64 * 0.95,
         "random-content HELLO peers must not lose clearly: rc={rc} nc={nc}"
     );
-    let parts = edonkey_honeypots::analysis::messages_by_strategy(&log, QueryKind::RequestPart);
+    let parts = ix.messages_by_strategy(QueryKind::RequestPart);
     let (rc_p, nc_p) = parts.finals();
     assert!(rc_p > nc_p, "random content must attract more part requests: {rc_p} vs {nc_p}");
 }
@@ -50,9 +48,10 @@ fn strategy_gap_matches_paper_ordering() {
 #[test]
 fn honeypot_subset_curve_shows_diminishing_returns() {
     let log = small_opts(13).run(Measurement::Distributed);
-    let sets = peer_sets_by_honeypot(&log);
+    let ix = LogIndex::build(&log);
+    let sets = ix.honeypot_peer_sets();
     assert_eq!(sets.len(), 24);
-    let curve = subset_curve(&sets, 25, 99);
+    let curve = subset_curve(sets, 25, 99);
     // Monotone growth with diminishing marginal benefit between the first
     // and last steps (paper Fig. 10).
     for w in curve.windows(2) {
@@ -80,7 +79,7 @@ fn greedy_pipeline_adopts_and_freezes() {
     let stats = basic_stats(&log);
     assert!(stats.shared_files > 10, "greedy must adopt files on day 1: {}", stats.shared_files);
     // Day-1 initialisation: far fewer peers on day 0 than later (Fig. 3).
-    let growth = peer_growth(&log);
+    let growth = LogIndex::build(&log).peer_growth();
     let day0 = growth.new_per_day[0] as f64;
     let later: f64 = growth.new_per_day[2..8].iter().sum::<u64>() as f64 / 6.0;
     assert!(day0 < later * 0.6, "day-1 dip expected: day0 {day0}, later average {later}");

@@ -3,8 +3,7 @@
 //! reproduce?" tests — magnitudes shrink with `--scale`, shapes must not.
 
 use edonkey_honeypots::analysis::{
-    file_peer_counts, first_event_ms, hourly_counts, peer_growth, peer_series, peer_sets_by_file,
-    peer_sets_by_honeypot, popular_files, random_files, subset_curve, top_peer,
+    file_peer_counts, popular_files, random_files, subset_curve, LogIndex,
 };
 use edonkey_honeypots::experiments::{Measurement, Options};
 use edonkey_honeypots::platform::{MeasurementLog, QueryKind};
@@ -21,8 +20,7 @@ fn greedy() -> MeasurementLog {
 
 #[test]
 fn fig02_shape_linear_growth_without_saturation() {
-    let log = distributed();
-    let g = peer_growth(&log);
+    let g = LogIndex::build(&distributed()).peer_growth();
     let total = g.total() as f64;
     // Still discovering at the end (paper: >2,500/day after a month).
     assert!(g.tail_rate(5) > 0.01 * total, "discovery stalled: {:?}", g.new_per_day);
@@ -33,14 +31,14 @@ fn fig02_shape_linear_growth_without_saturation() {
 
 #[test]
 fn fig04_shape_day_night_oscillation_and_fast_first_query() {
-    let log = distributed();
-    let hourly = hourly_counts(&log, QueryKind::Hello);
+    let ix = LogIndex::build(&distributed());
+    let hourly = ix.hourly_counts(QueryKind::Hello);
     assert!(
         hourly.day_night_ratio() > 2.0,
         "day/night oscillation missing: ratio {}",
         hourly.day_night_ratio()
     );
-    let first = first_event_ms(&log, QueryKind::Hello).expect("some HELLO");
+    let first = ix.first_event_ms(QueryKind::Hello).expect("some HELLO");
     assert!(
         first < 60 * 60 * 1_000,
         "first query must arrive within the first hour (paper: 10 min), got {first} ms"
@@ -49,9 +47,8 @@ fn fig04_shape_day_night_oscillation_and_fast_first_query() {
 
 #[test]
 fn fig08_09_shape_top_peer_dominates_and_prefers_random_content() {
-    let log = distributed();
-    let top = top_peer(&log, QueryKind::StartUpload).expect("some top peer");
-    let series = peer_series(&log, top, QueryKind::StartUpload);
+    let ix = LogIndex::build(&distributed());
+    let (_, series) = ix.top_peer_series(QueryKind::StartUpload).expect("some top peer");
     let (rc, nc) = series.finals();
     // The robot sweeps both groups; pacing favours random content
     // (paper Fig. 8) — allow slack at small scale.
@@ -60,7 +57,7 @@ fn fig08_09_shape_top_peer_dominates_and_prefers_random_content() {
         rc as f64 > 0.8 * nc as f64,
         "random content must not pace behind silence: rc={rc}, nc={nc}"
     );
-    let parts = peer_series(&log, top, QueryKind::RequestPart);
+    let (_, parts) = ix.top_peer_series(QueryKind::RequestPart).expect("some top peer");
     let (rc_p, nc_p) = parts.finals();
     assert!(rc_p > nc_p, "REQUEST-PART pacing must favour random content: {rc_p} vs {nc_p}");
 }
@@ -76,14 +73,15 @@ fn fig10_shape_overlap_makes_each_added_honeypot_worth_less() {
     // lanes with no shared peers (the deleted sharded mode) read 1.00× and
     // 1.07× on the first two checks.
     let log = distributed();
-    let sets = peer_sets_by_honeypot(&log);
+    let ix = LogIndex::build(&log);
+    let sets = ix.honeypot_peer_sets();
     assert_eq!(sets.len(), 24);
     let counts: Vec<u64> = sets.iter().map(|s| s.count()).collect();
     let sum: u64 = counts.iter().sum();
     let union = u64::from(log.distinct_peers);
     assert!(sum >= 3 * union, "honeypots must share peers: sum {sum}, union {union}");
 
-    let curve = subset_curve(&sets, 20, 1);
+    let curve = subset_curve(sets, 20, 1);
     let gain = |n: usize| curve[n - 1].avg - curve[n - 2].avg;
     let (second, last) = (gain(2), gain(24));
     assert!(second >= 4.0 * last, "returns must diminish: 2nd adds {second}, 24th adds {last}");
@@ -99,12 +97,12 @@ fn fig10_shape_overlap_makes_each_added_honeypot_worth_less() {
 
 #[test]
 fn fig11_12_shape_popular_files_dominate_random_files() {
-    let log = greedy();
-    let sets = peer_sets_by_file(&log);
+    let ix = LogIndex::build(&greedy());
+    let sets = ix.file_peer_sets();
     assert!(sets.len() > 50, "greedy run must surface many queried files: {}", sets.len());
     let k = 30.min(sets.len());
-    let rnd = random_files(&sets, k, 9);
-    let pop = popular_files(&sets, k);
+    let rnd = random_files(sets, k, 9);
+    let pop = popular_files(sets, k);
     let rnd_curve = subset_curve(&rnd, 20, 1);
     let pop_curve = subset_curve(&pop, 20, 1);
     let rnd_final = rnd_curve.last().unwrap().avg;
@@ -114,7 +112,7 @@ fn fig11_12_shape_popular_files_dominate_random_files() {
         "popular files must attract clearly more peers: {pop_final} vs {rnd_final}"
     );
     // Per-file interest is heavy-tailed: best ≫ worst (paper: 13,373 vs 2).
-    let counts = file_peer_counts(&sets);
+    let counts = file_peer_counts(sets);
     let best = counts[0];
     let worst = *counts.last().unwrap();
     assert!(best >= 20 * worst.max(1), "per-file spread too flat: best {best}, worst {worst}");
