@@ -16,7 +16,7 @@
 //! callers need no validation pass of their own.
 //!
 //! Both directions move the fixed-stride sections (records, shared-list
-//! indices) a block of [`BLOCK_RECORDS`] records at a time: a few hundred
+//! indices) a block of `BLOCK_RECORDS` records at a time: a few hundred
 //! `read`/`write` calls per file, never the whole file in memory.
 
 use std::fs::File;

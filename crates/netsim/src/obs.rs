@@ -22,7 +22,7 @@
 //!    chaos-test failure the harness calls [`dump_all`] to ship every
 //!    live ring to a JSONL file — the crash comes with its own trace.
 //!
-//! The emit API is the [`obs_event!`] macro:
+//! The emit API is the [`obs_event!`](crate::obs_event!) macro:
 //!
 //! ```
 //! use netsim::obs::{self, Level};
@@ -333,7 +333,7 @@ pub fn contended_drops() -> usize {
     CONTENDED_DROPS.load(Ordering::Relaxed)
 }
 
-/// Records one event if `level` is enabled.  Prefer the [`obs_event!`]
+/// Records one event if `level` is enabled.  Prefer the [`obs_event!`](crate::obs_event!)
 /// macro, which builds the field array inline at the callsite.
 #[inline]
 pub fn record(

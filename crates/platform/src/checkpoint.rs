@@ -26,6 +26,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use edonkey_proto::control::crc32;
+use edonkey_proto::wire::{Reader, Writer};
+use edonkey_proto::ProtoError;
 
 use crate::diskfault::{DiskFaultKind, DiskFaults};
 
@@ -94,21 +96,22 @@ pub struct ManagerCheckpoint {
 impl ManagerCheckpoint {
     /// Serialises the snapshot (little-endian fields, CRC-32 trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9 + self.slots.len() * SLOT_BYTES);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(9 + self.slots.len() * SLOT_BYTES + 4);
+        w.bytes(&MAGIC);
+        w.u8(VERSION);
+        w.u32(self.slots.len() as u32);
         for s in &self.slots {
-            out.extend_from_slice(&s.expected_seq.to_le_bytes());
-            out.extend_from_slice(&s.next_incarnation.to_le_bytes());
-            out.extend_from_slice(&s.attempts.to_le_bytes());
-            out.push(s.goodbye as u8);
-            out.extend_from_slice(&s.relaunches.to_le_bytes());
-            out.extend_from_slice(&s.deaths.to_le_bytes());
-            out.extend_from_slice(&s.resumes.to_le_bytes());
-            out.extend_from_slice(&s.registrations.to_le_bytes());
-            out.extend_from_slice(&s.uptime_ms.to_le_bytes());
+            w.u64(s.expected_seq);
+            w.u32(s.next_incarnation);
+            w.u32(s.attempts);
+            w.u8(s.goodbye as u8);
+            w.u64(s.relaunches);
+            w.u64(s.deaths);
+            w.u64(s.resumes);
+            w.u64(s.registrations);
+            w.u64(s.uptime_ms);
         }
+        let mut out = w.into_bytes();
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
@@ -117,39 +120,34 @@ impl ManagerCheckpoint {
     /// Decodes a snapshot; `None` for anything torn, corrupt or from an
     /// unknown version — recovery then proceeds from the WAL alone.
     pub fn decode(data: &[u8]) -> Option<ManagerCheckpoint> {
-        if data.len() < 13 || data[..4] != MAGIC || data[4] != VERSION {
+        let (body, crc) = data.split_at_checked(data.len().checked_sub(4)?)?;
+        if crc32(body) != u32::from_le_bytes(crc.try_into().ok()?) {
             return None;
         }
-        let body_len = data.len() - 4;
-        let stored = u32::from_le_bytes(data[body_len..].try_into().ok()?);
-        if crc32(&data[..body_len]) != stored {
+        let mut r = Reader::new(body);
+        if r.take(MAGIC.len()).ok()? != MAGIC || r.u8().ok()? != VERSION {
             return None;
         }
-        let n = u32::from_le_bytes(data[5..9].try_into().ok()?) as usize;
-        let mut pos = 9usize;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            if pos + SLOT_BYTES > body_len {
-                return None;
-            }
-            let u64_at = |p: usize| u64::from_le_bytes(data[p..p + 8].try_into().unwrap());
-            let u32_at = |p: usize| u32::from_le_bytes(data[p..p + 4].try_into().unwrap());
-            slots.push(SlotCheckpoint {
-                expected_seq: u64_at(pos),
-                next_incarnation: u32_at(pos + 8),
-                attempts: u32_at(pos + 12),
-                goodbye: data[pos + 16] != 0,
-                relaunches: u64_at(pos + 17),
-                deaths: u64_at(pos + 25),
-                resumes: u64_at(pos + 33),
-                registrations: u64_at(pos + 41),
-                uptime_ms: u64_at(pos + 49),
-            });
-            pos += SLOT_BYTES;
-        }
-        if pos != body_len {
+        // The declared count is only trusted as far as the body backs it:
+        // a CRC-valid snapshot may still claim more slots than it holds.
+        let n = r.u32().ok()? as usize;
+        if n.checked_mul(SLOT_BYTES)? != r.remaining() {
             return None;
         }
+        let mut slot = || -> Result<SlotCheckpoint, ProtoError> {
+            Ok(SlotCheckpoint {
+                expected_seq: r.u64()?,
+                next_incarnation: r.u32()?,
+                attempts: r.u32()?,
+                goodbye: r.u8()? != 0,
+                relaunches: r.u64()?,
+                deaths: r.u64()?,
+                resumes: r.u64()?,
+                registrations: r.u64()?,
+                uptime_ms: r.u64()?,
+            })
+        };
+        let slots = (0..n).map(|_| slot()).collect::<Result<_, _>>().ok()?;
         Some(ManagerCheckpoint { slots })
     }
 }
@@ -281,6 +279,18 @@ mod tests {
             ManagerCheckpoint::decode(&ManagerCheckpoint::default().encode()),
             Some(ManagerCheckpoint::default())
         );
+    }
+
+    #[test]
+    fn a_slot_count_the_body_does_not_hold_is_rejected() {
+        // CRC-valid, 13 bytes, claiming u32::MAX slots: decode must say
+        // `None` without reserving room for them first.
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        assert_eq!(bytes.len(), 13);
+        assert_eq!(ManagerCheckpoint::decode(&bytes), None);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use edonkey_proto::control::{ControlDecoder, ControlEvent};
+use edonkey_proto::codec::FrameDecoder;
+use edonkey_proto::control::{ControlEvent, ControlFraming};
 use edonkey_proto::ProtoError;
 
 use crate::impair::{ImpairPlan, ImpairedLink};
@@ -77,22 +78,21 @@ impl ImpairShim {
 /// A framed control connection.
 pub struct ControlConn {
     stream: TcpStream,
-    decoder: ControlDecoder,
+    decoder: FrameDecoder<ControlFraming>,
     shim: Option<ImpairShim>,
 }
 
 impl ControlConn {
     /// Connects to a control endpoint.
     pub fn connect(addr: SocketAddr) -> std::io::Result<ControlConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(ControlConn { stream, decoder: ControlDecoder::new(), shim: None })
+        Ok(ControlConn::from_stream(TcpStream::connect(addr)?))
     }
 
     /// Wraps an accepted stream.
     pub fn from_stream(stream: TcpStream) -> ControlConn {
         stream.set_nodelay(true).ok();
-        ControlConn { stream, decoder: ControlDecoder::new(), shim: None }
+        let decoder = FrameDecoder::with_framing(ControlFraming::default());
+        ControlConn { stream, decoder, shim: None }
     }
 
     /// Installs a link-impairment shim on both directions.  `stream_id`
@@ -208,13 +208,20 @@ impl ControlConn {
         }
     }
 
-    /// Performs at most one socket read (bounded by the read timeout) and
-    /// returns every control event that completed.  An empty vector means
-    /// the timeout passed without a full frame — not an error.
+    /// Performs at most one socket read (bounded by the read timeout),
+    /// straight into the decoder — or into the inbound shim — and returns
+    /// every control event that completed.  An empty vector means the
+    /// timeout passed without a full frame — not an error.
     pub fn poll(&mut self) -> Result<Vec<ConnEvent>, ConnError> {
         self.pump_out().map_err(ConnError::Io)?;
-        let mut buf = [0u8; 16 * 1024];
-        match self.stream.read(&mut buf) {
+        let read = match &mut self.shim {
+            None => self.decoder.read_from(&mut self.stream),
+            Some(shim) => {
+                let now = shim.now_ms();
+                shim.inbound.read_from(now, &mut self.stream)
+            }
+        };
+        match read {
             Ok(0) => {
                 self.pump_in(true);
                 let events = self.drain()?;
@@ -223,22 +230,11 @@ impl ControlConn {
                 }
                 Ok(events)
             }
-            Ok(n) => {
-                match &mut self.shim {
-                    None => self.decoder.feed(&buf[..n]),
-                    Some(shim) => {
-                        let now = shim.now_ms();
-                        shim.inbound.admit(now, &buf[..n]);
-                    }
-                }
+            Err(e) if !would_block(&e) => Err(ConnError::Io(e)),
+            _ => {
                 self.pump_in(false);
                 self.drain()
             }
-            Err(e) if would_block(&e) => {
-                self.pump_in(false);
-                self.drain()
-            }
-            Err(e) => Err(ConnError::Io(e)),
         }
     }
 
@@ -262,10 +258,9 @@ impl ControlConn {
     fn drain(&mut self) -> Result<Vec<ConnEvent>, ConnError> {
         let mut events = Vec::new();
         loop {
-            match self.decoder.next_event() {
-                Ok(Some(ControlEvent::Frame(frame))) => {
-                    let msg = ControlMessage::decode(frame.opcode, &frame.payload)
-                        .map_err(ConnError::Proto)?;
+            match self.decoder.next_borrowed() {
+                Ok(Some(ControlEvent::Frame { opcode, payload })) => {
+                    let msg = ControlMessage::decode(opcode, payload).map_err(ConnError::Proto)?;
                     events.push(ConnEvent::Msg(msg));
                 }
                 Ok(Some(ControlEvent::Corrupt { opcode })) => {

@@ -3,7 +3,7 @@
 //! One TCP listener; agents connect and register.  Four concerns run in
 //! the daemon:
 //!
-//! * **transport** — a pool of reactor shards ([`crate::reactor`]) drives
+//! * **transport** — a pool of reactor shards (`crate::reactor`) drives
 //!   every connection non-blockingly from a handful of threads: the accept
 //!   loop (bounded by [`DaemonConfig::max_connections`], resilient to FD
 //!   exhaustion) deals fresh sockets round-robin to the shards, and each
@@ -62,7 +62,7 @@ use crate::impair::ImpairPlan;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::metrics::PlatformMetrics;
 use crate::obs::{self, Histogram, HistogramHandle, Registry};
-use crate::reactor::{CloseReason, Outbox, ReactorConn};
+use crate::reactor::{CloseReason, Outbox, ReactorConn, Session};
 use crate::retry::{Backoff, RetryPolicy};
 use crate::spool::Spool;
 use crate::transport::{classify_accept, AcceptError};
@@ -773,8 +773,6 @@ fn reactor_loop(
     merge_tx: Sender<MergeMsg>,
 ) {
     let mut conns: Vec<ReactorConn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut events: Vec<ControlEvent> = Vec::new();
     let mut latency = Histogram::new();
     let live_hist = Registry::global().histogram("reactor_loop_micros");
     let mut last_flush = Instant::now();
@@ -809,9 +807,8 @@ fn reactor_loop(
         let mut activity = false;
 
         for stream in lock(&injector).drain(..) {
-            match ReactorConn::adopt(stream) {
+            match ReactorConn::adopt(stream, inner.cfg.max_frame_bytes) {
                 Ok(mut conn) => {
-                    conn.decoder.set_max_payload(inner.cfg.max_frame_bytes);
                     if let Some(plan) = &inner.cfg.impair {
                         let id = inner.conn_counter.fetch_add(1, Ordering::SeqCst);
                         conn.set_impair(plan, id as u64);
@@ -826,14 +823,11 @@ fn reactor_loop(
         }
 
         for conn in conns.iter_mut() {
-            if conn.close.is_some() {
+            if conn.session.close.is_some() {
                 continue;
             }
-            if conn.read_events(&mut scratch, &mut events) {
+            if conn.read_events(|session, frame| handle_frame(&inner, session, frame, &merge_tx)) {
                 activity = true;
-            }
-            if !events.is_empty() {
-                process_events(&inner, conn, &mut events, &merge_tx);
             }
             reap_hostile(&inner, conn);
             conn.flush();
@@ -841,7 +835,7 @@ fn reactor_loop(
 
         let mut i = 0;
         while i < conns.len() {
-            if conns[i].close.is_some() {
+            if conns[i].session.close.is_some() {
                 let conn = conns.swap_remove(i);
                 close_conn(&inner, conn);
                 activity = true;
@@ -876,21 +870,21 @@ fn reactor_loop(
 /// * a partial frame older than the slow-loris budget — a peer trickling
 ///   one byte at a time never completes a frame, only pins memory.
 fn reap_hostile(inner: &Inner, conn: &mut ReactorConn) {
-    if conn.close.is_some() {
+    if conn.session.close.is_some() {
         return;
     }
     let cfg = &inner.cfg;
-    if conn.agent.is_none()
+    if conn.session.agent.is_none()
         && conn.opened.elapsed() > Duration::from_millis(cfg.handshake_timeout_ms)
     {
-        conn.close = Some(CloseReason::HandshakeTimeout);
+        conn.session.close = Some(CloseReason::HandshakeTimeout);
         return;
     }
     if cfg.idle_timeout_ms > 0
-        && conn.agent.is_some()
+        && conn.session.agent.is_some()
         && conn.last_read.elapsed() > Duration::from_millis(cfg.idle_timeout_ms)
     {
-        conn.close = Some(CloseReason::IdleTimeout);
+        conn.session.close = Some(CloseReason::IdleTimeout);
         return;
     }
     if cfg.slow_loris_timeout_ms > 0
@@ -898,7 +892,7 @@ fn reap_hostile(inner: &Inner, conn: &mut ReactorConn) {
             .partial_since
             .is_some_and(|t| t.elapsed() > Duration::from_millis(cfg.slow_loris_timeout_ms))
     {
-        conn.close = Some(CloseReason::SlowLoris);
+        conn.session.close = Some(CloseReason::SlowLoris);
     }
 }
 
@@ -914,73 +908,54 @@ fn flush_latency(inner: &Inner, batch: &mut Histogram, live: &HistogramHandle) {
     *batch = Histogram::new();
 }
 
-/// Handles one connection's decoded events.  Uploads (and corrupt upload
-/// frames) go to the merge queue in arrival order; everything else is
-/// answered inline through the outbox.
-fn process_events(
+/// Handles one frame while it is lent out of the connection's decoder.
+/// Uploads (and corrupt upload frames) go to the merge queue in arrival
+/// order; everything else is answered inline through the outbox.
+fn handle_frame(
     inner: &Inner,
-    conn: &mut ReactorConn,
-    events: &mut Vec<ControlEvent>,
+    session: &mut Session,
+    frame: ControlEvent<'_>,
     merge_tx: &Sender<MergeMsg>,
 ) {
-    // A close recorded by this pass's read (EOF behind the final bytes,
-    // or a decoder desync) must not discard frames decoded before it:
-    // TCP orders the hangup after the data, and on a single core an
-    // agent's last upload and its EOF routinely land in the same read
-    // pass.  Only a close taken *while* processing stops the rest.
-    let read_close = conn.close.take();
-    for ev in events.drain(..) {
-        if conn.close.is_some() {
-            continue;
-        }
-        if let Some(i) = conn.agent {
-            touch(inner, i);
-        }
-        match ev {
-            ControlEvent::Corrupt { opcode } => {
-                if opcode == opcodes::LOG_CHUNK {
-                    if let Some(i) = conn.agent {
-                        inner.merge_depth.fetch_add(1, Ordering::SeqCst);
-                        let _ = merge_tx
-                            .send(MergeMsg::CorruptChunk { agent: i, outbox: conn.outbox.clone() });
-                        continue;
-                    }
-                }
-                lock(&inner.metrics).corrupt_frames += 1;
-            }
-            ControlEvent::Frame(frame) => {
-                if frame.opcode == opcodes::LOG_CHUNK {
-                    handle_chunk_frame(inner, conn, frame.payload, merge_tx);
-                    continue;
-                }
-                match ControlMessage::decode(frame.opcode, &frame.payload) {
-                    Ok(msg) => handle_msg(inner, conn, msg),
-                    Err(_) => conn.close = Some(CloseReason::Protocol),
-                }
-            }
-        }
+    if let Some(i) = session.agent {
+        touch(inner, i);
     }
-    if conn.close.is_none() {
-        conn.close = read_close;
+    match frame {
+        ControlEvent::Corrupt { opcode } => {
+            if let (opcodes::LOG_CHUNK, Some(i)) = (opcode, session.agent) {
+                inner.merge_depth.fetch_add(1, Ordering::SeqCst);
+                let outbox = session.outbox.clone();
+                let _ = merge_tx.send(MergeMsg::CorruptChunk { agent: i, outbox });
+                return;
+            }
+            lock(&inner.metrics).corrupt_frames += 1;
+        }
+        ControlEvent::Frame { opcode: opcodes::LOG_CHUNK, payload } => {
+            handle_chunk_frame(inner, session, payload, merge_tx);
+        }
+        ControlEvent::Frame { opcode, payload } => match ControlMessage::decode(opcode, payload) {
+            Ok(msg) => handle_msg(inner, session, msg),
+            Err(_) => session.close = Some(CloseReason::Protocol),
+        },
     }
 }
 
-/// Decodes an upload frame once and queues it (with its raw payload, for
-/// the WAL) to the merge thread.
+/// Decodes an upload frame once and queues it (with a copy of its raw
+/// payload, for the WAL) to the merge thread.
 fn handle_chunk_frame(
     inner: &Inner,
-    conn: &mut ReactorConn,
-    payload: Vec<u8>,
+    session: &mut Session,
+    payload: &[u8],
     merge_tx: &Sender<MergeMsg>,
 ) {
     let Ok(ControlMessage::LogUpload { agent, seq, chunk }) =
-        ControlMessage::decode(opcodes::LOG_CHUNK, &payload)
+        ControlMessage::decode(opcodes::LOG_CHUNK, payload)
     else {
-        conn.close = Some(CloseReason::Protocol);
+        session.close = Some(CloseReason::Protocol);
         return;
     };
     let i = agent as usize;
-    if conn.agent != Some(i) {
+    if session.agent != Some(i) {
         return;
     }
     // Overload shed: at the merge-queue limit the chunk is dropped
@@ -1013,20 +988,20 @@ fn handle_chunk_frame(
         agent: i,
         seq,
         chunk,
-        payload,
-        outbox: conn.outbox.clone(),
+        payload: payload.to_vec(),
+        outbox: session.outbox.clone(),
         queued_at: Instant::now(),
     });
 }
 
 /// Inline handling of everything that is not an upload.
-fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
+fn handle_msg(inner: &Inner, session: &mut Session, msg: ControlMessage) {
     match msg {
         ControlMessage::Register { agent, incarnation: _, resume } => {
-            register_conn(inner, conn, agent, resume);
+            register_conn(inner, session, agent, resume);
         }
         ControlMessage::Heartbeat { seq, sent_micros, rtt_micros, flags, .. } => {
-            let Some(i) = conn.agent else { return };
+            let Some(i) = session.agent else { return };
             {
                 let mut metrics = lock(&inner.metrics);
                 metrics.agents[i].heartbeats += 1;
@@ -1052,10 +1027,12 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
                     seq = seq
                 );
             }
-            conn.outbox.push_msg(&ControlMessage::HeartbeatAck { seq, echo_micros: sent_micros });
+            session
+                .outbox
+                .push_msg(&ControlMessage::HeartbeatAck { seq, echo_micros: sent_micros });
         }
         ControlMessage::Status(report) => {
-            let Some(i) = conn.agent else { return };
+            let Some(i) = session.agent else { return };
             if matches!(report.status, HoneypotStatus::Connected { .. }) {
                 lock(&inner.slots)[i].backoff.reset();
             }
@@ -1064,11 +1041,11 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
             }
         }
         ControlMessage::Ready { peer_port, .. } => {
-            let Some(i) = conn.agent else { return };
+            let Some(i) = session.agent else { return };
             lock(&inner.slots)[i].peer_port = Some(peer_port);
         }
-        ControlMessage::Goodbye { .. } if conn.agent.is_some() => {
-            conn.close = Some(CloseReason::Goodbye);
+        ControlMessage::Goodbye { .. } if session.agent.is_some() => {
+            session.close = Some(CloseReason::Goodbye);
         }
         _ => {}
     }
@@ -1077,14 +1054,14 @@ fn handle_msg(inner: &Inner, conn: &mut ReactorConn, msg: ControlMessage) {
 /// Registration: adopt the connection for its agent (latest connection
 /// wins), answer with the resume point and the granted upload window,
 /// then push the full configuration.
-fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool) {
+fn register_conn(inner: &Inner, session: &mut Session, agent: u32, resume: bool) {
     let i = agent as usize;
     let now = Instant::now();
     let mut credit_ms = None;
     let (next_seq, config) = {
         let mut slots = lock(&inner.slots);
         let Some(slot) = slots.get_mut(i) else {
-            conn.close = Some(CloseReason::Gone);
+            session.close = Some(CloseReason::Gone);
             return;
         };
         // Latest connection wins; credit the previous registration.
@@ -1096,7 +1073,7 @@ fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool
         slot.registered = true;
         slot.last_activity = Some(now);
         slot.registered_at = Some(now);
-        slot.outbox = Some(conn.outbox.clone());
+        slot.outbox = Some(session.outbox.clone());
         (slot.expected_seq, slot.config.clone())
     };
     {
@@ -1109,7 +1086,7 @@ fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool
             metrics.agents[i].resumes += 1;
         }
     }
-    conn.agent = Some(i);
+    session.agent = Some(i);
     obs_event!(
         obs::Level::Info,
         "daemon",
@@ -1118,12 +1095,12 @@ fn register_conn(inner: &Inner, conn: &mut ReactorConn, agent: u32, resume: bool
         resume = resume,
         next_seq = next_seq
     );
-    conn.outbox.push_msg(&ControlMessage::RegisterAck {
+    session.outbox.push_msg(&ControlMessage::RegisterAck {
         agent,
         next_seq,
         window: effective_window(inner),
     });
-    conn.outbox.push_msg(&ControlMessage::ConfigPush(config));
+    session.outbox.push_msg(&ControlMessage::ConfigPush(config));
 }
 
 /// The upload window to grant right now: the configured window, shrunk
@@ -1147,22 +1124,23 @@ fn effective_window(inner: &Inner) -> u32 {
 /// Connection teardown bookkeeping: close out the registration if the
 /// connection still owns it, credit uptime, latch a clean goodbye.
 fn close_conn(inner: &Inner, conn: ReactorConn) {
+    let session = conn.session;
     inner.active_conns.fetch_sub(1, Ordering::SeqCst);
-    match conn.close {
+    match session.close {
         Some(CloseReason::HandshakeTimeout) => lock(&inner.metrics).handshake_timeouts += 1,
         Some(CloseReason::IdleTimeout) => lock(&inner.metrics).idle_reaped += 1,
         Some(CloseReason::SlowLoris) => lock(&inner.metrics).slow_loris_reaped += 1,
         Some(CloseReason::Protocol) => lock(&inner.metrics).protocol_violations += 1,
         _ => {}
     }
-    let Some(i) = conn.agent else { return };
-    let clean_goodbye = conn.close == Some(CloseReason::Goodbye);
+    let Some(i) = session.agent else { return };
+    let clean_goodbye = session.close == Some(CloseReason::Goodbye);
     let now = Instant::now();
     let mut credit_ms = None;
     {
         let mut slots = lock(&inner.slots);
         let slot = &mut slots[i];
-        let ours = slot.outbox.as_ref().is_some_and(|o| Arc::ptr_eq(o, &conn.outbox));
+        let ours = slot.outbox.as_ref().is_some_and(|o| Arc::ptr_eq(o, &session.outbox));
         if ours {
             if clean_goodbye {
                 slot.goodbye = true;

@@ -45,6 +45,7 @@
 //! drive a synthetic clock while the transport passes elapsed real time.
 
 use std::collections::VecDeque;
+use std::io::{self, Read};
 
 use netsim::rng::stream_seed;
 use netsim::Rng;
@@ -232,6 +233,15 @@ impl ImpairedLink {
             self.pending_bytes += chunk.len();
             self.queue.push_back(Packet { due_ms: due, bytes: chunk.to_vec() });
         }
+    }
+
+    /// Receives up to one packet from `src` with one `read` and admits
+    /// it.  Returns the byte count, 0 at end of stream.
+    pub fn read_from(&mut self, now_ms: u64, src: &mut impl Read) -> io::Result<usize> {
+        let mut packet = [0; IMPAIR_MTU];
+        let n = src.read(&mut packet)?;
+        self.admit(now_ms, &packet[..n]);
+        Ok(n)
     }
 
     /// Appends every byte due at or before `now_ms` to `out`; returns the

@@ -7,7 +7,7 @@
 //! service over TCP:
 //!
 //! * [`daemon::Daemon`] — the manager: a pool of non-blocking reactor
-//!   shards ([`reactor`], PR 6) multiplexes every agent connection —
+//!   shards (`reactor`, PR 6) multiplexes every agent connection —
 //!   registration, [`messages::AgentConfig`] pushes, heartbeats, chunk
 //!   ingest — from a handful of threads, a single merge thread streams
 //!   sequenced log chunks into the same [`honeypot::Manager`]
@@ -43,7 +43,7 @@
 //! modes on top: [`impair`] is a deterministic seeded link-damage shim
 //! (loss as retransmission stalls, duplication, reordering, delay,
 //! jitter, rate caps, partitions — same seed, same byte timeline)
-//! installed on both the blocking [`conn`] and nonblocking [`reactor`]
+//! installed on both the blocking [`conn`] and nonblocking `reactor`
 //! socket paths; [`diskfault`] is the injectable write-fault handle
 //! (ENOSPC / EIO / short write) the spool, WAL and checkpoint writers
 //! consult so disk death degrades the measurement visibly instead of

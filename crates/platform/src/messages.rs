@@ -2,14 +2,15 @@
 //!
 //! Frames on the wire are [`edonkey_proto::control`] envelopes (magic,
 //! version, opcode, length, CRC); this module defines what goes *inside*
-//! the payload for each opcode.  The encoding is a hand-rolled
-//! little-endian format in the style of the measurement-log storage
-//! (`honeypot::storage`): length-prefixed strings and vectors, fixed-width
-//! integers, explicit enum tags.  Nothing here depends on a serialisation
-//! framework, so the codec behaves identically under every build of the
-//! workspace.
+//! the payload for each opcode.  Payloads are written and read with the
+//! little-endian [`edonkey_proto::wire`] `Writer`/`Reader` the eDonkey
+//! messages use: u32-length-prefixed strict UTF-8 strings (`str32`),
+//! u32-counted vectors, fixed-width integers, explicit enum tags.  Nothing
+//! here depends on a serialisation framework, so the codec behaves
+//! identically under every build of the workspace.
 
 use edonkey_proto::control::opcodes;
+use edonkey_proto::wire::{Reader, Writer};
 use edonkey_proto::{ClientId, FileId, Ipv4, ProtoError};
 use honeypot::anonymize::IpHash;
 use honeypot::log::{FileTable, LogChunk, PackedQueryRecord, SharedLists, PACKED_RECORD_BYTES};
@@ -167,7 +168,7 @@ impl ControlMessage {
                 w.u64(*final_seq);
             }
         }
-        w.out
+        w.into_bytes()
     }
 
     /// Encodes the message as one complete control frame.
@@ -215,7 +216,7 @@ impl ControlMessage {
             opcodes::GOODBYE => ControlMessage::Goodbye { agent: r.u32()?, final_seq: r.u64()? },
             _ => return Err(ProtoError::UnknownOpcode { opcode, context: "control message" }),
         };
-        r.finish()?;
+        r.expect_end()?;
         Ok(msg)
     }
 }
@@ -232,7 +233,7 @@ fn put_config(w: &mut Writer, cfg: &AgentConfig) {
     w.u64(cfg.rng_seed);
     w.u64(cfg.heartbeat_ms);
     w.u64(cfg.collect_ms);
-    w.string(&cfg.client_name);
+    w.str32(&cfg.client_name);
 }
 
 fn get_config(r: &mut Reader) -> Result<AgentConfig, ProtoError> {
@@ -245,7 +246,7 @@ fn get_config(r: &mut Reader) -> Result<AgentConfig, ProtoError> {
         rng_seed: r.u64()?,
         heartbeat_ms: r.u64()?,
         collect_ms: r.u64()?,
-        client_name: r.string()?,
+        client_name: r.str32()?,
     })
 }
 
@@ -310,23 +311,23 @@ fn get_file_strategy(r: &mut Reader) -> Result<FileStrategy, ProtoError> {
 }
 
 fn put_advertised(w: &mut Writer, f: &AdvertisedFile) {
-    w.bytes16(&f.id.0);
-    w.string(&f.name);
+    w.hash(&f.id.0);
+    w.str32(&f.name);
     w.u64(f.size);
 }
 
 fn get_advertised(r: &mut Reader) -> Result<AdvertisedFile, ProtoError> {
-    Ok(AdvertisedFile { id: FileId(r.bytes16()?), name: r.string()?, size: r.u64()? })
+    Ok(AdvertisedFile { id: FileId(r.hash()?), name: r.str32()?, size: r.u64()? })
 }
 
 fn put_server(w: &mut Writer, s: &ServerInfo) {
-    w.string(&s.name);
+    w.str32(&s.name);
     w.u32(s.ip.0);
     w.u16(s.port);
 }
 
 fn get_server(r: &mut Reader) -> Result<ServerInfo, ProtoError> {
-    let name = r.string()?;
+    let name = r.str32()?;
     let ip = Ipv4(r.u32()?);
     let port = r.u16()?;
     Ok(ServerInfo { name, ip, port })
@@ -367,12 +368,12 @@ fn put_chunk(w: &mut Writer, chunk: &LogChunk) {
         // The packed storage form's wire serialisation is byte-identical
         // to the historical field-by-field encoding (pinned by the
         // `record_encoding_matches_packed_wire_layout` test below).
-        w.raw(&PackedQueryRecord::pack(rec).to_wire_bytes());
+        w.bytes(&PackedQueryRecord::pack(rec).to_wire_bytes());
     }
     w.u32(chunk.shared_lists.len() as u32);
     for l in chunk.shared_lists.iter() {
         w.u64(l.at.as_millis());
-        w.bytes16(&l.peer.0);
+        w.hash(&l.peer.0);
         w.u32(l.files.len() as u32);
         for &f in l.files {
             w.u32(f);
@@ -380,12 +381,12 @@ fn put_chunk(w: &mut Writer, chunk: &LogChunk) {
     }
     w.u32(chunk.peer_names.len() as u32);
     for n in &chunk.peer_names {
-        w.string(n);
+        w.str32(n);
     }
     w.u32(chunk.files.len() as u32);
     for i in 0..chunk.files.len() as u32 {
-        w.bytes16(&chunk.files.id(i).0);
-        w.string(chunk.files.name(i));
+        w.hash(&chunk.files.id(i).0);
+        w.str32(chunk.files.name(i));
         w.u64(chunk.files.size(i));
     }
 }
@@ -405,7 +406,7 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     let mut shared_lists = SharedLists::new();
     for _ in 0..n_lists {
         let at = SimTime::from_millis(r.u64()?);
-        let peer = IpHash(r.bytes16()?);
+        let peer = IpHash(r.hash()?);
         let n_files = r.u32()? as usize;
         shared_lists.begin(at, peer);
         for _ in 0..n_files {
@@ -415,7 +416,7 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     let n_names = r.u32()? as usize;
     let mut peer_names = Vec::with_capacity(n_names.min(1 << 20));
     for _ in 0..n_names {
-        peer_names.push(r.string()?);
+        peer_names.push(r.str32()?);
     }
     // Re-interning preserves table order only while ids are unique: a
     // repeated id would silently shorten the table and shift every later
@@ -423,8 +424,8 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     let mut files = FileTable::new();
     let n_files = r.u32()? as usize;
     for row in 0..n_files {
-        let id = FileId(r.bytes16()?);
-        let name = r.string()?;
+        let id = FileId(r.hash()?);
+        let name = r.str32()?;
         let size = r.u64()?;
         if files.intern(id, &name, size) as usize != row {
             return Err(ProtoError::Invalid("repeated file id in chunk table"));
@@ -437,90 +438,11 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     Ok(chunk)
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian primitives.
-
-struct Writer {
-    out: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { out: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes16(&mut self, v: &[u8; 16]) {
-        self.out.extend_from_slice(v);
-    }
-    fn raw(&mut self, v: &[u8]) {
-        self.out.extend_from_slice(v);
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.data.len() - self.pos < n {
-            return Err(ProtoError::Truncated("control payload"));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes16(&mut self) -> Result<[u8; 16], ProtoError> {
-        Ok(self.take(16)?.try_into().unwrap())
-    }
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Invalid("non-UTF-8 string"))
-    }
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::TrailingBytes(self.data.len() - self.pos))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edonkey_proto::codec::Framing;
+    use edonkey_proto::control::{ControlEvent, ControlFraming};
     use edonkey_proto::UserId;
     use honeypot::log::{QueryRecord, FILE_NONE};
     use honeypot::{HoneypotLog, HoneypotSpec, IdStatus, Manager, QueryKind};
@@ -631,21 +553,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn config_roundtrips_both_strategies() {
+    /// A `ConfigPush` for each `FileStrategy` arm.
+    fn config_pushes() -> [ControlMessage; 2] {
         let seeds = vec![
             AdvertisedFile::new(FileId::from_seed(b"a"), "a.avi", 100),
-            AdvertisedFile::new(FileId::from_seed(b"b"), "b.mp3", 5_000_000),
+            AdvertisedFile::new(FileId::from_seed(b"b"), "vacances été.mp3", 5_000_000),
         ];
-        for files in [
+        [
             FileStrategy::Fixed(seeds.clone()),
-            FileStrategy::Greedy {
-                seeds: seeds.clone(),
-                adopt_until: SimTime::from_hours(24),
-                max_files: 200,
-            },
-        ] {
-            let cfg = AgentConfig {
+            FileStrategy::Greedy { seeds, adopt_until: SimTime::from_hours(24), max_files: 200 },
+        ]
+        .map(|files| {
+            ControlMessage::ConfigPush(AgentConfig {
                 id: HoneypotId(4),
                 content: ContentStrategy::RandomContent,
                 files,
@@ -655,9 +574,114 @@ mod tests {
                 heartbeat_ms: 100,
                 collect_ms: 250,
                 client_name: "agent".into(),
-            };
-            let msg = ControlMessage::ConfigPush(cfg);
+            })
+        })
+    }
+
+    #[test]
+    fn config_roundtrips_both_strategies() {
+        for msg in config_pushes() {
             assert_eq!(roundtrip(&msg), msg);
+        }
+    }
+
+    /// Every variant but `LogUpload` (pinned by `PARENT_LOG_UPLOAD_FRAME`)
+    /// and the frame the build before the shared `proto::wire` codec put
+    /// on the wire for it.  A change to a field width or a string prefix
+    /// that encode and decode make together passes every round trip; it
+    /// fails here.
+    #[test]
+    fn every_variant_decodes_from_and_re_encodes_to_its_parent_frame() {
+        let [fixed, greedy] = config_pushes();
+        #[rustfmt::skip]
+        let pinned: [(ControlMessage, &[u8]); 14] = [
+            (ControlMessage::Register { agent: 3, incarnation: 2, resume: true }, &[
+                0xec, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01,
+                0x9d, 0x4b, 0x43, 0xd2,
+            ]),
+            (ControlMessage::RegisterAck { agent: 3, next_seq: 17, window: 32 }, &[
+                0xec, 0x02, 0x02, 0x10, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x0a, 0xf1, 0xfc, 0xf2,
+            ]),
+            (fixed, &[
+                0xec, 0x02, 0x03, 0x90, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x00,
+                0x00, 0xbd, 0xe5, 0x2c, 0xb3, 0x1d, 0xe3, 0x3e, 0x46, 0x24, 0x5e, 0x05, 0xfb, 0xdb, 0xd6, 0xfb,
+                0x24, 0x05, 0x00, 0x00, 0x00, 0x61, 0x2e, 0x61, 0x76, 0x69, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x7a, 0xea, 0xfc, 0xb2, 0x81, 0x8e, 0x53, 0x3b, 0x38, 0x44, 0x33, 0xde, 0xa8, 0x09,
+                0x92, 0xf5, 0x12, 0x00, 0x00, 0x00, 0x76, 0x61, 0x63, 0x61, 0x6e, 0x63, 0x65, 0x73, 0x20, 0xc3,
+                0xa9, 0x74, 0xc3, 0xa9, 0x2e, 0x6d, 0x70, 0x33, 0x40, 0x4b, 0x4c, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x04, 0x00, 0x00, 0x00, 0x6c, 0x69, 0x76, 0x65, 0x01, 0x00, 0x00, 0x7f, 0x1d, 0x16, 0xad, 0xde,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+                0x00, 0x00, 0x61, 0x67, 0x65, 0x6e, 0x74, 0x4b, 0x7a, 0x47, 0x57,
+            ]),
+            (greedy, &[
+                0xec, 0x02, 0x03, 0xa0, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x01, 0x02, 0x00, 0x00,
+                0x00, 0xbd, 0xe5, 0x2c, 0xb3, 0x1d, 0xe3, 0x3e, 0x46, 0x24, 0x5e, 0x05, 0xfb, 0xdb, 0xd6, 0xfb,
+                0x24, 0x05, 0x00, 0x00, 0x00, 0x61, 0x2e, 0x61, 0x76, 0x69, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x7a, 0xea, 0xfc, 0xb2, 0x81, 0x8e, 0x53, 0x3b, 0x38, 0x44, 0x33, 0xde, 0xa8, 0x09,
+                0x92, 0xf5, 0x12, 0x00, 0x00, 0x00, 0x76, 0x61, 0x63, 0x61, 0x6e, 0x63, 0x65, 0x73, 0x20, 0xc3,
+                0xa9, 0x74, 0xc3, 0xa9, 0x2e, 0x6d, 0x70, 0x33, 0x40, 0x4b, 0x4c, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x5c, 0x26, 0x05, 0x00, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x04, 0x00, 0x00, 0x00, 0x6c, 0x69, 0x76, 0x65, 0x01, 0x00, 0x00, 0x7f, 0x1d, 0x16, 0xad, 0xde,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+                0x00, 0x00, 0x61, 0x67, 0x65, 0x6e, 0x74, 0x5f, 0x74, 0xed, 0x31,
+            ]),
+            (ControlMessage::Heartbeat { agent: 1, seq: 9, sent_micros: 55, rtt_micros: 120, flags: heartbeat_flags::SPOOL_DEGRADED }, &[
+                0xec, 0x02, 0x10, 0x1d, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x37, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x78, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x01, 0x2c, 0x99, 0xcf, 0xc4,
+            ]),
+            (ControlMessage::HeartbeatAck { seq: 9, echo_micros: 55 }, &[
+                0xec, 0x02, 0x11, 0x10, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x37,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0x1f, 0xc8, 0xbe,
+            ]),
+            (ControlMessage::Status(StatusReport {
+                honeypot: HoneypotId(1),
+                at: SimTime::from_millis(77),
+                status: HoneypotStatus::Connected { client_id: ClientId(0x0A00_0001) },
+            }), &[
+                0xec, 0x02, 0x12, 0x11, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x0a, 0xe0, 0x6c, 0xe1, 0xd1,
+            ]),
+            (ControlMessage::Status(StatusReport {
+                honeypot: HoneypotId(1),
+                at: SimTime::from_millis(78),
+                status: HoneypotStatus::Dead,
+            }), &[
+                0xec, 0x02, 0x12, 0x0d, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x4e, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x03, 0x28, 0x16, 0xbb, 0x5d,
+            ]),
+            (ControlMessage::Ready { agent: 0, peer_port: 40123 }, &[
+                0xec, 0x02, 0x13, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbb, 0x9c, 0xbf, 0x09, 0x4a,
+                0x4f,
+            ]),
+            (ControlMessage::ChunkAck { next_seq: 4, window: 9 }, &[
+                0xec, 0x02, 0x21, 0x0c, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+                0x00, 0x00, 0x00, 0x9a, 0xb2, 0xdb, 0x05,
+            ]),
+            (ControlMessage::ChunkRetry { seq: 4 }, &[
+                0xec, 0x02, 0x22, 0x08, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x93,
+                0xd1, 0x68, 0xe1,
+            ]),
+            (ControlMessage::Relaunch, &[
+                0xec, 0x02, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            ]),
+            (ControlMessage::Shutdown, &[
+                0xec, 0x02, 0x31, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            ]),
+            (ControlMessage::Goodbye { agent: 2, final_seq: 8 }, &[
+                0xec, 0x02, 0x32, 0x0c, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x45, 0x43, 0x0b, 0x44,
+            ]),
+        ];
+        for (msg, frame) in pinned {
+            let (event, used) = ControlFraming::default().split(frame).unwrap();
+            assert_eq!(used, frame.len(), "{msg:?}");
+            let ControlEvent::Frame { opcode, payload } = event else { panic!("{msg:?}: CRC") };
+            assert_eq!(ControlMessage::decode(opcode, payload).unwrap(), msg);
+            assert_eq!(msg.encode_frame(), frame, "{msg:?}");
         }
     }
 
@@ -712,12 +736,13 @@ mod tests {
 
     #[test]
     fn frame_written_by_the_bitwise_crc_build_decodes_and_re_encodes_identically() {
-        use edonkey_proto::control::{decode_control_frame, ControlEvent};
-        let (event, used) = decode_control_frame(&PARENT_LOG_UPLOAD_FRAME).unwrap();
+        let (event, used) = ControlFraming::default().split(&PARENT_LOG_UPLOAD_FRAME).unwrap();
         assert_eq!(used, PARENT_LOG_UPLOAD_FRAME.len());
-        let ControlEvent::Frame(frame) = event else { panic!("old frame fails the table CRC") };
-        assert_eq!(frame.opcode, opcodes::LOG_CHUNK);
-        let got = ControlMessage::decode(frame.opcode, &frame.payload).unwrap();
+        let ControlEvent::Frame { opcode, payload } = event else {
+            panic!("old frame fails the table CRC")
+        };
+        assert_eq!(opcode, opcodes::LOG_CHUNK);
+        let got = ControlMessage::decode(opcode, payload).unwrap();
         let want = ControlMessage::LogUpload { agent: 2, seq: 5, chunk: sample_chunk() };
         assert_eq!(got.encode_payload(), want.encode_payload());
         assert_eq!(got.encode_frame(), PARENT_LOG_UPLOAD_FRAME);

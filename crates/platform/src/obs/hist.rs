@@ -2,7 +2,7 @@
 //! reactor shards, constant-time record, percentile read-out.
 //!
 //! Layout: values are bucketed by power-of-two decade (the position of
-//! the highest set bit) subdivided into [`SUBS`] linear sub-buckets —
+//! the highest set bit) subdivided into `SUBS` linear sub-buckets —
 //! the classic HDR-style log-linear scheme.  With `SUBS = 16` the
 //! relative quantile error is bounded by 1/16 ≈ 6%, plenty for p50/p99
 //! operational latencies, while the whole histogram is a fixed

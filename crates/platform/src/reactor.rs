@@ -26,12 +26,13 @@
 //! socket's bytes pass through an inbound [`ImpairedLink`] before the
 //! decoder, and outbox bytes through an outbound one before the socket.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use edonkey_proto::control::{ControlDecoder, ControlEvent};
+use edonkey_proto::codec::FrameDecoder;
+use edonkey_proto::control::{ControlEvent, ControlFraming};
 use netsim::sync::lock;
 
 use crate::impair::{ImpairPlan, ImpairedLink};
@@ -117,13 +118,23 @@ pub(crate) enum CloseReason {
     Protocol,
 }
 
-/// One non-blocking connection owned by a reactor shard.
-pub(crate) struct ReactorConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) decoder: ControlDecoder,
+/// What the shard knows and decides about the agent behind one
+/// connection: the part of a [`ReactorConn`] the frame handlers change
+/// while the frame they handle is still lent out of its decoder.
+pub(crate) struct Session {
     pub(crate) outbox: Arc<Outbox>,
     /// Set once the connection registers; index into the daemon's slots.
     pub(crate) agent: Option<usize>,
+    /// Close decision taken during event processing; the shard reaps the
+    /// connection (with bookkeeping) at the end of the pass.
+    pub(crate) close: Option<CloseReason>,
+}
+
+/// One non-blocking connection owned by a reactor shard.
+pub(crate) struct ReactorConn {
+    pub(crate) stream: TcpStream,
+    decoder: FrameDecoder<ControlFraming>,
+    pub(crate) session: Session,
     /// Registration deadline for connections that have not authenticated.
     pub(crate) opened: Instant,
     /// Last instant the socket yielded bytes (idle reaping input).
@@ -131,9 +142,6 @@ pub(crate) struct ReactorConn {
     /// Since when the decoder has held an incomplete frame (slow-loris
     /// reaping input); `None` while the stream sits at a frame boundary.
     pub(crate) partial_since: Option<Instant>,
-    /// Close decision taken during event processing; the shard reaps the
-    /// connection (with bookkeeping) at the end of the pass.
-    pub(crate) close: Option<CloseReason>,
     in_link: Option<ImpairedLink>,
     out_link: Option<ImpairedLink>,
     /// Due-but-unwritten impaired bytes (socket would block).
@@ -141,19 +149,18 @@ pub(crate) struct ReactorConn {
 }
 
 impl ReactorConn {
-    /// Adopts an accepted stream: non-blocking, Nagle off.
-    pub(crate) fn adopt(stream: TcpStream) -> std::io::Result<ReactorConn> {
+    /// Adopts an accepted stream: non-blocking, Nagle off, frames with a
+    /// declared payload above `max_frame_bytes` fatal.
+    pub(crate) fn adopt(stream: TcpStream, max_frame_bytes: u32) -> std::io::Result<ReactorConn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(ReactorConn {
             stream,
-            decoder: ControlDecoder::new(),
-            outbox: Outbox::new(),
-            agent: None,
+            decoder: FrameDecoder::with_framing(ControlFraming::capped(max_frame_bytes)),
+            session: Session { outbox: Outbox::new(), agent: None, close: None },
             opened: Instant::now(),
             last_read: Instant::now(),
             partial_since: None,
-            close: None,
             in_link: None,
             out_link: None,
             out_staged: Vec::new(),
@@ -174,38 +181,36 @@ impl ReactorConn {
         self.opened.elapsed().as_millis() as u64
     }
 
-    /// Reads whatever the socket has (up to the per-pass budget), feeds
-    /// the decoder, and appends every completed [`ControlEvent`] to
-    /// `events`.  Returns whether any bytes arrived.  Framing violations
-    /// and dead sockets mark the connection for close.
+    /// Reads whatever the socket has (up to the per-pass budget) straight
+    /// into the decoder and hands every completed frame, lent from the
+    /// decoder's buffer, to `on_frame` in arrival order.  Returns whether
+    /// any bytes arrived.  A dead socket or a framing violation marks the
+    /// connection for close after the frames ahead of it are handled; a
+    /// close `on_frame` decides stops the pass.
     pub(crate) fn read_events(
         &mut self,
-        scratch: &mut [u8],
-        events: &mut Vec<ControlEvent>,
+        mut on_frame: impl FnMut(&mut Session, ControlEvent<'_>),
     ) -> bool {
         let mut total = 0usize;
         let mut activity = false;
         let mut peer_closed = false;
-        loop {
-            match self.stream.read(scratch) {
+        while total < READ_BUDGET && self.session.close.is_none() {
+            let read = match &mut self.in_link {
+                None => self.decoder.read_from(&mut self.stream),
+                Some(link) => {
+                    let now = self.opened.elapsed().as_millis() as u64;
+                    link.read_from(now, &mut self.stream)
+                }
+            };
+            match read {
                 Ok(0) => {
                     peer_closed = true;
                     break;
                 }
                 Ok(n) => {
-                    match &mut self.in_link {
-                        None => self.decoder.feed(&scratch[..n]),
-                        Some(link) => {
-                            let now = self.opened.elapsed().as_millis() as u64;
-                            link.admit(now, &scratch[..n]);
-                        }
-                    }
                     activity = true;
                     self.last_read = Instant::now();
                     total += n;
-                    if total >= READ_BUDGET {
-                        break;
-                    }
                 }
                 Err(e) if would_block(&e) => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -214,6 +219,9 @@ impl ReactorConn {
                     break;
                 }
             }
+            // Handling what completed before the next read keeps that read
+            // sized to the one frame still arriving.
+            self.handle_frames(&mut on_frame);
         }
         // Release inbound bytes whose impaired delivery time has come (all
         // of them once the peer hung up: they were already on the wire).
@@ -221,24 +229,14 @@ impl ReactorConn {
             let now = if peer_closed { u64::MAX } else { self.opened.elapsed().as_millis() as u64 };
             let mut due = Vec::new();
             link.due(now, &mut due);
-            if !due.is_empty() {
-                self.decoder.feed(&due);
-            }
+            self.decoder.feed(&due);
+            self.handle_frames(&mut on_frame);
         }
-        if peer_closed {
-            self.close = Some(CloseReason::Gone);
-        }
-        loop {
-            match self.decoder.next_event() {
-                Ok(Some(ev)) => events.push(ev),
-                Ok(None) => break,
-                Err(_) => {
-                    // Bad magic/version or an oversized frame: the stream
-                    // can never resynchronise — drop the connection.
-                    self.close = Some(CloseReason::Protocol);
-                    break;
-                }
-            }
+        // Only now may the hangup close the connection: TCP orders it after
+        // the data, and on a single core an agent's last upload and its
+        // EOF routinely land in the same pass.
+        if peer_closed && self.session.close.is_none() {
+            self.session.close = Some(CloseReason::Gone);
         }
         // Slow-loris bookkeeping: an incomplete frame parked in the
         // decoder starts (or continues) the partial-frame clock.
@@ -252,24 +250,38 @@ impl ReactorConn {
         activity
     }
 
+    /// Lends every complete buffered frame to `on_frame` until the decoder
+    /// needs bytes or the connection is marked for close.
+    fn handle_frames(&mut self, on_frame: &mut impl FnMut(&mut Session, ControlEvent<'_>)) {
+        while self.session.close.is_none() {
+            match self.decoder.next_borrowed() {
+                Ok(Some(frame)) => on_frame(&mut self.session, frame),
+                Ok(None) => return,
+                // Bad magic/version or an oversized frame: the stream can
+                // never resynchronise — drop the connection.
+                Err(_) => self.session.close = Some(CloseReason::Protocol),
+            }
+        }
+    }
+
     /// Flushes the outbox; a dead socket marks the connection for close.
     pub(crate) fn flush(&mut self) {
-        if self.close.is_some() {
+        if self.session.close.is_some() {
             return;
         }
         if self.out_link.is_none() {
-            if self.outbox.pending() == 0 {
+            if self.session.outbox.pending() == 0 {
                 return;
             }
-            if self.outbox.flush(&mut self.stream).is_err() {
-                self.close = Some(CloseReason::Gone);
+            if self.session.outbox.flush(&mut self.stream).is_err() {
+                self.session.close = Some(CloseReason::Gone);
             }
             return;
         }
         // Impaired path: outbox → link schedule → staging → socket.
         let now = self.now_ms();
         let link = self.out_link.as_mut().expect("checked above");
-        let queued = self.outbox.take();
+        let queued = self.session.outbox.take();
         if !queued.is_empty() {
             link.admit(now, &queued);
         }
@@ -278,14 +290,14 @@ impl ReactorConn {
         while written < self.out_staged.len() {
             match self.stream.write(&self.out_staged[written..]) {
                 Ok(0) => {
-                    self.close = Some(CloseReason::Gone);
+                    self.session.close = Some(CloseReason::Gone);
                     break;
                 }
                 Ok(n) => written += n,
                 Err(e) if would_block(&e) => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.close = Some(CloseReason::Gone);
+                    self.session.close = Some(CloseReason::Gone);
                     break;
                 }
             }
@@ -295,7 +307,7 @@ impl ReactorConn {
 
     /// Outbound bytes not yet on the wire: queued, scheduled, or staged.
     pub(crate) fn pending_out(&self) -> usize {
-        self.outbox.pending()
+        self.session.outbox.pending()
             + self.out_staged.len()
             + self.out_link.as_ref().map_or(0, |l| l.pending_bytes())
     }
@@ -304,8 +316,18 @@ impl ReactorConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edonkey_proto::control::{opcodes, MAX_CONTROL_PAYLOAD};
+    use std::io::Read;
     use std::net::TcpListener;
     use std::time::Duration;
+
+    /// One read pass, appending the opcode of every frame it completed.
+    fn read_opcodes(conn: &mut ReactorConn, got: &mut Vec<u8>) -> bool {
+        conn.read_events(|_, frame| {
+            let (ControlEvent::Frame { opcode, .. } | ControlEvent::Corrupt { opcode }) = frame;
+            got.push(opcode);
+        })
+    }
 
     #[test]
     fn outbox_flushes_incrementally_under_backpressure() {
@@ -355,32 +377,28 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
 
         let mut events = Vec::new();
-        let mut scratch = vec![0u8; 4096];
         // Nothing sent yet: no events, no close, no blocking.
-        assert!(!conn.read_events(&mut scratch, &mut events));
+        assert!(!read_opcodes(&mut conn, &mut events));
         assert!(events.is_empty());
-        assert!(conn.close.is_none());
+        assert!(conn.session.close.is_none());
 
         tx.write_all(&ControlMessage::Relaunch.encode_frame()).unwrap();
         tx.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
-            conn.read_events(&mut scratch, &mut events);
+            read_opcodes(&mut conn, &mut events);
         }
-        assert_eq!(events.len(), 1);
-        assert!(
-            matches!(&events[0], ControlEvent::Frame(f) if f.opcode == edonkey_proto::control::opcodes::RELAUNCH)
-        );
+        assert_eq!(events, [opcodes::RELAUNCH]);
 
         drop(tx);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while conn.close.is_none() && Instant::now() < deadline {
-            conn.read_events(&mut scratch, &mut events);
+        while conn.session.close.is_none() && Instant::now() < deadline {
+            read_opcodes(&mut conn, &mut events);
         }
-        assert_eq!(conn.close, Some(CloseReason::Gone));
+        assert_eq!(conn.session.close, Some(CloseReason::Gone));
     }
 
     #[test]
@@ -389,17 +407,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
 
         let frame = ControlMessage::Relaunch.encode_frame();
         let mut events = Vec::new();
-        let mut scratch = vec![0u8; 4096];
         // A dribbled header byte: the partial clock must start…
         tx.write_all(&frame[..3]).unwrap();
         tx.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while conn.partial_since.is_none() && Instant::now() < deadline {
-            conn.read_events(&mut scratch, &mut events);
+            read_opcodes(&mut conn, &mut events);
         }
         assert!(conn.partial_since.is_some(), "dangling partial frame not noticed");
         assert!(events.is_empty());
@@ -408,7 +425,7 @@ mod tests {
         tx.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
-            conn.read_events(&mut scratch, &mut events);
+            read_opcodes(&mut conn, &mut events);
         }
         assert!(conn.partial_since.is_none(), "completed frame must stop the clock");
     }
@@ -419,26 +436,23 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
         conn.set_impair(&ImpairPlan { delay_ms: 30, ..ImpairPlan::clean(5) }, 0);
 
         tx.write_all(&ControlMessage::Shutdown.encode_frame()).unwrap();
         tx.flush().unwrap();
         let mut events = Vec::new();
-        let mut scratch = vec![0u8; 4096];
         let started = Instant::now();
         let deadline = started + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
-            conn.read_events(&mut scratch, &mut events);
+            read_opcodes(&mut conn, &mut events);
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(
-            matches!(&events[0], ControlEvent::Frame(f) if f.opcode == edonkey_proto::control::opcodes::SHUTDOWN)
-        );
+        assert_eq!(events, [opcodes::SHUTDOWN]);
         assert!(started.elapsed() >= Duration::from_millis(25), "30 ms delay plan arrived early");
 
         // Outbound: enqueue, then flush until the shim releases it.
-        conn.outbox.push_msg(&ControlMessage::Relaunch);
+        conn.session.outbox.push_msg(&ControlMessage::Relaunch);
         let deadline = Instant::now() + Duration::from_secs(5);
         while conn.pending_out() > 0 && Instant::now() < deadline {
             conn.flush();

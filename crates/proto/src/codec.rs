@@ -11,7 +11,10 @@
 //! ```
 //!
 //! [`FrameDecoder`] is an incremental decoder suitable for a TCP stream: feed
-//! it arbitrary chunks, pull out complete frames.
+//! it arbitrary chunks, pull out complete frames.  It is the stream decoder
+//! of both wire protocols: a [`Framing`] supplies a protocol's frame check
+//! ([`EdonkeyFraming`] here, [`crate::control::ControlFraming`] for the
+//! control plane) and the decoder owns everything else.
 
 use std::io::Read;
 
@@ -99,41 +102,74 @@ pub fn encode_client_server_message(msg: &ClientServerMessage) -> Vec<u8> {
     out
 }
 
-/// Validates the frame header at the front of `data` and returns the
-/// frame's total length (header included).
-fn frame_total(data: &[u8]) -> Result<usize, ProtoError> {
-    if data.len() < 6 {
-        return Err(ProtoError::Truncated("frame header"));
+/// One wire protocol's frame check: all [`FrameDecoder`] needs to know of
+/// a protocol.  The header carries the frame's length, so a frame is
+/// complete exactly when that many bytes have arrived.
+pub trait Framing {
+    /// Length of the fixed header [`Framing::frame_len`] reads.
+    const HEADER: usize;
+    /// A complete frame, borrowed from the bytes it arrived in.
+    type Frame<'a>;
+
+    /// Checks the `HEADER` bytes of a frame and returns the frame's total
+    /// length, header included.  An error is fatal for the stream: the
+    /// next frame's start is unknown.
+    fn frame_len(&self, header: &[u8]) -> Result<usize, ProtoError>;
+
+    /// The frame held by `bytes`, which are exactly as long as
+    /// [`Framing::frame_len`] said.
+    fn frame<'a>(&self, bytes: &'a [u8]) -> Self::Frame<'a>;
+
+    /// Decodes exactly one frame from the front of `data` without copying
+    /// it, returning it and the number of bytes consumed.  `Truncated`
+    /// means the frame has not fully arrived (use [`FrameDecoder`] for
+    /// streams).
+    fn split<'a>(&self, data: &'a [u8]) -> Result<(Self::Frame<'a>, usize), ProtoError> {
+        let Some(header) = data.get(..Self::HEADER) else {
+            return Err(ProtoError::Truncated("frame header"));
+        };
+        let total = self.frame_len(header)?;
+        match data.get(..total) {
+            Some(bytes) => Ok((self.frame(bytes), total)),
+            None => Err(ProtoError::Truncated("frame body")),
+        }
     }
-    let proto = data[0];
-    if proto != PROTO_EDONKEY && proto != PROTO_EMULE && proto != PROTO_PACKED {
-        return Err(ProtoError::BadProtocolByte(proto));
-    }
-    let len = u32::from_le_bytes([data[1], data[2], data[3], data[4]]);
-    if len == 0 {
-        return Err(ProtoError::Invalid("frame length must cover the opcode byte"));
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::OversizedFrame { declared: len, limit: MAX_FRAME_LEN });
-    }
-    Ok(5 + len as usize)
 }
 
-/// Decodes exactly one frame from the front of `data` without copying its
-/// payload, returning it and the number of bytes consumed.
-pub fn peek_frame(data: &[u8]) -> Result<(FrameRef<'_>, usize), ProtoError> {
-    let total = frame_total(data)?;
-    if data.len() < total {
-        return Err(ProtoError::Truncated("frame body"));
+/// The eDonkey frame check: a known protocol marker and a declared length
+/// that covers the opcode byte and stays under [`MAX_FRAME_LEN`].
+#[derive(Clone, Copy, Debug)]
+pub struct EdonkeyFraming;
+
+impl Framing for EdonkeyFraming {
+    const HEADER: usize = 6;
+    type Frame<'a> = FrameRef<'a>;
+
+    fn frame_len(&self, header: &[u8]) -> Result<usize, ProtoError> {
+        let proto = header[0];
+        if proto != PROTO_EDONKEY && proto != PROTO_EMULE && proto != PROTO_PACKED {
+            return Err(ProtoError::BadProtocolByte(proto));
+        }
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+        if len == 0 {
+            return Err(ProtoError::Invalid("frame length must cover the opcode byte"));
+        }
+        if len > MAX_FRAME_LEN {
+            return Err(ProtoError::OversizedFrame { declared: len, limit: MAX_FRAME_LEN });
+        }
+        Ok(5 + len as usize)
     }
-    Ok((FrameRef { proto: data[0], opcode: data[5], payload: &data[6..total] }, total))
+
+    fn frame<'a>(&self, bytes: &'a [u8]) -> FrameRef<'a> {
+        FrameRef { proto: bytes[0], opcode: bytes[5], payload: &bytes[6..] }
+    }
 }
 
 /// Decodes exactly one frame from `data`, returning it and the number of
 /// bytes consumed.  Fails on partial input (use [`FrameDecoder`] for
 /// streams).
 pub fn decode_frame(data: &[u8]) -> Result<(RawFrame, usize), ProtoError> {
-    let (frame, used) = peek_frame(data)?;
+    let (frame, used) = EdonkeyFraming.split(data)?;
     Ok((frame.to_raw(), used))
 }
 
@@ -163,8 +199,12 @@ const MAX_READ: usize = 256 * 1024;
 /// A socket reader skips both copies of that: [`FrameDecoder::read_from`]
 /// receives straight into the decoder's buffer and
 /// [`FrameDecoder::next_borrowed`] lends the frame out of it.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
+///
+/// The decoder is generic over the protocol's [`Framing`]; `new` builds
+/// the eDonkey one, [`FrameDecoder::with_framing`] any other.
+#[derive(Debug)]
+pub struct FrameDecoder<F = EdonkeyFraming> {
+    framing: F,
     /// Storage, initialised over its whole length; `buf[start..end]` holds
     /// the received, not-yet-decoded bytes.
     buf: Vec<u8>,
@@ -174,7 +214,26 @@ pub struct FrameDecoder {
 
 impl FrameDecoder {
     pub fn new() -> Self {
-        Self::default()
+        Self::with_framing(EdonkeyFraming)
+    }
+
+    /// Pulls the next complete frame as an owned copy; see
+    /// [`FrameDecoder::next_borrowed`].
+    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, ProtoError> {
+        Ok(self.next_borrowed()?.map(|frame| frame.to_raw()))
+    }
+}
+
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<F: Framing> FrameDecoder<F> {
+    /// An empty decoder for the protocol `framing` checks.
+    pub fn with_framing(framing: F) -> Self {
+        FrameDecoder { framing, buf: Vec::new(), start: 0, end: 0 }
     }
 
     /// Makes `buf[end..end + n]` valid.  The pending bytes move to the
@@ -235,10 +294,9 @@ impl FrameDecoder {
     /// `next_borrowed` on a fatal framing error.
     pub fn missing(&self) -> Result<usize, ProtoError> {
         let pending = &self.buf[self.start..self.end];
-        match frame_total(pending) {
-            Ok(total) => Ok(total.saturating_sub(pending.len())),
-            Err(ProtoError::Truncated(_)) => Ok(6 - pending.len()),
-            Err(e) => Err(e),
+        match pending.get(..F::HEADER) {
+            Some(header) => Ok(self.framing.frame_len(header)?.saturating_sub(pending.len())),
+            None => Ok(F::HEADER - pending.len()),
         }
     }
 
@@ -247,10 +305,10 @@ impl FrameDecoder {
     /// gone at the next `feed` or `read_from`.
     ///
     /// Framing errors (bad marker, oversized length) are fatal for the
-    /// stream: the caller should drop the connection, as resynchronising an
-    /// eDonkey stream is not possible in general.
-    pub fn next_borrowed(&mut self) -> Result<Option<FrameRef<'_>>, ProtoError> {
-        match peek_frame(&self.buf[self.start..self.end]) {
+    /// stream: the caller should drop the connection, as resynchronising a
+    /// length-prefixed stream is not possible in general.
+    pub fn next_borrowed(&mut self) -> Result<Option<F::Frame<'_>>, ProtoError> {
+        match self.framing.split(&self.buf[self.start..self.end]) {
             Ok((frame, used)) => {
                 self.start += used;
                 Ok(Some(frame))
@@ -258,12 +316,6 @@ impl FrameDecoder {
             Err(ProtoError::Truncated(_)) => Ok(None),
             Err(e) => Err(e),
         }
-    }
-
-    /// Pulls the next complete frame as an owned copy; see
-    /// [`FrameDecoder::next_borrowed`].
-    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, ProtoError> {
-        Ok(self.next_borrowed()?.map(|frame| frame.to_raw()))
     }
 }
 

@@ -20,13 +20,10 @@
 //! u32  crc32    (IEEE, over the payload only)
 //! ```
 //!
-//! [`ControlDecoder`] is incremental like [`crate::codec::FrameDecoder`],
-//! but distinguishes three outcomes per frame: a good frame, a frame whose
-//! payload failed its checksum (the stream is still in sync — framing was
-//! intact — so the receiver can ask for a retransmit), and fatal framing
-//! errors (bad marker/version, oversized length) after which the
-//! connection must be dropped.
+//! Streams decode with the shared [`crate::codec::FrameDecoder`] over
+//! [`ControlFraming`].
 
+use crate::codec::Framing;
 use crate::error::ProtoError;
 
 /// Marker byte of control frames (distinct from the eDonkey 0xE3/0xC5/0xD4
@@ -178,14 +175,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// A framing-validated control frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ControlFrame {
-    pub version: u8,
-    pub opcode: u8,
-    pub payload: Vec<u8>,
-}
-
 /// Encodes one control frame.
 pub fn encode_control_frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(11 + payload.len());
@@ -198,122 +187,84 @@ pub fn encode_control_frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Per-frame decode outcome of the incremental decoder.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ControlEvent {
+/// A complete control frame, borrowed from the buffer it arrived in.
+///
+/// Unlike an eDonkey frame it has two outcomes: a frame whose payload
+/// fails its checksum is still framed correctly, so it is consumed and the
+/// stream stays in sync — the receiver can ask for a retransmit.  Fatal
+/// framing errors (bad marker or version, oversized length) come back as
+/// `Err` from the decoder instead, and the connection must be dropped.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ControlEvent<'a> {
     /// A complete, checksum-verified frame.
-    Frame(ControlFrame),
-    /// A complete frame whose payload failed its CRC.  The stream is still
-    /// framed correctly; the receiver should request a retransmit keyed on
-    /// its own protocol state (the opcode is the header's claim and may
-    /// itself be unreliable on a corrupted link).
+    Frame { opcode: u8, payload: &'a [u8] },
+    /// A complete frame whose payload failed its CRC.  The receiver should
+    /// request a retransmit keyed on its own protocol state (the opcode is
+    /// the header's claim and may itself be unreliable on a corrupted
+    /// link).
     Corrupt { opcode: u8 },
 }
 
-/// Decodes exactly one control frame, returning the event and the bytes
-/// consumed.  `Truncated` means "feed more bytes".
-pub fn decode_control_frame(data: &[u8]) -> Result<(ControlEvent, usize), ProtoError> {
-    decode_control_frame_capped(data, MAX_CONTROL_PAYLOAD)
-}
-
-/// [`decode_control_frame`] with a caller-chosen payload cap.  A receiving
-/// endpoint may enforce a limit far below the protocol-wide
-/// [`MAX_CONTROL_PAYLOAD`] (e.g. the daemon caps unregistered connections
-/// so a hostile peer cannot commit it to a 64 MB read); the cap applies to
-/// the header's *declared* length, so an oversized frame is rejected
-/// before any of its payload is buffered for decode.
-pub fn decode_control_frame_capped(
-    data: &[u8],
-    max_payload: u32,
-) -> Result<(ControlEvent, usize), ProtoError> {
-    if data.len() < 7 {
-        return Err(ProtoError::Truncated("control frame header"));
-    }
-    if data[0] != CONTROL_MAGIC {
-        return Err(ProtoError::BadProtocolByte(data[0]));
-    }
-    let version = data[1];
-    if version != CONTROL_VERSION {
-        return Err(ProtoError::Invalid("unsupported control protocol version"));
-    }
-    let opcode = data[2];
-    let len = u32::from_le_bytes([data[3], data[4], data[5], data[6]]);
-    let limit = max_payload.min(MAX_CONTROL_PAYLOAD);
-    if len > limit {
-        return Err(ProtoError::OversizedFrame { declared: len, limit });
-    }
-    let total = 7 + len as usize + 4;
-    if data.len() < total {
-        return Err(ProtoError::Truncated("control frame body"));
-    }
-    let payload = &data[7..7 + len as usize];
-    let declared_crc =
-        u32::from_le_bytes([data[total - 4], data[total - 3], data[total - 2], data[total - 1]]);
-    if crc32(payload) != declared_crc {
-        return Ok((ControlEvent::Corrupt { opcode }, total));
-    }
-    Ok((ControlEvent::Frame(ControlFrame { version, opcode, payload: payload.to_vec() }), total))
-}
-
-/// Incremental control-frame decoder for byte streams.
-#[derive(Debug)]
-pub struct ControlDecoder {
-    buf: Vec<u8>,
-    start: usize,
+/// The control frame check: marker, version, a declared length within the
+/// receiver's cap, and the CRC trailer.
+///
+/// A receiving endpoint may enforce a cap far below the protocol-wide
+/// [`MAX_CONTROL_PAYLOAD`] (the daemon caps every connection at its
+/// `max_frame_bytes`); the cap applies to the header's *declared* length,
+/// so an oversized frame is rejected before any of its payload is
+/// buffered.
+#[derive(Clone, Copy, Debug)]
+pub struct ControlFraming {
     max_payload: u32,
 }
 
-impl Default for ControlDecoder {
+impl ControlFraming {
+    /// A frame check accepting payloads up to `max_payload` bytes; the cap
+    /// never loosens the protocol limit.
+    pub fn capped(max_payload: u32) -> Self {
+        ControlFraming { max_payload: max_payload.min(MAX_CONTROL_PAYLOAD) }
+    }
+}
+
+impl Default for ControlFraming {
     fn default() -> Self {
-        ControlDecoder { buf: Vec::new(), start: 0, max_payload: MAX_CONTROL_PAYLOAD }
+        Self::capped(MAX_CONTROL_PAYLOAD)
     }
 }
 
-impl ControlDecoder {
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl Framing for ControlFraming {
+    const HEADER: usize = 7;
+    type Frame<'a> = ControlEvent<'a>;
 
-    /// Caps the payload size this decoder will accept (see
-    /// [`decode_control_frame_capped`]).  Takes effect from the next
-    /// [`Self::next_event`] call.
-    pub fn set_max_payload(&mut self, max_payload: u32) {
-        self.max_payload = max_payload.min(MAX_CONTROL_PAYLOAD);
-    }
-
-    /// Appends received bytes.
-    pub fn feed(&mut self, data: &[u8]) {
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    fn frame_len(&self, header: &[u8]) -> Result<usize, ProtoError> {
+        if header[0] != CONTROL_MAGIC {
+            return Err(ProtoError::BadProtocolByte(header[0]));
         }
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Number of buffered, not-yet-decoded bytes.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Pulls the next event, `Ok(None)` if more bytes are needed.  A
-    /// [`ControlEvent::Corrupt`] consumes its frame — the stream stays in
-    /// sync.  `Err` is fatal for the connection.
-    pub fn next_event(&mut self) -> Result<Option<ControlEvent>, ProtoError> {
-        let pending = &self.buf[self.start..];
-        match decode_control_frame_capped(pending, self.max_payload) {
-            Ok((event, used)) => {
-                self.start += used;
-                Ok(Some(event))
-            }
-            Err(ProtoError::Truncated(_)) => Ok(None),
-            Err(e) => Err(e),
+        if header[1] != CONTROL_VERSION {
+            return Err(ProtoError::Invalid("unsupported control protocol version"));
         }
+        let len = u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
+        if len > self.max_payload {
+            return Err(ProtoError::OversizedFrame { declared: len, limit: self.max_payload });
+        }
+        Ok(Self::HEADER + len as usize + 4)
+    }
+
+    fn frame<'a>(&self, bytes: &'a [u8]) -> ControlEvent<'a> {
+        let opcode = bytes[2];
+        let (body, crc) = bytes.split_at(bytes.len() - 4);
+        let payload = &body[Self::HEADER..];
+        if crc32(payload) != u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]) {
+            return ControlEvent::Corrupt { opcode };
+        }
+        ControlEvent::Frame { opcode, payload }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::FrameDecoder;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -382,22 +333,26 @@ mod tests {
         }
     }
 
+    fn decoder() -> FrameDecoder<ControlFraming> {
+        FrameDecoder::with_framing(ControlFraming::default())
+    }
+
     #[test]
     fn frame_round_trip() {
         let bytes = encode_control_frame(opcodes::LOG_CHUNK, b"hello chunk");
-        let (event, used) = decode_control_frame(&bytes).unwrap();
+        let (event, used) = ControlFraming::default().split(&bytes).unwrap();
         assert_eq!(used, bytes.len());
-        let ControlEvent::Frame(f) = event else { panic!("expected a good frame") };
-        assert_eq!(f.opcode, opcodes::LOG_CHUNK);
-        assert_eq!(f.version, CONTROL_VERSION);
-        assert_eq!(f.payload, b"hello chunk");
+        assert_eq!(
+            event,
+            ControlEvent::Frame { opcode: opcodes::LOG_CHUNK, payload: b"hello chunk" }
+        );
     }
 
     #[test]
     fn corrupted_payload_is_flagged_but_consumed() {
         let mut bytes = encode_control_frame(opcodes::LOG_CHUNK, b"precious log data");
         bytes[9] ^= 0xFF; // flip a payload byte; header + CRC field intact
-        let (event, used) = decode_control_frame(&bytes).unwrap();
+        let (event, used) = ControlFraming::default().split(&bytes).unwrap();
         assert_eq!(used, bytes.len(), "corrupt frame must be fully consumed");
         assert_eq!(event, ControlEvent::Corrupt { opcode: opcodes::LOG_CHUNK });
     }
@@ -410,21 +365,18 @@ mod tests {
         bad[n - 5] ^= 0x55; // corrupt the last payload byte
         let tail = encode_control_frame(opcodes::HEARTBEAT, b"hb-2");
 
-        let mut dec = ControlDecoder::new();
+        let mut dec = decoder();
         dec.feed(&good);
         dec.feed(&bad);
         dec.feed(&tail);
-        assert!(
-            matches!(dec.next_event().unwrap(), Some(ControlEvent::Frame(f)) if f.payload == b"hb-1")
-        );
+        let hb = |payload| Some(ControlEvent::Frame { opcode: opcodes::HEARTBEAT, payload });
+        assert_eq!(dec.next_borrowed().unwrap(), hb(b"hb-1"));
         assert_eq!(
-            dec.next_event().unwrap(),
+            dec.next_borrowed().unwrap(),
             Some(ControlEvent::Corrupt { opcode: opcodes::LOG_CHUNK })
         );
-        assert!(
-            matches!(dec.next_event().unwrap(), Some(ControlEvent::Frame(f)) if f.payload == b"hb-2")
-        );
-        assert_eq!(dec.next_event().unwrap(), None);
+        assert_eq!(dec.next_borrowed().unwrap(), hb(b"hb-2"));
+        assert_eq!(dec.next_borrowed().unwrap(), None);
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -437,13 +389,15 @@ mod tests {
         ];
         let stream: Vec<u8> = frames.iter().flatten().copied().collect();
         for chunk in [1usize, 3, 7, 64, 500] {
-            let mut dec = ControlDecoder::new();
+            let mut dec = decoder();
             let mut got = Vec::new();
             for piece in stream.chunks(chunk) {
                 dec.feed(piece);
-                while let Some(ev) = dec.next_event().unwrap() {
-                    let ControlEvent::Frame(f) = ev else { panic!("no corruption injected") };
-                    got.push(f.opcode);
+                while let Some(ev) = dec.next_borrowed().unwrap() {
+                    let ControlEvent::Frame { opcode, .. } = ev else {
+                        panic!("no corruption injected")
+                    };
+                    got.push(opcode);
                 }
             }
             assert_eq!(
@@ -456,46 +410,57 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_fatal() {
+        let split = |bytes: &[u8]| ControlFraming::default().split(bytes).map(|(_, used)| used);
         let mut bytes = encode_control_frame(opcodes::HEARTBEAT, b"x");
         bytes[0] = 0xE3; // an eDonkey frame is not a control frame
-        assert!(matches!(decode_control_frame(&bytes), Err(ProtoError::BadProtocolByte(0xE3))));
+        assert!(matches!(split(&bytes), Err(ProtoError::BadProtocolByte(0xE3))));
         let mut bytes = encode_control_frame(opcodes::HEARTBEAT, b"x");
         bytes[1] = CONTROL_VERSION + 1;
-        assert!(matches!(decode_control_frame(&bytes), Err(ProtoError::Invalid(_))));
+        assert!(matches!(split(&bytes), Err(ProtoError::Invalid(_))));
     }
 
     #[test]
     fn oversized_payload_rejected() {
         let mut bytes = encode_control_frame(opcodes::LOG_CHUNK, b"x");
         bytes[3..7].copy_from_slice(&(MAX_CONTROL_PAYLOAD + 1).to_le_bytes());
-        assert!(matches!(decode_control_frame(&bytes), Err(ProtoError::OversizedFrame { .. })));
+        assert!(matches!(
+            ControlFraming::default().split(&bytes),
+            Err(ProtoError::OversizedFrame { .. })
+        ));
     }
 
     #[test]
     fn per_decoder_cap_tightens_the_protocol_limit() {
         // A frame comfortably under the protocol-wide cap…
         let bytes = encode_control_frame(opcodes::LOG_CHUNK, &vec![7u8; 2048]);
-        assert!(decode_control_frame(&bytes).is_ok());
+        assert!(ControlFraming::default().split(&bytes).is_ok());
         // …is fatal on a decoder capped below it, from the declared length
         // alone (an attacker cannot make us buffer the body first).
-        let mut dec = ControlDecoder::new();
-        dec.set_max_payload(1024);
+        let mut dec = FrameDecoder::with_framing(ControlFraming::capped(1024));
         dec.feed(&bytes[..16]);
-        assert!(matches!(dec.next_event(), Err(ProtoError::OversizedFrame { limit: 1024, .. })));
+        assert!(matches!(dec.missing(), Err(ProtoError::OversizedFrame { limit: 1024, .. })));
+        assert!(matches!(dec.next_borrowed(), Err(ProtoError::OversizedFrame { limit: 1024, .. })));
         // The cap never loosens the protocol limit.
         assert!(matches!(
-            decode_control_frame_capped(&bytes, u32::MAX),
-            Ok((ControlEvent::Frame(_), _))
+            ControlFraming::capped(u32::MAX).split(&bytes),
+            Ok((ControlEvent::Frame { .. }, _))
+        ));
+        let mut huge = bytes;
+        huge[3..7].copy_from_slice(&(MAX_CONTROL_PAYLOAD + 1).to_le_bytes());
+        assert!(matches!(
+            ControlFraming::capped(u32::MAX).split(&huge),
+            Err(ProtoError::OversizedFrame { limit: MAX_CONTROL_PAYLOAD, .. })
         ));
     }
 
     #[test]
     fn truncation_asks_for_more_bytes() {
         let bytes = encode_control_frame(opcodes::LOG_CHUNK, b"partial");
-        let mut dec = ControlDecoder::new();
+        let mut dec = decoder();
         dec.feed(&bytes[..bytes.len() - 1]);
-        assert_eq!(dec.next_event().unwrap(), None, "incomplete frame: wait");
+        assert_eq!(dec.missing().unwrap(), 1);
+        assert_eq!(dec.next_borrowed().unwrap(), None, "incomplete frame: wait");
         dec.feed(&bytes[bytes.len() - 1..]);
-        assert!(matches!(dec.next_event().unwrap(), Some(ControlEvent::Frame(_))));
+        assert!(matches!(dec.next_borrowed().unwrap(), Some(ControlEvent::Frame { .. })));
     }
 }

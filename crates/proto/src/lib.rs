@@ -14,8 +14,11 @@
 //!   addresses;
 //! * [`tags`] — the tag metadata system;
 //! * [`messages`] — typed client↔server and client↔client messages;
-//! * [`codec`] — length-prefixed TCP framing with an incremental stream
-//!   decoder;
+//! * [`codec`] — length-prefixed TCP framing and the one incremental
+//!   stream decoder both protocols use, each supplying only its frame
+//!   check;
+//! * [`wire`] — the little-endian `Writer`/`Reader` both protocols'
+//!   payloads are written and read with;
 //! * [`parts`] — 9,728,000-byte part / 180 KB block geometry and content
 //!   hashing (the mechanism that makes *random-content* honeypots slower to
 //!   detect than *no-content* ones);
@@ -25,7 +28,8 @@
 //!   status pings);
 //! * [`control`] — the measurement platform's own control-plane framing
 //!   (manager daemon ↔ honeypot agents): versioned, length-prefixed,
-//!   CRC-checked frames, distinct from the eDonkey wire format.
+//!   CRC-checked frames, distinct from the eDonkey wire format but decoded
+//!   by the same [`codec::FrameDecoder`].
 //!
 //! The same typed messages drive both the discrete-event simulation
 //! (`edonkey-sim`) and the real-TCP loopback substrate (`edonkey-net`), so

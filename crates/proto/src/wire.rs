@@ -1,9 +1,9 @@
-//! Low-level little-endian wire primitives shared by the tag system and the
-//! message codec.
+//! Low-level little-endian wire primitives shared by the tag system, the
+//! eDonkey message codec and the control-plane payloads.
 //!
 //! [`Writer`] accumulates bytes into a growable buffer; [`Reader`] is a
 //! bounds-checked cursor over a received payload.  Every multi-byte integer
-//! on the eDonkey wire is little-endian.
+//! on both wires is little-endian.
 
 use crate::error::ProtoError;
 
@@ -67,6 +67,12 @@ impl Writer {
     /// u16-length-prefixed string.
     pub fn str16(&mut self, s: &str) {
         self.u16(s.len() as u16);
+        self.bytes(s.as_bytes());
+    }
+
+    /// u32-length-prefixed string (control-plane payloads).
+    pub fn str32(&mut self, s: &str) {
+        self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
 
@@ -149,6 +155,15 @@ impl<'a> Reader<'a> {
         Ok(String::from_utf8_lossy(self.take(len)?).into_owned())
     }
 
+    /// u32-length-prefixed string, strictly UTF-8: control-plane payloads
+    /// are written by this codebase, so invalid text is damage, not a
+    /// foreign client's habit.
+    pub fn str32(&mut self) -> Result<String, ProtoError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| ProtoError::Invalid("non-UTF-8 string"))
+    }
+
     /// Asserts the payload is fully consumed (strict decoders).
     pub fn expect_end(&self) -> Result<(), ProtoError> {
         if self.remaining() == 0 {
@@ -184,9 +199,15 @@ mod tests {
     fn str16_round_trip() {
         let mut w = Writer::new();
         w.str16("hello");
+        w.str32("été");
         let buf = w.into_bytes();
+        assert_eq!(&buf[7..11], &[5, 0, 0, 0], "str32 prefix is a little-endian u32");
         let mut r = Reader::new(&buf);
         assert_eq!(r.str16().unwrap(), "hello");
+        assert_eq!(r.str32().unwrap(), "été");
+        // str16 decodes foreign text lossily; str32 refuses it.
+        assert_eq!(Reader::new(&[1, 0, 0xFF]).str16().unwrap(), "\u{FFFD}");
+        assert!(matches!(Reader::new(&[1, 0, 0, 0, 0xFF]).str32(), Err(ProtoError::Invalid(_))));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! names the seed.
 
 use edonkey_proto::codec::{
-    decode_frame, encode_frame, encode_peer_message, FrameDecoder, RawFrame,
+    decode_frame, encode_frame, encode_peer_message, EdonkeyFraming, FrameDecoder, FrameRef,
+    Framing, RawFrame,
 };
 use edonkey_proto::control::{
-    decode_control_frame, decode_control_frame_capped, encode_control_frame, ControlDecoder,
+    encode_control_frame, ControlEvent, ControlFraming, CONTROL_MAGIC, CONTROL_VERSION,
 };
 use edonkey_proto::md4::{md4, Md4};
 use edonkey_proto::messages::{PartRange, PeerMessage, PublishedFile};
@@ -274,22 +275,125 @@ impl std::io::Read for Trickle<'_> {
     }
 }
 
-/// What `feed` + `next_frame` made of a stream before the decoder could
-/// read for itself: `decode_frame` off the front of the accumulated bytes,
-/// every payload copied out, until the bytes run out or framing breaks.
-fn frames_by_copy(stream: &[u8]) -> (Vec<RawFrame>, Option<ProtoError>) {
-    let mut frames = Vec::new();
-    let mut pos = 0;
-    loop {
-        match decode_frame(&stream[pos..]) {
-            Ok((frame, used)) => {
-                frames.push(frame);
-                pos += used;
-            }
-            Err(ProtoError::Truncated(_)) => return (frames, None),
-            Err(fatal) => return (frames, Some(fatal)),
+/// A lent frame as an owned value, so frames lent from different buffers
+/// compare.
+trait OwnFrame: Framing + Copy {
+    type Owned: PartialEq + std::fmt::Debug;
+    fn own(frame: Self::Frame<'_>) -> Self::Owned;
+}
+
+impl OwnFrame for EdonkeyFraming {
+    type Owned = RawFrame;
+    fn own(frame: FrameRef<'_>) -> RawFrame {
+        frame.to_raw()
+    }
+}
+
+impl OwnFrame for ControlFraming {
+    /// The opcode, and the payload when the CRC held.
+    type Owned = (u8, Option<Vec<u8>>);
+    fn own(event: ControlEvent<'_>) -> Self::Owned {
+        match event {
+            ControlEvent::Frame { opcode, payload } => (opcode, Some(payload.to_vec())),
+            ControlEvent::Corrupt { opcode } => (opcode, None),
         }
     }
+}
+
+/// What `feed` + `next_frame` made of a stream before the decoder could
+/// read for itself: one-shot `split` off the front of the accumulated
+/// bytes, every frame copied out, until the bytes run out or framing
+/// breaks.  Also returns the longest frame's length.
+fn frames_by_copy<F: OwnFrame>(
+    framing: F,
+    stream: &[u8],
+) -> (Vec<F::Owned>, usize, Option<ProtoError>) {
+    let mut frames = Vec::new();
+    let mut longest = 0;
+    let mut pos = 0;
+    loop {
+        match framing.split(&stream[pos..]) {
+            Ok((frame, used)) => {
+                frames.push(F::own(frame));
+                longest = longest.max(used);
+                pos += used;
+            }
+            Err(ProtoError::Truncated(_)) => return (frames, longest, None),
+            Err(fatal) => return (frames, longest, Some(fatal)),
+        }
+    }
+}
+
+/// Decodes `stream` three ways — [`frames_by_copy`], `feed` in random
+/// pieces, and sized `read_from`s of a [`Trickle`] with frames lent — and
+/// checks they yield the same frames and the same fatal error, with the
+/// read path's buffer bounded by the longest frame plus one read.
+/// Returns the frames and the error.
+fn lending_differential<F: OwnFrame>(
+    framing: F,
+    stream: &[u8],
+    seed: u64,
+) -> (Vec<F::Owned>, Option<ProtoError>) {
+    let (expected, longest, fatal) = frames_by_copy(framing, stream);
+
+    // The kept `feed` path, fed in the same kind of pieces.
+    let mut rng = Rng::seed_from(seed ^ 0xFEED);
+    let mut fed = FrameDecoder::with_framing(framing);
+    let mut got = Vec::new();
+    let mut fed_fatal = None;
+    let mut rest = stream;
+    while !rest.is_empty() && fed_fatal.is_none() {
+        let (piece, tail) = rest.split_at(rest.len().min(rng.range(1, 64 * 1024 + 1) as usize));
+        rest = tail;
+        fed.feed(piece);
+        loop {
+            match fed.next_borrowed() {
+                Ok(Some(frame)) => got.push(F::own(frame)),
+                Ok(None) => break,
+                Err(e) => {
+                    fed_fatal = Some(e);
+                    break;
+                }
+            }
+        }
+    }
+    assert_eq!(got, expected, "seed {seed}");
+    assert_eq!(fed_fatal, fatal, "seed {seed}");
+
+    // The read path: sized reads into the decoder's buffer, frames lent.
+    let mut dec = FrameDecoder::with_framing(framing);
+    let mut src = Trickle { data: stream, rng: Rng::seed_from(seed ^ 0x5EED) };
+    let mut lent = 0;
+    let read_fatal = loop {
+        match dec.missing() {
+            Ok(0) => {
+                let frame = dec.next_borrowed().unwrap().expect("no byte is missing");
+                assert_eq!(F::own(frame), expected[lent], "seed {seed} frame {lent}");
+                lent += 1;
+            }
+            Ok(_) => {
+                if dec.read_from(&mut src).unwrap() == 0 {
+                    break None;
+                }
+            }
+            Err(e) => {
+                assert_eq!(dec.next_borrowed().err(), Some(e.clone()), "seed {seed}");
+                break Some(e);
+            }
+        }
+        assert!(
+            dec.capacity() <= longest + 64 * 1024,
+            "seed {seed}: buffer grew to {}",
+            dec.capacity()
+        );
+    };
+    assert_eq!(lent, expected.len(), "seed {seed}");
+    assert_eq!(read_fatal, fatal, "seed {seed}");
+    if fatal.is_none() {
+        assert_eq!(dec.buffered(), 0, "seed {seed}");
+        assert_eq!(fed.buffered(), 0, "seed {seed}");
+    }
+    (expected, fatal)
 }
 
 #[test]
@@ -318,72 +422,45 @@ fn read_path_lends_the_frames_the_copying_path_returned() {
             2 => stream.extend_from_slice(&[0xE3, 0, 0, 0, 0, 0x4E]),
             _ => {}
         }
-        let (expected, fatal) = frames_by_copy(&stream);
-        assert_eq!(expected.len(), msgs.len(), "seed {seed}");
+        let (frames, fatal) = lending_differential(EdonkeyFraming, &stream, seed);
+        assert_eq!(frames.len(), msgs.len(), "seed {seed}");
         assert_eq!(fatal.is_some(), seed % 9 < 3, "seed {seed}");
 
-        // The kept `feed`/`next_frame` path, fed in the same kind of pieces.
-        let mut fed = FrameDecoder::new();
-        let mut got = Vec::new();
-        let mut fed_fatal = None;
-        let mut rest = &stream[..];
-        while !rest.is_empty() && fed_fatal.is_none() {
-            let (piece, tail) = rest.split_at(rest.len().min(rng.range(1, 64 * 1024 + 1) as usize));
-            rest = tail;
-            fed.feed(piece);
-            loop {
-                match fed.next_frame() {
-                    Ok(Some(frame)) => got.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        fed_fatal = Some(e);
-                        break;
-                    }
-                }
+        // The same over a control stream: a block-sized upload among small
+        // frames, a quarter of them damaged past the header (the CRC
+        // catches it, the stream stays in sync), under a receiver's cap.
+        let cap = block + rng.below(4096) as u32;
+        let mut payloads: Vec<Vec<u8>> =
+            (0..rng.range(1, 8)).map(|_| arb_bytes(&mut rng, 512)).collect();
+        payloads.insert(
+            rng.below(payloads.len() as u64 + 1) as usize,
+            vec![!seed as u8; block as usize],
+        );
+        let mut stream = Vec::new();
+        let mut corrupt = 0;
+        for payload in &payloads {
+            let mut frame = encode_control_frame(rng.next_u32() as u8, payload);
+            if rng.chance(0.25) {
+                let at = rng.range(7, frame.len() as u64) as usize;
+                frame[at] ^= rng.range(1, 256) as u8;
+                corrupt += 1;
             }
+            stream.extend_from_slice(&frame);
         }
-        assert_eq!(got, expected, "seed {seed}");
-        assert_eq!(fed_fatal, fatal, "seed {seed}");
-
-        // The read path: sized reads into the decoder's buffer, frames lent.
-        let mut dec = FrameDecoder::new();
-        let mut src = Trickle { data: &stream, rng: Rng::seed_from(seed ^ 0x5EED) };
-        let mut lent = 0;
-        let read_fatal = loop {
-            match dec.missing() {
-                Ok(0) => {
-                    let frame = dec.next_borrowed().unwrap().expect("no byte is missing");
-                    assert_eq!(frame.to_raw(), expected[lent], "seed {seed} frame {lent}");
-                    lent += 1;
-                }
-                Ok(_) => {
-                    if dec.read_from(&mut src).unwrap() == 0 {
-                        break None;
-                    }
-                }
-                Err(e) => {
-                    assert_eq!(dec.next_borrowed(), Err(e.clone()), "seed {seed}");
-                    break Some(e);
-                }
+        match seed % 9 {
+            0 => stream.extend_from_slice(&[0xE3, CONTROL_VERSION, 0x10, 0, 0, 0, 0]),
+            1 => stream.extend_from_slice(&[CONTROL_MAGIC, CONTROL_VERSION + 1, 0x10, 0, 0, 0, 0]),
+            2 => {
+                stream.extend_from_slice(&[CONTROL_MAGIC, CONTROL_VERSION, 0x20]);
+                stream.extend_from_slice(&(cap + 1).to_le_bytes());
             }
-            assert!(
-                dec.capacity() <= expected_max_frame(&expected) + 64 * 1024,
-                "seed {seed}: buffer grew to {}",
-                dec.capacity()
-            );
-        };
-        assert_eq!(lent, expected.len(), "seed {seed}");
-        assert_eq!(read_fatal, fatal, "seed {seed}");
-        if fatal.is_none() {
-            assert_eq!(dec.buffered(), 0, "seed {seed}");
-            assert_eq!(fed.buffered(), 0, "seed {seed}");
+            _ => {}
         }
+        let (frames, fatal) = lending_differential(ControlFraming::capped(cap), &stream, seed);
+        assert_eq!(frames.len(), payloads.len(), "seed {seed}");
+        assert_eq!(frames.iter().filter(|(_, p)| p.is_none()).count(), corrupt, "seed {seed}");
+        assert_eq!(fatal.is_some(), seed % 9 < 3, "seed {seed}");
     }
-}
-
-/// The longest frame of a stream, header included.
-fn expected_max_frame(frames: &[RawFrame]) -> usize {
-    frames.iter().map(|f| 6 + f.payload.len()).max().unwrap_or(0)
 }
 
 #[test]
@@ -392,12 +469,12 @@ fn arbitrary_bytes_never_panic_the_control_decoder() {
         // Pure noise: errors and truncation are fine, panics are not.
         let bytes = arb_bytes(rng, 512);
         let cap = if rng.chance(0.5) { u32::MAX } else { rng.below(4096) as u32 };
-        let _ = decode_control_frame(&bytes);
-        let _ = decode_control_frame_capped(&bytes, cap);
-        let mut dec = ControlDecoder::new();
-        dec.set_max_payload(cap);
+        let _ = ControlFraming::default().split(&bytes);
+        let _ = ControlFraming::capped(cap).split(&bytes);
+        let mut dec = FrameDecoder::with_framing(ControlFraming::capped(cap));
         dec.feed(&bytes);
-        while let Ok(Some(_)) = dec.next_event() {}
+        let _ = dec.missing();
+        while let Ok(Some(_)) = dec.next_borrowed() {}
     });
 }
 
@@ -414,7 +491,7 @@ fn mutated_control_frames_never_panic() {
             frame[rng.below(len) as usize] ^= rng.range(1, 256) as u8;
         }
         let chunk = rng.range(1, 64) as usize;
-        let mut dec = ControlDecoder::new();
+        let mut dec = FrameDecoder::with_framing(ControlFraming::default());
         let mut fatal = false;
         for piece in frame.chunks(chunk) {
             if fatal {
@@ -422,7 +499,7 @@ fn mutated_control_frames_never_panic() {
             }
             dec.feed(piece);
             loop {
-                match dec.next_event() {
+                match dec.next_borrowed() {
                     Ok(Some(_)) => continue,
                     Ok(None) => break,
                     Err(_) => {

@@ -1,7 +1,7 @@
 //! Integration tests of the real-TCP substrate: server, honeypot host and
 //! scripted peers exchanging genuine eDonkey frames over loopback.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use edonkey_honeypots::net::{HoneypotHost, NetServer, ScriptedPeer};
 use edonkey_honeypots::platform::{
@@ -27,6 +27,12 @@ fn start_honeypot(server: &NetServer, content: ContentStrategy, materialize: boo
     );
     let host = HoneypotHost::start(hp, server.addr()).expect("start host");
     assert!(host.wait_connected(Duration::from_secs(5)), "honeypot login timed out");
+    // The server indexes the OFFER-FILES that follows the login round trip
+    // on its own thread; a peer asking before it lands finds nothing.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.indexed_files() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     host
 }
 
