@@ -4,9 +4,12 @@
 //! transport-agnostic state machine.
 //!
 //! The honeypot never touches a socket or the simulator directly: every
-//! entry point takes what arrived and returns a list of [`Action`]s for the
-//! host (the discrete-event world, or the real-TCP adapter in
-//! `edonkey-net`) to carry out.  One honeypot implementation therefore runs
+//! entry point takes what arrived and writes what the host (the
+//! discrete-event world, or the real-TCP adapter in `edonkey-net`) must do
+//! into a caller-owned [`ActionSink`].  Replies are lent, not handed over:
+//! the HELLO-ANSWER is built once per server session and SENDING-PART lives
+//! on the stack, so a host that only inspects or encodes them allocates
+//! nothing per message.  One honeypot implementation therefore runs
 //! identically in simulation and over the network.
 
 use std::collections::HashMap;
@@ -25,7 +28,26 @@ use crate::types::{HoneypotId, HoneypotStatus, IdStatus, ServerInfo, StatusRepor
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ConnId(pub u64);
 
-/// What the host must do on the honeypot's behalf.
+/// Where the honeypot's entry points write what the host must do on its
+/// behalf.  Every call happens inside the entry point, in the order the
+/// honeypot acts.
+pub trait ActionSink {
+    /// Send `msg` back on the connection the triggering message arrived on.
+    /// It is lent: a host that keeps it must clone it.
+    fn reply(&mut self, msg: &PeerMessage);
+    /// Send `msg` to the honeypot's server.
+    fn send_server(&mut self, msg: ClientServerMessage);
+    /// Publish `files` to the server as one OFFER-FILES.  `files` is always
+    /// a run of the honeypot's append-only shared list: the whole list (at
+    /// ID-CHANGE and keep-alive) or its newly adopted tail.
+    fn offer(&mut self, files: &[AdvertisedFile]);
+    /// Report status to the manager.
+    fn report(&mut self, report: StatusReport);
+}
+
+/// What the host must do on the honeypot's behalf, as a value: the
+/// `Vec<Action>` sink records every call, cloning lent replies and
+/// building each offer as the OFFER-FILES the wire carries.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Action {
     /// Send a message back on the connection the triggering message arrived
@@ -35,6 +57,47 @@ pub enum Action {
     SendServer(ClientServerMessage),
     /// Report status to the manager.
     Report(StatusReport),
+}
+
+impl ActionSink for Vec<Action> {
+    fn reply(&mut self, msg: &PeerMessage) {
+        self.push(Action::Reply(msg.clone()));
+    }
+
+    fn send_server(&mut self, msg: ClientServerMessage) {
+        self.push(Action::SendServer(msg));
+    }
+
+    fn offer(&mut self, files: &[AdvertisedFile]) {
+        self.push(Action::SendServer(offer_message(files)));
+    }
+
+    fn report(&mut self, report: StatusReport) {
+        self.push(Action::Report(report));
+    }
+}
+
+/// The OFFER-FILES message publishing `files` to the server.
+pub fn offer_message(files: &[AdvertisedFile]) -> ClientServerMessage {
+    ClientServerMessage::OfferFiles {
+        files: files
+            .iter()
+            .map(|f| edonkey_proto::PublishedFile::new(f.id, &f.name, f.size))
+            .collect(),
+    }
+}
+
+/// The HELLO-ANSWER of a honeypot whose server session granted `client_id`.
+fn hello_answer(user_id: UserId, config: &HoneypotConfig, client_id: ClientId) -> PeerMessage {
+    PeerMessage::HelloAnswer {
+        user_id,
+        client_id,
+        port: config.port,
+        tags: vec![
+            Tag::string(special::NAME, config.client_name.clone()),
+            Tag::u32(special::VERSION, 0x3c),
+        ],
+    }
 }
 
 /// Static configuration of one honeypot.
@@ -82,9 +145,6 @@ struct PeerSession {
     user_id: UserId,
     name_idx: u32,
     version: u32,
-    /// Set once we asked this peer for its shared list, to ask only once
-    /// per session.
-    asked_shared: bool,
 }
 
 /// The honeypot state machine.
@@ -99,6 +159,9 @@ pub struct Honeypot {
     sessions: HashMap<ConnId, PeerSession>,
     status: HoneypotStatus,
     server: ServerInfo,
+    /// The HELLO-ANSWER every HELLO is answered with, rebuilt at each
+    /// ID-CHANGE (it carries the granted client ID).
+    hello_answer: PeerMessage,
 }
 
 impl Honeypot {
@@ -107,8 +170,10 @@ impl Honeypot {
     /// `ip_hasher` must be shared by all honeypots of the measurement so
     /// step-1 anonymisation stays coherent (see [`crate::anonymize`]).
     pub fn new(config: HoneypotConfig, server: ServerInfo, ip_hasher: IpHasher, rng: Rng) -> Self {
+        let user_id = UserId::from_seed(format!("honeypot-{}", config.id.0).as_bytes());
         let mut hp = Honeypot {
-            user_id: UserId::from_seed(format!("honeypot-{}", config.id.0).as_bytes()),
+            hello_answer: hello_answer(user_id, &config, ClientId(0)),
+            user_id,
             log: HoneypotLog::new(config.id, server.clone()),
             shared: Vec::new(),
             shared_ids: HashMap::new(),
@@ -120,20 +185,20 @@ impl Honeypot {
             config,
         };
         for f in hp.config.files.initial_files().to_vec() {
-            hp.add_shared(f);
+            hp.add_shared(f.id, &f.name, f.size);
         }
         hp
     }
 
-    fn add_shared(&mut self, f: AdvertisedFile) -> bool {
-        if self.shared_ids.contains_key(&f.id) || self.shared.len() >= self.config.files.max_files()
-        {
-            return false;
+    /// Appends a file to the shared list unless it is listed already or the
+    /// list is full.
+    fn add_shared(&mut self, id: FileId, name: &str, size: u64) {
+        if self.shared_ids.contains_key(&id) || self.shared.len() >= self.config.files.max_files() {
+            return;
         }
-        self.log.files.intern(f.id, &f.name, f.size);
-        self.shared_ids.insert(f.id, self.shared.len() as u32);
-        self.shared.push(f);
-        true
+        self.log.files.intern(id, name, size);
+        self.shared_ids.insert(id, self.shared.len() as u32);
+        self.shared.push(AdvertisedFile::new(id, name, size));
     }
 
     /// The currently advertised files.
@@ -172,20 +237,14 @@ impl Honeypot {
         self.log.take_chunk()
     }
 
-    /// The OFFER-FILES message describing files, as published to the
-    /// server.
-    fn offer_message(files: &[AdvertisedFile]) -> ClientServerMessage {
-        ClientServerMessage::OfferFiles {
-            files: files
-                .iter()
-                .map(|f| edonkey_proto::PublishedFile::new(f.id, &f.name, f.size))
-                .collect(),
-        }
+    /// Reports the current status to the manager.
+    fn report_status(&self, now: SimTime, out: &mut impl ActionSink) {
+        out.report(StatusReport { honeypot: self.config.id, at: now, status: self.status });
     }
 
-    /// Begins a (re)connection to the server: returns the LOGIN-REQUEST the
+    /// Begins a (re)connection to the server: sends the LOGIN-REQUEST the
     /// host must deliver.
-    pub fn connect(&mut self, now: SimTime) -> Vec<Action> {
+    pub fn connect(&mut self, now: SimTime, out: &mut impl ActionSink) {
         self.status = HoneypotStatus::Disconnected;
         self.sessions.clear();
         let login = ClientServerMessage::LoginRequest {
@@ -199,66 +258,56 @@ impl Honeypot {
             ],
         };
         let _ = now;
-        vec![Action::SendServer(login)]
+        out.send_server(login);
     }
 
     /// Handles a message from the server.
-    pub fn on_server_message(&mut self, now: SimTime, msg: &ClientServerMessage) -> Vec<Action> {
+    pub fn on_server_message(
+        &mut self,
+        now: SimTime,
+        msg: &ClientServerMessage,
+        out: &mut impl ActionSink,
+    ) {
         match msg {
             ClientServerMessage::IdChange { client_id } => {
                 self.status = HoneypotStatus::Connected { client_id: *client_id };
+                self.hello_answer = hello_answer(self.user_id, &self.config, *client_id);
                 // Advertise immediately after the session is granted
                 // (paper §III-B, "File display").
-                vec![
-                    Action::SendServer(Self::offer_message(&self.shared)),
-                    Action::Report(StatusReport {
-                        honeypot: self.config.id,
-                        at: now,
-                        status: self.status,
-                    }),
-                ]
+                out.offer(&self.shared);
+                self.report_status(now, out);
             }
             ClientServerMessage::ServerMessage { .. }
             | ClientServerMessage::ServerStatus { .. }
-            | ClientServerMessage::FoundSources { .. } => Vec::new(),
+            | ClientServerMessage::FoundSources { .. } => {}
             // Client→server messages arriving here indicate a host bug.
             other => {
                 debug_assert!(false, "honeypot received client-side message {other:?}");
-                Vec::new()
             }
         }
     }
 
     /// Periodic keep-alive: re-offers the shared list so the server keeps
-    /// listing the honeypot as a provider.
-    pub fn keepalive(&mut self, _now: SimTime) -> Vec<Action> {
+    /// listing the honeypot as a provider.  The list is lent whole; the
+    /// server skips what this session already offered.
+    pub fn keepalive(&mut self, _now: SimTime, out: &mut impl ActionSink) {
         if matches!(self.status, HoneypotStatus::Connected { .. }) {
-            vec![Action::SendServer(Self::offer_message(&self.shared))]
-        } else {
-            Vec::new()
+            out.offer(&self.shared);
         }
     }
 
     /// Signals loss of the server connection.
-    pub fn on_disconnected(&mut self, now: SimTime) -> Vec<Action> {
+    pub fn on_disconnected(&mut self, now: SimTime, out: &mut impl ActionSink) {
         self.status = HoneypotStatus::Disconnected;
         self.sessions.clear();
-        vec![Action::Report(StatusReport {
-            honeypot: self.config.id,
-            at: now,
-            status: self.status,
-        })]
+        self.report_status(now, out);
     }
 
     /// Kills the honeypot (failure injection in tests/simulations).
-    pub fn kill(&mut self, now: SimTime) -> Vec<Action> {
+    pub fn kill(&mut self, now: SimTime, out: &mut impl ActionSink) {
         self.status = HoneypotStatus::Dead;
         self.sessions.clear();
-        vec![Action::Report(StatusReport {
-            honeypot: self.config.id,
-            at: now,
-            status: self.status,
-        })]
+        self.report_status(now, out);
     }
 
     /// Handles one message from a peer connection.
@@ -271,9 +320,10 @@ impl Honeypot {
         conn: ConnId,
         src_ip: Ipv4,
         msg: &PeerMessage,
-    ) -> Vec<Action> {
+        out: &mut impl ActionSink,
+    ) {
         if !matches!(self.status, HoneypotStatus::Connected { .. }) {
-            return Vec::new();
+            return;
         }
         match msg {
             PeerMessage::Hello { user_id, client_id, port, tags } => {
@@ -287,7 +337,6 @@ impl Honeypot {
                     user_id: *user_id,
                     name_idx,
                     version,
-                    asked_shared: false,
                 };
                 self.log.push(QueryRecord {
                     at: now,
@@ -300,39 +349,21 @@ impl Honeypot {
                     version,
                     file: FILE_NONE,
                 });
-                let mut actions = vec![Action::Reply(PeerMessage::HelloAnswer {
-                    user_id: self.user_id,
-                    client_id: match self.status {
-                        HoneypotStatus::Connected { client_id } => client_id,
-                        _ => ClientId(0),
-                    },
-                    port: self.config.port,
-                    tags: vec![
-                        Tag::string(special::NAME, self.config.client_name.clone()),
-                        Tag::u32(special::VERSION, 0x3c),
-                    ],
-                })];
-                let mut session = session;
-                if self.config.ask_shared_files {
-                    session.asked_shared = true;
-                    actions.push(Action::Reply(PeerMessage::AskSharedFiles));
-                }
                 self.sessions.insert(conn, session);
-                actions
+                out.reply(&self.hello_answer);
+                if self.config.ask_shared_files {
+                    out.reply(&PeerMessage::AskSharedFiles);
+                }
             }
             PeerMessage::StartUpload { file_id } => {
                 let Some(session) = self.sessions.get(&conn) else {
                     // START-UPLOAD without HELLO: protocol violation; drop.
-                    return Vec::new();
+                    return;
                 };
-                let file_idx = self
-                    .shared_ids
-                    .get(file_id)
-                    .map(|_| {
-                        // Queried file is one of ours: already interned.
-                        self.log.files.lookup(file_id).expect("advertised files are interned")
-                    })
-                    .unwrap_or_else(|| self.log.files.intern(*file_id, "", 0));
+                // An advertised file was interned with its name when it was
+                // listed; `intern` returns that entry and adds any other file
+                // bare.
+                let file_idx = self.log.files.intern(*file_id, "", 0);
                 self.log.push(QueryRecord {
                     at: now,
                     kind: QueryKind::StartUpload,
@@ -346,38 +377,34 @@ impl Honeypot {
                 });
                 // Always accept: the honeypot wants to see part requests
                 // (paper Fig. 1: START-UPLOAD → ACCEPT-UPLOAD).
-                vec![Action::Reply(PeerMessage::AcceptUpload)]
+                out.reply(&PeerMessage::AcceptUpload);
             }
             PeerMessage::RequestParts { file_id, ranges } => {
                 if !self.log_request_parts(now, conn, file_id) {
-                    return Vec::new();
+                    return;
                 }
                 let mut content =
                     self.config.materialize_content.then(|| self.rng.substream("content"));
-                ranges
-                    .iter()
-                    .filter(|rg| !rg.is_empty())
-                    .map(|rg| {
-                        let mut data = Vec::new();
-                        if let Some(content) = &mut content {
-                            data.resize(rg.len() as usize, 0);
-                            content.fill_bytes(&mut data);
-                        }
-                        Action::Reply(PeerMessage::SendingPart {
-                            file_id: *file_id,
-                            start: rg.start,
-                            end: rg.end,
-                            data,
-                        })
-                    })
-                    .collect()
+                for rg in ranges.iter().filter(|rg| !rg.is_empty()) {
+                    let mut data = Vec::new();
+                    if let Some(content) = &mut content {
+                        data.resize(rg.len() as usize, 0);
+                        content.fill_bytes(&mut data);
+                    }
+                    out.reply(&PeerMessage::SendingPart {
+                        file_id: *file_id,
+                        start: rg.start,
+                        end: rg.end,
+                        data,
+                    });
+                }
             }
             PeerMessage::AskSharedFilesAnswer { files } => {
                 let Some(session) = self.sessions.get(&conn) else {
-                    return Vec::new();
+                    return;
                 };
                 let ip_hash = session.ip_hash;
-                let mut adopted = Vec::new();
+                let before = self.shared.len();
                 let adopting = self.config.files.adopting(now);
                 // The list goes straight into the shared-arena columns: no
                 // per-record `Vec` on this hot path.
@@ -388,30 +415,21 @@ impl Honeypot {
                     let idx = self.log.files.intern(f.file_id, name, size);
                     self.log.shared_lists.append_file(idx);
                     if adopting {
-                        let fresh =
-                            self.add_shared(AdvertisedFile::new(f.file_id, name.to_string(), size));
-                        if fresh {
-                            adopted.push(self.shared.last().expect("just pushed").clone());
-                        }
+                        self.add_shared(f.file_id, name, size);
                     }
                 }
-                if adopted.is_empty() {
-                    Vec::new()
-                } else {
-                    // Publish only the newly adopted files; OFFER-FILES is
-                    // additive on the server side.
-                    vec![Action::SendServer(Self::offer_message(&adopted))]
+                // Publish only the newly adopted files; OFFER-FILES is
+                // additive on the server side.
+                if self.shared.len() > before {
+                    out.offer(&self.shared[before..]);
                 }
             }
             PeerMessage::FileRequest { file_id } => {
-                let name =
-                    self.shared_ids.get(file_id).map(|&i| self.shared[i as usize].name.clone());
-                match name {
-                    Some(name) => vec![Action::Reply(PeerMessage::FileRequestAnswer {
+                if let Some(&i) = self.shared_ids.get(file_id) {
+                    out.reply(&PeerMessage::FileRequestAnswer {
                         file_id: *file_id,
-                        name,
-                    })],
-                    None => Vec::new(),
+                        name: self.shared[i as usize].name.clone(),
+                    });
                 }
             }
             // Messages a provider-side honeypot ignores.
@@ -420,7 +438,7 @@ impl Honeypot {
             | PeerMessage::QueueRank { .. }
             | PeerMessage::SendingPart { .. }
             | PeerMessage::AskSharedFiles
-            | PeerMessage::FileRequestAnswer { .. } => Vec::new(),
+            | PeerMessage::FileRequestAnswer { .. } => {}
         }
     }
 
@@ -433,11 +451,7 @@ impl Honeypot {
         let Some(session) = self.sessions.get(&conn) else {
             return false;
         };
-        let file_idx = self
-            .log
-            .files
-            .lookup(file_id)
-            .unwrap_or_else(|| self.log.files.intern(*file_id, "", 0));
+        let file_idx = self.log.files.intern(*file_id, "", 0);
         self.log.push(QueryRecord {
             at: now,
             kind: QueryKind::RequestPart,
@@ -511,11 +525,14 @@ mod tests {
 
     fn connected(content: ContentStrategy) -> Honeypot {
         let mut hp = honeypot(content);
-        let actions = hp.connect(SimTime::ZERO);
+        let mut actions = Vec::new();
+        hp.connect(SimTime::ZERO, &mut actions);
         assert!(matches!(actions[0], Action::SendServer(ClientServerMessage::LoginRequest { .. })));
-        let actions = hp.on_server_message(
+        let mut actions = Vec::new();
+        hp.on_server_message(
             SimTime::from_secs(1),
             &ClientServerMessage::IdChange { client_id: ClientId(0x5000_0000) },
+            &mut actions,
         );
         assert!(
             matches!(&actions[0], Action::SendServer(ClientServerMessage::OfferFiles { files }) if files.len() == 2),
@@ -538,7 +555,8 @@ mod tests {
     fn hello_is_logged_and_answered() {
         let mut hp = connected(ContentStrategy::NoContent);
         let t = SimTime::from_secs(10);
-        let actions = hp.on_peer_message(t, ConnId(1), Ipv4::new(81, 1, 1, 1), &hello(b"peer-1"));
+        let mut actions = Vec::new();
+        hp.on_peer_message(t, ConnId(1), Ipv4::new(81, 1, 1, 1), &hello(b"peer-1"), &mut actions);
         assert!(matches!(actions[0], Action::Reply(PeerMessage::HelloAnswer { .. })));
         assert!(matches!(actions[1], Action::Reply(PeerMessage::AskSharedFiles)));
         assert_eq!(hp.log().count_kind(QueryKind::Hello), 1);
@@ -553,7 +571,7 @@ mod tests {
     fn ip_never_stored_raw() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 2, 3, 4);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let rec = hp.log().records[0];
         assert_eq!(rec.peer, IpHasher::from_seed(1).hash(ip), "stored value is the salted hash");
         assert_ne!(&rec.peer.0[..4], &ip.octets()[..], "raw IP must not leak into the hash prefix");
@@ -563,13 +581,15 @@ mod tests {
     fn start_upload_accepted_and_logged() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let file_id = FileId::from_seed(b"movie");
-        let actions = hp.on_peer_message(
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::from_secs(2),
             ConnId(1),
             ip,
             &PeerMessage::StartUpload { file_id },
+            &mut actions,
         );
         assert_eq!(actions, vec![Action::Reply(PeerMessage::AcceptUpload)]);
         assert_eq!(hp.log().count_kind(QueryKind::StartUpload), 1);
@@ -580,11 +600,13 @@ mod tests {
     #[test]
     fn start_upload_without_hello_dropped() {
         let mut hp = connected(ContentStrategy::NoContent);
-        let actions = hp.on_peer_message(
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::ZERO,
             ConnId(9),
             Ipv4::new(1, 1, 1, 1),
             &PeerMessage::StartUpload { file_id: FileId::from_seed(b"movie") },
+            &mut actions,
         );
         assert!(actions.is_empty());
         assert_eq!(hp.log().records.len(), 0);
@@ -605,12 +627,14 @@ mod tests {
     fn no_content_honeypot_stays_silent_on_part_requests() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
-        let actions = hp.on_peer_message(
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::from_secs(3),
             ConnId(1),
             ip,
             &request(FileId::from_seed(b"movie")),
+            &mut actions,
         );
         assert!(actions.is_empty(), "no-content honeypots do not reply to part requests");
         assert_eq!(hp.log().count_kind(QueryKind::RequestPart), 1, "…but they log them");
@@ -620,12 +644,14 @@ mod tests {
     fn random_content_honeypot_sends_blocks() {
         let mut hp = connected(ContentStrategy::RandomContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
-        let actions = hp.on_peer_message(
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::from_secs(3),
             ConnId(1),
             ip,
             &request(FileId::from_seed(b"movie")),
+            &mut actions,
         );
         assert_eq!(actions.len(), 2, "one SENDING-PART per non-empty range");
         for a in &actions {
@@ -639,15 +665,22 @@ mod tests {
             HoneypotConfig::fixed(HoneypotId(1), ContentStrategy::RandomContent, advertised());
         config.materialize_content = true;
         let mut hp = Honeypot::new(config, server(), IpHasher::from_seed(1), Rng::seed_from(7));
-        hp.connect(SimTime::ZERO);
+        hp.connect(SimTime::ZERO, &mut Vec::new());
         hp.on_server_message(
             SimTime::ZERO,
             &ClientServerMessage::IdChange { client_id: ClientId(0x5000_0000) },
+            &mut Vec::new(),
         );
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
-        let actions =
-            hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &request(FileId::from_seed(b"movie")));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
+        let mut actions = Vec::new();
+        hp.on_peer_message(
+            SimTime::ZERO,
+            ConnId(1),
+            ip,
+            &request(FileId::from_seed(b"movie")),
+            &mut actions,
+        );
         let Action::Reply(PeerMessage::SendingPart { data, start, end, .. }) = &actions[0] else {
             panic!("expected SENDING-PART");
         };
@@ -672,34 +705,38 @@ mod tests {
             client_name: "hp".into(),
         };
         let mut hp = Honeypot::new(config, server(), IpHasher::from_seed(1), Rng::seed_from(2));
-        hp.connect(SimTime::ZERO);
+        hp.connect(SimTime::ZERO, &mut Vec::new());
         hp.on_server_message(
             SimTime::ZERO,
             &ClientServerMessage::IdChange { client_id: ClientId(0x5000_0000) },
+            &mut Vec::new(),
         );
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::from_hours(1), ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::from_hours(1), ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let answer = PeerMessage::AskSharedFilesAnswer {
             files: vec![
                 edonkey_proto::PublishedFile::new(FileId::from_seed(b"x"), "x.avi", 100),
                 edonkey_proto::PublishedFile::new(FileId::from_seed(b"y"), "y.mp3", 50),
             ],
         };
-        let actions = hp.on_peer_message(SimTime::from_hours(2), ConnId(1), ip, &answer);
+        let mut actions = Vec::new();
+        hp.on_peer_message(SimTime::from_hours(2), ConnId(1), ip, &answer, &mut actions);
         assert_eq!(hp.shared_files().len(), 3, "adopted both files");
         assert!(
             matches!(&actions[0], Action::SendServer(ClientServerMessage::OfferFiles { files }) if files.len() == 2),
             "newly adopted files are published"
         );
         // Re-announcing the same list adopts nothing new.
-        let actions = hp.on_peer_message(SimTime::from_hours(3), ConnId(1), ip, &answer);
+        let mut actions = Vec::new();
+        hp.on_peer_message(SimTime::from_hours(3), ConnId(1), ip, &answer, &mut actions);
         assert!(actions.is_empty());
         // After the window, lists are recorded but not adopted.
-        hp.on_peer_message(SimTime::from_days(2), ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::from_days(2), ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let late = PeerMessage::AskSharedFilesAnswer {
             files: vec![edonkey_proto::PublishedFile::new(FileId::from_seed(b"z"), "z", 9)],
         };
-        let actions = hp.on_peer_message(SimTime::from_days(2), ConnId(1), ip, &late);
+        let mut actions = Vec::new();
+        hp.on_peer_message(SimTime::from_days(2), ConnId(1), ip, &late, &mut actions);
         assert!(actions.is_empty());
         assert_eq!(hp.shared_files().len(), 3);
         assert_eq!(hp.log().shared_lists.len(), 3, "all lists recorded regardless");
@@ -718,13 +755,14 @@ mod tests {
             client_name: "hp".into(),
         };
         let mut hp = Honeypot::new(config, server(), IpHasher::from_seed(1), Rng::seed_from(2));
-        hp.connect(SimTime::ZERO);
+        hp.connect(SimTime::ZERO, &mut Vec::new());
         hp.on_server_message(
             SimTime::ZERO,
             &ClientServerMessage::IdChange { client_id: ClientId(0x5000_0000) },
+            &mut Vec::new(),
         );
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let answer = PeerMessage::AskSharedFilesAnswer {
             files: (0..10)
                 .map(|i| {
@@ -736,19 +774,21 @@ mod tests {
                 })
                 .collect(),
         };
-        hp.on_peer_message(SimTime::from_hours(1), ConnId(1), ip, &answer);
+        hp.on_peer_message(SimTime::from_hours(1), ConnId(1), ip, &answer, &mut Vec::new());
         assert_eq!(hp.shared_files().len(), 2, "cap holds");
     }
 
     #[test]
     fn dead_honeypot_ignores_peers() {
         let mut hp = connected(ContentStrategy::NoContent);
-        hp.kill(SimTime::from_secs(5));
-        let actions = hp.on_peer_message(
+        hp.kill(SimTime::from_secs(5), &mut Vec::new());
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::from_secs(6),
             ConnId(1),
             Ipv4::new(1, 1, 1, 1),
             &hello(b"p"),
+            &mut actions,
         );
         assert!(actions.is_empty());
         assert_eq!(hp.log().records.len(), 0);
@@ -758,22 +798,51 @@ mod tests {
     #[test]
     fn relaunch_after_death_works() {
         let mut hp = connected(ContentStrategy::NoContent);
-        hp.kill(SimTime::from_secs(5));
-        let actions = hp.connect(SimTime::from_secs(60));
+        hp.kill(SimTime::from_secs(5), &mut Vec::new());
+        let mut actions = Vec::new();
+        hp.connect(SimTime::from_secs(60), &mut actions);
         assert!(matches!(actions[0], Action::SendServer(ClientServerMessage::LoginRequest { .. })));
         hp.on_server_message(
             SimTime::from_secs(61),
             &ClientServerMessage::IdChange { client_id: ClientId(0x5000_0000) },
+            &mut Vec::new(),
         );
         assert!(matches!(hp.status(), HoneypotStatus::Connected { .. }));
     }
 
     #[test]
+    fn hello_answer_carries_the_latest_granted_id() {
+        let answered_id = |hp: &mut Honeypot, conn: u64| {
+            let ip = Ipv4::new(81, 1, 1, 1);
+            let mut actions = Vec::new();
+            hp.on_peer_message(SimTime::ZERO, ConnId(conn), ip, &hello(b"p"), &mut actions);
+            let Action::Reply(PeerMessage::HelloAnswer { client_id, .. }) = actions[0] else {
+                panic!("expected HELLO-ANSWER, got {actions:?}");
+            };
+            client_id
+        };
+        let mut hp = connected(ContentStrategy::NoContent);
+        assert_eq!(answered_id(&mut hp, 1), ClientId(0x5000_0000));
+        hp.kill(SimTime::from_secs(5), &mut Vec::new());
+        hp.connect(SimTime::from_secs(60), &mut Vec::new());
+        let fresh = ClientId(0x6100_0000);
+        hp.on_server_message(
+            SimTime::from_secs(61),
+            &ClientServerMessage::IdChange { client_id: fresh },
+            &mut Vec::new(),
+        );
+        assert_eq!(answered_id(&mut hp, 2), fresh, "the answer is rebuilt at every ID-CHANGE");
+    }
+
+    #[test]
     fn keepalive_reoffers_when_connected_only() {
         let mut hp = honeypot(ContentStrategy::NoContent);
-        assert!(hp.keepalive(SimTime::ZERO).is_empty(), "not connected yet");
+        let mut actions = Vec::new();
+        hp.keepalive(SimTime::ZERO, &mut actions);
+        assert!(actions.is_empty(), "not connected yet");
         let mut hp = connected(ContentStrategy::NoContent);
-        let actions = hp.keepalive(SimTime::from_mins(30));
+        let mut actions = Vec::new();
+        hp.keepalive(SimTime::from_mins(30), &mut actions);
         assert!(matches!(&actions[0], Action::SendServer(ClientServerMessage::OfferFiles { .. })));
     }
 
@@ -781,24 +850,28 @@ mod tests {
     fn file_request_answered_for_advertised_files_only() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         let known = FileId::from_seed(b"movie");
-        let actions = hp.on_peer_message(
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::ZERO,
             ConnId(1),
             ip,
             &PeerMessage::FileRequest { file_id: known },
+            &mut actions,
         );
         assert!(matches!(
             &actions[0],
             Action::Reply(PeerMessage::FileRequestAnswer { name, .. }) if name == "movie.avi"
         ));
         let unknown = FileId::from_seed(b"nope");
-        let actions = hp.on_peer_message(
+        let mut actions = Vec::new();
+        hp.on_peer_message(
             SimTime::ZERO,
             ConnId(1),
             ip,
             &PeerMessage::FileRequest { file_id: unknown },
+            &mut actions,
         );
         assert!(actions.is_empty());
     }
@@ -807,7 +880,7 @@ mod tests {
     fn disconnect_clears_sessions() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
         assert_eq!(hp.live_sessions(), 1);
         hp.on_peer_disconnected(ConnId(1));
         assert_eq!(hp.live_sessions(), 0);
@@ -817,10 +890,10 @@ mod tests {
     fn log_collection_is_incremental() {
         let mut hp = connected(ContentStrategy::NoContent);
         let ip = Ipv4::new(81, 1, 1, 1);
-        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p1"));
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p1"), &mut Vec::new());
         let chunk1 = hp.collect_log();
         assert_eq!(chunk1.records.len(), 1);
-        hp.on_peer_message(SimTime::from_secs(9), ConnId(2), ip, &hello(b"p2"));
+        hp.on_peer_message(SimTime::from_secs(9), ConnId(2), ip, &hello(b"p2"), &mut Vec::new());
         let chunk2 = hp.collect_log();
         assert_eq!(chunk2.records.len(), 1, "only new records in the second chunk");
     }

@@ -31,7 +31,7 @@ pub mod strategy;
 pub mod types;
 
 pub use anonymize::{AnonMap, AnonPeerId, IpHash, IpHasher};
-pub use honeypot::{Action, ConnId, Honeypot, HoneypotConfig};
+pub use honeypot::{Action, ActionSink, ConnId, Honeypot, HoneypotConfig};
 pub use log::{
     HoneypotLog, LogChunk, PackedQueryRecord, QueryKind, QueryRecord, SharedListView, SharedLists,
 };

@@ -8,9 +8,10 @@
 //!   the socket;
 //! * a **listener** for incoming peer connections; each accepted peer gets
 //!   a thread that decodes frames, drives the shared honeypot state
-//!   machine, and writes back the `Reply` actions — all replies of one
-//!   message in one `write`, SENDING-PART content streamed one block at a
-//!   time without the honeypot held.
+//!   machine, and encodes its lent replies straight into the write buffer —
+//!   all replies of one message in one `write`, SENDING-PART content
+//!   streamed one block at a time without the honeypot held.  Server and
+//!   status traffic is sent only after the honeypot lock is released.
 //!
 //! Time is wall-clock milliseconds since host start, mapped onto
 //! [`netsim::SimTime`] so the log schema is identical to the simulation's.
@@ -26,7 +27,10 @@ use std::time::{Duration, Instant};
 
 use edonkey_proto::parts::BLOCK_SIZE;
 use edonkey_proto::{ClientServerMessage, Ipv4, PartRange, PeerMessage};
-use honeypot::{Action, ConnId, Honeypot, HoneypotStatus, LogChunk, StatusReport};
+use honeypot::honeypot::offer_message;
+use honeypot::{
+    ActionSink, AdvertisedFile, ConnId, Honeypot, HoneypotStatus, LogChunk, StatusReport,
+};
 use netsim::sync::lock;
 use netsim::SimTime;
 
@@ -106,9 +110,10 @@ impl HoneypotHost {
         let (to_server, from_host) = channel::<ClientServerMessage>();
 
         // Kick off the login handshake.
-        let connect_actions = honeypot.connect(SimTime::ZERO);
+        let mut login = Outbox::default();
+        honeypot.connect(SimTime::ZERO, &mut login);
         let shared = Arc::new(Shared::new(honeypot));
-        route_actions(connect_actions, &to_server, &shared.status);
+        login.send(&to_server, &shared.status);
 
         // Server writer: drains the channel onto the socket, everything
         // queued at the moment it wakes in one write.
@@ -146,14 +151,16 @@ impl HoneypotHost {
         let server_reader = std::thread::spawn(move || {
             let shared = reader_shared;
             while let Ok(msg) = server_framed.read_server_message(true) {
-                let actions = lock(&shared.honeypot).on_server_message(shared.now(), &msg);
+                let mut out = Outbox::default();
+                lock(&shared.honeypot).on_server_message(shared.now(), &msg, &mut out);
                 shared.status_changed.notify_all();
-                route_actions(actions, &reader_sender, &shared.status);
+                out.send(&reader_sender, &shared.status);
             }
             if !shared.stopping.load(Ordering::SeqCst) {
                 shared.session_lost.store(true, Ordering::SeqCst);
-                let actions = lock(&shared.honeypot).on_disconnected(shared.now());
-                route_actions(actions, &reader_sender, &shared.status);
+                let mut out = Outbox::default();
+                lock(&shared.honeypot).on_disconnected(shared.now(), &mut out);
+                out.send(&reader_sender, &shared.status);
             }
         });
 
@@ -219,8 +226,9 @@ impl HoneypotHost {
     /// Sends a keep-alive OFFER-FILES now.
     pub fn keepalive(&self) {
         let now = self.now();
-        let actions = lock(&self.shared.honeypot).keepalive(now);
-        route_actions(actions, &self.to_server, &self.shared.status);
+        let mut out = Outbox::default();
+        lock(&self.shared.honeypot).keepalive(now, &mut out);
+        out.send(&self.to_server, &self.shared.status);
     }
 
     /// Collects the honeypot's buffered log.
@@ -292,21 +300,65 @@ impl HoneypotHost {
     }
 }
 
-fn route_actions(
-    actions: Vec<Action>,
-    to_server: &Sender<ClientServerMessage>,
-    status: &Mutex<Vec<StatusReport>>,
-) {
-    for a in actions {
-        match a {
-            Action::SendServer(msg) => {
-                let _ = to_server.send(msg);
-            }
-            Action::Report(r) => lock(status).push(r),
-            Action::Reply(_) => {
-                debug_assert!(false, "replies are handled by the peer thread");
-            }
+/// The server and status traffic of one honeypot call, held until the
+/// honeypot lock is released and then sent by [`Outbox::send`].
+#[derive(Default)]
+struct Outbox {
+    server: Vec<ClientServerMessage>,
+    reports: Vec<StatusReport>,
+}
+
+impl Outbox {
+    fn send(self, to_server: &Sender<ClientServerMessage>, status: &Mutex<Vec<StatusReport>>) {
+        for msg in self.server {
+            let _ = to_server.send(msg);
         }
+        if !self.reports.is_empty() {
+            lock(status).extend(self.reports);
+        }
+    }
+}
+
+impl ActionSink for Outbox {
+    fn reply(&mut self, _msg: &PeerMessage) {
+        // Only peer messages draw replies, and those go through `PeerSink`.
+    }
+
+    fn send_server(&mut self, msg: ClientServerMessage) {
+        self.server.push(msg);
+    }
+
+    fn offer(&mut self, files: &[AdvertisedFile]) {
+        self.server.push(offer_message(files));
+    }
+
+    fn report(&mut self, report: StatusReport) {
+        self.reports.push(report);
+    }
+}
+
+/// A peer connection's sink: replies are encoded straight into its write
+/// buffer, everything else waits in the outbox.
+struct PeerSink<'a, S> {
+    framed: &'a mut FramedStream<S>,
+    outbox: Outbox,
+}
+
+impl<S: Read + Write> ActionSink for PeerSink<'_, S> {
+    fn reply(&mut self, msg: &PeerMessage) {
+        self.framed.queue_peer_message(msg);
+    }
+
+    fn send_server(&mut self, msg: ClientServerMessage) {
+        self.outbox.send_server(msg);
+    }
+
+    fn offer(&mut self, files: &[AdvertisedFile]) {
+        self.outbox.offer(files);
+    }
+
+    fn report(&mut self, report: StatusReport) {
+        self.outbox.report(report);
     }
 }
 
@@ -342,16 +394,9 @@ fn serve_peer(
             }
             continue;
         }
-        let actions = lock(&shared.honeypot).on_peer_message(now, conn, src_ip, &msg);
-        for a in actions {
-            match a {
-                Action::Reply(reply) => framed.queue_peer_message(&reply),
-                Action::SendServer(m) => {
-                    let _ = to_server.send(m);
-                }
-                Action::Report(r) => lock(&shared.status).push(r),
-            }
-        }
+        let mut out = PeerSink { framed: &mut framed, outbox: Outbox::default() };
+        lock(&shared.honeypot).on_peer_message(now, conn, src_ip, &msg, &mut out);
+        out.outbox.send(to_server, &shared.status);
         framed.flush()?;
     }
 }
@@ -408,10 +453,11 @@ mod tests {
     #[test]
     fn each_protocol_step_is_one_write_of_the_parents_bytes() {
         let mut honeypot = fixture_honeypot(4661);
-        honeypot.connect(SimTime::ZERO);
+        honeypot.connect(SimTime::ZERO, &mut Outbox::default());
         honeypot.on_server_message(
             SimTime::ZERO,
             &ClientServerMessage::IdChange { client_id: ClientId(0x0100_007F) },
+            &mut Outbox::default(),
         );
         let shared = Shared::new(honeypot);
         let (to_server, _from_host) = channel();

@@ -107,17 +107,39 @@ impl Md4 {
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
         // Padding: a single 0x80 byte, zeros, then the 64-bit little-endian
-        // message length, so that the total is a multiple of 64 bytes.
+        // message length, so that the total is a multiple of 64 bytes.  It
+        // is written in place: one block, or two when the 0x80 byte leaves
+        // no room for the length in the first.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; BLOCK_LEN];
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_le_bytes());
+        let block = self.buf;
+        self.compress(&block);
+        self.digest()
+    }
+
+    /// The first `finalize`: pads one `update` byte at a time.  Kept as the
+    /// oracle the in-place padding is compared against.
+    #[cfg(test)]
+    fn finalize_bytewise(mut self) -> [u8; DIGEST_LEN] {
+        let bit_len = self.len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
             self.update(&[0]);
         }
-        // Write the length directly into the buffer and compress; going
-        // through `update` would corrupt `len` (harmless but sloppy).
         self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
         let block = self.buf;
         self.compress(&block);
+        self.digest()
+    }
 
+    fn digest(&self) -> [u8; DIGEST_LEN] {
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
@@ -254,6 +276,32 @@ mod tests {
             hasher.update(chunk);
         }
         assert_eq!(hasher.finalize(), whole);
+    }
+
+    #[test]
+    fn in_place_padding_matches_the_bytewise_oracle() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 256) as u8).collect();
+        for len in 0..=data.len() {
+            let input = &data[..len];
+            // Whole, byte at a time, halves, and odd-sized and block-sized
+            // chunks: every `buf_len` the padding can start from.
+            let splits: [&dyn Fn(&mut Md4); 5] = [
+                &|h| h.update(input),
+                &|h| input.iter().for_each(|b| h.update(&[*b])),
+                &|h| {
+                    h.update(&input[..len / 2]);
+                    h.update(&input[len / 2..]);
+                },
+                &|h| input.chunks(7).for_each(|c| h.update(c)),
+                &|h| input.chunks(BLOCK_LEN).for_each(|c| h.update(c)),
+            ];
+            for (i, feed) in splits.iter().enumerate() {
+                let mut hasher = Md4::new();
+                feed(&mut hasher);
+                let oracle = hasher.clone().finalize_bytewise();
+                assert_eq!(hasher.finalize(), oracle, "length {len}, split pattern {i}");
+            }
+        }
     }
 
     #[test]

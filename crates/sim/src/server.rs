@@ -19,6 +19,7 @@ use edonkey_proto::{ClientId, ClientServerMessage, FileId, PeerAddr, PublishedFi
 
 use honeypot::anonymize::IpHash;
 use honeypot::serverlog::{ServerQueryKind, ServerRecord};
+use honeypot::strategy::AdvertisedFile;
 use honeypot::types::ServerInfo;
 use netsim::SimTime;
 
@@ -145,13 +146,17 @@ impl SimServer {
 
     /// Handles OFFER-FILES: merges the published files into the session's
     /// offer set and the global index (additive, like real servers treat
-    /// keep-alive offers).
-    pub fn offer_files(&mut self, now: SimTime, session: u64, msg: &ClientServerMessage) {
-        let ClientServerMessage::OfferFiles { files } = msg else {
-            debug_assert!(false, "offer_files fed a non-OFFER message");
-            return;
-        };
-        let first = files.first().map_or(NO_FILE, |f| f.file_id);
+    /// keep-alive offers).  Name and size are indexed as the wire carries
+    /// them, the size clamped to its u32 tag.
+    ///
+    /// Returns how many leading files were skipped as already offered: the
+    /// longest run of `files` that repeats this session's offer set in
+    /// order, compared by id.  Skipping them changes nothing, since each is
+    /// already listed under this session.  A honeypot's keep-alive re-offers
+    /// its whole append-only shared list, so it pays only for the files
+    /// added since its last offer.
+    pub fn offer_files(&mut self, now: SimTime, session: u64, files: &[AdvertisedFile]) -> usize {
+        let first = files.first().map_or(NO_FILE, |f| f.id);
         let Some(reg) = self.clients.get_mut(&session) else {
             // Not logged in: real servers drop such packets (the capture
             // still sees them arrive).
@@ -164,21 +169,22 @@ impl SimServer {
                 files.len() as u32,
                 0,
             );
-            return;
+            return 0;
         };
         let addr = reg.addr;
-        for f in files {
+        let skipped = reg.offered.iter().zip(files).take_while(|(id, f)| **id == f.id).count();
+        for f in &files[skipped..] {
             // `reg.offered` and the provider lists move in lock-step (here
             // and in `disconnect`), so "already offered" is read off the
             // file's provider list — a handful of honeypots — instead of
             // scanning the client's whole offer set per file.
-            let providers = self.index.entry(f.file_id).or_default();
+            let providers = self.index.entry(f.id).or_default();
             if !providers.contains(&session) {
                 providers.push(session);
-                reg.offered.push(f.file_id);
+                reg.offered.push(f.id);
                 self.metadata
-                    .entry(f.file_id)
-                    .or_insert_with(|| (f.name().unwrap_or("").to_string(), f.size().unwrap_or(0)));
+                    .entry(f.id)
+                    .or_insert_with(|| (f.name.clone(), f.size.min(u64::from(u32::MAX))));
             }
         }
         self.capture_emit(
@@ -190,6 +196,7 @@ impl SimServer {
             files.len() as u32,
             1,
         );
+        skipped
     }
 
     /// Records an OFFER-FILES the server receives but deliberately does
@@ -346,7 +353,6 @@ impl std::fmt::Debug for SimServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edonkey_proto::PublishedFile;
 
     const T0: SimTime = SimTime::ZERO;
 
@@ -358,10 +364,8 @@ mod tests {
         PeerAddr::new(Ipv4::new(80, 1, 1, last), 4662)
     }
 
-    fn offer(ids: &[FileId]) -> ClientServerMessage {
-        ClientServerMessage::OfferFiles {
-            files: ids.iter().map(|id| PublishedFile::new(*id, "f", 10)).collect(),
-        }
+    fn offer(ids: &[FileId]) -> Vec<AdvertisedFile> {
+        ids.iter().map(|id| AdvertisedFile::new(*id, "f", 10)).collect()
     }
 
     #[test]
@@ -410,10 +414,24 @@ mod tests {
         let f1 = FileId::from_seed(b"a");
         let f2 = FileId::from_seed(b"b");
         s.login(T0, 1, addr(1), true);
-        s.offer_files(T0, 1, &offer(&[f1]));
-        s.offer_files(T0, 1, &offer(&[f1, f2])); // keep-alive with one new file
+        assert_eq!(s.offer_files(T0, 1, &offer(&[f1])), 0);
+        // Keep-alive with one new file: the offered head is skipped.
+        assert_eq!(s.offer_files(T0, 1, &offer(&[f1, f2])), 1);
         assert_eq!(s.provider_sessions(&f1).len(), 1, "no duplicate provider entries");
         assert_eq!(s.indexed_files(), 2);
+        // Out of order, nothing is skipped, and nothing changes either.
+        assert_eq!(s.offer_files(T0, 1, &offer(&[f2, f1])), 0);
+        assert_eq!(s.clients[&1].offered, [f1, f2]);
+        assert_eq!(s.provider_sessions(&f2), &[1]);
+    }
+
+    #[test]
+    fn indexed_size_is_clamped_to_the_u32_tag() {
+        let mut s = server();
+        s.login(T0, 1, addr(1), true);
+        let big = FileId::from_seed(b"big");
+        s.offer_files(T0, 1, &[AdvertisedFile::new(big, "big.iso", 5 << 32)]);
+        assert_eq!(s.metadata[&big], ("big.iso".to_string(), u64::from(u32::MAX)));
     }
 
     #[test]
@@ -544,12 +562,10 @@ mod tests {
         s.offer_files(
             T0,
             1,
-            &ClientServerMessage::OfferFiles {
-                files: vec![
-                    PublishedFile::new(FileId::from_seed(b"u"), "ubuntu.8.10.iso", 700 << 20),
-                    PublishedFile::new(FileId::from_seed(b"m"), "some.song.mp3", 5 << 20),
-                ],
-            },
+            &[
+                AdvertisedFile::new(FileId::from_seed(b"u"), "ubuntu.8.10.iso", 700 << 20),
+                AdvertisedFile::new(FileId::from_seed(b"m"), "some.song.mp3", 5 << 20),
+            ],
         );
         let expr = SearchExpr::keyword("ubuntu");
         let ClientServerMessage::SearchResult { files } = s.search(T0, 2, &expr, 100) else {
@@ -569,16 +585,16 @@ mod tests {
     fn search_respects_result_limit() {
         let mut s = server();
         s.login(T0, 1, addr(1), true);
-        let files: Vec<PublishedFile> = (0..50)
+        let files: Vec<AdvertisedFile> = (0..50)
             .map(|i| {
-                PublishedFile::new(
+                AdvertisedFile::new(
                     FileId::from_seed(format!("f{i}").as_bytes()),
-                    &format!("linux.{i}.iso"),
+                    format!("linux.{i}.iso"),
                     1,
                 )
             })
             .collect();
-        s.offer_files(T0, 1, &ClientServerMessage::OfferFiles { files });
+        s.offer_files(T0, 1, &files);
         let ClientServerMessage::SearchResult { files } =
             s.search(T0, 1, &SearchExpr::keyword("linux"), 10)
         else {

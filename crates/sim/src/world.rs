@@ -14,23 +14,25 @@
 //!   what makes month-scale measurements with ~10⁷ messages tractable.
 
 use edonkey_proto::parts::BLOCK_SIZE;
-use edonkey_proto::tags::{special, Tag};
-use edonkey_proto::{FileId, PartRange, PeerAddr, PeerMessage, PublishedFile, SearchExpr};
+use edonkey_proto::tags::{special, Tag, TagValue};
+use edonkey_proto::{
+    ClientServerMessage, FileId, Ipv4, PartRange, PeerAddr, PeerMessage, PublishedFile, SearchExpr,
+};
 use honeypot::serverlog::{ServerLogStats, SERVER_PEER_SESSION_BASE};
 use honeypot::{
-    Action, AdvertisedFile, ConnId, ContentStrategy, FileStrategy, Honeypot, HoneypotConfig,
-    HoneypotId, HoneypotSpec, IpHasher, Manager, MeasurementLog, ServerInfo,
+    ActionSink, AdvertisedFile, ConnId, ContentStrategy, FileStrategy, Honeypot, HoneypotConfig,
+    HoneypotId, HoneypotSpec, IpHasher, Manager, MeasurementLog, ServerInfo, StatusReport,
 };
 use netsim::dist::{exponential, poisson};
 use netsim::engine::{Scheduler, World};
 use netsim::time::MS_PER_DAY;
 use netsim::{CalendarQueue, Engine, EventQueue, PendingQueue, Rng, SimTime, TimingWheel};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::capture::ServerCapture;
 use crate::catalog::Catalog;
 use crate::config::{QueueKind, ScenarioConfig};
-use crate::identity::IdentityFactory;
+use crate::identity::{IdentityFactory, PeerIdentity};
 use crate::peer::{NewPeer, PeerTable, Session, SessionOutcome, SessionState, MAX_HONEYPOTS};
 use crate::server::SimServer;
 
@@ -100,20 +102,15 @@ pub struct EdonkeyWorld {
     /// snapshots (the hot loop allocates nothing per event).
     scratch_order: Vec<u8>,
     scratch_wanted: Vec<u32>,
+    /// The tag list of the last HELLO sent, rewritten in place for the next.
+    scratch_hello_tags: Vec<Tag>,
     /// Community-blacklist exposure per honeypot (detections so far).
     exposure: Vec<u32>,
     /// Per-honeypot sessions that reached part requests / that delivered
     /// any data (drives the source-quality selection bonus).
     hp_request_sessions: Vec<u64>,
     hp_delivered_sessions: Vec<u64>,
-    /// FileId → catalog index for the whole catalog.
-    id_index: HashMap<FileId, u32>,
-    /// Advertised catalog indices (deduplicated, insertion-ordered).
-    advert_list: Vec<u32>,
-    advert_set: std::collections::HashSet<u32>,
-    /// Cumulative popularity over `advert_list` (rebuilt when dirty).
-    advert_cum: Vec<f64>,
-    advert_dirty: bool,
+    adverts: Adverts,
     rng_arrival: Rng,
     rng_behavior: Rng,
     next_conn: u64,
@@ -148,8 +145,7 @@ impl EdonkeyWorld {
         let mut root = Rng::seed_from(config.seed);
         let mut rng_catalog = root.substream("catalog");
         let catalog = Catalog::generate(&config.catalog, &mut rng_catalog);
-        let id_index: HashMap<FileId, u32> =
-            (0..catalog.len() as u32).map(|i| (catalog.file(i).id, i)).collect();
+        let adverts = Adverts::new(&catalog);
 
         let server_info =
             ServerInfo::new("Big Server One", edonkey_proto::Ipv4::new(195, 200, 1, 1), 4661);
@@ -213,14 +209,11 @@ impl EdonkeyWorld {
             peers: PeerTable::new(),
             scratch_order: Vec::new(),
             scratch_wanted: Vec::new(),
+            scratch_hello_tags: Vec::new(),
             exposure: vec![0; config.honeypots.len()],
             hp_request_sessions: vec![0; config.honeypots.len()],
             hp_delivered_sessions: vec![0; config.honeypots.len()],
-            id_index,
-            advert_list: Vec::new(),
-            advert_set: std::collections::HashSet::new(),
-            advert_cum: Vec::new(),
-            advert_dirty: true,
+            adverts,
             rng_arrival: root.substream("arrival"),
             rng_behavior: root.substream("behavior"),
             next_conn: 0,
@@ -291,13 +284,80 @@ impl EdonkeyWorld {
     }
 
     fn launch_one(&mut self, now: SimTime, idx: usize) {
-        let actions = self.honeypots[idx].connect(now);
-        self.route_actions(now, idx, actions);
+        let (hp, mut out) = self.honeypot_and_sink(now, idx);
+        hp.connect(now, &mut out);
         // The server answers the login immediately.
-        let addr = PeerAddr::new(edonkey_proto::Ipv4::new(138, 96, 1, (idx + 1) as u8), 4662);
-        let id_change = self.server.login(now, idx as u64, addr, true);
-        let actions = self.honeypots[idx].on_server_message(now, &id_change);
-        self.route_actions(now, idx, actions);
+        let addr = PeerAddr::new(Ipv4::new(138, 96, 1, (idx + 1) as u8), 4662);
+        let id_change = out.server.login(now, idx as u64, addr, true);
+        hp.on_server_message(now, &id_change, &mut out);
+    }
+
+    /// Honeypot `idx` and the sink its actions at `now` go to, borrowed side
+    /// by side.
+    fn honeypot_and_sink(&mut self, now: SimTime, idx: usize) -> (&mut Honeypot, WorldSink<'_>) {
+        let out = WorldSink {
+            now,
+            session: idx as u64,
+            server: &mut self.server,
+            manager: &mut self.manager,
+            adverts: &mut self.adverts,
+            seen: Replies::default(),
+        };
+        (&mut self.honeypots[idx], out)
+    }
+
+    /// Delivers `msg`, sent by a peer from `src_ip` on connection `conn`, to
+    /// honeypot `hp_idx`; returns which replies it drew.
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        hp_idx: usize,
+        conn: u64,
+        src_ip: Ipv4,
+        msg: &PeerMessage,
+    ) -> Replies {
+        let (hp, mut out) = self.honeypot_and_sink(now, hp_idx);
+        hp.on_peer_message(now, ConnId(conn), src_ip, msg, &mut out);
+        out.seen
+    }
+
+    /// Delivers the HELLO `identity` opens connection `conn` with.  Its tag
+    /// list is the previous HELLO's, with the name rewritten in place, so a
+    /// greeting allocates nothing.
+    fn greet(
+        &mut self,
+        now: SimTime,
+        hp_idx: usize,
+        conn: u64,
+        identity: &PeerIdentity,
+    ) -> Replies {
+        let mut tags = std::mem::take(&mut self.scratch_hello_tags);
+        match tags.as_mut_slice() {
+            [Tag { value: TagValue::String(name), .. }, Tag { value: TagValue::U32(version), .. }] =>
+            {
+                name.clear();
+                name.push_str(identity.name());
+                *version = identity.version;
+            }
+            _ => {
+                tags = vec![
+                    Tag::string(special::NAME, identity.name()),
+                    Tag::u32(special::VERSION, identity.version),
+                ];
+            }
+        }
+        let hello = PeerMessage::Hello {
+            user_id: identity.user_id,
+            client_id: identity.client_id,
+            port: identity.port,
+            tags,
+        };
+        self.stats.hello_sent += 1;
+        let seen = self.deliver(now, hp_idx, conn, identity.ip, &hello);
+        if let PeerMessage::Hello { tags, .. } = hello {
+            self.scratch_hello_tags = tags;
+        }
+        seen
     }
 
     /// The configured STATUS self-snapshot period.
@@ -306,14 +366,14 @@ impl EdonkeyWorld {
     }
 
     fn spawn_robots(&mut self) {
-        self.refresh_advert();
-        if self.advert_list.is_empty() {
+        if self.adverts.list.is_empty() {
             return;
         }
         // Robots chase the most popular advertised file and sweep every
         // honeypot.
         let target = *self
-            .advert_list
+            .adverts
+            .list
             .iter()
             .max_by(|&&a, &&b| {
                 self.catalog
@@ -350,64 +410,9 @@ impl EdonkeyWorld {
         self.stats.arrivals += self.config.robots.count as u64;
     }
 
-    /// Applies honeypot actions: server messages are routed to the index
-    /// server, status reports to the manager.  Peer replies are handled by
-    /// the session logic at the call site.
-    fn route_actions(&mut self, now: SimTime, hp_idx: usize, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::SendServer(msg) => match &msg {
-                    edonkey_proto::ClientServerMessage::OfferFiles { files } => {
-                        for f in files {
-                            if let Some(&ci) = self.id_index.get(&f.file_id) {
-                                if self.advert_set.insert(ci) {
-                                    self.advert_list.push(ci);
-                                    self.advert_dirty = true;
-                                }
-                            }
-                        }
-                        self.server.offer_files(now, hp_idx as u64, &msg);
-                    }
-                    edonkey_proto::ClientServerMessage::LoginRequest { .. } => {
-                        // Login round-trips are handled inline in
-                        // `launch_one`.
-                    }
-                    _ => {}
-                },
-                Action::Report(report) => self.manager.on_status(report),
-                Action::Reply(_) => {
-                    debug_assert!(false, "peer replies must be consumed by session logic");
-                }
-            }
-        }
-    }
-
-    fn refresh_advert(&mut self) {
-        if !self.advert_dirty {
-            return;
-        }
-        self.advert_cum.clear();
-        let mut acc = 0.0;
-        for &ci in &self.advert_list {
-            acc += self.catalog.file(ci).popularity;
-            self.advert_cum.push(acc);
-        }
-        self.advert_dirty = false;
-    }
-
-    /// Popularity-weighted draw over the advertised set.
-    fn sample_advertised(&mut self, rng_draw: f64) -> Option<u32> {
-        self.refresh_advert();
-        let total = *self.advert_cum.last()?;
-        let x = rng_draw * total;
-        let idx = self.advert_cum.partition_point(|&c| c <= x).min(self.advert_list.len() - 1);
-        Some(self.advert_list[idx])
-    }
-
     /// Instantaneous arrival rate (peers per ms) at `now`.
     fn arrival_rate(&mut self, now: SimTime) -> f64 {
-        self.refresh_advert();
-        let pop = self.advert_cum.last().copied().unwrap_or(0.0);
+        let pop = self.adverts.popularity(&self.catalog);
         let p = &self.config.population;
         let decay = p.daily_decay.powi(now.day_index() as i32);
         let diurnal = p.diurnal.multiplier(now, p.local_offset_hours);
@@ -436,7 +441,7 @@ impl EdonkeyWorld {
         let mut wanted = Vec::with_capacity(n_wanted as usize);
         for _ in 0..n_wanted {
             let draw = self.rng_behavior.f64();
-            if let Some(ci) = self.sample_advertised(draw) {
+            if let Some(ci) = self.adverts.sample(&self.catalog, draw) {
                 if !wanted.contains(&ci) {
                     wanted.push(ci);
                 }
@@ -609,6 +614,7 @@ impl EdonkeyWorld {
     ) {
         let behavior = self.config.behavior;
         let Some(session) = self.peers.take_session(peer_idx) else { return };
+        self.honeypots[session.hp as usize].on_peer_disconnected(ConnId(session.conn));
         match outcome {
             SessionOutcome::Detected => {
                 if !self.peers.robot(peer_idx) {
@@ -695,30 +701,13 @@ impl EdonkeyWorld {
 
         match session.state {
             SessionState::Greet => {
-                let msg = PeerMessage::Hello {
-                    user_id: identity.user_id,
-                    client_id: identity.client_id,
-                    port: identity.port,
-                    tags: vec![
-                        Tag::string(special::NAME, identity.name()),
-                        Tag::u32(special::VERSION, identity.version),
-                    ],
-                };
-                self.stats.hello_sent += 1;
-                let conn = ConnId(session.conn);
-                let replies = self.honeypots[hp_idx].on_peer_message(now, conn, identity.ip, &msg);
-                let answered = replies
-                    .iter()
-                    .any(|a| matches!(a, Action::Reply(PeerMessage::HelloAnswer { .. })));
-                let asked_shared =
-                    replies.iter().any(|a| matches!(a, Action::Reply(PeerMessage::AskSharedFiles)));
-                self.route_non_replies(now, hp_idx, replies);
-                if !answered {
+                let seen = self.greet(now, hp_idx, session.conn, &identity);
+                if !seen.hello_answer {
                     self.finish_session(now, peer_idx, SessionOutcome::NoAnswer, sched);
                     return;
                 }
                 // Answer the shared-files request once per honeypot.
-                if asked_shared
+                if seen.ask_shared
                     && self.peers.shares_list(peer_idx)
                     && !self.peers.shared_sent_to(peer_idx, session.hp)
                 {
@@ -733,13 +722,7 @@ impl EdonkeyWorld {
                         })
                         .collect();
                     let answer = PeerMessage::AskSharedFilesAnswer { files };
-                    let replies = self.honeypots[hp_idx].on_peer_message(
-                        now,
-                        ConnId(session.conn),
-                        identity.ip,
-                        &answer,
-                    );
-                    self.route_non_replies(now, hp_idx, replies);
+                    self.deliver(now, hp_idx, session.conn, identity.ip, &answer);
                 }
                 if session.hello_only {
                     self.finish_session(now, peer_idx, SessionOutcome::HelloOnly, sched);
@@ -768,16 +751,7 @@ impl EdonkeyWorld {
                     }
                     let msg = PeerMessage::StartUpload { file_id: self.catalog.file(ci).id };
                     self.stats.start_upload_sent += 1;
-                    let replies = self.honeypots[hp_idx].on_peer_message(
-                        now,
-                        ConnId(session.conn),
-                        src_ip,
-                        &msg,
-                    );
-                    accepted = replies
-                        .iter()
-                        .any(|a| matches!(a, Action::Reply(PeerMessage::AcceptUpload)));
-                    self.route_non_replies(now, hp_idx, replies);
+                    accepted = self.deliver(now, hp_idx, session.conn, src_ip, &msg).accept_upload;
                 }
                 self.scratch_wanted = wanted;
                 if !accepted {
@@ -801,16 +775,8 @@ impl EdonkeyWorld {
                     ranges: block_triple(size, session.block_cursor),
                 };
                 self.stats.request_parts_sent += 1;
-                let replies = self.honeypots[hp_idx].on_peer_message(
-                    now,
-                    ConnId(session.conn),
-                    identity.ip,
-                    &msg,
-                );
-                let got_data = replies
-                    .iter()
-                    .any(|a| matches!(a, Action::Reply(PeerMessage::SendingPart { .. })));
-                self.route_non_replies(now, hp_idx, replies);
+                let got_data =
+                    self.deliver(now, hp_idx, session.conn, identity.ip, &msg).sending_part;
                 if session.block_cursor == 0 {
                     // First part request of this session.
                     self.hp_request_sessions[hp_idx] += 1;
@@ -911,23 +877,7 @@ impl EdonkeyWorld {
                 let conn = self.next_conn;
                 self.next_conn += 1;
                 let identity = *self.peers.identity(peer_idx);
-                let msg = PeerMessage::Hello {
-                    user_id: identity.user_id,
-                    client_id: identity.client_id,
-                    port: identity.port,
-                    tags: vec![
-                        Tag::string(special::NAME, identity.name()),
-                        Tag::u32(special::VERSION, identity.version),
-                    ],
-                };
-                self.stats.hello_sent += 1;
-                let replies =
-                    self.honeypots[hp_idx].on_peer_message(now, ConnId(conn), identity.ip, &msg);
-                let answered = replies
-                    .iter()
-                    .any(|a| matches!(a, Action::Reply(PeerMessage::HelloAnswer { .. })));
-                self.route_non_replies(now, hp_idx, replies);
-                if answered {
+                if self.greet(now, hp_idx, conn, &identity).hello_answer {
                     sched.in_ms(400, next(RobotPhase::Upload, 0, conn));
                 } else {
                     // Dead source: try again after the lockout.
@@ -939,15 +889,11 @@ impl EdonkeyWorld {
                 let src_ip = self.peers.identity(peer_idx).ip;
                 let msg = PeerMessage::StartUpload { file_id: self.catalog.file(file).id };
                 self.stats.start_upload_sent += 1;
-                let replies =
-                    self.honeypots[hp_idx].on_peer_message(now, ConnId(conn), src_ip, &msg);
-                let accepted =
-                    replies.iter().any(|a| matches!(a, Action::Reply(PeerMessage::AcceptUpload)));
-                self.route_non_replies(now, hp_idx, replies);
-                if accepted {
+                if self.deliver(now, hp_idx, conn, src_ip, &msg).accept_upload {
                     let budget = robots.budget.clamp(1, 250) as u8;
                     sched.in_ms(400, next(RobotPhase::Request, budget, conn));
                 } else {
+                    self.honeypots[hp_idx].on_peer_disconnected(ConnId(conn));
                     sched.in_ms(robots.lockout_ms, next(RobotPhase::Greet, 0, 0));
                 }
             }
@@ -960,12 +906,7 @@ impl EdonkeyWorld {
                 };
                 self.stats.request_parts_sent += 1;
                 let src_ip = self.peers.identity(peer_idx).ip;
-                let replies =
-                    self.honeypots[hp_idx].on_peer_message(now, ConnId(conn), src_ip, &msg);
-                let got_data = replies
-                    .iter()
-                    .any(|a| matches!(a, Action::Reply(PeerMessage::SendingPart { .. })));
-                self.route_non_replies(now, hp_idx, replies);
+                let got_data = self.deliver(now, hp_idx, conn, src_ip, &msg).sending_part;
                 let remaining = remaining.saturating_sub(1);
                 let pace = if got_data {
                     (exponential(
@@ -981,6 +922,7 @@ impl EdonkeyWorld {
                 if remaining == 0 {
                     // Session over; occasionally the whole robot goes dark
                     // (the plateaus of Figs. 8-9).
+                    self.honeypots[hp_idx].on_peer_disconnected(ConnId(conn));
                     if self.rng_behavior.chance(robots.off_prob) {
                         self.robot_off_until[peer_idx as usize] =
                             now.plus_millis(robots.off_duration_ms);
@@ -990,16 +932,6 @@ impl EdonkeyWorld {
                     sched.in_ms(pace, next(RobotPhase::Request, remaining, conn));
                 }
             }
-        }
-    }
-
-    /// Routes the non-`Reply` subset of honeypot actions (server traffic,
-    /// status reports); `Reply` actions were inspected by the caller.
-    fn route_non_replies(&mut self, now: SimTime, hp_idx: usize, actions: Vec<Action>) {
-        let forward: Vec<Action> =
-            actions.into_iter().filter(|a| !matches!(a, Action::Reply(_))).collect();
-        if !forward.is_empty() {
-            self.route_actions(now, hp_idx, forward);
         }
     }
 
@@ -1098,8 +1030,8 @@ impl World for EdonkeyWorld {
             }
             Event::Keepalive => {
                 for i in 0..self.honeypots.len() {
-                    let actions = self.honeypots[i].keepalive(now);
-                    self.route_actions(now, i, actions);
+                    let (hp, mut out) = self.honeypot_and_sink(now, i);
+                    hp.keepalive(now, &mut out);
                 }
                 sched.in_ms(self.config.keepalive_ms, Event::Keepalive);
             }
@@ -1117,9 +1049,9 @@ impl World for EdonkeyWorld {
             }
             Event::Crash { hp } => {
                 let idx = hp as usize;
-                let actions = self.honeypots[idx].kill(now);
-                self.route_actions(now, idx, actions);
-                self.server.disconnect(now, idx as u64);
+                let (honeypot, mut out) = self.honeypot_and_sink(now, idx);
+                honeypot.kill(now, &mut out);
+                out.server.disconnect(now, idx as u64);
                 self.stats.crashes += 1;
                 if let Some(crash) = self.config.crashes {
                     let delay =
@@ -1128,6 +1060,122 @@ impl World for EdonkeyWorld {
                 }
             }
         }
+    }
+}
+
+/// The files the honeypots have advertised, as catalog indices, and the
+/// popularity-weighted draw arrivals make over them.
+struct Adverts {
+    /// FileId → catalog index for the whole catalog.
+    id_index: HashMap<FileId, u32>,
+    /// Advertised catalog indices (deduplicated, insertion-ordered).
+    list: Vec<u32>,
+    set: HashSet<u32>,
+    /// Cumulative popularity over `list` (rebuilt when dirty).
+    cum: Vec<f64>,
+    dirty: bool,
+}
+
+impl Adverts {
+    fn new(catalog: &Catalog) -> Self {
+        Adverts {
+            id_index: (0..catalog.len() as u32).map(|i| (catalog.file(i).id, i)).collect(),
+            list: Vec::new(),
+            set: HashSet::new(),
+            cum: Vec::new(),
+            dirty: true,
+        }
+    }
+
+    /// Records offered files; files outside the catalog are not drawn.
+    fn add(&mut self, files: &[AdvertisedFile]) {
+        for f in files {
+            if let Some(&ci) = self.id_index.get(&f.id) {
+                if self.set.insert(ci) {
+                    self.list.push(ci);
+                    self.dirty = true;
+                }
+            }
+        }
+    }
+
+    fn refresh(&mut self, catalog: &Catalog) {
+        if !self.dirty {
+            return;
+        }
+        self.cum.clear();
+        let mut acc = 0.0;
+        for &ci in &self.list {
+            acc += catalog.file(ci).popularity;
+            self.cum.push(acc);
+        }
+        self.dirty = false;
+    }
+
+    /// Total popularity of the advertised files.
+    fn popularity(&mut self, catalog: &Catalog) -> f64 {
+        self.refresh(catalog);
+        self.cum.last().copied().unwrap_or(0.0)
+    }
+
+    /// Popularity-weighted draw over the advertised files.
+    fn sample(&mut self, catalog: &Catalog, rng_draw: f64) -> Option<u32> {
+        self.refresh(catalog);
+        let total = *self.cum.last()?;
+        let x = rng_draw * total;
+        let idx = self.cum.partition_point(|&c| c <= x).min(self.list.len() - 1);
+        Some(self.list[idx])
+    }
+}
+
+/// Which replies one honeypot call drew.
+#[derive(Clone, Copy, Default)]
+struct Replies {
+    hello_answer: bool,
+    ask_shared: bool,
+    accept_upload: bool,
+    sending_part: bool,
+}
+
+/// The world's [`ActionSink`] for one honeypot call.  Offers go straight to
+/// the index server and the advertised set, reports to the manager.  The
+/// peers replies would answer are modelled rather than spoken to, so a
+/// reply is only noted by kind.
+struct WorldSink<'a> {
+    now: SimTime,
+    /// The honeypot's server session (its index).
+    session: u64,
+    server: &'a mut SimServer,
+    manager: &'a mut Manager,
+    adverts: &'a mut Adverts,
+    seen: Replies,
+}
+
+impl ActionSink for WorldSink<'_> {
+    fn reply(&mut self, msg: &PeerMessage) {
+        match msg {
+            PeerMessage::HelloAnswer { .. } => self.seen.hello_answer = true,
+            PeerMessage::AskSharedFiles => self.seen.ask_shared = true,
+            PeerMessage::AcceptUpload => self.seen.accept_upload = true,
+            PeerMessage::SendingPart { .. } => self.seen.sending_part = true,
+            _ => {}
+        }
+    }
+
+    fn send_server(&mut self, _msg: ClientServerMessage) {
+        // The LOGIN-REQUEST, the only message sent this way: `launch_one`
+        // logs the honeypot in itself.
+    }
+
+    fn offer(&mut self, files: &[AdvertisedFile]) {
+        // Files the server skips as already offered by this session went
+        // through here when they were first offered.
+        let skipped = self.server.offer_files(self.now, self.session, files);
+        self.adverts.add(&files[skipped..]);
+    }
+
+    fn report(&mut self, report: StatusReport) {
+        self.manager.on_status(report);
     }
 }
 
@@ -1371,6 +1419,28 @@ mod tests {
             small.log.distinct_peers,
             full.log.distinct_peers
         );
+    }
+
+    #[test]
+    fn honeypots_keep_only_the_sessions_in_flight() {
+        let config = ScenarioConfig::tiny(42).scaled(10.0);
+        let (duration, robots) = (config.duration, config.robots.count);
+        let mut engine = Engine::with_queue(CalendarQueue::for_simulation());
+        let mut world = EdonkeyWorld::new(config, &mut engine);
+        engine.run_until(&mut world, duration);
+        assert!(world.stats.sessions > 200, "{} sessions", world.stats.sessions);
+        for (h, hp) in world.honeypots().iter().enumerate() {
+            let peer_sessions = (0..world.peers.len() as u32)
+                .filter(|&p| world.peers.session(p).is_some_and(|s| usize::from(s.hp) == h))
+                .count();
+            // A robot runs at most one query chain per honeypot.
+            let in_flight = peer_sessions + robots;
+            assert!(
+                hp.live_sessions() <= in_flight,
+                "honeypot {h} keeps {} sessions with {in_flight} in flight",
+                hp.live_sessions()
+            );
+        }
     }
 
     #[test]
