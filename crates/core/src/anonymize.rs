@@ -18,6 +18,7 @@
 //! whole corpus is replaced by an integer token ([`NameAnonymizer`]).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use edonkey_proto::md4::Md4;
 use edonkey_proto::Ipv4;
@@ -69,7 +70,29 @@ pub struct AnonPeerId(pub u32);
 /// Step-2 mapping: hash → dense integer, coherent across honeypot logs.
 #[derive(Clone, Debug, Default)]
 pub struct AnonMap {
-    map: HashMap<IpHash, AnonPeerId>,
+    map: HashMap<IpHash, AnonPeerId, BuildHasherDefault<DigestHasher>>,
+}
+
+/// The hasher of [`AnonMap`]'s keys: an [`IpHash`] is already a salted MD4
+/// digest, which no peer can steer without the secret salt, so its first 8
+/// bytes serve as the hash as they are.  (SipHash would add cost here but no
+/// protection; maps keyed by peer-chosen file ids or strings keep it.)
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    /// XORs in up to 8 leading bytes of each write: the key's length
+    /// prefix, then its 16-byte digest.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut head = [0; 8];
+        let n = bytes.len().min(8);
+        head[..n].copy_from_slice(&bytes[..n]);
+        self.0 ^= u64::from_le_bytes(head);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl AnonMap {
@@ -105,9 +128,25 @@ impl AnonMap {
 /// corpus, then [`NameAnonymizer::freeze`] with the threshold, after which
 /// [`FrozenNameAnonymizer::anonymize`] rewrites names, replacing each word
 /// seen fewer than `threshold` times by a stable integer token.
+///
+/// One map serves both passes: it counts each word (keyed by its ASCII
+/// lowercase form), and freezing rewrites the counts of the rare words into
+/// their tokens in place, so every word occurrence costs one hash lookup in
+/// each pass.
 #[derive(Clone, Debug, Default)]
 pub struct NameAnonymizer {
-    counts: HashMap<String, u32>,
+    words: HashMap<String, Word>,
+    /// Reused buffer for lowercasing words with ASCII capitals.
+    lower: String,
+}
+
+/// What the word map holds for one word.
+#[derive(Clone, Copy, Debug)]
+enum Word {
+    /// Occurrences so far; after freezing, a word that stays public.
+    Count(u32),
+    /// The integer a rare word is replaced by.
+    Token(u32),
 }
 
 /// Splits a file name into words: maximal runs of alphanumeric characters;
@@ -117,38 +156,66 @@ fn words(name: &str) -> impl Iterator<Item = &str> {
     name.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty())
 }
 
+/// The map key of `word`: its ASCII lowercase form, written into `buf`
+/// only when the word has ASCII capitals (non-ASCII letters are kept).
+fn key<'a>(word: &'a str, buf: &'a mut String) -> &'a str {
+    if word.bytes().any(|b| b.is_ascii_uppercase()) {
+        buf.clear();
+        buf.push_str(word);
+        buf.make_ascii_lowercase();
+        buf
+    } else {
+        word
+    }
+}
+
 impl NameAnonymizer {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// First pass: count the words of one name.
+    /// First pass: count the words of one name.  Allocates only for a word
+    /// not seen before.
     pub fn count(&mut self, name: &str) {
         for w in words(name) {
-            *self.counts.entry(w.to_ascii_lowercase()).or_insert(0) += 1;
+            let k = key(w, &mut self.lower);
+            match self.words.get_mut(k) {
+                Some(Word::Count(c)) => *c += 1,
+                Some(Word::Token(_)) => unreachable!("tokens exist only after freeze"),
+                None => {
+                    self.words.insert(k.to_owned(), Word::Count(1));
+                }
+            }
         }
     }
 
     /// Second pass setup: fix the threshold and assign integer tokens to
     /// rare words in deterministic (sorted) order.
     pub fn freeze(self, threshold: u32) -> FrozenNameAnonymizer {
-        // Partition the count map by moving its keys: rare words become
-        // token keys, frequent words keep their counts for `is_public` (a
-        // word absent from `counts` reads as count 0 there, i.e. rare —
-        // exactly what dropping the rare entries preserves).
-        let mut rare: Vec<String> = Vec::new();
-        let mut counts = HashMap::with_capacity(self.counts.len());
-        for (w, c) in self.counts {
-            if c < threshold {
-                rare.push(w);
-            } else {
-                counts.insert(w, c);
-            }
+        let mut words = self.words;
+        // Sort the rare words by their first 8 bytes, read in place, and
+        // only on a tie by the whole word behind the key's pointer.
+        let mut rare: Vec<(u64, &String, &mut Word)> = words
+            .iter_mut()
+            .filter(|(_, w)| matches!(w, Word::Count(c) if *c < threshold))
+            .map(|(k, w)| (prefix(k), k, w))
+            .collect();
+        rare.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+        let replaced = rare.len();
+        for (i, (_, _, w)) in rare.into_iter().enumerate() {
+            *w = Word::Token(i as u32);
         }
-        rare.sort_unstable();
-        let tokens = rare.into_iter().enumerate().map(|(i, w)| (w, i as u32)).collect();
-        FrozenNameAnonymizer { threshold, counts, tokens }
+        FrozenNameAnonymizer { threshold, words, replaced }
     }
+}
+
+/// The first 8 bytes of `word`, zero-padded, as a big-endian integer: the
+/// integers order as the words' byte strings do, up to ties.
+fn prefix(word: &str) -> u64 {
+    let mut head = [0; 8];
+    let n = word.len().min(8);
+    head[..n].copy_from_slice(&word.as_bytes()[..n]);
+    u64::from_be_bytes(head)
 }
 
 /// Appends the decimal rendering of `v` to `out` without a heap-allocated
@@ -172,34 +239,32 @@ fn push_u32(out: &mut String, v: u32) {
 #[derive(Clone, Debug)]
 pub struct FrozenNameAnonymizer {
     threshold: u32,
-    counts: HashMap<String, u32>,
-    tokens: HashMap<String, u32>,
+    /// Public words keep their counts; rare words hold their tokens.
+    words: HashMap<String, Word>,
+    replaced: usize,
 }
 
 impl FrozenNameAnonymizer {
     /// Rewrites one name, replacing rare words by `<n>` tokens and keeping
     /// frequent words and all separators.
     pub fn anonymize(&self, name: &str) -> String {
-        let mut out = String::with_capacity(name.len());
+        // Room for tokens to outgrow their words (a token is at most 12
+        // bytes), so a name with a rare word or two is written without
+        // reallocating.
+        let mut out = String::with_capacity(name.len() + 16);
+        let mut lower = String::new();
         let mut rest = name;
         while !rest.is_empty() {
             let word_end = rest.find(|c: char| !c.is_alphanumeric()).unwrap_or(rest.len());
             if word_end > 0 {
                 let word = &rest[..word_end];
-                // Look the word up without allocating: keys are lowercase,
-                // so only mixed-case words need a scratch buffer.
-                let tok = if word.bytes().any(|b| b.is_ascii_uppercase()) {
-                    self.tokens.get(&word.to_ascii_lowercase())
-                } else {
-                    self.tokens.get(word)
-                };
-                match tok {
-                    Some(&tok) => {
+                match self.words.get(key(word, &mut lower)) {
+                    Some(&Word::Token(tok)) => {
                         out.push('<');
                         push_u32(&mut out, tok);
                         out.push('>');
                     }
-                    None => out.push_str(word),
+                    _ => out.push_str(word),
                 }
                 rest = &rest[word_end..];
             } else {
@@ -214,12 +279,17 @@ impl FrozenNameAnonymizer {
 
     /// Whether a word survives anonymisation (diagnostics/tests).
     pub fn is_public(&self, word: &str) -> bool {
-        self.counts.get(&word.to_ascii_lowercase()).copied().unwrap_or(0) >= self.threshold
+        match self.words.get(key(word, &mut String::new())) {
+            Some(&Word::Count(c)) => c >= self.threshold,
+            Some(&Word::Token(_)) => false,
+            // An unseen word counts 0 occurrences.
+            None => self.threshold == 0,
+        }
     }
 
     /// Number of distinct rare words replaced.
     pub fn replaced_words(&self) -> usize {
-        self.tokens.len()
+        self.replaced
     }
 }
 
@@ -336,5 +406,140 @@ mod tests {
         let frozen = counter.freeze(5);
         assert_eq!(frozen.anonymize(""), "");
         assert_eq!(frozen.anonymize("..--.."), "..--..");
+    }
+
+    /// The two-map anonymiser this one replaced, kept as the differential
+    /// oracle: a count map of lowercase copies, rare words moved into a
+    /// second, sorted token map.
+    mod oracle {
+        use std::collections::HashMap;
+
+        use super::super::{push_u32, words};
+
+        #[derive(Default)]
+        pub struct Counter {
+            counts: HashMap<String, u32>,
+        }
+
+        pub struct Frozen {
+            threshold: u32,
+            counts: HashMap<String, u32>,
+            tokens: HashMap<String, u32>,
+        }
+
+        impl Counter {
+            pub fn count(&mut self, name: &str) {
+                for w in words(name) {
+                    *self.counts.entry(w.to_ascii_lowercase()).or_insert(0) += 1;
+                }
+            }
+
+            pub fn freeze(self, threshold: u32) -> Frozen {
+                let mut rare: Vec<String> = Vec::new();
+                let mut counts = HashMap::new();
+                for (w, c) in self.counts {
+                    if c < threshold {
+                        rare.push(w);
+                    } else {
+                        counts.insert(w, c);
+                    }
+                }
+                rare.sort_unstable();
+                let tokens = rare.into_iter().enumerate().map(|(i, w)| (w, i as u32)).collect();
+                Frozen { threshold, counts, tokens }
+            }
+        }
+
+        impl Frozen {
+            pub fn anonymize(&self, name: &str) -> String {
+                let mut out = String::new();
+                let mut rest = name;
+                while !rest.is_empty() {
+                    let word_end = rest.find(|c: char| !c.is_alphanumeric()).unwrap_or(rest.len());
+                    if word_end > 0 {
+                        let word = &rest[..word_end];
+                        match self.tokens.get(&word.to_ascii_lowercase()) {
+                            Some(&tok) => {
+                                out.push('<');
+                                push_u32(&mut out, tok);
+                                out.push('>');
+                            }
+                            None => out.push_str(word),
+                        }
+                        rest = &rest[word_end..];
+                    } else {
+                        let mut it = rest.chars();
+                        out.push(it.next().expect("non-empty"));
+                        rest = it.as_str();
+                    }
+                }
+                out
+            }
+
+            pub fn is_public(&self, word: &str) -> bool {
+                self.counts.get(&word.to_ascii_lowercase()).copied().unwrap_or(0) >= self.threshold
+            }
+
+            pub fn replaced_words(&self) -> usize {
+                self.tokens.len()
+            }
+        }
+    }
+
+    /// A seeded corpus of names: mixed case, non-ASCII letters, digits,
+    /// empty names and names made only of separators.
+    fn corpus(seed: u64) -> Vec<String> {
+        let words: Vec<&str> =
+            "linux Linux LINUX ubuntu Été été ÉTÉ straße STRASSE ß 日本 日本語 2008 x264 DVDRip \
+             dvdrip a B 000123 Ωmega"
+                .split_whitespace()
+                .collect();
+        let separators = [".", "-", " ", "_", "[", "]", "..", " - ", "(", "★"];
+        let mut rng = netsim::Rng::seed_from(seed);
+        (0..rng.range(1, 120))
+            .map(|_| {
+                let mut name = String::new();
+                match rng.below(10) {
+                    0 => {}
+                    1 => (0..rng.range(1, 5))
+                        .for_each(|_| name.push_str(rng.choose::<&str>(&separators))),
+                    _ => {
+                        for i in 0..rng.range(1, 7) {
+                            if i > 0 || rng.chance(0.2) {
+                                name.push_str(rng.choose::<&str>(&separators));
+                            }
+                            name.push_str(rng.choose::<&str>(&words));
+                            if rng.chance(0.3) {
+                                name.push_str(&rng.below(50).to_string());
+                            }
+                        }
+                    }
+                }
+                name
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_map_anonymiser_matches_the_two_map_oracle() {
+        for seed in 0..100u64 {
+            let names = corpus(seed);
+            for threshold in 1..=5 {
+                let (mut fast, mut slow) = (NameAnonymizer::new(), oracle::Counter::default());
+                for n in &names {
+                    fast.count(n);
+                    slow.count(n);
+                }
+                let (fast, slow) = (fast.freeze(threshold), slow.freeze(threshold));
+                let case = format!("seed {seed}, threshold {threshold}");
+                assert_eq!(fast.replaced_words(), slow.replaced_words(), "{case}");
+                for n in names.iter().chain(&corpus(seed + 1_000)) {
+                    assert_eq!(fast.anonymize(n), slow.anonymize(n), "{case}: {n:?}");
+                    for w in words(n) {
+                        assert_eq!(fast.is_public(w), slow.is_public(w), "{case}: {w:?}");
+                    }
+                }
+            }
+        }
     }
 }

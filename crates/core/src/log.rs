@@ -12,6 +12,7 @@
 //! table and file metadata into a [`FileTable`], so a month-scale
 //! measurement with tens of millions of records stays within memory.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -355,17 +356,45 @@ impl FileTable {
 
     /// Interns a file, keeping the first-seen name/size.
     pub fn intern(&mut self, id: FileId, name: &str, size: u64) -> FileIdx {
+        self.intern_with(id, size, || name.to_string())
+    }
+
+    /// [`Self::intern`] taking the name by value, so a new entry moves it
+    /// instead of copying it (the manager's merge owns the chunk's names).
+    pub(crate) fn intern_owned(&mut self, id: FileId, name: String, size: u64) -> FileIdx {
+        self.intern_with(id, size, || name)
+    }
+
+    /// One hash per call; `name` runs only for an id not yet in the table.
+    fn intern_with(&mut self, id: FileId, size: u64, name: impl FnOnce() -> String) -> FileIdx {
         self.index();
         let index = self.index.get_mut().expect("index built on the line above");
-        if let Some(&idx) = index.get(&id) {
-            return idx;
+        let next = self.ids.len() as FileIdx;
+        match index.entry(id) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(next);
+                self.ids.push(id);
+                self.names.push(name());
+                self.sizes.push(size);
+                next
+            }
         }
-        let idx = self.ids.len() as FileIdx;
+    }
+
+    /// Appends an entry whose id the caller knows is not in the table,
+    /// without hashing it: a table built only this way leaves its lookup
+    /// index unbuilt until someone asks for it.
+    fn push_distinct(&mut self, id: FileId, name: String, size: u64) {
+        debug_assert!(self.index.get().is_none(), "an index built before the push goes stale");
         self.ids.push(id);
-        self.names.push(name.to_string());
+        self.names.push(name);
         self.sizes.push(size);
-        index.insert(id, idx);
-        idx
+    }
+
+    /// The table's `(ids, names, sizes)` columns, moved out.
+    pub(crate) fn into_columns(self) -> (Vec<FileId>, Vec<String>, Vec<u64>) {
+        (self.ids, self.names, self.sizes)
     }
 
     /// Looks a file up by ID.
@@ -579,9 +608,15 @@ impl HoneypotLog {
             .carried(self.peer_names.len())
             .map(|i| self.peer_names[i as usize].clone())
             .collect();
+        // The carried entries are distinct rows of a deduplicated table, so
+        // the chunk's table is built by pushing columns, not by interning.
         let mut files = FileTable::new();
         for i in file_cur.carried(self.files.len()) {
-            files.intern(self.files.id(i), self.files.name(i), self.files.size(i));
+            files.push_distinct(
+                self.files.id(i),
+                self.files.name(i).to_string(),
+                self.files.size(i),
+            );
         }
 
         self.name_cursor.advance(self.peer_names.len());

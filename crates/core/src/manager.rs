@@ -133,13 +133,13 @@ impl Manager {
         self.relaunches
     }
 
-    fn intern_peer_name(&mut self, name: &str) -> u32 {
-        if let Some(&idx) = self.peer_name_index.get(name) {
+    fn intern_peer_name(&mut self, name: String) -> u32 {
+        if let Some(&idx) = self.peer_name_index.get(&name) {
             return idx;
         }
         let idx = self.peer_names.len() as u32;
-        self.peer_names.push(name.to_string());
-        self.peer_name_index.insert(name.to_string(), idx);
+        self.peer_names.push(name.clone());
+        self.peer_name_index.insert(name, idx);
         idx
     }
 
@@ -152,15 +152,16 @@ impl Manager {
     /// (see [`LogChunk::check_indices`]; wire decoders reject such chunks).
     pub fn collect(&mut self, chunk: LogChunk) {
         self.chunks_collected += 1;
-        // Translate the chunk's name table into global indices.
+        // Translate the chunk's name and file tables into global indices,
+        // moving each new entry's name into the global table.
         let name_map: Vec<u32> =
-            chunk.peer_names.iter().map(|n| self.intern_peer_name(n)).collect();
-        // Translate the chunk's file table.
-        let file_map: Vec<u32> = (0..chunk.files.len())
-            .map(|i| {
-                let idx = i as u32;
-                self.files.intern(chunk.files.id(idx), chunk.files.name(idx), chunk.files.size(idx))
-            })
+            chunk.peer_names.into_iter().map(|n| self.intern_peer_name(n)).collect();
+        let (ids, names, sizes) = chunk.files.into_columns();
+        let file_map: Vec<u32> = ids
+            .into_iter()
+            .zip(names)
+            .zip(sizes)
+            .map(|((id, name), size)| self.files.intern_owned(id, name, size))
             .collect();
         self.records.reserve(chunk.records.len());
         self.shared_lists.reserve(chunk.shared_lists.len());
@@ -468,6 +469,11 @@ mod tests {
             let chunk = self.compact.take_chunk();
             let whole = self.snapshot.take_snapshot_chunk();
             assert_eq!(chunk.check_indices(), Ok(()), "seed {seed}");
+            // The chunk's table is pushed, not interned: its lazy index
+            // must still find every row where it lies.
+            for i in 0..chunk.files.len() as u32 {
+                assert_eq!(chunk.files.lookup(&chunk.files.id(i)), Some(i), "seed {seed}");
+            }
             assert!(chunk.files.len() <= whole.files.len(), "seed {seed}");
             assert!(chunk.peer_names.len() <= whole.peer_names.len(), "seed {seed}");
             compact.collect(chunk);

@@ -236,7 +236,8 @@ pub fn greedy(seed: u64, scale: f64) -> ScenarioConfig {
     // expected size).
     let harvest_mass = {
         let mut rng = netsim::Rng::seed_from(seed ^ 0xCA11B);
-        let sample = catalog.sample_distinct_by_popularity(&mut rng, 3_175);
+        let mut sample = Vec::new();
+        catalog.sample_distinct_by_popularity(&mut rng, 3_175, &mut sample);
         catalog.popularity_sum(sample.into_iter())
     };
     // Three moderately popular seed files, chosen so that together they
@@ -307,6 +308,25 @@ fn catalog_by_popularity(catalog: &edonkey_sim::Catalog) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every generated byte of the distributed scenario's 30 k-file catalog
+    /// (id, name, size and popularity bits), pinned by MD4.
+    #[test]
+    fn distributed_catalog_bytes_are_pinned() {
+        let catalog = distributed(DEFAULT_SEED, 1.0).build_catalog();
+        assert_eq!(catalog.len(), 30_000);
+        let mut h = edonkey_proto::md4::Md4::new();
+        for i in 0..catalog.len() as u32 {
+            let f = catalog.file(i);
+            h.update(&f.id.0);
+            h.update(&(f.name.len() as u32).to_le_bytes());
+            h.update(f.name.as_bytes());
+            h.update(&f.size.to_le_bytes());
+            h.update(&f.popularity.to_bits().to_le_bytes());
+        }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "ed42d1ad266a5d3242e39f6ed06ce82e");
+    }
 
     #[test]
     fn distributed_has_24_alternating_honeypots() {

@@ -93,7 +93,70 @@ pub struct Catalog {
     files: Vec<CatalogFile>,
     /// Cumulative popularity (for weighted sampling over the whole
     /// catalog).
-    cumulative: Vec<f64>,
+    cumulative: Cumulative,
+}
+
+/// Running sums of a weight column plus a guide table, so that a weighted
+/// draw reads a few cache lines instead of binary-searching all of `sums`.
+///
+/// With `n` weights summing to `total`, the guide has `n + 1` buckets:
+/// `guide[b]` is the first index whose running sum exceeds `b · total / n`.
+/// A draw `x` in bucket `b` can only resolve inside
+/// `sums[guide[b]..=guide[b + 1]]`, which holds one entry on average.
+struct Cumulative {
+    /// `sums[i]` is the weight of entries `0..=i`.
+    sums: Vec<f64>,
+    guide: Vec<u32>,
+    /// `n / total`: maps a draw to its bucket.
+    scale: f64,
+}
+
+impl Cumulative {
+    fn new(weights: impl Iterator<Item = f64>) -> Self {
+        let mut acc = 0.0;
+        let sums: Vec<f64> = weights
+            .map(|w| {
+                acc += w;
+                acc
+            })
+            .collect();
+        let n = sums.len();
+        let total = *sums.last().expect("non-empty");
+        let step = total / n as f64;
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut i = 0;
+        for b in 0..n {
+            let edge = b as f64 * step;
+            while i < n && sums[i] <= edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        // The top edge is the total itself, which no running sum exceeds
+        // (`n · step` may round below it).
+        guide.push(n as u32);
+        Cumulative { sums, guide, scale: n as f64 / total }
+    }
+
+    fn total(&self) -> f64 {
+        *self.sums.last().expect("non-empty")
+    }
+
+    /// The first index whose running sum exceeds `x` (`n` when none does):
+    /// exactly `sums.partition_point(|&c| c <= x)`.  The guide narrows the
+    /// search; the two boundary reads prove the answer, and a bucket that
+    /// float rounding got wrong falls back to the full search.
+    fn find(&self, x: f64) -> usize {
+        let n = self.sums.len();
+        let b = ((x * self.scale) as usize).min(n - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let a = lo + self.sums[lo..hi].partition_point(|&c| c <= x);
+        if (a == 0 || self.sums[a - 1] <= x) && (a == n || self.sums[a] > x) {
+            a
+        } else {
+            self.sums.partition_point(|&c| c <= x)
+        }
+    }
 }
 
 const ADJECTIVES: &[&str] = &[
@@ -161,8 +224,7 @@ impl Catalog {
         let class_total = *class_cum.last().expect("4 classes");
 
         let mut files = Vec::with_capacity(config.n_files);
-        let mut cumulative = Vec::with_capacity(config.n_files);
-        let mut acc = 0.0;
+        let mut seed = Vec::new();
         for rank in 0..config.n_files {
             let x = rng.f64() * class_total;
             let class = match class_cum.iter().position(|&c| x < c).unwrap_or(3) {
@@ -173,7 +235,7 @@ impl Catalog {
             };
             let size = Self::sample_size(rng, class);
             let name = Self::sample_name(rng, class, rank);
-            let id = FileId::from_seed(format!("catalog/{rank}/{name}").as_bytes());
+            let id = FileId::from_seed(Self::id_seed(&mut seed, rank, &name));
             // Rank-based head plus log-normal jitter: a mid-rank file can
             // still be a sleeper hit, and tail files can be near-dead.
             let jitter = log_normal(rng, 0.0, config.popularity_sigma);
@@ -181,22 +243,15 @@ impl Catalog {
             if rng.chance(config.dead_fraction) {
                 popularity *= config.dead_multiplier;
             }
-            acc += popularity;
-            cumulative.push(acc);
             files.push(CatalogFile { id, name, size, class, popularity });
         }
-        // Promote a few randomly chosen files to outlier hits, then rebuild
-        // the cumulative weights.
+        // Promote a few randomly chosen files to outlier hits.
         if config.hit_count > 0 {
             for idx in rng.sample_indices(config.n_files, config.hit_count.min(config.n_files)) {
                 files[idx].popularity *= config.hit_multiplier;
             }
-            let mut acc = 0.0;
-            for (f, c) in files.iter().zip(cumulative.iter_mut()) {
-                acc += f.popularity;
-                *c = acc;
-            }
         }
+        let cumulative = Cumulative::new(files.iter().map(|f| f.popularity));
         Catalog { files, cumulative }
     }
 
@@ -218,13 +273,37 @@ impl Catalog {
         (log_normal(rng, mu, sigma) as u64).clamp(min, max)
     }
 
+    /// `{adj}.{noun}.{rank:05}.{src}.{ext}`, written into a string of
+    /// exactly its length.
     fn sample_name(rng: &mut Rng, class: FileClass, rank: usize) -> String {
         let adj = rng.choose(ADJECTIVES);
         let noun = rng.choose(NOUNS);
         let src = rng.choose(SOURCES);
         // The rank suffix keeps names unique-ish, standing in for the
         // artist/title tokens of real shared files.
-        format!("{adj}.{noun}.{rank:05}.{src}.{}", class.extension())
+        let mut digits = [0; 20];
+        let rank = decimal(&mut digits, rank, 5);
+        let parts = [*adj, *noun, rank, *src, class.extension()];
+        let len = parts.iter().map(|p| p.len()).sum::<usize>() + parts.len() - 1;
+        let mut name = String::with_capacity(len);
+        for (i, part) in parts.into_iter().enumerate() {
+            if i > 0 {
+                name.push('.');
+            }
+            name.push_str(part);
+        }
+        name
+    }
+
+    /// Writes the id seed `catalog/{rank}/{name}` into `buf`.
+    fn id_seed<'a>(buf: &'a mut Vec<u8>, rank: usize, name: &str) -> &'a [u8] {
+        let mut digits = [0; 20];
+        buf.clear();
+        buf.extend_from_slice(b"catalog/");
+        buf.extend_from_slice(decimal(&mut digits, rank, 1).as_bytes());
+        buf.push(b'/');
+        buf.extend_from_slice(name.as_bytes());
+        buf
     }
 
     /// Number of files.
@@ -243,23 +322,21 @@ impl Catalog {
 
     /// Draws one file index weighted by popularity.
     pub fn sample_by_popularity(&self, rng: &mut Rng) -> u32 {
-        let total = *self.cumulative.last().expect("non-empty");
-        let x = rng.f64() * total;
-        self.cumulative.partition_point(|&c| c <= x).min(self.files.len() - 1) as u32
+        let x = rng.f64() * self.cumulative.total();
+        self.cumulative.find(x).min(self.files.len() - 1) as u32
     }
 
-    /// Draws `k` distinct indices weighted by popularity (rejection over
-    /// [`Catalog::sample_by_popularity`], falling back to sequential fill
-    /// for large `k`).
-    pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize) -> Vec<u32> {
+    /// Fills `out` with `k` distinct indices weighted by popularity
+    /// (rejection over [`Catalog::sample_by_popularity`], falling back to
+    /// sequential fill for large `k`).
+    pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
         let k = k.min(self.files.len());
-        let mut seen = std::collections::HashSet::with_capacity(k * 2);
-        let mut out = Vec::with_capacity(k);
+        out.clear();
         let mut tries = 0usize;
         while out.len() < k && tries < k * 40 {
             tries += 1;
             let idx = self.sample_by_popularity(rng);
-            if seen.insert(idx) {
+            if !out.contains(&idx) {
                 out.push(idx);
             }
         }
@@ -270,12 +347,11 @@ impl Catalog {
                 if out.len() == k {
                     break;
                 }
-                if seen.insert(idx) {
+                if !out.contains(&idx) {
                     out.push(idx);
                 }
             }
         }
-        out
     }
 
     /// Total popularity mass of a set of files (used by the arrival process
@@ -288,6 +364,19 @@ impl Catalog {
     pub fn mean_size(&self) -> f64 {
         self.files.iter().map(|f| f.size as f64).sum::<f64>() / self.files.len() as f64
     }
+}
+
+/// The decimal rendering of `v`, zero-padded to at least `min_width`
+/// digits, written into `buf`.
+fn decimal(buf: &mut [u8; 20], v: usize, min_width: usize) -> &str {
+    let mut i = buf.len();
+    let mut v = v;
+    while v > 0 || buf.len() - i < min_width.max(1) {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    std::str::from_utf8(&buf[i..]).expect("ascii digits")
 }
 
 impl std::fmt::Debug for Catalog {
@@ -358,7 +447,8 @@ mod tests {
     fn sample_distinct_yields_distinct() {
         let c = catalog(200);
         let mut rng = Rng::seed_from(3);
-        let s = c.sample_distinct_by_popularity(&mut rng, 50);
+        let mut s = Vec::new();
+        c.sample_distinct_by_popularity(&mut rng, 50, &mut s);
         let set: std::collections::HashSet<_> = s.iter().collect();
         assert_eq!(set.len(), 50);
     }
@@ -367,9 +457,10 @@ mod tests {
     fn sample_distinct_handles_k_near_n() {
         let c = catalog(20);
         let mut rng = Rng::seed_from(4);
-        let s = c.sample_distinct_by_popularity(&mut rng, 20);
+        let mut s = Vec::new();
+        c.sample_distinct_by_popularity(&mut rng, 20, &mut s);
         assert_eq!(s.len(), 20);
-        let s = c.sample_distinct_by_popularity(&mut rng, 50);
+        c.sample_distinct_by_popularity(&mut rng, 50, &mut s);
         assert_eq!(s.len(), 20, "clamped to catalog size");
     }
 
@@ -411,7 +502,8 @@ mod tests {
         assert!(pops[0] / pops[2_500] > 50.0, "head/median {}", pops[0] / pops[2_500]);
         assert!(pops[2_500] / pops[4_999] > 100.0, "median/tail {}", pops[2_500] / pops[4_999]);
         // Sampling must remain functional with the extreme weights.
-        let s = c.sample_distinct_by_popularity(&mut rng, 100);
+        let mut s = Vec::new();
+        c.sample_distinct_by_popularity(&mut rng, 100, &mut s);
         assert_eq!(s.len(), 100);
     }
 
@@ -425,6 +517,114 @@ mod tests {
                 FileClass::Video => assert!(f.size >= 50 << 20),
                 _ => {}
             }
+        }
+    }
+
+    /// The search the guide table replaces: the differential oracle.
+    fn oracle(sums: &[f64], x: f64) -> usize {
+        sums.partition_point(|&c| c <= x)
+    }
+
+    /// Every bucket edge (and its float neighbours), 0, the total, the
+    /// largest float below the total and random draws.
+    fn assert_matches_oracle(c: &Cumulative, rng: &mut Rng, case: &str) {
+        let n = c.sums.len();
+        let total = c.total();
+        let step = total / n as f64;
+        let mut probes = vec![0.0, total, total.next_down()];
+        for b in 0..=n {
+            let edge = b as f64 * step;
+            probes.extend([edge.next_down().max(0.0), edge, edge.next_up()]);
+        }
+        probes.extend(c.sums.iter().flat_map(|&s| [s.next_down().max(0.0), s]));
+        probes.extend((0..n).map(|_| rng.f64() * total));
+        for x in probes {
+            assert_eq!(c.find(x), oracle(&c.sums, x), "{case}: x = {x:e} (total {total:e})");
+        }
+    }
+
+    #[test]
+    fn guide_draw_matches_partition_point() {
+        for seed in 0..80u64 {
+            let mut rng = Rng::seed_from(seed);
+            let n = match seed {
+                0..=4 => seed as usize + 1,
+                _ => rng.range(1, 5_001) as usize,
+            };
+            // Weights spanning the dead (×1e-3) to hit (×1e2) multipliers of
+            // a catalog, with runs of zero weight (repeated sums) and tiny
+            // weights that a large running sum absorbs.
+            let mut weights = Vec::with_capacity(n);
+            while weights.len() < n {
+                let run = 1 + rng.below(8) as usize;
+                let w = match rng.below(4) {
+                    0 => 0.0,
+                    _ => 10f64.powf(rng.f64() * 9.0 - 6.0),
+                };
+                weights.extend(std::iter::repeat_n(w, run.min(n - weights.len())));
+            }
+            if weights.iter().all(|&w| w == 0.0) {
+                weights[rng.below(n as u64) as usize] = 1.0;
+            }
+            let mut c = Cumulative::new(weights.into_iter());
+            assert_matches_oracle(&c, &mut rng, &format!("seed {seed}, n {n}"));
+            // A guide pointing a bucket too high, or nowhere, must still
+            // resolve exactly: the boundary reads catch it.
+            c.guide.remove(0);
+            c.guide.push(n as u32);
+            assert_matches_oracle(&c, &mut rng, &format!("seed {seed}, n {n}, guide shifted"));
+            c.guide.fill(0);
+            assert_matches_oracle(&c, &mut rng, &format!("seed {seed}, n {n}, guide zeroed"));
+        }
+    }
+
+    /// The greedy scenario's catalog (400 k files, hits and a dead tail):
+    /// a million draws resolve exactly as the full binary search does.
+    #[test]
+    fn greedy_catalog_draws_match_partition_point() {
+        let config = CatalogConfig {
+            n_files: 400_000,
+            zipf_exponent: 0.10,
+            popularity_sigma: 0.48,
+            class_weights: [0.32, 0.36, 0.09, 0.23],
+            hit_count: 5,
+            hit_multiplier: 12.0,
+            dead_fraction: 0.35,
+            dead_multiplier: 0.005,
+        };
+        let mut rng = Rng::seed_from(0xED0_2009 ^ 0x6EED).substream("catalog");
+        let c = Catalog::generate(&config, &mut rng);
+        let total = c.cumulative.total();
+        for i in 0..1_000_000 {
+            let x = rng.f64() * total;
+            assert_eq!(c.cumulative.find(x), oracle(&c.cumulative.sums, x), "draw {i}: x = {x:e}");
+        }
+    }
+
+    /// Names and id seeds across the zero-padding boundary, as the
+    /// `format!` rendering wrote them (`{rank:05}` in the name, plain
+    /// `{rank}` in `catalog/{rank}/{name}`).
+    #[test]
+    fn names_and_id_seeds_keep_their_bytes() {
+        let pins = [
+            (0, FileClass::Video, "deluxe.series.00000.webrip.avi", "catalog/0/"),
+            (9, FileClass::Audio, "final.mix.00009.webrip.mp3", "catalog/9/"),
+            (
+                99_999,
+                FileClass::Archive,
+                "platinum.compilation.99999.bootleg.iso",
+                "catalog/99999/",
+            ),
+            (100_000, FileClass::Document, "ultimate.track.100000.vinyl.pdf", "catalog/100000/"),
+            (399_999, FileClass::Video, "remastered.season.399999.cdrip.avi", "catalog/399999/"),
+        ];
+        let mut seed = Vec::new();
+        for (rank, class, want, prefix) in pins {
+            let name = Catalog::sample_name(&mut Rng::seed_from(rank as u64), class, rank);
+            assert_eq!(name, want);
+            assert_eq!(name.len(), name.capacity(), "allocated at its exact size");
+            let id_seed = Catalog::id_seed(&mut seed, rank, &name);
+            assert_eq!(id_seed, [prefix.as_bytes(), want.as_bytes()].concat());
         }
     }
 }
