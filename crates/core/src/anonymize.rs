@@ -18,7 +18,6 @@
 //! whole corpus is replaced by an integer token ([`NameAnonymizer`]).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use edonkey_proto::md4::Md4;
 use edonkey_proto::Ipv4;
@@ -70,29 +69,7 @@ pub struct AnonPeerId(pub u32);
 /// Step-2 mapping: hash → dense integer, coherent across honeypot logs.
 #[derive(Clone, Debug, Default)]
 pub struct AnonMap {
-    map: HashMap<IpHash, AnonPeerId, BuildHasherDefault<DigestHasher>>,
-}
-
-/// The hasher of [`AnonMap`]'s keys: an [`IpHash`] is already a salted MD4
-/// digest, which no peer can steer without the secret salt, so its first 8
-/// bytes serve as the hash as they are.  (SipHash would add cost here but no
-/// protection; maps keyed by peer-chosen file ids or strings keep it.)
-#[derive(Default)]
-struct DigestHasher(u64);
-
-impl Hasher for DigestHasher {
-    /// XORs in up to 8 leading bytes of each write: the key's length
-    /// prefix, then its 16-byte digest.
-    fn write(&mut self, bytes: &[u8]) {
-        let mut head = [0; 8];
-        let n = bytes.len().min(8);
-        head[..n].copy_from_slice(&bytes[..n]);
-        self.0 ^= u64::from_le_bytes(head);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    map: HashMap<IpHash, AnonPeerId>,
 }
 
 impl AnonMap {

@@ -102,7 +102,6 @@ pub struct EdonkeyWorld {
     /// snapshots (the hot loop allocates nothing per event).
     scratch_order: Vec<u8>,
     scratch_wanted: Vec<u32>,
-    scratch_arrival: ArrivalScratch,
     /// The tag list of the last HELLO sent, rewritten in place for the next.
     scratch_hello_tags: Vec<Tag>,
     /// Community-blacklist exposure per honeypot (detections so far).
@@ -210,7 +209,6 @@ impl EdonkeyWorld {
             peers: PeerTable::new(),
             scratch_order: Vec::new(),
             scratch_wanted: Vec::new(),
-            scratch_arrival: ArrivalScratch::default(),
             scratch_hello_tags: Vec::new(),
             exposure: vec![0; config.honeypots.len()],
             hp_request_sessions: vec![0; config.honeypots.len()],
@@ -436,20 +434,11 @@ impl EdonkeyWorld {
     /// returning its index; `None` when the peer would never contact a
     /// honeypot (invisible to the measurement).
     fn build_arrival(&mut self, now: SimTime) -> Option<u32> {
-        let mut scratch = std::mem::take(&mut self.scratch_arrival);
-        let idx = self.build_arrival_with(now, &mut scratch);
-        self.scratch_arrival = scratch;
-        idx
-    }
-
-    fn build_arrival_with(&mut self, now: SimTime, scratch: &mut ArrivalScratch) -> Option<u32> {
         let behavior = self.config.behavior;
         let population = self.config.population;
-        let ArrivalScratch { wanted, candidates, skips, weights, providers, shared_files } =
-            scratch;
         // Wanted files: popularity-weighted over the advertised set.
         let n_wanted = 1 + geometric(&mut self.rng_behavior, population.wanted_files_mean - 1.0);
-        wanted.clear();
+        let mut wanted = Vec::with_capacity(n_wanted as usize);
         for _ in 0..n_wanted {
             let draw = self.rng_behavior.f64();
             if let Some(ci) = self.adverts.sample(&self.catalog, draw) {
@@ -463,8 +452,8 @@ impl EdonkeyWorld {
         }
         // Provider candidates: every live provider of any wanted file,
         // minus community-blacklist skips.
-        candidates.clear();
-        for &ci in wanted.iter() {
+        let mut candidates: Vec<u8> = Vec::new();
+        for &ci in &wanted {
             let fid = self.catalog.file(ci).id;
             for &session in self.server.provider_sessions(&fid) {
                 let hp = session as u8;
@@ -473,8 +462,7 @@ impl EdonkeyWorld {
                 }
             }
         }
-        skips.clear();
-        skips.extend(candidates.iter().map(|&hp| self.skip_prob(hp as usize)));
+        let skips: Vec<f64> = candidates.iter().map(|&hp| self.skip_prob(hp as usize)).collect();
         let rng = &mut self.rng_behavior;
         let mut i = 0;
         candidates.retain(|_| {
@@ -489,20 +477,20 @@ impl EdonkeyWorld {
         // Subset selection: all-providers clients vs. small-subset clients,
         // weighted by honeypot attractiveness times the source-quality
         // bonus (delivering sources circulate via peer exchange).
-        let providers: &[u8] = if self.rng_behavior.chance(behavior.subset_all_prob) {
+        let providers: Vec<u8> = if self.rng_behavior.chance(behavior.subset_all_prob) {
             candidates
         } else {
             let bonus = self.config.blacklist.source_quality_bonus;
-            weights.clear();
-            weights.extend((0..self.honeypots.len()).map(|h| {
-                let ratio =
-                    self.hp_delivered_sessions[h] as f64 / (self.hp_request_sessions[h] + 1) as f64;
-                self.hp_attract[h] * (1.0 + bonus * ratio)
-            }));
+            let weights: Vec<f64> = (0..self.honeypots.len())
+                .map(|h| {
+                    let ratio = self.hp_delivered_sessions[h] as f64
+                        / (self.hp_request_sessions[h] + 1) as f64;
+                    self.hp_attract[h] * (1.0 + bonus * ratio)
+                })
+                .collect();
             let k = (1 + geometric(&mut self.rng_behavior, behavior.subset_mean - 1.0) as usize)
                 .min(candidates.len());
-            weighted_distinct(&mut self.rng_behavior, candidates, weights, k, providers);
-            providers
+            weighted_distinct(&mut self.rng_behavior, &candidates, &weights, k)
         };
 
         let shares_list = self.rng_behavior.chance(population.share_list_prob);
@@ -511,13 +499,13 @@ impl EdonkeyWorld {
         // paper's Fig. 6 (START-UPLOAD peers) tops well below Fig. 5
         // (HELLO peers).
         let probe_only = self.rng_behavior.chance(behavior.hello_only_prob);
-        shared_files.clear();
+        let mut shared_files = Vec::new();
         if shares_list {
             let n = 1 + geometric(&mut self.rng_behavior, population.shared_list_mean - 1.0);
             self.catalog.sample_distinct_by_popularity(
                 &mut self.rng_behavior,
                 n as usize,
-                shared_files,
+                &mut shared_files,
             );
         }
         let life_ms =
@@ -528,9 +516,9 @@ impl EdonkeyWorld {
             probe_only,
             shares_list,
             robot: false,
-            shared_files,
-            wanted,
-            providers,
+            shared_files: &shared_files,
+            wanted: &wanted,
+            providers: &providers,
             interest_until: now.plus_millis(life_ms.max(60_000)),
         });
         if self.server.capture_enabled() {
@@ -1143,18 +1131,6 @@ impl Adverts {
     }
 }
 
-/// The per-arrival lists [`EdonkeyWorld::build_arrival`] fills, kept across
-/// arrivals so that building a peer allocates nothing once they have grown.
-#[derive(Default)]
-struct ArrivalScratch {
-    wanted: Vec<u32>,
-    candidates: Vec<u8>,
-    skips: Vec<f64>,
-    weights: Vec<f64>,
-    providers: Vec<u8>,
-    shared_files: Vec<u32>,
-}
-
 /// Which replies one honeypot call drew.
 #[derive(Clone, Copy, Default)]
 struct Replies {
@@ -1217,17 +1193,12 @@ fn geometric(rng: &mut Rng, mean: f64) -> u32 {
     (u.ln() / (1.0 - p).ln()).floor() as u32
 }
 
-/// Moves `k` distinct items from `pool` into `out`, weighted by
+/// Samples `k` distinct items from `candidates`, weighted by
 /// `weights[item]` (weights indexed by honeypot id).
-fn weighted_distinct(
-    rng: &mut Rng,
-    pool: &mut Vec<u8>,
-    weights: &[f64],
-    k: usize,
-    out: &mut Vec<u8>,
-) {
-    let k = k.min(pool.len());
-    out.clear();
+fn weighted_distinct(rng: &mut Rng, candidates: &[u8], weights: &[f64], k: usize) -> Vec<u8> {
+    let k = k.min(candidates.len());
+    let mut pool: Vec<u8> = candidates.to_vec();
+    let mut out = Vec::with_capacity(k);
     for _ in 0..k {
         let total: f64 = pool.iter().map(|&c| weights[c as usize]).sum();
         let mut x = rng.f64() * total;
@@ -1241,6 +1212,7 @@ fn weighted_distinct(
         }
         out.push(pool.swap_remove(chosen));
     }
+    out
 }
 
 /// The three consecutive block ranges starting at block index `cursor`,
@@ -1378,8 +1350,7 @@ mod tests {
         let weights = [10.0, 1.0, 1.0, 1.0];
         let mut count0 = 0;
         for _ in 0..2_000 {
-            let mut s = Vec::new();
-            weighted_distinct(&mut rng, &mut candidates.to_vec(), &weights, 2, &mut s);
+            let s = weighted_distinct(&mut rng, &candidates, &weights, 2);
             assert_eq!(s.len(), 2);
             assert_ne!(s[0], s[1]);
             if s.contains(&0) {
