@@ -107,7 +107,11 @@ pub fn run_live_loopback(
         // The durable path earns its keep: kill the manager outright,
         // recover a fresh one from the checkpoint + WAL, and keep
         // measuring.  Without the WAL the merges so far would be gone and
-        // the replay check below would fail.
+        // the replay check below would fail.  The pause stands for "a
+        // supervision snapshot written after the merges above": snapshots
+        // land every `CheckpointOptions::interval_ms` (100 ms by default),
+        // so 300 ms spans several, and the recovered daemon restores
+        // post-merge counters rather than start-up ones.
         std::thread::sleep(Duration::from_millis(300));
         deployment.crash_daemon();
         deployment.recover_daemon()?;
@@ -124,10 +128,7 @@ pub fn run_live_loopback(
     if inject_crash {
         // Wait for the supervision loop to notice the crash and bring the
         // agent back, then hit it again so the resumed stream carries data.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while deployment.daemon().relaunch_count() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        deployment.daemon().wait_relaunches(1, Duration::from_secs(10));
         deployment.wait_ready(Duration::from_secs(10));
         let last = agents as u32 - 1;
         deployment.drive_download("demo-peer-revisit", last, demo_file(agents - 1), 1, &[]);

@@ -124,6 +124,27 @@ struct InFlight {
     sent_at: Instant,
 }
 
+/// The session socket's read timeout: each read blocks until the agent's
+/// next own deadline, and the socket option is re-set only when that
+/// wait, in whole milliseconds, changes.
+#[derive(Default)]
+struct ReadTimeout(Option<Duration>);
+
+impl ReadTimeout {
+    /// Points the next read at `deadline`, or earlier when the impairment
+    /// shim has bytes due first.
+    fn until(&mut self, conn: &ControlConn, deadline: Instant) {
+        let deadline = conn.next_due().map_or(deadline, |due| due.min(deadline));
+        let wait = deadline.saturating_duration_since(Instant::now());
+        // Rounded up, so a deadline is never read past early and spun on;
+        // at least 1 ms, because a zero timeout is refused.
+        let wait = Duration::from_millis((wait.as_micros().div_ceil(1000) as u64).max(1));
+        if self.0 != Some(wait) && conn.set_read_timeout(wait).is_ok() {
+            self.0 = Some(wait);
+        }
+    }
+}
+
 enum SessionEnd {
     Shutdown,
     Killed,
@@ -302,7 +323,7 @@ fn session(
     st: &mut AgentState,
     reconnect: &mut Backoff,
 ) -> Result<SessionEnd, ConnError> {
-    conn.set_read_timeout(Duration::from_millis(5)).ok();
+    let mut read_timeout = ReadTimeout::default();
     let resume = st.host.is_some() || !st.window.is_empty() || st.incarnation > 0;
     conn.send(&ControlMessage::Register { agent: st.agent, incarnation: st.incarnation, resume })
         .map_err(ConnError::Io)?;
@@ -315,6 +336,7 @@ fn session(
         if Instant::now() >= deadline {
             return Ok(SessionEnd::ConnLost);
         }
+        read_timeout.until(&conn, deadline);
         for ev in conn.poll()? {
             match ev {
                 ConnEvent::Msg(ControlMessage::RegisterAck { agent, next_seq, window })
@@ -424,6 +446,29 @@ fn session(
     let mut last_heard = Instant::now();
 
     loop {
+        // Resend timer: armed while anything is in flight, fired below by
+        // re-sending the whole window (the cumulative ack makes spurious
+        // re-sends harmless duplicates).
+        if st.window.is_empty() {
+            resend_at = None;
+        } else if resend_at.is_none() {
+            let delay = resend.next_delay().expect("resend schedule is unbounded");
+            resend_at = Some(Instant::now() + delay);
+        }
+
+        // Block until the next deadline this loop acts on; any inbound
+        // frame wakes it sooner.  A fresh collect only counts while it
+        // could run; while shutting down only acks and resends do.
+        let mut wake_at = resend_at;
+        if !shutting_down {
+            let collect =
+                (st.backlog.is_empty() && st.window.len() < granted).then_some(collect_due);
+            wake_at = [wake_at, Some(hb_due), Some(last_heard + dead_after), collect]
+                .into_iter()
+                .flatten()
+                .min();
+        }
+        read_timeout.until(&conn, wake_at.unwrap_or(last_heard + dead_after));
         let events = match conn.poll() {
             Ok(ev) => ev,
             Err(ConnError::Closed) | Err(ConnError::Io(_)) => return Ok(SessionEnd::ConnLost),
@@ -495,15 +540,6 @@ fn session(
             return Ok(SessionEnd::ConnLost);
         }
 
-        // Resend timer: arm while anything is in flight, fire by
-        // re-sending the whole window (the cumulative ack makes spurious
-        // re-sends harmless duplicates).
-        if st.window.is_empty() {
-            resend_at = None;
-        } else if resend_at.is_none() {
-            let delay = resend.next_delay().expect("resend schedule is unbounded");
-            resend_at = Some(now + delay);
-        }
         if resend_at.is_some_and(|t| now >= t) {
             for f in &st.window {
                 conn.send_raw(&f.frame).map_err(ConnError::Io)?;
@@ -672,6 +708,8 @@ fn forward_status(st: &mut AgentState, conn: &mut ControlConn) -> Result<(), Con
     Ok(())
 }
 
+/// Starts the honeypot and waits for its server login to complete;
+/// `None` when the server cannot be reached or never answers.
 fn start_host(cfg: &AgentConfig, incarnation: u32) -> Option<HoneypotHost> {
     let server_addr = SocketAddr::from((cfg.server.ip.octets(), cfg.server.port));
     let hp_config = HoneypotConfig {
@@ -688,5 +726,13 @@ fn start_host(cfg: &AgentConfig, incarnation: u32) -> Option<HoneypotHost> {
     let rng = Rng::seed_from(stream_seed(cfg.rng_seed, incarnation as u64));
     let honeypot =
         Honeypot::new(hp_config, cfg.server.clone(), IpHasher::from_seed(cfg.ip_salt), rng);
-    HoneypotHost::start(honeypot, server_addr).ok()
+    let host = HoneypotHost::start(honeypot, server_addr).ok()?;
+    // Until the server's ID-CHANGE arrives the honeypot ignores every peer
+    // message, so `Ready` may only follow a completed login.
+    if host.wait_connected(HANDSHAKE_TIMEOUT) {
+        Some(host)
+    } else {
+        let _ = host.stop();
+        None
+    }
 }

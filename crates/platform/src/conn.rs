@@ -120,6 +120,14 @@ impl ControlConn {
         self.stream.set_read_timeout(Some(timeout))
     }
 
+    /// When the impairment shim next has bytes due, in either direction:
+    /// a caller blocking in [`ControlConn::poll`] must wake by then.
+    pub fn next_due(&self) -> Option<Instant> {
+        let shim = self.shim.as_ref()?;
+        let due = [shim.inbound.next_due(), shim.outbound.next_due()].into_iter().flatten().min();
+        due.map(|ms| shim.started + Duration::from_millis(ms))
+    }
+
     /// Sends one message as a complete frame.
     pub fn send(&mut self, msg: &ControlMessage) -> std::io::Result<()> {
         self.send_raw(&msg.encode_frame())

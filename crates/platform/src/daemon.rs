@@ -41,8 +41,8 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,13 +62,11 @@ use crate::impair::ImpairPlan;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::metrics::PlatformMetrics;
 use crate::obs::{self, Histogram, HistogramHandle, Registry};
-use crate::reactor::{CloseReason, Outbox, ReactorConn, Session};
+use crate::reactor::{wait_io, CloseReason, Outbox, ReactorConn, Session, Waker};
 use crate::retry::{Backoff, RetryPolicy};
 use crate::spool::Spool;
 use crate::transport::{classify_accept, AcceptError};
 use netsim::obs_event;
-/// Shard sleep when a whole pass moved no bytes.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
 /// Reactor latency samples are batched locally and folded into the shared
 /// metrics every this many active iterations (keeps the lock cold).
 const LATENCY_FLUSH_EVERY: u64 = 128;
@@ -209,6 +207,8 @@ struct Slot {
     registered: bool,
     /// The agent said a clean goodbye; never relaunch it.
     goodbye: bool,
+    /// A launch was issued and no registration has followed it yet.
+    launching: bool,
     last_activity: Option<Instant>,
     registered_at: Option<Instant>,
     /// Backoff gate: no launch before this instant.
@@ -232,6 +232,7 @@ impl Slot {
             next_incarnation: 0,
             registered: false,
             goodbye: false,
+            launching: false,
             last_activity: None,
             registered_at: None,
             next_launch_at: None,
@@ -278,6 +279,13 @@ enum MergeMsg {
     CorruptChunk { agent: usize, outbox: Arc<Outbox> },
 }
 
+/// The accept thread's hand-off to one reactor shard.
+struct ShardInbox {
+    /// Freshly accepted sockets the shard has not adopted yet.
+    injector: Mutex<Vec<TcpStream>>,
+    waker: Arc<Waker>,
+}
+
 struct Inner {
     cfg: DaemonConfig,
     addr: SocketAddr,
@@ -285,6 +293,11 @@ struct Inner {
     /// `None` once `finish` has consumed it.
     core: Mutex<Option<Manager>>,
     slots: Mutex<Vec<Slot>>,
+    /// Paired with `slots`: notified on every change a waiter reads —
+    /// registration, `Ready`, a connection closing (goodbye included), a
+    /// death, a counted relaunch, a merge burst that moved the frontier.
+    slots_changed: Condvar,
+    shards: Vec<ShardInbox>,
     metrics: Mutex<PlatformMetrics>,
     /// `(agent, seq)` in the exact order chunks were merged.
     chunk_order: Mutex<Vec<(u32, u64)>>,
@@ -298,7 +311,8 @@ struct Inner {
     /// Chunks queued to the merge thread and not yet processed.
     merge_depth: AtomicUsize,
     shutdown: AtomicBool,
-    /// Set by `finish` once the drain is over; shards flush and exit.
+    /// Set by `finish` once the drain is over: the accept loop stops
+    /// admitting, shards flush and exit.
     stop_reactors: AtomicBool,
     /// Simulated crash: every loop abandons its work immediately, nothing
     /// is flushed or finalized.  Only what [`Durable`] already wrote
@@ -309,6 +323,21 @@ struct Inner {
 impl Inner {
     fn now_sim(&self) -> SimTime {
         SimTime::from_millis(self.started.elapsed().as_millis() as u64)
+    }
+
+    /// Wakes `slots_changed` waiters after a change made outside the
+    /// `slots` lock.  Taking the lock first orders the notification after
+    /// any waiter's predicate check, so the wake-up cannot be lost.
+    fn notify_changed(&self) {
+        drop(lock(&self.slots));
+        self.slots_changed.notify_all();
+    }
+
+    /// Rouses every reactor shard (after `stop_reactors` or `crashed`).
+    fn wake_shards(&self) {
+        for shard in &self.shards {
+            shard.waker.wake();
+        }
     }
 }
 
@@ -432,11 +461,16 @@ impl Daemon {
             metrics.manager_restores += 1;
         }
 
+        let shards = (0..cfg.resolved_shards())
+            .map(|_| Ok(ShardInbox { injector: Mutex::new(Vec::new()), waker: Waker::new()? }))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let inner = Arc::new(Inner {
             addr,
             started: Instant::now(),
             core: Mutex::new(Some(core)),
             slots: Mutex::new(slots),
+            slots_changed: Condvar::new(),
+            shards,
             metrics: Mutex::new(metrics),
             chunk_order: Mutex::new(chunk_order),
             launcher,
@@ -454,18 +488,13 @@ impl Daemon {
         let merge_inner = inner.clone();
         let merge = std::thread::spawn(move || merge_loop(merge_inner, merge_rx));
 
-        let shard_count = inner.cfg.resolved_shards();
-        let injectors: Vec<Arc<Mutex<Vec<TcpStream>>>> =
-            (0..shard_count).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        let mut reactors = Vec::with_capacity(shard_count);
-        for injector in &injectors {
-            let shard_inner = inner.clone();
-            let shard_injector = injector.clone();
-            let shard_tx = merge_tx.clone();
-            reactors.push(std::thread::spawn(move || {
-                reactor_loop(shard_inner, shard_injector, shard_tx)
-            }));
-        }
+        let reactors = (0..inner.shards.len())
+            .map(|shard| {
+                let shard_inner = inner.clone();
+                let shard_tx = merge_tx.clone();
+                std::thread::spawn(move || reactor_loop(shard_inner, shard, shard_tx))
+            })
+            .collect();
         // The merge channel must disconnect when the shards exit, so no
         // sender may outlive them.
         drop(merge_tx);
@@ -479,7 +508,10 @@ impl Daemon {
                 Backoff::new(accept_policy, accept_inner.cfg.backoff_seed, 0xACCE);
             let mut next_shard = 0usize;
             for stream in listener.incoming() {
-                if accept_inner.shutdown.load(Ordering::SeqCst)
+                // Admission outlives supervision: an agent launched just
+                // before `finish` still registers during the drain and is
+                // told to shut down.
+                if accept_inner.stop_reactors.load(Ordering::SeqCst)
                     || accept_inner.crashed.load(Ordering::SeqCst)
                 {
                     break;
@@ -523,19 +555,24 @@ impl Daemon {
                     let mut metrics = lock(&accept_inner.metrics);
                     metrics.connections_peak = metrics.connections_peak.max(now_active as u64);
                 }
-                lock(&injectors[next_shard]).push(stream);
-                next_shard = (next_shard + 1) % injectors.len();
+                let shard = &accept_inner.shards[next_shard];
+                lock(&shard.injector).push(stream);
+                shard.waker.wake();
+                next_shard = (next_shard + 1) % accept_inner.shards.len();
             }
         });
 
         let sup_inner = inner.clone();
         let supervise = std::thread::spawn(move || {
+            // The tick is the heartbeat-deadline resolution; `finish` and
+            // `crash` unpark the thread so stopping never waits it out.
+            let tick = Duration::from_millis(sup_inner.cfg.supervision_tick_ms);
             while !sup_inner.shutdown.load(Ordering::SeqCst)
                 && !sup_inner.crashed.load(Ordering::SeqCst)
             {
                 supervision_tick(&sup_inner);
                 maybe_checkpoint(&sup_inner);
-                std::thread::sleep(Duration::from_millis(sup_inner.cfg.supervision_tick_ms));
+                std::thread::park_timeout(tick);
             }
         });
 
@@ -598,19 +635,34 @@ impl Daemon {
     /// Waits until every agent is registered and ready (or the timeout
     /// passes); returns whether they all made it.
     pub fn wait_agents_ready(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let slots = lock(&self.inner.slots);
-                if slots.iter().all(|s| s.registered && s.peer_port.is_some()) {
-                    return true;
-                }
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.wait_slots(timeout, |slots| {
+            slots.iter().all(|s| s.registered && s.peer_port.is_some())
+        })
+    }
+
+    /// Waits until at least `chunks` chunks have been merged (or the
+    /// timeout passes); returns whether they were.
+    pub fn wait_chunks(&self, chunks: u64, timeout: Duration) -> bool {
+        self.wait_slots(timeout, |_| self.chunks_collected() >= chunks)
+    }
+
+    /// Waits until the core has counted at least `relaunches` relaunches
+    /// (or the timeout passes); returns whether it has.
+    pub fn wait_relaunches(&self, relaunches: u64, timeout: Duration) -> bool {
+        self.wait_slots(timeout, |_| self.relaunch_count() >= relaunches)
+    }
+
+    /// Blocks until `done` holds, re-checking it (under the `slots` lock)
+    /// on every `slots_changed` notification, or until `timeout` passes.
+    /// Returns `done`'s last verdict.
+    fn wait_slots(&self, timeout: Duration, mut done: impl FnMut(&[Slot]) -> bool) -> bool {
+        let slots = lock(&self.inner.slots);
+        let (slots, _) = self
+            .inner
+            .slots_changed
+            .wait_timeout_while(slots, timeout, |slots| !done(slots))
+            .unwrap_or_else(PoisonError::into_inner);
+        done(&slots)
     }
 
     /// Snapshot of the platform metrics.
@@ -644,8 +696,8 @@ impl Daemon {
     /// fresh daemon with the same [`DaemonConfig::checkpoint`] to recover.
     pub fn crash(self) {
         self.inner.crashed.store(true, Ordering::SeqCst);
-        // Drop joins the loops; shards and the merge thread notice
-        // `crashed` and bail without bookkeeping.
+        // Drop wakes and joins the loops; shards and the merge thread
+        // notice `crashed` and bail without bookkeeping.
     }
 
     /// Ends the measurement: stops supervision, asks every live agent to
@@ -662,6 +714,7 @@ impl Daemon {
         // Supervision first: a draining agent must not be "relaunched".
         self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.supervise.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
 
@@ -673,29 +726,23 @@ impl Daemon {
             o.push_msg(&ControlMessage::Shutdown);
         }
 
-        let deadline = Instant::now() + drain;
-        loop {
-            {
-                let slots = lock(&self.inner.slots);
-                if slots.iter().all(|s| !s.registered || s.goodbye) {
-                    break;
-                }
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // An agent launched just before the stop is waited for too: it
+        // registers into a stopping daemon, which tells it to shut down.
+        self.wait_slots(drain, |slots| {
+            slots.iter().all(|s| s.goodbye || !(s.registered || s.launching))
+        });
 
-        // Unblock the accept loop and join it, then stop the shards; the
-        // merge channel disconnects when the last shard drops its sender,
-        // and the merge thread drains what is queued before exiting — so
-        // after these joins every received chunk has been merged.
+        // Stop admitting (the self-connect unblocks the accept loop) and
+        // stop the shards; the merge channel disconnects when the last
+        // shard drops its sender, and the merge thread drains what is
+        // queued before exiting — so after these joins every received
+        // chunk has been merged.
+        self.inner.stop_reactors.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.inner.addr);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        self.inner.stop_reactors.store(true, Ordering::SeqCst);
+        self.inner.wake_shards();
         for t in self.reactors.drain(..) {
             let _ = t.join();
         }
@@ -744,8 +791,10 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.stop_reactors.store(true, Ordering::SeqCst);
+        self.inner.wake_shards();
         let _ = TcpStream::connect(self.inner.addr);
         if let Some(t) = self.supervise.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
         if let Some(t) = self.accept.take() {
@@ -767,11 +816,8 @@ impl Drop for Daemon {
 /// decode every connection, handle control traffic inline (registration,
 /// heartbeats, status) or queue it to the merge thread (uploads), flush
 /// outboxes, reap dead connections.
-fn reactor_loop(
-    inner: Arc<Inner>,
-    injector: Arc<Mutex<Vec<TcpStream>>>,
-    merge_tx: Sender<MergeMsg>,
-) {
+fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
+    let ShardInbox { injector, waker } = &inner.shards[shard];
     let mut conns: Vec<ReactorConn> = Vec::new();
     let mut latency = Histogram::new();
     let live_hist = Registry::global().histogram("reactor_loop_micros");
@@ -795,7 +841,9 @@ fn reactor_loop(
                 if pending == 0 || Instant::now() >= drain_deadline {
                     break;
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                let due = conns.iter().filter_map(ReactorConn::link_due).min();
+                let deadline = due.map_or(drain_deadline, |d| d.min(drain_deadline));
+                wait_io(&conns, waker, false, Some(deadline));
             }
             for conn in conns.drain(..) {
                 close_conn(&inner, conn);
@@ -806,8 +854,8 @@ fn reactor_loop(
         let t0 = Instant::now();
         let mut activity = false;
 
-        for stream in lock(&injector).drain(..) {
-            match ReactorConn::adopt(stream, inner.cfg.max_frame_bytes) {
+        for stream in lock(injector).drain(..) {
+            match ReactorConn::adopt(stream, inner.cfg.max_frame_bytes, waker) {
                 Ok(mut conn) => {
                     if let Some(plan) = &inner.cfg.impair {
                         let id = inner.conn_counter.fetch_add(1, Ordering::SeqCst);
@@ -848,7 +896,21 @@ fn reactor_loop(
             let micros = (t0.elapsed().as_micros() as u64).max(1);
             latency.record(micros);
         } else {
-            std::thread::sleep(IDLE_SLEEP);
+            // An idle pass blocks until a socket or the waker is ready, or
+            // the earliest deadline a pass acts on comes due.
+            let flush_due = (latency.count() > 0).then(|| last_flush + LATENCY_FLUSH_INTERVAL);
+            let deadline = conns
+                .iter()
+                .flat_map(|c| {
+                    hostile_deadlines(&inner.cfg, c)
+                        .map(|(_, d)| d)
+                        .into_iter()
+                        .chain([c.link_due()])
+                })
+                .chain([flush_due])
+                .flatten()
+                .min();
+            wait_io(&conns, waker, true, deadline);
         }
         // Flush by count under load, by time when quiet, so the live
         // registry the scraper samples never sits on a stale batch for
@@ -873,27 +935,40 @@ fn reap_hostile(inner: &Inner, conn: &mut ReactorConn) {
     if conn.session.close.is_some() {
         return;
     }
-    let cfg = &inner.cfg;
-    if conn.session.agent.is_none()
-        && conn.opened.elapsed() > Duration::from_millis(cfg.handshake_timeout_ms)
-    {
-        conn.session.close = Some(CloseReason::HandshakeTimeout);
-        return;
+    let now = Instant::now();
+    let expired = hostile_deadlines(&inner.cfg, conn)
+        .into_iter()
+        .find(|(_, deadline)| deadline.is_some_and(|d| now > d));
+    if let Some((reason, _)) = expired {
+        conn.session.close = Some(reason);
     }
-    if cfg.idle_timeout_ms > 0
-        && conn.session.agent.is_some()
-        && conn.last_read.elapsed() > Duration::from_millis(cfg.idle_timeout_ms)
-    {
-        conn.session.close = Some(CloseReason::IdleTimeout);
-        return;
-    }
-    if cfg.slow_loris_timeout_ms > 0
-        && conn
-            .partial_since
-            .is_some_and(|t| t.elapsed() > Duration::from_millis(cfg.slow_loris_timeout_ms))
-    {
-        conn.session.close = Some(CloseReason::SlowLoris);
-    }
+}
+
+/// When each [`reap_hostile`] rule would close `conn`, in the order the
+/// rules are checked; `None` where a rule does not apply.
+fn hostile_deadlines(
+    cfg: &DaemonConfig,
+    conn: &ReactorConn,
+) -> [(CloseReason, Option<Instant>); 3] {
+    let after = |since: Instant, ms: u64| since + Duration::from_millis(ms);
+    let registered = conn.session.agent.is_some();
+    [
+        (
+            CloseReason::HandshakeTimeout,
+            (!registered).then(|| after(conn.opened, cfg.handshake_timeout_ms)),
+        ),
+        (
+            CloseReason::IdleTimeout,
+            (registered && cfg.idle_timeout_ms > 0)
+                .then(|| after(conn.last_read, cfg.idle_timeout_ms)),
+        ),
+        (
+            CloseReason::SlowLoris,
+            conn.partial_since
+                .filter(|_| cfg.slow_loris_timeout_ms > 0)
+                .map(|t| after(t, cfg.slow_loris_timeout_ms)),
+        ),
+    ]
 }
 
 /// Folds a shard's local latency batch into the shared metrics and the
@@ -1043,6 +1118,7 @@ fn handle_msg(inner: &Inner, session: &mut Session, msg: ControlMessage) {
         ControlMessage::Ready { peer_port, .. } => {
             let Some(i) = session.agent else { return };
             lock(&inner.slots)[i].peer_port = Some(peer_port);
+            inner.slots_changed.notify_all();
         }
         ControlMessage::Goodbye { .. } if session.agent.is_some() => {
             session.close = Some(CloseReason::Goodbye);
@@ -1071,11 +1147,16 @@ fn register_conn(inner: &Inner, session: &mut Session, agent: u32, resume: bool)
             }
         }
         slot.registered = true;
+        slot.launching = false;
         slot.last_activity = Some(now);
         slot.registered_at = Some(now);
         slot.outbox = Some(session.outbox.clone());
+        // Ready again only once this registration says so: a relaunched
+        // honeypot listens on a new port.
+        slot.peer_port = None;
         (slot.expected_seq, slot.config.clone())
     };
+    inner.slots_changed.notify_all();
     {
         let mut metrics = lock(&inner.metrics);
         if let Some(ms) = credit_ms {
@@ -1101,6 +1182,10 @@ fn register_conn(inner: &Inner, session: &mut Session, agent: u32, resume: bool)
         window: effective_window(inner),
     });
     session.outbox.push_msg(&ControlMessage::ConfigPush(config));
+    // Registered after `finish` collected the outboxes it tells to stop.
+    if inner.shutdown.load(Ordering::SeqCst) {
+        session.outbox.push_msg(&ControlMessage::Shutdown);
+    }
 }
 
 /// The upload window to grant right now: the configured window, shrunk
@@ -1152,6 +1237,7 @@ fn close_conn(inner: &Inner, conn: ReactorConn) {
             }
         }
     }
+    inner.slots_changed.notify_all();
     if let Some(ms) = credit_ms {
         lock(&inner.metrics).agents[i].uptime_ms += ms;
     }
@@ -1180,10 +1266,11 @@ fn merge_loop(inner: Arc<Inner>, rx: Receiver<MergeMsg>) {
         if inner.crashed.load(Ordering::SeqCst) {
             return;
         }
-        match rx.recv_timeout(Duration::from_millis(1)) {
+        // Blocks while idle: a crash is noticed per chunk in
+        // `merge_burst`, and the channel disconnects once the shards exit.
+        match rx.recv() {
             Ok(msg) => batch.push(msg),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(_) => return,
         }
         while batch.len() < MERGE_BURST {
             match rx.try_recv() {
@@ -1229,6 +1316,7 @@ impl BurstReplies {
 
 fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
     let mut replies = BurstReplies { acks: Vec::new(), retries: Vec::new() };
+    let mut merged_any = false;
     // Dwell samples are batched locally and folded in once per burst so
     // the firehose path pays one metrics-lock round, not one per chunk.
     let mut dwell_batch = Histogram::new();
@@ -1291,6 +1379,7 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                     None => false,
                 };
                 if merged {
+                    merged_any = true;
                     lock(&inner.chunk_order).push((agent as u32, seq));
                     let mut metrics = lock(&inner.metrics);
                     // `note_merged` is the exactly-once ledger; `chunks_merged`
@@ -1321,6 +1410,9 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
     if dwell_batch.count() > 0 {
         lock(&inner.metrics).merge_dwell_micros.merge(&dwell_batch);
         live.dwell.merge(&dwell_batch);
+    }
+    if merged_any {
+        inner.notify_changed();
     }
     // One cumulative ack per connection per burst: the frontier at the
     // end of the burst covers every chunk merged (or deduplicated) in it.
@@ -1434,6 +1526,9 @@ fn supervision_tick(inner: &Arc<Inner>) {
             }
         }
     }
+    if !died.is_empty() {
+        inner.slots_changed.notify_all();
+    }
     for &i in &died {
         // Credit uptime and record the death.
         let mut credit = None;
@@ -1484,6 +1579,7 @@ fn supervision_tick(inner: &Arc<Inner>) {
                         let incarnation = slot.next_incarnation;
                         slot.next_incarnation += 1;
                         slot.next_launch_at = Some(gate);
+                        slot.launching = true;
                         Some(incarnation)
                     }
                     None => None,
@@ -1503,6 +1599,7 @@ fn supervision_tick(inner: &Arc<Inner>) {
         };
         if counted {
             lock(&inner.metrics).agents[i].relaunches += 1;
+            inner.notify_changed();
         }
         obs_event!(
             obs::Level::Info,

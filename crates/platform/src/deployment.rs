@@ -229,14 +229,7 @@ impl LoopbackDeployment {
     /// Blocks until the daemon has merged at least `chunks` chunks in
     /// total (or the timeout passes).
     pub fn wait_chunks(&self, chunks: u64, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.daemon().chunks_collected() < chunks {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        true
+        self.daemon().wait_chunks(chunks, timeout)
     }
 
     /// Shuts the platform down and finalizes the measurement.

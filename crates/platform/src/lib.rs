@@ -80,6 +80,8 @@ pub mod obs;
 pub(crate) mod reactor;
 pub mod retry;
 pub mod spool;
+#[cfg(unix)]
+mod sys;
 pub mod transport;
 
 pub use agent::{run_agent, run_agent_with, AgentExit, AgentOptions};

@@ -25,11 +25,16 @@
 //! A connection may carry a link-impairment shim ([`crate::impair`]): the
 //! socket's bytes pass through an inbound [`ImpairedLink`] before the
 //! decoder, and outbox bytes through an outbound one before the socket.
+//!
+//! A shard with nothing to do blocks in [`wait_io`] until one of its
+//! sockets is ready, its [`Waker`] fires or its next deadline comes
+//! (DESIGN §3p).
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use edonkey_proto::codec::FrameDecoder;
 use edonkey_proto::control::{ControlEvent, ControlFraming};
@@ -43,22 +48,73 @@ use crate::transport::would_block;
 /// firehosing agent cannot monopolise its shard.
 const READ_BUDGET: usize = 256 * 1024;
 
+/// Rouses a reactor shard blocked in [`wait_io`]: a byte on a socket pair
+/// only the shard reads.  `armed` coalesces wake-ups, so a busy shard
+/// costs its producers one atomic swap per wake, not one `write`.
+pub(crate) struct Waker {
+    armed: AtomicBool,
+    #[cfg(unix)]
+    tx: std::os::unix::net::UnixStream,
+    #[cfg(unix)]
+    rx: std::os::unix::net::UnixStream,
+}
+
+impl Waker {
+    pub(crate) fn new() -> std::io::Result<Arc<Waker>> {
+        #[cfg(unix)]
+        {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok(Arc::new(Waker { armed: AtomicBool::new(false), tx, rx }))
+        }
+        #[cfg(not(unix))]
+        Ok(Arc::new(Waker { armed: AtomicBool::new(false) }))
+    }
+
+    /// Makes the shard's current or next wait return.  Call it *after*
+    /// the change the shard must see.
+    pub(crate) fn wake(&self) {
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            #[cfg(unix)]
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Shard side, after a wait: consumes the pending wake byte, then
+    /// re-arms.  In that order a wake racing the reset is either seen by
+    /// the pass that follows (its change came before its swap) or leaves
+    /// a byte the next wait returns on — never lost.
+    fn reset(&self) {
+        #[cfg(unix)]
+        {
+            use std::io::Read;
+            let mut sink = [0u8; 64];
+            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        self.armed.store(false, Ordering::SeqCst);
+    }
+}
+
 /// Outbound byte queue of one connection.  Producers (merge thread,
 /// supervision, `finish`) enqueue frames from any thread; the owning
 /// reactor shard drains it to the socket without blocking.
-#[derive(Default)]
 pub(crate) struct Outbox {
     buf: Mutex<Vec<u8>>,
+    /// The owning shard's waker.
+    waker: Arc<Waker>,
 }
 
 impl Outbox {
-    pub(crate) fn new() -> Arc<Outbox> {
-        Arc::new(Outbox::default())
+    pub(crate) fn new(waker: &Arc<Waker>) -> Arc<Outbox> {
+        Arc::new(Outbox { buf: Mutex::new(Vec::new()), waker: waker.clone() })
     }
 
-    /// Enqueues one typed message as a complete frame.
+    /// Enqueues one typed message as a complete frame and wakes the
+    /// owning shard to write it.
     pub(crate) fn push_msg(&self, msg: &ControlMessage) {
         lock(&self.buf).extend_from_slice(&msg.encode_frame());
+        self.waker.wake();
     }
 
     /// Bytes waiting to be written.
@@ -149,15 +205,20 @@ pub(crate) struct ReactorConn {
 }
 
 impl ReactorConn {
-    /// Adopts an accepted stream: non-blocking, Nagle off, frames with a
-    /// declared payload above `max_frame_bytes` fatal.
-    pub(crate) fn adopt(stream: TcpStream, max_frame_bytes: u32) -> std::io::Result<ReactorConn> {
+    /// Adopts an accepted stream for the shard `waker` rouses: non-blocking,
+    /// Nagle off, frames with a declared payload above `max_frame_bytes`
+    /// fatal.
+    pub(crate) fn adopt(
+        stream: TcpStream,
+        max_frame_bytes: u32,
+        waker: &Arc<Waker>,
+    ) -> std::io::Result<ReactorConn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(ReactorConn {
             stream,
             decoder: FrameDecoder::with_framing(ControlFraming::capped(max_frame_bytes)),
-            session: Session { outbox: Outbox::new(), agent: None, close: None },
+            session: Session { outbox: Outbox::new(waker), agent: None, close: None },
             opened: Instant::now(),
             last_read: Instant::now(),
             partial_since: None,
@@ -311,7 +372,70 @@ impl ReactorConn {
             + self.out_staged.len()
             + self.out_link.as_ref().map_or(0, |l| l.pending_bytes())
     }
+
+    /// When the impairment shim next has bytes due, in either direction.
+    pub(crate) fn link_due(&self) -> Option<Instant> {
+        let due = [&self.in_link, &self.out_link]
+            .into_iter()
+            .flatten()
+            .filter_map(ImpairedLink::next_due);
+        due.min().map(|ms| self.opened + Duration::from_millis(ms))
+    }
+
+    /// Bytes the socket itself must take: queued in the outbox or due
+    /// but refused (not those an impaired link still holds back).
+    fn wants_write(&self) -> bool {
+        self.session.outbox.pending() > 0 || !self.out_staged.is_empty()
+    }
 }
+
+/// Blocks the shard until `waker` fires, one of `conns` is readable (with
+/// `read`), a connection with bytes for its socket is writable, or
+/// `deadline` passes.  Only a pass that found nothing to do comes here
+/// (DESIGN §3p).
+#[cfg(unix)]
+pub(crate) fn wait_io(conns: &[ReactorConn], waker: &Waker, read: bool, deadline: Option<Instant>) {
+    use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
+    use std::os::unix::io::AsRawFd;
+
+    let mut fds = Vec::with_capacity(conns.len() + 1);
+    fds.push(PollFd::new(waker.rx.as_raw_fd(), POLLIN));
+    for conn in conns {
+        let mut events = if read { POLLIN } else { 0 };
+        if conn.wants_write() {
+            events |= POLLOUT;
+        }
+        if events != 0 {
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        }
+    }
+    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if poll_fds(&mut fds, timeout).is_err() {
+        // Cannot happen with valid descriptors; never spin on it.
+        std::thread::sleep(IDLE_SLEEP);
+    }
+    if fds[0].revents != 0 {
+        waker.reset();
+    }
+}
+
+/// The portable idle path: a short fixed sleep (no `poll(2)`).
+#[cfg(not(unix))]
+pub(crate) fn wait_io(
+    _conns: &[ReactorConn],
+    waker: &Waker,
+    _read: bool,
+    deadline: Option<Instant>,
+) {
+    let nap = deadline
+        .map_or(IDLE_SLEEP, |d| d.saturating_duration_since(Instant::now()).min(IDLE_SLEEP));
+    std::thread::sleep(nap);
+    waker.reset();
+}
+
+/// Shard sleep per idle pass where `poll(2)` is unavailable (non-unix)
+/// or failed.
+const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 #[cfg(test)]
 mod tests {
@@ -338,7 +462,7 @@ mod tests {
         tx.set_nonblocking(true).unwrap();
 
         // Enqueue far more than the socket buffers hold.
-        let outbox = Outbox::new();
+        let outbox = Outbox::new(&Waker::new().unwrap());
         let frame = ControlMessage::ChunkAck { next_seq: 7, window: 32 }.encode_frame();
         let rounds = (8 << 20) / frame.len();
         for _ in 0..rounds {
@@ -372,12 +496,32 @@ mod tests {
     }
 
     #[test]
+    fn a_wake_from_another_thread_ends_an_idle_wait_once() {
+        let waker = Waker::new().unwrap();
+        let remote = waker.clone();
+        let t = std::thread::spawn(move || {
+            remote.wake();
+            remote.wake(); // coalesced into the first
+        });
+        let started = Instant::now();
+        wait_io(&[], &waker, true, Some(started + Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(5), "the wake-up was lost");
+        t.join().unwrap();
+        // Whatever of the two wakes the first wait consumed, at most one
+        // more wait returns before its deadline, and none after that.
+        wait_io(&[], &waker, true, Some(Instant::now() + Duration::from_millis(20)));
+        let idle = Instant::now();
+        wait_io(&[], &waker, true, Some(idle + Duration::from_millis(20)));
+        assert!(idle.elapsed() >= Duration::from_millis(20), "a stale wake-up ended the wait");
+    }
+
+    #[test]
     fn reactor_conn_reads_frames_nonblockingly() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD, &Waker::new().unwrap()).unwrap();
 
         let mut events = Vec::new();
         // Nothing sent yet: no events, no close, no blocking.
@@ -407,7 +551,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD, &Waker::new().unwrap()).unwrap();
 
         let frame = ControlMessage::Relaunch.encode_frame();
         let mut events = Vec::new();
@@ -436,7 +580,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut tx = TcpStream::connect(addr).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD).unwrap();
+        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD, &Waker::new().unwrap()).unwrap();
         conn.set_impair(&ImpairPlan { delay_ms: 30, ..ImpairPlan::clean(5) }, 0);
 
         tx.write_all(&ControlMessage::Shutdown.encode_frame()).unwrap();

@@ -72,10 +72,7 @@ fn main() {
     deployment.wait_chunks(3, Duration::from_secs(10));
     println!("round 1 merged ({} chunks)", deployment.daemon().chunks_collected());
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while deployment.daemon().relaunch_count() < 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    deployment.daemon().wait_relaunches(1, Duration::from_secs(10));
     println!("agent 2 crashed and was relaunched ({}×)", deployment.daemon().relaunch_count());
     deployment.wait_ready(Duration::from_secs(10));
     deployment.drive_download("example-peer-revisit", 2, file(2), 1, &[]);
@@ -85,7 +82,9 @@ fn main() {
         // The restart-recovery cycle: kill the manager without a drain,
         // then bring up a fresh one from the checkpoint + chunk WAL.  The
         // merges so far must survive and the agents must re-register
-        // against the new address (their spools intact).
+        // against the new address (their spools intact).  The pause lets a
+        // supervision snapshot (every 100 ms by default) record the merges
+        // and the relaunch above before the kill.
         std::thread::sleep(Duration::from_millis(300));
         let merged = deployment.daemon().chunks_collected();
         deployment.crash_daemon();

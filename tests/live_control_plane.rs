@@ -176,3 +176,45 @@ fn clean_deployment_is_faultless_and_lossless() {
     assert!(!outcome.log.records.is_empty());
     assert_eq!(outcome.replay_divergence(), None);
 }
+
+/// `Ready` means the honeypot can answer: a hello sent the moment
+/// `wait_ready` returns must be answered, in every one of many short
+/// deployments.  (An agent that reported `Ready` before its server login
+/// completed had its first hellos dropped.)
+#[test]
+fn a_hello_right_after_ready_is_always_answered() {
+    for cycle in 0..20 {
+        let specs = vec![
+            fixed_spec(b"ready-a", FaultPlan::default()),
+            fixed_spec(b"ready-b", FaultPlan::default()),
+        ];
+        let deployment =
+            LoopbackDeployment::start(specs, LoopbackOptions::default()).expect("start deployment");
+        assert!(deployment.wait_ready(Duration::from_secs(10)), "cycle {cycle}: never ready");
+        for (agent, tag) in [(0u32, b"ready-a" as &[u8]), (1, b"ready-b")] {
+            assert!(
+                deployment.drive_download("ready-peer", agent, FileId::from_seed(tag), 0, &[]),
+                "cycle {cycle}: agent {agent} left the hello unanswered"
+            );
+        }
+        deployment.finish(SimTime::from_secs(60), 4, 1, Duration::from_secs(5));
+    }
+}
+
+/// Stopping is woken by the stop, not by the supervision timer: with a
+/// five-second tick, `finish` must still return promptly.
+#[test]
+fn finish_does_not_wait_for_the_supervision_tick() {
+    let specs = vec![fixed_spec(b"tick", FaultPlan::default())];
+    let opts = LoopbackOptions {
+        daemon: DaemonConfig { supervision_tick_ms: 5_000, ..DaemonConfig::default() },
+        ..LoopbackOptions::default()
+    };
+    let deployment = LoopbackDeployment::start(specs, opts).expect("start deployment");
+    assert!(deployment.wait_ready(Duration::from_secs(10)));
+    let started = std::time::Instant::now();
+    let outcome = deployment.finish(SimTime::from_secs(60), 4, 1, Duration::from_secs(5));
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "finish took {took:?} with a 5 s supervision tick");
+    assert_eq!(outcome.replay_divergence(), None);
+}
