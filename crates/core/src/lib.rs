@@ -35,7 +35,7 @@ pub use honeypot::{Action, ActionSink, ConnId, Honeypot, HoneypotConfig};
 pub use log::{
     HoneypotLog, LogChunk, PackedQueryRecord, QueryKind, QueryRecord, SharedListView, SharedLists,
 };
-pub use manager::{HoneypotSpec, Manager};
+pub use manager::{HoneypotSpec, Manager, SupervisionBook};
 pub use measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
 pub use serverlog::{
     PackedServerRecord, ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind,

@@ -7,8 +7,14 @@
 //! anonymisation (hash → dense integer) on the fly.  At the end of a
 //! measurement, [`Manager::finalize`] applies file-name word anonymisation
 //! and emits the [`MeasurementLog`].
+//!
+//! Jobs (3) and (4) share no state, so they are two types: the
+//! [`SupervisionBook`] (status and relaunch accounting) and the
+//! [`Manager`] proper (the merge).  Whoever drives the measurement may
+//! hold them on different threads or behind different locks, so a long
+//! merge never blocks supervision.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use netsim::SimTime;
 
@@ -26,72 +32,36 @@ pub struct HoneypotSpec {
     pub server: ServerInfo,
 }
 
-/// The manager.
-pub struct Manager {
-    specs: Vec<HoneypotSpec>,
-    status: Vec<HoneypotStatus>,
-    status_at: Vec<SimTime>,
-    relaunches: u64,
-
-    // Merge state (step-2 anonymisation and table unification).
-    anon: AnonMap,
-    records: Vec<AnonRecord>,
-    shared_lists: Vec<AnonSharedList>,
-    peer_names: Vec<String>,
-    peer_name_index: HashMap<String, u32>,
-    files: FileTable,
-    chunks_collected: u64,
-    /// Per-honeypot upload sequence numbers already merged (networked
-    /// collection may re-deliver a chunk after an ack is lost).
-    collected_seqs: Vec<std::collections::BTreeSet<u64>>,
+/// # Panics
+/// If the specs' IDs are not the dense sequence `0..n` (the platform
+/// indexes honeypots by ID everywhere).
+fn assert_dense(specs: &[HoneypotSpec]) {
+    for (i, s) in specs.iter().enumerate() {
+        assert_eq!(s.id.0 as usize, i, "honeypot IDs must be dense and ordered");
+    }
 }
 
-impl Manager {
-    /// Creates a manager that will run the given honeypots.
+/// The manager's supervision book: each honeypot's last reported status
+/// and the relaunches issued.
+#[derive(Debug)]
+pub struct SupervisionBook {
+    status: Vec<HoneypotStatus>,
+    relaunches: u64,
+}
+
+impl SupervisionBook {
+    /// A book for the given honeypots, every one `Pending` a first launch.
     ///
     /// # Panics
-    /// If the specs' IDs are not the dense sequence `0..n` (the platform
-    /// indexes honeypots by ID everywhere).
-    pub fn new(specs: Vec<HoneypotSpec>) -> Self {
-        for (i, s) in specs.iter().enumerate() {
-            assert_eq!(s.id.0 as usize, i, "honeypot IDs must be dense and ordered");
-        }
-        let n = specs.len();
-        Manager {
-            specs,
-            status: vec![HoneypotStatus::Pending; n],
-            status_at: vec![SimTime::ZERO; n],
-            relaunches: 0,
-            anon: AnonMap::new(),
-            records: Vec::new(),
-            shared_lists: Vec::new(),
-            peer_names: Vec::new(),
-            peer_name_index: HashMap::new(),
-            files: FileTable::new(),
-            chunks_collected: 0,
-            collected_seqs: vec![std::collections::BTreeSet::new(); n],
-        }
-    }
-
-    /// The launch plan.
-    pub fn specs(&self) -> &[HoneypotSpec] {
-        &self.specs
-    }
-
-    /// Number of managed honeypots.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+    /// If the specs' IDs are not the dense sequence `0..n`.
+    pub fn new(specs: &[HoneypotSpec]) -> Self {
+        assert_dense(specs);
+        SupervisionBook { status: vec![HoneypotStatus::Pending; specs.len()], relaunches: 0 }
     }
 
     /// Ingests a status report from a honeypot.
     pub fn on_status(&mut self, report: StatusReport) {
-        let idx = report.honeypot.0 as usize;
-        self.status[idx] = report.status;
-        self.status_at[idx] = report.at;
+        self.status[report.honeypot.0 as usize] = report.status;
     }
 
     /// Current status of a honeypot.
@@ -104,22 +74,21 @@ impl Manager {
     /// manager regularly checks the status of each honeypot").
     ///
     /// This is a pure query — polling it repeatedly never changes any
-    /// accounting.  Call [`Manager::mark_relaunched`] once a relaunch is
-    /// actually issued for an id.
+    /// accounting.  Call [`SupervisionBook::mark_relaunched`] once a
+    /// relaunch is actually issued for an id.
     pub fn needing_relaunch(&self) -> Vec<HoneypotId> {
-        self.specs
-            .iter()
-            .filter(|s| self.status[s.id.0 as usize].needs_relaunch())
-            .map(|s| s.id)
+        (0..self.status.len() as u32)
+            .map(HoneypotId)
+            .filter(|&id| self.status_of(id).needs_relaunch())
             .collect()
     }
 
     /// Records that a (re)launch was issued for `id`: a first launch from
     /// `Pending` is free, everything else counts as one relaunch.  The
     /// status moves to `Pending` ("launch in flight"), so a supervision
-    /// loop that polls [`Manager::needing_relaunch`] between issuing the
-    /// relaunch and the honeypot's first status report cannot count the
-    /// same incident twice.
+    /// loop that polls [`SupervisionBook::needing_relaunch`] between
+    /// issuing the relaunch and the honeypot's first status report cannot
+    /// count the same incident twice.
     pub fn mark_relaunched(&mut self, id: HoneypotId) {
         let idx = id.0 as usize;
         if !matches!(self.status[idx], HoneypotStatus::Pending) {
@@ -131,6 +100,51 @@ impl Manager {
     /// Number of relaunches issued so far (diagnostics).
     pub fn relaunch_count(&self) -> u64 {
         self.relaunches
+    }
+}
+
+/// The manager's merge: collected chunks in, one anonymised
+/// [`MeasurementLog`] out.
+pub struct Manager {
+    honeypots: Vec<HoneypotMeta>,
+    // Step-2 anonymisation and table unification.
+    anon: AnonMap,
+    records: Vec<AnonRecord>,
+    shared_lists: Vec<AnonSharedList>,
+    peer_names: Vec<String>,
+    peer_name_index: HashMap<String, u32>,
+    files: FileTable,
+    /// Word counts of every name in `files`, counted as each name enters.
+    words: NameAnonymizer,
+    chunks_collected: u64,
+    /// Per-honeypot upload sequence numbers already merged (networked
+    /// collection may re-deliver a chunk after an ack is lost).
+    collected_seqs: Vec<BTreeSet<u64>>,
+}
+
+impl Manager {
+    /// Creates the merge for the given honeypots.
+    ///
+    /// # Panics
+    /// If the specs' IDs are not the dense sequence `0..n`.
+    pub fn new(specs: Vec<HoneypotSpec>) -> Self {
+        assert_dense(&specs);
+        let n = specs.len();
+        Manager {
+            honeypots: specs
+                .into_iter()
+                .map(|s| HoneypotMeta { id: s.id, content: s.content, server: s.server })
+                .collect(),
+            anon: AnonMap::new(),
+            records: Vec::new(),
+            shared_lists: Vec::new(),
+            peer_names: Vec::new(),
+            peer_name_index: HashMap::new(),
+            files: FileTable::new(),
+            words: NameAnonymizer::new(),
+            chunks_collected: 0,
+            collected_seqs: vec![BTreeSet::new(); n],
+        }
     }
 
     fn intern_peer_name(&mut self, name: String) -> u32 {
@@ -153,7 +167,8 @@ impl Manager {
     pub fn collect(&mut self, chunk: LogChunk) {
         self.chunks_collected += 1;
         // Translate the chunk's name and file tables into global indices,
-        // moving each new entry's name into the global table.
+        // moving each new entry's name into the global table and counting
+        // its words there.
         let name_map: Vec<u32> =
             chunk.peer_names.into_iter().map(|n| self.intern_peer_name(n)).collect();
         let (ids, names, sizes) = chunk.files.into_columns();
@@ -161,7 +176,14 @@ impl Manager {
             .into_iter()
             .zip(names)
             .zip(sizes)
-            .map(|((id, name), size)| self.files.intern_owned(id, name, size))
+            .map(|((id, name), size)| {
+                let fresh = self.files.len() as u32;
+                let idx = self.files.intern_owned(id, name, size);
+                if idx == fresh {
+                    self.words.count(self.files.name(idx));
+                }
+                idx
+            })
             .collect();
         self.records.reserve(chunk.records.len());
         self.shared_lists.reserve(chunk.shared_lists.len());
@@ -234,19 +256,11 @@ impl Manager {
         shared_files_final: u32,
         name_threshold: u32,
     ) -> MeasurementLog {
-        let mut counter = NameAnonymizer::new();
-        for i in 0..self.files.len() {
-            counter.count(self.files.name(i as u32));
-        }
-        let frozen = counter.freeze(name_threshold);
+        let frozen = self.words.freeze(name_threshold);
         self.files.map_names(|n| frozen.anonymize(n));
 
         MeasurementLog {
-            honeypots: self
-                .specs
-                .iter()
-                .map(|s| HoneypotMeta { id: s.id, content: s.content, server: s.server.clone() })
-                .collect(),
+            honeypots: self.honeypots,
             records: self.records,
             shared_lists: self.shared_lists,
             peer_names: self.peer_names,
@@ -261,7 +275,7 @@ impl Manager {
 impl std::fmt::Debug for Manager {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fm.debug_struct("Manager")
-            .field("honeypots", &self.specs.len())
+            .field("honeypots", &self.honeypots.len())
             .field("records", &self.records.len())
             .field("distinct_peers", &self.anon.len())
             .field("chunks", &self.chunks_collected)
@@ -356,7 +370,7 @@ mod tests {
 
     #[test]
     fn relaunch_tracking() {
-        let mut mgr = Manager::new(specs(3));
+        let mut mgr = SupervisionBook::new(&specs(3));
         // Everything pending → all need a first launch, none counted as
         // relaunch.
         assert_eq!(mgr.needing_relaunch().len(), 3);
@@ -409,14 +423,43 @@ mod tests {
         assert!(log.validate().is_empty());
     }
 
-    #[test]
-    #[should_panic(expected = "dense and ordered")]
-    fn non_dense_ids_rejected() {
-        let _ = Manager::new(vec![HoneypotSpec {
+    fn sparse_specs() -> Vec<HoneypotSpec> {
+        vec![HoneypotSpec {
             id: HoneypotId(5),
             content: ContentStrategy::NoContent,
             server: server(),
-        }]);
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "dense and ordered")]
+    fn non_dense_ids_rejected() {
+        let _ = Manager::new(sparse_specs());
+    }
+
+    #[test]
+    #[should_panic(expected = "dense and ordered")]
+    fn non_dense_ids_rejected_by_the_book() {
+        let _ = SupervisionBook::new(&sparse_specs());
+    }
+
+    /// The word counts the merge kept as names arrived must freeze exactly
+    /// like a count over the final table, the historical `finalize` pass.
+    fn assert_counts_match_final_table(mgr: &Manager, threshold: u32, case: &str) {
+        let mut oracle = NameAnonymizer::new();
+        for i in 0..mgr.files.len() as u32 {
+            oracle.count(mgr.files.name(i));
+        }
+        let oracle = oracle.freeze(threshold);
+        let counted = mgr.words.clone().freeze(threshold);
+        assert_eq!(counted.replaced_words(), oracle.replaced_words(), "{case}");
+        for i in 0..mgr.files.len() as u32 {
+            let name = mgr.files.name(i);
+            assert_eq!(counted.anonymize(name), oracle.anonymize(name), "{case}: {name:?}");
+            for word in name.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()) {
+                assert_eq!(counted.is_public(word), oracle.is_public(word), "{case}: {word:?}");
+            }
+        }
     }
 
     #[test]
@@ -450,12 +493,14 @@ mod tests {
     struct Twin {
         compact: HoneypotLog,
         snapshot: HoneypotLog,
+        /// Chunks collected so far.
+        sent: u64,
     }
 
     impl Twin {
         fn new(hp: u32) -> Self {
             let log = HoneypotLog::new(HoneypotId(hp), server());
-            Twin { compact: log.clone(), snapshot: log }
+            Twin { compact: log.clone(), snapshot: log, sent: 0 }
         }
 
         fn each(&mut self, f: impl Fn(&mut HoneypotLog)) {
@@ -464,8 +509,15 @@ mod tests {
         }
 
         /// Collects both sides; the compact chunk must stand on its own and
-        /// never outgrow the snapshot.
-        fn collect_into(&mut self, compact: &mut Manager, snapshot: &mut Manager, seed: u64) {
+        /// never outgrow the snapshot.  `sent` keeps each compact chunk
+        /// with its per-honeypot sequence number.
+        fn collect_into(
+            &mut self,
+            compact: &mut Manager,
+            snapshot: &mut Manager,
+            sent: &mut Vec<(u64, LogChunk)>,
+            seed: u64,
+        ) {
             let chunk = self.compact.take_chunk();
             let whole = self.snapshot.take_snapshot_chunk();
             assert_eq!(chunk.check_indices(), Ok(()), "seed {seed}");
@@ -476,6 +528,8 @@ mod tests {
             }
             assert!(chunk.files.len() <= whole.files.len(), "seed {seed}");
             assert!(chunk.peer_names.len() <= whole.peer_names.len(), "seed {seed}");
+            self.sent += 1;
+            sent.push((self.sent, chunk.clone()));
             compact.collect(chunk);
             snapshot.collect(whole);
         }
@@ -510,6 +564,7 @@ mod tests {
         let mut twins: Vec<Twin> = (0..n_hp).map(Twin::new).collect();
         let mut compact = Manager::new(specs(n_hp));
         let mut snapshot = Manager::new(specs(n_hp));
+        let mut sent = Vec::new();
         for step in 0..400u64 {
             let twin = &mut twins[rng.below(u64::from(n_hp)) as usize];
             let name = format!("client {}", rng.below(12));
@@ -546,11 +601,27 @@ mod tests {
                         }
                     });
                 }
-                _ => twin.collect_into(&mut compact, &mut snapshot, seed),
+                _ => twin.collect_into(&mut compact, &mut snapshot, &mut sent, seed),
             }
         }
         for twin in &mut twins {
-            twin.collect_into(&mut compact, &mut snapshot, seed);
+            twin.collect_into(&mut compact, &mut snapshot, &mut sent, seed);
+        }
+        // The compact chunks once more, shuffled and with repeats, through
+        // the sequenced path.
+        let mut redelivered = Manager::new(specs(n_hp));
+        let mut order: Vec<usize> = (0..sent.len()).collect();
+        order.extend((0..sent.len() / 2).map(|_| rng.below(sent.len() as u64) as usize));
+        rng.shuffle(&mut order);
+        for i in order {
+            let (seq, chunk) = &sent[i];
+            redelivered.collect_sequenced(*seq, chunk.clone());
+        }
+        assert_eq!(redelivered.chunks_collected(), sent.len() as u64, "seed {seed}");
+        for (mgr, side) in
+            [(&compact, "compact"), (&snapshot, "snapshot"), (&redelivered, "shuffled")]
+        {
+            assert_counts_match_final_table(mgr, 2, &format!("seed {seed}, {side}"));
         }
         let a = compact.finalize(SimTime::from_days(1), 4, 2);
         let b = snapshot.finalize(SimTime::from_days(1), 4, 2);
@@ -612,6 +683,7 @@ mod tests {
             mgr.collect_sequenced(seq as u64, chunks[seq].clone());
         }
         assert_eq!(mgr.chunks_collected(), 4, "duplicates dropped");
+        assert_counts_match_final_table(&mgr, 2, "out of order and twice");
         let merged = mgr.finalize(SimTime::from_days(1), 4, 1);
         assert_eq!(merged.files.len(), 4);
         assert_eq!(merged.records.len(), 8);

@@ -14,8 +14,8 @@
 
 use edonkey_sim::catalog::FileClass;
 use edonkey_sim::{
-    BehaviorConfig, BlacklistConfig, CatalogConfig, HoneypotSetup, PopulationConfig, QueueKind,
-    RobotConfig, ScenarioConfig, ServerCaptureConfig,
+    BehaviorConfig, BlacklistConfig, CatalogConfig, CatalogDraws, HoneypotSetup, PopulationConfig,
+    QueueKind, RobotConfig, ScenarioConfig, ServerCaptureConfig,
 };
 use honeypot::ContentStrategy;
 use netsim::time::{MS_PER_HOUR, MS_PER_MIN, MS_PER_SEC};
@@ -38,21 +38,46 @@ pub const SERVER_CAPTURE_DAYS: u64 = 70;
 /// Picks, per file class, the most popular catalog file of that class —
 /// the distributed measurement's "a movie, a song, a linux distribution
 /// and a text".
-fn pick_four_files(catalog: &edonkey_sim::Catalog) -> Vec<u32> {
+fn pick_four_files(catalog: &CatalogDraws) -> Vec<u32> {
     let mut best: [Option<(f64, u32)>; 4] = [None; 4];
     for i in 0..catalog.len() as u32 {
-        let f = catalog.file(i);
-        let slot = match f.class {
+        let popularity = catalog.popularity(i);
+        let slot = match catalog.class(i) {
             FileClass::Video => 0,
             FileClass::Audio => 1,
             FileClass::Archive => 2,
             FileClass::Document => 3,
         };
-        if best[slot].is_none_or(|(p, _)| f.popularity > p) {
-            best[slot] = Some((f.popularity, i));
+        if best[slot].is_none_or(|(p, _)| popularity > p) {
+            best[slot] = Some((popularity, i));
         }
     }
     best.iter().filter_map(|b| b.map(|(_, i)| i)).collect()
+}
+
+/// The `k` indices in `0..n` whose `popularity` lies nearest `target`,
+/// nearest first, in one pass.  On an equal distance the more popular
+/// file wins, then the lower index.
+fn nearest_popularity(n: u32, popularity: impl Fn(u32) -> f64, target: f64, k: usize) -> Vec<u32> {
+    // (distance, popularity, index), best first.
+    let before = |a: &(f64, f64, u32), b: &(f64, f64, u32)| {
+        a.0.partial_cmp(&b.0)
+            .expect("finite")
+            .then(b.1.partial_cmp(&a.1).expect("finite"))
+            .then(a.2.cmp(&b.2))
+            .is_lt()
+    };
+    let mut best: Vec<(f64, f64, u32)> = Vec::with_capacity(k + 1);
+    for i in 0..n {
+        let p = popularity(i);
+        let candidate = ((p - target).abs(), p, i);
+        let at = best.partition_point(|b| before(b, &candidate));
+        if at < k {
+            best.insert(at, candidate);
+            best.truncate(k);
+        }
+    }
+    best.into_iter().map(|(_, _, i)| i).collect()
 }
 
 /// Builds the distributed scenario at volume `scale` (1.0 = paper scale).
@@ -137,7 +162,7 @@ pub fn distributed(seed: u64, scale: f64) -> ScenarioConfig {
         queue: QueueKind::Calendar,
     };
 
-    let catalog = config.build_catalog();
+    let catalog = config.build_catalog_draws();
     let four = pick_four_files(&catalog);
     assert_eq!(four.len(), 4, "catalog must contain all four classes");
 
@@ -230,7 +255,7 @@ pub fn greedy(seed: u64, scale: f64) -> ScenarioConfig {
         queue: QueueKind::Calendar,
     };
 
-    let catalog = config.build_catalog();
+    let catalog = config.build_catalog_draws();
     // Estimate the eventual harvest's popularity mass (peers' shared lists
     // are popularity-weighted distinct samples, so draw one of the
     // expected size).
@@ -245,22 +270,12 @@ pub fn greedy(seed: u64, scale: f64) -> ScenarioConfig {
     // contacts at scale 1) to harvest thousands of shared-list files, yet
     // small against the harvested mass — that contrast is the day-1
     // initialisation dip of Fig. 3.
-    let ranked = catalog_by_popularity(&catalog);
-    let per_seed_target = 0.005 * harvest_mass;
-    let mut seeds = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let best = ranked
-            .iter()
-            .copied()
-            .filter(|i| !seeds.contains(i))
-            .min_by(|&a, &b| {
-                let da = (catalog.file(a).popularity - per_seed_target).abs();
-                let db = (catalog.file(b).popularity - per_seed_target).abs();
-                da.partial_cmp(&db).expect("finite")
-            })
-            .expect("non-empty catalog");
-        seeds.push(best);
-    }
+    let seeds = nearest_popularity(
+        catalog.len() as u32,
+        |i| catalog.popularity(i),
+        0.005 * harvest_mass,
+        3,
+    );
     config.honeypots.push(HoneypotSetup::greedy(
         seeds,
         SimTime::from_days(1),
@@ -294,15 +309,6 @@ pub fn server_ten_weeks(seed: u64, scale: f64) -> ScenarioConfig {
     config.population.daily_decay = 0.995;
     config.server_capture = Some(ServerCaptureConfig::default());
     config
-}
-
-/// Catalog indices sorted by descending popularity.
-fn catalog_by_popularity(catalog: &edonkey_sim::Catalog) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..catalog.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        catalog.file(b).popularity.partial_cmp(&catalog.file(a).popularity).expect("finite")
-    });
-    idx
 }
 
 #[cfg(test)]
@@ -404,6 +410,96 @@ mod tests {
         assert!(
             (a.population.rate_per_popularity - b.population.rate_per_popularity).abs() < 1e-12
         );
+    }
+
+    /// The seed search the one-pass pick replaces: sort by descending
+    /// popularity, then take the nearest remaining file `k` times.  Stable
+    /// sort, so equal popularities stay in index order (the one-pass
+    /// pick's last tie rule).
+    fn nearest_by_sorting(
+        n: u32,
+        popularity: impl Fn(u32) -> f64,
+        target: f64,
+        k: usize,
+    ) -> Vec<u32> {
+        let mut ranked: Vec<u32> = (0..n).collect();
+        ranked.sort_by(|&a, &b| popularity(b).partial_cmp(&popularity(a)).expect("finite"));
+        let mut picked = Vec::with_capacity(k);
+        for _ in 0..k.min(n as usize) {
+            let best = ranked
+                .iter()
+                .copied()
+                .filter(|i| !picked.contains(i))
+                .min_by(|&a, &b| {
+                    let da = (popularity(a) - target).abs();
+                    let db = (popularity(b) - target).abs();
+                    da.partial_cmp(&db).expect("finite")
+                })
+                .expect("k ≤ n");
+            picked.push(best);
+        }
+        picked
+    }
+
+    #[test]
+    fn one_pass_seed_pick_matches_the_sorted_search() {
+        for seed in 0..24u64 {
+            let mut rng = netsim::Rng::seed_from(seed);
+            let config = CatalogConfig {
+                n_files: rng.range(1, 20_001) as usize,
+                zipf_exponent: rng.f64(),
+                popularity_sigma: 1.5 * rng.f64(),
+                hit_count: rng.below(6) as usize,
+                hit_multiplier: 1.0 + 20.0 * rng.f64(),
+                dead_fraction: 0.5 * rng.f64(),
+                dead_multiplier: 0.01 * rng.f64(),
+                ..CatalogConfig::default()
+            };
+            let catalog = CatalogDraws::generate(&config, &mut rng);
+            let n = catalog.len() as u32;
+            let pops: Vec<f64> = (0..n).map(|i| catalog.popularity(i)).collect();
+            // Targets at, between and beyond the drawn weights.
+            let mut targets = vec![0.0, pops[0], 1e9];
+            targets.extend((0..4).map(|_| pops[rng.below(u64::from(n)) as usize] * 1.01));
+            for target in targets {
+                for k in [1, 3, 7] {
+                    assert_eq!(
+                        nearest_popularity(n, |i| pops[i as usize], target, k),
+                        nearest_by_sorting(n, |i| pops[i as usize], target, k),
+                        "seed {seed}, n {n}, target {target:e}, k {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_seed_pick_breaks_ties_like_the_sorted_search() {
+        let cases: [(&[f64], f64); 5] = [
+            // Equal distance on both sides: the more popular file first.
+            (&[1.0, 3.0, 2.5, 1.5], 2.0),
+            (&[3.0, 1.0, 1.5, 2.5], 2.0),
+            // Equal popularity: index order.
+            (&[2.0, 5.0, 2.0, 2.0, 0.5], 2.0),
+            (&[4.0, 4.0, 4.0, 4.0], 1.0),
+            // Both at once.
+            (&[1.0, 3.0, 1.0, 3.0, 2.0], 2.0),
+        ];
+        for (pops, target) in cases {
+            for k in 1..=pops.len() {
+                let n = pops.len() as u32;
+                assert_eq!(
+                    nearest_popularity(n, |i| pops[i as usize], target, k),
+                    nearest_by_sorting(n, |i| pops[i as usize], target, k),
+                    "{pops:?}, target {target}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_seeds_are_pinned() {
+        assert_eq!(greedy(DEFAULT_SEED, 0.1).honeypots[0].greedy_seeds, [171457, 220448, 123602]);
     }
 
     #[test]

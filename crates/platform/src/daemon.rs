@@ -20,10 +20,11 @@
 //!   `ChunkAck { next_seq }` per burst carries the whole merge frontier,
 //!   and the agent trims its spool up to it;
 //! * **supervision** — a tick thread watches heartbeat deadlines, marks
-//!   silent agents dead in the core manager, and issues (re)launches
-//!   through a caller-provided launcher, gated by exponential backoff
-//!   with jitter and accounted through the core's pure
-//!   `needing_relaunch` + `mark_relaunched` pair;
+//!   silent agents dead in the core's [`honeypot::SupervisionBook`], and
+//!   issues (re)launches through a caller-provided launcher, gated by
+//!   exponential backoff with jitter and accounted through the book's pure
+//!   `needing_relaunch` + `mark_relaunched` pair.  The book and the merge
+//!   sit behind two locks, so supervision never waits on a merge;
 //! * **metrics** — heartbeat RTTs, relaunch/death counts, chunk bytes and
 //!   retries, window occupancy, reactor loop latency and merge-queue
 //!   depth ([`crate::metrics::PlatformMetrics`]).
@@ -47,7 +48,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use edonkey_proto::control::{opcodes, ControlEvent};
-use honeypot::{HoneypotId, HoneypotSpec, HoneypotStatus, Manager, MeasurementLog, StatusReport};
+use honeypot::{
+    HoneypotId, HoneypotSpec, HoneypotStatus, Manager, MeasurementLog, StatusReport,
+    SupervisionBook,
+};
 use netsim::sync::lock;
 use netsim::SimTime;
 
@@ -290,8 +294,12 @@ struct Inner {
     cfg: DaemonConfig,
     addr: SocketAddr,
     started: Instant,
-    /// `None` once `finish` has consumed it.
-    core: Mutex<Option<Manager>>,
+    /// The core manager's supervision book: status reports and relaunch
+    /// accounting.  Locked apart from `merge`, so a merge never blocks
+    /// the reactors' status handling or the supervision tick.
+    book: Mutex<SupervisionBook>,
+    /// The core manager's merge; `None` once `finish` has consumed it.
+    merge: Mutex<Option<Manager>>,
     slots: Mutex<Vec<Slot>>,
     /// Paired with `slots`: notified on every change a waiter reads —
     /// registration, `Ready`, a connection closing (goodbye included), a
@@ -385,7 +393,8 @@ impl Daemon {
             .enumerate()
             .map(|(i, c)| Slot::new(c, policy, seed, i as u64))
             .collect();
-        let mut core = Manager::new(specs);
+        let book = SupervisionBook::new(&specs);
+        let mut merge = Manager::new(specs);
         let mut metrics = PlatformMetrics::new(n);
         let mut chunk_order: Vec<(u32, u64)> = Vec::new();
 
@@ -421,7 +430,7 @@ impl Daemon {
                     if i >= slots.len() {
                         return;
                     }
-                    if core.collect_sequenced(seq, chunk) {
+                    if merge.collect_sequenced(seq, chunk) {
                         chunk_order.push((agent, seq));
                         metrics.agents[i].note_merged(seq);
                         metrics.agents[i].chunks_merged += 1;
@@ -467,7 +476,8 @@ impl Daemon {
         let inner = Arc::new(Inner {
             addr,
             started: Instant::now(),
-            core: Mutex::new(Some(core)),
+            book: Mutex::new(book),
+            merge: Mutex::new(Some(merge)),
             slots: Mutex::new(slots),
             slots_changed: Condvar::new(),
             shards,
@@ -609,17 +619,17 @@ impl Daemon {
     /// Relaunches issued by the core accounting (initial launches not
     /// counted).
     pub fn relaunch_count(&self) -> u64 {
-        lock(&self.inner.core).as_ref().map_or(0, |m| m.relaunch_count())
+        lock(&self.inner.book).relaunch_count()
     }
 
     /// Chunks merged so far.
     pub fn chunks_collected(&self) -> u64 {
-        lock(&self.inner.core).as_ref().map_or(0, |m| m.chunks_collected())
+        lock(&self.inner.merge).as_ref().map_or(0, |m| m.chunks_collected())
     }
 
     /// Highest merged upload sequence for an agent.
     pub fn collected_seq_high(&self, agent: u32) -> Option<u64> {
-        lock(&self.inner.core).as_ref().and_then(|m| m.collected_seq_high(HoneypotId(agent)))
+        lock(&self.inner.merge).as_ref().and_then(|m| m.collected_seq_high(HoneypotId(agent)))
     }
 
     /// The honeypot peer-listener address of a registered, ready agent.
@@ -779,7 +789,7 @@ impl Daemon {
             let _ = save_checkpoint_with(&d.opts.dir, &build_checkpoint(&self.inner), &faults);
         }
 
-        let mgr = lock(&self.inner.core).take().expect("finish called once");
+        let mgr = lock(&self.inner.merge).take().expect("finish called once");
         let log = mgr.finalize(duration, shared_files_final, name_threshold);
         let metrics = lock(&self.inner.metrics).clone();
         let order = lock(&self.inner.chunk_order).clone();
@@ -1111,9 +1121,7 @@ fn handle_msg(inner: &Inner, session: &mut Session, msg: ControlMessage) {
             if matches!(report.status, HoneypotStatus::Connected { .. }) {
                 lock(&inner.slots)[i].backoff.reset();
             }
-            if let Some(core) = lock(&inner.core).as_mut() {
-                core.on_status(report);
-            }
+            lock(&inner.book).on_status(report);
         }
         ControlMessage::Ready { peer_port, .. } => {
             let Some(i) = session.agent else { return };
@@ -1374,8 +1382,8 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
                         }
                     }
                 }
-                let merged = match lock(&inner.core).as_mut() {
-                    Some(core) => core.collect_sequenced(seq, chunk),
+                let merged = match lock(&inner.merge).as_mut() {
+                    Some(merge) => merge.collect_sequenced(seq, chunk),
                     None => false,
                 };
                 if merged {
@@ -1551,17 +1559,12 @@ fn supervision_tick(inner: &Arc<Inner>) {
             at: inner.now_sim(),
             status: HoneypotStatus::Dead,
         };
-        if let Some(core) = lock(&inner.core).as_mut() {
-            core.on_status(report);
-        }
+        lock(&inner.book).on_status(report);
     }
 
     // Launches: the core's pure query says who, the slot's backoff gate
     // says when, `mark_relaunched` does the counting exactly once.
-    let needing: Vec<HoneypotId> = match lock(&inner.core).as_ref() {
-        Some(core) => core.needing_relaunch(),
-        None => return,
-    };
+    let needing = lock(&inner.book).needing_relaunch();
     for id in needing {
         let i = id.0 as usize;
         let launch = {
@@ -1589,13 +1592,11 @@ fn supervision_tick(inner: &Arc<Inner>) {
         let Some(incarnation) = launch else { continue };
         // The core counts exactly once per incident (launches from
         // `Pending` are free); mirror its decision in the metrics.
-        let counted = match lock(&inner.core).as_mut() {
-            Some(core) => {
-                let was_pending = matches!(core.status_of(id), HoneypotStatus::Pending);
-                core.mark_relaunched(id);
-                !was_pending
-            }
-            None => false,
+        let counted = {
+            let mut book = lock(&inner.book);
+            let was_pending = matches!(book.status_of(id), HoneypotStatus::Pending);
+            book.mark_relaunched(id);
+            !was_pending
         };
         if counted {
             lock(&inner.metrics).agents[i].relaunches += 1;

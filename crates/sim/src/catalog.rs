@@ -96,6 +96,26 @@ pub struct Catalog {
     cumulative: Cumulative,
 }
 
+/// One file's draws: everything generation decides about it except its
+/// name and id, which [`CatalogDraws::name`] derives from these.
+struct FileDraw {
+    size: u64,
+    popularity: f64,
+    class: FileClass,
+    /// Indices into [`ADJECTIVES`], [`NOUNS`] and [`SOURCES`].
+    words: [u8; 3],
+}
+
+/// A catalog's draw pass alone: class, size, name words and popularity of
+/// every rank, drawn from the generator stream exactly as
+/// [`Catalog::generate`] draws them, but with no name rendered and no id
+/// hashed.  What a scenario builder needs to pick files and normalise
+/// rates; [`CatalogDraws::name`] completes it into the [`Catalog`].
+pub struct CatalogDraws {
+    files: Vec<FileDraw>,
+    cumulative: Cumulative,
+}
+
 /// Running sums of a weight column plus a guide table, so that a weighted
 /// draw reads a few cache lines instead of binary-searching all of `sums`.
 ///
@@ -157,6 +177,41 @@ impl Cumulative {
             self.sums.partition_point(|&c| c <= x)
         }
     }
+
+    /// Draws one index weighted by the weights.
+    fn sample(&self, rng: &mut Rng) -> u32 {
+        let x = rng.f64() * self.total();
+        self.find(x).min(self.sums.len() - 1) as u32
+    }
+
+    /// Fills `out` with `k` distinct indices weighted by the weights
+    /// (rejection over [`Cumulative::sample`], falling back to sequential
+    /// fill for large `k`).
+    fn sample_distinct(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
+        let n = self.sums.len();
+        let k = k.min(n);
+        out.clear();
+        let mut tries = 0usize;
+        while out.len() < k && tries < k * 40 {
+            tries += 1;
+            let idx = self.sample(rng);
+            if !out.contains(&idx) {
+                out.push(idx);
+            }
+        }
+        // Pathological case (tiny catalog, huge k): fill with unused
+        // indices.
+        if out.len() < k {
+            for idx in 0..n as u32 {
+                if out.len() == k {
+                    break;
+                }
+                if !out.contains(&idx) {
+                    out.push(idx);
+                }
+            }
+        }
+    }
 }
 
 const ADJECTIVES: &[&str] = &[
@@ -208,8 +263,10 @@ const NOUNS: &[&str] = &[
 const SOURCES: &[&str] =
     &["dvdrip", "webrip", "cdrip", "vinyl", "radio", "tv", "studio", "bootleg", "promo", "retail"];
 
-impl Catalog {
-    /// Generates the catalog deterministically from `rng`.
+impl CatalogDraws {
+    /// The draw pass: every random decision of [`Catalog::generate`], in
+    /// its order — per rank class, size, the three name words, popularity
+    /// jitter and the dead-tail coin, then the hits.
     pub fn generate(config: &CatalogConfig, rng: &mut Rng) -> Self {
         assert!(config.n_files > 0, "catalog cannot be empty");
         let zipf = Zipf::new(config.n_files, config.zipf_exponent);
@@ -224,7 +281,6 @@ impl Catalog {
         let class_total = *class_cum.last().expect("4 classes");
 
         let mut files = Vec::with_capacity(config.n_files);
-        let mut seed = Vec::new();
         for rank in 0..config.n_files {
             let x = rng.f64() * class_total;
             let class = match class_cum.iter().position(|&c| x < c).unwrap_or(3) {
@@ -233,9 +289,8 @@ impl Catalog {
                 2 => FileClass::Archive,
                 _ => FileClass::Document,
             };
-            let size = Self::sample_size(rng, class);
-            let name = Self::sample_name(rng, class, rank);
-            let id = FileId::from_seed(Self::id_seed(&mut seed, rank, &name));
+            let size = Catalog::sample_size(rng, class);
+            let words = Catalog::sample_words(rng);
             // Rank-based head plus log-normal jitter: a mid-rank file can
             // still be a sleeper hit, and tail files can be near-dead.
             let jitter = log_normal(rng, 0.0, config.popularity_sigma);
@@ -243,7 +298,7 @@ impl Catalog {
             if rng.chance(config.dead_fraction) {
                 popularity *= config.dead_multiplier;
             }
-            files.push(CatalogFile { id, name, size, class, popularity });
+            files.push(FileDraw { size, popularity, class, words });
         }
         // Promote a few randomly chosen files to outlier hits.
         if config.hit_count > 0 {
@@ -252,7 +307,61 @@ impl Catalog {
             }
         }
         let cumulative = Cumulative::new(files.iter().map(|f| f.popularity));
-        Catalog { files, cumulative }
+        CatalogDraws { files, cumulative }
+    }
+
+    /// The naming pass: renders each rank's name and hashes its id.  Draws
+    /// nothing.
+    pub fn name(self) -> Catalog {
+        let mut seed = Vec::new();
+        let files = self
+            .files
+            .iter()
+            .enumerate()
+            .map(|(rank, d)| {
+                let name = Catalog::render_name(d.words, d.class, rank);
+                let id = FileId::from_seed(Catalog::id_seed(&mut seed, rank, &name));
+                CatalogFile { id, name, size: d.size, class: d.class, popularity: d.popularity }
+            })
+            .collect();
+        Catalog { files, cumulative: self.cumulative }
+    }
+
+    /// Number of files.
+    pub fn len(&self) -> usize {
+        self.files.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.files.is_empty()
+    }
+
+    /// Content class of a file.
+    pub fn class(&self, idx: u32) -> FileClass {
+        self.files[idx as usize].class
+    }
+
+    /// Popularity weight of a file.
+    pub fn popularity(&self, idx: u32) -> f64 {
+        self.files[idx as usize].popularity
+    }
+
+    /// [`Catalog::sample_distinct_by_popularity`].
+    pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
+        self.cumulative.sample_distinct(rng, k, out);
+    }
+
+    /// [`Catalog::popularity_sum`].
+    pub fn popularity_sum(&self, idxs: impl Iterator<Item = u32>) -> f64 {
+        idxs.map(|i| self.files[i as usize].popularity).sum()
+    }
+}
+
+impl Catalog {
+    /// Generates the catalog deterministically from `rng`: the draw pass,
+    /// then the naming pass.
+    pub fn generate(config: &CatalogConfig, rng: &mut Rng) -> Self {
+        CatalogDraws::generate(config, rng).name()
     }
 
     fn sample_size(rng: &mut Rng, class: FileClass) -> u64 {
@@ -273,17 +382,27 @@ impl Catalog {
         (log_normal(rng, mu, sigma) as u64).clamp(min, max)
     }
 
+    /// The adjective, noun and source of a name, as indices into their
+    /// pools (drawn as `rng.choose` over each pool would draw them).
+    fn sample_words(rng: &mut Rng) -> [u8; 3] {
+        [ADJECTIVES.len(), NOUNS.len(), SOURCES.len()].map(|n| rng.below(n as u64) as u8)
+    }
+
+    /// A name drawn and rendered in one go.
+    #[cfg(test)]
+    fn sample_name(rng: &mut Rng, class: FileClass, rank: usize) -> String {
+        Self::render_name(Self::sample_words(rng), class, rank)
+    }
+
     /// `{adj}.{noun}.{rank:05}.{src}.{ext}`, written into a string of
     /// exactly its length.
-    fn sample_name(rng: &mut Rng, class: FileClass, rank: usize) -> String {
-        let adj = rng.choose(ADJECTIVES);
-        let noun = rng.choose(NOUNS);
-        let src = rng.choose(SOURCES);
+    fn render_name(words: [u8; 3], class: FileClass, rank: usize) -> String {
+        let [adj, noun, src] = words.map(usize::from);
         // The rank suffix keeps names unique-ish, standing in for the
         // artist/title tokens of real shared files.
         let mut digits = [0; 20];
         let rank = decimal(&mut digits, rank, 5);
-        let parts = [*adj, *noun, rank, *src, class.extension()];
+        let parts = [ADJECTIVES[adj], NOUNS[noun], rank, SOURCES[src], class.extension()];
         let len = parts.iter().map(|p| p.len()).sum::<usize>() + parts.len() - 1;
         let mut name = String::with_capacity(len);
         for (i, part) in parts.into_iter().enumerate() {
@@ -322,36 +441,14 @@ impl Catalog {
 
     /// Draws one file index weighted by popularity.
     pub fn sample_by_popularity(&self, rng: &mut Rng) -> u32 {
-        let x = rng.f64() * self.cumulative.total();
-        self.cumulative.find(x).min(self.files.len() - 1) as u32
+        self.cumulative.sample(rng)
     }
 
     /// Fills `out` with `k` distinct indices weighted by popularity
     /// (rejection over [`Catalog::sample_by_popularity`], falling back to
     /// sequential fill for large `k`).
     pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
-        let k = k.min(self.files.len());
-        out.clear();
-        let mut tries = 0usize;
-        while out.len() < k && tries < k * 40 {
-            tries += 1;
-            let idx = self.sample_by_popularity(rng);
-            if !out.contains(&idx) {
-                out.push(idx);
-            }
-        }
-        // Pathological case (tiny catalog, huge k): fill with unused
-        // indices.
-        if out.len() < k {
-            for idx in 0..self.files.len() as u32 {
-                if out.len() == k {
-                    break;
-                }
-                if !out.contains(&idx) {
-                    out.push(idx);
-                }
-            }
-        }
+        self.cumulative.sample_distinct(rng, k, out);
     }
 
     /// Total popularity mass of a set of files (used by the arrival process
@@ -382,6 +479,12 @@ fn decimal(buf: &mut [u8; 20], v: usize, min_width: usize) -> &str {
 impl std::fmt::Debug for Catalog {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fm.debug_struct("Catalog").field("files", &self.files.len()).finish()
+    }
+}
+
+impl std::fmt::Debug for CatalogDraws {
+    fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fm.debug_struct("CatalogDraws").field("files", &self.files.len()).finish()
     }
 }
 

@@ -361,9 +361,15 @@ impl ScenarioConfig {
     /// configuration (same seed derivation), so scenario builders can pick
     /// concrete files and normalise arrival rates before the run.
     pub fn build_catalog(&self) -> crate::catalog::Catalog {
+        self.build_catalog_draws().name()
+    }
+
+    /// [`Self::build_catalog`]'s draw pass alone: every file's class, size
+    /// and popularity, without the names and ids a builder never reads.
+    pub fn build_catalog_draws(&self) -> crate::catalog::CatalogDraws {
         let mut root = netsim::Rng::seed_from(self.seed);
         let mut rng = root.substream("catalog");
-        crate::catalog::Catalog::generate(&self.catalog, &mut rng)
+        crate::catalog::CatalogDraws::generate(&self.catalog, &mut rng)
     }
 }
 

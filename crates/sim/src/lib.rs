@@ -33,7 +33,7 @@ pub mod server;
 pub mod world;
 
 pub use capture::ServerCapture;
-pub use catalog::{Catalog, CatalogConfig};
+pub use catalog::{Catalog, CatalogConfig, CatalogDraws};
 pub use config::{
     BehaviorConfig, BlacklistConfig, CrashConfig, HoneypotSetup, PopulationConfig, QueueKind,
     RobotConfig, ScenarioConfig, ServerCaptureConfig,

@@ -21,13 +21,16 @@ use edonkey_proto::{
 use honeypot::serverlog::{ServerLogStats, SERVER_PEER_SESSION_BASE};
 use honeypot::{
     ActionSink, AdvertisedFile, ConnId, ContentStrategy, FileStrategy, Honeypot, HoneypotConfig,
-    HoneypotId, HoneypotSpec, IpHasher, Manager, MeasurementLog, ServerInfo, StatusReport,
+    HoneypotId, HoneypotSpec, IpHasher, LogChunk, Manager, MeasurementLog, ServerInfo,
+    StatusReport, SupervisionBook,
 };
 use netsim::dist::{exponential, poisson};
 use netsim::engine::{Scheduler, World};
 use netsim::time::MS_PER_DAY;
 use netsim::{CalendarQueue, Engine, EventQueue, PendingQueue, Rng, SimTime, TimingWheel};
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, Sender};
+use std::thread::JoinHandle;
 
 use crate::capture::ServerCapture;
 use crate::catalog::Catalog;
@@ -94,7 +97,10 @@ pub struct EdonkeyWorld {
     server: SimServer,
     honeypots: Vec<Honeypot>,
     hp_attract: Vec<f64>,
-    manager: Manager,
+    /// The manager's supervision half; its merge half runs beside the
+    /// world on [`MergeThread`].
+    book: SupervisionBook,
+    merge: MergeThread,
     identities: IdentityFactory,
     /// The peer population, struct-of-arrays (see [`crate::peer`]).
     peers: PeerTable,
@@ -197,14 +203,16 @@ impl EdonkeyWorld {
             hp_attract.push(setup.attractiveness);
             specs.push(HoneypotSpec { id, content: setup.content, server: server_info.clone() });
         }
-        let manager = Manager::new(specs);
+        let book = SupervisionBook::new(&specs);
+        let merge = MergeThread::spawn(Manager::new(specs));
 
         let mut world = EdonkeyWorld {
             catalog,
             server,
             honeypots,
             hp_attract,
-            manager,
+            book,
+            merge,
             identities: IdentityFactory::new(root.substream("identities")),
             peers: PeerTable::new(),
             scratch_order: Vec::new(),
@@ -277,8 +285,8 @@ impl EdonkeyWorld {
     /// Connects (or reconnects) every honeypot needing it, inline: the
     /// latency of login handshakes is irrelevant at measurement scale.
     fn launch_all(&mut self, now: SimTime) {
-        for id in self.manager.needing_relaunch() {
-            self.manager.mark_relaunched(id);
+        for id in self.book.needing_relaunch() {
+            self.book.mark_relaunched(id);
             self.launch_one(now, id.0 as usize);
         }
     }
@@ -299,7 +307,7 @@ impl EdonkeyWorld {
             now,
             session: idx as u64,
             server: &mut self.server,
-            manager: &mut self.manager,
+            book: &mut self.book,
             adverts: &mut self.adverts,
             seen: Replies::default(),
         };
@@ -942,12 +950,12 @@ impl EdonkeyWorld {
     /// merged anonymised dataset plus final statistics.
     pub fn finish(mut self, duration: SimTime) -> SimOutput {
         for hp in &mut self.honeypots {
-            let chunk = hp.collect_log();
-            self.manager.collect(chunk);
+            self.merge.send(hp.collect_log());
         }
         let shared_final = self.honeypots.iter().map(|h| h.shared_files().len()).max().unwrap_or(0);
-        let relaunches = self.manager.relaunch_count();
-        let log = self.manager.finalize(duration, shared_final as u32, self.config.name_threshold);
+        let relaunches = self.book.relaunch_count();
+        let manager = self.merge.join();
+        let log = manager.finalize(duration, shared_final as u32, self.config.name_threshold);
         SimOutput { log, stats: self.stats, relaunches, events_handled: 0 }
     }
 
@@ -969,6 +977,57 @@ impl EdonkeyWorld {
     /// Detaches the server capture (to finish it after the run).
     pub fn take_capture(&mut self) -> Option<ServerCapture> {
         self.server.take_capture()
+    }
+}
+
+/// The manager's merge on a thread of its own.  The world cuts each
+/// honeypot's chunk itself (`take_chunk` is the snapshot) and sends it
+/// here; one consumer reading a FIFO channel merges the chunks in exactly
+/// the order they were sent, so the log is the one an inline merge would
+/// build.  The world never reads merge state before [`Self::join`].
+/// Dropping the handle without joining ends the thread too.
+struct MergeThread {
+    tx: Option<Sender<LogChunk>>,
+    handle: Option<JoinHandle<Manager>>,
+}
+
+impl MergeThread {
+    fn spawn(mut manager: Manager) -> Self {
+        let (tx, rx) = channel::<LogChunk>();
+        let handle = std::thread::Builder::new()
+            .name("log-merge".into())
+            .spawn(move || {
+                for chunk in rx {
+                    manager.collect(chunk);
+                }
+                manager
+            })
+            .expect("spawn the log-merge thread");
+        MergeThread { tx: Some(tx), handle: Some(handle) }
+    }
+
+    fn send(&mut self, chunk: LogChunk) {
+        if self.tx.as_ref().expect("merge running").send(chunk).is_err() {
+            // The merge panicked: surface its panic here.
+            self.join();
+        }
+    }
+
+    /// Closes the channel, waits for the merge to drain it and returns the
+    /// manager, re-raising a panic of the merge thread.
+    fn join(&mut self) -> Manager {
+        self.tx = None;
+        let handle = self.handle.take().expect("joined once");
+        handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+impl Drop for MergeThread {
+    fn drop(&mut self) {
+        self.tx = None;
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1025,9 +1084,8 @@ impl World for EdonkeyWorld {
                 sched.in_ms(self.config.manager_check_ms, Event::ManagerCheck);
             }
             Event::CollectLogs => {
-                for i in 0..self.honeypots.len() {
-                    let chunk = self.honeypots[i].collect_log();
-                    self.manager.collect(chunk);
+                for hp in &mut self.honeypots {
+                    self.merge.send(hp.collect_log());
                 }
                 sched.in_ms(self.config.collect_ms, Event::CollectLogs);
             }
@@ -1141,7 +1199,7 @@ struct Replies {
 }
 
 /// The world's [`ActionSink`] for one honeypot call.  Offers go straight to
-/// the index server and the advertised set, reports to the manager.  The
+/// the index server and the advertised set, reports to the manager's book.  The
 /// peers replies would answer are modelled rather than spoken to, so a
 /// reply is only noted by kind.
 struct WorldSink<'a> {
@@ -1149,7 +1207,7 @@ struct WorldSink<'a> {
     /// The honeypot's server session (its index).
     session: u64,
     server: &'a mut SimServer,
-    manager: &'a mut Manager,
+    book: &'a mut SupervisionBook,
     adverts: &'a mut Adverts,
     seen: Replies,
 }
@@ -1178,7 +1236,7 @@ impl ActionSink for WorldSink<'_> {
     }
 
     fn report(&mut self, report: StatusReport) {
-        self.manager.on_status(report);
+        self.book.on_status(report);
     }
 }
 

@@ -231,9 +231,13 @@ fn swarm_256_windowed_agents_merge_exactly_once() {
         AGENTS,
     );
     let addr = daemon.addr();
+    // Every agent registers before any uploads, so all of them hold a
+    // connection at once.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(AGENTS as usize));
 
     let threads: Vec<_> = (0..AGENTS)
         .map(|agent| {
+            let start = start.clone();
             std::thread::spawn(move || {
                 let mut conn = ControlConn::connect(addr).expect("connect");
                 conn.set_read_timeout(Duration::from_millis(5)).expect("timeout");
@@ -244,6 +248,7 @@ fn swarm_256_windowed_agents_merge_exactly_once() {
                     panic!("unexpected register ack: {ack:?}");
                 };
                 let window = u64::from(granted).min(WINDOW);
+                start.wait();
 
                 // The windowed upload loop every agent runs: keep up to
                 // `window` sequences in flight, advance on cumulative
