@@ -1,12 +1,12 @@
-//! The server-side capture sink: glue between [`crate::server::SimServer`]
-//! and the streaming compressed log in `honeypot::serverlog`.
+//! The server-side capture sink: glue between [`crate::server::IndexServer`]
+//! and the streaming compressed log in [`crate::serverlog`].
 //!
 //! A [`ServerCapture`] owns the [`ServerLogWriter`] plus the step-1 IP
 //! hasher the records are anonymised with (the *same* salted hasher the
 //! honeypots use, so peer digests are comparable across the two
 //! modalities).  The sink is pure observation: it draws no randomness and
 //! mutates no simulation state, so a run with capture attached produces a
-//! bit-identical honeypot `MeasurementLog` (asserted in
+//! bit-identical honeypot `MeasurementLog` (asserted in `edonkey-sim`'s
 //! `tests/capture.rs`).
 //!
 //! I/O errors don't abort a multi-week run: the first error disables the
@@ -19,10 +19,9 @@ use std::io;
 use std::path::Path;
 
 use edonkey_proto::Ipv4;
-use honeypot::anonymize::{IpHash, IpHasher};
-use honeypot::serverlog::{ServerLogStats, ServerLogWriter, ServerRecord};
 
-use crate::config::ServerCaptureConfig;
+use crate::anonymize::{IpHash, IpHasher};
+use crate::serverlog::{ServerLogStats, ServerLogWriter, ServerRecord};
 
 /// Streaming sink for server-side query records.
 pub struct ServerCapture {
@@ -33,22 +32,17 @@ pub struct ServerCapture {
 }
 
 impl ServerCapture {
-    /// Opens a capture under `dir` with the given knobs.  The hasher is a
-    /// placeholder until the world installs its own seeded instance via
-    /// [`Self::set_hasher`].
-    pub fn create(dir: &Path, cfg: &ServerCaptureConfig) -> io::Result<Self> {
+    /// Opens a capture under `dir`, flushing a compressed frame every
+    /// `frame_records` records and rotating segments every
+    /// `segment_records`.  The hasher is a placeholder until the host
+    /// installs its own seeded instance via [`Self::set_hasher`].
+    pub fn create(dir: &Path, frame_records: usize, segment_records: u64) -> io::Result<Self> {
         Ok(ServerCapture {
-            writer: ServerLogWriter::create(dir, cfg.frame_records, cfg.segment_records)?,
+            writer: ServerLogWriter::create(dir, frame_records, segment_records)?,
             hasher: IpHasher::from_seed(0),
             error: None,
             dropped: 0,
         })
-    }
-
-    /// Chaos hook: arms a one-shot write failure on the underlying log
-    /// writer, so degraded capture can be exercised without a full disk.
-    pub fn inject_write_fault(&mut self) {
-        self.writer.inject_write_fault();
     }
 
     /// Installs the run's step-1 anonymisation hasher (the world's, so
@@ -107,5 +101,55 @@ impl std::fmt::Debug for ServerCapture {
             .field("records", &self.records())
             .field("errored", &self.error.is_some())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serverlog::{ServerLogReader, ServerQueryKind};
+    use edonkey_proto::FileId;
+    use netsim::SimTime;
+
+    fn record(i: u64) -> ServerRecord {
+        ServerRecord {
+            at: SimTime::from_secs(i),
+            kind: ServerQueryKind::GetSources,
+            peer: IpHash([i as u8; 16]),
+            port: 4662,
+            flag: 0,
+            file: FileId::from_seed(&i.to_le_bytes()),
+            session: i,
+            payload: 1,
+        }
+    }
+
+    #[test]
+    fn a_write_fault_degrades_the_capture_and_keeps_the_flushed_prefix() {
+        let dir = std::env::temp_dir().join(format!("capture-fault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cap = ServerCapture::create(&dir, 10, u64::MAX).unwrap();
+        for i in 0..10 {
+            cap.emit(&record(i));
+        }
+        assert!(!cap.degraded(), "the first frame flushes cleanly");
+        // The fault fires at the next frame boundary: the record that fills
+        // the second frame fails its flush and takes the frame down with it.
+        cap.writer.inject_write_fault();
+        for i in 10..20 {
+            cap.emit(&record(i));
+        }
+        assert!(cap.degraded());
+        assert_eq!(cap.dropped(), 0, "nothing arrived after the failure yet");
+        for i in 20..35 {
+            cap.emit(&record(i));
+        }
+        assert_eq!(cap.dropped(), 15, "every later record is counted as dropped");
+        let stats = cap.finish().unwrap();
+        assert_eq!(stats.records, 10, "the flushed prefix only");
+        let mut reader = ServerLogReader::open(&dir).unwrap();
+        let read: Vec<ServerRecord> = std::iter::from_fn(|| reader.next()).collect();
+        assert_eq!(read, (0..10).map(record).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,29 +14,37 @@
 //! * [`anonymize`] — the two-step IP anonymisation and the file-name word
 //!   anonymiser (§III-C);
 //! * [`log`] / [`measurement`] — the raw per-honeypot log schema and the
-//!   merged dataset consumed by `edonkey-analysis`.
+//!   merged dataset consumed by `edonkey-analysis`;
+//! * [`server`] — the eDonkey index server the honeypots are found
+//!   through (login, OFFER-FILES indexing, GET-SOURCES, SEARCH), with the
+//!   optional server-side query [`capture`] streaming [`serverlog`]
+//!   records.
 //!
-//! The same honeypot code runs inside the discrete-event simulation
-//! (`edonkey-sim`) and over real TCP sockets (`edonkey-net`).
+//! The same honeypot and server code runs inside the discrete-event
+//! simulation (`edonkey-sim`) and over real TCP sockets (`edonkey-net`).
 
 pub mod anonymize;
+pub mod capture;
 pub mod export;
 pub mod honeypot;
 pub mod log;
 pub mod manager;
 pub mod measurement;
+pub mod server;
 pub mod serverlog;
 pub mod storage;
 pub mod strategy;
 pub mod types;
 
 pub use anonymize::{AnonMap, AnonPeerId, IpHash, IpHasher};
+pub use capture::ServerCapture;
 pub use honeypot::{Action, ActionSink, ConnId, Honeypot, HoneypotConfig};
 pub use log::{
     HoneypotLog, LogChunk, PackedQueryRecord, QueryKind, QueryRecord, SharedListView, SharedLists,
 };
 pub use manager::{HoneypotSpec, Manager, SupervisionBook};
 pub use measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
+pub use server::IndexServer;
 pub use serverlog::{
     PackedServerRecord, ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind,
     ServerRecord, SERVER_PEER_SESSION_BASE,

@@ -1,29 +1,31 @@
-//! The simulated eDonkey index server.
+//! The eDonkey index server as a transport-agnostic state machine.
 //!
-//! The paper's honeypots connect to a large public server; the server's
+//! The paper's honeypots are found only through a large public server; its
 //! role in the measurement is narrow but essential: grant client IDs,
 //! index OFFER-FILES advertisements, and answer GET-SOURCES with provider
-//! lists.  This module implements exactly that (plus user/file counters for
-//! SERVER-STATUS), keyed by `FileId`, speaking the typed protocol messages.
+//! lists.  [`IndexServer`] implements exactly that (plus SEARCH-REQUEST and
+//! the user/file counters of SERVER-STATUS), keyed by session token and
+//! `FileId`, speaking the typed protocol messages.
+//!
+//! Like [`crate::Honeypot`], the server never touches a socket: the
+//! discrete-event world (`edonkey-sim`) and the threaded TCP server in
+//! `edonkey-net` both drive this one implementation.  The time argument of
+//! every entry point only stamps capture records.
 //!
 //! With a [`ServerCapture`] attached (the "ten weeks in the life of an
 //! eDonkey server" modality), every handled query additionally emits one
-//! compact `honeypot::serverlog::ServerRecord` — pure observation, no
-//! effect on any answer the server gives.
+//! compact [`ServerRecord`] — pure observation, no effect on any answer the
+//! server gives.
 
 use std::collections::HashMap;
 
-#[cfg(test)]
-use edonkey_proto::Ipv4;
 use edonkey_proto::{ClientId, ClientServerMessage, FileId, PeerAddr, PublishedFile, SearchExpr};
-
-use honeypot::anonymize::IpHash;
-use honeypot::serverlog::{ServerQueryKind, ServerRecord};
-use honeypot::strategy::AdvertisedFile;
-use honeypot::types::ServerInfo;
 use netsim::SimTime;
 
+use crate::anonymize::IpHash;
 use crate::capture::ServerCapture;
+use crate::serverlog::{ServerQueryKind, ServerRecord};
+use crate::strategy::AdvertisedFile;
 
 /// The all-zero file digest used when a record concerns no file.
 const NO_FILE: FileId = FileId([0; 16]);
@@ -32,40 +34,37 @@ const NO_FILE: FileId = FileId([0; 16]);
 #[derive(Clone, Debug)]
 struct Registration {
     addr: PeerAddr,
-    client_id: ClientId,
     /// Files this client currently offers.
     offered: Vec<FileId>,
 }
 
+/// One indexed file: its published metadata (from the offer that first
+/// indexed it) and the sessions offering it, never empty.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct IndexedFile {
+    name: String,
+    size: u64,
+    providers: Vec<u64>,
+}
+
 /// The index server.
-pub struct SimServer {
-    info: ServerInfo,
-    /// Provider lists per file.
-    index: HashMap<FileId, Vec<u64>>,
-    /// Published metadata per file (first-offer name and size), for
-    /// SEARCH-REQUEST answering.
-    metadata: HashMap<FileId, (String, u64)>,
+#[derive(Default)]
+pub struct IndexServer {
+    /// Every file with at least one provider.  A file leaves the index,
+    /// metadata and all, with its last provider, so a long-running server
+    /// holds only what is offered now.
+    files: HashMap<FileId, IndexedFile>,
     /// Connected clients by session token.
     clients: HashMap<u64, Registration>,
-    next_low_id: u32,
+    /// The low ID granted last (0 before the first).
+    last_low_id: u32,
     /// Optional server-side query capture (observation only).
     capture: Option<ServerCapture>,
 }
 
-impl SimServer {
-    pub fn new(info: ServerInfo) -> Self {
-        SimServer {
-            info,
-            index: HashMap::new(),
-            metadata: HashMap::new(),
-            clients: HashMap::new(),
-            next_low_id: 1,
-            capture: None,
-        }
-    }
-
-    pub fn info(&self) -> &ServerInfo {
-        &self.info
+impl IndexServer {
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attaches a query capture: from now on every handled query emits one
@@ -80,6 +79,7 @@ impl SimServer {
     }
 
     /// Whether a capture is attached.
+    #[inline]
     pub fn capture_enabled(&self) -> bool {
         self.capture.is_some()
     }
@@ -127,11 +127,10 @@ impl SimServer {
         let client_id = if reachable {
             ClientId::high_from_ip(addr.ip)
         } else {
-            let id = ClientId::low(self.next_low_id);
-            self.next_low_id = (self.next_low_id % (edonkey_proto::ids::LOW_ID_LIMIT - 1)) + 1;
-            id
+            self.last_low_id = self.last_low_id % (edonkey_proto::ids::LOW_ID_LIMIT - 1) + 1;
+            ClientId::low(self.last_low_id)
         };
-        self.clients.insert(session, Registration { addr, client_id, offered: Vec::new() });
+        self.clients.insert(session, Registration { addr, offered: Vec::new() });
         self.capture_emit(
             now,
             ServerQueryKind::Login,
@@ -178,13 +177,14 @@ impl SimServer {
             // and in `disconnect`), so "already offered" is read off the
             // file's provider list — a handful of honeypots — instead of
             // scanning the client's whole offer set per file.
-            let providers = self.index.entry(f.id).or_default();
-            if !providers.contains(&session) {
-                providers.push(session);
+            let entry = self.files.entry(f.id).or_insert_with(|| IndexedFile {
+                name: f.name.clone(),
+                size: f.size.min(u64::from(u32::MAX)),
+                providers: Vec::new(),
+            });
+            if !entry.providers.contains(&session) {
+                entry.providers.push(session);
                 reg.offered.push(f.id);
-                self.metadata
-                    .entry(f.id)
-                    .or_insert_with(|| (f.name.clone(), f.size.min(u64::from(u32::MAX))));
             }
         }
         self.capture_emit(
@@ -216,7 +216,7 @@ impl SimServer {
     }
 
     /// Handles GET-SOURCES: returns FOUND-SOURCES with the providers'
-    /// addresses.
+    /// addresses, one per providing session.
     pub fn get_sources(
         &mut self,
         now: SimTime,
@@ -224,12 +224,11 @@ impl SimServer {
         file_id: FileId,
     ) -> ClientServerMessage {
         let sources: Vec<PeerAddr> = self
-            .index
-            .get(&file_id)
-            .map(|sessions| {
-                sessions.iter().filter_map(|s| self.clients.get(s)).map(|r| r.addr).collect()
-            })
-            .unwrap_or_default();
+            .provider_sessions(&file_id)
+            .iter()
+            .filter_map(|s| self.clients.get(s))
+            .map(|r| r.addr)
+            .collect();
         let addr = self.clients.get(&session).map(|r| r.addr);
         self.capture_emit(
             now,
@@ -245,18 +244,14 @@ impl SimServer {
 
     /// Provider session tokens for a file (the simulation's fast path,
     /// avoiding address round-trips).
+    #[inline]
     pub fn provider_sessions(&self, file_id: &FileId) -> &[u64] {
-        self.index.get(file_id).map(Vec::as_slice).unwrap_or(&[])
+        self.files.get(file_id).map_or(&[], |f| f.providers.as_slice())
     }
 
-    /// The client ID granted to a session (None if not logged in).
-    pub fn client_id_of(&self, session: u64) -> Option<ClientId> {
-        self.clients.get(&session).map(|r| r.client_id)
-    }
-
-    /// Answers a SEARCH-REQUEST: indexed files (with at least one live
-    /// provider) matching the expression, capped at `limit` results like
-    /// real servers.
+    /// Answers a SEARCH-REQUEST: indexed files matching the expression,
+    /// capped at `limit` results like real servers.  A file's type is
+    /// classified from its extension.
     pub fn search(
         &mut self,
         now: SimTime,
@@ -265,19 +260,15 @@ impl SimServer {
         limit: usize,
     ) -> ClientServerMessage {
         let mut files = Vec::new();
-        for (fid, providers) in &self.index {
-            if providers.is_empty() {
-                continue;
-            }
-            let Some((name, size)) = self.metadata.get(fid) else { continue };
-            let file_type = match name.rsplit('.').next() {
+        for (fid, f) in &self.files {
+            let file_type = match f.name.rsplit('.').next() {
                 Some("avi") | Some("mpg") | Some("mkv") => "Video",
                 Some("mp3") | Some("ogg") => "Audio",
                 Some("iso") | Some("zip") | Some("rar") => "Archive",
                 _ => "Document",
             };
-            if expr.matches(name, *size, file_type) {
-                files.push(PublishedFile::new(*fid, name, *size));
+            if expr.matches(&f.name, f.size, file_type) {
+                files.push(PublishedFile::new(*fid, &f.name, f.size));
                 if files.len() >= limit {
                     break;
                 }
@@ -301,10 +292,10 @@ impl SimServer {
         if let Some(reg) = self.clients.remove(&session) {
             let withdrawn = reg.offered.len() as u32;
             for f in reg.offered {
-                if let Some(list) = self.index.get_mut(&f) {
-                    list.retain(|&s| s != session);
-                    if list.is_empty() {
-                        self.index.remove(&f);
+                if let Some(entry) = self.files.get_mut(&f) {
+                    entry.providers.retain(|&s| s != session);
+                    if entry.providers.is_empty() {
+                        self.files.remove(&f);
                     }
                 }
             }
@@ -325,7 +316,7 @@ impl SimServer {
     /// the snapshot has no session of its own).
     pub fn status(&mut self, now: SimTime) -> ClientServerMessage {
         let users = self.clients.len() as u32;
-        let files = self.index.len() as u32;
+        let files = self.files.len() as u32;
         self.capture_emit(now, ServerQueryKind::Status, u64::from(files), None, NO_FILE, users, 0);
         ClientServerMessage::ServerStatus { users, files }
     }
@@ -337,15 +328,15 @@ impl SimServer {
 
     /// Number of indexed files.
     pub fn indexed_files(&self) -> usize {
-        self.index.len()
+        self.files.len()
     }
 }
 
-impl std::fmt::Debug for SimServer {
+impl std::fmt::Debug for IndexServer {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fm.debug_struct("SimServer")
+        fm.debug_struct("IndexServer")
             .field("clients", &self.clients.len())
-            .field("indexed_files", &self.index.len())
+            .field("indexed_files", &self.files.len())
             .finish()
     }
 }
@@ -353,12 +344,10 @@ impl std::fmt::Debug for SimServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serverlog::ServerLogReader;
+    use edonkey_proto::Ipv4;
 
     const T0: SimTime = SimTime::ZERO;
-
-    fn server() -> SimServer {
-        SimServer::new(ServerInfo::new("srv", Ipv4::new(195, 0, 0, 1), 4661))
-    }
 
     fn addr(last: u8) -> PeerAddr {
         PeerAddr::new(Ipv4::new(80, 1, 1, last), 4662)
@@ -368,20 +357,24 @@ mod tests {
         ids.iter().map(|id| AdvertisedFile::new(*id, "f", 10)).collect()
     }
 
+    fn capture_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("idxsrv-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn login_grants_high_id_to_reachable_clients() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let msg = s.login(T0, 1, addr(5), true);
         let ClientServerMessage::IdChange { client_id } = msg else { panic!() };
         assert!(client_id.is_high());
         assert_eq!(client_id.ip(), Some(addr(5).ip));
-        assert_eq!(s.client_id_of(1), Some(client_id));
-        assert_eq!(s.client_id_of(99), None);
     }
 
     #[test]
     fn login_grants_distinct_low_ids_to_nated_clients() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let ClientServerMessage::IdChange { client_id: a } = s.login(T0, 1, addr(5), false) else {
             panic!()
         };
@@ -389,12 +382,13 @@ mod tests {
             panic!()
         };
         assert!(a.is_low() && b.is_low());
+        assert_eq!(a, ClientId::low(1), "low IDs start at 1");
         assert_ne!(a, b);
     }
 
     #[test]
     fn offers_build_the_index_and_sources_return_providers() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let f = FileId::from_seed(b"f");
         s.login(T0, 1, addr(1), true);
         s.login(T0, 2, addr(2), true);
@@ -410,7 +404,7 @@ mod tests {
 
     #[test]
     fn offers_are_idempotent_and_additive() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let f1 = FileId::from_seed(b"a");
         let f2 = FileId::from_seed(b"b");
         s.login(T0, 1, addr(1), true);
@@ -427,16 +421,16 @@ mod tests {
 
     #[test]
     fn indexed_size_is_clamped_to_the_u32_tag() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         s.login(T0, 1, addr(1), true);
         let big = FileId::from_seed(b"big");
         s.offer_files(T0, 1, &[AdvertisedFile::new(big, "big.iso", 5 << 32)]);
-        assert_eq!(s.metadata[&big], ("big.iso".to_string(), u64::from(u32::MAX)));
+        assert_eq!((s.files[&big].name.as_str(), s.files[&big].size), ("big.iso", 0xFFFF_FFFF));
     }
 
     #[test]
     fn unknown_file_has_no_sources() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let ClientServerMessage::FoundSources { sources, .. } =
             s.get_sources(T0, 1, FileId::from_seed(b"nope"))
         else {
@@ -447,14 +441,14 @@ mod tests {
 
     #[test]
     fn offers_from_unlogged_sessions_dropped() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         s.offer_files(T0, 99, &offer(&[FileId::from_seed(b"f")]));
         assert_eq!(s.indexed_files(), 0);
     }
 
     #[test]
     fn disconnect_withdraws_offers() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let f = FileId::from_seed(b"f");
         s.login(T0, 1, addr(1), true);
         s.login(T0, 2, addr(2), true);
@@ -465,11 +459,12 @@ mod tests {
         assert_eq!(s.clients(), 1);
         s.disconnect(T0, 2);
         assert_eq!(s.indexed_files(), 0, "empty provider lists pruned");
+        assert!(s.files.is_empty(), "metadata leaves with the last provider");
     }
 
     #[test]
     fn relogin_of_live_session_supersedes_previous_incarnation() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let f = FileId::from_seed(b"f");
         s.login(T0, 1, addr(1), true);
         s.offer_files(T0, 1, &offer(&[f]));
@@ -487,46 +482,40 @@ mod tests {
         assert_eq!(s.indexed_files(), 0, "no double-entry to clean twice");
     }
 
-    /// What one captured session left behind: the server's tables before
-    /// the disconnect, and every capture record including it.
+    /// What one captured session left behind: the index before the
+    /// disconnect, and every capture record including it.
     struct OfferOutcome {
-        index: HashMap<FileId, Vec<u64>>,
-        metadata: HashMap<FileId, (String, u64)>,
+        files: HashMap<FileId, IndexedFile>,
         records: Vec<ServerRecord>,
     }
 
     /// Runs `offers` OFFER-FILES of the same `n`-file list through one
     /// captured session, then disconnects.
     fn offer_repeatedly(tag: &str, n: u32, offers: usize) -> OfferOutcome {
-        use honeypot::serverlog::ServerLogReader;
-
-        let dir = std::env::temp_dir().join(format!("simsrv-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = crate::config::ServerCaptureConfig::default();
-        let mut s = server();
-        s.attach_capture(ServerCapture::create(&dir, &cfg).unwrap());
+        let dir = capture_dir(tag);
+        let mut s = IndexServer::new();
+        s.attach_capture(ServerCapture::create(&dir, 4_096, 1_000_000).unwrap());
         let ids: Vec<FileId> = (0..n).map(|i| FileId::from_seed(&i.to_le_bytes())).collect();
         s.login(T0, 1, addr(1), true);
         for _ in 0..offers {
             s.offer_files(T0, 1, &offer(&ids));
         }
-        let (index, metadata) = (s.index.clone(), s.metadata.clone());
+        let files = s.files.clone();
         s.disconnect(T0, 1);
         s.take_capture().unwrap().finish().unwrap();
         let mut reader = ServerLogReader::open(&dir).unwrap();
         let records = std::iter::from_fn(|| reader.next()).collect();
         let _ = std::fs::remove_dir_all(&dir);
-        OfferOutcome { index, metadata, records }
+        OfferOutcome { files, records }
     }
 
     #[test]
     fn reoffering_a_large_list_changes_nothing() {
         let once = offer_repeatedly("once", 3000, 1);
         let twice = offer_repeatedly("twice", 3000, 2);
-        assert_eq!(once.index.len(), 3000);
-        assert!(once.index.values().all(|providers| providers == &[1]));
-        assert_eq!(twice.index, once.index, "no duplicate provider entries, no new files");
-        assert_eq!(twice.metadata, once.metadata);
+        assert_eq!(once.files.len(), 3000);
+        assert!(once.files.values().all(|f| f.providers == [1]));
+        assert_eq!(twice.files, once.files, "no duplicate provider entries, no new files");
         // login, offer(s), disconnect — the keep-alive is captured like the
         // first offer, and the disconnect withdraws each file once.
         let (rec1, rec2) = (&once.records, &twice.records);
@@ -539,7 +528,7 @@ mod tests {
 
     #[test]
     fn disconnect_relogin_reoffer_registers_every_file_again() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         let ids: Vec<FileId> = (0..200u32).map(|i| FileId::from_seed(&i.to_le_bytes())).collect();
         s.login(T0, 1, addr(1), true);
         s.login(T0, 2, addr(2), true);
@@ -557,13 +546,14 @@ mod tests {
 
     #[test]
     fn search_finds_matching_indexed_files() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         s.login(T0, 1, addr(1), true);
+        let ubuntu = FileId::from_seed(b"u");
         s.offer_files(
             T0,
             1,
             &[
-                AdvertisedFile::new(FileId::from_seed(b"u"), "ubuntu.8.10.iso", 700 << 20),
+                AdvertisedFile::new(ubuntu, "ubuntu.8.10.iso", 700 << 20),
                 AdvertisedFile::new(FileId::from_seed(b"m"), "some.song.mp3", 5 << 20),
             ],
         );
@@ -579,11 +569,19 @@ mod tests {
             panic!()
         };
         assert!(files.is_empty());
+        // A file offered again after its last provider left is indexed
+        // under its new name.
+        s.login(T0, 1, addr(1), true);
+        s.offer_files(T0, 1, &[AdvertisedFile::new(ubuntu, "ubuntu.9.04.iso", 700 << 20)]);
+        let ClientServerMessage::SearchResult { files } = s.search(T0, 2, &expr, 100) else {
+            panic!()
+        };
+        assert_eq!(files[0].name(), Some("ubuntu.9.04.iso"));
     }
 
     #[test]
     fn search_respects_result_limit() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         s.login(T0, 1, addr(1), true);
         let files: Vec<AdvertisedFile> = (0..50)
             .map(|i| {
@@ -605,7 +603,7 @@ mod tests {
 
     #[test]
     fn status_reports_counts() {
-        let mut s = server();
+        let mut s = IndexServer::new();
         s.login(T0, 1, addr(1), true);
         s.offer_files(T0, 1, &offer(&[FileId::from_seed(b"f")]));
         let ClientServerMessage::ServerStatus { users, files } = s.status(T0) else { panic!() };
@@ -614,13 +612,9 @@ mod tests {
 
     #[test]
     fn capture_records_every_handled_query() {
-        use honeypot::serverlog::ServerLogReader;
-
-        let dir = std::env::temp_dir().join(format!("simsrv-cap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = crate::config::ServerCaptureConfig::default();
-        let mut s = server();
-        s.attach_capture(ServerCapture::create(&dir, &cfg).unwrap());
+        let dir = capture_dir("cap");
+        let mut s = IndexServer::new();
+        s.attach_capture(ServerCapture::create(&dir, 4_096, 1_000_000).unwrap());
         assert!(s.capture_enabled());
 
         let f = FileId::from_seed(b"f");

@@ -1,14 +1,14 @@
 //! Seeded property tests of the measurement platform: anonymisation
-//! coherence, log interning, manager merging.  Every case is generated
+//! coherence, log interning, manager merging, the index server.  Every case is generated
 //! from its seed alone, and a failure names the seed.
 
 use std::collections::{HashMap, HashSet};
 
-use edonkey_proto::{FileId, Ipv4, UserId};
+use edonkey_proto::{ClientServerMessage, FileId, Ipv4, PeerAddr, SearchExpr, UserId};
 use honeypot::anonymize::{AnonMap, IpHasher, NameAnonymizer};
 use honeypot::log::{HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
 use honeypot::types::IdStatus;
-use honeypot::{HoneypotId, HoneypotSpec, Manager, ServerInfo};
+use honeypot::{AdvertisedFile, HoneypotId, HoneypotSpec, IndexServer, Manager, ServerInfo};
 use netsim::{Rng, SimTime};
 
 /// Cases per property.
@@ -195,5 +195,101 @@ fn file_table_interning_is_idempotent() {
             assert_eq!(first, idx, "seed {seed}: re-interning must return the same index");
         }
         assert_eq!(table.len(), expect.len(), "seed {seed}");
+    }
+}
+
+#[test]
+fn server_index_is_consistent_under_arbitrary_operations() {
+    const T0: SimTime = SimTime::ZERO;
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        // Model: sessions 0..8 randomly log in, offer files out of 256, log
+        // in again over their live session, or disconnect; the index must
+        // always agree with a naive model.  An offer is one new file, a
+        // keep-alive (the session's whole offer set in order, plus new
+        // files), or a reshuffled re-offer.  Each offer names its files
+        // after its step, so the model can tell which offer indexed a file.
+        let mut server = IndexServer::new();
+        let mut model: HashMap<FileId, (String, HashSet<u64>)> = HashMap::new();
+        let mut offered: HashMap<u64, Vec<FileId>> = HashMap::new();
+        let mut logged_in: HashSet<u64> = HashSet::new();
+        let random_file = |rng: &mut Rng| FileId::from_seed(&[rng.next_u32() as u8]);
+        let withdraw = |model: &mut HashMap<FileId, (String, HashSet<u64>)>, session: u64| {
+            for (_, providers) in model.values_mut() {
+                providers.remove(&session);
+            }
+            model.retain(|_, (_, providers)| !providers.is_empty());
+        };
+        for step in 0..rng.range(1, 120) {
+            let session = rng.below(8);
+            let addr = PeerAddr::new(Ipv4::new(10, 0, 0, session as u8 + 1), 4662);
+            if !logged_in.contains(&session) {
+                server.login(T0, session, addr, true);
+                logged_in.insert(session);
+            }
+            let op = rng.below(5);
+            if op == 3 {
+                server.disconnect(T0, session);
+                logged_in.remove(&session);
+                offered.remove(&session);
+                withdraw(&mut model, session);
+                continue;
+            }
+            if op == 4 {
+                // A login over the live session supersedes it: its offers
+                // are withdrawn and it stays connected.
+                server.login(T0, session, addr, true);
+                offered.remove(&session);
+                withdraw(&mut model, session);
+                continue;
+            }
+            let prior = offered.entry(session).or_default();
+            let mut files = if op == 0 { Vec::new() } else { prior.clone() };
+            if op == 2 {
+                rng.shuffle(&mut files);
+                files.truncate(rng.below(files.len() as u64 + 1) as usize);
+            }
+            let new_files = if op == 1 { rng.below(3) } else { 1 };
+            files.extend((0..new_files).map(|_| random_file(&mut rng)));
+            let keepalive_shaped = files.starts_with(prior);
+            let prefix = prior.iter().zip(&files).take_while(|(a, b)| a == b).count();
+            let name = format!("f v{step}");
+            let advertised: Vec<AdvertisedFile> =
+                files.iter().map(|&id| AdvertisedFile::new(id, name.as_str(), 1)).collect();
+            let skipped = server.offer_files(T0, session, &advertised);
+            if keepalive_shaped {
+                assert_eq!(skipped, prior.len(), "seed {seed}: a keep-alive skips its offer set");
+            }
+            assert_eq!(skipped, prefix, "seed {seed}: skips exactly the repeated head");
+            for id in files {
+                let (_, providers) =
+                    model.entry(id).or_insert_with(|| (name.clone(), HashSet::new()));
+                if providers.insert(session) {
+                    prior.push(id);
+                }
+            }
+        }
+        assert_eq!(server.clients(), logged_in.len(), "seed {seed}");
+        assert_eq!(server.indexed_files(), model.len(), "seed {seed}");
+        for (fid, (_, providers)) in &model {
+            let got: HashSet<u64> = server.provider_sessions(fid).iter().copied().collect();
+            assert_eq!(&got, providers, "seed {seed}");
+        }
+        let ClientServerMessage::ServerStatus { users, files } = server.status(T0) else {
+            panic!("seed {seed}: expected SERVER-STATUS")
+        };
+        assert_eq!((users as usize, files as usize), (logged_in.len(), model.len()), "seed {seed}");
+        // A file leaves SEARCH with its last provider, and one indexed
+        // again answers under the name of the offer that re-indexed it.
+        let ClientServerMessage::SearchResult { files } =
+            server.search(T0, 0, &SearchExpr::keyword("f"), usize::MAX)
+        else {
+            panic!("seed {seed}: expected SEARCH-RESULT")
+        };
+        let found: HashMap<FileId, String> =
+            files.iter().map(|f| (f.file_id, f.name().unwrap_or("").to_string())).collect();
+        let expected: HashMap<FileId, String> =
+            model.iter().map(|(id, (name, _))| (*id, name.clone())).collect();
+        assert_eq!(found, expected, "seed {seed}");
     }
 }

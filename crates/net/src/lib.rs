@@ -8,8 +8,9 @@
 //!
 //! * [`framing`] — blocking framed streams over `TcpStream`: Nagle off,
 //!   one `write` per protocol step, reads straight into the frame decoder;
-//! * [`server`] — a threaded eDonkey index server (login / offer /
-//!   get-sources);
+//! * [`server`] — a threaded socket driver of `honeypot::IndexServer`,
+//!   the same index server the simulation runs (login / offer /
+//!   get-sources / search, UDP global queries);
 //! * [`host`] — runs a honeypot over sockets: server session + peer
 //!   listener, one thread per peer connection;
 //! * [`peer`] — a scripted genuine peer driving the paper's Fig. 1 message

@@ -1,33 +1,31 @@
-//! A threaded TCP eDonkey index server.
+//! A threaded TCP eDonkey index server: the socket driver of
+//! [`honeypot::IndexServer`].
 //!
 //! Speaks the real wire protocol over loopback (or any interface): LOGIN →
-//! ID-CHANGE, OFFER-FILES indexing, GET-SOURCES → FOUND-SOURCES.  One
-//! thread per connection; shared index behind a mutex.  This
-//! is the server side of the zero-simulation proof that the honeypot
-//! platform speaks genuine eDonkey.
+//! ID-CHANGE, OFFER-FILES indexing, GET-SOURCES → FOUND-SOURCES, SEARCH,
+//! and the UDP global queries.  One thread per connection, each a session
+//! of the one index server behind a mutex — the same state machine the
+//! simulation drives, so both answer by the same rules.  This is the
+//! server side of the zero-simulation proof that the honeypot platform
+//! speaks genuine eDonkey.
 
-use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerAddr};
+use edonkey_proto::{ClientId, ClientServerMessage, Ipv4, PeerAddr, UdpMessage};
+use honeypot::{AdvertisedFile, IndexServer};
 use netsim::sync::lock;
+use netsim::SimTime;
 
 use crate::accept::{accept_until, remote_ipv4, wake_accept};
 use crate::framing::{FramedStream, NetError};
 
-#[derive(Default)]
-struct Index {
-    /// file → providers (address of the *peer-facing* listener the client
-    /// announced as its port).
-    providers: HashMap<FileId, Vec<PeerAddr>>,
-    /// file → first-published (name, size), for search answering.
-    metadata: HashMap<FileId, (String, u64)>,
-    users: u32,
-}
+/// The session token UDP queries are answered under: connections draw
+/// theirs from a counter starting at 0, so no client ever holds it.
+const UDP_SESSION: u64 = u64::MAX;
 
 /// Handle to a running server.
 pub struct NetServer {
@@ -36,7 +34,7 @@ pub struct NetServer {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     udp_thread: Option<JoinHandle<()>>,
-    index: Arc<Mutex<Index>>,
+    server: Arc<Mutex<IndexServer>>,
 }
 
 impl NetServer {
@@ -45,8 +43,7 @@ impl NetServer {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let index: Arc<Mutex<Index>> = Arc::new(Mutex::new(Index::default()));
-        let next_low = Arc::new(AtomicU64::new(1));
+        let server = Arc::new(Mutex::new(IndexServer::new()));
 
         // Bind the UDP responder before spawning any thread: a bind
         // failure must not leak a blocking accept loop.
@@ -54,14 +51,16 @@ impl NetServer {
         let udp_addr = udp.local_addr()?;
 
         let accept_shutdown = shutdown.clone();
-        let accept_index = index.clone();
+        let accept_server = server.clone();
         let accept_thread = std::thread::spawn(move || {
+            let mut next_session = 0u64;
             accept_until(&listener, &accept_shutdown, |stream| {
-                let index = accept_index.clone();
-                let low = next_low.clone();
+                let server = accept_server.clone();
+                let session = next_session;
+                next_session += 1;
                 std::thread::spawn(move || {
                     if let Ok(ip) = remote_ipv4(&stream) {
-                        let _ = serve_connection(stream, ip, &index, &low);
+                        let _ = serve_connection(stream, ip, &server, session);
                     }
                 });
             });
@@ -72,7 +71,7 @@ impl NetServer {
         // find its providers — the paper's §III-B remark).  It blocks in
         // `recv_from`; `stop` wakes it with a datagram.
         let udp_shutdown = shutdown.clone();
-        let udp_index = index.clone();
+        let udp_server = server.clone();
         let udp_thread = std::thread::spawn(move || {
             let mut buf = [0u8; 4096];
             loop {
@@ -81,26 +80,27 @@ impl NetServer {
                     break;
                 }
                 let Ok((n, from)) = received else { continue };
-                let Ok(msg) = edonkey_proto::UdpMessage::decode(&buf[..n]) else { continue };
+                let Ok(msg) = UdpMessage::decode(&buf[..n]) else { continue };
                 match msg {
-                    edonkey_proto::UdpMessage::GlobStatReq { challenge } => {
-                        let idx = lock(&udp_index);
-                        let res = edonkey_proto::UdpMessage::GlobStatRes {
-                            challenge,
-                            users: idx.users,
-                            files: idx.providers.len() as u32,
-                        };
-                        drop(idx);
-                        let _ = udp.send_to(&res.encode(), from);
+                    UdpMessage::GlobStatReq { challenge } => {
+                        let status = lock(&udp_server).status(SimTime::ZERO);
+                        if let ClientServerMessage::ServerStatus { users, files } = status {
+                            let res = UdpMessage::GlobStatRes { challenge, users, files };
+                            let _ = udp.send_to(&res.encode(), from);
+                        }
                     }
-                    edonkey_proto::UdpMessage::GlobGetSources { files } => {
+                    UdpMessage::GlobGetSources { files } => {
                         for file in files {
-                            let sources =
-                                lock(&udp_index).providers.get(&file).cloned().unwrap_or_default();
-                            if !sources.is_empty() {
-                                let res =
-                                    edonkey_proto::UdpMessage::GlobFoundSources { file, sources };
-                                let _ = udp.send_to(&res.encode(), from);
+                            let found =
+                                lock(&udp_server).get_sources(SimTime::ZERO, UDP_SESSION, file);
+                            match found {
+                                ClientServerMessage::FoundSources { sources, .. }
+                                    if !sources.is_empty() =>
+                                {
+                                    let res = UdpMessage::GlobFoundSources { file, sources };
+                                    let _ = udp.send_to(&res.encode(), from);
+                                }
+                                _ => {}
                             }
                         }
                     }
@@ -116,7 +116,7 @@ impl NetServer {
             shutdown,
             accept_thread: Some(accept_thread),
             udp_thread: Some(udp_thread),
-            index,
+            server,
         })
     }
 
@@ -132,12 +132,12 @@ impl NetServer {
 
     /// Number of logged-in users (diagnostics).
     pub fn users(&self) -> u32 {
-        lock(&self.index).users
+        lock(&self.server).clients() as u32
     }
 
     /// Number of indexed files (diagnostics).
     pub fn indexed_files(&self) -> usize {
-        lock(&self.index).providers.len()
+        lock(&self.server).indexed_files()
     }
 
     /// Stops accepting and joins the accept loop.  Existing per-connection
@@ -171,106 +171,57 @@ impl Drop for NetServer {
     }
 }
 
+/// Serves one client connection as `session` until it ends, then
+/// withdraws everything the session registered — however it ended: a
+/// failed write ends it as surely as the client closing.
 fn serve_connection(
     stream: impl Read + Write,
     ip: Ipv4,
-    index: &Mutex<Index>,
-    next_low: &AtomicU64,
+    server: &Mutex<IndexServer>,
+    session: u64,
 ) -> Result<(), NetError> {
     let mut framed = FramedStream::over(stream);
-    let mut announced_port = 0u16;
-    let mut offered: HashSet<FileId> = HashSet::new();
-    let mut logged_in = false;
-
-    let result = loop {
-        let msg = match framed.read_server_message(false) {
-            Ok(m) => m,
-            Err(e) => break Err(e),
-        };
-        match msg {
-            ClientServerMessage::LoginRequest { port, .. } => {
-                announced_port = port;
-                logged_in = true;
-                lock(index).users += 1;
-                // Loopback peers are directly reachable: hand out a high ID
-                // when the IP encodes one, a low ID otherwise.
-                let candidate = ClientId::high_from_ip(ip);
-                let client_id = if candidate.is_high() {
-                    candidate
-                } else {
-                    let n = next_low.fetch_add(1, Ordering::Relaxed) as u32;
-                    ClientId::low(1 + n % (edonkey_proto::ids::LOW_ID_LIMIT - 2))
-                };
-                framed.queue_server_message(&ClientServerMessage::IdChange { client_id });
-                framed.queue_server_message(&ClientServerMessage::ServerMessage {
-                    text: "welcome to edonkey-net test server".into(),
-                });
-                framed.flush()?;
-            }
-            ClientServerMessage::OfferFiles { files } => {
-                if !logged_in {
-                    continue;
-                }
-                let addr = PeerAddr::new(ip, announced_port);
-                let mut idx = lock(index);
-                for f in files {
-                    let list = idx.providers.entry(f.file_id).or_default();
-                    if !list.contains(&addr) {
-                        list.push(addr);
-                    }
-                    // A keep-alive re-offers everything (≈ 3,000 files for
-                    // the greedy honeypot): a set, not a scan per file.
-                    offered.insert(f.file_id);
-                    idx.metadata.entry(f.file_id).or_insert_with(|| {
-                        (f.name().unwrap_or("").to_string(), f.size().unwrap_or(0))
+    let mut serve = || -> Result<(), NetError> {
+        loop {
+            match framed.read_server_message(false)? {
+                ClientServerMessage::LoginRequest { port, .. } => {
+                    // Loopback peers are directly reachable: a high ID when
+                    // the IP encodes one, a low ID otherwise.
+                    let reachable = ClientId::high_from_ip(ip).is_high();
+                    let addr = PeerAddr::new(ip, port);
+                    let id_change = lock(server).login(SimTime::ZERO, session, addr, reachable);
+                    framed.queue_server_message(&id_change);
+                    framed.queue_server_message(&ClientServerMessage::ServerMessage {
+                        text: "welcome to edonkey-net test server".into(),
                     });
+                    framed.flush()?;
                 }
-            }
-            ClientServerMessage::GetSources { file_id } => {
-                let sources = lock(index).providers.get(&file_id).cloned().unwrap_or_default();
-                framed.write_server_message(&ClientServerMessage::FoundSources {
-                    file_id,
-                    sources,
-                })?;
-            }
-            ClientServerMessage::SearchRequest { expr } => {
-                let files = {
-                    let idx = lock(index);
-                    idx.providers
+                ClientServerMessage::OfferFiles { files } => {
+                    let files: Vec<AdvertisedFile> = files
                         .iter()
-                        .filter(|(_, providers)| !providers.is_empty())
-                        .filter_map(|(fid, _)| {
-                            let (name, size) = idx.metadata.get(fid)?;
-                            expr.matches(name, *size, "")
-                                .then(|| edonkey_proto::PublishedFile::new(*fid, name, *size))
+                        .map(|f| {
+                            let (name, size) = (f.name().unwrap_or(""), f.size().unwrap_or(0));
+                            AdvertisedFile::new(f.file_id, name, size)
                         })
-                        .take(200)
-                        .collect()
-                };
-                framed.write_server_message(&ClientServerMessage::SearchResult { files })?;
+                        .collect();
+                    lock(server).offer_files(SimTime::ZERO, session, &files);
+                }
+                ClientServerMessage::GetSources { file_id } => {
+                    let found = lock(server).get_sources(SimTime::ZERO, session, file_id);
+                    framed.write_server_message(&found)?;
+                }
+                ClientServerMessage::SearchRequest { expr } => {
+                    let result = lock(server).search(SimTime::ZERO, session, &expr, 200);
+                    framed.write_server_message(&result)?;
+                }
+                // Server-side messages arriving at the server are client
+                // bugs; ignore them.
+                _ => {}
             }
-            // Server-side messages arriving at the server are client bugs;
-            // ignore them.
-            _ => {}
         }
     };
-
-    // Withdraw this client's state.
-    let addr = PeerAddr::new(ip, announced_port);
-    let mut idx = lock(index);
-    if logged_in {
-        idx.users = idx.users.saturating_sub(1);
-    }
-    for f in offered {
-        if let Some(list) = idx.providers.get_mut(&f) {
-            list.retain(|a| *a != addr);
-            if list.is_empty() {
-                idx.providers.remove(&f);
-                idx.metadata.remove(&f);
-            }
-        }
-    }
-    drop(idx);
+    let result = serve();
+    lock(server).disconnect(SimTime::ZERO, session);
     match result {
         Err(NetError::Closed) => Ok(()),
         other => other,
@@ -280,9 +231,10 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edonkey_proto::{PublishedFile, UserId};
+    use crate::peer::ScriptedPeer;
+    use edonkey_proto::{FileId, PublishedFile, SearchExpr, UserId};
     use std::net::TcpStream;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn login(framed: &mut FramedStream, port: u16) -> ClientId {
         framed
@@ -334,9 +286,9 @@ mod tests {
             .iter()
             .map(encode_client_server_message),
         );
-        let index = Mutex::new(Index::default());
+        let server = Mutex::new(IndexServer::new());
         let ip = Ipv4::new(127, 0, 0, 1);
-        serve_connection(&mut script, ip, &index, &AtomicU64::new(1)).unwrap();
+        serve_connection(&mut script, ip, &server, 0).unwrap();
 
         assert_eq!(script.writes.len(), 2, "the login burst, then FOUND-SOURCES");
         assert_eq!(script.writes[0], unhex(LOGIN_STEP));
@@ -345,8 +297,58 @@ mod tests {
             sources: vec![PeerAddr::new(ip, 4662)],
         };
         assert_eq!(script.writes[1], encode_client_server_message(&found), "offered once");
-        let idx = lock(&index);
-        assert!(idx.providers.is_empty() && idx.users == 0, "all withdrawn on disconnect");
+        let status = lock(&server).status(SimTime::ZERO);
+        let ClientServerMessage::ServerStatus { users, files } = status else { panic!() };
+        assert_eq!((users, files), (0, 0), "all withdrawn on disconnect");
+    }
+
+    #[test]
+    fn a_failed_write_still_withdraws_the_session() {
+        use crate::framing::testing::Script;
+        use edonkey_proto::codec::encode_client_server_message;
+
+        /// Takes the login burst, then fails every write.
+        struct OneWrite(Script);
+        impl Read for OneWrite {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.0.read(buf)
+            }
+        }
+        impl Write for OneWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0.writes.is_empty() {
+                    return self.0.write(buf);
+                }
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let file = FileId::from_seed(b"f");
+        let script = Script::new(
+            [
+                ClientServerMessage::LoginRequest {
+                    user_id: UserId::from_seed(b"t"),
+                    client_id: ClientId(0),
+                    port: 4662,
+                    tags: vec![],
+                },
+                ClientServerMessage::OfferFiles {
+                    files: vec![PublishedFile::new(file, "f.avi", 1_000)],
+                },
+                ClientServerMessage::GetSources { file_id: file },
+            ]
+            .iter()
+            .map(encode_client_server_message),
+        );
+        let server = Mutex::new(IndexServer::new());
+        let ended = serve_connection(OneWrite(script), Ipv4::new(127, 0, 0, 1), &server, 0);
+        assert!(ended.is_err(), "the FOUND-SOURCES write failed");
+        let status = lock(&server).status(SimTime::ZERO);
+        let ClientServerMessage::ServerStatus { users, files } = status else { panic!() };
+        assert_eq!((users, files), (0, 0), "the session is withdrawn all the same");
     }
 
     #[test]
@@ -475,6 +477,110 @@ mod tests {
             panic!()
         };
         assert!(sources.is_empty());
+        server.stop();
+    }
+
+    /// Polls `done` for up to two seconds: connection threads clean up
+    /// after a disconnect on their own time.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    /// The (users, files) a GLOB-STAT ping reads.
+    fn glob_stat(server: &NetServer) -> (u32, u32) {
+        use edonkey_proto::UdpMessage;
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        sock.send_to(&UdpMessage::GlobStatReq { challenge: 7 }.encode(), server.udp_addr())
+            .unwrap();
+        let mut buf = [0u8; 64];
+        let (n, _) = sock.recv_from(&mut buf).unwrap();
+        let UdpMessage::GlobStatRes { users, files, .. } = UdpMessage::decode(&buf[..n]).unwrap()
+        else {
+            panic!("expected GLOB-STAT-RES")
+        };
+        (users, files)
+    }
+
+    fn sources(framed: &mut FramedStream, file_id: FileId) -> Vec<PeerAddr> {
+        framed.write_server_message(&ClientServerMessage::GetSources { file_id }).unwrap();
+        let ClientServerMessage::FoundSources { sources, .. } =
+            framed.read_server_message(true).unwrap()
+        else {
+            panic!("expected FOUND-SOURCES")
+        };
+        sources
+    }
+
+    #[test]
+    fn a_double_login_leaves_no_user_behind() {
+        let server = NetServer::start().unwrap();
+        let mut a = FramedStream::new(TcpStream::connect(server.addr()).unwrap());
+        login(&mut a, 4662);
+        login(&mut a, 4662);
+        assert_eq!(glob_stat(&server).0, 1, "one connection is one user");
+        drop(a);
+        assert!(eventually(|| glob_stat(&server).0 == 0), "the user left with its connection");
+        server.stop();
+    }
+
+    #[test]
+    fn peers_sharing_an_address_are_listed_per_session() {
+        let server = NetServer::start().unwrap();
+        let file = FileId::from_seed(b"shared");
+        // Every scripted peer announces 127.0.0.1:4662.
+        let mut a = ScriptedPeer::login(server.addr(), "a").unwrap();
+        a.offer(&[(file, "shared.avi", 1_000)]).unwrap();
+        a.get_sources(file).unwrap();
+        let mut b = ScriptedPeer::login(server.addr(), "b").unwrap();
+        b.offer(&[(file, "shared.avi", 1_000)]).unwrap();
+        let here = PeerAddr::new(Ipv4::new(127, 0, 0, 1), 4662);
+        assert_eq!(b.get_sources(file).unwrap(), [here, here], "one entry per providing session");
+        drop(a);
+        assert!(eventually(|| server.users() == 1));
+        assert_eq!(b.get_sources(file).unwrap(), [here], "B still offers the file");
+        server.stop();
+    }
+
+    #[test]
+    fn a_relogin_on_a_new_port_withdraws_the_old_ports_offer() {
+        let server = NetServer::start().unwrap();
+        let file = FileId::from_seed(b"moved");
+        let offer = ClientServerMessage::OfferFiles {
+            files: vec![PublishedFile::new(file, "moved.avi", 1_000)],
+        };
+        let mut a = FramedStream::new(TcpStream::connect(server.addr()).unwrap());
+        login(&mut a, 1_000);
+        a.write_server_message(&offer).unwrap();
+        assert_eq!(sources(&mut a, file)[0].port, 1_000);
+        login(&mut a, 2_000);
+        assert!(sources(&mut a, file).is_empty(), "the old port's offer is withdrawn");
+        a.write_server_message(&offer).unwrap();
+        let listed: Vec<u16> = sources(&mut a, file).iter().map(|s| s.port).collect();
+        assert_eq!(listed, [2_000]);
+        server.stop();
+    }
+
+    #[test]
+    fn a_type_constraint_matches_by_extension() {
+        let server = NetServer::start().unwrap();
+        let mut peer = ScriptedPeer::login(server.addr(), "typed").unwrap();
+        peer.offer(&[
+            (FileId::from_seed(b"v"), "holiday clip.avi", 700_000_000),
+            (FileId::from_seed(b"s"), "holiday song.mp3", 5_000_000),
+        ])
+        .unwrap();
+        let video = SearchExpr::StringTag { name: "type".into(), value: "Video".into() };
+        let hits = peer.search(SearchExpr::keyword("holiday").and(video)).unwrap();
+        let names: Vec<_> = hits.iter().map(|f| f.name()).collect();
+        assert_eq!(names, [Some("holiday clip.avi")]);
         server.stop();
     }
 }

@@ -7,14 +7,13 @@
 //!   popularity, class-dependent sizes and generated names;
 //! * [`identity`] — synthetic peer identities (unique IPs, user hashes,
 //!   client names/versions, high/low IDs);
-//! * [`server`] — the eDonkey index server (login, OFFER-FILES indexing,
-//!   GET-SOURCES);
 //! * [`peer`] — the genuine-peer download state machine (paper Fig. 1) with
 //!   timeout- vs corruption-based honeypot detection and client-level
 //!   blacklisting;
 //! * [`config`] — every behavioural knob, with paper-calibrated defaults;
 //! * [`world`] — the discrete-event world tying it all together, hosting
-//!   the *actual* `honeypot` crate state machines.
+//!   the *actual* `honeypot` crate state machines: the honeypots and the
+//!   `honeypot::IndexServer` they are found through.
 //!
 //! ```
 //! use edonkey_sim::config::ScenarioConfig;
@@ -24,21 +23,17 @@
 //! assert!(out.log.distinct_peers > 0);
 //! ```
 
-pub mod capture;
 pub mod catalog;
 pub mod config;
 pub mod identity;
 pub mod peer;
-pub mod server;
 pub mod world;
 
-pub use capture::ServerCapture;
 pub use catalog::{Catalog, CatalogConfig, CatalogDraws};
 pub use config::{
     BehaviorConfig, BlacklistConfig, CrashConfig, HoneypotSetup, PopulationConfig, QueueKind,
     RobotConfig, ScenarioConfig, ServerCaptureConfig,
 };
-pub use server::SimServer;
 pub use world::{
     run_scenario, run_scenario_with_capture, CaptureRunOutput, EdonkeyWorld, Event, SimOutput,
     WorldStats,

@@ -21,8 +21,8 @@ use edonkey_proto::{
 use honeypot::serverlog::{ServerLogStats, SERVER_PEER_SESSION_BASE};
 use honeypot::{
     ActionSink, AdvertisedFile, ConnId, ContentStrategy, FileStrategy, Honeypot, HoneypotConfig,
-    HoneypotId, HoneypotSpec, IpHasher, LogChunk, Manager, MeasurementLog, ServerInfo,
-    StatusReport, SupervisionBook,
+    HoneypotId, HoneypotSpec, IndexServer, IpHasher, LogChunk, Manager, MeasurementLog,
+    ServerCapture, ServerInfo, StatusReport, SupervisionBook,
 };
 use netsim::dist::{exponential, poisson};
 use netsim::engine::{Scheduler, World};
@@ -32,12 +32,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
-use crate::capture::ServerCapture;
 use crate::catalog::Catalog;
 use crate::config::{QueueKind, ScenarioConfig};
 use crate::identity::{IdentityFactory, PeerIdentity};
 use crate::peer::{NewPeer, PeerTable, Session, SessionOutcome, SessionState, MAX_HONEYPOTS};
-use crate::server::SimServer;
 
 /// Events of the eDonkey world.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +92,7 @@ pub struct WorldStats {
 pub struct EdonkeyWorld {
     pub config: ScenarioConfig,
     pub catalog: Catalog,
-    server: SimServer,
+    server: IndexServer,
     honeypots: Vec<Honeypot>,
     hp_attract: Vec<f64>,
     /// The manager's supervision half; its merge half runs beside the
@@ -155,7 +153,7 @@ impl EdonkeyWorld {
 
         let server_info =
             ServerInfo::new("Big Server One", edonkey_proto::Ipv4::new(195, 200, 1, 1), 4661);
-        let mut server = SimServer::new(server_info.clone());
+        let mut server = IndexServer::new();
         let ip_hasher = IpHasher::from_seed(root.substream("salt").next_u64());
         if let Some(mut cap) = capture {
             // The capture anonymises with the run's own step-1 salt, so
@@ -969,11 +967,6 @@ impl EdonkeyWorld {
         &self.honeypots
     }
 
-    /// The index server (tests & diagnostics).
-    pub fn server(&self) -> &SimServer {
-        &self.server
-    }
-
     /// Detaches the server capture (to finish it after the run).
     pub fn take_capture(&mut self) -> Option<ServerCapture> {
         self.server.take_capture()
@@ -1206,7 +1199,7 @@ struct WorldSink<'a> {
     now: SimTime,
     /// The honeypot's server session (its index).
     session: u64,
-    server: &'a mut SimServer,
+    server: &'a mut IndexServer,
     book: &'a mut SupervisionBook,
     adverts: &'a mut Adverts,
     seen: Replies,
@@ -1379,7 +1372,7 @@ pub fn run_scenario_with_capture(
         Ok(CaptureRunOutput { output, capture, capture_degraded, capture_dropped })
     }
     let cap_cfg = config.server_capture.unwrap_or_default();
-    let capture = ServerCapture::create(dir, &cap_cfg)?;
+    let capture = ServerCapture::create(dir, cap_cfg.frame_records, cap_cfg.segment_records)?;
     match config.queue {
         QueueKind::Heap => on(config, EventQueue::new(), capture),
         QueueKind::Calendar => on(config, CalendarQueue::for_simulation(), capture),

@@ -7,7 +7,7 @@
 //! ```
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use edonkey_honeypots::net::{HoneypotHost, NetServer, ScriptedPeer};
 use edonkey_honeypots::platform::{
@@ -39,6 +39,13 @@ fn main() {
     );
     let host = HoneypotHost::start(hp, server.addr()).expect("start honeypot");
     assert!(host.wait_connected(Duration::from_secs(5)), "honeypot failed to log in");
+    // The server indexes the OFFER-FILES that follows the login round trip
+    // on its own thread; a peer asking before it lands finds nothing.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.indexed_files() == 0 {
+        assert!(Instant::now() < deadline, "the server never indexed the honeypot's offer");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     println!("honeypot connected; peers reach it at {}", host.peer_addr());
 
     // 3. Scripted peers discover the honeypot through the server and run
@@ -47,6 +54,7 @@ fn main() {
         let mut peer = ScriptedPeer::login(server.addr(), name).expect("peer login");
         let sources = peer.get_sources(file).expect("get sources");
         println!("{name}: server lists {} provider(s) for the file", sources.len());
+        assert_eq!(sources.len(), 1, "the honeypot is the file's one provider");
         let provider: SocketAddr = host.peer_addr();
         let attempt = peer
             .attempt_download(
