@@ -18,10 +18,11 @@
 //!   the capture at the last intact frame instead of corrupting it.
 //!
 //! Records follow the PR 7 `PackedQueryRecord` discipline: the logical
-//! [`ServerRecord`] has a pinned `#[repr(C)]` storage twin,
-//! [`PackedServerRecord`], whose [`PackedServerRecord::to_wire_bytes`]
-//! byte order is a frozen contract (see the layout-pinning test).  On
-//! disk, frames are compressed column-wise — timestamps and session
+//! [`ServerRecord`] has a `#[repr(C)]` storage twin,
+//! [`PackedServerRecord`], whose size is pinned at compile time and
+//! which the writer buffers one frame of.  No packed record is written
+//! whole: the frame codec is the storage contract.  On disk, frames are
+//! compressed column-wise — timestamps and session
 //! tokens as zig-zag delta varints, counters as varints, 16-byte digests
 //! with a same-as-previous flag — which lands well under the 56-byte raw
 //! record cost without any external compression dependency.
@@ -133,7 +134,7 @@ pub const PACKED_SERVER_RECORD_BYTES: usize = 56;
 
 /// The `#[repr(C)]`-stable compact storage form of a [`ServerRecord`]:
 /// fields largest-first so `repr(C)` yields zero padding, enums collapsed
-/// to wire tags, with a frozen byte order via [`Self::to_wire_bytes`].
+/// to wire tags.
 #[repr(C)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PackedServerRecord {
@@ -187,37 +188,6 @@ impl PackedServerRecord {
             session: self.session,
             payload: self.payload,
         })
-    }
-
-    /// Serialises in the frozen wire field order (at, kind, peer, port,
-    /// flag, file, session, payload; little-endian integers) — mirroring
-    /// the honeypot record codec's historical shape.
-    pub fn to_wire_bytes(&self) -> [u8; PACKED_SERVER_RECORD_BYTES] {
-        let mut b = [0u8; PACKED_SERVER_RECORD_BYTES];
-        b[0..8].copy_from_slice(&self.at_ms.to_le_bytes());
-        b[8] = self.kind;
-        b[9..25].copy_from_slice(&self.peer);
-        b[25..27].copy_from_slice(&self.port.to_le_bytes());
-        b[27] = self.flag;
-        b[28..44].copy_from_slice(&self.file);
-        b[44..52].copy_from_slice(&self.session.to_le_bytes());
-        b[52..56].copy_from_slice(&self.payload.to_le_bytes());
-        b
-    }
-
-    /// Inverse of [`Self::to_wire_bytes`].
-    pub fn from_wire_bytes(b: &[u8; PACKED_SERVER_RECORD_BYTES]) -> Self {
-        let arr = |lo: usize| -> [u8; 16] { b[lo..lo + 16].try_into().expect("fixed range") };
-        PackedServerRecord {
-            at_ms: u64::from_le_bytes(b[0..8].try_into().expect("fixed range")),
-            kind: b[8],
-            peer: arr(9),
-            port: u16::from_le_bytes(b[25..27].try_into().expect("fixed range")),
-            flag: b[27],
-            file: arr(28),
-            session: u64::from_le_bytes(b[44..52].try_into().expect("fixed range")),
-            payload: u32::from_le_bytes(b[52..56].try_into().expect("fixed range")),
-        }
     }
 }
 
@@ -793,8 +763,6 @@ mod tests {
             let r = sample(i);
             let p = PackedServerRecord::pack(&r);
             assert_eq!(p.unpack(), Some(r), "pack/unpack must be lossless");
-            let bytes = p.to_wire_bytes();
-            assert_eq!(PackedServerRecord::from_wire_bytes(&bytes), p, "byte round trip");
         }
     }
 
@@ -803,31 +771,6 @@ mod tests {
         let mut p = PackedServerRecord::pack(&sample(0));
         p.kind = 9;
         assert_eq!(p.unpack(), None);
-    }
-
-    #[test]
-    fn packed_record_wire_layout_is_pinned() {
-        // The byte offsets are the storage contract; a change here is a
-        // format break and must bump SEGMENT_VERSION instead.
-        let r = ServerRecord {
-            at: SimTime::from_millis(0x0102_0304_0506_0708),
-            kind: ServerQueryKind::GetSources,
-            peer: IpHash([0xAA; 16]),
-            port: 0xBEEF,
-            flag: 1,
-            file: FileId([0xCC; 16]),
-            session: 0x1112_1314_1516_1718,
-            payload: 0x2122_2324,
-        };
-        let b = PackedServerRecord::pack(&r).to_wire_bytes();
-        assert_eq!(&b[0..8], &0x0102_0304_0506_0708u64.to_le_bytes());
-        assert_eq!(b[8], 3, "GET-SOURCES tag");
-        assert_eq!(&b[9..25], &[0xAA; 16]);
-        assert_eq!(&b[25..27], &0xBEEFu16.to_le_bytes());
-        assert_eq!(b[27], 1, "flag");
-        assert_eq!(&b[28..44], &[0xCC; 16]);
-        assert_eq!(&b[44..52], &0x1112_1314_1516_1718u64.to_le_bytes());
-        assert_eq!(&b[52..56], &0x2122_2324u32.to_le_bytes());
     }
 
     #[test]

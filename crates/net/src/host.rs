@@ -52,9 +52,6 @@ struct Shared {
     /// lets the server-session reader tell a deliberate kill from the
     /// server dropping us.
     stopping: AtomicBool,
-    /// Latched by the reader thread when the server session dies while the
-    /// host was *not* stopping.
-    session_lost: AtomicBool,
 }
 
 /// What [`HoneypotHost::stop`] needs to end one peer connection.
@@ -73,7 +70,6 @@ impl Shared {
             started: Instant::now(),
             peers: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
-            session_lost: AtomicBool::new(false),
         }
     }
 
@@ -157,7 +153,6 @@ impl HoneypotHost {
                 out.send(&reader_sender, &shared.status);
             }
             if !shared.stopping.load(Ordering::SeqCst) {
-                shared.session_lost.store(true, Ordering::SeqCst);
                 let mut out = Outbox::default();
                 lock(&shared.honeypot).on_disconnected(shared.now(), &mut out);
                 out.send(&reader_sender, &shared.status);
@@ -253,14 +248,6 @@ impl HoneypotHost {
     /// Currently connected peer count.
     pub fn live_peers(&self) -> u64 {
         lock(&self.shared.peers).len() as u64
-    }
-
-    /// True if the server session died while the host was *not* being
-    /// stopped (the server crashed or dropped us mid-session). The honeypot
-    /// has already been transitioned to `Disconnected` and a status report
-    /// pushed, so a supervisor can relaunch rather than hang.
-    pub fn server_session_lost(&self) -> bool {
-        self.shared.session_lost.load(Ordering::SeqCst)
     }
 
     /// Stops the host: closes the listener, ends and joins every live peer

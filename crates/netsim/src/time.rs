@@ -77,10 +77,6 @@ impl SimTime {
     pub fn plus_millis(&self, ms: u64) -> SimTime {
         SimTime(self.0.saturating_add(ms))
     }
-
-    pub fn plus_secs(&self, s: u64) -> SimTime {
-        self.plus_millis(s * MS_PER_SEC)
-    }
 }
 
 impl std::fmt::Debug for SimTime {

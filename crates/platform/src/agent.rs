@@ -174,8 +174,8 @@ impl AgentState {
     }
 }
 
-/// Robustness knobs for [`run_agent_with`]; `Default` reproduces the
-/// plain [`run_agent`] behaviour exactly.
+/// Fault plan, spool and robustness knobs for [`run_agent`]; `Default`
+/// is a plain agent with no spool.
 #[derive(Clone, Debug, Default)]
 pub struct AgentOptions {
     /// Scripted crash/corruption plan (PR 3 fault model).
@@ -191,29 +191,12 @@ pub struct AgentOptions {
 
 /// Runs one agent to completion (blocking).  `first_incarnation` is 0 for
 /// an initial launch; the daemon's supervisor passes higher numbers when
-/// respawning a dead agent.  With `spool_dir`, unacknowledged chunks are
-/// spooled durably and a restarted incarnation replays them; the directory
-/// must be stable across this agent's incarnations and unique to it.
+/// respawning a dead agent.  With `opts.spool_dir`, unacknowledged chunks
+/// are spooled durably and a restarted incarnation replays them; the
+/// directory must be stable across this agent's incarnations and unique
+/// to it.  `opts` also carries the adversarial-robustness knobs: impaired
+/// links and failing disks.
 pub fn run_agent(
-    daemon_addr: SocketAddr,
-    agent: u32,
-    first_incarnation: u32,
-    fault: FaultPlan,
-    journal: ChunkJournal,
-    spool_dir: Option<PathBuf>,
-) -> AgentExit {
-    run_agent_with(
-        daemon_addr,
-        agent,
-        first_incarnation,
-        journal,
-        AgentOptions { fault, spool_dir, ..AgentOptions::default() },
-    )
-}
-
-/// [`run_agent`] plus the adversarial-robustness knobs of
-/// [`AgentOptions`]: impaired links and failing disks.
-pub fn run_agent_with(
     daemon_addr: SocketAddr,
     agent: u32,
     first_incarnation: u32,

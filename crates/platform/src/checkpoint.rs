@@ -45,11 +45,6 @@ impl CheckpointOptions {
         CheckpointOptions { dir: dir.into(), interval_ms: 100 }
     }
 
-    /// The state snapshot path.
-    pub fn state_path(&self) -> PathBuf {
-        self.dir.join(STATE_FILE)
-    }
-
     /// The chunk WAL directory.
     pub fn wal_dir(&self) -> PathBuf {
         self.dir.join("wal")

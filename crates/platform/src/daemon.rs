@@ -27,7 +27,9 @@
 //!   sit behind two locks, so supervision never waits on a merge;
 //! * **metrics** — heartbeat RTTs, relaunch/death counts, chunk bytes and
 //!   retries, window occupancy, reactor loop latency and merge-queue
-//!   depth ([`crate::metrics::PlatformMetrics`]).
+//!   depth ([`crate::metrics::PlatformMetrics`]): the one record of every
+//!   daemon-side sample, and the document the [`DaemonConfig::obs`]
+//!   scraper serves.
 //!
 //! With [`DaemonConfig::checkpoint`] set, the daemon is additionally
 //! **crash-safe**: every merged chunk is appended to a write-ahead spool
@@ -65,7 +67,7 @@ use crate::diskfault::DiskFaults;
 use crate::impair::ImpairPlan;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::metrics::PlatformMetrics;
-use crate::obs::{self, Histogram, HistogramHandle, Registry};
+use crate::obs::{self, Histogram};
 use crate::reactor::{wait_io, CloseReason, Outbox, ReactorConn, Session, Waker};
 use crate::retry::{Backoff, RetryPolicy};
 use crate::spool::Spool;
@@ -76,12 +78,21 @@ use netsim::obs_event;
 const LATENCY_FLUSH_EVERY: u64 = 128;
 
 /// Ceiling on how long a non-empty latency batch may wait before it is
-/// folded into the shared metrics and the live registry: low-traffic
-/// deployments would otherwise never reach the pass-count threshold and
-/// the scraper would report a permanently cold reactor histogram.
+/// folded into the shared metrics: low-traffic deployments would
+/// otherwise never reach the pass-count threshold and the scraper would
+/// report a permanently cold reactor histogram.
 const LATENCY_FLUSH_INTERVAL: Duration = Duration::from_millis(250);
 /// Merge bursts are capped so ack latency stays bounded under firehose.
 const MERGE_BURST: usize = 1024;
+/// First relaunch backoff; doubles per consecutive attempt.
+const BACKOFF_BASE_MS: u64 = 50;
+/// Relaunch backoff ceiling.
+const BACKOFF_CAP_MS: u64 = 2_000;
+/// Seed of the relaunch and accept backoff jitter streams.
+const BACKOFF_SEED: u64 = 0x1eaf_5eed;
+/// Stop relaunching an agent after this many consecutive failed launch
+/// attempts (a registration that reaches `Connected` resets the count).
+const MAX_LAUNCH_ATTEMPTS: u32 = 10;
 
 /// Supervision and transport tuning.
 #[derive(Clone, Debug)]
@@ -90,16 +101,6 @@ pub struct DaemonConfig {
     pub heartbeat_timeout_ms: u64,
     /// Supervision loop period.
     pub supervision_tick_ms: u64,
-    /// First relaunch backoff; doubles per consecutive attempt.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
-    /// Seed of the backoff jitter stream.
-    pub backoff_seed: u64,
-    /// Stop relaunching an agent after this many consecutive failed
-    /// launch attempts (a registration that reaches `Connected` resets
-    /// the count).
-    pub max_launch_attempts: u32,
     /// Durability: checkpoint directory and snapshot cadence.  `None`
     /// keeps the PR 3 in-memory behaviour (a daemon crash loses the run).
     pub checkpoint: Option<CheckpointOptions>,
@@ -110,9 +111,6 @@ pub struct DaemonConfig {
     /// dropped at accept (counted in `connections_rejected`) so FD
     /// exhaustion degrades into rejections instead of a hot error loop.
     pub max_connections: usize,
-    /// Reactor shard threads.  0 = derive from the machine (capped small;
-    /// the shards are I/O loops, not compute).
-    pub reactor_shards: usize,
     /// Registration must complete this long after the TCP accept, or the
     /// connection is dropped (a resource an unauthenticated peer may not
     /// hold open).
@@ -125,11 +123,6 @@ pub struct DaemonConfig {
     /// A connection holding a partial frame (bytes buffered, no complete
     /// frame) for this long is a slow-loris and is reaped.  0 disables.
     pub slow_loris_timeout_ms: u64,
-    /// Hard cap on a single control frame's declared payload, enforced at
-    /// the decoder before any buffering (never looser than the protocol
-    /// limit).  A hostile peer cannot make the daemon allocate more than
-    /// this per connection.
-    pub max_frame_bytes: u32,
     /// Merge-queue overload protection.  As the queue approaches this
     /// depth the window granted in every `ChunkAck` shrinks linearly (to 1
     /// at the limit) and chunks arriving *at* the limit are shed unacked —
@@ -148,8 +141,8 @@ pub struct DaemonConfig {
     /// instead of racing the scheduler.  0 (the default) is a no-op.
     pub merge_stall_ms: u64,
     /// Observability scraper: when set, the daemon runs a
-    /// [`crate::obs::Scraper`] over the global registry for its lifetime
-    /// (JSONL time series + loopback snapshot endpoint, see
+    /// [`crate::obs::Scraper`] over its own [`PlatformMetrics`] for its
+    /// lifetime (JSONL time series + loopback snapshot endpoint, see
     /// [`Daemon::obs_addr`]).  `None` (the default) runs nothing.
     pub obs: Option<obs::ObsConfig>,
 }
@@ -159,18 +152,12 @@ impl Default for DaemonConfig {
         DaemonConfig {
             heartbeat_timeout_ms: 400,
             supervision_tick_ms: 25,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            backoff_seed: 0x1eaf_5eed,
-            max_launch_attempts: 10,
             checkpoint: None,
             upload_window: 32,
             max_connections: 4096,
-            reactor_shards: 0,
             handshake_timeout_ms: 3_000,
             idle_timeout_ms: 30_000,
             slow_loris_timeout_ms: 5_000,
-            max_frame_bytes: MAX_CONTROL_PAYLOAD,
             merge_queue_limit: 4_096,
             impair: None,
             wal_faults: None,
@@ -181,18 +168,10 @@ impl Default for DaemonConfig {
     }
 }
 
-impl DaemonConfig {
-    /// The relaunch-supervision schedule implied by this config.
-    fn relaunch_policy(&self) -> RetryPolicy {
-        RetryPolicy::relaunch(self.backoff_base_ms, self.backoff_cap_ms, self.max_launch_attempts)
-    }
-
-    fn resolved_shards(&self) -> usize {
-        if self.reactor_shards > 0 {
-            return self.reactor_shards;
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4)
-    }
+/// Reactor shard threads, derived from the machine and capped small: the
+/// shards are I/O loops, not compute.
+fn reactor_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4)
 }
 
 /// Spawns (or re-spawns) an agent: `(agent_id, incarnation, daemon_addr)`.
@@ -386,12 +365,11 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let n = configs.len();
 
-        let policy = cfg.relaunch_policy();
-        let seed = cfg.backoff_seed;
+        let policy = RetryPolicy::relaunch(BACKOFF_BASE_MS, BACKOFF_CAP_MS, MAX_LAUNCH_ATTEMPTS);
         let mut slots: Vec<Slot> = configs
             .into_iter()
             .enumerate()
-            .map(|(i, c)| Slot::new(c, policy, seed, i as u64))
+            .map(|(i, c)| Slot::new(c, policy, BACKOFF_SEED, i as u64))
             .collect();
         let book = SupervisionBook::new(&specs);
         let mut merge = Manager::new(specs);
@@ -470,7 +448,7 @@ impl Daemon {
             metrics.manager_restores += 1;
         }
 
-        let shards = (0..cfg.resolved_shards())
+        let shards = (0..reactor_shards())
             .map(|_| Ok(ShardInbox { injector: Mutex::new(Vec::new()), waker: Waker::new()? }))
             .collect::<std::io::Result<Vec<_>>>()?;
         let inner = Arc::new(Inner {
@@ -514,8 +492,7 @@ impl Daemon {
             // Transient accept errors (EMFILE, ECONNABORTED) are retried
             // with the unified backoff; the listener is never torn down.
             let accept_policy = RetryPolicy { base_ms: 5, cap_ms: 250, max_attempts: None };
-            let mut accept_backoff =
-                Backoff::new(accept_policy, accept_inner.cfg.backoff_seed, 0xACCE);
+            let mut accept_backoff = Backoff::new(accept_policy, BACKOFF_SEED, 0xACCE);
             let mut next_shard = 0usize;
             for stream in listener.incoming() {
                 // Admission outlives supervision: an agent launched just
@@ -586,13 +563,12 @@ impl Daemon {
             }
         });
 
-        // The scraper only *reads* the global registry; a failure to
+        // The scraper only *reads* this daemon's metrics; a failure to
         // start it degrades visibility, never the measurement.
-        let scraper = inner
-            .cfg
-            .obs
-            .clone()
-            .and_then(|obs_cfg| obs::Scraper::start(Registry::global(), obs_cfg).ok());
+        let scraper = inner.cfg.obs.clone().and_then(|obs_cfg| {
+            let scraped = inner.clone();
+            obs::Scraper::start(move || lock(&scraped.metrics).to_json(), obs_cfg).ok()
+        });
 
         Ok(Daemon {
             inner,
@@ -830,7 +806,6 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
     let ShardInbox { injector, waker } = &inner.shards[shard];
     let mut conns: Vec<ReactorConn> = Vec::new();
     let mut latency = Histogram::new();
-    let live_hist = Registry::global().histogram("reactor_loop_micros");
     let mut last_flush = Instant::now();
     loop {
         if inner.crashed.load(Ordering::SeqCst) {
@@ -858,14 +833,14 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
             for conn in conns.drain(..) {
                 close_conn(&inner, conn);
             }
-            flush_latency(&inner, &mut latency, &live_hist);
+            flush_latency(&inner, &mut latency);
             return;
         }
         let t0 = Instant::now();
         let mut activity = false;
 
         for stream in lock(injector).drain(..) {
-            match ReactorConn::adopt(stream, inner.cfg.max_frame_bytes, waker) {
+            match ReactorConn::adopt(stream, MAX_CONTROL_PAYLOAD, waker) {
                 Ok(mut conn) => {
                     if let Some(plan) = &inner.cfg.impair {
                         let id = inner.conn_counter.fetch_add(1, Ordering::SeqCst);
@@ -922,13 +897,13 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
                 .min();
             wait_io(&conns, waker, true, deadline);
         }
-        // Flush by count under load, by time when quiet, so the live
-        // registry the scraper samples never sits on a stale batch for
-        // more than one flush interval.
+        // Flush by count under load, by time when quiet, so the metrics
+        // the scraper samples never sit on a stale batch for more than
+        // one flush interval.
         if latency.count() >= LATENCY_FLUSH_EVERY
             || (latency.count() > 0 && last_flush.elapsed() >= LATENCY_FLUSH_INTERVAL)
         {
-            flush_latency(&inner, &mut latency, &live_hist);
+            flush_latency(&inner, &mut latency);
             last_flush = Instant::now();
         }
     }
@@ -981,15 +956,14 @@ fn hostile_deadlines(
     ]
 }
 
-/// Folds a shard's local latency batch into the shared metrics and the
-/// live registry the scraper samples — one lock round per
-/// [`LATENCY_FLUSH_EVERY`] active passes.
-fn flush_latency(inner: &Inner, batch: &mut Histogram, live: &HistogramHandle) {
+/// Folds a shard's local latency batch into the shared metrics the
+/// scraper samples — one lock round per [`LATENCY_FLUSH_EVERY`] active
+/// passes.
+fn flush_latency(inner: &Inner, batch: &mut Histogram) {
     if batch.count() == 0 {
         return;
     }
     lock(&inner.metrics).reactor_loop_hist.merge(batch);
-    live.merge(batch);
     *batch = Histogram::new();
 }
 
@@ -1099,9 +1073,6 @@ fn handle_msg(inner: &Inner, session: &mut Session, msg: ControlMessage) {
                     // sees degradation while the measurement continues.
                     metrics.agents[i].degraded_heartbeats += 1;
                 }
-            }
-            if rtt_micros > 0 {
-                Registry::global().histogram("heartbeat_rtt_micros").record(rtt_micros);
             }
             if flags & heartbeat_flags::SPOOL_DEGRADED != 0 {
                 obs_event!(
@@ -1264,12 +1235,6 @@ fn touch(inner: &Inner, agent_idx: usize) {
 /// at most one `ChunkRetry` when the stream is damaged or has a hole.
 fn merge_loop(inner: Arc<Inner>, rx: Receiver<MergeMsg>) {
     let mut batch: Vec<MergeMsg> = Vec::new();
-    // Live-registry twins of the end-of-run metrics histograms, resolved
-    // once so the per-chunk cost is a handle lock, not a map lookup.
-    let live = MergeObs {
-        dwell: Registry::global().histogram("merge_dwell_micros"),
-        frontier_lag: Registry::global().histogram("frontier_lag_chunks"),
-    };
     loop {
         if inner.crashed.load(Ordering::SeqCst) {
             return;
@@ -1286,14 +1251,8 @@ fn merge_loop(inner: Arc<Inner>, rx: Receiver<MergeMsg>) {
                 Err(_) => break,
             }
         }
-        merge_burst(&inner, &mut batch, &live);
+        merge_burst(&inner, &mut batch);
     }
-}
-
-/// Live-registry histogram handles the merge thread records into.
-struct MergeObs {
-    dwell: HistogramHandle,
-    frontier_lag: HistogramHandle,
 }
 
 /// Per-burst ack/retry coalescing state, keyed by outbox identity.
@@ -1322,7 +1281,7 @@ impl BurstReplies {
     }
 }
 
-fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
+fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>) {
     let mut replies = BurstReplies { acks: Vec::new(), retries: Vec::new() };
     let mut merged_any = false;
     // Dwell samples are batched locally and folded in once per burst so
@@ -1417,7 +1376,6 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
     }
     if dwell_batch.count() > 0 {
         lock(&inner.metrics).merge_dwell_micros.merge(&dwell_batch);
-        live.dwell.merge(&dwell_batch);
     }
     if merged_any {
         inner.notify_changed();
@@ -1438,7 +1396,6 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>, live: &MergeObs) {
             m.frontier_lag_peak = m.frontier_lag_peak.max(lag);
             metrics.frontier_lag_chunks.record(lag);
         }
-        live.frontier_lag.record(lag);
         outbox.push_msg(&ControlMessage::ChunkAck {
             next_seq: frontier,
             window: effective_window(inner),

@@ -22,7 +22,7 @@ use netsim::rng::stream_seed;
 use netsim::sync::lock;
 use netsim::SimTime;
 
-use crate::agent::{run_agent_with, AgentExit, AgentOptions};
+use crate::agent::{run_agent, AgentExit, AgentOptions};
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::diskfault::DiskFaults;
 use crate::fault::FaultPlan;
@@ -281,8 +281,7 @@ fn make_launcher(
         let mut opts = knobs[agent as usize].clone();
         opts.spool_dir = spool_dir.as_ref().map(|d| d.join(format!("agent-{agent}")));
         let journal = journal.clone();
-        let handle =
-            std::thread::spawn(move || run_agent_with(addr, agent, incarnation, journal, opts));
+        let handle = std::thread::spawn(move || run_agent(addr, agent, incarnation, journal, opts));
         lock(&handles).push(handle);
     })
 }

@@ -58,12 +58,14 @@
 //! structured-event facade and per-thread flight recorder (re-exported
 //! from `netsim::obs` so the sim and analysis crates share it),
 //! mergeable log-linear [`obs::Histogram`]s feeding p50/p90/p99 into
-//! [`metrics::PlatformMetrics`], the named-instrument
-//! [`obs::Registry`], and the [`obs::Scraper`] that appends a JSONL
-//! time series and answers one-shot loopback snapshot scrapes while a
-//! swarm runs.  The contract: observation is *pure* — measurement logs
-//! and control byte streams are bit-identical at every verbosity
-//! (`tests/obs_purity.rs`).
+//! [`metrics::PlatformMetrics`] — the one record of every daemon-side
+//! sample — and the [`obs::Scraper`] that appends a JSONL time series
+//! of the daemon's own `PlatformMetrics` and answers one-shot loopback
+//! snapshot scrapes while a swarm runs.  [`obs::Registry::global`] keeps
+//! only the two histograms the agent side records per process: chunk
+//! RTT and spool append latency.  The contract: observation is *pure* —
+//! measurement logs and control byte streams are bit-identical at every
+//! verbosity (`tests/obs_purity.rs`).
 
 pub mod agent;
 pub mod checkpoint;
@@ -84,7 +86,7 @@ pub mod spool;
 mod sys;
 pub mod transport;
 
-pub use agent::{run_agent, run_agent_with, AgentExit, AgentOptions};
+pub use agent::{run_agent, AgentExit, AgentOptions};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointOptions, ManagerCheckpoint};
 pub use conn::{ConnError, ConnEvent, ControlConn};
 pub use daemon::{Daemon, DaemonConfig, Launcher};

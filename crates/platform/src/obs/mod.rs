@@ -9,10 +9,13 @@
 //!   emit with [`netsim::obs_event!`];
 //! * [`hist`] — mergeable log-linear [`Histogram`]s (count/min/mean/max
 //!   plus p50/p90/p99), the one latency summary of the platform;
-//! * [`registry`] — the named instrument [`Registry`] with a shared
-//!   [`Registry::global`];
+//! * [`registry`] — [`Registry::global`], which holds only the two
+//!   histograms the agent side records per process (chunk RTT and spool
+//!   append latency); every daemon-side sample lives in the daemon's own
+//!   [`PlatformMetrics`](crate::metrics::PlatformMetrics);
 //! * [`scrape`] — the periodic [`Scraper`]: JSONL time series plus a
-//!   one-shot loopback snapshot endpoint.
+//!   one-shot loopback snapshot endpoint, both carrying the document its
+//!   owner renders (the daemon's `PlatformMetrics`, schema `obs-v2`).
 //!
 //! **Purity contract** (pinned by `tests/obs_purity.rs`): observation
 //! never changes what the platform *does*.  Measurement logs and
@@ -30,7 +33,7 @@ pub use netsim::obs::{
     dump_all, enabled, level, record, set_level, snapshot_all, snapshot_thread, EventRecord,
     InlineStr, Level, Value, RING_CAPACITY,
 };
-pub use registry::{Counter, Gauge, HistogramHandle, Registry, RegistrySnapshot};
+pub use registry::{HistogramHandle, Registry};
 pub use scrape::{ObsConfig, Scraper};
 
 use std::path::PathBuf;

@@ -1,6 +1,13 @@
-//! Periodic snapshot scraper: samples a [`Registry`] on an interval,
-//! appends each sample to a JSONL time-series file, and serves the
-//! latest snapshot over a one-shot loopback TCP endpoint.
+//! Periodic snapshot scraper: samples the document its owner renders on
+//! an interval, appends each sample to a JSONL time-series file, and
+//! serves the latest sample over a one-shot loopback TCP endpoint.
+//!
+//! A sample is one line, `{"schema":"obs-v2","sample":N,"unix_ms":T,
+//! "platform":<document>}`, with the document's newlines removed (JSON
+//! allows whitespace between tokens, so the document needs no second
+//! renderer).  The daemon hands it its own
+//! [`PlatformMetrics::to_json`](crate::metrics::PlatformMetrics::to_json),
+//! so a scrape reports that daemon and no other.
 //!
 //! The endpoint deliberately mimics the simplest possible scrape
 //! protocol: connect, optionally send a request line (it is read and
@@ -23,8 +30,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::transport::{classify_accept, AcceptError};
-
-use super::registry::Registry;
 
 /// Configuration for a [`Scraper`].
 #[derive(Clone, Debug)]
@@ -52,10 +57,13 @@ pub struct Scraper {
 }
 
 impl Scraper {
-    /// Starts the scraper over `registry` (typically
-    /// [`Registry::global`]).  Returns after the endpoint (if enabled)
-    /// is bound, so [`Scraper::addr`] is immediately valid.
-    pub fn start(registry: &'static Registry, cfg: ObsConfig) -> std::io::Result<Scraper> {
+    /// Starts the scraper over `source`, which renders the JSON document
+    /// each sample carries.  Returns after the endpoint (if enabled) is
+    /// bound, so [`Scraper::addr`] is immediately valid.
+    pub fn start(
+        source: impl Fn() -> String + Send + 'static,
+        cfg: ObsConfig,
+    ) -> std::io::Result<Scraper> {
         let listener = if cfg.serve {
             let l = TcpListener::bind(("127.0.0.1", 0))?;
             l.set_nonblocking(true)?;
@@ -68,7 +76,7 @@ impl Scraper {
         let stop2 = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("obs-scraper".into())
-            .spawn(move || scraper_loop(registry, cfg, listener, stop2))?;
+            .spawn(move || scraper_loop(&source, cfg, listener, stop2))?;
         Ok(Scraper { stop, addr, join: Some(join) })
     }
 
@@ -93,16 +101,18 @@ impl Drop for Scraper {
     }
 }
 
-/// One JSONL sample line: timestamped registry snapshot.
-fn sample_line(registry: &Registry, seq: u64) -> String {
+/// One JSONL sample line: the timestamped document, on one line.
+fn sample_line(source: &dyn Fn() -> String, seq: u64) -> String {
     let unix_ms =
         SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
-    let extra = format!("\"schema\":\"obs-v1\",\"sample\":{seq},\"unix_ms\":{unix_ms}");
-    registry.snapshot().to_json(&extra)
+    let platform = source().replace('\n', "");
+    format!(
+        "{{\"schema\":\"obs-v2\",\"sample\":{seq},\"unix_ms\":{unix_ms},\"platform\":{platform}}}"
+    )
 }
 
 fn scraper_loop(
-    registry: &'static Registry,
+    source: &dyn Fn() -> String,
     cfg: ObsConfig,
     listener: Option<TcpListener>,
     stop: Arc<AtomicBool>,
@@ -115,7 +125,7 @@ fn scraper_loop(
     });
     let mut samples = 0u64;
     // First sample immediately so even a very short run leaves a series.
-    let mut latest = sample_line(registry, samples);
+    let mut latest = sample_line(source, samples);
     if let Some(f) = series.as_mut() {
         let _ = writeln!(f, "{latest}");
     }
@@ -137,7 +147,7 @@ fn scraper_loop(
             }
         }
         if Instant::now() >= next_sample {
-            latest = sample_line(registry, samples);
+            latest = sample_line(source, samples);
             if let Some(f) = series.as_mut() {
                 let _ = writeln!(f, "{latest}");
             }
@@ -147,7 +157,7 @@ fn scraper_loop(
         std::thread::sleep(poll);
     }
     // Final sample on shutdown so the series always covers run end.
-    let last = sample_line(registry, samples);
+    let last = sample_line(source, samples);
     if let Some(f) = series.as_mut() {
         let _ = writeln!(f, "{last}");
         let _ = f.flush();
@@ -183,11 +193,9 @@ mod tests {
     fn scraper_appends_series_and_serves_snapshot() {
         let dir = scratch("basic");
         let series = dir.join("series.jsonl");
-        let reg = Registry::global();
-        reg.counter("scrape_test_counter").add(11);
-        reg.histogram("scrape_test_hist").record(1234);
+        // A multi-line document, as `PlatformMetrics::to_json` renders.
         let scraper = Scraper::start(
-            reg,
+            || "{\n  \"counter\": 11,\n  \"hist\": {\"count\": 1}\n}\n".to_string(),
             ObsConfig {
                 interval: Duration::from_millis(20),
                 series_path: Some(series.clone()),
@@ -202,9 +210,11 @@ mod tests {
         conn.write_all(b"GET / HTTP/1.0\r\n\r\n").expect("request");
         let mut body = String::new();
         conn.read_to_string(&mut body).expect("read snapshot");
-        assert!(body.trim_end().starts_with('{') && body.trim_end().ends_with('}'), "{body}");
-        assert!(body.contains("\"schema\":\"obs-v1\""));
-        assert!(body.contains("\"histograms\""));
+        assert_eq!(body.lines().count(), 1, "one line per sample: {body}");
+        let doc: netsim::Json = body.parse().unwrap_or_else(|e| panic!("{e}: {body}"));
+        assert_eq!(doc["schema"].as_str(), Some("obs-v2"), "{body}");
+        assert_eq!(doc["platform"]["counter"].as_u64(), Some(11), "{body}");
+        assert_eq!(doc["platform"]["hist"]["count"].as_u64(), Some(1), "{body}");
 
         std::thread::sleep(Duration::from_millis(80));
         let n = scraper.stop();
@@ -217,7 +227,7 @@ mod tests {
         for line in std::io::BufReader::new(file).lines() {
             let line = line.expect("line");
             let doc: netsim::Json = line.parse().unwrap_or_else(|e| panic!("{e}: {line}"));
-            assert_eq!(doc["schema"].as_str(), Some("obs-v1"), "{line}");
+            assert_eq!(doc["schema"].as_str(), Some("obs-v2"), "{line}");
             let sample = doc["sample"].as_u64().expect("sample field");
             if let Some(prev) = last_sample {
                 assert!(sample > prev);
@@ -233,7 +243,7 @@ mod tests {
         let dir = scratch("nofile");
         let series = dir.join("s.jsonl");
         let scraper = Scraper::start(
-            Registry::global(),
+            || "{}".to_string(),
             ObsConfig {
                 interval: Duration::from_millis(10),
                 series_path: Some(series.clone()),

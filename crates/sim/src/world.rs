@@ -957,11 +957,6 @@ impl EdonkeyWorld {
         SimOutput { log, stats: self.stats, relaunches, events_handled: 0 }
     }
 
-    /// Number of materialised peers (diagnostics).
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// The honeypots (tests & diagnostics).
     pub fn honeypots(&self) -> &[Honeypot] {
         &self.honeypots

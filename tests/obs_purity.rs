@@ -13,6 +13,9 @@
 //! 3. control-frame encoding sampled across every verbosity level →
 //!    byte-identical frames.
 //!
+//! A fourth test pins that each daemon's scrape serves its own metrics:
+//! two daemons in one process report disjoint samples.
+//!
 //! The observability level is process-global, so every test here
 //! serializes on [`obs_lock`] and restores `Level::Off` before
 //! releasing it.
@@ -147,18 +150,23 @@ fn wait_for(conn: &mut ControlConn, pred: impl Fn(&ControlMessage) -> bool) -> C
     }
 }
 
-/// One scrape of a live daemon's snapshot endpoint, down to the
-/// reactor-loop latency histogram.
-fn reactor_loop_histogram(addr: std::net::SocketAddr) -> Json {
+/// One scrape of a live daemon's snapshot endpoint, parsed.
+fn scrape(addr: std::net::SocketAddr) -> Json {
     let mut reply = String::new();
     std::net::TcpStream::connect(addr)
         .expect("connect scrape endpoint")
         .read_to_string(&mut reply)
         .expect("read snapshot");
-    let snap: Json = reply.parse().unwrap_or_else(|e| panic!("{e}: {reply}"));
-    assert_eq!(snap["schema"].as_str(), Some("obs-v1"), "{snap}");
+    reply.parse().unwrap_or_else(|e| panic!("{e}: {reply}"))
+}
+
+/// One scrape of a live daemon's snapshot endpoint, down to the
+/// reactor-loop latency histogram.
+fn reactor_loop_histogram(addr: std::net::SocketAddr) -> Json {
+    let snap = scrape(addr);
+    assert_eq!(snap["schema"].as_str(), Some("obs-v2"), "{snap}");
     assert!(snap["sample"].as_u64().is_some(), "snapshot sample number missing: {snap}");
-    snap["histograms"]["reactor_loop_micros"].clone()
+    snap["platform"]["reactor_loop_micros"].clone()
 }
 
 /// Runs the fixed three-agent chunk workload against a fresh daemon and
@@ -179,7 +187,7 @@ fn run_fixed_workload(
     // The verbose run must genuinely be observed while bytes are
     // compared: its scrape endpoint is live for the whole workload.
     assert_eq!(daemon.obs_addr().is_some(), observed, "scraper endpoint mirrors the obs config");
-    // The registry is process-wide: count what earlier daemons left in it.
+    // Count the samples already in the histogram before the workload.
     let loop_samples_before = daemon
         .obs_addr()
         .map(|addr| reactor_loop_histogram(addr)["count"].as_u64().expect("histogram count"));
@@ -255,11 +263,70 @@ fn daemon_merge_is_bit_identical_across_verbosity() {
     // carries the schema marker.
     let series = std::fs::read_to_string(dir.join("series.jsonl")).expect("series written");
     assert!(
-        series.lines().next().is_some_and(|l| l.contains("\"schema\":\"obs-v1\"")),
-        "scraper series must carry the obs-v1 schema: {series:.120}"
+        series.lines().next().is_some_and(|l| l.contains("\"schema\":\"obs-v2\"")),
+        "scraper series must carry the obs-v2 schema: {series:.120}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two daemons in one process keep disjoint records: the one that merges
+/// chunks shows them in its metrics, and the idle one's scrape reports
+/// none of them.
+#[test]
+fn two_daemons_in_one_process_scrape_disjoint_metrics() {
+    const CHUNKS: u64 = 4;
+    let idle_cfg = DaemonConfig {
+        heartbeat_timeout_ms: 60_000,
+        obs: Some(ObsConfig {
+            interval: Duration::from_millis(10),
+            series_path: None,
+            serve: true,
+        }),
+        ..DaemonConfig::default()
+    };
+    let idle = Daemon::start(idle_cfg, vec![test_agent_config(0)], Box::new(|_, _, _| {}))
+        .expect("start idle daemon");
+    let busy_cfg = DaemonConfig { heartbeat_timeout_ms: 60_000, ..DaemonConfig::default() };
+    let busy = Daemon::start(busy_cfg, vec![test_agent_config(0)], Box::new(|_, _, _| {}))
+        .expect("start busy daemon");
+
+    let mut conn = ControlConn::connect(busy.addr()).expect("connect");
+    conn.set_read_timeout(Duration::from_millis(10)).expect("timeout");
+    conn.send(&ControlMessage::Register { agent: 0, incarnation: 0, resume: false })
+        .expect("register");
+    wait_for(&mut conn, |m| matches!(m, ControlMessage::RegisterAck { .. }));
+    for seq in 0..CHUNKS {
+        conn.send(&ControlMessage::LogUpload { agent: 0, seq, chunk: synthetic_chunk(0, 64) })
+            .expect("upload");
+        wait_for(
+            &mut conn,
+            |m| matches!(m, ControlMessage::ChunkAck { next_seq, .. } if *next_seq == seq + 1),
+        );
+    }
+    let busy_metrics = busy.metrics();
+    assert_eq!(busy_metrics.total_chunks_merged(), CHUNKS);
+    assert!(busy_metrics.merge_dwell_micros.count() > 0, "the busy daemon timed its merges");
+
+    // A sample taken after every merge above: two samples on from the
+    // one the endpoint serves now.
+    let addr = idle.obs_addr().expect("idle daemon serves its scrape");
+    let after = scrape(addr)["sample"].as_u64().expect("sample number") + 2;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let snap = loop {
+        let snap = scrape(addr);
+        if snap["sample"].as_u64() >= Some(after) {
+            break snap;
+        }
+        assert!(Instant::now() < deadline, "the idle daemon's scraper stopped sampling: {snap}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(snap["platform"]["chunks_merged"].as_u64(), Some(0), "{snap}");
+    assert_eq!(snap["platform"]["merge_dwell_micros"]["count"].as_u64(), Some(0), "{snap}");
+
+    drop(conn);
+    drop(busy);
+    drop(idle);
 }
 
 // ---------------------------------------------------------------------------
