@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use edonkey_proto::md4::Md4;
+use edonkey_proto::md4::{md4, Md4};
 use edonkey_proto::Ipv4;
 
 /// The salted one-way hash of one peer IP (step 1 output).
@@ -54,10 +54,10 @@ impl IpHasher {
 
     /// Hashes one IP address.
     pub fn hash(&self, ip: Ipv4) -> IpHash {
-        let mut h = Md4::new();
-        h.update(&self.salt);
-        h.update(&ip.octets());
-        IpHash(h.finalize())
+        let mut seed = [0; 20];
+        seed[..16].copy_from_slice(&self.salt);
+        seed[16..].copy_from_slice(&ip.octets());
+        IpHash(md4(&seed))
     }
 }
 
@@ -229,6 +229,12 @@ impl FrozenNameAnonymizer {
         // bytes), so a name with a rare word or two is written without
         // reallocating.
         let mut out = String::with_capacity(name.len() + 16);
+        self.anonymize_into(name, &mut out);
+        out
+    }
+
+    /// [`Self::anonymize`], appending the rewrite to `out`.
+    pub fn anonymize_into(&self, name: &str, out: &mut String) {
         let mut lower = String::new();
         let mut rest = name;
         while !rest.is_empty() {
@@ -238,7 +244,7 @@ impl FrozenNameAnonymizer {
                 match self.words.get(key(word, &mut lower)) {
                     Some(&Word::Token(tok)) => {
                         out.push('<');
-                        push_u32(&mut out, tok);
+                        push_u32(out, tok);
                         out.push('>');
                     }
                     _ => out.push_str(word),
@@ -251,7 +257,6 @@ impl FrozenNameAnonymizer {
                 rest = it.as_str();
             }
         }
-        out
     }
 
     /// Whether a word survives anonymisation (diagnostics/tests).

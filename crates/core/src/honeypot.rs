@@ -12,6 +12,7 @@
 //! nothing per message.  One honeypot implementation therefore runs
 //! identically in simulation and over the network.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use edonkey_proto::tags::{self, special, Tag};
@@ -19,7 +20,7 @@ use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerMessage, Us
 use netsim::{Rng, SimTime};
 
 use crate::anonymize::IpHasher;
-use crate::log::{HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
+use crate::log::{FileIdx, FileTable, HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
 use crate::strategy::{AdvertisedFile, ContentStrategy, FileStrategy};
 use crate::types::{HoneypotId, HoneypotStatus, IdStatus, ServerInfo, StatusReport};
 
@@ -145,6 +146,18 @@ struct PeerSession {
     user_id: UserId,
     name_idx: u32,
     version: u32,
+    /// The file this session's last START-UPLOAD or REQUEST-PARTS named,
+    /// with its log index: a session's part requests name the file its
+    /// last START-UPLOAD did, so they find it without a table lookup.
+    last_file: Option<(FileId, FileIdx)>,
+}
+
+/// An advertised file: its position in the shared list and its index in
+/// the log's file table.
+#[derive(Clone, Copy, Debug)]
+struct Listed {
+    pos: u32,
+    file: FileIdx,
 }
 
 /// The honeypot state machine.
@@ -155,7 +168,7 @@ pub struct Honeypot {
     rng: Rng,
     log: HoneypotLog,
     shared: Vec<AdvertisedFile>,
-    shared_ids: HashMap<FileId, u32>,
+    shared_ids: HashMap<FileId, Listed>,
     sessions: HashMap<ConnId, PeerSession>,
     status: HoneypotStatus,
     server: ServerInfo,
@@ -185,20 +198,42 @@ impl Honeypot {
             config,
         };
         for f in hp.config.files.initial_files().to_vec() {
-            hp.add_shared(f.id, &f.name, f.size);
+            if !hp.shared_full() {
+                let file = hp.log.files.intern(f.id, &f.name, f.size);
+                hp.add_shared(f.id, &f.name, f.size, file);
+            }
         }
         hp
     }
 
-    /// Appends a file to the shared list unless it is listed already or the
-    /// list is full.
-    fn add_shared(&mut self, id: FileId, name: &str, size: u64) {
-        if self.shared_ids.contains_key(&id) || self.shared.len() >= self.config.files.max_files() {
+    fn shared_full(&self) -> bool {
+        self.shared.len() >= self.config.files.max_files()
+    }
+
+    /// Appends a file, interned in the log as `file`, to the shared list
+    /// unless it is listed already or the list is full.
+    fn add_shared(&mut self, id: FileId, name: &str, size: u64, file: FileIdx) {
+        if self.shared_full() {
             return;
         }
-        self.log.files.intern(id, name, size);
-        self.shared_ids.insert(id, self.shared.len() as u32);
-        self.shared.push(AdvertisedFile::new(id, name, size));
+        let pos = self.shared.len() as u32;
+        if let Entry::Vacant(e) = self.shared_ids.entry(id) {
+            e.insert(Listed { pos, file });
+            self.shared.push(AdvertisedFile::new(id, name, size));
+        }
+    }
+
+    /// The log index of `id`: an advertised file's comes from the shared
+    /// list, any other file is interned bare.
+    fn file_index(
+        shared_ids: &HashMap<FileId, Listed>,
+        files: &mut FileTable,
+        id: FileId,
+    ) -> FileIdx {
+        match shared_ids.get(&id) {
+            Some(listed) => listed.file,
+            None => files.intern(id, "", 0),
+        }
     }
 
     /// The currently advertised files.
@@ -337,6 +372,7 @@ impl Honeypot {
                     user_id: *user_id,
                     name_idx,
                     version,
+                    last_file: None,
                 };
                 self.log.push(QueryRecord {
                     at: now,
@@ -356,14 +392,12 @@ impl Honeypot {
                 }
             }
             PeerMessage::StartUpload { file_id } => {
-                let Some(session) = self.sessions.get(&conn) else {
+                let Some(session) = self.sessions.get_mut(&conn) else {
                     // START-UPLOAD without HELLO: protocol violation; drop.
                     return;
                 };
-                // An advertised file was interned with its name when it was
-                // listed; `intern` returns that entry and adds any other file
-                // bare.
-                let file_idx = self.log.files.intern(*file_id, "", 0);
+                let file_idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
+                session.last_file = Some((*file_id, file_idx));
                 self.log.push(QueryRecord {
                     at: now,
                     kind: QueryKind::StartUpload,
@@ -407,7 +441,8 @@ impl Honeypot {
                 let before = self.shared.len();
                 let adopting = self.config.files.adopting(now);
                 // The list goes straight into the shared-arena columns: no
-                // per-record `Vec` on this hot path.
+                // per-record `Vec` on this hot path.  Each file costs one
+                // file-table lookup; adoption reuses its index.
                 self.log.shared_lists.begin(now, ip_hash);
                 for f in files {
                     let name = f.name().unwrap_or("");
@@ -415,7 +450,7 @@ impl Honeypot {
                     let idx = self.log.files.intern(f.file_id, name, size);
                     self.log.shared_lists.append_file(idx);
                     if adopting {
-                        self.add_shared(f.file_id, name, size);
+                        self.add_shared(f.file_id, name, size, idx);
                     }
                 }
                 // Publish only the newly adopted files; OFFER-FILES is
@@ -425,10 +460,10 @@ impl Honeypot {
                 }
             }
             PeerMessage::FileRequest { file_id } => {
-                if let Some(&i) = self.shared_ids.get(file_id) {
+                if let Some(listed) = self.shared_ids.get(file_id) {
                     out.reply(&PeerMessage::FileRequestAnswer {
                         file_id: *file_id,
-                        name: self.shared[i as usize].name.clone(),
+                        name: self.shared[listed.pos as usize].name.clone(),
                     });
                 }
             }
@@ -448,10 +483,17 @@ impl Honeypot {
         if !matches!(self.status, HoneypotStatus::Connected { .. }) {
             return false;
         }
-        let Some(session) = self.sessions.get(&conn) else {
+        let Some(session) = self.sessions.get_mut(&conn) else {
             return false;
         };
-        let file_idx = self.log.files.intern(*file_id, "", 0);
+        let file_idx = match session.last_file {
+            Some((id, idx)) if id == *file_id => idx,
+            _ => {
+                let idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
+                session.last_file = Some((*file_id, idx));
+                idx
+            }
+        };
         self.log.push(QueryRecord {
             at: now,
             kind: QueryKind::RequestPart,
@@ -595,6 +637,37 @@ mod tests {
         assert_eq!(hp.log().count_kind(QueryKind::StartUpload), 1);
         let rec = hp.log().records.last().unwrap();
         assert_eq!(hp.log().files.id(rec.file), file_id);
+    }
+
+    /// START-UPLOAD and REQUEST-PARTS find an advertised file through the
+    /// shared list and the session's last file; whichever path a message
+    /// takes, its record names the file it asked for.
+    #[test]
+    fn queries_log_the_file_they_name() {
+        let mut hp = connected(ContentStrategy::NoContent);
+        let ip = Ipv4::new(81, 1, 1, 1);
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &hello(b"p"), &mut Vec::new());
+        let [movie, song, other] = [&b"movie"[..], b"song", b"other"].map(FileId::from_seed);
+        let steps = [
+            PeerMessage::StartUpload { file_id: movie },
+            PeerMessage::StartUpload { file_id: song },
+            request(song),
+            request(song),
+            request(movie),
+            PeerMessage::StartUpload { file_id: other },
+            request(other),
+            request(movie),
+        ];
+        for (i, msg) in steps.iter().enumerate() {
+            hp.on_peer_message(SimTime::from_secs(i as u64), ConnId(1), ip, msg, &mut Vec::new());
+        }
+        let logged: Vec<FileId> =
+            hp.log().records[1..].iter().map(|r| hp.log().files.id(r.file)).collect();
+        assert_eq!(logged, [movie, song, song, song, movie, other, other, movie]);
+        assert_eq!(hp.log().files.name(hp.log().records[1].file), "movie.avi");
+        let bare = hp.log().records[6].file;
+        assert_eq!((hp.log().files.name(bare), hp.log().files.size(bare)), ("", 0));
+        assert_eq!(hp.log().files.len(), 3, "an advertised file is never interned twice");
     }
 
     #[test]

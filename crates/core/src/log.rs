@@ -429,14 +429,46 @@ impl FileTable {
         self.sizes.iter().sum()
     }
 
-    /// Rewrites every stored name through `f` (used by the manager's
-    /// file-name anonymisation pass).
-    pub fn map_names(&mut self, mut f: impl FnMut(&str) -> String) {
-        for n in &mut self.names {
-            *n = f(n);
+    /// Rewrites every stored name through `f`, which appends a name's
+    /// rewrite to the buffer it is handed (the manager's file-name
+    /// anonymisation pass).
+    ///
+    /// The rewrites run on [`netsim::par::par_map`], each worker writing
+    /// its contiguous share of the names into one buffer.  The calling
+    /// thread then copies each rewrite out at its exact length as it drops
+    /// the old name, so the new names reuse the old names' memory instead
+    /// of growing the workers' heaps.  The names go in rounds of
+    /// 32,768, so the buffers stay small beside the table.  The
+    /// result is the same for any worker count.
+    pub fn map_names(&mut self, f: impl Fn(&str, &mut String) + Sync) {
+        for round in self.names.chunks_mut(REWRITE_ROUND) {
+            let names: &[String] = round;
+            let rewritten = netsim::par::par_map(netsim::par::shares(names.len()), |share| {
+                let names = &names[share];
+                let mut buf = String::with_capacity(names.iter().map(|n| n.len() + 4).sum());
+                let ends: Vec<usize> = names
+                    .iter()
+                    .map(|name| {
+                        f(name, &mut buf);
+                        buf.len()
+                    })
+                    .collect();
+                (buf, ends)
+            });
+            let mut slots = round.iter_mut();
+            for (buf, ends) in rewritten {
+                let mut start = 0;
+                for end in ends {
+                    *slots.next().expect("one rewrite per name") = buf[start..end].to_owned();
+                    start = end;
+                }
+            }
         }
     }
 }
+
+/// Names [`FileTable::map_names`] rewrites per round.
+const REWRITE_ROUND: usize = 1 << 15;
 
 /// The full log of one honeypot.
 #[derive(Clone, Debug)]
@@ -779,6 +811,33 @@ mod tests {
         assert_eq!(chunk2.records[0].name, 0);
         assert!(chunk2.files.is_empty());
         assert_eq!(chunk2.check_indices(), Ok(()));
+    }
+
+    /// Across several rounds and any worker count, every name is rewritten
+    /// in place, in order, at its exact length.
+    #[test]
+    fn map_names_rewrites_each_name_in_place() {
+        let n = 2 * REWRITE_ROUND + 7;
+        let mut table = FileTable::new();
+        for i in 0..n {
+            let name = format!("file.{i}.{}", "x".repeat(i % 5));
+            table.intern(FileId::from_seed(name.as_bytes()), &name, i as u64);
+        }
+        let rewrite = |name: &str, out: &mut String| {
+            out.push('<');
+            out.push_str(&name.to_uppercase());
+            out.push('>');
+        };
+        for workers in [1, 2, 3, 8] {
+            let mut t = table.clone();
+            netsim::par::with_workers(workers, || t.map_names(rewrite));
+            for i in 0..n as FileIdx {
+                let want = format!("<{}>", table.name(i).to_uppercase());
+                assert_eq!(t.name(i), want, "{workers} workers, name {i}");
+                assert_eq!(t.names[i as usize].capacity(), want.len(), "exact length");
+            }
+            assert_eq!((t.ids.clone(), t.sizes.clone()), (table.ids.clone(), table.sizes.clone()));
+        }
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl Manager {
         name_threshold: u32,
     ) -> MeasurementLog {
         let frozen = self.words.freeze(name_threshold);
-        self.files.map_names(|n| frozen.anonymize(n));
+        self.files.map_names(|name, out| frozen.anonymize_into(name, out));
 
         MeasurementLog {
             honeypots: self.honeypots,

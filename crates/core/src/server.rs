@@ -251,7 +251,9 @@ impl IndexServer {
 
     /// Answers a SEARCH-REQUEST: indexed files matching the expression,
     /// capped at `limit` results like real servers.  A file's type is
-    /// classified from its extension.
+    /// classified from its extension.  When more files match, the answer
+    /// holds the `limit` smallest ids, so two servers indexing the same
+    /// offers answer alike.
     pub fn search(
         &mut self,
         now: SimTime,
@@ -259,21 +261,25 @@ impl IndexServer {
         expr: &SearchExpr,
         limit: usize,
     ) -> ClientServerMessage {
-        let mut files = Vec::new();
-        for (fid, f) in &self.files {
-            let file_type = match f.name.rsplit('.').next() {
-                Some("avi") | Some("mpg") | Some("mkv") => "Video",
-                Some("mp3") | Some("ogg") => "Audio",
-                Some("iso") | Some("zip") | Some("rar") => "Archive",
-                _ => "Document",
-            };
-            if expr.matches(&f.name, f.size, file_type) {
-                files.push(PublishedFile::new(*fid, &f.name, f.size));
-                if files.len() >= limit {
-                    break;
-                }
-            }
-        }
+        let mut matches: Vec<(&FileId, &IndexedFile)> = self
+            .files
+            .iter()
+            .filter(|(_, f)| {
+                let file_type = match f.name.rsplit('.').next() {
+                    Some("avi") | Some("mpg") | Some("mkv") => "Video",
+                    Some("mp3") | Some("ogg") => "Audio",
+                    Some("iso") | Some("zip") | Some("rar") => "Archive",
+                    _ => "Document",
+                };
+                expr.matches(&f.name, f.size, file_type)
+            })
+            .collect();
+        matches.sort_unstable_by_key(|(fid, _)| **fid);
+        let files: Vec<PublishedFile> = matches
+            .into_iter()
+            .take(limit)
+            .map(|(fid, f)| PublishedFile::new(*fid, &f.name, f.size))
+            .collect();
         let addr = self.clients.get(&session).map(|r| r.addr);
         self.capture_emit(
             now,
@@ -599,6 +605,36 @@ mod tests {
             panic!()
         };
         assert_eq!(files.len(), 10);
+    }
+
+    /// Servers holding the same offers answer a capped SEARCH with the same
+    /// files: the smallest ids, in ascending order, whatever order each
+    /// server's index happens to iterate in.
+    #[test]
+    fn capped_search_answers_alike_on_every_server() {
+        let ids: Vec<FileId> =
+            (0..20).map(|i| FileId::from_seed(format!("film-{i}").as_bytes())).collect();
+        let files: Vec<AdvertisedFile> =
+            ids.iter().map(|id| AdvertisedFile::new(*id, "film.avi", 1)).collect();
+        let answer = |order: &[AdvertisedFile]| {
+            let mut s = IndexServer::new();
+            s.login(T0, 1, addr(1), true);
+            s.offer_files(T0, 1, order);
+            let ClientServerMessage::SearchResult { files } =
+                s.search(T0, 1, &SearchExpr::keyword("film"), 3)
+            else {
+                panic!()
+            };
+            files.iter().map(|f| f.file_id).collect::<Vec<_>>()
+        };
+        let mut smallest = ids.clone();
+        smallest.sort_unstable();
+        smallest.truncate(3);
+        let reversed: Vec<AdvertisedFile> = files.iter().rev().cloned().collect();
+        for server in 0..10 {
+            let order = if server % 2 == 0 { &files } else { &reversed };
+            assert_eq!(answer(order), smallest, "server {server}");
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The workspace's one data-parallel primitive: an order-preserving map
 //! on scoped OS threads.
 //!
-//! Callers (the chunked index build, Monte-Carlo subset sampling) hand
-//! over independent work items and rely on nothing
-//! but the output order, so their results are the same on any number of
-//! workers — which the equivalence tests pin through [`with_workers`].
+//! Callers hand over independent work items and rely on nothing but the
+//! output order, so their results are the same on any number of workers —
+//! which the equivalence tests pin through [`with_workers`].  They are the
+//! Monte-Carlo subset sampling of `analysis::subset`, the catalog's naming
+//! pass (`sim::catalog::CatalogDraws::name`) and the manager's final
+//! file-name rewrite (`honeypot::FileTable::map_names`); the last two map
+//! over [`shares`].
 
 use std::cell::Cell;
 
@@ -31,6 +34,13 @@ pub fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(PINNED.replace(Some(n.max(1))));
     f()
+}
+
+/// `0..n` cut into contiguous, balanced ranges, one per worker (one range
+/// when `n` is 0): the items of a [`par_map`] over a slice.
+pub fn shares(n: usize) -> Vec<std::ops::Range<usize>> {
+    let workers = workers().clamp(1, n.max(1));
+    (0..workers).map(|w| w * n / workers..(w + 1) * n / workers).collect()
 }
 
 /// Applies `f` to every item, in parallel over contiguous chunks (one per
@@ -89,6 +99,18 @@ mod tests {
         });
         assert_eq!(threads.lock().unwrap().len(), 4);
         assert_eq!(workers(), outside);
+    }
+
+    #[test]
+    fn shares_cover_the_range_once_in_order() {
+        for n in [0, 1, 2, 7, 100] {
+            for workers in [1, 2, 3, 8] {
+                let shares = with_workers(workers, || shares(n));
+                assert_eq!(shares.len(), workers.min(n).max(1), "{n} items, {workers} workers");
+                let flat: Vec<usize> = shares.into_iter().flatten().collect();
+                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "{n} items, {workers} workers");
+            }
+        }
     }
 
     #[test]

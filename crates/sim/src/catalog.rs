@@ -167,9 +167,19 @@ impl Cumulative {
     /// search; the two boundary reads prove the answer, and a bucket that
     /// float rounding got wrong falls back to the full search.
     fn find(&self, x: f64) -> usize {
+        let (lo, hi) = self.bucket(x);
+        self.resolve(x, lo, hi)
+    }
+
+    /// The guide's bounds `lo..hi` on [`Cumulative::find`]'s answer for `x`.
+    fn bucket(&self, x: f64) -> (usize, usize) {
+        let b = ((x * self.scale) as usize).min(self.sums.len() - 1);
+        (self.guide[b] as usize, self.guide[b + 1] as usize)
+    }
+
+    /// [`Cumulative::find`] for `x` within the guide's bounds `lo..hi`.
+    fn resolve(&self, x: f64, lo: usize, hi: usize) -> usize {
         let n = self.sums.len();
-        let b = ((x * self.scale) as usize).min(n - 1);
-        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
         let a = lo + self.sums[lo..hi].partition_point(|&c| c <= x);
         if (a == 0 || self.sums[a - 1] <= x) && (a == n || self.sums[a] > x) {
             a
@@ -187,16 +197,39 @@ impl Cumulative {
     /// Fills `out` with `k` distinct indices weighted by the weights
     /// (rejection over [`Cumulative::sample`], falling back to sequential
     /// fill for large `k`).
+    ///
+    /// The draws are made in batches of up to [`DRAW_BATCH`] and resolved
+    /// side by side: every draw's guide bucket first, then every search,
+    /// so the cache misses of different draws overlap instead of queueing
+    /// behind each other.  Each batch then dedupes in draw order.  A batch
+    /// never draws past the one-at-a-time loop: that loop runs until `k`
+    /// distinct indices are found, and each draw adds at most one, so with
+    /// `out.len()` found it still makes at least `k - out.len()` draws.
+    /// The generator is therefore consumed exactly as one draw at a time
+    /// would consume it, and `out` is the same.
     fn sample_distinct(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
         let n = self.sums.len();
         let k = k.min(n);
         out.clear();
+        let (total, max_tries) = (self.total(), k * 40);
         let mut tries = 0usize;
-        while out.len() < k && tries < k * 40 {
-            tries += 1;
-            let idx = self.sample(rng);
-            if !out.contains(&idx) {
-                out.push(idx);
+        let mut draws = [(0.0, 0, 0); DRAW_BATCH];
+        loop {
+            let batch = (k - out.len()).min(max_tries - tries).min(DRAW_BATCH);
+            if batch == 0 {
+                break;
+            }
+            tries += batch;
+            for d in &mut draws[..batch] {
+                let x = rng.f64() * total;
+                let (lo, hi) = self.bucket(x);
+                *d = (x, lo, hi);
+            }
+            for &(x, lo, hi) in &draws[..batch] {
+                let idx = self.resolve(x, lo, hi).min(n - 1) as u32;
+                if !out.contains(&idx) {
+                    out.push(idx);
+                }
             }
         }
         // Pathological case (tiny catalog, huge k): fill with unused
@@ -212,7 +245,38 @@ impl Cumulative {
             }
         }
     }
+
+    /// The one-at-a-time [`Cumulative::sample_distinct`]: the oracle the
+    /// batched draws are pinned to.
+    #[cfg(test)]
+    fn sample_distinct_one_at_a_time(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
+        let n = self.sums.len();
+        let k = k.min(n);
+        out.clear();
+        let mut tries = 0usize;
+        while out.len() < k && tries < k * 40 {
+            tries += 1;
+            let idx = self.sample(rng);
+            if !out.contains(&idx) {
+                out.push(idx);
+            }
+        }
+        if out.len() < k {
+            for idx in 0..n as u32 {
+                if out.len() == k {
+                    break;
+                }
+                if !out.contains(&idx) {
+                    out.push(idx);
+                }
+            }
+        }
+    }
 }
+
+/// Most draws [`Cumulative::sample_distinct`] resolves side by side; the
+/// batch lives on the stack.
+const DRAW_BATCH: usize = 32;
 
 const ADJECTIVES: &[&str] = &[
     "final",
@@ -312,18 +376,27 @@ impl CatalogDraws {
 
     /// The naming pass: renders each rank's name and hashes its id.  Draws
     /// nothing.
+    ///
+    /// It runs on [`netsim::par::par_map`] workers, each naming a
+    /// contiguous share of the ranks, so the result is the same for any
+    /// worker count.
     pub fn name(self) -> Catalog {
-        let mut seed = Vec::new();
-        let files = self
-            .files
-            .iter()
-            .enumerate()
-            .map(|(rank, d)| {
-                let name = Catalog::render_name(d.words, d.class, rank);
-                let id = FileId::from_seed(Catalog::id_seed(&mut seed, rank, &name));
-                CatalogFile { id, name, size: d.size, class: d.class, popularity: d.popularity }
-            })
-            .collect();
+        let draws = &self.files;
+        let named = netsim::par::par_map(netsim::par::shares(draws.len()), |share| {
+            let mut seed = Vec::new();
+            share
+                .map(|rank| {
+                    let d = &draws[rank];
+                    let name = Catalog::render_name(d.words, d.class, rank);
+                    let id = FileId::from_seed(Catalog::id_seed(&mut seed, rank, &name));
+                    CatalogFile { id, name, size: d.size, class: d.class, popularity: d.popularity }
+                })
+                .collect::<Vec<CatalogFile>>()
+        });
+        let mut files = Vec::with_capacity(draws.len());
+        for share in named {
+            files.extend(share);
+        }
         Catalog { files, cumulative: self.cumulative }
     }
 
@@ -701,6 +774,52 @@ mod tests {
         for i in 0..1_000_000 {
             let x = rng.f64() * total;
             assert_eq!(c.cumulative.find(x), oracle(&c.cumulative.sums, x), "draw {i}: x = {x:e}");
+        }
+    }
+
+    /// The batched draws return what one draw at a time returns and leave
+    /// the generator where it leaves it, for every `k` up to past two
+    /// batches, on catalogs small enough to need the sequential fill and
+    /// on the greedy scenario's size.
+    #[test]
+    fn batched_distinct_draws_match_one_at_a_time() {
+        for n_files in [1, 5, 1_000, 400_000] {
+            let config = CatalogConfig {
+                n_files,
+                hit_count: 3,
+                hit_multiplier: 12.0,
+                dead_fraction: 0.35,
+                dead_multiplier: 0.005,
+                ..Default::default()
+            };
+            let draws = CatalogDraws::generate(&config, &mut Rng::seed_from(n_files as u64));
+            let c = &draws.cumulative;
+            let (mut batched, mut single) = (Vec::new(), Vec::new());
+            for k in 0..=70 {
+                let seed = 1_000 * n_files as u64 + k as u64;
+                let (mut a, mut b) = (Rng::seed_from(seed), Rng::seed_from(seed));
+                c.sample_distinct(&mut a, k, &mut batched);
+                c.sample_distinct_one_at_a_time(&mut b, k, &mut single);
+                assert_eq!(batched, single, "{n_files} files, k = {k}");
+                assert_eq!(batched.len(), k.min(n_files), "{n_files} files, k = {k}");
+                assert_eq!(a.next_u64(), b.next_u64(), "{n_files} files, k = {k}: generator state");
+            }
+        }
+    }
+
+    /// The catalog is the same whatever number of workers names it.
+    #[test]
+    fn naming_is_independent_of_the_worker_count() {
+        let config = CatalogConfig { n_files: 5_003, ..Default::default() };
+        let files = |workers| {
+            netsim::par::with_workers(workers, || {
+                let c = Catalog::generate(&config, &mut Rng::seed_from(11));
+                format!("{:?}", (0..c.len() as u32).map(|i| c.file(i)).collect::<Vec<_>>())
+            })
+        };
+        let one = files(1);
+        for workers in [2, 8] {
+            assert!(files(workers) == one, "{workers} workers name the catalog differently");
         }
     }
 

@@ -28,7 +28,8 @@ use netsim::dist::{exponential, poisson};
 use netsim::engine::{Scheduler, World};
 use netsim::time::MS_PER_DAY;
 use netsim::{CalendarQueue, Engine, EventQueue, PendingQueue, Rng, SimTime, TimingWheel};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
@@ -108,6 +109,10 @@ pub struct EdonkeyWorld {
     scratch_wanted: Vec<u32>,
     /// The tag list of the last HELLO sent, rewritten in place for the next.
     scratch_hello_tags: Vec<Tag>,
+    /// The entries of the last shared-list answer sent, rewritten in place
+    /// for the next, and the spare entries of longer answers before it.
+    scratch_listing: Vec<PublishedFile>,
+    spare_listing: Vec<PublishedFile>,
     /// Community-blacklist exposure per honeypot (detections so far).
     exposure: Vec<u32>,
     /// Per-honeypot sessions that reached part requests / that delivered
@@ -149,7 +154,6 @@ impl EdonkeyWorld {
         let mut root = Rng::seed_from(config.seed);
         let mut rng_catalog = root.substream("catalog");
         let catalog = Catalog::generate(&config.catalog, &mut rng_catalog);
-        let adverts = Adverts::new(&catalog);
 
         let server_info =
             ServerInfo::new("Big Server One", edonkey_proto::Ipv4::new(195, 200, 1, 1), 4661);
@@ -216,10 +220,12 @@ impl EdonkeyWorld {
             scratch_order: Vec::new(),
             scratch_wanted: Vec::new(),
             scratch_hello_tags: Vec::new(),
+            scratch_listing: Vec::new(),
+            spare_listing: Vec::new(),
             exposure: vec![0; config.honeypots.len()],
             hp_request_sessions: vec![0; config.honeypots.len()],
             hp_delivered_sessions: vec![0; config.honeypots.len()],
-            adverts,
+            adverts: Adverts::default(),
             rng_arrival: root.substream("arrival"),
             rng_behavior: root.substream("behavior"),
             next_conn: 0,
@@ -290,7 +296,7 @@ impl EdonkeyWorld {
     }
 
     fn launch_one(&mut self, now: SimTime, idx: usize) {
-        let (hp, mut out) = self.honeypot_and_sink(now, idx);
+        let (hp, mut out) = self.honeypot_and_sink(now, idx, None);
         hp.connect(now, &mut out);
         // The server answers the login immediately.
         let addr = PeerAddr::new(Ipv4::new(138, 96, 1, (idx + 1) as u8), 4662);
@@ -299,14 +305,28 @@ impl EdonkeyWorld {
     }
 
     /// Honeypot `idx` and the sink its actions at `now` go to, borrowed side
-    /// by side.
-    fn honeypot_and_sink(&mut self, now: SimTime, idx: usize) -> (&mut Honeypot, WorldSink<'_>) {
+    /// by side.  `lister` is the peer whose shared list the call delivers,
+    /// if any: a honeypot offers a file for the first time only when it
+    /// adopts it from such a list, or at launch from its configured files.
+    fn honeypot_and_sink(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        lister: Option<u32>,
+    ) -> (&mut Honeypot, WorldSink<'_>) {
+        let setup = &self.config.honeypots[idx];
+        let candidates = match lister {
+            Some(peer) => self.peers.shared_files(peer),
+            None => setup.fixed_files.as_deref().unwrap_or(&setup.greedy_seeds),
+        };
         let out = WorldSink {
             now,
             session: idx as u64,
             server: &mut self.server,
             book: &mut self.book,
             adverts: &mut self.adverts,
+            catalog: &self.catalog,
+            candidates,
             seen: Replies::default(),
         };
         (&mut self.honeypots[idx], out)
@@ -322,9 +342,47 @@ impl EdonkeyWorld {
         src_ip: Ipv4,
         msg: &PeerMessage,
     ) -> Replies {
-        let (hp, mut out) = self.honeypot_and_sink(now, hp_idx);
+        let (hp, mut out) = self.honeypot_and_sink(now, hp_idx, None);
         hp.on_peer_message(now, ConnId(conn), src_ip, msg, &mut out);
         out.seen
+    }
+
+    /// Delivers peer `peer_idx`'s shared list, answering on connection
+    /// `conn`, to honeypot `hp_idx`.  The answer reuses the previous one's
+    /// entries, rewritten in place, so it allocates nothing per file.
+    fn deliver_listing(&mut self, now: SimTime, hp_idx: usize, conn: u64, peer_idx: u32) {
+        let mut files = std::mem::take(&mut self.scratch_listing);
+        let list = self.peers.shared_files(peer_idx);
+        if files.len() > list.len() {
+            self.spare_listing.extend(files.drain(list.len()..));
+        }
+        while files.len() < list.len() {
+            let entry = self
+                .spare_listing
+                .pop()
+                .unwrap_or_else(|| PublishedFile::new(FileId([0; 16]), "", 0));
+            files.push(entry);
+        }
+        for (entry, &ci) in files.iter_mut().zip(list) {
+            let f = self.catalog.file(ci);
+            entry.file_id = f.id;
+            match entry.tags.as_mut_slice() {
+                [Tag { value: TagValue::String(name), .. }, Tag { value: TagValue::U32(size), .. }] =>
+                {
+                    name.clear();
+                    name.push_str(&f.name);
+                    *size = f.size.min(u64::from(u32::MAX)) as u32;
+                }
+                _ => *entry = PublishedFile::new(f.id, &f.name, f.size),
+            }
+        }
+        let src_ip = self.peers.identity(peer_idx).ip;
+        let answer = PeerMessage::AskSharedFilesAnswer { files };
+        let (hp, mut out) = self.honeypot_and_sink(now, hp_idx, Some(peer_idx));
+        hp.on_peer_message(now, ConnId(conn), src_ip, &answer, &mut out);
+        if let PeerMessage::AskSharedFilesAnswer { files } = answer {
+            self.scratch_listing = files;
+        }
     }
 
     /// Delivers the HELLO `identity` opens connection `conn` with.  Its tag
@@ -721,17 +779,7 @@ impl EdonkeyWorld {
                     && !self.peers.shared_sent_to(peer_idx, session.hp)
                 {
                     self.peers.mark_shared_sent(peer_idx, session.hp);
-                    let files: Vec<PublishedFile> = self
-                        .peers
-                        .shared_files(peer_idx)
-                        .iter()
-                        .map(|&ci| {
-                            let f = self.catalog.file(ci);
-                            PublishedFile::new(f.id, &f.name, f.size)
-                        })
-                        .collect();
-                    let answer = PeerMessage::AskSharedFilesAnswer { files };
-                    self.deliver(now, hp_idx, session.conn, identity.ip, &answer);
+                    self.deliver_listing(now, hp_idx, session.conn, peer_idx);
                 }
                 if session.hello_only {
                     self.finish_session(now, peer_idx, SessionOutcome::HelloOnly, sched);
@@ -1079,7 +1127,7 @@ impl World for EdonkeyWorld {
             }
             Event::Keepalive => {
                 for i in 0..self.honeypots.len() {
-                    let (hp, mut out) = self.honeypot_and_sink(now, i);
+                    let (hp, mut out) = self.honeypot_and_sink(now, i, None);
                     hp.keepalive(now, &mut out);
                 }
                 sched.in_ms(self.config.keepalive_ms, Event::Keepalive);
@@ -1098,7 +1146,7 @@ impl World for EdonkeyWorld {
             }
             Event::Crash { hp } => {
                 let idx = hp as usize;
-                let (honeypot, mut out) = self.honeypot_and_sink(now, idx);
+                let (honeypot, mut out) = self.honeypot_and_sink(now, idx, None);
                 honeypot.kill(now, &mut out);
                 out.server.disconnect(now, idx as u64);
                 self.stats.crashes += 1;
@@ -1114,36 +1162,34 @@ impl World for EdonkeyWorld {
 
 /// The files the honeypots have advertised, as catalog indices, and the
 /// popularity-weighted draw arrivals make over them.
+#[derive(Default)]
 struct Adverts {
-    /// FileId → catalog index for the whole catalog.
-    id_index: HashMap<FileId, u32>,
-    /// Advertised catalog indices (deduplicated, insertion-ordered).
+    /// FileId → catalog index of every advertised file.
+    index: HashMap<FileId, u32>,
+    /// Advertised catalog indices (deduplicated, in first-offer order).
     list: Vec<u32>,
-    set: HashSet<u32>,
     /// Cumulative popularity over `list` (rebuilt when dirty).
     cum: Vec<f64>,
     dirty: bool,
 }
 
 impl Adverts {
-    fn new(catalog: &Catalog) -> Self {
-        Adverts {
-            id_index: (0..catalog.len() as u32).map(|i| (catalog.file(i).id, i)).collect(),
-            list: Vec::new(),
-            set: HashSet::new(),
-            cum: Vec::new(),
-            dirty: true,
-        }
-    }
-
-    /// Records offered files; files outside the catalog are not drawn.
-    fn add(&mut self, files: &[AdvertisedFile]) {
+    /// Records offered files.  A file not advertised before takes its
+    /// catalog index from `candidates`, the catalog files of the delivery
+    /// that made the honeypot offer it, in whose order the honeypot lists
+    /// new files; files outside the catalog are not drawn.
+    fn add(&mut self, files: &[AdvertisedFile], candidates: &[u32], catalog: &Catalog) {
+        let mut rest = candidates;
         for f in files {
-            if let Some(&ci) = self.id_index.get(&f.id) {
-                if self.set.insert(ci) {
-                    self.list.push(ci);
-                    self.dirty = true;
-                }
+            let Entry::Vacant(e) = self.index.entry(f.id) else { continue };
+            let found = rest.iter().position(|&ci| catalog.file(ci).id == f.id);
+            debug_assert!(found.is_some(), "a newly offered file is one its delivery listed");
+            if let Some(at) = found {
+                let ci = rest[at];
+                rest = &rest[at + 1..];
+                e.insert(ci);
+                self.list.push(ci);
+                self.dirty = true;
             }
         }
     }
@@ -1197,6 +1243,10 @@ struct WorldSink<'a> {
     server: &'a mut IndexServer,
     book: &'a mut SupervisionBook,
     adverts: &'a mut Adverts,
+    catalog: &'a Catalog,
+    /// The catalog files the delivery can make the honeypot offer for the
+    /// first time (see [`EdonkeyWorld::honeypot_and_sink`]).
+    candidates: &'a [u32],
     seen: Replies,
 }
 
@@ -1220,7 +1270,7 @@ impl ActionSink for WorldSink<'_> {
         // Files the server skips as already offered by this session went
         // through here when they were first offered.
         let skipped = self.server.offer_files(self.now, self.session, files);
-        self.adverts.add(&files[skipped..]);
+        self.adverts.add(&files[skipped..], self.candidates, self.catalog);
     }
 
     fn report(&mut self, report: StatusReport) {
@@ -1379,6 +1429,7 @@ pub fn run_scenario_with_capture(
 mod tests {
     use super::*;
     use honeypot::QueryKind;
+    use std::collections::HashSet;
 
     #[test]
     fn geometric_mean_approximately_right() {
@@ -1490,6 +1541,45 @@ mod tests {
                 hp.live_sessions()
             );
         }
+    }
+
+    /// A greedy honeypot adopts files, dies, relaunches and keeps alive:
+    /// the advertised set holds each file it ever offered once, in
+    /// first-offer order, and adoption goes on after the relaunch.
+    #[test]
+    fn advertised_set_survives_a_relaunch() {
+        let mut config = ScenarioConfig::tiny(3).scaled(0.3);
+        config.honeypots =
+            vec![crate::config::HoneypotSetup::greedy(vec![0, 1, 2], SimTime::from_days(1), 150)];
+        let mut engine = Engine::with_queue(CalendarQueue::for_simulation());
+        let mut world = EdonkeyWorld::new(config, &mut engine);
+        let advertised = |world: &EdonkeyWorld| -> Vec<FileId> {
+            world.adverts.list.iter().map(|&ci| world.catalog.file(ci).id).collect()
+        };
+        let listed = |world: &EdonkeyWorld| -> Vec<FileId> {
+            world.honeypots[0].shared_files().iter().map(|f| f.id).collect()
+        };
+        let now = SimTime::from_hours(8);
+        engine.run_until(&mut world, now);
+        let before = advertised(&world);
+        assert!(before.len() > 3, "the honeypot must adopt files");
+        assert_eq!(before, listed(&world));
+
+        let (hp, mut out) = world.honeypot_and_sink(now, 0, None);
+        hp.kill(now, &mut out);
+        out.server.disconnect(now, 0);
+        world.launch_all(now);
+        assert!(matches!(world.honeypots[0].status(), honeypot::HoneypotStatus::Connected { .. }));
+        let (hp, mut out) = world.honeypot_and_sink(now, 0, None);
+        hp.keepalive(now, &mut out);
+        assert_eq!(advertised(&world), before, "re-offering the list adds nothing");
+
+        engine.run_until(&mut world, SimTime::from_hours(20));
+        let after = advertised(&world);
+        assert!(after.len() > before.len(), "adoption goes on after the relaunch");
+        assert_eq!(after, listed(&world));
+        let distinct: HashSet<&FileId> = after.iter().collect();
+        assert_eq!(distinct.len(), after.len(), "each file once");
     }
 
     #[test]
