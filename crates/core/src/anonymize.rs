@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use edonkey_proto::md4::{md4, Md4};
+use edonkey_proto::md4::Md4;
 use edonkey_proto::Ipv4;
 
 /// The salted one-way hash of one peer IP (step 1 output).
@@ -54,10 +54,10 @@ impl IpHasher {
 
     /// Hashes one IP address.
     pub fn hash(&self, ip: Ipv4) -> IpHash {
-        let mut seed = [0; 20];
-        seed[..16].copy_from_slice(&self.salt);
-        seed[16..].copy_from_slice(&ip.octets());
-        IpHash(md4(&seed))
+        let mut h = Md4::new();
+        h.update(&self.salt);
+        h.update(&ip.octets());
+        IpHash(h.finalize())
     }
 }
 

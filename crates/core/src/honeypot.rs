@@ -146,10 +146,6 @@ struct PeerSession {
     user_id: UserId,
     name_idx: u32,
     version: u32,
-    /// The file this session's last START-UPLOAD or REQUEST-PARTS named,
-    /// with its log index: a session's part requests name the file its
-    /// last START-UPLOAD did, so they find it without a table lookup.
-    last_file: Option<(FileId, FileIdx)>,
 }
 
 /// An advertised file: its position in the shared list and its index in
@@ -372,7 +368,6 @@ impl Honeypot {
                     user_id: *user_id,
                     name_idx,
                     version,
-                    last_file: None,
                 };
                 self.log.push(QueryRecord {
                     at: now,
@@ -392,12 +387,11 @@ impl Honeypot {
                 }
             }
             PeerMessage::StartUpload { file_id } => {
-                let Some(session) = self.sessions.get_mut(&conn) else {
+                let Some(session) = self.sessions.get(&conn) else {
                     // START-UPLOAD without HELLO: protocol violation; drop.
                     return;
                 };
                 let file_idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
-                session.last_file = Some((*file_id, file_idx));
                 self.log.push(QueryRecord {
                     at: now,
                     kind: QueryKind::StartUpload,
@@ -483,17 +477,10 @@ impl Honeypot {
         if !matches!(self.status, HoneypotStatus::Connected { .. }) {
             return false;
         }
-        let Some(session) = self.sessions.get_mut(&conn) else {
+        let Some(session) = self.sessions.get(&conn) else {
             return false;
         };
-        let file_idx = match session.last_file {
-            Some((id, idx)) if id == *file_id => idx,
-            _ => {
-                let idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
-                session.last_file = Some((*file_id, idx));
-                idx
-            }
-        };
+        let file_idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
         self.log.push(QueryRecord {
             at: now,
             kind: QueryKind::RequestPart,
@@ -640,8 +627,8 @@ mod tests {
     }
 
     /// START-UPLOAD and REQUEST-PARTS find an advertised file through the
-    /// shared list and the session's last file; whichever path a message
-    /// takes, its record names the file it asked for.
+    /// shared list and intern any other file bare; either way a record
+    /// names the file its message asked for.
     #[test]
     fn queries_log_the_file_they_name() {
         let mut hp = connected(ContentStrategy::NoContent);

@@ -194,26 +194,9 @@ impl Md4 {
 
 /// One-shot MD4 of `data`.
 pub fn md4(data: &[u8]) -> [u8; DIGEST_LEN] {
-    if data.len() < 56 {
-        return md4_one_block(data);
-    }
     let mut hasher = Md4::new();
     hasher.update(data);
     hasher.finalize()
-}
-
-/// [`md4`] of fewer than 56 bytes, which pad into a single block: the
-/// block is written once, with no streaming buffer.  Ids and IP digests
-/// hash such short seeds.
-fn md4_one_block(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let n = data.len();
-    let mut block = [0u8; BLOCK_LEN];
-    block[..n].copy_from_slice(data);
-    block[n] = 0x80;
-    block[56..].copy_from_slice(&(n as u64 * 8).to_le_bytes());
-    let mut hasher = Md4::new();
-    hasher.compress(&block);
-    hasher.digest()
 }
 
 /// Renders a digest as lowercase hex, the conventional display for eDonkey
@@ -258,21 +241,6 @@ mod tests {
         ];
         for (input, want) in cases {
             assert_eq!(md4(input), hex(want), "md4({:?})", String::from_utf8_lossy(input));
-        }
-    }
-
-    /// The one-block path agrees with the streaming hasher on every length
-    /// it takes, and `md4` hands it over exactly at the two-block boundary.
-    #[test]
-    fn one_block_path_matches_the_streaming_hasher() {
-        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 % 251) as u8).collect();
-        for n in 0..=data.len() {
-            let mut hasher = Md4::new();
-            hasher.update(&data[..n]);
-            assert_eq!(md4(&data[..n]), hasher.finalize(), "{n} bytes");
-            if n < 56 {
-                assert_eq!(md4_one_block(&data[..n]), md4(&data[..n]), "{n} bytes");
-            }
         }
     }
 

@@ -11,7 +11,7 @@ use crate::error::ProtoError;
 use crate::ids::{ClientId, FileId, Ipv4, PeerAddr, UserId};
 use crate::opcodes::{client_server as cs, peer, server_client as sc};
 use crate::search::SearchExpr;
-use crate::tags::Tag;
+use crate::tags::{special, Tag, TagName, TagValue};
 use crate::wire::{Reader, Writer};
 
 /// One file entry of an OFFER-FILES (or shared-files answer) list.
@@ -35,20 +35,39 @@ impl PublishedFile {
             client_id: ClientId(0),
             port: 0,
             tags: vec![
-                Tag::string(crate::tags::special::NAME, name),
-                Tag::u32(crate::tags::special::SIZE, size.min(u32::MAX as u64) as u32),
+                Tag::string(special::NAME, name),
+                Tag::u32(special::SIZE, size.min(u32::MAX as u64) as u32),
             ],
+        }
+    }
+
+    /// Rewrites this entry into `PublishedFile::new(file_id, name, size)`.
+    /// An entry `new` built keeps its name buffer, so a list can be
+    /// refilled without allocating per file.
+    pub fn set(&mut self, file_id: FileId, name: &str, size: u64) {
+        use TagName::Special;
+        match self.tags.as_mut_slice() {
+            [Tag { name: Special(special::NAME), value: TagValue::String(n) }, Tag { name: Special(special::SIZE), value: TagValue::U32(s) }] =>
+            {
+                n.clear();
+                n.push_str(name);
+                *s = size.min(u32::MAX as u64) as u32;
+                self.file_id = file_id;
+                self.client_id = ClientId(0);
+                self.port = 0;
+            }
+            _ => *self = Self::new(file_id, name, size),
         }
     }
 
     /// The advertised name, if present.
     pub fn name(&self) -> Option<&str> {
-        crate::tags::get_string(&self.tags, crate::tags::special::NAME)
+        crate::tags::get_string(&self.tags, special::NAME)
     }
 
     /// The advertised size in bytes, if present.
     pub fn size(&self) -> Option<u64> {
-        crate::tags::get_u32(&self.tags, crate::tags::special::SIZE).map(u64::from)
+        crate::tags::get_u32(&self.tags, special::SIZE).map(u64::from)
     }
 
     fn encode(&self, w: &mut Writer) {
@@ -484,7 +503,23 @@ impl PeerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tags::special;
+
+    /// `set` leaves exactly what `new` builds, whatever the entry held.
+    #[test]
+    fn set_rewrites_an_entry_into_new() {
+        let id = FileId::from_seed(b"f");
+        let mut reused = PublishedFile::new(FileId::from_seed(b"old"), "a much longer old name", 7);
+        reused.set(id, "x.avi", 5_000_000_000);
+        assert_eq!(reused, PublishedFile::new(id, "x.avi", 5_000_000_000));
+        let mut other = PublishedFile {
+            file_id: FileId::from_seed(b"old"),
+            client_id: ClientId(9),
+            port: 4662,
+            tags: vec![Tag::u32(special::SIZE, 1)],
+        };
+        other.set(id, "y.mp3", 3);
+        assert_eq!(other, PublishedFile::new(id, "y.mp3", 3));
+    }
 
     fn rt_peer(msg: &PeerMessage) -> PeerMessage {
         let mut w = Writer::new();

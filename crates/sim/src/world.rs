@@ -365,16 +365,7 @@ impl EdonkeyWorld {
         }
         for (entry, &ci) in files.iter_mut().zip(list) {
             let f = self.catalog.file(ci);
-            entry.file_id = f.id;
-            match entry.tags.as_mut_slice() {
-                [Tag { value: TagValue::String(name), .. }, Tag { value: TagValue::U32(size), .. }] =>
-                {
-                    name.clear();
-                    name.push_str(&f.name);
-                    *size = f.size.min(u64::from(u32::MAX)) as u32;
-                }
-                _ => *entry = PublishedFile::new(f.id, &f.name, f.size),
-            }
+            entry.set(f.id, &f.name, f.size);
         }
         let src_ip = self.peers.identity(peer_idx).ip;
         let answer = PeerMessage::AskSharedFilesAnswer { files };
