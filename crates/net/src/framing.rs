@@ -64,6 +64,14 @@ impl From<ProtoError> for NetError {
     }
 }
 
+/// Would a retry of the same read/write make progress later?  True for the
+/// two kinds a non-blocking (or read-timeout) socket reports when there is
+/// simply nothing to do yet.  The scripted peer and the control plane both
+/// classify socket errors with this one copy.
+pub fn would_block(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
 impl FramedStream {
     /// Frames a TCP connection and turns Nagle off on it: an eDonkey
     /// exchange is small request, small reply, and a held-back segment
@@ -216,7 +224,16 @@ mod tests {
     use super::testing::Script;
     use super::*;
     use edonkey_proto::codec::encode_peer_message;
+    use std::io;
     use std::net::TcpListener;
+
+    #[test]
+    fn would_block_matches_only_retry_kinds() {
+        assert!(would_block(&io::Error::from(io::ErrorKind::WouldBlock)));
+        assert!(would_block(&io::Error::from(io::ErrorKind::TimedOut)));
+        assert!(!would_block(&io::Error::from(io::ErrorKind::ConnectionReset)));
+        assert!(!would_block(&io::Error::other("boom")));
+    }
 
     #[test]
     fn queued_replies_leave_in_one_write() {

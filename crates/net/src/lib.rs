@@ -22,7 +22,7 @@ pub mod host;
 pub mod peer;
 pub mod server;
 
-pub use framing::{FramedStream, NetError};
+pub use framing::{would_block, FramedStream, NetError};
 pub use host::HoneypotHost;
 pub use peer::{DownloadAttempt, ScriptedPeer};
 pub use server::NetServer;

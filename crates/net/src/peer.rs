@@ -16,7 +16,7 @@ use edonkey_proto::{
     SearchExpr, UserId,
 };
 
-use crate::framing::{FramedStream, NetError};
+use crate::framing::{would_block, FramedStream, NetError};
 
 /// A scripted peer.
 pub struct ScriptedPeer {
@@ -141,7 +141,7 @@ impl ScriptedPeer {
                     self.answer_shared(&mut conn, shared_files)?;
                 }
                 Ok(_) => continue,
-                Err(NetError::Io(e)) if is_timeout(&e) => return Ok(out),
+                Err(NetError::Io(e)) if would_block(&e) => return Ok(out),
                 Err(NetError::Closed) => return Ok(out),
                 Err(e) => return Err(e),
             }
@@ -159,7 +159,7 @@ impl ScriptedPeer {
                     self.answer_shared(&mut conn, shared_files)?;
                 }
                 Ok(PeerMessage::QueueRank { .. }) | Ok(_) => continue,
-                Err(NetError::Io(e)) if is_timeout(&e) => return Ok(out),
+                Err(NetError::Io(e)) if would_block(&e) => return Ok(out),
                 Err(NetError::Closed) => return Ok(out),
                 Err(e) => return Err(e),
             }
@@ -196,7 +196,7 @@ impl ScriptedPeer {
                         self.answer_shared(&mut conn, shared_files)?;
                     }
                     Ok(_) => continue,
-                    Err(NetError::Io(e)) if is_timeout(&e) => break,
+                    Err(NetError::Io(e)) if would_block(&e) => break,
                     Err(NetError::Closed) => break,
                     Err(e) => return Err(e),
                 }
@@ -219,8 +219,4 @@ impl ScriptedPeer {
             files: shared_files.iter().map(|(id, n, s)| PublishedFile::new(*id, n, *s)).collect(),
         })
     }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }

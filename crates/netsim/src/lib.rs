@@ -16,7 +16,6 @@
 //!   component-level reproducibility;
 //! * [`dist`] — exponential/Poisson/normal/log-normal/Zipf sampling and the
 //!   diurnal activity curve;
-//! * [`latency`] — link latency/bandwidth models;
 //! * [`json`] — the workspace's JSON value, printer and reader;
 //! * [`metrics`] — bucketed time series and first-seen tracking;
 //! * [`obs`] — the structured-event facade and per-thread flight
@@ -33,7 +32,6 @@ pub mod dist;
 pub mod engine;
 pub mod event;
 pub mod json;
-pub mod latency;
 pub mod metrics;
 pub mod obs;
 pub mod par;
@@ -48,7 +46,6 @@ pub use dist::{DiurnalCurve, Zipf};
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use event::EventQueue;
 pub use json::Json;
-pub use latency::LatencyModel;
 pub use metrics::{BucketSeries, FirstSeen};
 pub use queue::PendingQueue;
 pub use rng::Rng;

@@ -18,8 +18,9 @@
 //!   `ChunkRetry`, whole-window on the resend timer) until a cumulative
 //!   `ChunkAck { next_seq }` covers it — across corrupt-frame retries,
 //!   connection loss and reconnects;
-//! * obey `Relaunch` (restart the honeypot in place) and `Shutdown`
-//!   (flush, say goodbye, exit).
+//! * obey `Shutdown` (flush, say goodbye, exit).  A dead agent is
+//!   relaunched by the daemon's supervision as a new incarnation; there
+//!   is no in-place restart.
 //!
 //! Every chunk is recorded in the shared [`ChunkJournal`] *before* it
 //! touches the wire, so tests can replay exactly what was sent through the
@@ -85,7 +86,7 @@ const RETRY_SEED: u64 = 0xA6E2_7E72;
 /// burst, but bursts repeat while resent frames are in flight).
 const GOBACK_SUPPRESS: Duration = Duration::from_millis(100);
 
-/// Everything that must survive reconnects and in-place relaunches.
+/// Everything that must survive reconnects.
 struct AgentState {
     agent: u32,
     incarnation: u32,
@@ -148,7 +149,6 @@ impl ReadTimeout {
 enum SessionEnd {
     Shutdown,
     Killed,
-    Relaunch,
     ConnLost,
 }
 
@@ -165,9 +165,9 @@ impl AgentState {
 
     fn teardown_host(&mut self) {
         if let Some(host) = self.host.take() {
-            // The final collect is discarded: a killed or relaunched
-            // honeypot loses whatever it had not yet shipped, exactly like
-            // a crashed process.
+            // The final collect is discarded: a killed honeypot loses
+            // whatever it had not yet shipped, exactly like a crashed
+            // process.
             let _ = host.stop();
         }
         self.forwarded_status = 0;
@@ -274,14 +274,6 @@ pub fn run_agent(
             Ok(SessionEnd::Killed) => {
                 st.teardown_host();
                 return AgentExit::Killed;
-            }
-            Ok(SessionEnd::Relaunch) => {
-                // Restart the honeypot in place: new incarnation, fresh
-                // state machine, but the same control identity.
-                st.teardown_host();
-                st.window.clear();
-                st.incarnation += 1;
-                continue;
             }
             Ok(SessionEnd::ConnLost) | Err(_) => {
                 // Keep host and in-flight window; reconnect and resume.
@@ -506,7 +498,6 @@ fn session(
                         resend_at = None;
                     }
                 }
-                ConnEvent::Msg(ControlMessage::Relaunch) => return Ok(SessionEnd::Relaunch),
                 ConnEvent::Msg(ControlMessage::Shutdown) => shutting_down = true,
                 _ => {}
             }
@@ -561,21 +552,16 @@ fn session(
 
         if !shutting_down && now >= hb_due {
             hb_due = now + Duration::from_millis(cfg.heartbeat_ms.max(1));
-            if !st.fault.should_drop_heartbeat(&mut st.fstate) {
-                if st.fault.delay_heartbeat_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(st.fault.delay_heartbeat_ms));
-                }
-                st.hb_seq += 1;
-                let flags = if st.spool_degraded { heartbeat_flags::SPOOL_DEGRADED } else { 0 };
-                conn.send(&ControlMessage::Heartbeat {
-                    agent: st.agent,
-                    seq: st.hb_seq,
-                    sent_micros: st.micros_now(),
-                    rtt_micros: st.last_rtt_micros,
-                    flags,
-                })
-                .map_err(ConnError::Io)?;
-            }
+            st.hb_seq += 1;
+            let flags = if st.spool_degraded { heartbeat_flags::SPOOL_DEGRADED } else { 0 };
+            conn.send(&ControlMessage::Heartbeat {
+                agent: st.agent,
+                seq: st.hb_seq,
+                sent_micros: st.micros_now(),
+                rtt_micros: st.last_rtt_micros,
+                flags,
+            })
+            .map_err(ConnError::Io)?;
         }
     }
 }

@@ -11,19 +11,21 @@
 //! [`ImpairedLink`] and reach the wire only when due; inbound socket
 //! bytes queue the same way before the decoder sees them.  Neither
 //! endpoint's protocol logic knows the shim exists — the byte stream is
-//! intact and in order, only its timing is adversarial.
+//! intact and in order, only its timing is adversarial.  This is the
+//! platform's one impairment point: the agent installs it, and because it
+//! schedules both directions, the daemon's reactor needs none of its own.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use edonkey_net::would_block;
 use edonkey_proto::codec::FrameDecoder;
 use edonkey_proto::control::{ControlEvent, ControlFraming};
 use edonkey_proto::ProtoError;
 
 use crate::impair::{ImpairPlan, ImpairedLink};
 use crate::messages::ControlMessage;
-use crate::transport::would_block;
 
 /// What a poll of the connection can yield.
 // Events are yielded one at a time and consumed by move; boxing the
@@ -355,6 +357,13 @@ mod tests {
             partitions: vec![Partition { start_ms: 40, end_ms: 90 }],
             ..ImpairPlan::clean(0x1337)
         };
+        let delay = Duration::from_millis(plan.delay_ms);
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        // The plain peer: takes 40 frames through the impaired outbound
+        // half, then answers with 40 through the impaired inbound half and
+        // holds the socket open until they are read (a hangup releases
+        // every held byte at once).
         let t = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut conn = ControlConn::from_stream(stream);
@@ -371,6 +380,11 @@ mod tests {
                 assert_eq!(*next_seq, i as u64, "impairment reordered frames");
             }
             assert_eq!(got.len(), 40);
+            sent_tx.send(std::time::Instant::now()).unwrap();
+            for seq in 0..40u64 {
+                conn.send(&ControlMessage::ChunkRetry { seq }).unwrap();
+            }
+            let _ = done_rx.recv();
         });
         let mut conn = ControlConn::connect(addr).unwrap();
         conn.set_read_timeout(Duration::from_millis(5)).unwrap();
@@ -381,9 +395,29 @@ mod tests {
         }
         // Keep pumping the shim until everything reached the wire.
         conn.drain_outbound(Duration::from_secs(10));
+        assert!(sent_at.elapsed() >= delay, "a 15 ms-delay plan cannot deliver instantly");
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut got = Vec::new();
+        let mut first_at = None;
+        while got.len() < 40 && std::time::Instant::now() < deadline {
+            got.extend(conn.poll_until(deadline).unwrap());
+            first_at.get_or_insert_with(std::time::Instant::now);
+        }
+        let peer_sent_at = sent_rx.recv().unwrap();
+        done_tx.send(()).unwrap();
+        for (i, ev) in got.iter().enumerate() {
+            let ConnEvent::Msg(ControlMessage::ChunkRetry { seq }) = ev else {
+                panic!("inbound event {i} damaged by impairment: {ev:?}");
+            };
+            assert_eq!(*seq, i as u64, "impairment reordered inbound frames");
+        }
+        assert_eq!(got.len(), 40);
+        let first_at = first_at.expect("nothing arrived");
+        // The shim's clock counts whole milliseconds: allow one of grain.
         assert!(
-            sent_at.elapsed() >= Duration::from_millis(15),
-            "a 15 ms-delay plan cannot deliver instantly"
+            first_at.duration_since(peer_sent_at) >= delay - Duration::from_millis(1),
+            "inbound bytes released before the plan's 15 ms delay"
         );
         t.join().unwrap();
     }

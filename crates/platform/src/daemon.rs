@@ -5,7 +5,7 @@
 //!
 //! * **transport** — a pool of reactor shards (`crate::reactor`) drives
 //!   every connection non-blockingly from a handful of threads: the accept
-//!   loop (bounded by [`DaemonConfig::max_connections`], resilient to FD
+//!   loop (bounded by the `MAX_CONNECTIONS` cap, resilient to FD
 //!   exhaustion) deals fresh sockets round-robin to the shards, and each
 //!   shard reads, decodes and flushes its connections in one event loop —
 //!   registration, heartbeats and chunk ingest multiplexed across
@@ -64,7 +64,6 @@ use crate::checkpoint::{
     ManagerCheckpoint, SlotCheckpoint,
 };
 use crate::diskfault::DiskFaults;
-use crate::impair::ImpairPlan;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::metrics::PlatformMetrics;
 use crate::obs::{self, Histogram};
@@ -93,6 +92,10 @@ const BACKOFF_SEED: u64 = 0x1eaf_5eed;
 /// Stop relaunching an agent after this many consecutive failed launch
 /// attempts (a registration that reaches `Connected` resets the count).
 const MAX_LAUNCH_ATTEMPTS: u32 = 10;
+/// Hard cap on concurrent control connections; everything past it is
+/// dropped at accept (counted in `connections_rejected`) so FD exhaustion
+/// degrades into rejections instead of a hot error loop.
+const MAX_CONNECTIONS: usize = 4096;
 
 /// Supervision and transport tuning.
 #[derive(Clone, Debug)]
@@ -107,10 +110,6 @@ pub struct DaemonConfig {
     /// Upload window granted to every agent at registration: how many
     /// chunks it may keep in flight beyond the cumulative-ack frontier.
     pub upload_window: u32,
-    /// Hard cap on concurrent control connections; everything past it is
-    /// dropped at accept (counted in `connections_rejected`) so FD
-    /// exhaustion degrades into rejections instead of a hot error loop.
-    pub max_connections: usize,
     /// Registration must complete this long after the TCP accept, or the
     /// connection is dropped (a resource an unauthenticated peer may not
     /// hold open).
@@ -129,9 +128,6 @@ pub struct DaemonConfig {
     /// backpressure rides the existing ack path and the agents' resend
     /// timers, no new message.  0 disables.
     pub merge_queue_limit: usize,
-    /// Deterministic impairment applied to every accepted control
-    /// connection (the daemon-side twin of the agent knob).
-    pub impair: Option<ImpairPlan>,
     /// Injectable write faults for the chunk WAL.
     pub wal_faults: Option<DiskFaults>,
     /// Injectable write faults for the supervision snapshot.
@@ -154,12 +150,10 @@ impl Default for DaemonConfig {
             supervision_tick_ms: 25,
             checkpoint: None,
             upload_window: 32,
-            max_connections: 4096,
             handshake_timeout_ms: 3_000,
             idle_timeout_ms: 30_000,
             slow_loris_timeout_ms: 5_000,
             merge_queue_limit: 4_096,
-            impair: None,
             wal_faults: None,
             checkpoint_faults: None,
             merge_stall_ms: 0,
@@ -292,9 +286,6 @@ struct Inner {
     durable: Option<Durable>,
     /// Live control connections (accept-side admission gauge).
     active_conns: AtomicUsize,
-    /// Monotonic id per adopted connection: the impairment stream, so a
-    /// reconnect draws a fresh deterministic link.
-    conn_counter: AtomicUsize,
     /// Chunks queued to the merge thread and not yet processed.
     merge_depth: AtomicUsize,
     shutdown: AtomicBool,
@@ -464,7 +455,6 @@ impl Daemon {
             launcher,
             durable,
             active_conns: AtomicUsize::new(0),
-            conn_counter: AtomicUsize::new(0),
             merge_depth: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             stop_reactors: AtomicBool::new(false),
@@ -529,7 +519,7 @@ impl Daemon {
                 // counted, a rejection the agent's reconnect backoff
                 // absorbs — never a hot error loop.
                 let active = accept_inner.active_conns.load(Ordering::SeqCst);
-                if active >= accept_inner.cfg.max_connections {
+                if active >= MAX_CONNECTIONS {
                     let mut metrics = lock(&accept_inner.metrics);
                     metrics.connections_rejected += 1;
                     drop(metrics);
@@ -659,21 +649,6 @@ impl Daemon {
     /// The exact order in which `(agent, seq)` chunks were merged.
     pub fn chunk_order(&self) -> Vec<(u32, u64)> {
         lock(&self.inner.chunk_order).clone()
-    }
-
-    /// Asks a live agent to tear down and restart its honeypot in place.
-    pub fn relaunch_agent(&self, agent: u32) -> bool {
-        let outbox = {
-            let slots = lock(&self.inner.slots);
-            slots.get(agent as usize).and_then(|s| s.outbox.clone())
-        };
-        match outbox {
-            Some(o) => {
-                o.push_msg(&ControlMessage::Relaunch);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Simulates a manager crash: every loop abandons its work without
@@ -814,21 +789,18 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
         }
         if inner.stop_reactors.load(Ordering::SeqCst) {
             // Last chance for queued shutdowns and acks to leave — bounded,
-            // because an impaired link may hold bytes that are not due yet
-            // and a closed peer never drains.
+            // because a peer that stopped reading never drains.
             let drain_deadline = Instant::now() + Duration::from_millis(200);
             loop {
                 let mut pending = 0;
                 for conn in &mut conns {
                     conn.flush();
-                    pending += conn.pending_out();
+                    pending += conn.session.outbox.pending();
                 }
                 if pending == 0 || Instant::now() >= drain_deadline {
                     break;
                 }
-                let due = conns.iter().filter_map(ReactorConn::link_due).min();
-                let deadline = due.map_or(drain_deadline, |d| d.min(drain_deadline));
-                wait_io(&conns, waker, false, Some(deadline));
+                wait_io(&conns, waker, false, Some(drain_deadline));
             }
             for conn in conns.drain(..) {
                 close_conn(&inner, conn);
@@ -841,11 +813,7 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
 
         for stream in lock(injector).drain(..) {
             match ReactorConn::adopt(stream, MAX_CONTROL_PAYLOAD, waker) {
-                Ok(mut conn) => {
-                    if let Some(plan) = &inner.cfg.impair {
-                        let id = inner.conn_counter.fetch_add(1, Ordering::SeqCst);
-                        conn.set_impair(plan, id as u64);
-                    }
+                Ok(conn) => {
                     conns.push(conn);
                     activity = true;
                 }
@@ -886,12 +854,7 @@ fn reactor_loop(inner: Arc<Inner>, shard: usize, merge_tx: Sender<MergeMsg>) {
             let flush_due = (latency.count() > 0).then(|| last_flush + LATENCY_FLUSH_INTERVAL);
             let deadline = conns
                 .iter()
-                .flat_map(|c| {
-                    hostile_deadlines(&inner.cfg, c)
-                        .map(|(_, d)| d)
-                        .into_iter()
-                        .chain([c.link_due()])
-                })
+                .flat_map(|c| hostile_deadlines(&inner.cfg, c).map(|(_, d)| d))
                 .chain([flush_due])
                 .flatten()
                 .min();

@@ -3,21 +3,17 @@
 //! A month-scale measurement platform is only trustworthy if its collection
 //! layer survives the failures the paper's operational report implies
 //! (dead honeypots, lost connections, partial uploads).  A [`FaultPlan`]
-//! makes an agent misbehave in precisely scripted ways so tests can assert
-//! the daemon's recovery: corrupt chunks must be re-requested (never
-//! merged), killed agents must be relaunched, and interrupted uploads must
-//! resume without loss or duplication.
+//! makes an agent misbehave in precisely scripted ways — a corrupted or
+//! truncated upload frame, a kill right before or after an upload — so
+//! tests can assert the daemon's recovery: corrupt chunks must be
+//! re-requested (never merged), killed agents must be relaunched, and
+//! interrupted uploads must resume without loss or duplication.  Timing
+//! faults (a silent or late link) belong to [`crate::impair`].
 
 /// Scripted misbehaviour for one agent.  `default()` is a well-behaved
 /// agent.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Silently skip sending the first N heartbeats (exercises the
-    /// manager's heartbeat deadline without killing the agent).
-    pub drop_first_heartbeats: u64,
-    /// Extra delay added before every heartbeat send (jitters RTT and can
-    /// push the agent over the deadline when large).
-    pub delay_heartbeat_ms: u64,
     /// Corrupt the CRC trailer of the upload frame carrying this sequence
     /// number, once.  The clean frame is kept and re-sent on `ChunkRetry`.
     pub corrupt_chunk_seq: Option<u64>,
@@ -44,7 +40,6 @@ pub struct FaultPlan {
 pub struct FaultState {
     pub corrupted: bool,
     pub truncated: bool,
-    pub heartbeats_dropped: u64,
 }
 
 impl FaultPlan {
@@ -65,15 +60,6 @@ impl FaultPlan {
         }
         false
     }
-
-    /// Whether this heartbeat should be silently dropped.
-    pub fn should_drop_heartbeat(&self, state: &mut FaultState) -> bool {
-        if state.heartbeats_dropped < self.drop_first_heartbeats {
-            state.heartbeats_dropped += 1;
-            return true;
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +71,6 @@ mod tests {
         let plan = FaultPlan {
             corrupt_chunk_seq: Some(3),
             truncate_chunk_seq: Some(5),
-            drop_first_heartbeats: 2,
             ..FaultPlan::default()
         };
         let mut state = FaultState::default();
@@ -94,9 +79,6 @@ mod tests {
         assert!(!plan.should_corrupt(3, &mut state), "one-shot");
         assert!(plan.should_truncate(5, &mut state));
         assert!(!plan.should_truncate(5, &mut state), "one-shot");
-        assert!(plan.should_drop_heartbeat(&mut state));
-        assert!(plan.should_drop_heartbeat(&mut state));
-        assert!(!plan.should_drop_heartbeat(&mut state), "only the first N");
     }
 
     #[test]
@@ -107,6 +89,5 @@ mod tests {
             assert!(!plan.should_corrupt(seq, &mut state));
             assert!(!plan.should_truncate(seq, &mut state));
         }
-        assert!(!plan.should_drop_heartbeat(&mut state));
     }
 }

@@ -5,8 +5,8 @@
 //! well-behaved agent misbehaves on script.  This module injects the
 //! faults the endpoints never agreed to: loss, duplication, reordering,
 //! delay/jitter, bandwidth caps, and timed partitions, applied to the raw
-//! byte stream between `ControlConn`/`ReactorConn` and the socket with no
-//! cooperation from either side.
+//! byte stream between the agent's `ControlConn` and its socket, in both
+//! directions, with no cooperation from either side.
 //!
 //! ## Model
 //!

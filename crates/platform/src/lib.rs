@@ -43,13 +43,13 @@
 //! modes on top: [`impair`] is a deterministic seeded link-damage shim
 //! (loss as retransmission stalls, duplication, reordering, delay,
 //! jitter, rate caps, partitions — same seed, same byte timeline)
-//! installed on both the blocking [`conn`] and nonblocking `reactor`
-//! socket paths; [`diskfault`] is the injectable write-fault handle
-//! (ENOSPC / EIO / short write) the spool, WAL and checkpoint writers
-//! consult so disk death degrades the measurement visibly instead of
-//! corrupting it; [`transport`] is the shared socket-error
-//! classification both paths agree on.  The daemon hardens itself
-//! against hostile peers (handshake/idle/slow-loris deadlines, frame
+//! installed at the agent end, in the blocking [`conn`], where it
+//! schedules both directions; [`diskfault`] is the injectable
+//! write-fault handle (ENOSPC / EIO / short write) the spool, WAL and
+//! checkpoint writers consult so disk death degrades the measurement
+//! visibly instead of corrupting it; [`transport`] is the accept-loop
+//! error triage the daemon and the scraper share.  The daemon hardens
+//! itself against hostile peers (handshake/idle/slow-loris deadlines, frame
 //! caps, merge-queue shedding with window shrink), and every
 //! degradation surfaces as a named [`metrics`] counter.  DESIGN.md §3h
 //! tabulates the full fault grid; `tests/chaos_matrix.rs` drives it.

@@ -92,8 +92,6 @@ pub enum ControlMessage {
     /// Manager → agent: re-send everything starting at `seq` (corrupt
     /// frame or a hole in the pipelined window; go-back-N).
     ChunkRetry { seq: u64 },
-    /// Manager → agent: tear the honeypot down and start over.
-    Relaunch,
     /// Manager → agent: flush logs and exit cleanly.
     Shutdown,
     /// Agent → manager: clean exit; `final_seq` is the next sequence the
@@ -115,7 +113,6 @@ impl ControlMessage {
             ControlMessage::LogUpload { .. } => opcodes::LOG_CHUNK,
             ControlMessage::ChunkAck { .. } => opcodes::CHUNK_ACK,
             ControlMessage::ChunkRetry { .. } => opcodes::CHUNK_RETRY,
-            ControlMessage::Relaunch => opcodes::RELAUNCH,
             ControlMessage::Shutdown => opcodes::SHUTDOWN,
             ControlMessage::Goodbye { .. } => opcodes::GOODBYE,
         }
@@ -162,7 +159,7 @@ impl ControlMessage {
                 w.u32(*window);
             }
             ControlMessage::ChunkRetry { seq } => w.u64(*seq),
-            ControlMessage::Relaunch | ControlMessage::Shutdown => {}
+            ControlMessage::Shutdown => {}
             ControlMessage::Goodbye { agent, final_seq } => {
                 w.u32(*agent);
                 w.u64(*final_seq);
@@ -211,7 +208,6 @@ impl ControlMessage {
             }
             opcodes::CHUNK_ACK => ControlMessage::ChunkAck { next_seq: r.u64()?, window: r.u32()? },
             opcodes::CHUNK_RETRY => ControlMessage::ChunkRetry { seq: r.u64()? },
-            opcodes::RELAUNCH => ControlMessage::Relaunch,
             opcodes::SHUTDOWN => ControlMessage::Shutdown,
             opcodes::GOODBYE => ControlMessage::Goodbye { agent: r.u32()?, final_seq: r.u64()? },
             _ => return Err(ProtoError::UnknownOpcode { opcode, context: "control message" }),
@@ -535,7 +531,6 @@ mod tests {
             ControlMessage::Ready { agent: 0, peer_port: 40123 },
             ControlMessage::ChunkAck { next_seq: 4, window: 9 },
             ControlMessage::ChunkRetry { seq: 4 },
-            ControlMessage::Relaunch,
             ControlMessage::Shutdown,
             ControlMessage::Goodbye { agent: 2, final_seq: 8 },
             ControlMessage::Status(StatusReport {
@@ -594,7 +589,7 @@ mod tests {
     fn every_variant_decodes_from_and_re_encodes_to_its_parent_frame() {
         let [fixed, greedy] = config_pushes();
         #[rustfmt::skip]
-        let pinned: [(ControlMessage, &[u8]); 14] = [
+        let pinned: [(ControlMessage, &[u8]); 13] = [
             (ControlMessage::Register { agent: 3, incarnation: 2, resume: true }, &[
                 0xec, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01,
                 0x9d, 0x4b, 0x43, 0xd2,
@@ -664,9 +659,6 @@ mod tests {
             (ControlMessage::ChunkRetry { seq: 4 }, &[
                 0xec, 0x02, 0x22, 0x08, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x93,
                 0xd1, 0x68, 0xe1,
-            ]),
-            (ControlMessage::Relaunch, &[
-                0xec, 0x02, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
             ]),
             (ControlMessage::Shutdown, &[
                 0xec, 0x02, 0x31, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -874,9 +866,12 @@ mod tests {
 
     #[test]
     fn unknown_opcode_rejected() {
-        assert!(matches!(
-            ControlMessage::decode(0x7F, &[]),
-            Err(ProtoError::UnknownOpcode { opcode: 0x7F, .. })
-        ));
+        // 0x30 is the retired relaunch order: no build may decode it again.
+        for opcode in [0x7F, 0x30] {
+            assert!(matches!(
+                ControlMessage::decode(opcode, &[]),
+                Err(ProtoError::UnknownOpcode { opcode: got, .. }) if got == opcode
+            ));
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! Two pieces live here:
 //!
 //! * [`Outbox`] — a per-connection outbound byte queue.  Everything the
-//!   daemon says to an agent (acks, config pushes, relaunch/shutdown
-//!   orders) is *enqueued*; only the owning shard writes to the socket,
+//!   daemon says to an agent (acks, config pushes, shutdown orders) is
+//!   *enqueued*; only the owning shard writes to the socket,
 //!   non-blockingly, so a slow agent can never stall the supervision or
 //!   merge paths behind a blocking `write_all`.
 //! * [`ReactorConn`] — one non-blocking connection: the stream, its
@@ -22,9 +22,9 @@
 //!   when it must have registered by, when it last spoke, and how long a
 //!   partial frame has been dangling — the hostile-peer reaping inputs).
 //!
-//! A connection may carry a link-impairment shim ([`crate::impair`]): the
-//! socket's bytes pass through an inbound [`ImpairedLink`] before the
-//! decoder, and outbox bytes through an outbound one before the socket.
+//! The daemon end of a connection is never impaired: link impairment
+//! ([`crate::impair`]) lives in the agent's [`crate::conn::ControlConn`],
+//! which schedules both directions.
 //!
 //! A shard with nothing to do blocks in [`wait_io`] until one of its
 //! sockets is ready, its [`Waker`] fires or its next deadline comes
@@ -36,13 +36,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use edonkey_net::would_block;
 use edonkey_proto::codec::FrameDecoder;
 use edonkey_proto::control::{ControlEvent, ControlFraming};
 use netsim::sync::lock;
 
-use crate::impair::{ImpairPlan, ImpairedLink};
 use crate::messages::ControlMessage;
-use crate::transport::would_block;
 
 /// Upper bound on bytes read per connection per loop pass, so one
 /// firehosing agent cannot monopolise its shard.
@@ -122,12 +121,6 @@ impl Outbox {
         lock(&self.buf).len()
     }
 
-    /// Takes the whole queue (the impaired write path moves it into the
-    /// link's schedule).
-    pub(crate) fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut *lock(&self.buf))
-    }
-
     /// Writes as much of the queue as the socket will take right now.
     /// `Ok(true)` means the queue is empty; `Ok(false)` means the socket
     /// would block with bytes still queued.  `Err` is fatal to the
@@ -198,10 +191,6 @@ pub(crate) struct ReactorConn {
     /// Since when the decoder has held an incomplete frame (slow-loris
     /// reaping input); `None` while the stream sits at a frame boundary.
     pub(crate) partial_since: Option<Instant>,
-    in_link: Option<ImpairedLink>,
-    out_link: Option<ImpairedLink>,
-    /// Due-but-unwritten impaired bytes (socket would block).
-    out_staged: Vec<u8>,
 }
 
 impl ReactorConn {
@@ -222,24 +211,7 @@ impl ReactorConn {
             opened: Instant::now(),
             last_read: Instant::now(),
             partial_since: None,
-            in_link: None,
-            out_link: None,
-            out_staged: Vec::new(),
         })
-    }
-
-    /// Installs the daemon-side impairment shim (stream id is typically a
-    /// per-daemon connection counter).
-    pub(crate) fn set_impair(&mut self, plan: &ImpairPlan, stream_id: u64) {
-        if plan.is_transparent() {
-            return;
-        }
-        self.in_link = Some(ImpairedLink::new(plan, stream_id * 2));
-        self.out_link = Some(ImpairedLink::new(plan, stream_id * 2 + 1));
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.opened.elapsed().as_millis() as u64
     }
 
     /// Reads whatever the socket has (up to the per-pass budget) straight
@@ -256,14 +228,7 @@ impl ReactorConn {
         let mut activity = false;
         let mut peer_closed = false;
         while total < READ_BUDGET && self.session.close.is_none() {
-            let read = match &mut self.in_link {
-                None => self.decoder.read_from(&mut self.stream),
-                Some(link) => {
-                    let now = self.opened.elapsed().as_millis() as u64;
-                    link.read_from(now, &mut self.stream)
-                }
-            };
-            match read {
+            match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => {
                     peer_closed = true;
                     break;
@@ -282,15 +247,6 @@ impl ReactorConn {
             }
             // Handling what completed before the next read keeps that read
             // sized to the one frame still arriving.
-            self.handle_frames(&mut on_frame);
-        }
-        // Release inbound bytes whose impaired delivery time has come (all
-        // of them once the peer hung up: they were already on the wire).
-        if let Some(link) = &mut self.in_link {
-            let now = if peer_closed { u64::MAX } else { self.opened.elapsed().as_millis() as u64 };
-            let mut due = Vec::new();
-            link.due(now, &mut due);
-            self.decoder.feed(&due);
             self.handle_frames(&mut on_frame);
         }
         // Only now may the hangup close the connection: TCP orders it after
@@ -327,65 +283,12 @@ impl ReactorConn {
 
     /// Flushes the outbox; a dead socket marks the connection for close.
     pub(crate) fn flush(&mut self) {
-        if self.session.close.is_some() {
+        if self.session.close.is_some() || self.session.outbox.pending() == 0 {
             return;
         }
-        if self.out_link.is_none() {
-            if self.session.outbox.pending() == 0 {
-                return;
-            }
-            if self.session.outbox.flush(&mut self.stream).is_err() {
-                self.session.close = Some(CloseReason::Gone);
-            }
-            return;
+        if self.session.outbox.flush(&mut self.stream).is_err() {
+            self.session.close = Some(CloseReason::Gone);
         }
-        // Impaired path: outbox → link schedule → staging → socket.
-        let now = self.now_ms();
-        let link = self.out_link.as_mut().expect("checked above");
-        let queued = self.session.outbox.take();
-        if !queued.is_empty() {
-            link.admit(now, &queued);
-        }
-        link.due(now, &mut self.out_staged);
-        let mut written = 0usize;
-        while written < self.out_staged.len() {
-            match self.stream.write(&self.out_staged[written..]) {
-                Ok(0) => {
-                    self.session.close = Some(CloseReason::Gone);
-                    break;
-                }
-                Ok(n) => written += n,
-                Err(e) if would_block(&e) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.session.close = Some(CloseReason::Gone);
-                    break;
-                }
-            }
-        }
-        self.out_staged.drain(..written);
-    }
-
-    /// Outbound bytes not yet on the wire: queued, scheduled, or staged.
-    pub(crate) fn pending_out(&self) -> usize {
-        self.session.outbox.pending()
-            + self.out_staged.len()
-            + self.out_link.as_ref().map_or(0, |l| l.pending_bytes())
-    }
-
-    /// When the impairment shim next has bytes due, in either direction.
-    pub(crate) fn link_due(&self) -> Option<Instant> {
-        let due = [&self.in_link, &self.out_link]
-            .into_iter()
-            .flatten()
-            .filter_map(ImpairedLink::next_due);
-        due.min().map(|ms| self.opened + Duration::from_millis(ms))
-    }
-
-    /// Bytes the socket itself must take: queued in the outbox or due
-    /// but refused (not those an impaired link still holds back).
-    fn wants_write(&self) -> bool {
-        self.session.outbox.pending() > 0 || !self.out_staged.is_empty()
     }
 }
 
@@ -402,7 +305,7 @@ pub(crate) fn wait_io(conns: &[ReactorConn], waker: &Waker, read: bool, deadline
     fds.push(PollFd::new(waker.rx.as_raw_fd(), POLLIN));
     for conn in conns {
         let mut events = if read { POLLIN } else { 0 };
-        if conn.wants_write() {
+        if conn.session.outbox.pending() > 0 {
             events |= POLLOUT;
         }
         if events != 0 {
@@ -529,13 +432,13 @@ mod tests {
         assert!(events.is_empty());
         assert!(conn.session.close.is_none());
 
-        tx.write_all(&ControlMessage::Relaunch.encode_frame()).unwrap();
+        tx.write_all(&ControlMessage::Shutdown.encode_frame()).unwrap();
         tx.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while events.is_empty() && Instant::now() < deadline {
             read_opcodes(&mut conn, &mut events);
         }
-        assert_eq!(events, [opcodes::RELAUNCH]);
+        assert_eq!(events, [opcodes::SHUTDOWN]);
 
         drop(tx);
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -553,7 +456,7 @@ mod tests {
         let (rx, _) = listener.accept().unwrap();
         let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD, &Waker::new().unwrap()).unwrap();
 
-        let frame = ControlMessage::Relaunch.encode_frame();
+        let frame = ControlMessage::Shutdown.encode_frame();
         let mut events = Vec::new();
         // A dribbled header byte: the partial clock must start…
         tx.write_all(&frame[..3]).unwrap();
@@ -572,40 +475,5 @@ mod tests {
             read_opcodes(&mut conn, &mut events);
         }
         assert!(conn.partial_since.is_none(), "completed frame must stop the clock");
-    }
-
-    #[test]
-    fn impaired_reactor_conn_delivers_intact_frames_late() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut tx = TcpStream::connect(addr).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        let mut conn = ReactorConn::adopt(rx, MAX_CONTROL_PAYLOAD, &Waker::new().unwrap()).unwrap();
-        conn.set_impair(&ImpairPlan { delay_ms: 30, ..ImpairPlan::clean(5) }, 0);
-
-        tx.write_all(&ControlMessage::Shutdown.encode_frame()).unwrap();
-        tx.flush().unwrap();
-        let mut events = Vec::new();
-        let started = Instant::now();
-        let deadline = started + Duration::from_secs(5);
-        while events.is_empty() && Instant::now() < deadline {
-            read_opcodes(&mut conn, &mut events);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(events, [opcodes::SHUTDOWN]);
-        assert!(started.elapsed() >= Duration::from_millis(25), "30 ms delay plan arrived early");
-
-        // Outbound: enqueue, then flush until the shim releases it.
-        conn.session.outbox.push_msg(&ControlMessage::Relaunch);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while conn.pending_out() > 0 && Instant::now() < deadline {
-            conn.flush();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(conn.pending_out(), 0);
-        tx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut got = vec![0u8; 64];
-        let n = tx.read(&mut got).unwrap();
-        assert_eq!(&got[..n], &ControlMessage::Relaunch.encode_frame()[..]);
     }
 }

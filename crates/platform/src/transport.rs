@@ -1,26 +1,15 @@
-//! Shared socket-error classification for the control plane.
+//! Accept-loop error triage for the control plane.
 //!
-//! PR 6 left two identical `would_block`/`is_timeout` helpers in `conn.rs`
-//! and `reactor.rs`, and the daemon's accept loop treated *every* accept
-//! error as a reason to back off.  This module is the single place that
-//! interprets `io::Error` for the transport layer:
-//!
-//! * [`would_block`] — "no data right now" on a non-blocking or
-//!   read-timeout socket (`WouldBlock` / `TimedOut`).
-//! * [`classify_accept`] — accept-loop triage: per-connection failures
-//!   that name a socket which is already gone are *transient* (keep
-//!   accepting at full speed), while resource exhaustion (out of file
-//!   descriptors, out of memory) is *resource* pressure that the loop
-//!   should back off from instead of spinning on.
+//! [`classify_accept`] sorts `accept(2)` failures: per-connection failures
+//! that name a socket which is already gone are *transient* (keep
+//! accepting at full speed), while resource exhaustion (out of file
+//! descriptors, out of memory) is *resource* pressure that the loop
+//! should back off from instead of spinning on.  The daemon's accept loop
+//! and the observability scraper share it.  "No data right now" on a
+//! socket is [`edonkey_net::would_block`], the one copy the whole
+//! workspace reads socket errors through.
 
 use std::io;
-
-/// Would a retry of the same read/write make progress later?  True for the
-/// two kinds a non-blocking (or read-timeout) socket reports when there is
-/// simply nothing to do yet.
-pub fn would_block(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
 
 /// Accept-loop error classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +40,6 @@ pub fn classify_accept(e: &io::Error) -> AcceptError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn would_block_matches_only_retry_kinds() {
-        assert!(would_block(&io::Error::from(io::ErrorKind::WouldBlock)));
-        assert!(would_block(&io::Error::from(io::ErrorKind::TimedOut)));
-        assert!(!would_block(&io::Error::from(io::ErrorKind::ConnectionReset)));
-        assert!(!would_block(&io::Error::other("boom")));
-    }
 
     #[test]
     fn accept_triage_separates_dead_peers_from_fd_exhaustion() {

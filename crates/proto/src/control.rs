@@ -44,7 +44,10 @@ pub const CONTROL_VERSION: u8 = 2;
 /// interval stays far below this).
 pub const MAX_CONTROL_PAYLOAD: u32 = 64 << 20;
 
-/// Control opcodes.
+/// Control opcodes.  0x30 is retired: it carried an in-place relaunch
+/// order that nothing ever sent (supervision relaunches a dead agent).
+/// It stays unassigned, so a frame carrying it decodes as an unknown
+/// opcode.
 pub mod opcodes {
     /// Agent → manager: first frame after connect; carries the agent id.
     pub const REGISTER: u8 = 0x01;
@@ -75,8 +78,6 @@ pub mod opcodes {
     /// number (corrupt frame or a hole in the window); re-send everything
     /// from it (go-back-N).
     pub const CHUNK_RETRY: u8 = 0x22;
-    /// Manager → agent: tear down and restart the honeypot.
-    pub const RELAUNCH: u8 = 0x30;
     /// Manager → agent: flush logs and exit.
     pub const SHUTDOWN: u8 = 0x31;
     /// Agent → manager: final frame before a clean exit.

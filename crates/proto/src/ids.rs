@@ -24,7 +24,7 @@ pub struct FileId(pub [u8; 16]);
 
 impl FileId {
     /// Derives a file ID from arbitrary seed material (used by the synthetic
-    /// catalog; real files use [`crate::parts::hash_file_parts`]).
+    /// catalog in place of hashing real content, see [`crate::parts`]).
     pub fn from_seed(seed: &[u8]) -> Self {
         FileId(md4(seed))
     }

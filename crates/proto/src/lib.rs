@@ -19,9 +19,8 @@
 //!   check;
 //! * [`wire`] — the little-endian `Writer`/`Reader` both protocols'
 //!   payloads are written and read with;
-//! * [`parts`] — 9,728,000-byte part / 180 KB block geometry and content
-//!   hashing (the mechanism that makes *random-content* honeypots slower to
-//!   detect than *no-content* ones);
+//! * [`parts`] — the 180 KB transfer block (and why part hashing makes
+//!   *random-content* honeypots slower to detect than *no-content* ones);
 //! * [`search`] — the boolean keyword query trees of SEARCH-REQUEST, used
 //!   by topic-targeted measurements;
 //! * [`udp`] — the UDP side-protocol (global source queries and server

@@ -1,225 +1,14 @@
-//! Part/block geometry and content hashing.
+//! Transfer-block geometry.
 //!
 //! eDonkey splits every file into *parts* of 9,728,000 bytes; transfers
-//! request *blocks* of at most 180 KB within a part.  A file's identifier is
-//! the MD4 of its single part's content when it fits in one part, and the
-//! MD4 of the concatenated per-part MD4 digests otherwise.  A downloading
-//! client can therefore verify each completed part independently — which is
-//! exactly the mechanism by which genuine peers eventually detect a
-//! *random-content* honeypot (the part completes but its hash does not
-//! match), and why that detection is much slower than noticing a
-//! *no-content* honeypot's silence (paper §IV-B).
-
-use crate::ids::FileId;
-use crate::md4::{md4, Md4};
-use crate::messages::PartRange;
-
-/// Size of one part: 9,728,000 bytes (9.28 MB).
-pub const PART_SIZE: u64 = 9_728_000;
+//! request *blocks* of at most 180 KB within a part.  A downloading client
+//! verifies each completed part against its MD4 — which is exactly the
+//! mechanism by which genuine peers eventually detect a *random-content*
+//! honeypot (the part completes but its hash does not match), and why that
+//! detection is much slower than noticing a *no-content* honeypot's
+//! silence (paper §IV-B).  No honeypot here ever completes a part, so only
+//! the block size is modelled: it sizes the REQUEST-PARTS triples peers
+//! send and the SENDING-PART blocks a random-content honeypot answers.
 
 /// Maximum transfer block requested by REQUEST-PARTS: 180 KB.
 pub const BLOCK_SIZE: u64 = 184_320;
-
-/// Number of parts of a file of `size` bytes.
-///
-/// Mirrors the eMule quirk: a file whose size is an exact non-zero multiple
-/// of [`PART_SIZE`] still gets a final zero-length part appended when
-/// hashing (`hash_file_parts`), but geometrically has `size / PART_SIZE`
-/// data parts.
-pub fn part_count(size: u64) -> u64 {
-    if size == 0 {
-        1
-    } else {
-        size.div_ceil(PART_SIZE)
-    }
-}
-
-/// Number of blocks needed to fetch a file of `size` bytes.
-pub fn block_count(size: u64) -> u64 {
-    if size == 0 {
-        0
-    } else {
-        size.div_ceil(BLOCK_SIZE)
-    }
-}
-
-/// The half-open byte range of part `index` in a file of `size` bytes.
-pub fn part_range(size: u64, index: u64) -> Option<(u64, u64)> {
-    if index >= part_count(size) {
-        return None;
-    }
-    let start = index * PART_SIZE;
-    Some((start, (start + PART_SIZE).min(size.max(start))))
-}
-
-/// Enumerates the block ranges (as u32 wire ranges) covering part `index` of
-/// a file of `size` bytes, in transfer order.
-pub fn blocks_of_part(size: u64, index: u64) -> Vec<PartRange> {
-    let Some((start, end)) = part_range(size, index) else {
-        return Vec::new();
-    };
-    let mut out = Vec::with_capacity(((end - start).div_ceil(BLOCK_SIZE)) as usize);
-    let mut pos = start;
-    while pos < end {
-        let stop = (pos + BLOCK_SIZE).min(end);
-        out.push(PartRange::new(pos as u32, stop as u32));
-        pos = stop;
-    }
-    out
-}
-
-/// Hashes full file content into its eDonkey file ID.
-///
-/// Single-part files use the part hash directly; multi-part files hash the
-/// concatenation of part hashes.  An exact multiple of [`PART_SIZE`] gets an
-/// extra empty-part hash, matching eMule's historical behaviour.
-pub fn hash_file_parts(content: &[u8]) -> FileId {
-    if (content.len() as u64) < PART_SIZE {
-        return FileId(md4(content));
-    }
-    let mut digests = Vec::new();
-    for chunk in content.chunks(PART_SIZE as usize) {
-        digests.extend_from_slice(&md4(chunk));
-    }
-    if (content.len() as u64).is_multiple_of(PART_SIZE) {
-        digests.extend_from_slice(&md4(&[]));
-    }
-    FileId(md4(&digests))
-}
-
-/// Streaming variant of [`hash_file_parts`] for content that is produced
-/// block-by-block (used by simulated peers to verify a part as it arrives).
-#[derive(Debug, Clone)]
-pub struct PartHasher {
-    current: Md4,
-    in_part: u64,
-    digests: Vec<u8>,
-    total: u64,
-}
-
-impl Default for PartHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartHasher {
-    pub fn new() -> Self {
-        PartHasher { current: Md4::new(), in_part: 0, digests: Vec::new(), total: 0 }
-    }
-
-    /// Absorbs the next bytes of the file, in order.
-    pub fn update(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            let room = (PART_SIZE - self.in_part) as usize;
-            let take = room.min(data.len());
-            self.current.update(&data[..take]);
-            self.in_part += take as u64;
-            self.total += take as u64;
-            data = &data[take..];
-            if self.in_part == PART_SIZE {
-                let done = std::mem::take(&mut self.current);
-                self.digests.extend_from_slice(&done.finalize());
-                self.in_part = 0;
-            }
-        }
-    }
-
-    /// Completes the hash into the file ID.
-    pub fn finalize(mut self) -> FileId {
-        if self.total < PART_SIZE {
-            return FileId(self.current.finalize());
-        }
-        // The trailing (possibly empty) part hash is always appended once
-        // the file reached at least one full part.
-        let done = std::mem::take(&mut self.current);
-        self.digests.extend_from_slice(&done.finalize());
-        FileId(md4(&self.digests))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn part_counts() {
-        assert_eq!(part_count(0), 1);
-        assert_eq!(part_count(1), 1);
-        assert_eq!(part_count(PART_SIZE - 1), 1);
-        assert_eq!(part_count(PART_SIZE), 1);
-        assert_eq!(part_count(PART_SIZE + 1), 2);
-        assert_eq!(part_count(10 * PART_SIZE), 10);
-    }
-
-    #[test]
-    fn block_counts() {
-        assert_eq!(block_count(0), 0);
-        assert_eq!(block_count(1), 1);
-        assert_eq!(block_count(BLOCK_SIZE), 1);
-        assert_eq!(block_count(BLOCK_SIZE + 1), 2);
-    }
-
-    #[test]
-    fn part_ranges_partition_the_file() {
-        let size = 2 * PART_SIZE + 12_345;
-        let mut covered = 0;
-        for i in 0..part_count(size) {
-            let (s, e) = part_range(size, i).unwrap();
-            assert_eq!(s, covered);
-            covered = e;
-        }
-        assert_eq!(covered, size);
-        assert_eq!(part_range(size, part_count(size)), None);
-    }
-
-    #[test]
-    fn blocks_partition_each_part() {
-        let size = PART_SIZE + 500_000;
-        for i in 0..part_count(size) {
-            let (s, e) = part_range(size, i).unwrap();
-            let blocks = blocks_of_part(size, i);
-            assert_eq!(blocks.first().unwrap().start as u64, s);
-            assert_eq!(blocks.last().unwrap().end as u64, e);
-            for w in blocks.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "blocks must be contiguous");
-            }
-            for b in &blocks {
-                assert!(u64::from(b.len()) <= BLOCK_SIZE);
-                assert!(!b.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn small_file_hash_is_plain_md4() {
-        let content = b"tiny file";
-        assert_eq!(hash_file_parts(content).0, md4(content));
-    }
-
-    #[test]
-    fn streaming_hash_matches_oneshot_for_small_input() {
-        let content = vec![3u8; 100_000];
-        let mut h = PartHasher::new();
-        for c in content.chunks(7_777) {
-            h.update(c);
-        }
-        assert_eq!(h.finalize(), hash_file_parts(&content));
-    }
-
-    #[test]
-    #[ignore = "allocates >9.7 MB twice; run with --ignored"]
-    fn streaming_hash_matches_oneshot_across_part_boundary() {
-        let content: Vec<u8> = (0..PART_SIZE + 123_456).map(|i| (i % 255) as u8).collect();
-        let mut h = PartHasher::new();
-        for c in content.chunks(1 << 16) {
-            h.update(c);
-        }
-        assert_eq!(h.finalize(), hash_file_parts(&content));
-    }
-
-    #[test]
-    fn different_content_different_id() {
-        assert_ne!(hash_file_parts(b"a"), hash_file_parts(b"b"));
-    }
-}
