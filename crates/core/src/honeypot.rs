@@ -20,7 +20,7 @@ use edonkey_proto::{ClientId, ClientServerMessage, FileId, Ipv4, PeerMessage, Us
 use netsim::{Rng, SimTime};
 
 use crate::anonymize::IpHasher;
-use crate::log::{FileIdx, FileTable, HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
+use crate::log::{FileIdx, HoneypotLog, QueryKind, QueryRecord, FILE_NONE};
 use crate::strategy::{AdvertisedFile, ContentStrategy, FileStrategy};
 use crate::types::{HoneypotId, HoneypotStatus, IdStatus, ServerInfo, StatusReport};
 
@@ -149,11 +149,12 @@ struct PeerSession {
 }
 
 /// An advertised file: its position in the shared list and its index in
-/// the log's file table.
+/// the file table of log period `period`.
 #[derive(Clone, Copy, Debug)]
 struct Listed {
     pos: u32,
     file: FileIdx,
+    period: u32,
 }
 
 /// The honeypot state machine.
@@ -206,30 +207,37 @@ impl Honeypot {
         self.shared.len() >= self.config.files.max_files()
     }
 
-    /// Appends a file, interned in the log as `file`, to the shared list
-    /// unless it is listed already or the list is full.
+    /// Appends a file, interned in the current log period as `file`, to
+    /// the shared list unless it is listed already or the list is full.
     fn add_shared(&mut self, id: FileId, name: &str, size: u64, file: FileIdx) {
         if self.shared_full() {
             return;
         }
         let pos = self.shared.len() as u32;
         if let Entry::Vacant(e) = self.shared_ids.entry(id) {
-            e.insert(Listed { pos, file });
+            e.insert(Listed { pos, file, period: self.log.period() });
             self.shared.push(AdvertisedFile::new(id, name, size));
         }
     }
 
     /// The log index of `id`: an advertised file's comes from the shared
-    /// list, any other file is interned bare.
+    /// list (re-interned with its advertised name and size on its first
+    /// use in a new period), any other file is interned bare.
     fn file_index(
-        shared_ids: &HashMap<FileId, Listed>,
-        files: &mut FileTable,
+        shared_ids: &mut HashMap<FileId, Listed>,
+        shared: &[AdvertisedFile],
+        log: &mut HoneypotLog,
         id: FileId,
     ) -> FileIdx {
-        match shared_ids.get(&id) {
-            Some(listed) => listed.file,
-            None => files.intern(id, "", 0),
+        let Some(listed) = shared_ids.get_mut(&id) else {
+            return log.files.intern(id, "", 0);
+        };
+        if listed.period != log.period() {
+            let f = &shared[listed.pos as usize];
+            listed.file = log.files.intern(id, &f.name, f.size);
+            listed.period = log.period();
         }
+        listed.file
     }
 
     /// The currently advertised files.
@@ -391,7 +399,8 @@ impl Honeypot {
                     // START-UPLOAD without HELLO: protocol violation; drop.
                     return;
                 };
-                let file_idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
+                let file_idx =
+                    Self::file_index(&mut self.shared_ids, &self.shared, &mut self.log, *file_id);
                 self.log.push(QueryRecord {
                     at: now,
                     kind: QueryKind::StartUpload,
@@ -480,7 +489,8 @@ impl Honeypot {
         let Some(session) = self.sessions.get(&conn) else {
             return false;
         };
-        let file_idx = Self::file_index(&self.shared_ids, &mut self.log.files, *file_id);
+        let file_idx =
+            Self::file_index(&mut self.shared_ids, &self.shared, &mut self.log, *file_id);
         self.log.push(QueryRecord {
             at: now,
             kind: QueryKind::RequestPart,
@@ -944,6 +954,91 @@ mod tests {
         assert_eq!(hp.live_sessions(), 1);
         hp.on_peer_disconnected(ConnId(1));
         assert_eq!(hp.live_sessions(), 0);
+    }
+
+    #[test]
+    fn a_session_opened_before_a_cut_logs_its_name_after_it() {
+        let mut hp = connected(ContentStrategy::NoContent);
+        let ip = Ipv4::new(81, 1, 1, 1);
+        let named = |name: &str| PeerMessage::Hello {
+            user_id: UserId::from_seed(name.as_bytes()),
+            client_id: ClientId(0x5101_0101),
+            port: 4662,
+            tags: vec![Tag::string(special::NAME, name)],
+        };
+        hp.on_peer_message(SimTime::ZERO, ConnId(1), ip, &named("first"), &mut Vec::new());
+        hp.on_peer_message(SimTime::ZERO, ConnId(2), ip, &named("second"), &mut Vec::new());
+        hp.collect_log();
+        // Only the second session queries after the cut; its name is the
+        // period's first.
+        let upload = PeerMessage::StartUpload { file_id: FileId::from_seed(b"movie") };
+        hp.on_peer_message(SimTime::from_secs(5), ConnId(2), ip, &upload, &mut Vec::new());
+        let chunk = hp.collect_log();
+        assert_eq!(chunk.peer_names, ["second"]);
+        assert_eq!(chunk.peer_names[chunk.records[0].name as usize], "second");
+        assert_eq!(chunk.files.name(chunk.records[0].file), "movie.avi");
+        assert_eq!(chunk.check_indices(), Ok(()));
+    }
+
+    #[test]
+    fn an_advertised_file_queried_in_three_periods_merges_to_one_entry() {
+        let mut hp = connected(ContentStrategy::NoContent);
+        let mut mgr = crate::Manager::new(vec![crate::HoneypotSpec {
+            id: HoneypotId(0),
+            content: ContentStrategy::NoContent,
+            server: server(),
+        }]);
+        let ip = Ipv4::new(81, 1, 1, 1);
+        let song = FileId::from_seed(b"song");
+        for period in 0..3u64 {
+            let at = SimTime::from_hours(period);
+            hp.on_peer_message(at, ConnId(period), ip, &hello(b"p"), &mut Vec::new());
+            hp.on_peer_message(at, ConnId(period), ip, &request(song), &mut Vec::new());
+            let chunk = hp.collect_log();
+            let file = chunk.records[1].file;
+            assert_eq!((chunk.files.id(file), chunk.files.name(file)), (song, "song.mp3"));
+            mgr.collect(chunk);
+        }
+        let merged = mgr.finalize(SimTime::from_days(1), 2, 1);
+        assert_eq!(merged.files.len(), 2, "the two advertised files, once each");
+        let parts: Vec<u32> = merged
+            .records
+            .iter()
+            .filter(|r| r.kind == QueryKind::RequestPart)
+            .map(|r| r.file)
+            .collect();
+        assert_eq!(parts.len(), 3);
+        assert!(parts.iter().all(|&f| merged.files.id(f) == song));
+    }
+
+    #[test]
+    fn after_a_cut_the_honeypot_keeps_only_client_names() {
+        let mut hp = connected(ContentStrategy::NoContent);
+        for i in 0..60u32 {
+            let ip = Ipv4(0x5100_0000 + i);
+            let hello = PeerMessage::Hello {
+                user_id: UserId::from_seed(&i.to_le_bytes()),
+                client_id: ClientId(0x5101_0101),
+                port: 4662,
+                tags: vec![Tag::string(special::NAME, format!("client {}", i % 3))],
+            };
+            let listing = PeerMessage::AskSharedFilesAnswer {
+                files: vec![edonkey_proto::PublishedFile::new(
+                    FileId::from_seed(&i.to_be_bytes()),
+                    "listed.avi",
+                    1,
+                )],
+            };
+            let (at, conn) = (SimTime::from_secs(u64::from(i)), ConnId(u64::from(i)));
+            for msg in [hello, request(FileId::from_seed(&[i as u8])), listing] {
+                hp.on_peer_message(at, conn, ip, &msg, &mut Vec::new());
+            }
+        }
+        assert!(hp.log().files.len() > 60);
+        hp.collect_log();
+        assert!(hp.log().files.is_empty(), "no file entry outlives the cut");
+        assert!(hp.log().peer_names.is_empty());
+        assert_eq!(hp.log().run_names(), 3, "the name map holds the distinct client names");
     }
 
     #[test]

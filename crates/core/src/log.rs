@@ -8,9 +8,13 @@
 //! shared-file lists retrieved from contacting peers, which Table I's
 //! "distinct files" statistics and the greedy strategy both consume.
 //!
-//! Logs are kept compact: peer names are interned into a per-log string
-//! table and file metadata into a [`FileTable`], so a month-scale
-//! measurement with tens of millions of records stays within memory.
+//! Logs are kept compact: peer names are interned into a string table and
+//! file metadata into a [`FileTable`] whose names share one buffer.  A
+//! [`HoneypotLog`] holds one collection period only: [`HoneypotLog::take_chunk`]
+//! hands the period's records, shared lists and tables to the manager as a
+//! [`LogChunk`] and starts the next period empty, so a honeypot's memory is
+//! bounded by the collection window, not by the run.  A [`FileIdx`] is
+//! valid only within the period it was interned in.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -295,15 +299,28 @@ impl SharedLists {
 }
 
 /// Deduplicated file metadata observed during a measurement.
+///
+/// The names live back to back in one buffer, so interning a new file,
+/// merging a chunk and decoding a table allocate once per table, not once
+/// per name.
 #[derive(Clone, Default)]
 pub struct FileTable {
-    ids: Vec<FileId>,
-    names: Vec<String>,
-    sizes: Vec<u64>,
+    rows: Vec<FileRow>,
+    /// Every name, back to back: name `i` ends at `rows[i].end` and starts
+    /// where name `i - 1` ends.
+    names: String,
     /// `FileId → index`, built on first [`Self::intern`] / [`Self::lookup`]:
     /// a table decoded by `storage::load` is only ever read by position,
     /// and hashing its ids was most of the cost of decoding it.
     index: OnceLock<HashMap<FileId, FileIdx>>,
+}
+
+/// One [`FileTable`] entry; its name is a range of the table's buffer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FileRow {
+    id: FileId,
+    size: u64,
+    end: usize,
 }
 
 // Manual impls: the lookup index is a rebuildable cache (the storage codec
@@ -312,7 +329,7 @@ pub struct FileTable {
 // across runs — depend on per-map iteration order.
 impl PartialEq for FileTable {
     fn eq(&self, other: &Self) -> bool {
-        self.ids == other.ids && self.names == other.names && self.sizes == other.sizes
+        self.rows == other.rows && self.names == other.names
     }
 }
 
@@ -320,10 +337,11 @@ impl Eq for FileTable {}
 
 impl std::fmt::Debug for FileTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let all = 0..self.len() as FileIdx;
         f.debug_struct("FileTable")
-            .field("ids", &self.ids)
-            .field("names", &self.names)
-            .field("sizes", &self.sizes)
+            .field("ids", &all.clone().map(|i| self.id(i)).collect::<Vec<_>>())
+            .field("names", &all.clone().map(|i| self.name(i)).collect::<Vec<_>>())
+            .field("sizes", &all.map(|i| self.size(i)).collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
 }
@@ -333,68 +351,50 @@ impl FileTable {
         Self::default()
     }
 
-    /// A table of already-decoded columns, entry `i` being
-    /// `(ids[i], names[i], sizes[i])`; `None` when an id repeats (or the
-    /// columns differ in length), which no interned table can contain.
-    pub fn from_columns(ids: Vec<FileId>, names: Vec<String>, sizes: Vec<u64>) -> Option<Self> {
-        if names.len() != ids.len() || sizes.len() != ids.len() {
-            return None;
-        }
-        let mut sorted: Vec<u128> = ids.iter().map(|id| u128::from_be_bytes(id.0)).collect();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            return None;
-        }
-        Some(FileTable { ids, names, sizes, index: OnceLock::new() })
-    }
-
     fn index(&self) -> &HashMap<FileId, FileIdx> {
         self.index.get_or_init(|| {
-            self.ids.iter().enumerate().map(|(i, id)| (*id, i as FileIdx)).collect()
+            self.rows.iter().enumerate().map(|(i, row)| (row.id, i as FileIdx)).collect()
         })
     }
 
-    /// Interns a file, keeping the first-seen name/size.
+    /// Interns a file, keeping the first-seen name/size.  One hash per
+    /// call; `name` is copied only for an id not yet in the table.
     pub fn intern(&mut self, id: FileId, name: &str, size: u64) -> FileIdx {
-        self.intern_with(id, size, || name.to_string())
-    }
-
-    /// [`Self::intern`] taking the name by value, so a new entry moves it
-    /// instead of copying it (the manager's merge owns the chunk's names).
-    pub(crate) fn intern_owned(&mut self, id: FileId, name: String, size: u64) -> FileIdx {
-        self.intern_with(id, size, || name)
-    }
-
-    /// One hash per call; `name` runs only for an id not yet in the table.
-    fn intern_with(&mut self, id: FileId, size: u64, name: impl FnOnce() -> String) -> FileIdx {
         self.index();
         let index = self.index.get_mut().expect("index built on the line above");
-        let next = self.ids.len() as FileIdx;
+        let next = self.rows.len() as FileIdx;
         match index.entry(id) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 e.insert(next);
-                self.ids.push(id);
-                self.names.push(name());
-                self.sizes.push(size);
+                self.names.push_str(name);
+                self.rows.push(FileRow { id, size, end: self.names.len() });
                 next
             }
         }
     }
 
-    /// Appends an entry whose id the caller knows is not in the table,
-    /// without hashing it: a table built only this way leaves its lookup
-    /// index unbuilt until someone asks for it.
-    fn push_distinct(&mut self, id: FileId, name: String, size: u64) {
+    /// Appends an entry without hashing its id, for a decoder: a table
+    /// built only this way leaves its lookup index unbuilt until someone
+    /// asks for it, and its builder must reject it if
+    /// [`Self::has_repeated_id`].
+    pub(crate) fn push_row(&mut self, id: FileId, name: &str, size: u64) {
         debug_assert!(self.index.get().is_none(), "an index built before the push goes stale");
-        self.ids.push(id);
-        self.names.push(name);
-        self.sizes.push(size);
+        self.names.push_str(name);
+        self.rows.push(FileRow { id, size, end: self.names.len() });
     }
 
-    /// The table's `(ids, names, sizes)` columns, moved out.
-    pub(crate) fn into_columns(self) -> (Vec<FileId>, Vec<String>, Vec<u64>) {
-        (self.ids, self.names, self.sizes)
+    /// True when two entries share an id, which no interned table can.
+    pub(crate) fn has_repeated_id(&self) -> bool {
+        let mut sorted: Vec<u128> =
+            self.rows.iter().map(|row| u128::from_be_bytes(row.id.0)).collect();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|w| w[0] == w[1])
+    }
+
+    /// Reserves room for `additional` more entries.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
     }
 
     /// Looks a file up by ID.
@@ -403,30 +403,32 @@ impl FileTable {
     }
 
     pub fn id(&self, idx: FileIdx) -> FileId {
-        self.ids[idx as usize]
+        self.rows[idx as usize].id
     }
 
     pub fn name(&self, idx: FileIdx) -> &str {
-        &self.names[idx as usize]
+        let i = idx as usize;
+        let start = if i == 0 { 0 } else { self.rows[i - 1].end };
+        &self.names[start..self.rows[i].end]
     }
 
     pub fn size(&self, idx: FileIdx) -> u64 {
-        self.sizes[idx as usize]
+        self.rows[idx as usize].size
     }
 
     /// Number of distinct files.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.rows.is_empty()
     }
 
     /// Total size of all distinct files (Table I's "space used by distinct
     /// files").
     pub fn total_size(&self) -> u64 {
-        self.sizes.iter().sum()
+        self.rows.iter().map(|row| row.size).sum()
     }
 
     /// Rewrites every stored name through `f`, which appends a name's
@@ -434,124 +436,81 @@ impl FileTable {
     /// anonymisation pass).
     ///
     /// The rewrites run on [`netsim::par::par_map`], each worker writing
-    /// its contiguous share of the names into one buffer.  The calling
-    /// thread then copies each rewrite out at its exact length as it drops
-    /// the old name, so the new names reuse the old names' memory instead
-    /// of growing the workers' heaps.  The names go in rounds of
-    /// 32,768, so the buffers stay small beside the table.  The
-    /// result is the same for any worker count.
+    /// its contiguous share of the names into one buffer, which the
+    /// calling thread appends to the new name buffer.  The names go in
+    /// rounds of 32,768, so the workers' buffers stay small beside the
+    /// table.  The result is the same for any worker count.
     pub fn map_names(&mut self, f: impl Fn(&str, &mut String) + Sync) {
-        for round in self.names.chunks_mut(REWRITE_ROUND) {
-            let names: &[String] = round;
-            let rewritten = netsim::par::par_map(netsim::par::shares(names.len()), |share| {
-                let names = &names[share];
-                let mut buf = String::with_capacity(names.iter().map(|n| n.len() + 4).sum());
-                let ends: Vec<usize> = names
-                    .iter()
-                    .map(|name| {
-                        f(name, &mut buf);
+        let mut names = String::with_capacity(self.names.len());
+        let mut ends = Vec::with_capacity(self.len());
+        for first in (0..self.len()).step_by(REWRITE_ROUND) {
+            let round = first..self.len().min(first + REWRITE_ROUND);
+            let rewritten = netsim::par::par_map(netsim::par::shares(round.len()), |share| {
+                let share = first + share.start..first + share.end;
+                let start = if share.start == 0 { 0 } else { self.rows[share.start - 1].end };
+                let mut buf = String::with_capacity(self.rows[share.end - 1].end - start);
+                let ends: Vec<usize> = share
+                    .map(|i| {
+                        f(self.name(i as FileIdx), &mut buf);
                         buf.len()
                     })
                     .collect();
                 (buf, ends)
             });
-            let mut slots = round.iter_mut();
-            for (buf, ends) in rewritten {
-                let mut start = 0;
-                for end in ends {
-                    *slots.next().expect("one rewrite per name") = buf[start..end].to_owned();
-                    start = end;
-                }
+            for (buf, share_ends) in rewritten {
+                let base = names.len();
+                names.push_str(&buf);
+                ends.extend(share_ends.into_iter().map(|end| base + end));
             }
         }
+        for (row, end) in self.rows.iter_mut().zip(ends) {
+            row.end = end;
+        }
+        self.names = names;
     }
 }
 
 /// Names [`FileTable::map_names`] rewrites per round.
 const REWRITE_ROUND: usize = 1 << 15;
 
-/// The full log of one honeypot.
+/// One collection period of a honeypot's log.
+///
+/// The manager collects periodically (paper §III-A), so between two
+/// collections a honeypot needs nothing older than the last one: records,
+/// shared lists, the file table and the peer-name table all belong to the
+/// current period, and [`Self::take_chunk`] hands them over whole.  Only
+/// the client-name map outlives a cut, because peer sessions keep the
+/// name index they were given at HELLO.
 #[derive(Clone, Debug)]
 pub struct HoneypotLog {
     pub honeypot: HoneypotId,
     /// Server the honeypot was connected to while recording.
     pub server: ServerInfo,
+    /// This period's records; `name` and `file` index this period's
+    /// `peer_names` and `files`.
     pub records: Vec<QueryRecord>,
     pub shared_lists: SharedLists,
-    /// Interned peer client names.
+    /// This period's peer client names, in first-use order.
     pub peer_names: Vec<String>,
-    name_index: HashMap<String, NameIdx>,
-    /// Files observed (advertised files, queried files, shared-list files).
+    /// Files observed this period (advertised files, queried files,
+    /// shared-list files).  A [`FileIdx`] is valid only within the period
+    /// it was interned in.
     pub files: FileTable,
-    /// Collection cursors over `peer_names` / `files` (see [`Self::take_chunk`]).
-    name_cursor: ChunkCursor,
-    file_cursor: ChunkCursor,
+    /// Every client name of the run, by the run-long [`NameIdx`]
+    /// [`Self::intern_name`] returns.
+    names: Vec<RunName>,
+    name_index: HashMap<String, NameIdx>,
+    /// Number of cuts so far.
+    period: u32,
 }
 
-/// Marks a [`ChunkCursor::local`] slot as "not referenced by the chunk
-/// being cut".
-const UNSET: u32 = u32::MAX;
-
-/// What [`HoneypotLog::take_chunk`] remembers about one interning table
-/// between collections: how much of it earlier chunks already carried, and
-/// the scratch that renumbers the entries the next chunk carries.
-///
-/// The scratch is persistent and reset only where touched, so cutting a
-/// chunk costs O(new + referenced) however large the table has grown.
-#[derive(Clone, Debug, Default)]
-struct ChunkCursor {
-    /// One slot per table entry earlier chunks already carried (so its
-    /// length is the table length at the previous `take_chunk`; entries at
-    /// or past it are new).  `local[i]` is the chunk-local index of old
-    /// entry `i` while a chunk is being cut, [`UNSET`] otherwise.
-    local: Vec<u32>,
-    /// The old entries the chunk being cut refers to.
-    touched: Vec<u32>,
-}
-
-impl ChunkCursor {
-    /// Notes that the chunk being cut refers to table entry `idx`.
-    fn mark(&mut self, idx: u32) {
-        if let Some(slot) = self.local.get_mut(idx as usize) {
-            if *slot == UNSET {
-                *slot = 0;
-                self.touched.push(idx);
-            }
-        }
-    }
-
-    /// Numbers the marked entries in ascending table order; new entries
-    /// follow them, so the chunk's table is a subsequence of the
-    /// honeypot's.
-    fn number(&mut self) {
-        self.touched.sort_unstable();
-        for (k, &idx) in self.touched.iter().enumerate() {
-            self.local[idx as usize] = k as u32;
-        }
-    }
-
-    /// The chunk-local index of table entry `idx` (marked or new).
-    fn local_of(&self, idx: u32) -> u32 {
-        match self.local.get(idx as usize) {
-            Some(&local) => local,
-            None => (self.touched.len() + (idx as usize - self.local.len())) as u32,
-        }
-    }
-
-    /// The table entries the chunk carries, in chunk-local order.
-    fn carried(&self, table_len: usize) -> impl Iterator<Item = u32> + '_ {
-        self.touched.iter().copied().chain(self.local.len() as u32..table_len as u32)
-    }
-
-    /// Closes the chunk: clears the touched slots and extends "already
-    /// carried" to the end of the table.
-    fn advance(&mut self, table_len: usize) {
-        for &idx in &self.touched {
-            self.local[idx as usize] = UNSET;
-        }
-        self.touched.clear();
-        self.local.resize(table_len, UNSET);
-    }
+/// A client name and where it sits in the current period's `peer_names`.
+#[derive(Clone, Debug)]
+struct RunName {
+    name: String,
+    /// The period `local` belongs to.
+    period: u32,
+    local: NameIdx,
 }
 
 impl HoneypotLog {
@@ -562,27 +521,55 @@ impl HoneypotLog {
             records: Vec::new(),
             shared_lists: SharedLists::new(),
             peer_names: Vec::new(),
-            name_index: HashMap::new(),
             files: FileTable::new(),
-            name_cursor: ChunkCursor::default(),
-            file_cursor: ChunkCursor::default(),
+            names: Vec::new(),
+            name_index: HashMap::new(),
+            period: 0,
         }
     }
 
-    /// Interns a peer client name.
+    /// Interns a peer client name, returning its run-long index (what a
+    /// session keeps across cuts; [`Self::push`] maps it to the period's
+    /// numbering).  A new name joins the current period at once, so it
+    /// travels in the next chunk even if no record refers to it.
     pub fn intern_name(&mut self, name: &str) -> NameIdx {
         if let Some(&idx) = self.name_index.get(name) {
             return idx;
         }
-        let idx = self.peer_names.len() as NameIdx;
+        let idx = self.names.len() as NameIdx;
+        self.names.push(RunName {
+            name: name.to_string(),
+            period: self.period,
+            local: self.peer_names.len() as NameIdx,
+        });
         self.peer_names.push(name.to_string());
         self.name_index.insert(name.to_string(), idx);
         idx
     }
 
-    /// Appends a query record.
-    pub fn push(&mut self, record: QueryRecord) {
+    /// Appends a query record whose `name` is a run-long index from
+    /// [`Self::intern_name`] and whose `file` indexes this period's
+    /// `files`.
+    pub fn push(&mut self, mut record: QueryRecord) {
+        let run = &mut self.names[record.name as usize];
+        if run.period != self.period {
+            run.period = self.period;
+            run.local = self.peer_names.len() as NameIdx;
+            self.peer_names.push(run.name.clone());
+        }
+        record.name = run.local;
         self.records.push(record);
+    }
+
+    /// The current collection period: how many chunks have been cut.
+    pub(crate) fn period(&self) -> u32 {
+        self.period
+    }
+
+    /// Distinct client names seen in the run (what a log keeps across cuts).
+    #[cfg(test)]
+    pub(crate) fn run_names(&self) -> usize {
+        self.names.len()
     }
 
     /// True when records or shared lists await collection.
@@ -595,85 +582,29 @@ impl HoneypotLog {
         self.records.iter().filter(|r| r.kind == kind).count()
     }
 
-    /// Drains the buffered records/lists into a fresh log chunk, leaving
-    /// interning tables in place — the honeypot keeps logging while the
-    /// manager periodically collects (paper §III-A: "the manager
-    /// periodically gathers the data collected by honeypots").
+    /// Closes the period: moves its records, shared lists and tables into
+    /// a chunk and starts the next period empty — the honeypot keeps
+    /// logging while the manager periodically collects (paper §III-A:
+    /// "the manager periodically gathers the data collected by
+    /// honeypots").  Nothing is copied or renumbered, so a cut costs O(1).
     ///
-    /// The chunk is compact but self-contained: its name/file tables hold
-    /// exactly the entries its records and shared lists refer to plus the
-    /// entries interned since the previous `take_chunk`, in ascending
-    /// table order, and its indices are rewritten to that chunk-local
-    /// numbering.  Every older entry reached the manager in an earlier
-    /// chunk and new entries keep their order, so merging chunks in
-    /// collection order interns the manager's global tables in the same
-    /// order as shipping the whole tables every time would — at a cost of
-    /// O(new + referenced) per collection instead of O(table).
+    /// The chunk is self-contained: its tables hold every entry the
+    /// period interned, in interning order, which includes every entry its
+    /// records and shared lists refer to.  A table entry new to the
+    /// manager is always new to the honeypot that ships it (the honeypot's
+    /// earlier chunks carried everything it saw before), and those entries
+    /// ride in first-seen order, so merging a honeypot's chunks in cut
+    /// order builds the manager's global tables in the order a run-long
+    /// table would.
     pub fn take_chunk(&mut self) -> LogChunk {
-        let mut records = std::mem::take(&mut self.records);
-        let mut shared_lists = std::mem::take(&mut self.shared_lists);
-
-        for r in &records {
-            self.name_cursor.mark(r.name);
-            if r.file != FILE_NONE {
-                self.file_cursor.mark(r.file);
-            }
-        }
-        for &f in &shared_lists.files {
-            self.file_cursor.mark(f);
-        }
-        self.name_cursor.number();
-        self.file_cursor.number();
-
-        let (name_cur, file_cur) = (&self.name_cursor, &self.file_cursor);
-        for r in &mut records {
-            r.name = name_cur.local_of(r.name);
-            if r.file != FILE_NONE {
-                r.file = file_cur.local_of(r.file);
-            }
-        }
-        for f in &mut shared_lists.files {
-            *f = file_cur.local_of(*f);
-        }
-
-        let peer_names = name_cur
-            .carried(self.peer_names.len())
-            .map(|i| self.peer_names[i as usize].clone())
-            .collect();
-        // The carried entries are distinct rows of a deduplicated table, so
-        // the chunk's table is built by pushing columns, not by interning.
-        let mut files = FileTable::new();
-        for i in file_cur.carried(self.files.len()) {
-            files.push_distinct(
-                self.files.id(i),
-                self.files.name(i).to_string(),
-                self.files.size(i),
-            );
-        }
-
-        self.name_cursor.advance(self.peer_names.len());
-        self.file_cursor.advance(self.files.len());
-        LogChunk {
-            honeypot: self.honeypot,
-            server: self.server.clone(),
-            records,
-            shared_lists,
-            peer_names,
-            files,
-        }
-    }
-
-    /// The historical chunk shape — whole-table snapshots, indices
-    /// untouched — kept as the differential oracle for [`Self::take_chunk`].
-    #[cfg(test)]
-    pub(crate) fn take_snapshot_chunk(&mut self) -> LogChunk {
+        self.period += 1;
         LogChunk {
             honeypot: self.honeypot,
             server: self.server.clone(),
             records: std::mem::take(&mut self.records),
             shared_lists: std::mem::take(&mut self.shared_lists),
-            peer_names: self.peer_names.clone(),
-            files: self.files.clone(),
+            peer_names: std::mem::take(&mut self.peer_names),
+            files: std::mem::take(&mut self.files),
         }
     }
 }
@@ -681,9 +612,9 @@ impl HoneypotLog {
 /// A collected batch of log data handed from a honeypot to the manager.
 ///
 /// Self-contained: record and shared-list indices refer to the chunk's own
-/// name/file tables, which carry the entries this chunk refers to plus
-/// those interned since the previous chunk (see
-/// [`HoneypotLog::take_chunk`]) — never the honeypot's whole history.
+/// name/file tables, which are the tables of the collection period it
+/// closes (see [`HoneypotLog::take_chunk`]) — never the honeypot's whole
+/// history.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LogChunk {
     pub honeypot: HoneypotId,
@@ -795,17 +726,22 @@ mod tests {
         let r = sample_record(&mut log, QueryKind::Hello);
         log.push(r);
         log.intern_name("aMule 2.2");
+        log.files.intern(FileId::from_seed(b"f"), "f.avi", 1);
         let chunk = log.take_chunk();
         assert_eq!(chunk.records.len(), 1);
         assert_eq!(chunk.honeypot, HoneypotId(3));
         assert_eq!(chunk.peer_names.len(), 2, "new names travel even when unreferenced");
+        assert_eq!(chunk.files.len(), 1, "the period's file table travels whole");
         assert!(log.records.is_empty(), "records drained");
-        assert_eq!(log.peer_names.len(), 2, "interning survives");
-        // A second chunk carries exactly the one name its record refers to,
-        // renumbered to the chunk's own table.
+        assert!(log.peer_names.is_empty() && log.files.is_empty(), "the next period starts empty");
+        assert_eq!(log.period(), 1);
+        // A second chunk carries exactly the one old name its record refers
+        // to, renumbered to the period's own table when the record is pushed.
         let mut r2 = sample_record(&mut log, QueryKind::StartUpload);
         r2.name = log.intern_name("aMule 2.2");
+        assert_eq!(r2.name, 1, "intern_name returns the run-long index");
         log.push(r2);
+        assert_eq!(log.records[0].name, 0, "push maps it to the period's numbering");
         let chunk2 = log.take_chunk();
         assert_eq!(chunk2.peer_names, vec!["aMule 2.2".to_string()]);
         assert_eq!(chunk2.records[0].name, 0);
@@ -828,16 +764,40 @@ mod tests {
             out.push_str(&name.to_uppercase());
             out.push('>');
         };
+        let mut first: Option<FileTable> = None;
         for workers in [1, 2, 3, 8] {
             let mut t = table.clone();
             netsim::par::with_workers(workers, || t.map_names(rewrite));
+            let mut total = 0;
             for i in 0..n as FileIdx {
                 let want = format!("<{}>", table.name(i).to_uppercase());
                 assert_eq!(t.name(i), want, "{workers} workers, name {i}");
-                assert_eq!(t.names[i as usize].capacity(), want.len(), "exact length");
+                total += want.len();
             }
-            assert_eq!((t.ids.clone(), t.sizes.clone()), (table.ids.clone(), table.sizes.clone()));
+            assert_eq!(t.names.len(), total, "one buffer, the names back to back");
+            for i in 0..n as FileIdx {
+                assert_eq!((t.id(i), t.size(i)), (table.id(i), table.size(i)));
+            }
+            match &first {
+                Some(first) => assert_eq!(&t, first, "{workers} workers"),
+                None => first = Some(t),
+            }
         }
+    }
+
+    #[test]
+    fn file_table_debug_lists_each_name() {
+        let mut t = FileTable::new();
+        t.intern(FileId([1; 16]), "a b.avi", 7);
+        t.intern(FileId([2; 16]), "", 0);
+        t.intern(FileId([3; 16]), "é.mp3", 9);
+        assert_eq!(
+            format!("{t:?}"),
+            "FileTable { ids: [FileId(01010101010101010101010101010101), \
+             FileId(02020202020202020202020202020202), \
+             FileId(03030303030303030303030303030303)], \
+             names: [\"a b.avi\", \"\", \"é.mp3\"], sizes: [7, 0, 9], .. }"
+        );
     }
 
     #[test]
@@ -865,22 +825,27 @@ mod tests {
             log.files.intern(*id, &format!("f{i}"), i as u64);
         }
         log.take_chunk();
-        // Refer to old entries 4 and 1 (in that order), then intern a new one.
+        // Refer to earlier files 4 and 1 (in that order), then a new one:
+        // the period interns each on first use, so its table holds them in
+        // that order and every index is period-local from the start.
         let mut r = sample_record(&mut log, QueryKind::RequestPart);
-        r.file = 4;
+        r.file = log.files.intern(ids[4], "f4", 4);
         log.push(r);
-        log.shared_lists.push(SimTime::from_secs(1), IpHash([2; 16]), [1, 4]);
+        let listed = [ids[1], ids[4]].map(|id| log.files.intern(id, "renamed", 0));
+        log.shared_lists.push(SimTime::from_secs(1), IpHash([2; 16]), listed);
         let fresh = log.files.intern(FileId::from_seed(b"new"), "new", 9);
         log.shared_lists.push(SimTime::from_secs(2), IpHash([2; 16]), [fresh]);
         let chunk = log.take_chunk();
         let carried: Vec<FileId> =
             (0..chunk.files.len() as u32).map(|i| chunk.files.id(i)).collect();
-        assert_eq!(carried, vec![ids[1], ids[4], FileId::from_seed(b"new")]);
-        assert_eq!(chunk.records[0].file, 1);
-        assert_eq!(chunk.shared_lists.get(0).files, &[0, 1]);
+        assert_eq!(carried, vec![ids[4], ids[1], FileId::from_seed(b"new")]);
+        assert_eq!(chunk.records[0].file, 0);
+        assert_eq!(chunk.shared_lists.get(0).files, &[1, 0]);
         assert_eq!(chunk.shared_lists.get(1).files, &[2]);
-        assert_eq!(chunk.files.name(1), "f4");
+        assert_eq!(chunk.files.name(0), "f4");
+        assert_eq!(chunk.files.name(1), "renamed", "the period's first-seen name");
         assert_eq!(chunk.files.size(2), 9);
+        assert_eq!(chunk.check_indices(), Ok(()));
     }
 
     #[test]

@@ -167,20 +167,16 @@ impl Manager {
     pub fn collect(&mut self, chunk: LogChunk) {
         self.chunks_collected += 1;
         // Translate the chunk's name and file tables into global indices,
-        // moving each new entry's name into the global table and counting
-        // its words there.
+        // counting the words of each name the global file table gains.
         let name_map: Vec<u32> =
             chunk.peer_names.into_iter().map(|n| self.intern_peer_name(n)).collect();
-        let (ids, names, sizes) = chunk.files.into_columns();
-        let file_map: Vec<u32> = ids
-            .into_iter()
-            .zip(names)
-            .zip(sizes)
-            .map(|((id, name), size)| {
+        let file_map: Vec<u32> = (0..chunk.files.len() as u32)
+            .map(|i| {
                 let fresh = self.files.len() as u32;
-                let idx = self.files.intern_owned(id, name, size);
+                let name = chunk.files.name(i);
+                let idx = self.files.intern(chunk.files.id(i), name, chunk.files.size(i));
                 if idx == fresh {
-                    self.words.count(self.files.name(idx));
+                    self.words.count(name);
                 }
                 idx
             })
@@ -287,7 +283,7 @@ impl std::fmt::Debug for Manager {
 mod tests {
     use super::*;
     use crate::anonymize::{AnonPeerId, IpHash, IpHasher};
-    use crate::log::{HoneypotLog, QueryKind, QueryRecord};
+    use crate::log::{HoneypotLog, QueryKind, QueryRecord, SharedLists};
     use crate::types::IdStatus;
     use edonkey_proto::{ClientId, FileId, Ipv4, UserId};
 
@@ -488,50 +484,131 @@ mod tests {
         assert_eq!(log.shared_files_final, 3);
     }
 
-    /// A compact-chunk log and its snapshot-chunk twin, driven by the same
+    /// A log whose tables grow for the whole run and whose chunks snapshot
+    /// them whole: the differential oracle for [`HoneypotLog::take_chunk`].
+    struct RunLongLog {
+        honeypot: HoneypotId,
+        records: Vec<QueryRecord>,
+        shared_lists: SharedLists,
+        peer_names: Vec<String>,
+        name_index: HashMap<String, u32>,
+        files: FileTable,
+    }
+
+    impl RunLongLog {
+        fn snapshot_chunk(&mut self) -> LogChunk {
+            LogChunk {
+                honeypot: self.honeypot,
+                server: server(),
+                records: std::mem::take(&mut self.records),
+                shared_lists: std::mem::take(&mut self.shared_lists),
+                peer_names: self.peer_names.clone(),
+                files: self.files.clone(),
+            }
+        }
+    }
+
+    /// What the differential test does to a log; indices are whatever the
+    /// log hands out (run-long names, period-local or run-long files).
+    trait TestLog {
+        fn name(&mut self, name: &str) -> u32;
+        fn file(&mut self, id: FileId, name: &str, size: u64) -> u32;
+        fn push(&mut self, record: QueryRecord);
+        fn lists(&mut self) -> &mut SharedLists;
+    }
+
+    impl TestLog for HoneypotLog {
+        fn name(&mut self, name: &str) -> u32 {
+            self.intern_name(name)
+        }
+        fn file(&mut self, id: FileId, name: &str, size: u64) -> u32 {
+            self.files.intern(id, name, size)
+        }
+        fn push(&mut self, record: QueryRecord) {
+            HoneypotLog::push(self, record)
+        }
+        fn lists(&mut self) -> &mut SharedLists {
+            &mut self.shared_lists
+        }
+    }
+
+    impl TestLog for RunLongLog {
+        fn name(&mut self, name: &str) -> u32 {
+            let next = self.peer_names.len() as u32;
+            *self.name_index.entry(name.to_string()).or_insert_with(|| {
+                self.peer_names.push(name.to_string());
+                next
+            })
+        }
+        fn file(&mut self, id: FileId, name: &str, size: u64) -> u32 {
+            self.files.intern(id, name, size)
+        }
+        fn push(&mut self, record: QueryRecord) {
+            self.records.push(record)
+        }
+        fn lists(&mut self) -> &mut SharedLists {
+            &mut self.shared_lists
+        }
+    }
+
+    /// A per-period log and its run-long twin, driven by the same
     /// operations.
     struct Twin {
-        compact: HoneypotLog,
-        snapshot: HoneypotLog,
+        period: HoneypotLog,
+        run_long: RunLongLog,
+        /// The client name of an open session on both sides (their name
+        /// indices), which outlives cuts like a peer session does.
+        session: Option<(u32, u32)>,
         /// Chunks collected so far.
         sent: u64,
     }
 
     impl Twin {
         fn new(hp: u32) -> Self {
-            let log = HoneypotLog::new(HoneypotId(hp), server());
-            Twin { compact: log.clone(), snapshot: log, sent: 0 }
+            Twin {
+                period: HoneypotLog::new(HoneypotId(hp), server()),
+                run_long: RunLongLog {
+                    honeypot: HoneypotId(hp),
+                    records: Vec::new(),
+                    shared_lists: SharedLists::new(),
+                    peer_names: Vec::new(),
+                    name_index: HashMap::new(),
+                    files: FileTable::new(),
+                },
+                session: None,
+                sent: 0,
+            }
         }
 
-        fn each(&mut self, f: impl Fn(&mut HoneypotLog)) {
-            f(&mut self.compact);
-            f(&mut self.snapshot);
+        /// Runs `f` on both sides; it is told which side it runs on.
+        fn each(&mut self, f: impl Fn(&mut dyn TestLog, bool)) {
+            f(&mut self.period, true);
+            f(&mut self.run_long, false);
         }
 
-        /// Collects both sides; the compact chunk must stand on its own and
-        /// never outgrow the snapshot.  `sent` keeps each compact chunk
+        /// Collects both sides; the period chunk must stand on its own and
+        /// never outgrow the snapshot.  `sent` keeps each period chunk
         /// with its per-honeypot sequence number.
         fn collect_into(
             &mut self,
-            compact: &mut Manager,
-            snapshot: &mut Manager,
+            period: &mut Manager,
+            run_long: &mut Manager,
             sent: &mut Vec<(u64, LogChunk)>,
             seed: u64,
         ) {
-            let chunk = self.compact.take_chunk();
-            let whole = self.snapshot.take_snapshot_chunk();
+            let chunk = self.period.take_chunk();
+            let whole = self.run_long.snapshot_chunk();
             assert_eq!(chunk.check_indices(), Ok(()), "seed {seed}");
-            // The chunk's table is pushed, not interned: its lazy index
-            // must still find every row where it lies.
             for i in 0..chunk.files.len() as u32 {
                 assert_eq!(chunk.files.lookup(&chunk.files.id(i)), Some(i), "seed {seed}");
             }
             assert!(chunk.files.len() <= whole.files.len(), "seed {seed}");
             assert!(chunk.peer_names.len() <= whole.peer_names.len(), "seed {seed}");
+            assert!(self.period.files.is_empty() && self.period.peer_names.is_empty());
             self.sent += 1;
             sent.push((self.sent, chunk.clone()));
-            compact.collect(chunk);
-            snapshot.collect(whole);
+            period.collect(chunk);
+            run_long.collect(whole);
         }
     }
 
@@ -554,60 +631,79 @@ mod tests {
         (FileId::from_seed(&i.to_le_bytes()), format!("file {i}.avi"), 1000 + i)
     }
 
+    /// Pool file `i` under the name some peer gives it: usually its own,
+    /// sometimes another, so "the first-seen name wins" is exercised.
+    fn pool_file_named(i: u64, alias: bool) -> (FileId, String, u64) {
+        let (id, name, size) = pool_file(i);
+        (id, if alias { format!("alias {i}.mkv") } else { name }, size)
+    }
+
     /// One seeded interleaving of interning, logging and collection on 1–3
-    /// honeypots, merged once through compact chunks and once through the
-    /// historical whole-table snapshots.
+    /// honeypots, merged once through per-period chunks and once through
+    /// whole-table snapshots of a run-long log.
     fn differential_case(seed: u64) {
         let mut rng = netsim::Rng::seed_from(seed);
         let hasher = IpHasher::from_seed(11);
         let n_hp = 1 + rng.below(3) as u32;
         let mut twins: Vec<Twin> = (0..n_hp).map(Twin::new).collect();
-        let mut compact = Manager::new(specs(n_hp));
-        let mut snapshot = Manager::new(specs(n_hp));
+        let mut period = Manager::new(specs(n_hp));
+        let mut run_long = Manager::new(specs(n_hp));
         let mut sent = Vec::new();
         for step in 0..400u64 {
             let twin = &mut twins[rng.below(u64::from(n_hp)) as usize];
             let name = format!("client {}", rng.below(12));
-            let (id, file_name, size) = pool_file(rng.below(60));
+            let (id, file_name, size) = pool_file_named(rng.below(60), rng.chance(0.3));
             let peer = hasher.hash(Ipv4(rng.below(25) as u32));
             let at = SimTime::from_secs(step);
-            match rng.below(10) {
-                0 => twin.each(|log| {
-                    log.intern_name(&name);
+            match rng.below(11) {
+                0 => twin.each(|log, _| {
+                    log.name(&name);
                 }),
-                1 => twin.each(|log| {
-                    log.files.intern(id, &file_name, size);
+                1 => twin.each(|log, _| {
+                    log.file(id, &file_name, size);
                 }),
                 2..=5 => {
                     let with_file = rng.chance(0.6);
-                    twin.each(|log| {
-                        let name = log.intern_name(&name);
-                        let file = if with_file {
-                            log.files.intern(id, &file_name, size)
-                        } else {
-                            FILE_NONE
+                    let session = twin.session.filter(|_| rng.chance(0.5));
+                    twin.each(|log, is_period| {
+                        let name = match session {
+                            Some((p, r)) => {
+                                if is_period {
+                                    p
+                                } else {
+                                    r
+                                }
+                            }
+                            None => log.name(&name),
                         };
+                        let file =
+                            if with_file { log.file(id, &file_name, size) } else { FILE_NONE };
                         log.push(record(at, peer, name, file));
                     });
                 }
-                6 | 7 => {
-                    let listed: Vec<u64> = (0..rng.below(6)).map(|_| rng.below(60)).collect();
-                    twin.each(|log| {
-                        log.shared_lists.begin(at, peer);
-                        for &i in &listed {
-                            let (id, name, size) = pool_file(i);
-                            let idx = log.files.intern(id, &name, size);
-                            log.shared_lists.append_file(idx);
+                6 => {
+                    let p = twin.period.intern_name(&name);
+                    twin.session = Some((p, twin.run_long.name(&name)));
+                }
+                7 | 8 => {
+                    let listed: Vec<(u64, bool)> =
+                        (0..rng.below(6)).map(|_| (rng.below(60), rng.chance(0.3))).collect();
+                    twin.each(|log, _| {
+                        let mut files = Vec::new();
+                        for &(i, alias) in &listed {
+                            let (id, name, size) = pool_file_named(i, alias);
+                            files.push(log.file(id, &name, size));
                         }
+                        log.lists().push(at, peer, files);
                     });
                 }
-                _ => twin.collect_into(&mut compact, &mut snapshot, &mut sent, seed),
+                _ => twin.collect_into(&mut period, &mut run_long, &mut sent, seed),
             }
         }
         for twin in &mut twins {
-            twin.collect_into(&mut compact, &mut snapshot, &mut sent, seed);
+            twin.collect_into(&mut period, &mut run_long, &mut sent, seed);
         }
-        // The compact chunks once more, shuffled and with repeats, through
+        // The period chunks once more, shuffled and with repeats, through
         // the sequenced path.
         let mut redelivered = Manager::new(specs(n_hp));
         let mut order: Vec<usize> = (0..sent.len()).collect();
@@ -619,12 +715,12 @@ mod tests {
         }
         assert_eq!(redelivered.chunks_collected(), sent.len() as u64, "seed {seed}");
         for (mgr, side) in
-            [(&compact, "compact"), (&snapshot, "snapshot"), (&redelivered, "shuffled")]
+            [(&period, "period"), (&run_long, "run-long"), (&redelivered, "shuffled")]
         {
             assert_counts_match_final_table(mgr, 2, &format!("seed {seed}, {side}"));
         }
-        let a = compact.finalize(SimTime::from_days(1), 4, 2);
-        let b = snapshot.finalize(SimTime::from_days(1), 4, 2);
+        let a = period.finalize(SimTime::from_days(1), 4, 2);
+        let b = run_long.finalize(SimTime::from_days(1), 4, 2);
         assert_eq!(a.records, b.records, "seed {seed}");
         assert_eq!(a.shared_lists, b.shared_lists, "seed {seed}");
         assert_eq!(a.peer_names, b.peer_names, "seed {seed}");
@@ -637,7 +733,7 @@ mod tests {
         for seed in 0..300 {
             // Name the seed whatever failed, an index panic included.
             std::panic::catch_unwind(|| differential_case(seed))
-                .unwrap_or_else(|_| panic!("compact and snapshot chunks diverge at seed {seed}"));
+                .unwrap_or_else(|_| panic!("period and run-long chunks diverge at seed {seed}"));
         }
     }
 
@@ -650,12 +746,16 @@ mod tests {
         }
         let mut mgr = Manager::new(specs(1));
         mgr.collect(log.take_chunk());
-        // Only file 1 is ever queried, a collection later.
+        // Only file 1 is ever queried, a collection later: that period
+        // re-interns it, so its index is the period's own.
         let name = log.intern_name("eMule");
         let peer = IpHasher::from_seed(7).hash(Ipv4::new(1, 1, 1, 1));
-        log.push(record(SimTime::from_secs(5), peer, name, 1));
+        let (id, file_name, size) = pool_file(1);
+        let file = log.files.intern(id, &file_name, size);
+        assert_eq!(file, 0, "the period's table starts empty");
+        log.push(record(SimTime::from_secs(5), peer, name, file));
         let chunk = log.take_chunk();
-        assert_eq!(chunk.files.len(), 1, "the later chunk carries the one referenced file");
+        assert_eq!(chunk.files.len(), 1, "the later chunk carries the one re-interned file");
         mgr.collect(chunk);
         let merged = mgr.finalize(SimTime::from_days(1), 3, 1);
         assert_eq!(merged.files.len(), 3);

@@ -237,13 +237,18 @@ fn array<const N: usize>(r: &mut Sections) -> Result<[u8; N], StorageError> {
 }
 
 fn string(r: &mut Sections) -> Result<String, StorageError> {
+    str_in(r, &mut Vec::new()).map(str::to_owned)
+}
+
+/// Reads one length-prefixed string into `buf` and lends it.
+fn str_in<'b>(r: &mut Sections, buf: &'b mut Vec<u8>) -> Result<&'b str, StorageError> {
     let len = u32::from_le_bytes(array(r)?) as usize;
     if len > STRING_LIMIT {
         return Err(StorageError::Corrupt("string length exceeds limit"));
     }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| StorageError::Corrupt("invalid UTF-8"))
+    buf.resize(len, 0);
+    r.read_exact(buf)?;
+    std::str::from_utf8(buf).map_err(|_| StorageError::Corrupt("invalid UTF-8"))
 }
 
 /// Reads an `N`-byte element count and accepts it only if the rest of the
@@ -338,16 +343,17 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
     }
 
     let n_files = count::<4>(r, FILE_MIN_BYTES, "file count exceeds the file's length")?;
-    let mut ids = Vec::with_capacity(n_files);
-    let mut names = Vec::with_capacity(n_files);
-    let mut sizes = Vec::with_capacity(n_files);
+    let mut files = FileTable::new();
+    files.reserve(n_files);
+    let mut scratch = Vec::new();
     for _ in 0..n_files {
-        ids.push(FileId(array(r)?));
-        names.push(string(r)?);
-        sizes.push(u64::from_le_bytes(array(r)?));
+        let id = FileId(array(r)?);
+        let name = str_in(r, &mut scratch)?;
+        files.push_row(id, name, u64::from_le_bytes(array(r)?));
     }
-    let files = FileTable::from_columns(ids, names, sizes)
-        .ok_or(StorageError::Corrupt("duplicate file ids"))?;
+    if files.has_repeated_id() {
+        return Err(StorageError::Corrupt("duplicate file ids"));
+    }
 
     // `MeasurementLog::validate`'s five conditions on a record and two on
     // a shared list, applied as each is decoded.

@@ -489,3 +489,24 @@ fn mutated_files_never_load_as_something_the_reference_rejects() {
     assert!(rejected > 500, "only {rejected} mutants rejected by both");
     assert!(stricter > 100, "only {stricter} mutants rejected by the new reader alone");
 }
+
+#[test]
+fn file_names_keep_their_utf8_and_length_checks() {
+    let log = sample_log();
+    let good = reference::save(&log);
+    let name_len = count_offsets(&log).files + 4 + 16;
+    assert_eq!(&good[name_len..name_len + 4], &10u32.to_le_bytes(), "\"file a.avi\"");
+    let path = tmp("file-names.edhp");
+
+    let mut bytes = good.clone();
+    bytes[name_len + 4 + 3] = 0xff;
+    assert_corrupt(&path, &bytes, "invalid UTF-8");
+    let mut bytes = good.clone();
+    bytes[name_len..name_len + 4].copy_from_slice(&(STRING_LIMIT as u32 + 1).to_le_bytes());
+    assert_corrupt(&path, &bytes, "string length exceeds limit");
+
+    let back = load_bytes(&path, &good).unwrap();
+    assert_eq!(back.files, log.files);
+    assert_eq!(back.files.name(0), "file a.avi");
+    std::fs::remove_file(&path).ok();
+}

@@ -1,9 +1,9 @@
 //! Runs both measurements once (concurrently — they are independent
 //! seeded simulations), builds one [`LogIndex`] per log, regenerates every
 //! table and figure from the shared indexes, and rewrites `EXPERIMENTS.md`
-//! with paper-vs-measured values.  Per-phase wall-clock timings go to
-//! stderr so `--scale` sweeps can attribute time to simulate / index /
-//! figures.
+//! with paper-vs-measured values.  Per-phase wall-clock timings and the
+//! process's peak RSS go to stderr so `--scale` sweeps can attribute time
+//! to simulate / index / figures and see the memory they took.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -127,6 +127,9 @@ fn main() {
         println!("{}", raw_data(&artefacts).pretty());
     }
     eprintln!("[all] total: {:.2}s", t_total.elapsed().as_secs_f64());
+    if let Some(kb) = edonkey_experiments::peak_rss_kb() {
+        eprintln!("[all] peak RSS: {} MB", kb / 1024);
+    }
 }
 
 /// Every artefact's data under its id.

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use edonkey_analysis::{cross_validate, LogIndex, ServerIndexBuilder, Tolerance};
-use edonkey_experiments::scenarios;
+use edonkey_experiments::{peak_rss_kb, scenarios};
 use edonkey_sim::run_scenario_with_capture;
 use honeypot::ServerLogReader;
 use netsim::SimTime;
@@ -27,18 +27,6 @@ use netsim::SimTime;
 /// disk, so memory is dominated by the simulation itself; generous enough
 /// for CI noise, tight enough to catch "the capture buffers everything".
 const SMOKE_MAX_RSS_KB: u64 = 2 * 1024 * 1024; // 2 GiB
-
-/// High-water-mark resident set in kB (`VmHWM`); 0 without procfs.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
-}
 
 fn main() {
     let mut scale = 0.2;
@@ -113,7 +101,7 @@ fn main() {
         "[server-capture] simulated {} events in {sim_secs:.1}s ({:.0} events/s), peak RSS {:.1} MB",
         run.output.events_handled,
         run.output.events_handled as f64 / sim_secs.max(1e-9),
-        peak_rss_kb() as f64 / 1024.0,
+        peak_rss_kb().unwrap_or(0) as f64 / 1024.0,
     );
     let stats = &run.capture;
     eprintln!(
@@ -170,7 +158,7 @@ fn main() {
     let tolerance = Tolerance::default();
     let violations = tolerance.violations(&cv);
     if smoke {
-        let rss = peak_rss_kb();
+        let rss = peak_rss_kb().unwrap_or(0);
         eprintln!(
             "[smoke] peak RSS {:.1} MB (ceiling {} MB)",
             rss as f64 / 1024.0,

@@ -24,3 +24,11 @@ pub use figures::Artefact;
 pub use live::{run_live_loopback, LiveDemo, LiveDurability};
 pub use runner::{Measurement, Options};
 pub use targeted::{targeted, Coordination, TargetInfo};
+
+/// This process's high-water-mark resident set in kB (`VmHWM` in
+/// `/proc/self/status`); `None` where the kernel does not report it.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}

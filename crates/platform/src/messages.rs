@@ -421,9 +421,9 @@ fn get_chunk(r: &mut Reader) -> Result<LogChunk, ProtoError> {
     let n_files = r.u32()? as usize;
     for row in 0..n_files {
         let id = FileId(r.hash()?);
-        let name = r.str32()?;
+        let name = r.str32_ref()?;
         let size = r.u64()?;
-        if files.intern(id, &name, size) as usize != row {
+        if files.intern(id, name, size) as usize != row {
             return Err(ProtoError::Invalid("repeated file id in chunk table"));
         }
     }

@@ -159,9 +159,14 @@ impl<'a> Reader<'a> {
     /// are written by this codebase, so invalid text is damage, not a
     /// foreign client's habit.
     pub fn str32(&mut self) -> Result<String, ProtoError> {
+        self.str32_ref().map(str::to_owned)
+    }
+
+    /// [`Self::str32`] borrowed from the payload, for a caller that copies
+    /// the text into storage of its own.
+    pub fn str32_ref(&mut self) -> Result<&'a str, ProtoError> {
         let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| ProtoError::Invalid("non-UTF-8 string"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| ProtoError::Invalid("non-UTF-8 string"))
     }
 
     /// Asserts the payload is fully consumed (strict decoders).
@@ -208,6 +213,12 @@ mod tests {
         // str16 decodes foreign text lossily; str32 refuses it.
         assert_eq!(Reader::new(&[1, 0, 0xFF]).str16().unwrap(), "\u{FFFD}");
         assert!(matches!(Reader::new(&[1, 0, 0, 0, 0xFF]).str32(), Err(ProtoError::Invalid(_))));
+        // str32_ref lends the same text straight out of the payload.
+        let mut r = Reader::new(&buf[7..]);
+        let lent = r.str32_ref().unwrap();
+        assert_eq!((lent, lent.as_ptr()), ("été", buf[11..].as_ptr()));
+        let bad = Reader::new(&[1, 0, 0, 0, 0xFF]).str32_ref();
+        assert_eq!(bad, Err(ProtoError::Invalid("non-UTF-8 string")));
     }
 
     #[test]
