@@ -33,12 +33,12 @@ pub struct ServerCapture {
 
 impl ServerCapture {
     /// Opens a capture under `dir`, flushing a compressed frame every
-    /// `frame_records` records and rotating segments every
-    /// `segment_records`.  The hasher is a placeholder until the host
-    /// installs its own seeded instance via [`Self::set_hasher`].
-    pub fn create(dir: &Path, frame_records: usize, segment_records: u64) -> io::Result<Self> {
+    /// `frame_records` records and rotating segments at `segment_bytes`.
+    /// The hasher is a placeholder until the host installs its own seeded
+    /// instance via [`Self::set_hasher`].
+    pub fn create(dir: &Path, frame_records: usize, segment_bytes: u64) -> io::Result<Self> {
         Ok(ServerCapture {
-            writer: ServerLogWriter::create(dir, frame_records, segment_records)?,
+            writer: ServerLogWriter::create(dir, frame_records, segment_bytes)?,
             hasher: IpHasher::from_seed(0),
             error: None,
             dropped: 0,
@@ -68,11 +68,6 @@ impl ServerCapture {
         }
     }
 
-    /// Records emitted so far.
-    pub fn records(&self) -> u64 {
-        self.writer.records()
-    }
-
     /// Whether a write error disabled the capture.
     pub fn degraded(&self) -> bool {
         self.error.is_some()
@@ -98,7 +93,7 @@ impl ServerCapture {
 impl std::fmt::Debug for ServerCapture {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fm.debug_struct("ServerCapture")
-            .field("records", &self.records())
+            .field("records", &self.writer.records())
             .field("errored", &self.error.is_some())
             .finish()
     }
@@ -108,6 +103,7 @@ impl std::fmt::Debug for ServerCapture {
 mod tests {
     use super::*;
     use crate::serverlog::{ServerLogReader, ServerQueryKind};
+    use crate::spool::{DiskFaultKind, DiskFaults};
     use edonkey_proto::FileId;
     use netsim::SimTime;
 
@@ -128,14 +124,16 @@ mod tests {
     fn a_write_fault_degrades_the_capture_and_keeps_the_flushed_prefix() {
         let dir = std::env::temp_dir().join(format!("capture-fault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let faults = DiskFaults::none();
         let mut cap = ServerCapture::create(&dir, 10, u64::MAX).unwrap();
+        cap.writer.set_faults(faults.clone());
         for i in 0..10 {
             cap.emit(&record(i));
         }
         assert!(!cap.degraded(), "the first frame flushes cleanly");
         // The fault fires at the next frame boundary: the record that fills
         // the second frame fails its flush and takes the frame down with it.
-        cap.writer.inject_write_fault();
+        faults.inject(DiskFaultKind::Eio, Some(1));
         for i in 10..20 {
             cap.emit(&record(i));
         }
@@ -147,6 +145,7 @@ mod tests {
         assert_eq!(cap.dropped(), 15, "every later record is counted as dropped");
         let stats = cap.finish().unwrap();
         assert_eq!(stats.records, 10, "the flushed prefix only");
+        assert_eq!(faults.injected(), 1, "one write failed, and nothing retried it");
         let mut reader = ServerLogReader::open(&dir).unwrap();
         let read: Vec<ServerRecord> = std::iter::from_fn(|| reader.next()).collect();
         assert_eq!(read, (0..10).map(record).collect::<Vec<_>>());

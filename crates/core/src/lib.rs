@@ -18,7 +18,10 @@
 //! * [`server`] — the eDonkey index server the honeypots are found
 //!   through (login, OFFER-FILES indexing, GET-SOURCES, SEARCH), with the
 //!   optional server-side query [`capture`] streaming [`serverlog`]
-//!   records.
+//!   records;
+//! * [`spool`] — the one durable append-only log (CRC-framed segments,
+//!   torn-tail recovery, injectable write faults) under the capture, the
+//!   platform's agent spools and its manager WAL.
 //!
 //! The same honeypot and server code runs inside the discrete-event
 //! simulation (`edonkey-sim`) and over real TCP sockets (`edonkey-net`).
@@ -32,6 +35,7 @@ pub mod manager;
 pub mod measurement;
 pub mod server;
 pub mod serverlog;
+pub mod spool;
 pub mod storage;
 pub mod strategy;
 pub mod types;
@@ -46,8 +50,8 @@ pub use manager::{HoneypotSpec, Manager, SupervisionBook};
 pub use measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
 pub use server::IndexServer;
 pub use serverlog::{
-    PackedServerRecord, ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind,
-    ServerRecord, SERVER_PEER_SESSION_BASE,
+    ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind, ServerRecord,
+    SERVER_PEER_SESSION_BASE,
 };
 pub use storage::{
     load as load_measurement, save as save_measurement, StorageError, VERSION as STORAGE_VERSION,

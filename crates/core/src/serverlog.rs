@@ -9,36 +9,36 @@
 //! constraints:
 //!
 //! * **bounded memory** — [`ServerLogWriter`] buffers at most one frame of
-//!   records (a few thousand); everything else streams to disk through
-//!   chunk-rotated segment files, and [`ServerLogReader`] streams back one
-//!   frame at a time.  Peak RSS is a function of the frame size, never of
-//!   the capture length;
-//! * **crash tolerance** — segments are sequences of CRC-framed blocks
-//!   (the PR 4 spool discipline): a torn tail or a flipped bit truncates
-//!   the capture at the last intact frame instead of corrupting it.
+//!   records (a few thousand); everything else streams to disk, and
+//!   [`ServerLogReader`] streams back one segment file at a time.  Peak
+//!   RSS is a function of the frame and segment sizes, never of the
+//!   capture length;
+//! * **crash tolerance** — the capture is a [`crate::spool`]: each
+//!   compressed frame is one CRC-framed spool record whose sequence is the
+//!   frame number, segments rotate at a byte budget, and a torn tail or a
+//!   flipped bit ends the read-back at the last intact frame (the spool's
+//!   clean-prefix rule) instead of corrupting it.  Write faults come from
+//!   the spool's [`DiskFaults`] handle.
 //!
-//! Records follow the PR 7 `PackedQueryRecord` discipline: the logical
-//! [`ServerRecord`] has a `#[repr(C)]` storage twin,
-//! [`PackedServerRecord`], whose size is pinned at compile time and
-//! which the writer buffers one frame of.  No packed record is written
-//! whole: the frame codec is the storage contract.  On disk, frames are
-//! compressed column-wise — timestamps and session
-//! tokens as zig-zag delta varints, counters as varints, 16-byte digests
-//! with a same-as-previous flag — which lands well under the 56-byte raw
+//! The writer buffers [`ServerRecord`]s (56 bytes each, pinned below) and
+//! the frame codec is the storage contract.  On disk, frames are
+//! compressed column-wise — timestamps and session tokens as zig-zag
+//! delta varints, counters as varints, 16-byte digests through a
+//! frame-local dictionary — which lands well under the 56-byte raw
 //! record cost without any external compression dependency.
 
-use std::fs;
-use std::io::{self, BufRead, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-use edonkey_proto::control::crc32;
 use edonkey_proto::FileId;
 use netsim::SimTime;
 
 use crate::anonymize::IpHash;
+use crate::spool::{framed_len, DiskFaults, Spool, SpoolConfig, SpoolReader};
 
 /// The query types the server-side capture distinguishes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
 pub enum ServerQueryKind {
     Login,
     OfferFiles,
@@ -61,14 +61,7 @@ pub const SERVER_QUERY_KINDS: [ServerQueryKind; 6] = [
 impl ServerQueryKind {
     /// Wire tag (also the index into per-kind count arrays).
     pub fn tag(self) -> u8 {
-        match self {
-            ServerQueryKind::Login => 0,
-            ServerQueryKind::OfferFiles => 1,
-            ServerQueryKind::Search => 2,
-            ServerQueryKind::GetSources => 3,
-            ServerQueryKind::Disconnect => 4,
-            ServerQueryKind::Status => 5,
-        }
+        self as u8
     }
 
     /// Inverse of [`Self::tag`]; `None` on an invalid tag.
@@ -127,69 +120,12 @@ pub struct ServerRecord {
     pub payload: u32,
 }
 
-/// Byte size of [`PackedServerRecord`] — and of [`ServerRecord`]: the
-/// layout audit below pins both (the same 56-byte budget as the honeypot
-/// side's `PackedQueryRecord`).
-pub const PACKED_SERVER_RECORD_BYTES: usize = 56;
+/// Byte size of a [`ServerRecord`] (the same 56-byte budget as the
+/// honeypot side's `PackedQueryRecord`): what a capture would cost
+/// uncompressed.
+pub const SERVER_RECORD_BYTES: usize = 56;
 
-/// The `#[repr(C)]`-stable compact storage form of a [`ServerRecord`]:
-/// fields largest-first so `repr(C)` yields zero padding, enums collapsed
-/// to wire tags.
-#[repr(C)]
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PackedServerRecord {
-    /// Reception timestamp in milliseconds.
-    pub at_ms: u64,
-    /// Step-1 anonymised client IP digest.
-    pub peer: [u8; 16],
-    /// File digest (zeroed when none).
-    pub file: [u8; 16],
-    /// Session token (indexed-file count for STATUS).
-    pub session: u64,
-    /// Kind-specific count.
-    pub payload: u32,
-    /// Client TCP port.
-    pub port: u16,
-    /// Wire tag (see [`ServerQueryKind::tag`]).
-    pub kind: u8,
-    /// Kind-specific flag.
-    pub flag: u8,
-}
-
-const _: () = assert!(std::mem::size_of::<PackedServerRecord>() == PACKED_SERVER_RECORD_BYTES);
-const _: () = assert!(std::mem::size_of::<ServerRecord>() == PACKED_SERVER_RECORD_BYTES);
-const _: () = assert!(std::mem::align_of::<PackedServerRecord>() == 8);
-
-impl PackedServerRecord {
-    /// Collapses a logical record into the storage form.
-    pub fn pack(r: &ServerRecord) -> Self {
-        PackedServerRecord {
-            at_ms: r.at.as_millis(),
-            peer: r.peer.0,
-            file: r.file.0,
-            session: r.session,
-            payload: r.payload,
-            port: r.port,
-            kind: r.kind.tag(),
-            flag: r.flag,
-        }
-    }
-
-    /// Expands back to the logical record; `None` on an invalid kind tag
-    /// (corrupt storage).
-    pub fn unpack(&self) -> Option<ServerRecord> {
-        Some(ServerRecord {
-            at: SimTime::from_millis(self.at_ms),
-            kind: ServerQueryKind::from_tag(self.kind)?,
-            peer: IpHash(self.peer),
-            port: self.port,
-            flag: self.flag,
-            file: FileId(self.file),
-            session: self.session,
-            payload: self.payload,
-        })
-    }
-}
+const _: () = assert!(std::mem::size_of::<ServerRecord>() == SERVER_RECORD_BYTES);
 
 // ---------------------------------------------------------------------------
 // Varint / zig-zag primitives (LEB128).
@@ -230,71 +166,74 @@ fn unzigzag(v: u64) -> i64 {
 // ---------------------------------------------------------------------------
 // Frame codec: column-wise, schema-aware compression.
 
-/// Encodes one frame of packed records into `out` (cleared first).
+/// Encodes one frame of records into `out` (cleared first).
 ///
-/// Column order: count, at-deltas (zig-zag varint, first absolute), kind
-/// bytes, flag bytes, port varints, payload varints, session deltas
-/// (zig-zag varint, first absolute), then peer and file digests each as a
-/// varint index into the frame-local dictionary of digests in first-seen
-/// order — an index equal to the current dictionary size introduces a
-/// novel digest and is followed by its 16 raw bytes.
-fn encode_frame(records: &[PackedServerRecord], out: &mut Vec<u8>) {
+/// Column order: count, at-deltas (milliseconds, zig-zag varint, first
+/// absolute), kind tags, flag bytes, port varints, payload varints,
+/// session deltas (zig-zag varint, first absolute), then peer and file
+/// digests each as a varint index into the frame-local dictionary of
+/// digests in first-seen order — an index equal to the current dictionary
+/// size introduces a novel digest and is followed by its 16 raw bytes.
+pub(crate) fn encode_frame(records: &[ServerRecord], out: &mut Vec<u8>) {
     out.clear();
     put_varint(out, records.len() as u64);
-    let mut prev_at = 0u64;
-    for (i, r) in records.iter().enumerate() {
-        if i == 0 {
-            put_varint(out, r.at_ms);
-        } else {
-            put_varint(out, zigzag(r.at_ms.wrapping_sub(prev_at) as i64));
-        }
-        prev_at = r.at_ms;
-    }
-    for r in records {
-        out.push(r.kind);
-    }
-    for r in records {
-        out.push(r.flag);
-    }
+    encode_delta_column(records.iter().map(|r| r.at.as_millis()), out);
+    out.extend(records.iter().map(|r| r.kind.tag()));
+    out.extend(records.iter().map(|r| r.flag));
     for r in records {
         put_varint(out, u64::from(r.port));
     }
     for r in records {
         put_varint(out, u64::from(r.payload));
     }
-    let mut prev_session = 0u64;
-    for (i, r) in records.iter().enumerate() {
-        if i == 0 {
-            put_varint(out, r.session);
-        } else {
-            put_varint(out, zigzag(r.session.wrapping_sub(prev_session) as i64));
-        }
-        prev_session = r.session;
+    encode_delta_column(records.iter().map(|r| r.session), out);
+    encode_digest_column(records.iter().map(|r| &r.peer.0), out);
+    encode_digest_column(records.iter().map(|r| &r.file.0), out);
+}
+
+fn encode_delta_column(values: impl Iterator<Item = u64>, out: &mut Vec<u8>) {
+    let mut prev = None;
+    for v in values {
+        put_varint(out, prev.map_or(v, |p: u64| zigzag(v.wrapping_sub(p) as i64)));
+        prev = Some(v);
     }
-    encode_digest_column(records.iter().map(|r| &r.peer), out);
-    encode_digest_column(records.iter().map(|r| &r.file), out);
 }
 
 fn encode_digest_column<'a>(digests: impl Iterator<Item = &'a [u8; 16]>, out: &mut Vec<u8>) {
-    let mut dict: std::collections::HashMap<[u8; 16], u64> = std::collections::HashMap::new();
+    let mut dict = std::collections::HashMap::new();
     for d in digests {
-        if let Some(&idx) = dict.get(d) {
-            put_varint(out, idx);
-        } else {
-            let idx = dict.len() as u64;
-            put_varint(out, idx);
+        let novel = dict.len() as u64;
+        let idx = *dict.entry(*d).or_insert(novel);
+        put_varint(out, idx);
+        if idx == novel {
             out.extend_from_slice(d);
-            dict.insert(*d, idx);
         }
     }
+}
+
+/// Decodes one delta column in place via `set`; `None` on corruption.
+fn decode_delta_column(
+    buf: &[u8],
+    pos: &mut usize,
+    records: &mut [ServerRecord],
+    set: fn(&mut ServerRecord, u64),
+) -> Option<()> {
+    let mut prev = None;
+    for r in records.iter_mut() {
+        let v = get_varint(buf, pos)?;
+        let value = prev.map_or(v, |p: u64| p.wrapping_add(unzigzag(v) as u64));
+        set(r, value);
+        prev = Some(value);
+    }
+    Some(())
 }
 
 /// Decodes one digest column in place via `set`; `None` on corruption.
 fn decode_digest_column(
     buf: &[u8],
     pos: &mut usize,
-    records: &mut [PackedServerRecord],
-    set: fn(&mut PackedServerRecord, [u8; 16]),
+    records: &mut [ServerRecord],
+    set: fn(&mut ServerRecord, [u8; 16]),
 ) -> Option<()> {
     let mut dict: Vec<[u8; 16]> = Vec::new();
     for r in records.iter_mut() {
@@ -314,34 +253,28 @@ fn decode_digest_column(
     Some(())
 }
 
-/// Decodes one frame; `None` on any structural corruption.
-fn decode_frame(buf: &[u8]) -> Option<Vec<PackedServerRecord>> {
+/// Decodes one frame; `None` on any structural corruption, an invalid
+/// kind tag included.
+pub(crate) fn decode_frame(buf: &[u8]) -> Option<Vec<ServerRecord>> {
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)? as usize;
     if count > MAX_FRAME_RECORDS {
         return None;
     }
-    let mut records = vec![
-        PackedServerRecord {
-            at_ms: 0,
-            peer: [0; 16],
-            file: [0; 16],
-            session: 0,
-            payload: 0,
-            port: 0,
-            kind: 0,
-            flag: 0,
-        };
-        count
-    ];
-    let mut prev = 0u64;
-    for (i, r) in records.iter_mut().enumerate() {
-        let v = get_varint(buf, &mut pos)?;
-        r.at_ms = if i == 0 { v } else { prev.wrapping_add(unzigzag(v) as u64) };
-        prev = r.at_ms;
-    }
+    let blank = ServerRecord {
+        at: SimTime::ZERO,
+        kind: ServerQueryKind::Login,
+        peer: IpHash([0; 16]),
+        port: 0,
+        flag: 0,
+        file: FileId([0; 16]),
+        session: 0,
+        payload: 0,
+    };
+    let mut records = vec![blank; count];
+    decode_delta_column(buf, &mut pos, &mut records, |r, v| r.at = SimTime::from_millis(v))?;
     for r in records.iter_mut() {
-        r.kind = *buf.get(pos)?;
+        r.kind = ServerQueryKind::from_tag(*buf.get(pos)?)?;
         pos += 1;
     }
     for r in records.iter_mut() {
@@ -354,14 +287,9 @@ fn decode_frame(buf: &[u8]) -> Option<Vec<PackedServerRecord>> {
     for r in records.iter_mut() {
         r.payload = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
     }
-    prev = 0;
-    for (i, r) in records.iter_mut().enumerate() {
-        let v = get_varint(buf, &mut pos)?;
-        r.session = if i == 0 { v } else { prev.wrapping_add(unzigzag(v) as u64) };
-        prev = r.session;
-    }
-    decode_digest_column(buf, &mut pos, &mut records, |r, d| r.peer = d)?;
-    decode_digest_column(buf, &mut pos, &mut records, |r, d| r.file = d)?;
+    decode_delta_column(buf, &mut pos, &mut records, |r, v| r.session = v)?;
+    decode_digest_column(buf, &mut pos, &mut records, |r, d| r.peer = IpHash(d))?;
+    decode_digest_column(buf, &mut pos, &mut records, |r, d| r.file = FileId(d))?;
     if pos != buf.len() {
         return None; // trailing garbage inside a CRC-clean frame: corrupt
     }
@@ -369,21 +297,11 @@ fn decode_frame(buf: &[u8]) -> Option<Vec<PackedServerRecord>> {
 }
 
 // ---------------------------------------------------------------------------
-// Segment files.
+// The capture on disk: a spool of frames.
 
-/// Segment file magic.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"EDSL";
-/// Segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
 /// Upper bound on records per frame a reader will accept (corruption
 /// guard; writers stay far below it).
 pub const MAX_FRAME_RECORDS: usize = 1 << 20;
-/// Upper bound on a frame's encoded byte length a reader will accept.
-const MAX_FRAME_BYTES: u32 = 128 << 20;
-
-fn segment_name(index: u32) -> String {
-    format!("seg-{index:05}.edsl")
-}
 
 /// Capture-wide statistics returned by [`ServerLogWriter::finish`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -394,134 +312,90 @@ pub struct ServerLogStats {
     pub records: u64,
     /// Records × 56: what the capture would cost uncompressed.
     pub raw_bytes: u64,
-    /// Bytes actually written (headers + frames).
+    /// Bytes written: the compressed frames plus their spool framing.
     pub compressed_bytes: u64,
 }
 
 impl ServerLogStats {
     /// Mean on-disk cost per record.
     pub fn bytes_per_record(&self) -> f64 {
-        if self.records == 0 {
-            return 0.0;
-        }
-        self.compressed_bytes as f64 / self.records as f64
+        self.compressed_bytes as f64 / self.records.max(1) as f64
     }
 }
 
-/// Streaming, chunk-rotated, compressed server-log writer.
+/// Streaming, segment-rotated, compressed server-log writer.
 ///
 /// Memory use is one frame of records plus one encode buffer, regardless
-/// of capture length.  Frames are flushed as `[len:u32][crc32:u32][block]`
-/// into `seg-NNNNN.edsl` files that rotate every
-/// `segment_records` records.
+/// of capture length.  Each full frame is appended to the capture's
+/// [`Spool`] as the record whose sequence is the frame number.
 pub struct ServerLogWriter {
-    dir: PathBuf,
+    spool: Spool,
     frame_records: usize,
-    segment_records: u64,
-    frame: Vec<PackedServerRecord>,
-    out: Option<io::BufWriter<fs::File>>,
-    seg_records: u64,
+    frame: Vec<ServerRecord>,
     scratch: Vec<u8>,
     stats: ServerLogStats,
-    fail_next_flush: bool,
 }
 
 impl ServerLogWriter {
-    /// Opens a fresh capture under `dir` (created if absent; stale
-    /// `.edsl` segments from a previous capture are removed so a rerun
-    /// can never interleave two captures).
-    pub fn create(dir: &Path, frame_records: usize, segment_records: u64) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "edsl") {
-                fs::remove_file(entry.path())?;
-            }
-        }
+    /// Opens a fresh capture under `dir` (created if absent) whose
+    /// segments rotate at `segment_max_bytes`.  A previous capture there
+    /// is deleted first, so a rerun can never interleave two captures.
+    pub fn create(dir: &Path, frame_records: usize, segment_max_bytes: u64) -> io::Result<Self> {
+        let mut spool = Spool::open_with(dir, SpoolConfig { segment_max_bytes })?;
+        spool.trim_acked(u64::MAX)?;
         Ok(ServerLogWriter {
-            dir: dir.to_path_buf(),
+            spool,
             frame_records: frame_records.clamp(1, MAX_FRAME_RECORDS),
-            segment_records: segment_records.max(1),
             frame: Vec::new(),
-            out: None,
-            seg_records: 0,
             scratch: Vec::new(),
             stats: ServerLogStats::default(),
-            fail_next_flush: false,
         })
     }
 
-    /// Test/chaos hook: the next frame flush fails with an injected I/O
-    /// error before any byte is written.  Self-contained so the fault can
-    /// be exercised without a real full disk.
-    pub fn inject_write_fault(&mut self) {
-        self.fail_next_flush = true;
+    /// Attaches a shared write-fault injector: every later frame flush
+    /// consults it (see [`Spool::set_faults`]).
+    pub fn set_faults(&mut self, faults: DiskFaults) {
+        self.spool.set_faults(faults);
     }
 
     /// Statistics accumulated so far (what [`Self::finish`] would return
     /// for the already-flushed portion).  Lets a capture that must stop
     /// early — e.g. on a write failure — still report what made it out.
     pub fn stats(&self) -> ServerLogStats {
-        self.stats
+        ServerLogStats { segments: self.spool.segment_count() as u32, ..self.stats }
     }
 
     /// Appends one record (buffered; durable after [`Self::finish`] or
     /// the enclosing frame flush).
     pub fn push(&mut self, record: &ServerRecord) -> io::Result<()> {
-        self.frame.push(PackedServerRecord::pack(record));
+        self.frame.push(*record);
         if self.frame.len() >= self.frame_records {
             self.flush_frame()?;
         }
         Ok(())
     }
 
+    /// Appends the buffered frame as the next spool record.  A failed
+    /// append keeps the frame buffered, so the next flush retries it.
     fn flush_frame(&mut self) -> io::Result<()> {
         if self.frame.is_empty() {
             return Ok(());
         }
-        if self.fail_next_flush {
-            self.fail_next_flush = false;
-            return Err(io::Error::other("injected serverlog write fault"));
-        }
-        if self.out.is_none() {
-            let path = self.dir.join(segment_name(self.stats.segments));
-            let mut w = io::BufWriter::new(fs::File::create(path)?);
-            w.write_all(&SEGMENT_MAGIC)?;
-            w.write_all(&SEGMENT_VERSION.to_le_bytes())?;
-            w.write_all(&self.stats.segments.to_le_bytes())?;
-            self.stats.compressed_bytes += 12;
-            self.stats.segments += 1;
-            self.out = Some(w);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_frame(&self.frame, &mut scratch);
-        let crc = crc32(&scratch);
-        let out = self.out.as_mut().expect("segment just ensured");
-        out.write_all(&(scratch.len() as u32).to_le_bytes())?;
-        out.write_all(&crc.to_le_bytes())?;
-        out.write_all(&scratch)?;
+        encode_frame(&self.frame, &mut self.scratch);
+        let seq = self.spool.last_seq().map_or(0, |last| last + 1);
+        self.spool.append(seq, &self.scratch)?;
         self.stats.records += self.frame.len() as u64;
-        self.stats.raw_bytes += (self.frame.len() * PACKED_SERVER_RECORD_BYTES) as u64;
-        self.stats.compressed_bytes += 8 + scratch.len() as u64;
-        self.seg_records += self.frame.len() as u64;
+        self.stats.raw_bytes += (self.frame.len() * SERVER_RECORD_BYTES) as u64;
+        self.stats.compressed_bytes += framed_len(self.scratch.len());
         self.frame.clear();
-        self.scratch = scratch;
-        if self.seg_records >= self.segment_records {
-            let mut w = self.out.take().expect("segment open");
-            w.flush()?;
-            self.seg_records = 0;
-        }
         Ok(())
     }
 
-    /// Flushes the tail frame, closes the current segment and returns the
-    /// capture statistics.
+    /// Flushes the tail frame, closes the capture and returns its
+    /// statistics.
     pub fn finish(mut self) -> io::Result<ServerLogStats> {
         self.flush_frame()?;
-        if let Some(mut w) = self.out.take() {
-            w.flush()?;
-        }
-        Ok(self.stats)
+        Ok(self.stats())
     }
 
     /// Records buffered or written so far.
@@ -532,57 +406,26 @@ impl ServerLogWriter {
 
 /// Streaming reader over a capture directory.
 ///
-/// Iterates records in capture order, one decoded frame in memory at a
-/// time.  A torn tail or corrupt frame ends iteration cleanly at the last
-/// intact frame with [`Self::truncated`] set — the PR 4 spool recovery
-/// contract.
+/// Iterates records in capture order, one segment file and one decoded
+/// frame in memory at a time.  It reads the spool's clean prefix: a torn
+/// tail or corrupt frame ends iteration cleanly at the last intact frame
+/// with [`Self::truncated`] set.
 pub struct ServerLogReader {
-    segments: Vec<PathBuf>,
-    next_segment: usize,
-    cur: Option<io::BufReader<fs::File>>,
+    frames: SpoolReader,
     frame: Vec<ServerRecord>,
     frame_pos: usize,
     truncated: bool,
-    records_read: u64,
-    skip_corrupt: bool,
-    corrupt_frames: u64,
 }
 
 impl ServerLogReader {
     /// Opens the capture under `dir`.
     pub fn open(dir: &Path) -> io::Result<Self> {
-        let mut segments: Vec<PathBuf> = fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "edsl"))
-            .collect();
-        segments.sort();
         Ok(ServerLogReader {
-            segments,
-            next_segment: 0,
-            cur: None,
+            frames: SpoolReader::open(dir)?,
             frame: Vec::new(),
             frame_pos: 0,
             truncated: false,
-            records_read: 0,
-            skip_corrupt: false,
-            corrupt_frames: 0,
         })
-    }
-
-    /// Switches to resilient mode: an *interior* frame whose CRC or
-    /// contents fail is skipped (counted in [`Self::corrupt_frames`]) and
-    /// iteration resumes at the next frame boundary, instead of truncating
-    /// the capture there.  A torn tail — a frame whose bytes physically run
-    /// out, or a header too damaged to find the next boundary — still
-    /// truncates, because there is nothing to resync on.
-    pub fn set_skip_corrupt(&mut self, on: bool) {
-        self.skip_corrupt = on;
-    }
-
-    /// Interior frames dropped in resilient mode (see
-    /// [`Self::set_skip_corrupt`]).
-    pub fn corrupt_frames(&self) -> u64 {
-        self.corrupt_frames
     }
 
     /// Whether iteration stopped early on a torn or corrupt tail.
@@ -590,134 +433,41 @@ impl ServerLogReader {
         self.truncated
     }
 
-    /// Records yielded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
     /// The next record, or `None` at end of capture (clean or truncated —
     /// check [`Self::truncated`]).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<ServerRecord> {
-        loop {
-            if self.frame_pos < self.frame.len() {
-                let r = self.frame[self.frame_pos];
-                self.frame_pos += 1;
-                self.records_read += 1;
-                return Some(r);
-            }
+        while self.frame_pos == self.frame.len() {
             if self.truncated {
                 return None;
             }
-            if !self.load_next_frame() {
-                return None;
+            match self.frames.next_record() {
+                Ok(Some((_, block))) => match decode_frame(block) {
+                    Some(frame) => {
+                        self.frame = frame;
+                        self.frame_pos = 0;
+                    }
+                    None => self.truncated = true,
+                },
+                Ok(None) => {
+                    self.truncated = self.frames.damaged();
+                    return None;
+                }
+                Err(_) => self.truncated = true,
             }
         }
-    }
-
-    /// Reads the next frame into `self.frame`; `false` at end of capture.
-    fn load_next_frame(&mut self) -> bool {
-        loop {
-            if self.cur.is_none() {
-                if self.next_segment >= self.segments.len() {
-                    return false;
-                }
-                let path = &self.segments[self.next_segment];
-                self.next_segment += 1;
-                let Ok(file) = fs::File::open(path) else {
-                    self.truncated = true;
-                    return false;
-                };
-                let mut reader = io::BufReader::new(file);
-                let mut header = [0u8; 12];
-                if reader.read_exact(&mut header).is_err()
-                    || header[0..4] != SEGMENT_MAGIC
-                    || u32::from_le_bytes(header[4..8].try_into().expect("fixed range"))
-                        != SEGMENT_VERSION
-                {
-                    self.truncated = true;
-                    return false;
-                }
-                self.cur = Some(reader);
-            }
-            let reader = self.cur.as_mut().expect("segment just ensured");
-            // End of this segment?  (Clean EOF exactly at a frame boundary.)
-            match reader.fill_buf() {
-                Ok([]) => {
-                    self.cur = None;
-                    continue;
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    self.truncated = true;
-                    return false;
-                }
-            }
-            let mut head = [0u8; 8];
-            if reader.read_exact(&mut head).is_err() {
-                self.truncated = true; // torn mid-header
-                return false;
-            }
-            let len = u32::from_le_bytes(head[0..4].try_into().expect("fixed range"));
-            let crc_expected = u32::from_le_bytes(head[4..8].try_into().expect("fixed range"));
-            if len > MAX_FRAME_BYTES {
-                self.truncated = true;
-                return false;
-            }
-            let mut block = vec![0u8; len as usize];
-            if reader.read_exact(&mut block).is_err() {
-                self.truncated = true; // torn mid-frame
-                return false;
-            }
-            if crc32(&block) != crc_expected {
-                // Bit flip inside a fully-present frame: the length header
-                // was sane, so the next boundary is known — resilient mode
-                // can drop just this frame and carry on.
-                if self.skip_corrupt {
-                    self.corrupt_frames += 1;
-                    continue;
-                }
-                self.truncated = true;
-                return false;
-            }
-            let Some(packed) = decode_frame(&block) else {
-                if self.skip_corrupt {
-                    self.corrupt_frames += 1;
-                    continue;
-                }
-                self.truncated = true;
-                return false;
-            };
-            self.frame.clear();
-            let mut bad_record = false;
-            for p in &packed {
-                let Some(r) = p.unpack() else {
-                    bad_record = true;
-                    break;
-                };
-                self.frame.push(r);
-            }
-            if bad_record {
-                self.frame.clear();
-                if self.skip_corrupt {
-                    self.corrupt_frames += 1;
-                    continue;
-                }
-                self.truncated = true;
-                return false;
-            }
-            self.frame_pos = 0;
-            if self.frame.is_empty() {
-                continue; // an empty frame is legal, just pointless
-            }
-            return true;
-        }
+        let r = self.frame[self.frame_pos];
+        self.frame_pos += 1;
+        Some(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spool::DiskFaultKind;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn sample(i: u64) -> ServerRecord {
         let kind = SERVER_QUERY_KINDS[(i % 6) as usize];
@@ -737,6 +487,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("edsl-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn only_segment(dir: &Path) -> PathBuf {
+        let files = segment_files(dir);
+        assert_eq!(files.len(), 1, "one segment expected");
+        files[0].clone()
     }
 
     fn read_all(dir: &Path) -> (Vec<ServerRecord>, bool) {
@@ -759,18 +525,27 @@ mod tests {
 
     #[test]
     fn packed_record_round_trips() {
-        for i in 0..24 {
-            let r = sample(i);
-            let p = PackedServerRecord::pack(&r);
-            assert_eq!(p.unpack(), Some(r), "pack/unpack must be lossless");
+        let records: Vec<ServerRecord> = (0..24).map(sample).collect();
+        let mut buf = Vec::new();
+        for r in &records {
+            encode_frame(std::slice::from_ref(r), &mut buf);
+            assert_eq!(decode_frame(&buf), Some(vec![*r]), "a one-record frame is lossless");
         }
+        encode_frame(&records, &mut buf);
+        assert_eq!(decode_frame(&buf), Some(records), "encode/decode must be lossless");
     }
 
     #[test]
     fn packed_record_rejects_corrupt_tag() {
-        let mut p = PackedServerRecord::pack(&sample(0));
-        p.kind = 9;
-        assert_eq!(p.unpack(), None);
+        let mut buf = Vec::new();
+        encode_frame(&[sample(0)], &mut buf);
+        // The kind column follows the count and the one timestamp varint.
+        let mut kind_at = Vec::new();
+        put_varint(&mut kind_at, 1);
+        put_varint(&mut kind_at, sample(0).at.as_millis());
+        assert_eq!(buf[kind_at.len()], sample(0).kind.tag());
+        buf[kind_at.len()] = 9;
+        assert_eq!(decode_frame(&buf), None);
     }
 
     #[test]
@@ -792,20 +567,19 @@ mod tests {
 
     #[test]
     fn frame_codec_round_trips_and_compresses() {
-        let records: Vec<PackedServerRecord> =
-            (0..5_000).map(|i| PackedServerRecord::pack(&sample(i))).collect();
+        let records: Vec<ServerRecord> = (0..5_000).map(sample).collect();
         let mut buf = Vec::new();
         encode_frame(&records, &mut buf);
         assert_eq!(decode_frame(&buf).as_deref(), Some(&records[..]));
         assert!(
-            buf.len() < records.len() * PACKED_SERVER_RECORD_BYTES / 2,
+            buf.len() < records.len() * SERVER_RECORD_BYTES / 2,
             "frame must compress at least 2x on realistic columns ({} vs {})",
             buf.len(),
-            records.len() * PACKED_SERVER_RECORD_BYTES
+            records.len() * SERVER_RECORD_BYTES
         );
         // Structural corruption is rejected, not mis-decoded.
         assert_eq!(decode_frame(&buf[..buf.len() - 1]), None, "truncated frame");
-        let empty: &[PackedServerRecord] = &[];
+        let empty: &[ServerRecord] = &[];
         encode_frame(empty, &mut buf);
         assert_eq!(decode_frame(&buf).as_deref(), Some(empty));
     }
@@ -814,20 +588,23 @@ mod tests {
     fn writer_reader_round_trip_with_rotation() {
         let dir = tmp_dir("roundtrip");
         let n = 10_000u64;
-        let mut w = ServerLogWriter::create(&dir, 256, 2_000).unwrap();
+        let mut w = ServerLogWriter::create(&dir, 256, 4_096).unwrap();
         for i in 0..n {
             w.push(&sample(i)).unwrap();
         }
         assert_eq!(w.records(), n);
         let stats = w.finish().unwrap();
         assert_eq!(stats.records, n);
-        assert_eq!(stats.segments, 5, "2k-record segments over 10k records");
-        assert_eq!(stats.raw_bytes, n * PACKED_SERVER_RECORD_BYTES as u64);
+        assert!(stats.segments > 1, "4 KiB segments must rotate");
+        assert_eq!(stats.segments as usize, segment_files(&dir).len());
+        assert_eq!(stats.raw_bytes, n * SERVER_RECORD_BYTES as u64);
         assert!(
-            stats.bytes_per_record() < PACKED_SERVER_RECORD_BYTES as f64 / 2.0,
+            stats.bytes_per_record() < SERVER_RECORD_BYTES as f64 / 2.0,
             "compression too weak: {} B/record",
             stats.bytes_per_record()
         );
+        let on_disk: u64 = segment_files(&dir).iter().map(|p| fs::metadata(p).unwrap().len()).sum();
+        assert_eq!(stats.compressed_bytes, on_disk, "every byte written is accounted");
         let (read, truncated) = read_all(&dir);
         assert!(!truncated);
         assert_eq!(read.len() as u64, n);
@@ -846,7 +623,7 @@ mod tests {
         }
         w.finish().unwrap();
         // Tear the single segment's tail mid-frame.
-        let seg = dir.join(segment_name(0));
+        let seg = only_segment(&dir);
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 37]).unwrap();
         let (read, truncated) = read_all(&dir);
@@ -864,7 +641,7 @@ mod tests {
             w.push(&sample(i)).unwrap();
         }
         w.finish().unwrap();
-        let seg = dir.join(segment_name(0));
+        let seg = only_segment(&dir);
         let mut bytes = fs::read(&seg).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -880,54 +657,15 @@ mod tests {
     }
 
     #[test]
-    fn interior_bit_flip_is_skipped_in_resilient_mode() {
-        let dir = tmp_dir("flip-skip");
-        let mut w = ServerLogWriter::create(&dir, 100, u64::MAX).unwrap();
-        for i in 0..300 {
-            w.push(&sample(i)).unwrap();
-        }
-        w.finish().unwrap();
-        // Flip one byte inside the *second* frame's block — interior
-        // damage with intact frames on both sides.
-        let seg = dir.join(segment_name(0));
-        let mut bytes = fs::read(&seg).unwrap();
-        // Frame layout after the 12-byte segment header: [len][crc][block].
-        let first_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let second_block_at = 12 + 8 + first_len + 8;
-        bytes[second_block_at + 10] ^= 0x40;
-        fs::write(&seg, &bytes).unwrap();
-
-        // Default mode: the capture truncates at the damaged frame.
-        let (read, truncated) = read_all(&dir);
-        assert!(truncated);
-        assert_eq!(read.len(), 100, "default mode stops before the bad frame");
-
-        // Resilient mode: the frame is detected, counted and skipped; the
-        // third frame is still served.
-        let mut reader = ServerLogReader::open(&dir).unwrap();
-        reader.set_skip_corrupt(true);
-        let mut read = Vec::new();
-        while let Some(r) = reader.next() {
-            read.push(r);
-        }
-        assert!(!reader.truncated(), "interior damage must not truncate");
-        assert_eq!(reader.corrupt_frames(), 1, "the flip is surfaced, not silent");
-        assert_eq!(read.len(), 200, "both intact frames survive");
-        for (i, r) in read.iter().enumerate() {
-            let expect = if i < 100 { i as u64 } else { i as u64 + 100 };
-            assert_eq!(*r, sample(expect));
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn injected_write_fault_fails_one_flush_then_recovers() {
         let dir = tmp_dir("wfault");
+        let faults = DiskFaults::none();
         let mut w = ServerLogWriter::create(&dir, 10, u64::MAX).unwrap();
+        w.set_faults(faults.clone());
         for i in 0..10 {
             w.push(&sample(i)).unwrap();
         }
-        w.inject_write_fault();
+        faults.inject(DiskFaultKind::Enospc, Some(1));
         // Filling the next frame hits the armed fault at its flush
         // boundary, before a byte is written.
         for i in 10..19 {
@@ -940,6 +678,7 @@ mod tests {
         w.push(&sample(20)).unwrap();
         let stats = w.finish().unwrap();
         assert_eq!(stats.records, 21);
+        assert_eq!(faults.injected(), 1);
         let (read, truncated) = read_all(&dir);
         assert!(!truncated);
         assert_eq!(read.len(), 21);
@@ -974,6 +713,7 @@ mod tests {
         let (read, truncated) = read_all(&dir);
         assert!(!truncated);
         assert_eq!(read.len(), 1);
+        assert_eq!(segment_files(&dir).len(), 1, "the old run's segments are gone");
         let _ = fs::remove_dir_all(&dir);
     }
 }

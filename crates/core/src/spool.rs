@@ -1,11 +1,9 @@
-//! Durable write-ahead spool: CRC-framed, segmented, torn-tail safe.
+//! Durable append-only log: CRC-framed, segmented, torn-tail safe, with
+//! injectable write faults.
 //!
 //! The paper's honeypots ran for weeks between log collections; a crash
 //! must never silently lose a chunk the manager has not acknowledged.  A
-//! [`Spool`] is a directory of append-only segment files.  Every record is
-//! written *before* it touches the wire and trimmed only after the
-//! receiving side acknowledged it, so the set of records on disk is always
-//! a superset of the unacknowledged in-flight data:
+//! [`Spool`] is a directory of append-only segment files:
 //!
 //! * **append** — a framed record (`magic, seq, len, payload, crc`) goes to
 //!   the active segment; segments rotate at a size threshold;
@@ -15,36 +13,41 @@
 //!   or corrupt record truncates its segment at the last valid byte and
 //!   drops every later segment, so recovery always yields a clean *prefix*
 //!   of what was appended — a half-written tail is detected, never merged;
-//! * **replay** — the recovery set is read back from the segments on
-//!   demand ([`Spool::for_each_record`], [`Spool::replay`]), one segment
-//!   in memory at a time.
+//! * **replay** — `SpoolReader` streams that clean prefix back one
+//!   segment in memory at a time, read-only; [`Spool::for_each_record`]
+//!   is the same stream minus the trimmed records.
 //!
-//! The spool is *the disk plus an index*: it keeps no payload byte in
-//! memory, only each segment's first/last sequence and size, the last
-//! appended sequence and the trim frontier.  Resident memory is
-//! O(segments), never O(bytes made durable).
+//! The spool keeps no payload byte in memory, only each segment's
+//! first/last sequence and size, the last appended sequence and the trim
+//! frontier: O(segments), never O(bytes made durable).
 //!
-//! The same structure serves two masters: each agent spools encoded
-//! `LogUpload` payloads before transport, and the manager daemon appends
-//! every *merged* chunk to a spool-backed WAL before acking it (see
-//! [`crate::checkpoint`]), which is what makes the ack → trim handshake
-//! safe end to end: an acked chunk is durable on the manager side.
+//! Three streams use it.  Each agent spools encoded `LogUpload` payloads
+//! before transport and trims them once acked; the manager daemon appends
+//! every merged chunk to a spool-backed WAL before acking it, so an acked
+//! chunk is durable on the manager side; the index server's query capture
+//! ([`crate::serverlog`]) appends one compressed frame per record and
+//! never trims.  Durability is against process death (every append
+//! reaches the kernel), not power loss.  A sidecar `.lock` file gives the
+//! spool single-writer semantics across the brief window where a
+//! relaunched incarnation overlaps the old one.
 //!
-//! Durability is against process death (data reaches the kernel on every
-//! append), not power loss — matching what the chaos harness exercises.
-//! A sidecar `.lock` file gives the spool single-writer semantics across
-//! the brief window where a relaunched incarnation overlaps the old one.
+//! Every durable writer — the spool and the daemon's checkpoint — consults
+//! a shared [`DiskFaults`] handle before it writes.  A test (or the chaos
+//! harness) arms the handle with ENOSPC / EIO / short-write behaviour at
+//! runtime and keeps a clone to clear it mid-run and to count the writes
+//! it failed ([`DiskFaults::injected`]); production code holds an unarmed
+//! handle.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use edonkey_proto::control::{crc32, Crc32};
-
-use crate::diskfault::{DiskFaultKind, DiskFaults};
-use crate::obs::{HistogramHandle, Registry};
+use netsim::sync::lock;
 
 /// First byte of every spool record.
 pub const SPOOL_MAGIC: u8 = 0xD5;
@@ -53,7 +56,86 @@ pub const MAX_SPOOL_PAYLOAD: usize = 64 << 20;
 
 const HEADER_LEN: usize = 1 + 8 + 4; // magic, seq (LE), payload len (LE)
 const TRAILER_LEN: usize = 4; // crc32 (LE) over header + payload
-const LOCK_WAIT: Duration = Duration::from_secs(2);
+/// How long [`Spool::open`] waits for another holder's lock before it
+/// steals it: a relaunched writer may take this long to start.
+pub const LOCK_WAIT: Duration = Duration::from_secs(2);
+
+/// The flavour of write failure to inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiskFaultKind {
+    /// Device full: the write fails before any byte lands.
+    Enospc,
+    /// Generic I/O error: the write fails before any byte lands.
+    Eio,
+    /// Torn write: a *prefix* of the record reaches the disk, then the
+    /// write fails — exercises the torn-tail recovery paths.
+    ShortWrite,
+}
+
+impl DiskFaultKind {
+    /// The `io::Error` this fault surfaces as.
+    pub fn to_error(self) -> io::Error {
+        match self {
+            DiskFaultKind::Enospc => io::Error::other("injected fault: no space left on device"),
+            DiskFaultKind::Eio => io::Error::other("injected fault: input/output error"),
+            DiskFaultKind::ShortWrite => io::Error::other("injected fault: short write"),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Armed {
+    kind: DiskFaultKind,
+    /// Fail this many more writes (never 0); `None` = until cleared.
+    remaining: Option<u64>,
+}
+
+/// Shared, runtime-armable write-fault injector.  `Default`/[`Self::none`]
+/// is permanently quiet.
+#[derive(Debug, Clone, Default)]
+pub struct DiskFaults {
+    armed: Arc<Mutex<Option<Armed>>>,
+    injected: Arc<AtomicU64>,
+}
+
+impl DiskFaults {
+    /// A handle that never faults (the production value).
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// Arms the injector: the next `count` writes fail with `kind`
+    /// (`None` = every write until [`Self::clear`]).
+    pub fn inject(&self, kind: DiskFaultKind, count: Option<u64>) {
+        *lock(&self.armed) = (count != Some(0)).then_some(Armed { kind, remaining: count });
+    }
+
+    /// Disarms the injector.
+    pub fn clear(&self) {
+        *lock(&self.armed) = None;
+    }
+
+    /// Number of writes actually failed so far.
+    pub fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Called by a durable layer on the write path: consumes one armed
+    /// fault, or `None` when the handle is quiet.
+    pub fn check(&self) -> Option<DiskFaultKind> {
+        let mut armed = lock(&self.armed);
+        let a = armed.as_mut()?;
+        let kind = a.kind;
+        if let Some(n) = &mut a.remaining {
+            *n -= 1;
+        }
+        if a.remaining == Some(0) {
+            *armed = None;
+        }
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Some(kind)
+    }
+}
 
 /// Spool tuning.
 #[derive(Clone, Copy, Debug)]
@@ -104,7 +186,6 @@ pub struct Spool {
     /// The record being written; reused so a steady-state append
     /// allocates nothing.
     scratch: Vec<u8>,
-    locked: bool,
     faults: DiskFaults,
     /// Set when an injected short write left a half-record on the tail;
     /// only a reopen (which truncates the tear) may append again.
@@ -124,21 +205,12 @@ impl Spool {
     pub fn open_with(dir: impl Into<PathBuf>, cfg: SpoolConfig) -> io::Result<Spool> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let locked = acquire_lock(&dir)?;
-
-        let mut first_seqs: Vec<u64> = Vec::new();
-        for entry in fs::read_dir(&dir)? {
-            let name = entry?.file_name();
-            if let Some(first_seq) = name.to_str().and_then(parse_segment_name) {
-                first_seqs.push(first_seq);
-            }
-        }
-        first_seqs.sort_unstable();
+        acquire_lock(&dir)?;
 
         let mut segments = VecDeque::new();
         let mut prev_seq: Option<u64> = None;
         let mut damaged = false;
-        for first_seq in first_seqs {
+        for first_seq in segment_seqs(&dir)? {
             let path = dir.join(segment_name(first_seq));
             if damaged {
                 // Everything after a damaged segment would follow a hole in
@@ -147,19 +219,24 @@ impl Spool {
                 continue;
             }
             let data = fs::read(&path)?;
-            let scan = scan_records(&data, prev_seq, |_, _| {});
-            damaged = scan.valid_len < data.len() as u64;
-            if scan.valid_len == 0 {
+            let (mut last_seq, mut valid_len) = (None, 0);
+            while let Some((seq, len)) = parse_record(&data[valid_len..], last_seq.or(prev_seq)) {
+                last_seq = Some(seq);
+                valid_len += len;
+            }
+            damaged = valid_len < data.len();
+            if valid_len == 0 {
                 fs::remove_file(&path)?;
                 continue;
             }
+            let bytes = valid_len as u64;
             if damaged {
                 let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.valid_len)?;
+                f.set_len(bytes)?;
                 f.sync_all().ok();
             }
-            prev_seq = scan.last_seq;
-            segments.push_back(Segment { first_seq, last_seq: prev_seq, bytes: scan.valid_len });
+            prev_seq = last_seq;
+            segments.push_back(Segment { first_seq, last_seq, bytes });
         }
 
         Ok(Spool {
@@ -170,7 +247,6 @@ impl Spool {
             trimmed: None,
             writer: None,
             scratch: Vec::new(),
-            locked,
             faults: DiskFaults::none(),
             torn: false,
         })
@@ -183,14 +259,14 @@ impl Spool {
         self.faults = faults;
     }
 
-    /// The spool directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Highest sequence number spooled and not yet trimmed.
     pub fn last_seq(&self) -> Option<u64> {
         self.last_seq
+    }
+
+    /// Segment files the spool holds.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 
     /// Streams every record on disk that has not been trimmed to `f`,
@@ -200,47 +276,19 @@ impl Spool {
     /// yields a clean prefix: it stops at the first record that is torn
     /// or fails its checksum.
     pub fn for_each_record(&self, mut f: impl FnMut(u64, &[u8])) -> io::Result<()> {
-        let mut prev_seq: Option<u64> = None;
-        for seg in &self.segments {
-            if seg.last_seq.is_none() {
-                continue; // a tail holding nothing but a failed write
+        let mut reader = SpoolReader::open(&self.dir)?;
+        while let Some((seq, payload)) = reader.next_record()? {
+            if self.trimmed.is_none_or(|t| seq > t) {
+                f(seq, payload);
             }
-            let data = fs::read(self.segment_path(seg.first_seq))?;
-            let scan = scan_records(&data, prev_seq, |seq, payload| {
-                if self.trimmed.is_none_or(|t| seq > t) {
-                    f(seq, payload);
-                }
-            });
-            if scan.last_seq != seg.last_seq {
-                break; // damaged since it was indexed; later segments follow a hole
-            }
-            prev_seq = scan.last_seq;
         }
         Ok(())
-    }
-
-    /// [`Spool::for_each_record`] collected into owned records.
-    pub fn replay(&self) -> io::Result<Vec<SpoolRecord>> {
-        let mut records = Vec::new();
-        self.for_each_record(|seq, payload| {
-            records.push(SpoolRecord { seq, payload: payload.to_vec() })
-        })?;
-        Ok(records)
     }
 
     /// Appends one record durably (the write reaches the kernel before
     /// this returns).  `seq` must be strictly greater than every sequence
     /// already spooled.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
-        let t0 = Instant::now();
-        let result = self.append_inner(seq, payload);
-        // Observability only: the append-latency distribution (success or
-        // failure) for the live registry; never alters the result.
-        spool_append_hist().record((t0.elapsed().as_micros() as u64).max(1));
-        result
-    }
-
-    fn append_inner(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_SPOOL_PAYLOAD {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "spool payload too large"));
         }
@@ -257,7 +305,7 @@ impl Spool {
                 "spool tail torn by earlier failed write; reopen to repair",
             ));
         }
-        let record_len = (HEADER_LEN + payload.len() + TRAILER_LEN) as u64;
+        let record_len = framed_len(payload.len());
         if self.segments.back().is_some_and(|seg| seg.bytes == 0) {
             // A failed first write left a byte-less tail.  Replace it: a
             // segment is always named after its first record, and no empty
@@ -331,18 +379,72 @@ impl Spool {
     }
 }
 
-/// Process-wide spool append-latency histogram, resolved once.
-fn spool_append_hist() -> &'static HistogramHandle {
-    static HIST: std::sync::OnceLock<HistogramHandle> = std::sync::OnceLock::new();
-    HIST.get_or_init(|| Registry::global().histogram("spool_append_micros"))
-}
-
 impl Drop for Spool {
     fn drop(&mut self) {
-        if self.locked {
-            let _ = fs::remove_file(self.dir.join(".lock"));
-        }
+        let _ = fs::remove_file(self.dir.join(".lock"));
     }
+}
+
+/// A read-only cursor over the spool in a directory: yields its records
+/// oldest first, one segment in memory at a time, and stops at the first
+/// torn, corrupt or out-of-order record — the clean prefix
+/// [`Spool::open`] would recover — without taking the lock or repairing
+/// anything.
+#[derive(Debug)]
+pub(crate) struct SpoolReader {
+    dir: PathBuf,
+    /// Segments not yet read, by first sequence.
+    pending: std::vec::IntoIter<u64>,
+    /// The segment being read, and the offset of its next record.
+    data: Vec<u8>,
+    pos: usize,
+    prev_seq: Option<u64>,
+    damaged: bool,
+}
+
+impl SpoolReader {
+    /// Lists the segments under `dir`; nothing is read yet.
+    pub(crate) fn open(dir: &Path) -> io::Result<SpoolReader> {
+        Ok(SpoolReader {
+            dir: dir.to_path_buf(),
+            pending: segment_seqs(dir)?.into_iter(),
+            data: Vec::new(),
+            pos: 0,
+            prev_seq: None,
+            damaged: false,
+        })
+    }
+
+    /// The next record as `(seq, payload)`, or `None` at the end of the
+    /// clean prefix (check [`Self::damaged`]).
+    pub(crate) fn next_record(&mut self) -> io::Result<Option<(u64, &[u8])>> {
+        while self.pos == self.data.len() {
+            let Some(first_seq) = self.pending.next() else { return Ok(None) };
+            self.data = fs::read(self.dir.join(segment_name(first_seq)))?;
+            self.pos = 0;
+        }
+        let at = self.pos;
+        let Some((seq, total)) = parse_record(&self.data[at..], self.prev_seq) else {
+            // Everything past a damaged record would follow a hole.
+            self.damaged = true;
+            self.pending = Vec::new().into_iter();
+            return Ok(None);
+        };
+        self.pos += total;
+        self.prev_seq = Some(seq);
+        Ok(Some((seq, &self.data[at + HEADER_LEN..at + total - TRAILER_LEN])))
+    }
+
+    /// Whether reading stopped at a torn or corrupt record rather than at
+    /// the end of the last segment.
+    pub(crate) fn damaged(&self) -> bool {
+        self.damaged
+    }
+}
+
+/// On-disk size of a record carrying `payload_len` bytes.
+pub(crate) fn framed_len(payload_len: usize) -> u64 {
+    (HEADER_LEN + payload_len + TRAILER_LEN) as u64
 }
 
 /// Encodes one framed record into `out` (cleared first), checksumming
@@ -360,46 +462,44 @@ fn encode_record(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.extend_from_slice(&crc.finish().to_le_bytes());
 }
 
-struct Scan {
-    /// Sequence of the last valid record (`None` when there is none).
-    last_seq: Option<u64>,
-    /// Byte length of the valid prefix; anything beyond is torn/corrupt.
-    valid_len: u64,
+/// Parses the record at the front of `rest` into its sequence and framed
+/// length; `None` when there is none or it is torn (runs past the end),
+/// malformed (bad magic, oversized, CRC mismatch) or not after
+/// `prev_seq`.  Never panics: every branch is a bounds-checked slice.
+fn parse_record(rest: &[u8], prev_seq: Option<u64>) -> Option<(u64, usize)> {
+    if rest.len() < HEADER_LEN + TRAILER_LEN || rest[0] != SPOOL_MAGIC {
+        return None;
+    }
+    let seq = u64::from_le_bytes(rest[1..9].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
+    if len > MAX_SPOOL_PAYLOAD {
+        return None;
+    }
+    let total = HEADER_LEN + len + TRAILER_LEN;
+    if rest.len() < total {
+        return None; // torn tail: the record runs past the end of the file
+    }
+    let stored = u32::from_le_bytes(rest[total - 4..total].try_into().expect("4 bytes"));
+    if crc32(&rest[..total - 4]) != stored {
+        return None;
+    }
+    if prev_seq.is_some_and(|p| seq <= p) {
+        return None; // sequence must be strictly increasing
+    }
+    Some((seq, total))
 }
 
-/// Walks a segment's bytes, handing each valid record to `f` and stopping
-/// at the first one that is torn (runs past the end), malformed (bad
-/// magic, oversized, CRC mismatch) or out of order.  Never panics: every
-/// branch is a bounds-checked slice.
-fn scan_records(data: &[u8], prev_seq: Option<u64>, mut f: impl FnMut(u64, &[u8])) -> Scan {
-    let mut last_seq = None;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let rest = &data[pos..];
-        if rest.len() < HEADER_LEN + TRAILER_LEN || rest[0] != SPOOL_MAGIC {
-            break;
+/// First sequences of the segment files under `dir`, ascending.
+fn segment_seqs(dir: &Path) -> io::Result<Vec<u64>> {
+    let mut first_seqs = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        if let Some(first_seq) = name.to_str().and_then(parse_segment_name) {
+            first_seqs.push(first_seq);
         }
-        let seq = u64::from_le_bytes(rest[1..9].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
-        if len > MAX_SPOOL_PAYLOAD {
-            break;
-        }
-        let total = HEADER_LEN + len + TRAILER_LEN;
-        if rest.len() < total {
-            break; // torn tail: the record runs past the end of the file
-        }
-        let stored = u32::from_le_bytes(rest[total - 4..total].try_into().expect("4 bytes"));
-        if crc32(&rest[..total - 4]) != stored {
-            break;
-        }
-        if last_seq.or(prev_seq).is_some_and(|p| seq <= p) {
-            break; // sequence must be strictly increasing
-        }
-        f(seq, &rest[HEADER_LEN..HEADER_LEN + len]);
-        last_seq = Some(seq);
-        pos += total;
     }
-    Scan { last_seq, valid_len: pos as u64 }
+    first_seqs.sort_unstable();
+    Ok(first_seqs)
 }
 
 fn segment_name(first_seq: u64) -> String {
@@ -416,14 +516,14 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 
 /// Takes the spool's advisory lock, waiting briefly and then stealing a
 /// stale one (the previous holder crashed without its `Drop` running).
-fn acquire_lock(dir: &Path) -> io::Result<bool> {
+fn acquire_lock(dir: &Path) -> io::Result<()> {
     let path = dir.join(".lock");
     let deadline = Instant::now() + LOCK_WAIT;
     loop {
         match OpenOptions::new().write(true).create_new(true).open(&path) {
             Ok(mut f) => {
                 let _ = writeln!(f, "{}", std::process::id());
-                return Ok(true);
+                return Ok(());
             }
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                 if Instant::now() >= deadline {
@@ -439,6 +539,17 @@ fn acquire_lock(dir: &Path) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Spool {
+        /// [`Spool::for_each_record`] collected into owned records.
+        fn replay(&self) -> io::Result<Vec<SpoolRecord>> {
+            let mut records = Vec::new();
+            self.for_each_record(|seq, payload| {
+                records.push(SpoolRecord { seq, payload: payload.to_vec() })
+            })?;
+            Ok(records)
+        }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -557,6 +668,49 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
             .count();
         assert_eq!(segs, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reader_stops_at_damage_and_repairs_nothing() {
+        let dir = tmpdir("reader");
+        let cfg = SpoolConfig { segment_max_bytes: 64 };
+        {
+            let mut spool = Spool::open_with(&dir, cfg).unwrap();
+            for seq in 0..12u64 {
+                spool.append(seq, &payload(seq)).unwrap();
+            }
+            assert!(spool.segments.len() >= 4);
+        }
+        // Flip a payload bit in the first record of the second segment:
+        // every later segment now follows a hole.
+        let mut firsts = segment_seqs(&dir).unwrap();
+        let damaged_seg = dir.join(segment_name(firsts[1]));
+        let mut data = fs::read(&damaged_seg).unwrap();
+        data[HEADER_LEN] ^= 0x40;
+        fs::write(&damaged_seg, &data).unwrap();
+        let image: Vec<Vec<u8>> =
+            firsts.iter().map(|&s| fs::read(dir.join(segment_name(s))).unwrap()).collect();
+
+        let mut reader = SpoolReader::open(&dir).unwrap();
+        let mut seqs = Vec::new();
+        while let Some((seq, body)) = reader.next_record().unwrap() {
+            assert_eq!(body, payload(seq));
+            seqs.push(seq);
+        }
+        assert!(reader.damaged());
+        assert_eq!(seqs, (0..firsts[1]).collect::<Vec<_>>(), "the first segment only");
+        assert_eq!(reader.next_record().unwrap(), None, "the end is sticky");
+        let now: Vec<Vec<u8>> =
+            firsts.iter().map(|&s| fs::read(dir.join(segment_name(s))).unwrap()).collect();
+        assert_eq!(now, image, "reading repairs nothing");
+
+        // Recovery keeps the same prefix and deletes what follows the hole.
+        let spool = Spool::open_with(&dir, cfg).unwrap();
+        assert_eq!(replayed_seqs(&spool), seqs);
+        drop(spool);
+        firsts.truncate(1);
+        assert_eq!(segment_seqs(&dir).unwrap(), firsts);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -738,11 +892,15 @@ mod tests {
     }
 
     impl Model {
+        fn new(segment_max_bytes: u64) -> Model {
+            Model { segment_max_bytes, segments: Vec::new(), unacked: Vec::new(), torn: false }
+        }
+
         fn append(&mut self, seq: u64, payload: &[u8], fault: Option<DiskFaultKind>) -> bool {
             if self.torn || self.unacked.last().is_some_and(|last| seq <= last.seq) {
                 return false;
             }
-            let len = (HEADER_LEN + payload.len() + TRAILER_LEN) as u64;
+            let len = framed_len(payload.len());
             if self.segments.last().is_some_and(|s| s.bytes == 0) {
                 self.segments.pop();
             }
@@ -784,11 +942,7 @@ mod tests {
         fn reopen(&mut self) {
             self.segments.retain(|s| !s.records.is_empty());
             for s in &mut self.segments {
-                s.bytes = s
-                    .records
-                    .iter()
-                    .map(|r| (HEADER_LEN + r.payload.len() + TRAILER_LEN) as u64)
-                    .sum();
+                s.bytes = s.records.iter().map(|r| framed_len(r.payload.len())).sum();
             }
             self.unacked = self.segments.iter().flat_map(|s| s.records.iter().cloned()).collect();
             self.torn = false;
@@ -810,12 +964,7 @@ mod tests {
             let faults = DiskFaults::none();
             let mut spool = Spool::open_with(&dir, cfg).unwrap();
             spool.set_faults(faults.clone());
-            let mut model = Model {
-                segment_max_bytes: cfg.segment_max_bytes,
-                segments: Vec::new(),
-                unacked: Vec::new(),
-                torn: false,
-            };
+            let mut model = Model::new(cfg.segment_max_bytes);
             let mut next_seq = rng.below(3);
             for step in 0..40 {
                 let at = format!("seed {seed} step {step}");
@@ -870,6 +1019,111 @@ mod tests {
         assert!(resurrected > 100, "only {resurrected} stale records ever came back");
     }
 
+    /// The capture case of the differential: a [`ServerLogWriter`] is a
+    /// spool client whose records are compressed frames, so the model of
+    /// the frames it appended — under random frame sizes, segment sizes
+    /// and ENOSPC / short-write injections — predicts, record for record,
+    /// what [`ServerLogReader`] reads back before and after a reopen.
+    #[test]
+    fn capture_matches_the_mirrored_model() {
+        use crate::anonymize::IpHash;
+        use crate::serverlog::{
+            decode_frame, encode_frame, ServerLogReader, ServerLogWriter, ServerRecord,
+            SERVER_QUERY_KINDS,
+        };
+        use edonkey_proto::FileId;
+        use netsim::{Rng, SimTime};
+
+        fn read_back(dir: &Path) -> (Vec<ServerRecord>, bool) {
+            let mut reader = ServerLogReader::open(dir).unwrap();
+            let records = std::iter::from_fn(|| reader.next()).collect();
+            (records, reader.truncated())
+        }
+
+        let (mut torn_runs, mut failed_flushes, mut rotated) = (0, 0, 0);
+        for seed in 0..150u64 {
+            let mut rng = Rng::seed_from(seed ^ 0xCA97_0BE5);
+            let dir = tmpdir(&format!("capture-{seed}"));
+            let frame_records = 1 + rng.below(12) as usize;
+            let segment_max_bytes = *rng.choose(&[64, 200, 512, 4096]);
+            let faults = DiskFaults::none();
+            let mut writer =
+                ServerLogWriter::create(&dir, frame_records, segment_max_bytes).unwrap();
+            writer.set_faults(faults.clone());
+            let mut model = Model::new(segment_max_bytes);
+            // Records pushed since the last frame that reached the disk.
+            let mut pending: Vec<ServerRecord> = Vec::new();
+            let mut frame = Vec::new();
+            let mut at = 0u64;
+            for step in 0..rng.below(160) {
+                at += rng.below(5_000);
+                let record = ServerRecord {
+                    at: SimTime::from_millis(at),
+                    kind: *rng.choose(&SERVER_QUERY_KINDS),
+                    peer: IpHash([rng.below(4) as u8; 16]),
+                    port: rng.below(1 << 16) as u16,
+                    flag: rng.below(2) as u8,
+                    file: FileId([rng.below(8) as u8; 16]),
+                    session: rng.below(1 << 40),
+                    payload: rng.next_u32(),
+                };
+                pending.push(record);
+                let flushes = pending.len() >= frame_records;
+                let fault = (flushes && rng.chance(0.08))
+                    .then(|| *rng.choose(&[DiskFaultKind::Enospc, DiskFaultKind::ShortWrite]));
+                if let Some(kind) = fault {
+                    faults.inject(kind, Some(1));
+                }
+                let consumed_before = faults.injected();
+                let ok = writer.push(&record).is_ok();
+                faults.clear();
+                if flushes {
+                    encode_frame(&pending, &mut frame);
+                    let seq = model.unacked.last().map_or(0, |r| r.seq + 1);
+                    let hit = fault.filter(|_| faults.injected() > consumed_before);
+                    let at = format!("seed {seed} step {step}");
+                    assert_eq!(ok, model.append(seq, &frame, hit), "{at}: frame {seq}");
+                    if ok {
+                        pending.clear();
+                    } else {
+                        failed_flushes += 1;
+                    }
+                } else {
+                    assert!(ok, "seed {seed} step {step}: a buffered push never fails");
+                }
+            }
+            assert_eq!(writer.stats().segments as usize, model.segments.len(), "seed {seed}");
+            let finished = writer.finish().is_ok();
+            if !pending.is_empty() {
+                encode_frame(&pending, &mut frame);
+                let seq = model.unacked.last().map_or(0, |r| r.seq + 1);
+                assert_eq!(finished, model.append(seq, &frame, None), "seed {seed}: tail frame");
+            }
+            let expected: Vec<ServerRecord> = model
+                .unacked
+                .iter()
+                .flat_map(|r| decode_frame(&r.payload).expect("model frames decode"))
+                .collect();
+            let (read, truncated) = read_back(&dir);
+            assert_eq!(read, expected, "seed {seed}: read-back is the model's clean prefix");
+            assert_eq!(truncated, model.torn, "seed {seed}: only a tear truncates");
+            torn_runs += usize::from(model.torn);
+            rotated += usize::from(model.segments.len() > 1);
+
+            // A reopen repairs the tear; the clean prefix is unchanged.
+            let spool = Spool::open_with(&dir, SpoolConfig { segment_max_bytes }).unwrap();
+            model.reopen();
+            assert_eq!(spool.segment_count(), model.segments.len(), "seed {seed}: segments");
+            drop(spool);
+            assert_eq!(read_back(&dir), (expected, false), "seed {seed}: after reopen");
+            let _ = fs::remove_dir_all(&dir);
+        }
+        assert!(
+            torn_runs > 5 && failed_flushes > 20 && rotated > 50,
+            "weak schedule: {torn_runs} torn, {failed_flushes} failed flushes, {rotated} rotated"
+        );
+    }
+
     #[test]
     fn failed_first_write_of_an_oversized_record_retries_cleanly() {
         // The record alone exceeds the segment size, so the retry rotates
@@ -898,5 +1152,34 @@ mod tests {
         drop(spool);
         assert!(!dir.join(".lock").exists(), "lock released on drop");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quiet_by_default() {
+        let f = DiskFaults::none();
+        assert_eq!(f.check(), None);
+        assert_eq!(f.injected(), 0);
+    }
+
+    #[test]
+    fn counted_faults_exhaust() {
+        let f = DiskFaults::none();
+        f.inject(DiskFaultKind::Enospc, Some(2));
+        assert_eq!(f.check(), Some(DiskFaultKind::Enospc));
+        assert_eq!(f.check(), Some(DiskFaultKind::Enospc));
+        assert_eq!(f.check(), None, "budget spent");
+        assert_eq!(f.injected(), 2);
+    }
+
+    #[test]
+    fn persistent_until_cleared_and_shared() {
+        let f = DiskFaults::none();
+        let clone = f.clone();
+        f.inject(DiskFaultKind::Eio, None);
+        assert_eq!(clone.check(), Some(DiskFaultKind::Eio));
+        assert_eq!(clone.check(), Some(DiskFaultKind::Eio));
+        f.clear();
+        assert_eq!(clone.check(), None);
+        assert_eq!(f.injected(), 2, "injections visible through either handle");
     }
 }

@@ -116,7 +116,8 @@ fn main() {
     );
 
     // Stream the capture back off disk into the server-side index — one
-    // frame in memory at a time, never the whole capture.
+    // segment file and one frame in memory at a time, never the whole
+    // capture.
     let t = Instant::now();
     let mut reader = ServerLogReader::open(&dir).expect("open capture");
     let mut builder = ServerIndexBuilder::new(SimTime::from_days(days));
@@ -124,8 +125,8 @@ fn main() {
         builder.push_record(&r);
     }
     assert!(!reader.truncated(), "fresh capture must read back cleanly");
-    assert_eq!(reader.records_read(), stats.records, "reader must return every written record");
     let server_ix = builder.finish();
+    assert_eq!(server_ix.records, stats.records, "reader must return every written record");
     eprintln!(
         "[server-capture] replayed {} records in {:.2}s",
         server_ix.records,

@@ -387,7 +387,7 @@ mod tests {
         let c = server_ten_weeks(1, 1.0);
         assert_eq!(c.duration, SimTime::from_days(70));
         let cap = c.server_capture.expect("capture enabled");
-        assert!(cap.frame_records > 0 && cap.segment_records > 0 && cap.status_interval_ms > 0);
+        assert!(cap.frame_records > 0 && cap.segment_bytes > 0 && cap.status_interval_ms > 0);
         assert_eq!(c.honeypots.len(), DISTRIBUTED_HONEYPOTS, "honeypots measure the same run");
         assert!(c.population.daily_decay > distributed(1, 1.0).population.daily_decay);
     }

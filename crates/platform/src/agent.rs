@@ -41,19 +41,18 @@ use std::time::{Duration, Instant};
 
 use edonkey_net::HoneypotHost;
 use edonkey_proto::control::{encode_control_frame, opcodes};
+use honeypot::spool::{DiskFaults, Spool, SpoolRecord};
 use honeypot::{Honeypot, HoneypotConfig, IpHasher};
 use netsim::rng::stream_seed;
 use netsim::Rng;
 
 use crate::conn::{ConnError, ConnEvent, ControlConn};
-use crate::diskfault::DiskFaults;
 use crate::fault::{FaultPlan, FaultState};
 use crate::impair::ImpairPlan;
 use crate::journal::ChunkJournal;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::obs::{self, HistogramHandle, Registry};
 use crate::retry::{Backoff, RetryPolicy};
-use crate::spool::{Spool, SpoolRecord};
 use netsim::obs_event;
 
 /// How an agent's life ended.
@@ -590,7 +589,7 @@ fn upload_chunk(
         let mut disk_retry =
             Backoff::new(RetryPolicy::disk(), RETRY_SEED ^ u64::from(st.agent) ^ 0xD15C, seq);
         loop {
-            match spool.append(seq, &payload) {
+            match obs::registry::spool_append(spool, seq, &payload) {
                 Ok(()) => {
                     st.spool_degraded = false;
                     break;

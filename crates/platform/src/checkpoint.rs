@@ -4,7 +4,7 @@
 //!
 //! Two durable artefacts live under the checkpoint directory:
 //!
-//! * **`wal/`** — a [`crate::spool::Spool`] to which the daemon appends
+//! * **`wal/`** — a [`honeypot::spool::Spool`] to which the daemon appends
 //!   every chunk payload *before* acknowledging it, in exact merge order.
 //!   Replaying the WAL through a fresh [`honeypot::Manager`] reproduces
 //!   the merged state bit for bit (same intern order, same sequences), and
@@ -28,8 +28,7 @@ use std::path::{Path, PathBuf};
 use edonkey_proto::control::crc32;
 use edonkey_proto::wire::{Reader, Writer};
 use edonkey_proto::ProtoError;
-
-use crate::diskfault::{DiskFaultKind, DiskFaults};
+use honeypot::spool::{DiskFaultKind, DiskFaults};
 
 /// Checkpointing knobs for the daemon.
 #[derive(Clone, Debug)]
@@ -149,16 +148,12 @@ impl ManagerCheckpoint {
 
 /// Writes the snapshot atomically: temp file in the same directory, then
 /// `rename` over [`STATE_FILE`].  A crash at any point leaves either the
-/// old snapshot or the new one, never a mix.
-pub fn save_checkpoint(dir: &Path, ckpt: &ManagerCheckpoint) -> io::Result<()> {
-    save_checkpoint_with(dir, ckpt, &DiskFaults::none())
-}
-
-/// [`save_checkpoint`] with an injectable fault layer.  A short write
-/// leaves a torn *temp* file and never renames it, mirroring how a real
-/// mid-write crash presents: the previous snapshot stays intact and the
-/// CRC rejects the fragment if anything ever reads it.
-pub fn save_checkpoint_with(
+/// old snapshot or the new one, never a mix.  The write consults
+/// `faults`: a short write leaves a torn *temp* file and never renames
+/// it, mirroring how a real mid-write crash presents — the previous
+/// snapshot stays intact and the CRC rejects the fragment if anything
+/// ever reads it.
+pub fn save_checkpoint(
     dir: &Path,
     ckpt: &ManagerCheckpoint,
     faults: &DiskFaults,
@@ -311,11 +306,11 @@ mod tests {
         let dir = tmpdir("saveload");
         assert_eq!(load_checkpoint(&dir), None);
         let first = sample();
-        save_checkpoint(&dir, &first).unwrap();
+        save_checkpoint(&dir, &first, &DiskFaults::none()).unwrap();
         assert_eq!(load_checkpoint(&dir), Some(first));
         let mut second = sample();
         second.slots[0].expected_seq = 99;
-        save_checkpoint(&dir, &second).unwrap();
+        save_checkpoint(&dir, &second, &DiskFaults::none()).unwrap();
         assert_eq!(load_checkpoint(&dir), Some(second));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -324,18 +319,18 @@ mod tests {
     fn injected_faults_never_damage_the_snapshot() {
         let dir = tmpdir("faults");
         let ckpt = sample();
-        save_checkpoint(&dir, &ckpt).unwrap();
+        save_checkpoint(&dir, &ckpt, &DiskFaults::none()).unwrap();
         let faults = DiskFaults::none();
         let mut newer = sample();
         newer.slots[0].expected_seq = 77;
         faults.inject(DiskFaultKind::Eio, Some(1));
-        assert!(save_checkpoint_with(&dir, &newer, &faults).is_err());
+        assert!(save_checkpoint(&dir, &newer, &faults).is_err());
         assert_eq!(load_checkpoint(&dir), Some(ckpt.clone()), "EIO left old snapshot");
         faults.inject(DiskFaultKind::ShortWrite, Some(1));
-        assert!(save_checkpoint_with(&dir, &newer, &faults).is_err());
+        assert!(save_checkpoint(&dir, &newer, &faults).is_err());
         assert_eq!(load_checkpoint(&dir), Some(ckpt), "torn temp never renamed");
         // Once the fault clears the same save goes through.
-        save_checkpoint_with(&dir, &newer, &faults).unwrap();
+        save_checkpoint(&dir, &newer, &faults).unwrap();
         assert_eq!(load_checkpoint(&dir), Some(newer));
         assert_eq!(faults.injected(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -346,7 +341,7 @@ mod tests {
         let dir = tmpdir("quarantine");
         assert!(!quarantine_checkpoint(&dir).unwrap(), "nothing to quarantine yet");
         let ckpt = sample();
-        save_checkpoint(&dir, &ckpt).unwrap();
+        save_checkpoint(&dir, &ckpt, &DiskFaults::none()).unwrap();
         assert!(quarantine_checkpoint(&dir).unwrap());
         assert_eq!(load_checkpoint(&dir), None, "quarantined snapshot is invisible");
         assert!(dir.join(format!("{STATE_FILE}.quarantined")).exists());
@@ -358,7 +353,7 @@ mod tests {
     fn torn_tmp_never_shadows_the_snapshot() {
         let dir = tmpdir("torn");
         let ckpt = sample();
-        save_checkpoint(&dir, &ckpt).unwrap();
+        save_checkpoint(&dir, &ckpt, &DiskFaults::none()).unwrap();
         let mut newer = sample();
         newer.slots[0].expected_seq = 1000;
         let tmp = write_torn_tmp(&dir, &newer, 20).unwrap();

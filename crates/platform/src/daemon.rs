@@ -50,6 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use edonkey_proto::control::{opcodes, ControlEvent};
+use honeypot::spool::{DiskFaults, Spool, LOCK_WAIT};
 use honeypot::{
     HoneypotId, HoneypotSpec, HoneypotStatus, Manager, MeasurementLog, StatusReport,
     SupervisionBook,
@@ -60,16 +61,14 @@ use netsim::SimTime;
 use edonkey_proto::control::MAX_CONTROL_PAYLOAD;
 
 use crate::checkpoint::{
-    load_checkpoint, quarantine_checkpoint, save_checkpoint_with, CheckpointOptions,
-    ManagerCheckpoint, SlotCheckpoint,
+    load_checkpoint, quarantine_checkpoint, save_checkpoint, CheckpointOptions, ManagerCheckpoint,
+    SlotCheckpoint,
 };
-use crate::diskfault::DiskFaults;
 use crate::messages::{heartbeat_flags, AgentConfig, ControlMessage};
 use crate::metrics::PlatformMetrics;
 use crate::obs::{self, Histogram};
 use crate::reactor::{wait_io, CloseReason, Outbox, ReactorConn, Session, Waker};
 use crate::retry::{Backoff, RetryPolicy};
-use crate::spool::Spool;
 use crate::transport::{classify_accept, AcceptError};
 use netsim::obs_event;
 /// Reactor latency samples are batched locally and folded into the shared
@@ -184,8 +183,9 @@ struct Slot {
     registered: bool,
     /// The agent said a clean goodbye; never relaunch it.
     goodbye: bool,
-    /// A launch was issued and no registration has followed it yet.
-    launching: bool,
+    /// When the launch in flight was issued: a launch no registration
+    /// has followed yet.
+    launched_at: Option<Instant>,
     last_activity: Option<Instant>,
     registered_at: Option<Instant>,
     /// Backoff gate: no launch before this instant.
@@ -209,7 +209,7 @@ impl Slot {
             next_incarnation: 0,
             registered: false,
             goodbye: false,
-            launching: false,
+            launched_at: None,
             last_activity: None,
             registered_at: None,
             next_launch_at: None,
@@ -690,7 +690,7 @@ impl Daemon {
         // An agent launched just before the stop is waited for too: it
         // registers into a stopping daemon, which tells it to shut down.
         self.wait_slots(drain, |slots| {
-            slots.iter().all(|s| s.goodbye || !(s.registered || s.launching))
+            slots.iter().all(|s| s.goodbye || !(s.registered || s.launched_at.is_some()))
         });
 
         // Stop admitting (the self-connect unblocks the accept loop) and
@@ -737,7 +737,7 @@ impl Daemon {
         // still sees the final accounting.
         if let Some(d) = &self.inner.durable {
             let faults = self.inner.cfg.checkpoint_faults.clone().unwrap_or_default();
-            let _ = save_checkpoint_with(&d.opts.dir, &build_checkpoint(&self.inner), &faults);
+            let _ = save_checkpoint(&d.opts.dir, &build_checkpoint(&self.inner), &faults);
         }
 
         let mgr = lock(&self.inner.merge).take().expect("finish called once");
@@ -1089,7 +1089,7 @@ fn register_conn(inner: &Inner, session: &mut Session, agent: u32, resume: bool)
             }
         }
         slot.registered = true;
-        slot.launching = false;
+        slot.launched_at = None;
         slot.last_activity = Some(now);
         slot.registered_at = Some(now);
         slot.outbox = Some(session.outbox.clone());
@@ -1283,7 +1283,7 @@ fn merge_burst(inner: &Inner, batch: &mut Vec<MergeMsg>) {
                 if let Some(d) = &inner.durable {
                     let mut wal = lock(&d.wal);
                     let wseq = wal.next_seq;
-                    match wal.spool.append(wseq, &payload) {
+                    match obs::registry::spool_append(&mut wal.spool, wseq, &payload) {
                         Ok(()) => wal.next_seq += 1,
                         Err(e) => {
                             // Degraded disk: the chunk is neither merged
@@ -1413,7 +1413,7 @@ fn maybe_checkpoint(inner: &Inner) {
         *last = now;
     }
     let faults = inner.cfg.checkpoint_faults.clone().unwrap_or_default();
-    if let Err(e) = save_checkpoint_with(&d.opts.dir, &build_checkpoint(inner), &faults) {
+    if let Err(e) = save_checkpoint(&d.opts.dir, &build_checkpoint(inner), &faults) {
         // The snapshot on disk is now stale relative to what this daemon
         // knows.  Quarantine it: recovery then derives everything from the
         // WAL (which is authoritative for the measurement) instead of
@@ -1483,26 +1483,33 @@ fn supervision_tick(inner: &Arc<Inner>) {
     }
 
     // Launches: the core's pure query says who, the slot's backoff gate
-    // says when, `mark_relaunched` does the counting exactly once.
+    // says when, `mark_relaunched` does the counting exactly once.  A
+    // launch in flight is never doubled: it has the heartbeat timeout plus
+    // the spool lock wait to register (after a manager crash, a relaunch
+    // waits out the lock of its predecessor, still retrying the dead one).
+    let in_flight_grace = timeout + LOCK_WAIT;
     let needing = lock(&inner.book).needing_relaunch();
     for id in needing {
         let i = id.0 as usize;
         let launch = {
             let mut slots = lock(&inner.slots);
             let slot = &mut slots[i];
-            if slot.goodbye || slot.registered || slot.next_launch_at.is_some_and(|t| now < t) {
+            let gated = slot.next_launch_at.is_some_and(|t| now < t)
+                || slot.launched_at.is_some_and(|t| now < t + in_flight_grace);
+            if slot.goodbye || slot.registered || gated {
                 None
             } else {
                 // The unified policy paces the schedule and spends the
                 // attempt budget; `None` means this agent has exhausted
                 // its launches.  The gate is floored at the heartbeat
-                // timeout so a launch in flight is never doubled.
+                // timeout, so even a launch that registered and died at
+                // once is not repeated before then.
                 match slot.backoff.next_deadline(now, inner.cfg.heartbeat_timeout_ms) {
                     Some(gate) => {
                         let incarnation = slot.next_incarnation;
                         slot.next_incarnation += 1;
                         slot.next_launch_at = Some(gate);
-                        slot.launching = true;
+                        slot.launched_at = Some(now);
                         Some(incarnation)
                     }
                     None => None,

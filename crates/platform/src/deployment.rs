@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use edonkey_net::{NetServer, ScriptedPeer};
 use edonkey_proto::{FileId, Ipv4};
+use honeypot::spool::DiskFaults;
 use honeypot::{
     ContentStrategy, FileStrategy, HoneypotId, HoneypotSpec, MeasurementLog, ServerInfo,
 };
@@ -24,7 +25,6 @@ use netsim::SimTime;
 
 use crate::agent::{run_agent, AgentExit, AgentOptions};
 use crate::daemon::{Daemon, DaemonConfig};
-use crate::diskfault::DiskFaults;
 use crate::fault::FaultPlan;
 use crate::impair::ImpairPlan;
 use crate::journal::{measurement_diff, ChunkJournal};

@@ -30,9 +30,10 @@
 //!   server + N agents on 127.0.0.1) used by tests, the experiment
 //!   runner's `--live-loopback` demo and CI.
 //!
-//! Crash safety (PR 4) spans three modules: [`spool`] is the durable
-//! write-ahead segment log agents (and the daemon's chunk WAL) append to
-//! before anything is acknowledged; [`checkpoint`] is the daemon's
+//! Crash safety (PR 4) spans three modules: [`Spool`] (from
+//! [`honeypot::spool`], re-exported here) is the durable write-ahead
+//! segment log agents (and the daemon's chunk WAL) append to before
+//! anything is acknowledged; [`checkpoint`] is the daemon's
 //! atomically-replaced supervision snapshot plus WAL layout; [`retry`] is
 //! the one seeded backoff policy every retry site (relaunch, reconnect,
 //! resend) now shares.  The contract: an acknowledged chunk is always
@@ -44,10 +45,11 @@
 //! (loss as retransmission stalls, duplication, reordering, delay,
 //! jitter, rate caps, partitions — same seed, same byte timeline)
 //! installed at the agent end, in the blocking [`conn`], where it
-//! schedules both directions; [`diskfault`] is the injectable
-//! write-fault handle (ENOSPC / EIO / short write) the spool, WAL and
-//! checkpoint writers consult so disk death degrades the measurement
-//! visibly instead of corrupting it; [`transport`] is the accept-loop
+//! schedules both directions; [`DiskFaults`] (also from
+//! [`honeypot::spool`]) is the injectable write-fault handle (ENOSPC /
+//! EIO / short write) the spool, WAL and checkpoint writers consult so
+//! disk death degrades the measurement visibly instead of corrupting
+//! it; [`transport`] is the accept-loop
 //! error triage the daemon and the scraper share.  The daemon hardens
 //! itself against hostile peers (handshake/idle/slow-loris deadlines, frame
 //! caps, merge-queue shedding with window shrink), and every
@@ -72,7 +74,6 @@ pub mod checkpoint;
 pub mod conn;
 pub mod daemon;
 pub mod deployment;
-pub mod diskfault;
 pub mod fault;
 pub mod impair;
 pub mod journal;
@@ -81,7 +82,6 @@ pub mod metrics;
 pub mod obs;
 pub(crate) mod reactor;
 pub mod retry;
-pub mod spool;
 #[cfg(unix)]
 mod sys;
 pub mod transport;
@@ -91,12 +91,11 @@ pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointOptions, Manage
 pub use conn::{ConnError, ConnEvent, ControlConn};
 pub use daemon::{Daemon, DaemonConfig, Launcher};
 pub use deployment::{LoopbackDeployment, LoopbackOptions, LoopbackOutcome, LoopbackSpec};
-pub use diskfault::{DiskFaultKind, DiskFaults};
 pub use fault::{FaultPlan, FaultState};
+pub use honeypot::spool::{DiskFaultKind, DiskFaults, Spool, SpoolConfig, SpoolRecord};
 pub use impair::{ImpairPlan, ImpairStats, ImpairedLink, Partition};
 pub use journal::{measurement_diff, ChunkJournal};
 pub use messages::{AgentConfig, ControlMessage};
 pub use metrics::{AgentMetrics, PlatformMetrics};
 pub use obs::{FlightDumpOnPanic, Histogram, ObsConfig, Registry, Scraper};
 pub use retry::{Backoff, RetryPolicy};
-pub use spool::{Spool, SpoolConfig, SpoolRecord};

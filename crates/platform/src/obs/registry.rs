@@ -6,16 +6,20 @@
 //! RTT every agent measures and the spool append latency.  In a
 //! deployment each agent is its own process, so one registry per process
 //! is one per agent; in a single-process loopback deployment the agents
-//! pool into it (and the daemon's WAL appends, which go through the same
-//! spool, record beside them).  [`Registry::global`] holds them.
+//! pool into it (and the daemon's WAL appends, timed by the same
+//! `spool_append`, record beside them).  [`Registry::global`] holds
+//! them.
 //!
 //! Handles are cheap `Arc` clones; recording a sample takes a mutex
 //! private to that histogram (uncontended in steady state — each has one
 //! dominant writer thread).
 
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
+use honeypot::spool::Spool;
 use netsim::sync::lock;
 
 use super::hist::Histogram;
@@ -53,6 +57,18 @@ impl Registry {
     pub fn histogram(&self, name: &'static str) -> HistogramHandle {
         lock(&self.histograms).entry(name).or_default().clone()
     }
+}
+
+/// [`Spool::append`] timed into the global `spool_append_micros`
+/// histogram (success or failure): the agent spool and the daemon's WAL
+/// both append through here.
+pub(crate) fn spool_append(spool: &mut Spool, seq: u64, payload: &[u8]) -> io::Result<()> {
+    static HIST: OnceLock<HistogramHandle> = OnceLock::new();
+    let t0 = Instant::now();
+    let result = spool.append(seq, payload);
+    HIST.get_or_init(|| Registry::global().histogram("spool_append_micros"))
+        .record((t0.elapsed().as_micros() as u64).max(1));
+    result
 }
 
 #[cfg(test)]

@@ -249,8 +249,9 @@ pub struct ServerCaptureConfig {
     /// Records per compressed frame (the writer's only in-memory buffer;
     /// bounds capture RSS).
     pub frame_records: usize,
-    /// Records per segment file before rotation.
-    pub segment_records: u64,
+    /// Bytes per segment file before rotation (the capture spool's
+    /// segment size).
+    pub segment_bytes: u64,
     /// Period of server STATUS self-snapshots, ms (the users/files curve
     /// of the server-side paper).
     pub status_interval_ms: u64,
@@ -260,7 +261,7 @@ impl Default for ServerCaptureConfig {
     fn default() -> Self {
         ServerCaptureConfig {
             frame_records: 4_096,
-            segment_records: 1_000_000,
+            segment_bytes: 16 << 20,
             status_interval_ms: 30 * MS_PER_MIN,
         }
     }

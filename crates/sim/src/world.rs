@@ -1408,7 +1408,7 @@ pub fn run_scenario_with_capture(
         Ok(CaptureRunOutput { output, capture, capture_degraded, capture_dropped })
     }
     let cap_cfg = config.server_capture.unwrap_or_default();
-    let capture = ServerCapture::create(dir, cap_cfg.frame_records, cap_cfg.segment_records)?;
+    let capture = ServerCapture::create(dir, cap_cfg.frame_records, cap_cfg.segment_bytes)?;
     match config.queue {
         QueueKind::Heap => on(config, EventQueue::new(), capture),
         QueueKind::Calendar => on(config, CalendarQueue::for_simulation(), capture),

@@ -22,7 +22,7 @@ fn capture_config(seed: u64) -> ScenarioConfig {
         // Small frames/segments so a two-day run still exercises frame
         // flushing and segment rotation.
         frame_records: 64,
-        segment_records: 256,
+        segment_bytes: 4_096,
         ..Default::default()
     });
     config
@@ -101,7 +101,7 @@ fn capture_files_identical_across_queues() {
         let mut segments: Vec<PathBuf> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "edsl"))
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
             .collect();
         segments.sort();
         let bytes: Vec<Vec<u8>> = segments.iter().map(|p| fs::read(p).unwrap()).collect();
@@ -109,6 +109,7 @@ fn capture_files_identical_across_queues() {
         let _ = fs::remove_dir_all(&dir);
     }
     let (_, records0, bytes0) = &captures[0];
+    assert!(!bytes0.is_empty(), "the capture must have written segment files");
     for (queue, records, bytes) in &captures[1..] {
         assert_eq!(records, records0, "{queue:?} record count");
         assert_eq!(bytes, bytes0, "{queue:?} capture must be byte-identical to Heap");

@@ -131,9 +131,27 @@ fn chaos_schedule_recovers_bit_identical() {
     // Round 2: the recovered platform keeps measuring.
     for agent in 0..3u32 {
         let file = FileId::from_seed([b"alpha" as &[u8], b"bravo", b"charlie"][agent as usize]);
+        let snapshot = |deployment: &LoopbackDeployment| {
+            let m = deployment.daemon().metrics();
+            let a = &m.agents[agent as usize];
+            format!(
+                "deaths {} relaunches {} registrations {} peer addr {:?}",
+                a.deaths,
+                a.relaunches,
+                a.registrations,
+                deployment.daemon().agent_peer_addr(agent)
+            )
+        };
+        let before = snapshot(&deployment);
+        let t0 = std::time::Instant::now();
+        let answered =
+            deployment.drive_download(&format!("round2-peer-{agent}"), agent, file, 1, &[]);
         assert!(
-            deployment.drive_download(&format!("round2-peer-{agent}"), agent, file, 1, &[]),
-            "agent {agent} honeypot did not answer after manager recovery"
+            answered,
+            "agent {agent} honeypot did not answer after manager recovery \
+             (before: {before}; after {:?}: {})",
+            t0.elapsed(),
+            snapshot(&deployment)
         );
     }
     assert!(
@@ -179,6 +197,17 @@ fn chaos_schedule_recovers_bit_identical() {
     assert_eq!(killed, 2, "exactly the two scripted kills");
     assert!(gave_up >= 3, "pre-crash threads must give up on the dead address");
     assert!(shutdown >= 3, "every final incarnation must shut down cleanly");
+    // Eight launches are scheduled: three first launches, two relaunches
+    // after the kills, three after the manager recovery.  A relaunch that
+    // is still waiting out its predecessor's spool lock is in flight, not
+    // lost, and must not be launched again (the doubled incarnations all
+    // registered, each one leaving its agent without a peer address
+    // until its `Ready`).
+    assert!(
+        outcome.exits.len() <= 9,
+        "launches in flight were doubled: {} agent threads ran",
+        outcome.exits.len()
+    );
 
     let _ = std::fs::remove_dir_all(&root);
 }
