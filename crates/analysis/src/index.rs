@@ -181,7 +181,7 @@ impl IndexBuilder {
     pub fn push_record(&mut self, r: &AnonRecord) {
         let at = r.at.as_millis();
         let k = kind_idx(r.kind);
-        let s = self.strategy_of[r.honeypot.0 as usize];
+        let s = self.strategy_of[r.honeypot as usize];
         let peer = r.peer.0 as usize;
         let fs = &mut self.first_seen[s][k][peer];
         *fs = (*fs).min(at);
@@ -189,7 +189,7 @@ impl IndexBuilder {
         bump_ragged(&mut self.hourly[k], (at / MS_PER_HOUR) as usize);
         bump_ragged(&mut self.daily[s][k], (at / MS_PER_DAY) as usize);
         self.kind_first_ms[k] = self.kind_first_ms[k].min(at);
-        self.honeypot_peers[r.honeypot.0 as usize].insert(r.peer.0);
+        self.honeypot_peers[r.honeypot as usize].insert(r.peer.0);
         if r.file != FILE_NONE {
             observe_ragged(&mut self.file_first, r.file as usize, at);
             if r.kind == QueryKind::StartUpload {
@@ -225,7 +225,7 @@ impl IndexBuilder {
         let mut top_daily = Cells::default();
         if let Some(top) = busiest(&self.counts[kind_idx(QueryKind::StartUpload)]) {
             for r in records.iter().filter(|r| r.peer == top) {
-                let s = self.strategy_of[r.honeypot.0 as usize];
+                let s = self.strategy_of[r.honeypot as usize];
                 bump_ragged(
                     &mut top_daily[s][kind_idx(r.kind)],
                     (r.at.as_millis() / MS_PER_DAY) as usize,

@@ -8,8 +8,8 @@
 use edonkey_proto::{FileId, Ipv4, UserId};
 use honeypot::log::{FileTable, FILE_NONE};
 use honeypot::{
-    AnonPeerId, AnonRecord, ContentStrategy, HoneypotId, HoneypotMeta, IdStatus, MeasurementLog,
-    QueryKind, ServerInfo,
+    AnonClient, AnonPeerId, AnonRecord, ClientTable, ContentStrategy, HoneypotId, HoneypotMeta,
+    IdStatus, MeasurementLog, QueryKind, ServerInfo,
 };
 use netsim::SimTime;
 
@@ -36,6 +36,22 @@ pub fn synthetic_log_with_files(entries: &[(u32, QueryKind, u32, SimTime, u32)])
 
     let max_peer = entries.iter().map(|e| e.0).max().map_or(0, |m| m + 1);
     let max_hp = entries.iter().map(|e| e.2).max().map_or(1, |m| m + 1).max(2);
+    let mut clients = ClientTable::default();
+    let records = entries
+        .iter()
+        .map(|&(peer, kind, hp, at, file)| {
+            let client = AnonClient {
+                port: 4662,
+                id_status: if peer % 3 == 0 { IdStatus::Low } else { IdStatus::High },
+                user_id: UserId::from_seed(&peer.to_le_bytes()),
+                name: 0,
+                version: 0x49,
+            };
+            let peer = AnonPeerId(peer);
+            let client = clients.push(peer, client);
+            AnonRecord { at, peer, file, client, honeypot: hp as u16, kind }
+        })
+        .collect();
 
     MeasurementLog {
         honeypots: (0..max_hp)
@@ -49,21 +65,8 @@ pub fn synthetic_log_with_files(entries: &[(u32, QueryKind, u32, SimTime, u32)])
                 server: server.clone(),
             })
             .collect(),
-        records: entries
-            .iter()
-            .map(|&(peer, kind, hp, at, file)| AnonRecord {
-                at,
-                honeypot: HoneypotId(hp),
-                kind,
-                peer: AnonPeerId(peer),
-                port: 4662,
-                id_status: if peer % 3 == 0 { IdStatus::Low } else { IdStatus::High },
-                user_id: UserId::from_seed(&peer.to_le_bytes()),
-                name: 0,
-                version: 0x49,
-                file,
-            })
-            .collect(),
+        records,
+        clients: clients.into_entries(),
         shared_lists: Vec::new(),
         peer_names: vec!["eMule".into()],
         files,

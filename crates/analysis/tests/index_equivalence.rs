@@ -69,8 +69,8 @@ fn first_event_ms(log: &MeasurementLog, kind: QueryKind) -> Option<u64> {
     log.records_of(kind).map(|r| r.at.as_millis()).min()
 }
 
-fn is_random_content(log: &MeasurementLog, hp: HoneypotId) -> bool {
-    log.honeypots[hp.0 as usize].content == ContentStrategy::RandomContent
+fn is_random_content(log: &MeasurementLog, hp: u16) -> bool {
+    log.honeypots[hp as usize].content == ContentStrategy::RandomContent
 }
 
 fn distinct_peers_by_strategy(log: &MeasurementLog, kind: QueryKind) -> StrategyComparison {
@@ -123,7 +123,7 @@ fn peer_sets_by_honeypot(log: &MeasurementLog) -> Vec<PeerSet> {
     let universe = log.distinct_peers as usize;
     let mut sets: Vec<PeerSet> = (0..log.honeypots.len()).map(|_| PeerSet::new(universe)).collect();
     for r in &log.records {
-        sets[r.honeypot.0 as usize].insert(r.peer.0);
+        sets[r.honeypot as usize].insert(r.peer.0);
     }
     sets
 }

@@ -28,23 +28,24 @@ pub fn write_query_trace(log: &MeasurementLog, mut w: impl Write) -> io::Result<
         "#timestamp_ms\thoneypot\tkind\tpeer\tport\tid_status\tuser_hash\tclient_name\tversion\tfile_hash"
     )?;
     for r in &log.records {
+        let c = log.client_of(r);
         let file =
             if r.file == FILE_NONE { "-".to_string() } else { log.files.id(r.file).to_hex() };
         writeln!(
             w,
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             r.at.as_millis(),
-            r.honeypot.0,
+            r.honeypot,
             r.kind.name(),
             r.peer.0,
-            r.port,
-            match r.id_status {
+            c.port,
+            match c.id_status {
                 IdStatus::High => "high",
                 IdStatus::Low => "low",
             },
-            r.user_id.to_hex(),
-            log.peer_names.get(r.name as usize).map(String::as_str).unwrap_or("-"),
-            r.version,
+            c.user_id.to_hex(),
+            log.peer_names.get(c.name as usize).map(String::as_str).unwrap_or("-"),
+            c.version,
             file,
         )?;
     }
@@ -85,7 +86,7 @@ mod tests {
     use super::*;
     use crate::anonymize::AnonPeerId;
     use crate::log::{FileTable, QueryKind};
-    use crate::measurement::{AnonRecord, AnonSharedList, HoneypotMeta};
+    use crate::measurement::{AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta};
     use crate::strategy::ContentStrategy;
     use crate::types::{HoneypotId, ServerInfo};
     use edonkey_proto::{FileId, Ipv4, UserId};
@@ -94,6 +95,18 @@ mod tests {
     fn sample() -> MeasurementLog {
         let mut files = FileTable::new();
         let f = files.intern(FileId::from_seed(b"x"), "some file.avi", 700);
+        let mut clients = ClientTable::default();
+        let mut client = |id_status| {
+            let attributes = AnonClient {
+                port: 4662,
+                id_status,
+                user_id: UserId::from_seed(b"u"),
+                name: 0,
+                version: 0x49,
+            };
+            clients.push(AnonPeerId(0), attributes)
+        };
+        let (high, low) = (client(IdStatus::High), client(IdStatus::Low));
         MeasurementLog {
             honeypots: vec![HoneypotMeta {
                 id: HoneypotId(0),
@@ -103,29 +116,22 @@ mod tests {
             records: vec![
                 AnonRecord {
                     at: SimTime::from_secs(1),
-                    honeypot: HoneypotId(0),
-                    kind: QueryKind::Hello,
                     peer: AnonPeerId(0),
-                    port: 4662,
-                    id_status: IdStatus::High,
-                    user_id: UserId::from_seed(b"u"),
-                    name: 0,
-                    version: 0x49,
                     file: FILE_NONE,
+                    client: high,
+                    honeypot: 0,
+                    kind: QueryKind::Hello,
                 },
                 AnonRecord {
                     at: SimTime::from_secs(2),
-                    honeypot: HoneypotId(0),
-                    kind: QueryKind::StartUpload,
                     peer: AnonPeerId(0),
-                    port: 4662,
-                    id_status: IdStatus::Low,
-                    user_id: UserId::from_seed(b"u"),
-                    name: 0,
-                    version: 0x49,
                     file: f,
+                    client: low,
+                    honeypot: 0,
+                    kind: QueryKind::StartUpload,
                 },
             ],
+            clients: clients.into_entries(),
             shared_lists: vec![AnonSharedList {
                 at: SimTime::from_secs(3),
                 honeypot: HoneypotId(0),

@@ -47,7 +47,9 @@ pub use log::{
     HoneypotLog, LogChunk, PackedQueryRecord, QueryKind, QueryRecord, SharedListView, SharedLists,
 };
 pub use manager::{HoneypotSpec, Manager, SupervisionBook};
-pub use measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
+pub use measurement::{
+    AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta, MeasurementLog,
+};
 pub use server::IndexServer;
 pub use serverlog::{
     ServerLogReader, ServerLogStats, ServerLogWriter, ServerQueryKind, ServerRecord,

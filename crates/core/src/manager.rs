@@ -18,9 +18,12 @@ use std::collections::{BTreeSet, HashMap};
 
 use netsim::SimTime;
 
-use crate::anonymize::{AnonMap, NameAnonymizer};
+use crate::anonymize::{AnonMap, AnonPeerId, NameAnonymizer};
 use crate::log::{FileTable, LogChunk, FILE_NONE};
-use crate::measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
+use crate::measurement::{
+    AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta, MeasurementLog,
+    MAX_HONEYPOTS,
+};
 use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, HoneypotStatus, ServerInfo, StatusReport};
 
@@ -110,6 +113,7 @@ pub struct Manager {
     // Step-2 anonymisation and table unification.
     anon: AnonMap,
     records: Vec<AnonRecord>,
+    clients: ClientTable,
     shared_lists: Vec<AnonSharedList>,
     peer_names: Vec<String>,
     peer_name_index: HashMap<String, u32>,
@@ -126,9 +130,11 @@ impl Manager {
     /// Creates the merge for the given honeypots.
     ///
     /// # Panics
-    /// If the specs' IDs are not the dense sequence `0..n`.
+    /// If the specs' IDs are not the dense sequence `0..n`, or there are
+    /// more than [`MAX_HONEYPOTS`].
     pub fn new(specs: Vec<HoneypotSpec>) -> Self {
         assert_dense(&specs);
+        assert!(specs.len() <= MAX_HONEYPOTS, "at most {MAX_HONEYPOTS} honeypots");
         let n = specs.len();
         Manager {
             honeypots: specs
@@ -137,6 +143,7 @@ impl Manager {
                 .collect(),
             anon: AnonMap::new(),
             records: Vec::new(),
+            clients: ClientTable::default(),
             shared_lists: Vec::new(),
             peer_names: Vec::new(),
             peer_name_index: HashMap::new(),
@@ -165,6 +172,9 @@ impl Manager {
     /// If a record or shared list refers past the chunk's own tables
     /// (see [`LogChunk::check_indices`]; wire decoders reject such chunks).
     pub fn collect(&mut self, chunk: LogChunk) {
+        // An id past `u16` stays out of range (and `validate` says so)
+        // rather than wrapping onto a real honeypot.
+        let honeypot = u16::try_from(chunk.honeypot.0).unwrap_or(u16::MAX);
         self.chunks_collected += 1;
         // Translate the chunk's name and file tables into global indices,
         // counting the words of each name the global file table gains.
@@ -183,18 +193,27 @@ impl Manager {
             .collect();
         self.records.reserve(chunk.records.len());
         self.shared_lists.reserve(chunk.shared_lists.len());
-        for r in chunk.records {
-            self.records.push(AnonRecord {
-                at: r.at,
-                honeypot: chunk.honeypot,
-                kind: r.kind,
-                peer: self.anon.intern(r.peer),
+        // Step-2 ids first, in record order: the pass below then knows
+        // every record's client-table slot up front, so the loads of
+        // consecutive records overlap instead of queueing behind each
+        // record's hash lookup.
+        let peers: Vec<AnonPeerId> =
+            chunk.records.iter().map(|r| self.anon.intern(r.peer)).collect();
+        for (r, peer) in chunk.records.into_iter().zip(peers) {
+            let client = AnonClient {
                 port: r.port,
                 id_status: r.id_status,
                 user_id: r.user_id,
                 name: name_map[r.name as usize],
                 version: r.version,
+            };
+            self.records.push(AnonRecord {
+                at: r.at,
+                peer,
                 file: if r.file == FILE_NONE { FILE_NONE } else { file_map[r.file as usize] },
+                client: self.clients.push(peer, client),
+                honeypot,
+                kind: r.kind,
             });
         }
         for l in chunk.shared_lists.iter() {
@@ -258,6 +277,7 @@ impl Manager {
         MeasurementLog {
             honeypots: self.honeypots,
             records: self.records,
+            clients: self.clients.into_entries(),
             shared_lists: self.shared_lists,
             peer_names: self.peer_names,
             files: self.files,
@@ -286,6 +306,22 @@ mod tests {
     use crate::log::{HoneypotLog, QueryKind, QueryRecord, SharedLists};
     use crate::types::IdStatus;
     use edonkey_proto::{ClientId, FileId, Ipv4, UserId};
+
+    /// The query trace of the client-table test's merged log.
+    const TRACE: &str = concat!(
+        "#timestamp_ms\thoneypot\tkind\tpeer\tport\tid_status\tuser_hash\tclient_name\tversion\tfile_hash\n",
+        "1000\t0\tHELLO\t0\t4662\thigh\t01010101010101010101010101010101\teMule\t73\t-\n",
+        "2000\t0\tSTART-UPLOAD\t0\t4662\thigh\t01010101010101010101010101010101\teMule\t73\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "3000\t1\tSTART-UPLOAD\t0\t4662\thigh\t01010101010101010101010101010101\teMule\t73\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "4000\t1\tHELLO\t1\t4662\tlow\t02020202020202020202020202020202\taMule\t34\t-\n",
+        "5000\t2\tSTART-UPLOAD\t0\t4672\thigh\t01010101010101010101010101010101\teMule\t73\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "6000\t2\tSTART-UPLOAD\t0\t4672\tlow\t01010101010101010101010101010101\teMule\t73\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "7000\t2\tSTART-UPLOAD\t0\t4672\tlow\t01010101010101010101010101010101\teMule\t80\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "8000\t2\tHELLO\t1\t4662\tlow\t03030303030303030303030303030303\taMule\t34\t-\n",
+        "9000\t2\tSTART-UPLOAD\t1\t4662\tlow\t02020202020202020202020202020202\taMule\t34\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "10000\t2\tSTART-UPLOAD\t1\t4662\tlow\t02020202020202020202020202020202\tlphant\t34\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+        "11000\t2\tSTART-UPLOAD\t1\t4662\tlow\t02020202020202020202020202020202\tlphant\t34\tf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0\n",
+    );
 
     fn server() -> ServerInfo {
         ServerInfo::new("srv", Ipv4::new(9, 9, 9, 9), 4661)
@@ -347,11 +383,85 @@ mod tests {
         assert_eq!(mgr.distinct_peers(), 3, "shared IP counted once");
         let log = mgr.finalize(SimTime::from_days(1), 4, 1);
         // The shared peer got id 0 (first seen) in both honeypots' records.
-        let hp0_first = log.records.iter().find(|r| r.honeypot == HoneypotId(0)).unwrap();
-        let hp1_first = log.records.iter().find(|r| r.honeypot == HoneypotId(1)).unwrap();
+        let hp0_first = log.records.iter().find(|r| r.honeypot == 0).unwrap();
+        let hp1_first = log.records.iter().find(|r| r.honeypot == 1).unwrap();
         assert_eq!(hp0_first.peer, hp1_first.peer);
         assert_eq!(hp0_first.peer, AnonPeerId(0));
         assert!(log.validate().is_empty());
+    }
+
+    #[test]
+    fn merged_clients_change_only_with_an_attribute_and_survive_save_and_load() {
+        use IdStatus::{High, Low};
+        let hasher = IpHasher::from_seed(7);
+        let (a, b) = (Ipv4::new(10, 0, 0, 1), Ipv4::new(10, 0, 0, 2));
+        // Per honeypot: (at s, address, user id byte, port, id status,
+        // client name, version, queries the file).
+        type Query = (u64, Ipv4, u8, u16, IdStatus, &'static str, u32, bool);
+        let honeypots: [&[Query]; 3] = [
+            &[
+                (1, a, 1, 4662, High, "eMule", 0x49, false),
+                (2, a, 1, 4662, High, "eMule", 0x49, true),
+            ],
+            &[
+                (3, a, 1, 4662, High, "eMule", 0x49, true),
+                (4, b, 2, 4662, Low, "aMule", 0x22, false),
+            ],
+            &[
+                (5, a, 1, 4672, High, "eMule", 0x49, true),
+                (6, a, 1, 4672, Low, "eMule", 0x49, true),
+                (7, a, 1, 4672, Low, "eMule", 0x50, true),
+                // A second user behind b's address, then the first again.
+                (8, b, 3, 4662, Low, "aMule", 0x22, false),
+                (9, b, 2, 4662, Low, "aMule", 0x22, true),
+                (10, b, 2, 4662, Low, "lphant", 0x22, true),
+                (11, b, 2, 4662, Low, "lphant", 0x22, true),
+            ],
+        ];
+        let mut mgr = Manager::new(specs(3));
+        for (hp, queries) in honeypots.iter().enumerate() {
+            let mut log = HoneypotLog::new(HoneypotId(hp as u32), server());
+            for &(at, ip, user, port, id_status, name, version, with_file) in *queries {
+                let name = log.intern_name(name);
+                let file = if with_file {
+                    log.files.intern(FileId([0xf0; 16]), "f.avi", 7)
+                } else {
+                    FILE_NONE
+                };
+                log.push(QueryRecord {
+                    at: SimTime::from_secs(at),
+                    kind: if with_file { QueryKind::StartUpload } else { QueryKind::Hello },
+                    peer: hasher.hash(ip),
+                    port,
+                    id_status,
+                    user_id: UserId([user; 16]),
+                    name,
+                    version,
+                    file,
+                });
+            }
+            mgr.collect(log.take_chunk());
+        }
+        let merged = mgr.finalize(SimTime::from_days(1), 1, 1);
+        assert!(merged.validate().is_empty(), "{:?}", merged.validate());
+        // Across honeypots a peer keeps its entry; any one attribute changed
+        // (port, id status, version, user, name) costs one; a returning user
+        // gets a fresh one, since only the peer's latest entry is compared.
+        let entries: Vec<u32> = merged.records.iter().map(|r| r.client).collect();
+        assert_eq!(entries, [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7]);
+        assert_eq!(merged.clients.len(), 8);
+
+        let path =
+            std::env::temp_dir().join(format!("edhp-manager-{}-clients.edhp", std::process::id()));
+        crate::storage::save(&merged, &path).unwrap();
+        let back = crate::storage::load(&path);
+        std::fs::remove_file(&path).ok();
+        let back = back.unwrap();
+        assert_eq!(format!("{back:?}"), format!("{merged:?}"));
+
+        let mut trace = Vec::new();
+        crate::export::write_query_trace(&back, &mut trace).unwrap();
+        assert_eq!(String::from_utf8(trace).unwrap(), TRACE);
     }
 
     #[test]
@@ -722,6 +832,7 @@ mod tests {
         let a = period.finalize(SimTime::from_days(1), 4, 2);
         let b = run_long.finalize(SimTime::from_days(1), 4, 2);
         assert_eq!(a.records, b.records, "seed {seed}");
+        assert_eq!(a.clients, b.clients, "seed {seed}");
         assert_eq!(a.shared_lists, b.shared_lists, "seed {seed}");
         assert_eq!(a.peer_names, b.peer_names, "seed {seed}");
         assert_eq!(a.files, b.files, "seed {seed}: file table order");
@@ -792,7 +903,7 @@ mod tests {
             // client named after it.
             let i = r.at.as_secs() as u64;
             assert_eq!(merged.files.id(r.file), pool_file(i).0);
-            assert_eq!(merged.peer_names[r.name as usize], format!("client {i}"));
+            assert_eq!(merged.peer_names[merged.client_of(r).name as usize], format!("client {i}"));
         }
     }
 }

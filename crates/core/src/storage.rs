@@ -15,6 +15,13 @@
 //! file fails cleanly instead of producing a quietly wrong dataset — and
 //! callers need no validation pass of their own.
 //!
+//! A record on disk carries its client's HELLO attributes inline (48
+//! bytes); in memory they live once per change in
+//! [`MeasurementLog::clients`].  [`save`] writes each record from the
+//! record plus its client entry, and [`load`] hands the attributes to
+//! [`ClientTable::push`], the rule the manager's merge applies, so a
+//! loaded log equals the log saved field for field.
+//!
 //! Both directions move the fixed-stride sections (records, shared-list
 //! indices) a block of `BLOCK_RECORDS` records at a time: a few hundred
 //! `read`/`write` calls per file, never the whole file in memory.
@@ -28,7 +35,10 @@ use netsim::SimTime;
 
 use crate::anonymize::AnonPeerId;
 use crate::log::{FileTable, QueryKind, FILE_NONE};
-use crate::measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
+use crate::measurement::{
+    AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta, MeasurementLog,
+    MAX_HONEYPOTS,
+};
 use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
 
@@ -102,33 +112,44 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("an 8-byte field"))
 }
 
-/// Writes one record at its fixed offsets.
-fn encode_record(r: &AnonRecord, b: &mut [u8; RECORD_BYTES]) {
+/// Writes one record and its client's attributes at their fixed offsets.
+fn encode_record(r: &AnonRecord, c: &AnonClient, b: &mut [u8; RECORD_BYTES]) {
     b[0..8].copy_from_slice(&r.at.as_millis().to_le_bytes());
-    b[8..12].copy_from_slice(&r.honeypot.0.to_le_bytes());
+    b[8..12].copy_from_slice(&u32::from(r.honeypot).to_le_bytes());
     b[12] = match r.kind {
         QueryKind::Hello => 0,
         QueryKind::StartUpload => 1,
         QueryKind::RequestPart => 2,
     };
     b[13..17].copy_from_slice(&r.peer.0.to_le_bytes());
-    b[17..19].copy_from_slice(&r.port.to_le_bytes());
-    b[19] = match r.id_status {
+    b[17..19].copy_from_slice(&c.port.to_le_bytes());
+    b[19] = match c.id_status {
         IdStatus::Low => 0,
         IdStatus::High => 1,
     };
-    b[20..36].copy_from_slice(&r.user_id.0);
-    b[36..40].copy_from_slice(&r.name.to_le_bytes());
-    b[40..44].copy_from_slice(&r.version.to_le_bytes());
+    b[20..36].copy_from_slice(&c.user_id.0);
+    b[36..40].copy_from_slice(&c.name.to_le_bytes());
+    b[40..44].copy_from_slice(&c.version.to_le_bytes());
     b[44..48].copy_from_slice(&r.file.to_le_bytes());
+}
+
+/// One record as the file holds it: the record's own fields, its
+/// client's attributes, and the honeypot still at its on-disk width.
+struct DiskRecord {
+    at: SimTime,
+    honeypot: u32,
+    kind: QueryKind,
+    peer: AnonPeerId,
+    file: u32,
+    client: AnonClient,
 }
 
 /// Reads one record back.  The two enum bytes are all that can be wrong
 /// with a record on its own; [`load`] checks its indices.
-fn decode_record(b: &[u8; RECORD_BYTES]) -> Result<AnonRecord, StorageError> {
-    Ok(AnonRecord {
+fn decode_record(b: &[u8; RECORD_BYTES]) -> Result<DiskRecord, StorageError> {
+    Ok(DiskRecord {
         at: SimTime::from_millis(le_u64(&b[0..8])),
-        honeypot: HoneypotId(le_u32(&b[8..12])),
+        honeypot: le_u32(&b[8..12]),
         kind: match b[12] {
             0 => QueryKind::Hello,
             1 => QueryKind::StartUpload,
@@ -136,16 +157,18 @@ fn decode_record(b: &[u8; RECORD_BYTES]) -> Result<AnonRecord, StorageError> {
             _ => return Err(StorageError::Corrupt("unknown query kind")),
         },
         peer: AnonPeerId(le_u32(&b[13..17])),
-        port: u16::from_le_bytes([b[17], b[18]]),
-        id_status: match b[19] {
-            0 => IdStatus::Low,
-            1 => IdStatus::High,
-            _ => return Err(StorageError::Corrupt("id status byte is neither 0 nor 1")),
-        },
-        user_id: UserId(b[20..36].try_into().expect("a 16-byte field")),
-        name: le_u32(&b[36..40]),
-        version: le_u32(&b[40..44]),
         file: le_u32(&b[44..48]),
+        client: AnonClient {
+            port: u16::from_le_bytes([b[17], b[18]]),
+            id_status: match b[19] {
+                0 => IdStatus::Low,
+                1 => IdStatus::High,
+                _ => return Err(StorageError::Corrupt("id status byte is neither 0 nor 1")),
+            },
+            user_id: UserId(b[20..36].try_into().expect("a 16-byte field")),
+            name: le_u32(&b[36..40]),
+            version: le_u32(&b[40..44]),
+        },
     })
 }
 
@@ -204,7 +227,9 @@ pub fn save(log: &MeasurementLog, path: &Path) -> Result<(), StorageError> {
     }
 
     w.write_all(&(log.records.len() as u64).to_le_bytes())?;
-    write_each(&mut w, &mut block, &log.records, encode_record)?;
+    write_each(&mut w, &mut block, &log.records, |r, slot| {
+        encode_record(r, log.client_of(r), slot)
+    })?;
 
     w.write_all(&(log.shared_lists.len() as u64).to_le_bytes())?;
     for l in &log.shared_lists {
@@ -319,7 +344,7 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
     let r = &mut BufReader::with_capacity(BLOCK_BYTES, file.take(sections));
 
     let n_hp = count::<4>(r, HONEYPOT_MIN_BYTES, "honeypot count exceeds the file's length")?;
-    if n_hp > 10_000 {
+    if n_hp > MAX_HONEYPOTS {
         return Err(StorageError::Corrupt("implausible honeypot count"));
     }
     let mut honeypots = Vec::with_capacity(n_hp);
@@ -355,24 +380,42 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
         return Err(StorageError::Corrupt("duplicate file ids"));
     }
 
-    // `MeasurementLog::validate`'s five conditions on a record and two on
-    // a shared list, applied as each is decoded.
+    // Every peer id below `distinct_peers` appears in a record or a list
+    // (checked below), so the sections hold at least a list header per
+    // peer.  Bounding the count here bounds the client table's per-peer
+    // vector, which grows to the highest peer id decoded.
+    if u64::from(distinct_peers) > bytes_left(r) / LIST_HEADER_BYTES as u64 {
+        return Err(StorageError::Corrupt("distinct-peer count exceeds the file's length"));
+    }
+    let mut peers_seen = 0u32;
+
+    // `MeasurementLog::validate`'s conditions on a record, its client
+    // entry and a shared list, applied as each is decoded.
     let (n_hp, n_names, n_files) = (n_hp as u32, n_names as u32, n_files as u32);
-    let record_in_range = |r: &AnonRecord| {
+    let record_in_range = |r: &DiskRecord| {
         r.peer.0 < distinct_peers
-            && r.name < n_names
+            && r.client.name < n_names
             && (r.file == FILE_NONE || (r.file < n_files && r.kind != QueryKind::Hello))
-            && r.honeypot.0 < n_hp
+            && r.honeypot < n_hp
     };
 
     let n_records = count::<8>(r, RECORD_BYTES, "record count exceeds the file's length")?;
     let mut records = Vec::with_capacity(n_records);
+    let mut clients = ClientTable::default();
     read_each(r, n_records, |b| {
         let r = decode_record(b)?;
         if !record_in_range(&r) {
             return Err(StorageError::Corrupt("record index out of range"));
         }
-        records.push(r);
+        peers_seen = peers_seen.max(r.peer.0 + 1);
+        records.push(AnonRecord {
+            at: r.at,
+            peer: r.peer,
+            file: r.file,
+            client: clients.push(r.peer, r.client),
+            honeypot: r.honeypot as u16,
+            kind: r.kind,
+        });
         Ok(())
     })?;
 
@@ -386,6 +429,7 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
         if peer.0 >= distinct_peers || n > n_files as usize {
             return Err(StorageError::Corrupt("shared-list peer id or length out of range"));
         }
+        peers_seen = peers_seen.max(peer.0 + 1);
         let mut files = Vec::with_capacity(n);
         read_each(r, n, |b| {
             let file = u32::from_le_bytes(*b);
@@ -397,6 +441,9 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
         })?;
         shared_lists.push(AnonSharedList { at, honeypot, peer, files });
     }
+    if peers_seen != distinct_peers {
+        return Err(StorageError::Corrupt("distinct-peer count is not the highest peer id + 1"));
+    }
 
     if bytes_left(r) != 0 {
         return Err(StorageError::Corrupt("bytes after the trailer"));
@@ -404,6 +451,7 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
     Ok(MeasurementLog {
         honeypots,
         records,
+        clients: clients.into_entries(),
         shared_lists,
         peer_names,
         files,

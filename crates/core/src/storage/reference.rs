@@ -1,9 +1,11 @@
 //! The field-at-a-time reader and writer `storage` had before the block
 //! codec, kept as the reference the differential and mutation tests
-//! compare against.  Unchanged but for two things: the record and list
+//! compare against.  Unchanged but for three things: the record and list
 //! vectors are reserved for at most 2¹⁶ entries instead of 2²⁴ (capacity
 //! only — an inflated count would otherwise map 800 MB per sweep case),
-//! and the functions work on byte slices instead of paths.
+//! the functions work on byte slices instead of paths, and records reach
+//! the in-memory log through [`ClientTable::push`] once the trailer has
+//! bounded their peer ids, as the log's layout requires.
 //!
 //! It keeps the old reader's three silent acceptances on purpose: any
 //! `id_status` byte other than 1 reads as `Low`, bytes after the trailer
@@ -18,7 +20,9 @@ use netsim::SimTime;
 use super::{StorageError, MAGIC, VERSION};
 use crate::anonymize::AnonPeerId;
 use crate::log::{FileTable, QueryKind};
-use crate::measurement::{AnonRecord, AnonSharedList, HoneypotMeta, MeasurementLog};
+use crate::measurement::{
+    AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta, MeasurementLog,
+};
 use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
 
@@ -144,18 +148,19 @@ fn write(log: &MeasurementLog, w: &mut Vec<u8>) -> io::Result<()> {
 
     out.u64(log.records.len() as u64)?;
     for r in &log.records {
+        let c = log.client_of(r);
         out.u64(r.at.as_millis())?;
-        out.u32(r.honeypot.0)?;
+        out.u32(u32::from(r.honeypot))?;
         out.u8(kind_to_u8(r.kind))?;
         out.u32(r.peer.0)?;
-        out.u16(r.port)?;
-        out.u8(match r.id_status {
+        out.u16(c.port)?;
+        out.u8(match c.id_status {
             IdStatus::High => 1,
             IdStatus::Low => 0,
         })?;
-        out.bytes(&r.user_id.0)?;
-        out.u32(r.name)?;
-        out.u32(r.version)?;
+        out.bytes(&c.user_id.0)?;
+        out.u32(c.name)?;
+        out.u32(c.version)?;
         out.u32(r.file)?;
     }
 
@@ -225,21 +230,27 @@ pub fn load(bytes: &[u8]) -> Result<MeasurementLog, StorageError> {
         return Err(StorageError::Corrupt("duplicate file ids"));
     }
 
+    // Each record with its honeypot still at its on-disk width.
     let n_records = inp.u64()? as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 16));
+    let mut decoded = Vec::with_capacity(n_records.min(1 << 16));
     for _ in 0..n_records {
-        records.push(AnonRecord {
-            at: SimTime::from_millis(inp.u64()?),
-            honeypot: HoneypotId(inp.u32()?),
-            kind: kind_from_u8(inp.u8()?)?,
-            peer: AnonPeerId(inp.u32()?),
+        let at = SimTime::from_millis(inp.u64()?);
+        let honeypot = inp.u32()?;
+        let kind = kind_from_u8(inp.u8()?)?;
+        let peer = AnonPeerId(inp.u32()?);
+        let client = AnonClient {
             port: inp.u16()?,
             id_status: if inp.u8()? == 1 { IdStatus::High } else { IdStatus::Low },
             user_id: UserId(inp.hash()?),
             name: inp.u32()?,
             version: inp.u32()?,
-            file: inp.u32()?,
-        });
+        };
+        let file = inp.u32()?;
+        decoded.push((
+            AnonRecord { at, peer, file, client: 0, honeypot: 0, kind },
+            honeypot,
+            client,
+        ));
     }
 
     let n_lists = inp.u64()? as usize;
@@ -259,13 +270,31 @@ pub fn load(bytes: &[u8]) -> Result<MeasurementLog, StorageError> {
         shared_lists.push(AnonSharedList { at, honeypot, peer, files: list });
     }
 
+    let distinct_peers = inp.u32()?;
+    let mut records = Vec::with_capacity(decoded.len());
+    let mut clients = ClientTable::default();
+    for (mut r, honeypot, client) in decoded {
+        // `validate` would reject both; the client table must not grow to
+        // a peer id the trailer does not cover.
+        let Ok(honeypot) = u16::try_from(honeypot) else {
+            return Err(StorageError::Corrupt("indices out of range after load"));
+        };
+        if r.peer.0 >= distinct_peers {
+            return Err(StorageError::Corrupt("indices out of range after load"));
+        }
+        r.honeypot = honeypot;
+        r.client = clients.push(r.peer, client);
+        records.push(r);
+    }
+
     let log = MeasurementLog {
         honeypots,
         records,
+        clients: clients.into_entries(),
         shared_lists,
         peer_names,
         files,
-        distinct_peers: inp.u32()?,
+        distinct_peers,
         duration: SimTime::from_millis(inp.u64()?),
         shared_files_final: inp.u32()?,
     };

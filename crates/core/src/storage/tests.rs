@@ -5,6 +5,28 @@ use super::*;
 fn sample_log() -> MeasurementLog {
     let mut files = FileTable::new();
     let f0 = files.intern(FileId::from_seed(b"a"), "file a.avi", 700 << 20);
+    let mut clients = ClientTable::default();
+    let (p0, p1) = (AnonPeerId(0), AnonPeerId(1));
+    let c0 = clients.push(
+        p0,
+        AnonClient {
+            port: 4662,
+            id_status: IdStatus::High,
+            user_id: UserId::from_seed(b"u"),
+            name: 0,
+            version: 0x49,
+        },
+    );
+    let c1 = clients.push(
+        p1,
+        AnonClient {
+            port: 4663,
+            id_status: IdStatus::Low,
+            user_id: UserId::from_seed(b"v"),
+            name: 0,
+            version: 0x3c,
+        },
+    );
     MeasurementLog {
         honeypots: vec![HoneypotMeta {
             id: HoneypotId(0),
@@ -14,33 +36,26 @@ fn sample_log() -> MeasurementLog {
         records: vec![
             AnonRecord {
                 at: SimTime::from_secs(5),
-                honeypot: HoneypotId(0),
-                kind: QueryKind::Hello,
-                peer: AnonPeerId(0),
-                port: 4662,
-                id_status: IdStatus::High,
-                user_id: UserId::from_seed(b"u"),
-                name: 0,
-                version: 0x49,
+                peer: p0,
                 file: FILE_NONE,
+                client: c0,
+                honeypot: 0,
+                kind: QueryKind::Hello,
             },
             AnonRecord {
                 at: SimTime::from_secs(9),
-                honeypot: HoneypotId(0),
-                kind: QueryKind::StartUpload,
-                peer: AnonPeerId(1),
-                port: 4663,
-                id_status: IdStatus::Low,
-                user_id: UserId::from_seed(b"v"),
-                name: 0,
-                version: 0x3c,
+                peer: p1,
                 file: f0,
+                client: c1,
+                honeypot: 0,
+                kind: QueryKind::StartUpload,
             },
         ],
+        clients: clients.into_entries(),
         shared_lists: vec![AnonSharedList {
             at: SimTime::from_secs(7),
             honeypot: HoneypotId(0),
-            peer: AnonPeerId(0),
+            peer: p0,
             files: vec![f0],
         }],
         peer_names: vec!["eMule".into()],
@@ -69,6 +84,7 @@ fn round_trip_preserves_everything() {
     for (a, b) in back.records.iter().zip(&log.records) {
         assert_eq!(a, b);
     }
+    assert_eq!(back.clients, log.clients);
     assert_eq!(back.shared_lists, log.shared_lists);
     assert_eq!(back.peer_names, log.peer_names);
     assert_eq!(back.distinct_peers, log.distinct_peers);
@@ -131,6 +147,25 @@ fn corrupted_indices_detected() {
         matches!(load(&path), Err(StorageError::Corrupt(_))),
         "peer ids now exceed distinct_peers"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn distinct_peers_must_match_the_peer_ids() {
+    let log = sample_log();
+    let good = reference::save(&log);
+    let at = good.len() - TRAILER_BYTES;
+    let path = tmp("distinct-peers.edhp");
+    for (bit, message) in [
+        (31, "distinct-peer count exceeds the file's length"),
+        (0, "distinct-peer count is not the highest peer id + 1"),
+    ] {
+        let mut bytes = good.clone();
+        bytes[at..at + 4].copy_from_slice(&(log.distinct_peers ^ 1 << bit).to_le_bytes());
+        assert_corrupt(&path, &bytes, message);
+        assert!(reference::load(&bytes).is_err(), "bit {bit}: validate() rejects it too");
+    }
+    assert_same_log(&load_bytes(&path, &good).unwrap(), &log);
     std::fs::remove_file(&path).ok();
 }
 
@@ -198,6 +233,7 @@ fn assert_same_log(a: &MeasurementLog, b: &MeasurementLog) {
     assert_eq!(a.peer_names, b.peer_names);
     assert_eq!(a.files, b.files);
     assert_eq!(a.records, b.records);
+    assert_eq!(a.clients, b.clients);
     assert_eq!(a.shared_lists, b.shared_lists);
     assert_eq!(a.distinct_peers, b.distinct_peers);
     assert_eq!(a.duration, b.duration);
@@ -305,7 +341,10 @@ fn silent_acceptances_are_now_errors() {
 const NAMES: [&str; 6] = ["", "eMule 0.49b", "aMule ü", "ослик", "驴 2.2", "x"];
 
 /// A random *valid* log with exactly `n_records` records and one shared
-/// list per entry of `list_sizes`.
+/// list per entry of `list_sizes`.  Its peers' HELLO attributes churn the
+/// way real clients' do: between sessions a peer changes port, ID status,
+/// client name or version, and some addresses hide two users whose
+/// records interleave.
 fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> MeasurementLog {
     let longest_list = list_sizes.iter().copied().max().unwrap_or(0);
     // The reader rejects a list longer than the file table.
@@ -330,38 +369,78 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
         .collect();
     let peer_names: Vec<String> =
         (0..1 + rng.below(5)).map(|_| rng.choose(&NAMES).to_string()).collect();
-    let distinct_peers = 1 + rng.below(1000) as u32;
+    let n_names = peer_names.len() as u64;
 
-    let records = (0..n_records)
-        .map(|_| {
-            let kind =
-                *rng.choose(&[QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart]);
-            let mut user_id = [0u8; 16];
-            rng.fill_bytes(&mut user_id);
-            AnonRecord {
-                at: SimTime::from_millis(rng.next_u64()),
-                honeypot: HoneypotId(rng.below(honeypots.len() as u64) as u32),
-                kind,
-                peer: AnonPeerId(rng.below(u64::from(distinct_peers)) as u32),
-                port: rng.next_u32() as u16,
-                id_status: *rng.choose(&[IdStatus::Low, IdStatus::High]),
-                user_id: UserId(user_id),
-                name: rng.below(peer_names.len() as u64) as u32,
-                version: rng.next_u32(),
-                file: if kind == QueryKind::Hello || n_files == 0 || rng.chance(0.1) {
-                    FILE_NONE
-                } else {
-                    rng.below(n_files) as u32
-                },
-            }
+    // Each peer's current attributes, and a second user behind its address.
+    let n_peers = 1 + rng.below(200) as usize;
+    let user_id = |rng: &mut Rng| {
+        let mut id = [0u8; 16];
+        rng.fill_bytes(&mut id);
+        UserId(id)
+    };
+    let mut current: Vec<AnonClient> = (0..n_peers)
+        .map(|_| AnonClient {
+            port: rng.next_u32() as u16,
+            id_status: *rng.choose(&[IdStatus::Low, IdStatus::High]),
+            user_id: user_id(rng),
+            name: rng.below(n_names) as u32,
+            version: rng.next_u32(),
         })
         .collect();
-    let shared_lists = list_sizes
+    let second_user: Vec<Option<UserId>> =
+        (0..n_peers).map(|_| rng.chance(0.2).then(|| user_id(rng))).collect();
+
+    // Step-2 ids are dense, in order of first appearance.
+    let mut ids = vec![None; n_peers];
+    let mut distinct_peers = 0;
+    let mut step2 = |p: usize| {
+        *ids[p].get_or_insert_with(|| {
+            distinct_peers += 1;
+            AnonPeerId(distinct_peers - 1)
+        })
+    };
+
+    let mut clients = ClientTable::default();
+    let mut records = Vec::with_capacity(n_records);
+    let mut attributes = Vec::with_capacity(n_records);
+    for _ in 0..n_records {
+        let p = rng.below(n_peers as u64) as usize;
+        let c = &mut current[p];
+        // A new session, with one attribute changed.
+        if rng.chance(0.1) {
+            match rng.below(4) {
+                0 => c.port = rng.next_u32() as u16,
+                1 => c.id_status = *rng.choose(&[IdStatus::Low, IdStatus::High]),
+                2 => c.name = rng.below(n_names) as u32,
+                _ => c.version = rng.next_u32(),
+            }
+        }
+        let mut client = *c;
+        if let Some(other) = second_user[p].filter(|_| rng.chance(0.5)) {
+            client.user_id = other;
+        }
+        attributes.push(client);
+        let kind = *rng.choose(&[QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart]);
+        let peer = step2(p);
+        records.push(AnonRecord {
+            at: SimTime::from_millis(rng.next_u64()),
+            peer,
+            file: if kind == QueryKind::Hello || n_files == 0 || rng.chance(0.1) {
+                FILE_NONE
+            } else {
+                rng.below(n_files) as u32
+            },
+            client: clients.push(peer, client),
+            honeypot: rng.below(honeypots.len() as u64) as u16,
+            kind,
+        });
+    }
+    let shared_lists: Vec<AnonSharedList> = list_sizes
         .iter()
         .map(|&n| AnonSharedList {
             at: SimTime::from_millis(rng.next_u64()),
             honeypot: HoneypotId(rng.next_u32()), // validate() does not bound it
-            peer: AnonPeerId(rng.below(u64::from(distinct_peers)) as u32),
+            peer: step2(rng.below(n_peers as u64) as usize),
             files: (0..n).map(|_| rng.below(n_files) as u32).collect(),
         })
         .collect();
@@ -369,6 +448,7 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
     let log = MeasurementLog {
         honeypots,
         records,
+        clients: clients.into_entries(),
         shared_lists,
         peer_names,
         files,
@@ -377,6 +457,9 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
         shared_files_final: rng.next_u32(),
     };
     assert!(log.validate().is_empty(), "generator must produce valid logs");
+    for (r, client) in log.records.iter().zip(&attributes) {
+        assert_eq!(log.client_of(r), client, "the client table lost an attribute");
+    }
     log
 }
 
@@ -395,6 +478,12 @@ fn block_codec_matches_field_at_a_time_reference() {
             _ => &[1, 2, 3, 4, 5, 6, 7, 8],
         };
         let log = random_log(&mut rng, n_records, list_sizes);
+        if n_records > B {
+            // Attributes churn: some peers need more than one entry, most
+            // records reuse one.
+            assert!(log.clients.len() > log.distinct_peers as usize, "seed {seed}");
+            assert!(log.clients.len() < n_records / 2, "seed {seed}");
+        }
 
         save(&log, &path).unwrap();
         let written = std::fs::read(&path).unwrap();

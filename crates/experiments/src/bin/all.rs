@@ -99,9 +99,10 @@ fn main() {
     assert_eq!(dist_ix.recount_distinct_peers(), u64::from(dist.distinct_peers));
     assert_eq!(greedy_ix.recount_distinct_peers(), u64::from(greedy.distinct_peers));
     eprintln!(
-        "[all] phase index: {:.2}s ({} records)",
+        "[all] phase index: {:.2}s ({} records, {} client entries)",
         t_phase.elapsed().as_secs_f64(),
-        dist.records.len() + greedy.records.len()
+        dist.records.len() + greedy.records.len(),
+        dist.clients.len() + greedy.clients.len()
     );
 
     let t_phase = Instant::now();

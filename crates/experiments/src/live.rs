@@ -94,14 +94,15 @@ pub fn run_live_loopback(
     let spool_dir = durability.map(|d| d.dir.join("spool"));
     let opts = LoopbackOptions { daemon, seed, spool_dir, ..LoopbackOptions::default() };
     let mut deployment = LoopbackDeployment::start(specs, opts)?;
-    if !deployment.wait_ready(Duration::from_secs(10)) {
-        return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, "agents never became ready"));
-    }
+    waited(deployment.wait_ready(Duration::from_secs(10)), "agents never became ready")?;
 
     for i in 0..agents as u32 {
         deployment.drive_download(&format!("demo-peer-{i}"), i, demo_file(i as usize), 1, &[]);
     }
-    deployment.wait_chunks(agents as u64, Duration::from_secs(10));
+    waited(
+        deployment.wait_chunks(agents as u64, Duration::from_secs(10)),
+        "the first round's chunks never merged",
+    )?;
 
     if durability.is_some() {
         // The durable path earns its keep: kill the manager outright,
@@ -115,29 +116,48 @@ pub fn run_live_loopback(
         std::thread::sleep(Duration::from_millis(300));
         deployment.crash_daemon();
         deployment.recover_daemon()?;
-        if !deployment.wait_ready(Duration::from_secs(30)) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "agents never re-registered after manager recovery",
-            ));
-        }
+        waited(
+            deployment.wait_ready(Duration::from_secs(30)),
+            "agents never re-registered after manager recovery",
+        )?;
         deployment.drive_download("demo-peer-postcrash", 0, demo_file(0), 1, &[]);
-        deployment.wait_chunks(agents as u64 + 1, Duration::from_secs(20));
+        waited(
+            deployment.wait_chunks(agents as u64 + 1, Duration::from_secs(20)),
+            "the post-recovery chunk never merged",
+        )?;
     }
 
     if inject_crash {
-        // Wait for the supervision loop to notice the crash and bring the
-        // agent back, then hit it again so the resumed stream carries data.
-        deployment.daemon().wait_relaunches(1, Duration::from_secs(10));
-        deployment.wait_ready(Duration::from_secs(10));
+        // Wait for the killed agent to be launched again and report ready,
+        // then hit it again so the resumed stream carries data.  Without
+        // a manager restart the supervision loop relaunches it (a counted
+        // relaunch); after one, the recovered daemon launches every agent
+        // from `Pending`, which counts no relaunch but is a second launch
+        // all the same.
         let last = agents as u32 - 1;
+        waited(
+            deployment.daemon().wait_agent_ready(last, 2, Duration::from_secs(10)),
+            "the killed agent never came back",
+        )?;
         deployment.drive_download("demo-peer-revisit", last, demo_file(agents - 1), 1, &[]);
-        deployment.wait_chunks(agents as u64 + 1, Duration::from_secs(10));
+        waited(
+            deployment.wait_chunks(agents as u64 + 1, Duration::from_secs(10)),
+            "the revisited agent's chunk never merged",
+        )?;
     }
 
     let outcome = deployment.finish(SimTime::from_secs(60), 4, 1, Duration::from_secs(5));
     let divergence = outcome.replay_divergence();
     Ok(LiveDemo { log: outcome.log, metrics: outcome.metrics, divergence })
+}
+
+/// Turns a `wait_*` that timed out into the demo's error.
+fn waited(done: bool, what: &str) -> std::io::Result<()> {
+    if done {
+        Ok(())
+    } else {
+        Err(std::io::Error::new(std::io::ErrorKind::TimedOut, what.to_string()))
+    }
 }
 
 fn demo_file(i: usize) -> FileId {

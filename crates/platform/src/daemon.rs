@@ -616,6 +616,19 @@ impl Daemon {
         })
     }
 
+    /// Waits until `agent` has been launched at least `launches` times
+    /// (the first launch included, across manager restarts) and its
+    /// latest registration reported ready (or the timeout passes); returns
+    /// whether it has.  A relaunch is issued only once the agent is no
+    /// longer registered, so the registration seen is the relaunched one.
+    pub fn wait_agent_ready(&self, agent: u32, launches: u32, timeout: Duration) -> bool {
+        self.wait_slots(timeout, |slots| {
+            slots.get(agent as usize).is_some_and(|s| {
+                s.next_incarnation >= launches && s.registered && s.peer_port.is_some()
+            })
+        })
+    }
+
     /// Waits until at least `chunks` chunks have been merged (or the
     /// timeout passes); returns whether they were.
     pub fn wait_chunks(&self, chunks: u64, timeout: Duration) -> bool {

@@ -82,6 +82,15 @@ pub fn measurement_diff(a: &MeasurementLog, b: &MeasurementLog) -> Option<String
     if let Some(i) = (0..a.records.len()).find(|&i| a.records[i] != b.records[i]) {
         return Some(format!("record {i} differs: {:?} != {:?}", a.records[i], b.records[i]));
     }
+    // Equal records point at equal entries, so equal tables mean equal
+    // HELLO attributes.
+    if a.clients != b.clients {
+        return Some(format!(
+            "client tables differ ({} vs {} entries)",
+            a.clients.len(),
+            b.clients.len()
+        ));
+    }
     if a.shared_lists != b.shared_lists {
         return Some("shared lists differ".into());
     }
