@@ -220,6 +220,9 @@ impl MeasurementLog {
             if l.files.iter().any(|&f| f >= n_files) {
                 problems.push(format!("shared list {i}: file index out of range"));
             }
+            if (l.honeypot.0 as usize) >= self.honeypots.len() {
+                problems.push(format!("shared list {i}: honeypot {} unknown", l.honeypot.0));
+            }
             if problems.len() > 20 {
                 problems.push("… further problems suppressed".into());
                 return problems;

@@ -429,6 +429,9 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
         if peer.0 >= distinct_peers || n > n_files as usize {
             return Err(StorageError::Corrupt("shared-list peer id or length out of range"));
         }
+        if honeypot.0 >= n_hp {
+            return Err(StorageError::Corrupt("shared-list honeypot out of range"));
+        }
         peers_seen = peers_seen.max(peer.0 + 1);
         let mut files = Vec::with_capacity(n);
         read_each(r, n, |b| {

@@ -338,6 +338,25 @@ fn silent_acceptances_are_now_errors() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn shared_list_honeypot_must_be_known() {
+    let log = sample_log();
+    let good = reference::save(&log);
+    let honeypot = count_offsets(&log).lists + 8 + 8;
+    assert_eq!(&good[honeypot..honeypot + 4], &0u32.to_le_bytes());
+    let path = tmp("list-honeypot.edhp");
+    let mut bytes = good.clone();
+    bytes[honeypot..honeypot + 4].copy_from_slice(&(log.honeypots.len() as u32).to_le_bytes());
+    assert_corrupt(&path, &bytes, "shared-list honeypot out of range");
+    assert!(reference::load(&bytes).is_err(), "the reference validates what it loads");
+
+    let mut bad = log.clone();
+    bad.shared_lists[0].honeypot = HoneypotId(log.honeypots.len() as u32);
+    assert_eq!(bad.validate(), ["shared list 0: honeypot 1 unknown"]);
+    assert_same_log(&load_bytes(&path, &good).unwrap(), &log);
+    std::fs::remove_file(&path).ok();
+}
+
 const NAMES: [&str; 6] = ["", "eMule 0.49b", "aMule ü", "ослик", "驴 2.2", "x"];
 
 /// A random *valid* log with exactly `n_records` records and one shared
@@ -439,7 +458,7 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
         .iter()
         .map(|&n| AnonSharedList {
             at: SimTime::from_millis(rng.next_u64()),
-            honeypot: HoneypotId(rng.next_u32()), // validate() does not bound it
+            honeypot: HoneypotId(rng.below(honeypots.len() as u64) as u32),
             peer: step2(rng.below(n_peers as u64) as usize),
             files: (0..n).map(|_| rng.below(n_files) as u32).collect(),
         })

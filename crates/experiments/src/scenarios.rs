@@ -315,23 +315,37 @@ pub fn server_ten_weeks(seed: u64, scale: f64) -> ScenarioConfig {
 mod tests {
     use super::*;
 
+    /// MD4 over every generated byte of a catalog: per rank its id, name
+    /// length, name, size as `u64` and popularity bits.
+    fn catalog_md4(catalog: &edonkey_sim::Catalog) -> String {
+        let (mut h, mut name) = (edonkey_proto::md4::Md4::new(), String::new());
+        for i in 0..catalog.len() as u32 {
+            let f = catalog.file(i);
+            catalog.name_into(i, &mut name);
+            h.update(&f.id.0);
+            h.update(&(name.len() as u32).to_le_bytes());
+            h.update(name.as_bytes());
+            h.update(&f.size.to_le_bytes());
+            h.update(&f.popularity.to_bits().to_le_bytes());
+        }
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     /// Every generated byte of the distributed scenario's 30 k-file catalog
     /// (id, name, size and popularity bits), pinned by MD4.
     #[test]
     fn distributed_catalog_bytes_are_pinned() {
         let catalog = distributed(DEFAULT_SEED, 1.0).build_catalog();
         assert_eq!(catalog.len(), 30_000);
-        let mut h = edonkey_proto::md4::Md4::new();
-        for i in 0..catalog.len() as u32 {
-            let f = catalog.file(i);
-            h.update(&f.id.0);
-            h.update(&(f.name.len() as u32).to_le_bytes());
-            h.update(f.name.as_bytes());
-            h.update(&f.size.to_le_bytes());
-            h.update(&f.popularity.to_bits().to_le_bytes());
-        }
-        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "ed42d1ad266a5d3242e39f6ed06ce82e");
+        assert_eq!(catalog_md4(&catalog), "ed42d1ad266a5d3242e39f6ed06ce82e");
+    }
+
+    /// The greedy scenario's 400 k-file catalog, pinned the same way.
+    #[test]
+    fn greedy_catalog_bytes_are_pinned() {
+        let catalog = greedy(DEFAULT_SEED, 0.1).build_catalog();
+        assert_eq!(catalog.len(), 400_000);
+        assert_eq!(catalog_md4(&catalog), "b8e4f740677b68cd7145314a4831a19c");
     }
 
     #[test]

@@ -71,10 +71,11 @@ pub fn targeted(
     // query a large server.
     let catalog = config.build_catalog();
     let expr = SearchExpr::keyword(keyword);
+    let mut name = String::new();
     let mut files: Vec<u32> = (0..catalog.len() as u32)
         .filter(|&i| {
-            let f = catalog.file(i);
-            expr.matches(&f.name, f.size, "")
+            catalog.name_into(i, &mut name);
+            expr.matches(&name, catalog.file(i).size, "")
         })
         .collect();
     // Most popular matches first: the operator targets the active part of
@@ -157,7 +158,7 @@ mod tests {
         let (config, info) = targeted(5, 1.0, "live", 4, 50, 7, Coordination::Replicated);
         let catalog = config.build_catalog();
         for &f in &info.files {
-            let name = catalog.file(f).name.to_ascii_lowercase();
+            let name = catalog.name(f).to_ascii_lowercase();
             assert!(name.contains("live"), "{name}");
         }
     }

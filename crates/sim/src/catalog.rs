@@ -35,11 +35,11 @@ impl FileClass {
     }
 }
 
-/// One catalog entry.
-#[derive(Clone, Debug)]
+/// One catalog entry, as [`Catalog::file`] reads it: everything but the
+/// name, which [`CatalogDraws::name_into`] renders on demand.
+#[derive(Clone, Copy, Debug)]
 pub struct CatalogFile {
     pub id: FileId,
-    pub name: String,
     pub size: u64,
     pub class: FileClass,
     /// Relative popularity weight (not normalised).
@@ -88,31 +88,38 @@ impl Default for CatalogConfig {
     }
 }
 
-/// The generated catalog.
+/// The generated catalog: the draws plus each rank's id.  A file costs
+/// 44 bytes (16 of draws, 16 of id, 12 of running sum and guide); its name
+/// is rendered from the draws whenever something reads it.  Everything
+/// the draws answer, [`CatalogDraws`]'s methods answer here too.
 pub struct Catalog {
-    files: Vec<CatalogFile>,
-    /// Cumulative popularity (for weighted sampling over the whole
-    /// catalog).
-    cumulative: Cumulative,
+    draws: CatalogDraws,
+    /// `ids[rank]`: the MD4 of `catalog/{rank}/{name}`.
+    ids: Vec<FileId>,
 }
 
 /// One file's draws: everything generation decides about it except its
-/// name and id, which [`CatalogDraws::name`] derives from these.
+/// name and id, which are derived from these and the rank.
 struct FileDraw {
-    size: u64,
     popularity: f64,
+    /// Below 3 GiB: [`Catalog::sample_size`] clamps every class there.
+    size: u32,
     class: FileClass,
     /// Indices into [`ADJECTIVES`], [`NOUNS`] and [`SOURCES`].
     words: [u8; 3],
 }
 
+const _: () = assert!(std::mem::size_of::<FileDraw>() == 16);
+
 /// A catalog's draw pass alone: class, size, name words and popularity of
 /// every rank, drawn from the generator stream exactly as
-/// [`Catalog::generate`] draws them, but with no name rendered and no id
-/// hashed.  What a scenario builder needs to pick files and normalise
-/// rates; [`CatalogDraws::name`] completes it into the [`Catalog`].
+/// [`Catalog::generate`] draws them, but with no id hashed.  What a
+/// scenario builder needs to pick files and normalise rates;
+/// [`CatalogDraws::hash_ids`] completes it into the [`Catalog`].
 pub struct CatalogDraws {
     files: Vec<FileDraw>,
+    /// Cumulative popularity (for weighted sampling over the whole
+    /// catalog).
     cumulative: Cumulative,
 }
 
@@ -374,30 +381,27 @@ impl CatalogDraws {
         CatalogDraws { files, cumulative }
     }
 
-    /// The naming pass: renders each rank's name and hashes its id.  Draws
-    /// nothing.
+    /// The naming pass: hashes each rank's id.  Draws nothing.
     ///
     /// It runs on [`netsim::par::par_map`] workers, each naming a
-    /// contiguous share of the ranks, so the result is the same for any
+    /// contiguous share of the ranks into one reused name and seed buffer,
+    /// so it allocates nothing per file and the result is the same for any
     /// worker count.
-    pub fn name(self) -> Catalog {
-        let draws = &self.files;
-        let named = netsim::par::par_map(netsim::par::shares(draws.len()), |share| {
-            let mut seed = Vec::new();
+    pub fn hash_ids(self) -> Catalog {
+        let named = netsim::par::par_map(netsim::par::shares(self.len()), |share| {
+            let (mut name, mut seed) = (String::new(), Vec::new());
             share
                 .map(|rank| {
-                    let d = &draws[rank];
-                    let name = Catalog::render_name(d.words, d.class, rank);
-                    let id = FileId::from_seed(Catalog::id_seed(&mut seed, rank, &name));
-                    CatalogFile { id, name, size: d.size, class: d.class, popularity: d.popularity }
+                    self.name_into(rank as u32, &mut name);
+                    FileId::from_seed(Catalog::id_seed(&mut seed, rank, &name))
                 })
-                .collect::<Vec<CatalogFile>>()
+                .collect::<Vec<FileId>>()
         });
-        let mut files = Vec::with_capacity(draws.len());
+        let mut ids = Vec::with_capacity(self.len());
         for share in named {
-            files.extend(share);
+            ids.extend(share);
         }
-        Catalog { files, cumulative: self.cumulative }
+        Catalog { draws: self, ids }
     }
 
     /// Number of files.
@@ -419,14 +423,41 @@ impl CatalogDraws {
         self.files[idx as usize].popularity
     }
 
-    /// [`Catalog::sample_distinct_by_popularity`].
+    /// Writes a file's name into `out`, replacing what it held; a buffer
+    /// that already has the room is not reallocated.
+    pub fn name_into(&self, idx: u32, out: &mut String) {
+        let d = &self.files[idx as usize];
+        Catalog::render_name_into(d.words, d.class, idx as usize, out);
+    }
+
+    /// A file's name, in a string of exactly its length.
+    pub fn name(&self, idx: u32) -> String {
+        let mut name = String::new();
+        self.name_into(idx, &mut name);
+        name
+    }
+
+    /// Draws one file index weighted by popularity.
+    pub fn sample_by_popularity(&self, rng: &mut Rng) -> u32 {
+        self.cumulative.sample(rng)
+    }
+
+    /// Fills `out` with `k` distinct indices weighted by popularity
+    /// (rejection over [`CatalogDraws::sample_by_popularity`], falling back
+    /// to sequential fill for large `k`).
     pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
         self.cumulative.sample_distinct(rng, k, out);
     }
 
-    /// [`Catalog::popularity_sum`].
+    /// Total popularity mass of a set of files (used by the arrival process
+    /// to scale peer rates with the advertised set).
     pub fn popularity_sum(&self, idxs: impl Iterator<Item = u32>) -> f64 {
         idxs.map(|i| self.files[i as usize].popularity).sum()
+    }
+
+    /// Mean file size over the whole catalog (calibration diagnostics).
+    pub fn mean_size(&self) -> f64 {
+        self.files.iter().map(|f| f64::from(f.size)).sum::<f64>() / self.files.len() as f64
     }
 }
 
@@ -434,25 +465,25 @@ impl Catalog {
     /// Generates the catalog deterministically from `rng`: the draw pass,
     /// then the naming pass.
     pub fn generate(config: &CatalogConfig, rng: &mut Rng) -> Self {
-        CatalogDraws::generate(config, rng).name()
+        CatalogDraws::generate(config, rng).hash_ids()
     }
 
-    fn sample_size(rng: &mut Rng, class: FileClass) -> u64 {
+    fn sample_size(rng: &mut Rng, class: FileClass) -> u32 {
         // Log-normal sizes per class; parameters chosen so the catalog-wide
         // mean lands near the ~330 MB/file implied by Table I.
         // Sizes are capped below 4 GB: the classic eDonkey wire protocol
         // carries 32-bit file offsets, so larger files did not circulate.
-        let (mu, sigma, min, max) = match class {
+        let (mu, sigma, min, max): (f64, f64, u32, u32) = match class {
             // ~700 MB typical CD-image rip, up to a few GB.
-            FileClass::Video => (20.3, 0.55, 50 << 20, 3_u64 << 30),
+            FileClass::Video => (20.3, 0.55, 50 << 20, 3_u32 << 30),
             // ~5 MB song.
             FileClass::Audio => (15.4, 0.6, 1 << 20, 200 << 20),
             // ~700 MB ISO.
-            FileClass::Archive => (20.4, 0.7, 10 << 20, 3_u64 << 30),
+            FileClass::Archive => (20.4, 0.7, 10 << 20, 3_u32 << 30),
             // ~2 MB document.
             FileClass::Document => (14.5, 1.0, 16 << 10, 100 << 20),
         };
-        (log_normal(rng, mu, sigma) as u64).clamp(min, max)
+        (log_normal(rng, mu, sigma) as u64).clamp(u64::from(min), u64::from(max)) as u32
     }
 
     /// The adjective, noun and source of a name, as indices into their
@@ -464,12 +495,14 @@ impl Catalog {
     /// A name drawn and rendered in one go.
     #[cfg(test)]
     fn sample_name(rng: &mut Rng, class: FileClass, rank: usize) -> String {
-        Self::render_name(Self::sample_words(rng), class, rank)
+        let mut name = String::new();
+        Self::render_name_into(Self::sample_words(rng), class, rank, &mut name);
+        name
     }
 
-    /// `{adj}.{noun}.{rank:05}.{src}.{ext}`, written into a string of
-    /// exactly its length.
-    fn render_name(words: [u8; 3], class: FileClass, rank: usize) -> String {
+    /// `{adj}.{noun}.{rank:05}.{src}.{ext}`, written into `out` (cleared
+    /// first, and grown to exactly the name's length if it is shorter).
+    fn render_name_into(words: [u8; 3], class: FileClass, rank: usize, out: &mut String) {
         let [adj, noun, src] = words.map(usize::from);
         // The rank suffix keeps names unique-ish, standing in for the
         // artist/title tokens of real shared files.
@@ -477,14 +510,14 @@ impl Catalog {
         let rank = decimal(&mut digits, rank, 5);
         let parts = [ADJECTIVES[adj], NOUNS[noun], rank, SOURCES[src], class.extension()];
         let len = parts.iter().map(|p| p.len()).sum::<usize>() + parts.len() - 1;
-        let mut name = String::with_capacity(len);
+        out.clear();
+        out.reserve_exact(len);
         for (i, part) in parts.into_iter().enumerate() {
             if i > 0 {
-                name.push('.');
+                out.push('.');
             }
-            name.push_str(part);
+            out.push_str(part);
         }
-        name
     }
 
     /// Writes the id seed `catalog/{rank}/{name}` into `buf`.
@@ -498,41 +531,23 @@ impl Catalog {
         buf
     }
 
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
     /// Access a file by catalog index.
-    pub fn file(&self, idx: u32) -> &CatalogFile {
-        &self.files[idx as usize]
+    pub fn file(&self, idx: u32) -> CatalogFile {
+        let d = &self.draws.files[idx as usize];
+        CatalogFile {
+            id: self.ids[idx as usize],
+            size: u64::from(d.size),
+            class: d.class,
+            popularity: d.popularity,
+        }
     }
+}
 
-    /// Draws one file index weighted by popularity.
-    pub fn sample_by_popularity(&self, rng: &mut Rng) -> u32 {
-        self.cumulative.sample(rng)
-    }
+impl std::ops::Deref for Catalog {
+    type Target = CatalogDraws;
 
-    /// Fills `out` with `k` distinct indices weighted by popularity
-    /// (rejection over [`Catalog::sample_by_popularity`], falling back to
-    /// sequential fill for large `k`).
-    pub fn sample_distinct_by_popularity(&self, rng: &mut Rng, k: usize, out: &mut Vec<u32>) {
-        self.cumulative.sample_distinct(rng, k, out);
-    }
-
-    /// Total popularity mass of a set of files (used by the arrival process
-    /// to scale peer rates with the advertised set).
-    pub fn popularity_sum(&self, idxs: impl Iterator<Item = u32>) -> f64 {
-        idxs.map(|i| self.files[i as usize].popularity).sum()
-    }
-
-    /// Mean file size over the whole catalog (calibration diagnostics).
-    pub fn mean_size(&self) -> f64 {
-        self.files.iter().map(|f| f.size as f64).sum::<f64>() / self.files.len() as f64
+    fn deref(&self) -> &CatalogDraws {
+        &self.draws
     }
 }
 
@@ -551,7 +566,7 @@ fn decimal(buf: &mut [u8; 20], v: usize, min_width: usize) -> &str {
 
 impl std::fmt::Debug for Catalog {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fm.debug_struct("Catalog").field("files", &self.files.len()).finish()
+        fm.debug_struct("Catalog").field("files", &self.len()).finish()
     }
 }
 
@@ -654,8 +669,8 @@ mod tests {
     fn names_carry_class_extension() {
         let c = catalog(500);
         for i in 0..500 {
-            let f = c.file(i);
-            assert!(f.name.ends_with(f.class.extension()), "{}", f.name);
+            let name = c.name(i);
+            assert!(name.ends_with(c.class(i).extension()), "{name}");
         }
     }
 
@@ -814,7 +829,10 @@ mod tests {
         let files = |workers| {
             netsim::par::with_workers(workers, || {
                 let c = Catalog::generate(&config, &mut Rng::seed_from(11));
-                format!("{:?}", (0..c.len() as u32).map(|i| c.file(i)).collect::<Vec<_>>())
+                format!(
+                    "{:?}",
+                    (0..c.len() as u32).map(|i| (c.file(i), c.name(i))).collect::<Vec<_>>()
+                )
             })
         };
         let one = files(1);
@@ -847,6 +865,30 @@ mod tests {
             assert_eq!(name.len(), name.capacity(), "allocated at its exact size");
             let id_seed = Catalog::id_seed(&mut seed, rank, &name);
             assert_eq!(id_seed, [prefix.as_bytes(), want.as_bytes()].concat());
+        }
+    }
+
+    /// A catalog's memory as a count: its columns hold 44 bytes per file
+    /// (16 of draws, 16 of id, 8 of running sum and 4 of guide) plus the
+    /// guide's top edge, and rendering a name into a buffer with room for
+    /// it allocates nothing.
+    #[test]
+    fn a_catalog_file_costs_44_bytes_and_a_rendered_name_none() {
+        use std::mem::size_of;
+        for n in [1, 7, 5_003] {
+            let c = catalog(n);
+            let bytes = c.draws.files.capacity() * size_of::<FileDraw>()
+                + c.ids.capacity() * size_of::<FileId>()
+                + c.cumulative.sums.capacity() * size_of::<f64>()
+                + c.cumulative.guide.capacity() * size_of::<u32>();
+            assert!(bytes <= 44 * n + 4 * (n + 1), "{n} files: {bytes} bytes");
+            let mut name = String::with_capacity(64);
+            let buffer = name.as_ptr();
+            for i in 0..n as u32 {
+                c.name_into(i, &mut name);
+                assert_eq!(name, c.name(i));
+                assert_eq!((name.as_ptr(), name.capacity()), (buffer, 64), "file {i} reallocated");
+            }
         }
     }
 }

@@ -362,11 +362,11 @@ impl ScenarioConfig {
     /// configuration (same seed derivation), so scenario builders can pick
     /// concrete files and normalise arrival rates before the run.
     pub fn build_catalog(&self) -> crate::catalog::Catalog {
-        self.build_catalog_draws().name()
+        self.build_catalog_draws().hash_ids()
     }
 
     /// [`Self::build_catalog`]'s draw pass alone: every file's class, size
-    /// and popularity, without the names and ids a builder never reads.
+    /// and popularity, without the ids a builder never reads.
     pub fn build_catalog_draws(&self) -> crate::catalog::CatalogDraws {
         let mut root = netsim::Rng::seed_from(self.seed);
         let mut rng = root.substream("catalog");

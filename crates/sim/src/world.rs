@@ -113,6 +113,8 @@ pub struct EdonkeyWorld {
     /// for the next, and the spare entries of longer answers before it.
     scratch_listing: Vec<PublishedFile>,
     spare_listing: Vec<PublishedFile>,
+    /// The catalog name of the listed file being written, rendered here.
+    scratch_name: String,
     /// Community-blacklist exposure per honeypot (detections so far).
     exposure: Vec<u32>,
     /// Per-honeypot sessions that reached part requests / that delivered
@@ -175,7 +177,7 @@ impl EdonkeyWorld {
                 idxs.iter()
                     .map(|&ci| {
                         let f = catalog.file(ci);
-                        AdvertisedFile::new(f.id, f.name.clone(), f.size)
+                        AdvertisedFile::new(f.id, catalog.name(ci), f.size)
                     })
                     .collect()
             };
@@ -222,6 +224,7 @@ impl EdonkeyWorld {
             scratch_hello_tags: Vec::new(),
             scratch_listing: Vec::new(),
             spare_listing: Vec::new(),
+            scratch_name: String::new(),
             exposure: vec![0; config.honeypots.len()],
             hp_request_sessions: vec![0; config.honeypots.len()],
             hp_delivered_sessions: vec![0; config.honeypots.len()],
@@ -365,7 +368,8 @@ impl EdonkeyWorld {
         }
         for (entry, &ci) in files.iter_mut().zip(list) {
             let f = self.catalog.file(ci);
-            entry.set(f.id, &f.name, f.size);
+            self.catalog.name_into(ci, &mut self.scratch_name);
+            entry.set(f.id, &self.scratch_name, f.size);
         }
         let src_ip = self.peers.identity(peer_idx).ip;
         let answer = PeerMessage::AskSharedFilesAnswer { files };
@@ -595,15 +599,9 @@ impl EdonkeyWorld {
         // One SEARCH for the primary wanted file (by its first name word),
         // then GET-SOURCES for every wanted file.
         let primary = self.peers.wanted(peer_idx)[0];
-        let word = self
-            .catalog
-            .file(primary)
-            .name
-            .split(|c: char| !c.is_alphanumeric())
-            .find(|w| !w.is_empty())
-            .map(str::to_owned);
-        if let Some(word) = word {
-            let expr = SearchExpr::keyword(&word);
+        let name = self.catalog.name(primary);
+        if let Some(word) = name.split(|c: char| !c.is_alphanumeric()).find(|w| !w.is_empty()) {
+            let expr = SearchExpr::keyword(word);
             self.server.search(now, session, &expr, 50);
         }
         for i in 0..self.peers.wanted(peer_idx).len() {
