@@ -454,11 +454,6 @@ impl CatalogDraws {
     pub fn popularity_sum(&self, idxs: impl Iterator<Item = u32>) -> f64 {
         idxs.map(|i| self.files[i as usize].popularity).sum()
     }
-
-    /// Mean file size over the whole catalog (calibration diagnostics).
-    pub fn mean_size(&self) -> f64 {
-        self.files.iter().map(|f| f64::from(f.size)).sum::<f64>() / self.files.len() as f64
-    }
 }
 
 impl Catalog {
@@ -605,7 +600,7 @@ mod tests {
     #[test]
     fn mean_size_in_table1_ballpark() {
         let c = catalog(20_000);
-        let mean = c.mean_size();
+        let mean = (0..20_000).map(|i| c.file(i).size as f64).sum::<f64>() / 20_000.0;
         // Table I implies ≈320–340 MB per distinct file; accept a broad
         // band since observation re-weights towards popular files.
         assert!(

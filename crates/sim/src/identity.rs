@@ -94,11 +94,6 @@ impl IdentityFactory {
             version: *self.rng.choose(CLIENT_VERSIONS),
         }
     }
-
-    /// Number of identities created so far.
-    pub fn created(&self) -> u64 {
-        self.next_serial
-    }
 }
 
 /// A bijective scramble of 32-bit values (two rounds of xorshift-multiply,
@@ -124,7 +119,7 @@ mod tests {
         for _ in 0..100_000 {
             assert!(seen.insert(f.create().ip), "IP collision");
         }
-        assert_eq!(f.created(), 100_000);
+        assert_eq!(f.next_serial, 100_000);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   timeout- vs corruption-based honeypot detection and client-level
 //!   blacklisting;
 //! * [`config`] — every behavioural knob, with paper-calibrated defaults;
+//! * [`behaviour`] — every random decision of the world, as functions;
 //! * [`world`] — the discrete-event world tying it all together, hosting
 //!   the *actual* `honeypot` crate state machines: the honeypots and the
 //!   `honeypot::IndexServer` they are found through.
@@ -23,6 +24,7 @@
 //! assert!(out.log.distinct_peers > 0);
 //! ```
 
+pub mod behaviour;
 pub mod catalog;
 pub mod config;
 pub mod identity;

@@ -10,8 +10,8 @@
 //! bytes of column space plus its arena slices; nothing is allocated per
 //! peer after [`PeerTable::push`].
 //!
-//! The heavy lifting (sampling decisions, message construction) happens
-//! in [`crate::world`]; only peers that end up contacting at least one
+//! The sampling decisions live in [`crate::behaviour`] and message
+//! construction in [`crate::world`]; only peers that end up contacting at least one
 //! honeypot are materialised — the rest of the eDonkey population is
 //! invisible to the measurement and therefore never allocated.
 
@@ -24,9 +24,10 @@ use crate::identity::PeerIdentity;
 pub const MAX_HONEYPOTS: usize = 64;
 
 /// Phase of a peer↔honeypot session (paper Fig. 1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SessionState {
     /// About to send HELLO.
+    #[default]
     Greet,
     /// Got HELLO-ANSWER; about to send START-UPLOAD.
     Upload,
@@ -35,7 +36,7 @@ pub enum SessionState {
 }
 
 /// One in-flight session with a honeypot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Session {
     /// Honeypot index.
     pub hp: u8,
@@ -46,8 +47,6 @@ pub struct Session {
     pub budget: u8,
     /// Consecutive unanswered REQUEST-PARTS so far.
     pub timeouts: u8,
-    /// The session stops after HELLO (alive probe).
-    pub hello_only: bool,
     /// The session proceeds past START-UPLOAD into part requests.
     pub do_request: bool,
     /// Connection token (unique per session).
@@ -464,7 +463,6 @@ mod tests {
             state: SessionState::Greet,
             budget: 3,
             timeouts: 0,
-            hello_only: false,
             do_request: true,
             conn: 7,
             block_cursor: 0,

@@ -24,15 +24,15 @@ use honeypot::{
     HoneypotId, HoneypotSpec, IndexServer, IpHasher, LogChunk, Manager, MeasurementLog,
     ServerCapture, ServerInfo, StatusReport, SupervisionBook,
 };
-use netsim::dist::{exponential, poisson};
 use netsim::engine::{Scheduler, World};
-use netsim::time::MS_PER_DAY;
+use netsim::obs::Level;
 use netsim::{CalendarQueue, Engine, EventQueue, PendingQueue, Rng, SimTime, TimingWheel};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
+use crate::behaviour::{self, Next, Sources};
 use crate::catalog::Catalog;
 use crate::config::{QueueKind, ScenarioConfig};
 use crate::identity::{IdentityFactory, PeerIdentity};
@@ -55,8 +55,9 @@ pub enum Event {
     Keepalive,
     /// Failure injection: kill one honeypot.
     Crash { hp: u8 },
-    /// One step of a robot's independent per-honeypot query chain.
-    RobotStep { peer: u32, hp: u8, phase: RobotPhase, remaining: u8, conn: u64 },
+    /// One step of a robot's independent per-honeypot query chain, in the
+    /// session phase of paper Fig. 1 it is at.
+    RobotStep { peer: u32, hp: u8, phase: SessionState, remaining: u8, conn: u64 },
     /// A robot goes dark for a while (the plateaus of Figs. 8–9).
     RobotOff { peer: u32, duration_ms: u64 },
     /// Periodic SERVER-STATUS self-snapshot, scheduled only when a server
@@ -64,14 +65,6 @@ pub enum Event {
     /// measurement).  Draws no randomness, so attaching a capture leaves
     /// the honeypot measurement bit-identical.
     StatusSample,
-}
-
-/// Phase of a robot session (paper Fig. 1 flow, automated client).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RobotPhase {
-    Greet,
-    Upload,
-    Request,
 }
 
 /// Aggregate counters for diagnostics and calibration.
@@ -95,7 +88,6 @@ pub struct EdonkeyWorld {
     pub catalog: Catalog,
     server: IndexServer,
     honeypots: Vec<Honeypot>,
-    hp_attract: Vec<f64>,
     /// The manager's supervision half; its merge half runs beside the
     /// world on [`MergeThread`].
     book: SupervisionBook,
@@ -115,12 +107,7 @@ pub struct EdonkeyWorld {
     spare_listing: Vec<PublishedFile>,
     /// The catalog name of the listed file being written, rendered here.
     scratch_name: String,
-    /// Community-blacklist exposure per honeypot (detections so far).
-    exposure: Vec<u32>,
-    /// Per-honeypot sessions that reached part requests / that delivered
-    /// any data (drives the source-quality selection bonus).
-    hp_request_sessions: Vec<u64>,
-    hp_delivered_sessions: Vec<u64>,
+    sources: Sources,
     adverts: Adverts,
     rng_arrival: Rng,
     rng_behavior: Rng,
@@ -144,7 +131,7 @@ impl EdonkeyWorld {
     /// The capture is pure observation — it draws no randomness and feeds
     /// nothing back into the world, so the honeypot measurement is
     /// bit-identical with or without it (pinned in `tests/capture.rs`).
-    pub fn new_with_capture<Q: PendingQueue<Event>>(
+    fn new_with_capture<Q: PendingQueue<Event>>(
         config: ScenarioConfig,
         engine: &mut Engine<Self, Q>,
         capture: Option<ServerCapture>,
@@ -169,7 +156,6 @@ impl EdonkeyWorld {
         }
 
         let mut honeypots = Vec::with_capacity(config.honeypots.len());
-        let mut hp_attract = Vec::with_capacity(config.honeypots.len());
         let mut specs = Vec::with_capacity(config.honeypots.len());
         for (i, setup) in config.honeypots.iter().enumerate() {
             let id = HoneypotId(i as u32);
@@ -204,7 +190,6 @@ impl EdonkeyWorld {
                 ip_hasher.clone(),
                 root.substream_indexed("hp", i as u64),
             ));
-            hp_attract.push(setup.attractiveness);
             specs.push(HoneypotSpec { id, content: setup.content, server: server_info.clone() });
         }
         let book = SupervisionBook::new(&specs);
@@ -214,7 +199,6 @@ impl EdonkeyWorld {
             catalog,
             server,
             honeypots,
-            hp_attract,
             book,
             merge,
             identities: IdentityFactory::new(root.substream("identities")),
@@ -225,9 +209,7 @@ impl EdonkeyWorld {
             scratch_listing: Vec::new(),
             spare_listing: Vec::new(),
             scratch_name: String::new(),
-            exposure: vec![0; config.honeypots.len()],
-            hp_request_sessions: vec![0; config.honeypots.len()],
-            hp_delivered_sessions: vec![0; config.honeypots.len()],
+            sources: Sources::new(config.honeypots.iter().map(|h| h.attractiveness).collect()),
             adverts: Adverts::default(),
             rng_arrival: root.substream("arrival"),
             rng_behavior: root.substream("behavior"),
@@ -251,7 +233,7 @@ impl EdonkeyWorld {
                     Event::RobotStep {
                         peer: robot,
                         hp,
-                        phase: RobotPhase::Greet,
+                        phase: SessionState::Greet,
                         remaining: 0,
                         conn: 0,
                     },
@@ -282,8 +264,8 @@ impl EdonkeyWorld {
         }
         if let Some(crash) = world.config.crashes {
             for hp in 0..world.honeypots.len() as u8 {
-                let delay = exponential(&mut world.rng_behavior, 1.0 / crash.mtbf_ms as f64);
-                engine.schedule(SimTime::from_millis(delay as u64), Event::Crash { hp });
+                let delay = behaviour::crash_delay(&crash, &mut world.rng_behavior);
+                engine.schedule(SimTime::from_millis(delay), Event::Crash { hp });
             }
         }
         world
@@ -383,13 +365,7 @@ impl EdonkeyWorld {
     /// Delivers the HELLO `identity` opens connection `conn` with.  Its tag
     /// list is the previous HELLO's, with the name rewritten in place, so a
     /// greeting allocates nothing.
-    fn greet(
-        &mut self,
-        now: SimTime,
-        hp_idx: usize,
-        conn: u64,
-        identity: &PeerIdentity,
-    ) -> Replies {
+    fn greet(&mut self, now: SimTime, hp: usize, conn: u64, identity: &PeerIdentity) -> Replies {
         let mut tags = std::mem::take(&mut self.scratch_hello_tags);
         match tags.as_mut_slice() {
             [Tag { value: TagValue::String(name), .. }, Tag { value: TagValue::U32(version), .. }] =>
@@ -412,11 +388,38 @@ impl EdonkeyWorld {
             tags,
         };
         self.stats.hello_sent += 1;
-        let seen = self.deliver(now, hp_idx, conn, identity.ip, &hello);
+        let seen = self.deliver(now, hp, conn, identity.ip, &hello);
         if let PeerMessage::Hello { tags, .. } = hello {
             self.scratch_hello_tags = tags;
         }
         seen
+    }
+
+    /// Sends START-UPLOAD for catalog file `ci` on connection `conn`;
+    /// returns whether the upload was accepted.
+    fn start_upload(&mut self, now: SimTime, hp_idx: usize, conn: u64, ip: Ipv4, ci: u32) -> bool {
+        let msg = PeerMessage::StartUpload { file_id: self.catalog.file(ci).id };
+        self.stats.start_upload_sent += 1;
+        self.deliver(now, hp_idx, conn, ip, &msg).accept_upload
+    }
+
+    /// Sends REQUEST-PARTS for the block triple at `cursor` of catalog file
+    /// `ci` on connection `conn`; returns whether data came back.
+    #[allow(clippy::too_many_arguments)]
+    fn request_parts(
+        &mut self,
+        now: SimTime,
+        hp_idx: usize,
+        conn: u64,
+        ip: Ipv4,
+        ci: u32,
+        cursor: u32,
+    ) -> bool {
+        let file = self.catalog.file(ci);
+        let msg =
+            PeerMessage::RequestParts { file_id: file.id, ranges: block_triple(file.size, cursor) };
+        self.stats.request_parts_sent += 1;
+        self.deliver(now, hp_idx, conn, ip, &msg).sending_part
     }
 
     /// The configured STATUS self-snapshot period.
@@ -425,28 +428,16 @@ impl EdonkeyWorld {
     }
 
     fn spawn_robots(&mut self) {
-        if self.adverts.list.is_empty() {
-            return;
-        }
         // Robots chase the most popular advertised file and sweep every
         // honeypot.
-        let target = *self
-            .adverts
-            .list
-            .iter()
-            .max_by(|&&a, &&b| {
-                self.catalog
-                    .file(a)
-                    .popularity
-                    .partial_cmp(&self.catalog.file(b).popularity)
-                    .expect("finite popularity")
-            })
-            .expect("non-empty");
+        let popularity = |ci: &&u32| self.catalog.file(**ci).popularity;
+        let most_popular =
+            self.adverts.list.iter().max_by(|a, b| popularity(a).total_cmp(&popularity(b)));
+        let Some(&target) = most_popular else { return };
         let providers: Vec<u8> = (0..self.honeypots.len() as u8).collect();
         for _ in 0..self.config.robots.count {
-            let identity = self.identities.create();
             let idx = self.peers.push(NewPeer {
-                identity,
+                identity: self.identities.create(),
                 probe_only: false,
                 shares_list: false,
                 robot: true,
@@ -456,61 +447,22 @@ impl EdonkeyWorld {
                 interest_until: SimTime(u64::MAX),
             });
             // Robots are online from t=0 and stay for the whole capture.
-            if self.server.capture_enabled() {
-                let addr = PeerAddr::new(identity.ip, identity.port);
-                self.server.login(
-                    SimTime::ZERO,
-                    SERVER_PEER_SESSION_BASE + u64::from(idx),
-                    addr,
-                    identity.client_id.is_high(),
-                );
-            }
+            self.capture_login(SimTime::ZERO, idx);
         }
         self.stats.arrivals += self.config.robots.count as u64;
-    }
-
-    /// Instantaneous arrival rate (peers per ms) at `now`.
-    fn arrival_rate(&mut self, now: SimTime) -> f64 {
-        let pop = self.adverts.popularity(&self.catalog);
-        let p = &self.config.population;
-        let decay = p.daily_decay.powi(now.day_index() as i32);
-        let diurnal = p.diurnal.multiplier(now, p.local_offset_hours);
-        p.rate_per_popularity * pop * decay * diurnal / MS_PER_DAY as f64
-    }
-
-    /// Community-blacklist skip probability for honeypot `hp`:
-    /// a saturating function of its accumulated detections.
-    fn skip_prob(&self, hp: usize) -> f64 {
-        let d = f64::from(self.exposure[hp]);
-        let b = self.config.blacklist;
-        if b.skip_cap <= 0.0 {
-            return 0.0;
-        }
-        b.skip_cap * d / (d + b.halfway_detections.max(1.0))
     }
 
     /// Builds a new peer on arrival and appends it to the population,
     /// returning its index; `None` when the peer would never contact a
     /// honeypot (invisible to the measurement).
     fn build_arrival(&mut self, now: SimTime) -> Option<u32> {
-        let behavior = self.config.behavior;
-        let population = self.config.population;
-        // Wanted files: popularity-weighted over the advertised set.
-        let n_wanted = 1 + geometric(&mut self.rng_behavior, population.wanted_files_mean - 1.0);
-        let mut wanted = Vec::with_capacity(n_wanted as usize);
-        for _ in 0..n_wanted {
-            let draw = self.rng_behavior.f64();
-            if let Some(ci) = self.adverts.sample(&self.catalog, draw) {
-                if !wanted.contains(&ci) {
-                    wanted.push(ci);
-                }
-            }
-        }
+        let rng = &mut self.rng_behavior;
+        let pick = |u| self.adverts.sample(&self.catalog, u);
+        let wanted = behaviour::wanted_files(&self.config.population, pick, rng);
         if wanted.is_empty() {
             return None;
         }
-        // Provider candidates: every live provider of any wanted file,
-        // minus community-blacklist skips.
+        // Provider candidates: every live provider of any wanted file.
         let mut candidates: Vec<u8> = Vec::new();
         for &ci in &wanted {
             let fid = self.catalog.file(ci).id;
@@ -521,68 +473,23 @@ impl EdonkeyWorld {
                 }
             }
         }
-        let skips: Vec<f64> = candidates.iter().map(|&hp| self.skip_prob(hp as usize)).collect();
-        let rng = &mut self.rng_behavior;
-        let mut i = 0;
-        candidates.retain(|_| {
-            let keep = !rng.chance(skips[i]);
-            i += 1;
-            keep
-        });
-        if candidates.is_empty() {
+        let providers = behaviour::providers(&self.config, &self.sources, candidates, rng);
+        if providers.is_empty() {
             self.stats.skipped_invisible += 1;
             return None;
         }
-        // Subset selection: all-providers clients vs. small-subset clients,
-        // weighted by honeypot attractiveness times the source-quality
-        // bonus (delivering sources circulate via peer exchange).
-        let providers: Vec<u8> = if self.rng_behavior.chance(behavior.subset_all_prob) {
-            candidates
-        } else {
-            let bonus = self.config.blacklist.source_quality_bonus;
-            let weights: Vec<f64> = (0..self.honeypots.len())
-                .map(|h| {
-                    let ratio = self.hp_delivered_sessions[h] as f64
-                        / (self.hp_request_sessions[h] + 1) as f64;
-                    self.hp_attract[h] * (1.0 + bonus * ratio)
-                })
-                .collect();
-            let k = (1 + geometric(&mut self.rng_behavior, behavior.subset_mean - 1.0) as usize)
-                .min(candidates.len());
-            weighted_distinct(&mut self.rng_behavior, &candidates, &weights, k)
-        };
-
-        let shares_list = self.rng_behavior.chance(population.share_list_prob);
-        // Probe-only clients (PEX crawlers, source checkers) greet sources
-        // but never request uploads — a per-client trait, which is why the
-        // paper's Fig. 6 (START-UPLOAD peers) tops well below Fig. 5
-        // (HELLO peers).
-        let probe_only = self.rng_behavior.chance(behavior.hello_only_prob);
-        let mut shared_files = Vec::new();
-        if shares_list {
-            let n = 1 + geometric(&mut self.rng_behavior, population.shared_list_mean - 1.0);
-            self.catalog.sample_distinct_by_popularity(
-                &mut self.rng_behavior,
-                n as usize,
-                &mut shared_files,
-            );
-        }
-        let life_ms =
-            exponential(&mut self.rng_behavior, 1.0 / behavior.interest_mean_ms as f64) as u64;
-
+        let traits = behaviour::traits(&self.config, &self.catalog, rng, now);
         let idx = self.peers.push(NewPeer {
             identity: self.identities.create(),
-            probe_only,
-            shares_list,
+            probe_only: traits.probe_only,
+            shares_list: traits.shares_list,
             robot: false,
-            shared_files: &shared_files,
+            shared_files: &traits.shared_files,
             wanted: &wanted,
             providers: &providers,
-            interest_until: now.plus_millis(life_ms.max(60_000)),
+            interest_until: traits.interest_until,
         });
-        if self.server.capture_enabled() {
-            self.capture_arrival(now, idx);
-        }
+        self.capture_arrival(now, idx);
         Some(idx)
     }
 
@@ -592,10 +499,11 @@ impl EdonkeyWorld {
     /// records.  Pure observation (no randomness, no feedback into the
     /// honeypot path).
     fn capture_arrival(&mut self, now: SimTime, peer_idx: u32) {
-        let identity = *self.peers.identity(peer_idx);
+        if !self.server.capture_enabled() {
+            return;
+        }
+        let addr = self.capture_login(now, peer_idx);
         let session = SERVER_PEER_SESSION_BASE + u64::from(peer_idx);
-        let addr = PeerAddr::new(identity.ip, identity.port);
-        self.server.login(now, session, addr, identity.client_id.is_high());
         // One SEARCH for the primary wanted file (by its first name word),
         // then GET-SOURCES for every wanted file.
         let primary = self.peers.wanted(peer_idx)[0];
@@ -604,11 +512,7 @@ impl EdonkeyWorld {
             let expr = SearchExpr::keyword(word);
             self.server.search(now, session, &expr, 50);
         }
-        for i in 0..self.peers.wanted(peer_idx).len() {
-            let ci = self.peers.wanted(peer_idx)[i];
-            let fid = self.catalog.file(ci).id;
-            self.server.get_sources(now, session, fid);
-        }
+        self.capture_repoll(now, peer_idx);
         // Sharing clients publish their list; the simulation keeps genuine
         // peers out of the provider index (honeypots are the only sources
         // under measurement), so the offer is recorded without indexing.
@@ -619,14 +523,28 @@ impl EdonkeyWorld {
         }
     }
 
-    /// Server-side view of a retry round: eDonkey clients re-poll their
-    /// server for fresh sources before re-contacting providers.
+    /// Logs peer `peer_idx` into the index server, when a capture is
+    /// attached; returns the address it logs in from.
+    fn capture_login(&mut self, now: SimTime, peer_idx: u32) -> PeerAddr {
+        let identity = self.peers.identity(peer_idx);
+        let addr = PeerAddr::new(identity.ip, identity.port);
+        if self.server.capture_enabled() {
+            let session = SERVER_PEER_SESSION_BASE + u64::from(peer_idx);
+            self.server.login(now, session, addr, identity.client_id.is_high());
+        }
+        addr
+    }
+
+    /// Server-side view of a source poll: GET-SOURCES for every wanted
+    /// file, on arrival and before each retry round (eDonkey clients
+    /// re-poll their server before re-contacting providers) or robot
+    /// session.
     fn capture_repoll(&mut self, now: SimTime, peer_idx: u32) {
-        let session = SERVER_PEER_SESSION_BASE + u64::from(peer_idx);
-        for i in 0..self.peers.wanted(peer_idx).len() {
-            let ci = self.peers.wanted(peer_idx)[i];
-            let fid = self.catalog.file(ci).id;
-            self.server.get_sources(now, session, fid);
+        if self.server.capture_enabled() {
+            let session = SERVER_PEER_SESSION_BASE + u64::from(peer_idx);
+            for &ci in self.peers.wanted(peer_idx) {
+                self.server.get_sources(now, session, self.catalog.file(ci).id);
+            }
         }
     }
 
@@ -643,17 +561,14 @@ impl EdonkeyWorld {
     /// providers.
     fn start_round(&mut self, now: SimTime, peer_idx: u32, sched: &mut Scheduler<'_, Event>) {
         let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        let mask_filter = |&hp: &u8| !self.peers.is_blacklisted(peer_idx, hp);
-        order.extend(self.peers.providers(peer_idx).iter().copied().filter(mask_filter));
-        self.rng_behavior.shuffle(&mut order);
+        behaviour::contact_order(&self.peers, peer_idx, &mut self.rng_behavior, &mut order);
         self.peers.set_order(peer_idx, &order);
         let empty = order.is_empty();
         self.scratch_order = order;
         if empty {
             return;
         }
-        if self.peers.rounds(peer_idx) > 0 && self.server.capture_enabled() {
+        if self.peers.rounds(peer_idx) > 0 {
             self.capture_repoll(now, peer_idx);
         }
         self.session_step(peer_idx, sched);
@@ -678,15 +593,13 @@ impl EdonkeyWorld {
                     self.peers.bump_failures(peer_idx);
                 }
                 let strategy = self.honeypots[session.hp as usize].content_strategy();
-                self.exposure[session.hp as usize] += 1;
+                self.sources.exposure[session.hp as usize] += 1;
                 match strategy {
                     ContentStrategy::NoContent => self.stats.detections_nc += 1,
                     ContentStrategy::RandomContent => self.stats.detections_rc += 1,
                 }
             }
-            SessionOutcome::NoAnswer => {
-                self.stats.dead_contacts += 1;
-            }
+            SessionOutcome::NoAnswer => self.stats.dead_contacts += 1,
             SessionOutcome::HelloOnly | SessionOutcome::Inconclusive => {}
         }
 
@@ -700,9 +613,8 @@ impl EdonkeyWorld {
         // Round over.
         self.peers.bump_rounds(peer_idx);
         if !self.peers.done(peer_idx, now, behavior.abandon_failures) {
-            let delay =
-                exponential(&mut self.rng_behavior, 1.0 / behavior.retry_interval_ms as f64) as u64;
-            sched.in_ms(delay.max(60_000), Event::RoundStart { peer: peer_idx });
+            let delay = behaviour::retry_delay(&behavior, &mut self.rng_behavior);
+            sched.in_ms(delay, Event::RoundStart { peer: peer_idx });
         } else {
             self.capture_peer_done(now, peer_idx);
         }
@@ -718,36 +630,11 @@ impl EdonkeyWorld {
             if (self.peers.pos(peer_idx) as usize) >= self.peers.order(peer_idx).len() {
                 return;
             }
-            let hp = self.peers.order(peer_idx)[self.peers.pos(peer_idx) as usize];
-            let file = {
-                // Sessions ask for one wanted file; robots always use their
-                // single target.
-                let wanted = self.peers.wanted(peer_idx);
-                let i = self.rng_behavior.below(wanted.len() as u64) as usize;
-                wanted[i]
-            };
             debug_assert!(!self.peers.robot(peer_idx), "robots use their own chain events");
-            let hello_only = self.peers.probe_only(peer_idx);
-            // First-round sessions always attempt the download (the peer
-            // genuinely wants the file); later rounds are mostly re-polls.
-            let do_request = self.peers.rounds(peer_idx) == 0
-                || self.rng_behavior.chance(behavior.retry_request_prob);
-            let budget = (1 + geometric(&mut self.rng_behavior, behavior.rc_budget_mean - 1.0))
-                .min(60) as u8;
-            let conn = self.next_conn;
+            let rng = &mut self.rng_behavior;
+            let opened = behaviour::open_session(&behavior, &self.peers, peer_idx, rng);
+            *self.peers.session_mut(peer_idx) = Some(Session { conn: self.next_conn, ..opened });
             self.next_conn += 1;
-            *self.peers.session_mut(peer_idx) = Some(Session {
-                hp,
-                file,
-                state: SessionState::Greet,
-                budget,
-                timeouts: 0,
-                hello_only,
-                do_request,
-                conn,
-                block_cursor: 0,
-                delivered: false,
-            });
             self.stats.sessions += 1;
         }
 
@@ -770,7 +657,7 @@ impl EdonkeyWorld {
                     self.peers.mark_shared_sent(peer_idx, session.hp);
                     self.deliver_listing(now, hp_idx, session.conn, peer_idx);
                 }
-                if session.hello_only {
+                if self.peers.probe_only(peer_idx) {
                     self.finish_session(now, peer_idx, SessionOutcome::HelloOnly, sched);
                     return;
                 }
@@ -785,19 +672,15 @@ impl EdonkeyWorld {
                 // about each download in progress); the part-request loop
                 // then proceeds on the session's primary file.  This is
                 // what populates the per-file peer sets of Figs. 11-12.
-                let src_ip = identity.ip;
                 let mut wanted = std::mem::take(&mut self.scratch_wanted);
                 wanted.clear();
                 wanted.extend_from_slice(self.peers.wanted(peer_idx));
                 let primary = session.file;
                 let mut accepted = false;
                 for ci in wanted.iter().copied().filter(|&ci| ci != primary).chain([primary]) {
-                    if !self.honeypots[hp_idx].advertises(&self.catalog.file(ci).id) {
-                        continue;
+                    if self.honeypots[hp_idx].advertises(&self.catalog.file(ci).id) {
+                        accepted = self.start_upload(now, hp_idx, session.conn, identity.ip, ci);
                     }
-                    let msg = PeerMessage::StartUpload { file_id: self.catalog.file(ci).id };
-                    self.stats.start_upload_sent += 1;
-                    accepted = self.deliver(now, hp_idx, session.conn, src_ip, &msg).accept_upload;
                 }
                 self.scratch_wanted = wanted;
                 if !accepted {
@@ -814,61 +697,20 @@ impl EdonkeyWorld {
                 sched.in_ms(400, Event::SessionStep { peer: peer_idx });
             }
             SessionState::Request => {
-                let file = self.catalog.file(session.file);
-                let size = file.size.min(u64::from(u32::MAX - 1));
-                let msg = PeerMessage::RequestParts {
-                    file_id: file.id,
-                    ranges: block_triple(size, session.block_cursor),
-                };
-                self.stats.request_parts_sent += 1;
+                let (conn, cursor) = (session.conn, session.block_cursor);
                 let got_data =
-                    self.deliver(now, hp_idx, session.conn, identity.ip, &msg).sending_part;
-                if session.block_cursor == 0 {
+                    self.request_parts(now, hp_idx, conn, identity.ip, session.file, cursor);
+                if cursor == 0 {
                     // First part request of this session.
-                    self.hp_request_sessions[hp_idx] += 1;
+                    self.sources.requested[hp_idx] += 1;
                 }
                 if got_data && !session.delivered {
-                    self.hp_delivered_sessions[hp_idx] += 1;
+                    self.sources.delivered[hp_idx] += 1;
                 }
                 let Some(s) = self.peers.session_mut(peer_idx).as_mut() else { return };
-                if got_data {
-                    s.delivered = true;
-                    s.timeouts = 0;
-                    s.block_cursor += 3;
-                    s.budget = s.budget.saturating_sub(1);
-                    if s.budget == 0 {
-                        let detected = self.rng_behavior.chance(behavior.rc_detect_prob);
-                        let outcome = if detected {
-                            SessionOutcome::Detected
-                        } else {
-                            SessionOutcome::Inconclusive
-                        };
-                        self.finish_session(now, peer_idx, outcome, sched);
-                        return;
-                    }
-                    let delay =
-                        exponential(&mut self.rng_behavior, 1.0 / behavior.rc_transfer_ms as f64)
-                            as u64;
-                    sched.in_ms(delay.max(500), Event::SessionStep { peer: peer_idx });
-                } else {
-                    s.timeouts += 1;
-                    if u32::from(s.timeouts) >= behavior.nc_timeouts_to_fail {
-                        let detected = self.rng_behavior.chance(behavior.nc_detect_prob);
-                        let outcome = if detected {
-                            SessionOutcome::Detected
-                        } else {
-                            SessionOutcome::Inconclusive
-                        };
-                        self.finish_session(now, peer_idx, outcome, sched);
-                        return;
-                    }
-                    // Silence paces at the timeout, near-constant (Fig. 9's
-                    // smooth no-content curve).
-                    let jitter = self.rng_behavior.below(2_000);
-                    sched.in_ms(
-                        behavior.nc_timeout_ms + jitter,
-                        Event::SessionStep { peer: peer_idx },
-                    );
+                match behaviour::after_request(&behavior, s, got_data, &mut self.rng_behavior) {
+                    Next::Finish(outcome) => self.finish_session(now, peer_idx, outcome, sched),
+                    Next::Wait(ms) => sched.in_ms(ms, Event::SessionStep { peer: peer_idx }),
                 }
             }
         }
@@ -882,9 +724,9 @@ impl EdonkeyWorld {
     #[allow(clippy::too_many_arguments)]
     fn robot_step(
         &mut self,
-        peer_idx: u32,
+        peer: u32,
         hp: u8,
-        phase: RobotPhase,
+        phase: SessionState,
         remaining: u8,
         conn: u64,
         sched: &mut Scheduler<'_, Event>,
@@ -892,90 +734,53 @@ impl EdonkeyWorld {
         let now = sched.now();
         let robots = self.config.robots;
         let hp_idx = hp as usize;
+        let next = |phase, remaining, conn| Event::RobotStep { peer, hp, phase, remaining, conn };
         // Off periods gate new sessions only; an in-flight session runs out.
-        if phase == RobotPhase::Greet {
-            let off_until = self.robot_off_until[peer_idx as usize];
-            if now < off_until {
-                sched.at(
-                    off_until.plus_millis(u64::from(hp) * 30_000),
-                    Event::RobotStep { peer: peer_idx, hp, phase, remaining, conn },
-                );
-                return;
-            }
+        let off_until = self.robot_off_until[peer as usize];
+        if phase == SessionState::Greet && now < off_until {
+            sched.at(off_until.plus_millis(u64::from(hp) * 30_000), next(phase, remaining, conn));
+            return;
         }
-        let next = |phase: RobotPhase, remaining: u8, conn: u64| Event::RobotStep {
-            peer: peer_idx,
-            hp,
-            phase,
-            remaining,
-            conn,
-        };
+        let (identity, file) = (*self.peers.identity(peer), self.peers.wanted(peer)[0]);
         match phase {
-            RobotPhase::Greet => {
+            SessionState::Greet => {
                 // Automated clients re-poll their server before every
                 // session — the server-side measurement's heavy-tail "top
                 // peers" come from exactly this back-to-back query chain.
-                if self.server.capture_enabled() {
-                    let fid = self.catalog.file(self.peers.wanted(peer_idx)[0]).id;
-                    let session = SERVER_PEER_SESSION_BASE + u64::from(peer_idx);
-                    self.server.get_sources(now, session, fid);
-                }
+                self.capture_repoll(now, peer);
                 let conn = self.next_conn;
                 self.next_conn += 1;
-                let identity = *self.peers.identity(peer_idx);
                 if self.greet(now, hp_idx, conn, &identity).hello_answer {
-                    sched.in_ms(400, next(RobotPhase::Upload, 0, conn));
+                    sched.in_ms(400, next(SessionState::Upload, 0, conn));
                 } else {
                     // Dead source: try again after the lockout.
-                    sched.in_ms(robots.lockout_ms, next(RobotPhase::Greet, 0, 0));
+                    sched.in_ms(robots.lockout_ms, next(SessionState::Greet, 0, 0));
                 }
             }
-            RobotPhase::Upload => {
-                let file = self.peers.wanted(peer_idx)[0];
-                let src_ip = self.peers.identity(peer_idx).ip;
-                let msg = PeerMessage::StartUpload { file_id: self.catalog.file(file).id };
-                self.stats.start_upload_sent += 1;
-                if self.deliver(now, hp_idx, conn, src_ip, &msg).accept_upload {
+            SessionState::Upload => {
+                if self.start_upload(now, hp_idx, conn, identity.ip, file) {
                     let budget = robots.budget.clamp(1, 250) as u8;
-                    sched.in_ms(400, next(RobotPhase::Request, budget, conn));
+                    sched.in_ms(400, next(SessionState::Request, budget, conn));
                 } else {
                     self.honeypots[hp_idx].on_peer_disconnected(ConnId(conn));
-                    sched.in_ms(robots.lockout_ms, next(RobotPhase::Greet, 0, 0));
+                    sched.in_ms(robots.lockout_ms, next(SessionState::Greet, 0, 0));
                 }
             }
-            RobotPhase::Request => {
-                let file = self.catalog.file(self.peers.wanted(peer_idx)[0]);
-                let size = file.size.min(u64::from(u32::MAX - 1));
-                let msg = PeerMessage::RequestParts {
-                    file_id: file.id,
-                    ranges: block_triple(size, u32::from(remaining) * 3),
-                };
-                self.stats.request_parts_sent += 1;
-                let src_ip = self.peers.identity(peer_idx).ip;
-                let got_data = self.deliver(now, hp_idx, conn, src_ip, &msg).sending_part;
+            SessionState::Request => {
+                let cursor = u32::from(remaining) * 3;
+                let got_data = self.request_parts(now, hp_idx, conn, identity.ip, file, cursor);
                 let remaining = remaining.saturating_sub(1);
-                let pace = if got_data {
-                    (exponential(
-                        &mut self.rng_behavior,
-                        1.0 / self.config.behavior.rc_transfer_ms as f64,
-                    ) as u64)
-                        .max(500)
-                } else {
-                    // Near-constant timeout pacing: the smooth no-content
-                    // curve of Fig. 9.
-                    robots.nc_timeout_ms + self.rng_behavior.below(2_000)
-                };
+                let rng = &mut self.rng_behavior;
+                let (pace, off) =
+                    behaviour::robot_pace(&self.config, got_data, remaining == 0, rng);
+                if off {
+                    self.robot_off_until[peer as usize] = now.plus_millis(robots.off_duration_ms);
+                }
                 if remaining == 0 {
-                    // Session over; occasionally the whole robot goes dark
-                    // (the plateaus of Figs. 8-9).
                     self.honeypots[hp_idx].on_peer_disconnected(ConnId(conn));
-                    if self.rng_behavior.chance(robots.off_prob) {
-                        self.robot_off_until[peer_idx as usize] =
-                            now.plus_millis(robots.off_duration_ms);
-                    }
-                    sched.in_ms(pace + robots.lockout_ms, next(RobotPhase::Greet, 0, 0));
+                    sched.in_ms(pace + robots.lockout_ms, next(SessionState::Greet, 0, 0));
                 } else {
-                    sched.in_ms(pace, next(RobotPhase::Request, remaining, conn));
+                    sched.in_ms(pace, next(SessionState::Request, remaining, conn));
                 }
             }
         }
@@ -992,16 +797,6 @@ impl EdonkeyWorld {
         let manager = self.merge.join();
         let log = manager.finalize(duration, shared_final as u32, self.config.name_threshold);
         SimOutput { log, stats: self.stats, relaunches, events_handled: 0 }
-    }
-
-    /// The honeypots (tests & diagnostics).
-    pub fn honeypots(&self) -> &[Honeypot] {
-        &self.honeypots
-    }
-
-    /// Detaches the server capture (to finish it after the run).
-    pub fn take_capture(&mut self) -> Option<ServerCapture> {
-        self.server.take_capture()
     }
 }
 
@@ -1072,36 +867,27 @@ impl World for EdonkeyWorld {
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
         match event {
             Event::ArrivalTick => {
-                let tick = self.config.population.arrival_tick_ms;
-                let rate = self.arrival_rate(now);
-                let n = poisson(&mut self.rng_arrival, rate * tick as f64);
-                for _ in 0..n {
-                    let offset = self.rng_arrival.below(tick);
+                let p = self.config.population;
+                let popularity = self.adverts.popularity(&self.catalog);
+                for _ in 0..behaviour::arrival_count(&p, popularity, &mut self.rng_arrival, now) {
+                    let offset = behaviour::arrival_offset(&p, &mut self.rng_arrival);
                     if let Some(idx) = self.build_arrival(now) {
                         self.stats.arrivals += 1;
                         sched.in_ms(offset, Event::RoundStart { peer: idx });
                     }
                 }
-                sched.in_ms(tick, Event::ArrivalTick);
+                sched.in_ms(p.arrival_tick_ms, Event::ArrivalTick);
             }
             Event::RoundStart { peer } => {
                 if self.peers.done(peer, now, self.config.behavior.abandon_failures) {
                     self.capture_peer_done(now, peer);
                     return;
                 }
-                // Users follow the daily rhythm in their retries too (the
-                // client is off at night): defer rounds falling into
-                // low-activity hours — this, not just arrivals, carries the
-                // day/night oscillation of Fig. 4 into the query volume.
                 let p = &self.config.population;
-                let gate =
-                    p.diurnal.multiplier(now, p.local_offset_hours) / (1.0 + p.diurnal.amplitude);
-                if !self.rng_behavior.chance(gate) {
-                    let delay = 45 * 60_000 + self.rng_behavior.below(45 * 60_000);
-                    sched.in_ms(delay, Event::RoundStart { peer });
-                    return;
+                match behaviour::round_deferral(p, &mut self.rng_behavior, now) {
+                    Some(delay) => sched.in_ms(delay, Event::RoundStart { peer }),
+                    None => self.start_round(now, peer, sched),
                 }
-                self.start_round(now, peer, sched);
             }
             Event::SessionStep { peer } => self.session_step(peer, sched),
             Event::ManagerCheck => {
@@ -1125,9 +911,8 @@ impl World for EdonkeyWorld {
                 self.robot_step(peer, hp, phase, remaining, conn, sched);
             }
             Event::RobotOff { peer, duration_ms } => {
-                let until = now.plus_millis(duration_ms);
                 let slot = &mut self.robot_off_until[peer as usize];
-                *slot = (*slot).max(until);
+                *slot = (*slot).max(now.plus_millis(duration_ms));
             }
             Event::StatusSample => {
                 let _ = self.server.status(now);
@@ -1140,8 +925,7 @@ impl World for EdonkeyWorld {
                 out.server.disconnect(now, idx as u64);
                 self.stats.crashes += 1;
                 if let Some(crash) = self.config.crashes {
-                    let delay =
-                        exponential(&mut self.rng_behavior, 1.0 / crash.mtbf_ms as f64) as u64;
+                    let delay = behaviour::crash_delay(&crash, &mut self.rng_behavior);
                     sched.in_ms(delay.max(60_000), Event::Crash { hp });
                 }
             }
@@ -1267,39 +1051,6 @@ impl ActionSink for WorldSink<'_> {
     }
 }
 
-/// Geometric sample with the given mean (number of successes before
-/// failure); mean 0 yields constant 0.
-fn geometric(rng: &mut Rng, mean: f64) -> u32 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    let p = 1.0 / (1.0 + mean);
-    let u = rng.f64_open();
-    (u.ln() / (1.0 - p).ln()).floor() as u32
-}
-
-/// Samples `k` distinct items from `candidates`, weighted by
-/// `weights[item]` (weights indexed by honeypot id).
-fn weighted_distinct(rng: &mut Rng, candidates: &[u8], weights: &[f64], k: usize) -> Vec<u8> {
-    let k = k.min(candidates.len());
-    let mut pool: Vec<u8> = candidates.to_vec();
-    let mut out = Vec::with_capacity(k);
-    for _ in 0..k {
-        let total: f64 = pool.iter().map(|&c| weights[c as usize]).sum();
-        let mut x = rng.f64() * total;
-        let mut chosen = pool.len() - 1;
-        for (i, &c) in pool.iter().enumerate() {
-            x -= weights[c as usize];
-            if x <= 0.0 {
-                chosen = i;
-                break;
-            }
-        }
-        out.push(pool.swap_remove(chosen));
-    }
-    out
-}
-
 /// The three consecutive block ranges starting at block index `cursor`,
 /// wrapped within the first part of a file of `size` bytes (u32 offsets per
 /// the classic protocol).
@@ -1318,56 +1069,11 @@ fn block_triple(size: u64, cursor: u32) -> [PartRange; 3] {
 
 /// Runs a scenario end-to-end and returns its output.
 ///
-/// Dispatches on [`crate::config::QueueKind`] once, up front; all three
-/// queues produce byte-identical output (see `tests/determinism.rs`), so
-/// the queue choice only affects wall-clock time.
+/// All three [`QueueKind`]s produce byte-identical output (see
+/// `tests/determinism.rs`), so the queue choice only affects wall-clock
+/// time.
 pub fn run_scenario(config: ScenarioConfig) -> SimOutput {
-    match config.queue {
-        QueueKind::Heap => run_scenario_on(config, EventQueue::new()),
-        QueueKind::Calendar => run_scenario_on(config, CalendarQueue::for_simulation()),
-        QueueKind::Wheel => run_scenario_on(config, TimingWheel::for_simulation()),
-    }
-}
-
-/// [`run_scenario`] on a concrete queue.
-fn run_scenario_on<Q: PendingQueue<Event>>(config: ScenarioConfig, queue: Q) -> SimOutput {
-    let duration = config.duration;
-    // Phase spans keyed on deterministic sim quantities only (duration,
-    // seed, event counts) — the trace is as reproducible as the run, and
-    // recording it cannot change the measurement (tests/obs_purity.rs in
-    // the sim crate pins this).
-    netsim::obs_event!(
-        netsim::obs::Level::Trace,
-        "sim",
-        "scenario_setup",
-        seed = config.seed,
-        duration_ms = duration.as_millis()
-    );
-    let mut engine = Engine::with_queue(queue);
-    let mut world = EdonkeyWorld::new(config, &mut engine);
-    netsim::obs_event!(
-        netsim::obs::Level::Trace,
-        "sim",
-        "scenario_run",
-        duration_ms = duration.as_millis()
-    );
-    engine.run_until(&mut world, duration);
-    netsim::obs_event!(
-        netsim::obs::Level::Trace,
-        "sim",
-        "scenario_finalize",
-        events_handled = engine.events_handled()
-    );
-    let mut out = world.finish(duration);
-    out.events_handled = engine.events_handled();
-    netsim::obs_event!(
-        netsim::obs::Level::Trace,
-        "sim",
-        "scenario_done",
-        events_handled = out.events_handled,
-        records = out.log.records.len()
-    );
-    out
+    run_scenario_on(config, None).0
 }
 
 /// Result of a capture-enabled run: the usual honeypot measurement plus
@@ -1388,30 +1094,67 @@ pub fn run_scenario_with_capture(
     config: ScenarioConfig,
     dir: &std::path::Path,
 ) -> std::io::Result<CaptureRunOutput> {
-    fn on<Q: PendingQueue<Event>>(
-        config: ScenarioConfig,
-        queue: Q,
-        capture: ServerCapture,
-    ) -> std::io::Result<CaptureRunOutput> {
-        let duration = config.duration;
-        let mut engine = Engine::with_queue(queue);
-        let mut world = EdonkeyWorld::new_with_capture(config, &mut engine, Some(capture));
-        engine.run_until(&mut world, duration);
-        let capture = world.take_capture().expect("capture attached");
-        let capture_degraded = capture.degraded();
-        let capture_dropped = capture.dropped();
-        let capture = capture.finish()?;
-        let mut output = world.finish(duration);
-        output.events_handled = engine.events_handled();
-        Ok(CaptureRunOutput { output, capture, capture_degraded, capture_dropped })
-    }
     let cap_cfg = config.server_capture.unwrap_or_default();
     let capture = ServerCapture::create(dir, cap_cfg.frame_records, cap_cfg.segment_bytes)?;
+    let (output, capture) = run_scenario_on(config, Some(capture));
+    let capture = capture.expect("capture attached");
+    let (capture_degraded, capture_dropped) = (capture.degraded(), capture.dropped());
+    let capture = capture.finish()?;
+    Ok(CaptureRunOutput { output, capture, capture_degraded, capture_dropped })
+}
+
+/// Runs a scenario with an optional server capture attached, on the queue
+/// [`ScenarioConfig::queue`] names; hands the capture back unfinished.
+fn run_scenario_on(
+    config: ScenarioConfig,
+    capture: Option<ServerCapture>,
+) -> (SimOutput, Option<ServerCapture>) {
     match config.queue {
-        QueueKind::Heap => on(config, EventQueue::new(), capture),
-        QueueKind::Calendar => on(config, CalendarQueue::for_simulation(), capture),
-        QueueKind::Wheel => on(config, TimingWheel::for_simulation(), capture),
+        QueueKind::Heap => run_on(config, EventQueue::new(), capture),
+        QueueKind::Calendar => run_on(config, CalendarQueue::for_simulation(), capture),
+        QueueKind::Wheel => run_on(config, TimingWheel::for_simulation(), capture),
     }
+}
+
+/// [`run_scenario_on`] on a concrete queue.
+fn run_on<Q: PendingQueue<Event>>(
+    config: ScenarioConfig,
+    queue: Q,
+    capture: Option<ServerCapture>,
+) -> (SimOutput, Option<ServerCapture>) {
+    let duration = config.duration;
+    // Phase spans keyed on deterministic sim quantities only (duration,
+    // seed, event counts) — the trace is as reproducible as the run, and
+    // recording it cannot change the measurement (the workspace root's
+    // tests/obs_purity.rs pins this).
+    netsim::obs_event!(
+        Level::Trace,
+        "sim",
+        "scenario_setup",
+        seed = config.seed,
+        duration_ms = duration.as_millis()
+    );
+    let mut engine = Engine::with_queue(queue);
+    let mut world = EdonkeyWorld::new_with_capture(config, &mut engine, capture);
+    netsim::obs_event!(Level::Trace, "sim", "scenario_run", duration_ms = duration.as_millis());
+    engine.run_until(&mut world, duration);
+    netsim::obs_event!(
+        Level::Trace,
+        "sim",
+        "scenario_finalize",
+        events_handled = engine.events_handled()
+    );
+    let capture = world.server.take_capture();
+    let mut out = world.finish(duration);
+    out.events_handled = engine.events_handled();
+    netsim::obs_event!(
+        Level::Trace,
+        "sim",
+        "scenario_done",
+        events_handled = out.events_handled,
+        records = out.log.records.len()
+    );
+    (out, capture)
 }
 
 #[cfg(test)]
@@ -1419,32 +1162,6 @@ mod tests {
     use super::*;
     use honeypot::QueryKind;
     use std::collections::HashSet;
-
-    #[test]
-    fn geometric_mean_approximately_right() {
-        let mut rng = Rng::seed_from(1);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| f64::from(geometric(&mut rng, 3.0))).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
-        assert_eq!(geometric(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn weighted_distinct_is_distinct_and_biased() {
-        let mut rng = Rng::seed_from(2);
-        let candidates = [0u8, 1, 2, 3];
-        let weights = [10.0, 1.0, 1.0, 1.0];
-        let mut count0 = 0;
-        for _ in 0..2_000 {
-            let s = weighted_distinct(&mut rng, &candidates, &weights, 2);
-            assert_eq!(s.len(), 2);
-            assert_ne!(s[0], s[1]);
-            if s.contains(&0) {
-                count0 += 1;
-            }
-        }
-        assert!(count0 > 1_500, "heavy item picked in {count0}/2000 pairs");
-    }
 
     #[test]
     fn block_triple_within_bounds() {
@@ -1518,7 +1235,7 @@ mod tests {
         let mut world = EdonkeyWorld::new(config, &mut engine);
         engine.run_until(&mut world, duration);
         assert!(world.stats.sessions > 200, "{} sessions", world.stats.sessions);
-        for (h, hp) in world.honeypots().iter().enumerate() {
+        for (h, hp) in world.honeypots.iter().enumerate() {
             let peer_sessions = (0..world.peers.len() as u32)
                 .filter(|&p| world.peers.session(p).is_some_and(|s| usize::from(s.hp) == h))
                 .count();

@@ -11,10 +11,16 @@
 use std::fs;
 use std::path::PathBuf;
 
+use edonkey_proto::md4::{md4, to_hex};
 use edonkey_sim::{
     run_scenario, run_scenario_with_capture, QueueKind, ScenarioConfig, ServerCaptureConfig,
 };
 use honeypot::serverlog::{ServerLogReader, ServerQueryKind, SERVER_PEER_SESSION_BASE};
+
+/// The Heap run's record count and the MD4 of its segment files, in name
+/// order: the capture is pinned absolutely, not only across queues.
+const HEAP_CAPTURE_RECORDS: u64 = 1_054;
+const HEAP_CAPTURE_MD4: &str = "9421f47510068a6c307ed8e6d5019bb2";
 
 fn capture_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::tiny(seed).scaled(0.5);
@@ -110,6 +116,8 @@ fn capture_files_identical_across_queues() {
     }
     let (_, records0, bytes0) = &captures[0];
     assert!(!bytes0.is_empty(), "the capture must have written segment files");
+    assert_eq!(*records0, HEAP_CAPTURE_RECORDS, "Heap record count");
+    assert_eq!(to_hex(&md4(&bytes0.concat())), HEAP_CAPTURE_MD4, "Heap capture bytes changed");
     for (queue, records, bytes) in &captures[1..] {
         assert_eq!(records, records0, "{queue:?} record count");
         assert_eq!(bytes, bytes0, "{queue:?} capture must be byte-identical to Heap");

@@ -33,8 +33,12 @@ fn fig02_shape_linear_growth_without_saturation() {
 fn fig04_shape_day_night_oscillation_and_fast_first_query() {
     let ix = LogIndex::build(&distributed());
     let hourly = ix.hourly_counts(QueryKind::Hello);
+    // The bound sits between the two bands at this scale (0.02), seeds
+    // 40/1/2/3: calibrated 8.44/6.30/6.77/6.71, and 2.68/2.59/2.51/2.59
+    // with the diurnal mechanism removed (`DiurnalCurve::flat()`), so a
+    // world without it fails here.
     assert!(
-        hourly.day_night_ratio() > 2.0,
+        hourly.day_night_ratio() > 4.0,
         "day/night oscillation missing: ratio {}",
         hourly.day_night_ratio()
     );
