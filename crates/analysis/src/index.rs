@@ -11,7 +11,7 @@
 //!   (Figs. 4 and 7);
 //! * the top START-UPLOAD peer's own per-`(strategy, kind)` daily series
 //!   (Figs. 8–9);
-//! * per-honeypot and per-file distinct-peer bitsets (Figs. 10–12);
+//! * per-honeypot and per-file distinct-peer member lists (Figs. 10–12);
 //! * per-file first-seen times including shared-list observations
 //!   (Table I's distinct-file count and growth).
 //!
@@ -23,12 +23,13 @@
 //! # Streaming
 //! The scan lives in [`IndexBuilder`], which consumes records in any
 //! chunking (whole log, storage-decode batches, one at a time) with
-//! order-insensitive folds (min / add / bitwise or), so any partition of
-//! the same records yields the same index.  The top peer is only known once
-//! every record has been counted, and records are honeypot-major rather
-//! than time-ordered, so [`IndexBuilder::finish`] makes a second pass over
-//! the records for that one peer's series.  [`LogIndex::build`] is the
-//! builder driven over a whole in-memory log.
+//! order-insensitive folds (min / add / bitwise or / collect without
+//! repeats, sorted at the end), so any partition of the same records yields
+//! the same index.  The top peer is only known once every record has been
+//! counted, and records are honeypot-major rather than time-ordered, so
+//! [`IndexBuilder::finish`] makes a second pass over the records for that
+//! one peer's series.  [`LogIndex::build`] is the builder driven over a
+//! whole in-memory log.
 
 use std::collections::HashMap;
 
@@ -126,13 +127,29 @@ fn padded(v: &[u64], len: usize) -> Vec<u64> {
     v
 }
 
+/// Keeps the first occurrence of each peer in `members`, in order.
+/// `seen` is a zeroed bitset over the universe, and is zeroed again on
+/// return.
+fn drop_repeats(members: &mut Vec<u32>, seen: &mut [u64]) {
+    members.retain(|&p| {
+        let (word, bit) = (p as usize / 64, 1u64 << (p % 64));
+        let first = seen[word] & bit == 0;
+        seen[word] |= bit;
+        first
+    });
+    for &p in members.iter() {
+        seen[p as usize / 64] = 0;
+    }
+}
+
 /// Incremental construction of a [`LogIndex`].
 ///
 /// The builder is seeded from the measurement *header* — distinct-peer
 /// count, honeypot strategies, duration — and then fed records in any
 /// chunking: whole log, storage-decode batches, or one at a time.  Every
 /// accumulation is order- and chunking-insensitive (min / add / bitwise
-/// or), so any partition of the same records yields the same index.
+/// or / collect without repeats, sorted in [`IndexBuilder::finish`]), so
+/// any partition of the same records yields the same index.
 pub struct IndexBuilder {
     universe: usize,
     days: usize,
@@ -144,8 +161,17 @@ pub struct IndexBuilder {
     hourly: [Vec<u64>; KINDS],
     daily: Cells,
     kind_first_ms: [u64; KINDS],
-    honeypot_peers: Vec<PeerSet>,
-    file_peers: HashMap<u32, PeerSet>,
+    /// One universe-wide bitset per honeypot: a single honeypot sees a
+    /// large share of all peers, so words beat member lists while
+    /// building.
+    honeypot_words: Vec<Vec<u64>>,
+    /// START-UPLOAD peers per file, in arrival order.  A list drops its
+    /// repeats whenever it is full, so it holds at most about four times
+    /// the file's distinct peers: the distributed run's four files see
+    /// each of their peers ≈ 20 times.
+    file_peers: HashMap<u32, Vec<u32>>,
+    /// Scratch for [`drop_repeats`], all zero between calls.
+    seen: Vec<u64>,
     file_first: Vec<u64>,
 }
 
@@ -171,8 +197,9 @@ impl IndexBuilder {
             hourly: Default::default(),
             daily: Cells::default(),
             kind_first_ms: [NEVER; KINDS],
-            honeypot_peers: (0..strategies.len()).map(|_| PeerSet::new(universe)).collect(),
+            honeypot_words: vec![vec![0; universe.div_ceil(64)]; strategies.len()],
             file_peers: HashMap::new(),
+            seen: vec![0; universe.div_ceil(64)],
             file_first: Vec::new(),
         }
     }
@@ -189,14 +216,16 @@ impl IndexBuilder {
         bump_ragged(&mut self.hourly[k], (at / MS_PER_HOUR) as usize);
         bump_ragged(&mut self.daily[s][k], (at / MS_PER_DAY) as usize);
         self.kind_first_ms[k] = self.kind_first_ms[k].min(at);
-        self.honeypot_peers[r.honeypot as usize].insert(r.peer.0);
+        self.honeypot_words[r.honeypot as usize][peer / 64] |= 1u64 << (peer % 64);
         if r.file != FILE_NONE {
             observe_ragged(&mut self.file_first, r.file as usize, at);
             if r.kind == QueryKind::StartUpload {
-                self.file_peers
-                    .entry(r.file)
-                    .or_insert_with(|| PeerSet::new(self.universe))
-                    .insert(r.peer.0);
+                let members = self.file_peers.entry(r.file).or_default();
+                if members.len() == members.capacity() {
+                    drop_repeats(members, &mut self.seen);
+                    members.reserve(members.len().max(4));
+                }
+                members.push(r.peer.0);
             }
         }
     }
@@ -232,7 +261,15 @@ impl IndexBuilder {
                 );
             }
         }
-        let mut file_peers: Vec<(u32, PeerSet)> = self.file_peers.into_iter().collect();
+        let mut seen = self.seen;
+        let mut file_peers: Vec<(u32, PeerSet)> = self
+            .file_peers
+            .into_iter()
+            .map(|(file, mut peers)| {
+                drop_repeats(&mut peers, &mut seen);
+                (file, PeerSet::from_members(peers))
+            })
+            .collect();
         file_peers.sort_by_key(|(f, _)| *f);
         LogIndex {
             universe: self.universe,
@@ -243,7 +280,7 @@ impl IndexBuilder {
             hourly: self.hourly,
             daily: self.daily,
             kind_first_ms: self.kind_first_ms,
-            honeypot_peers: self.honeypot_peers,
+            honeypot_peers: self.honeypot_words.iter().map(|w| PeerSet::from_words(w)).collect(),
             file_peers,
             file_first: self.file_first,
             top_daily,

@@ -120,21 +120,20 @@ fn peer_series(log: &MeasurementLog, peer: AnonPeerId, kind: QueryKind) -> Strat
 }
 
 fn peer_sets_by_honeypot(log: &MeasurementLog) -> Vec<PeerSet> {
-    let universe = log.distinct_peers as usize;
-    let mut sets: Vec<PeerSet> = (0..log.honeypots.len()).map(|_| PeerSet::new(universe)).collect();
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); log.honeypots.len()];
     for r in &log.records {
-        sets[r.honeypot as usize].insert(r.peer.0);
+        members[r.honeypot as usize].push(r.peer.0);
     }
-    sets
+    members.into_iter().map(PeerSet::from_members).collect()
 }
 
 fn peer_sets_by_file(log: &MeasurementLog) -> Vec<(u32, PeerSet)> {
-    let universe = log.distinct_peers as usize;
-    let mut by_file: HashMap<u32, PeerSet> = HashMap::new();
+    let mut by_file: HashMap<u32, Vec<u32>> = HashMap::new();
     for r in log.records_of(QueryKind::StartUpload).filter(|r| r.file != FILE_NONE) {
-        by_file.entry(r.file).or_insert_with(|| PeerSet::new(universe)).insert(r.peer.0);
+        by_file.entry(r.file).or_default().push(r.peer.0);
     }
-    let mut out: Vec<(u32, PeerSet)> = by_file.into_iter().collect();
+    let mut out: Vec<(u32, PeerSet)> =
+        by_file.into_iter().map(|(f, peers)| (f, PeerSet::from_members(peers))).collect();
     out.sort_by_key(|(f, _)| *f);
     out
 }
@@ -276,18 +275,9 @@ fn assert_index_matches_scans(ix: &LogIndex, log: &MeasurementLog, case: &str) {
     }
     assert_top_series_eq(ix, log, case);
 
-    // Figs. 10–12 input bitsets (PeerSet has no PartialEq; the Debug
-    // rendering covers the exact words).
-    assert_eq!(
-        format!("{:?}", ix.honeypot_peer_sets()),
-        format!("{:?}", peer_sets_by_honeypot(log)),
-        "{case}: honeypot peer sets"
-    );
-    assert_eq!(
-        format!("{:?}", ix.file_peer_sets()),
-        format!("{:?}", peer_sets_by_file(log)),
-        "{case}: file peer sets"
-    );
+    // Figs. 10–12 input sets.
+    assert_eq!(ix.honeypot_peer_sets(), peer_sets_by_honeypot(log), "{case}: honeypot peer sets");
+    assert_eq!(ix.file_peer_sets(), peer_sets_by_file(log), "{case}: file peer sets");
 
     // The runner's self-check.
     assert_eq!(ix.recount_distinct_peers(), peer_growth_filtered(log, None).total(), "{case}");
@@ -354,13 +344,35 @@ fn streaming_builder_matches_one_shot_build_for_any_chunking() {
         }
         assert_top_series_eq(&ix, &log, &case);
         assert_eq!(
-            format!("{:?}", ix.honeypot_peer_sets()),
-            format!("{:?}", reference.honeypot_peer_sets()),
-            "bitsets must be identical under {case}"
+            ix.honeypot_peer_sets(),
+            reference.honeypot_peer_sets(),
+            "sets must be identical under {case}"
         );
-        assert_eq!(
-            format!("{:?}", ix.file_peer_sets()),
-            format!("{:?}", reference.file_peer_sets()),
-        );
+        assert_eq!(ix.file_peer_sets(), reference.file_peer_sets(), "{case}");
+    }
+}
+
+#[test]
+fn file_sets_are_sorted_distinct_and_independent_of_record_order() {
+    for seed in 0..16u64 {
+        let log = random_log(seed);
+        let reference = LogIndex::build(&log);
+        for (_, set) in reference.file_peer_sets() {
+            assert!(set.count() > 0, "seed {seed}: a listed file has a START-UPLOAD peer");
+            assert!(set.members().windows(2).all(|w| w[0] < w[1]), "seed {seed}: {set:?}");
+        }
+        // The same records shuffled, pushed in ragged chunks.
+        let mut records = log.records.clone();
+        Rng::seed_from(seed).shuffle(&mut records);
+        for chunk in [1usize, 5, 64] {
+            let mut b = IndexBuilder::for_log(&log);
+            for part in records.chunks(chunk) {
+                b.push_records(part);
+            }
+            let ix = b.finish(&records);
+            let case = format!("seed {seed}, shuffled, chunk size {chunk}");
+            assert_eq!(ix.file_peer_sets(), reference.file_peer_sets(), "{case}");
+            assert_eq!(ix.honeypot_peer_sets(), reference.honeypot_peer_sets(), "{case}");
+        }
     }
 }

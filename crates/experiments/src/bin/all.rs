@@ -1,9 +1,10 @@
 //! Runs both measurements once (concurrently — they are independent
 //! seeded simulations), builds one [`LogIndex`] per log, regenerates every
 //! table and figure from the shared indexes, and rewrites `EXPERIMENTS.md`
-//! with paper-vs-measured values.  Per-phase wall-clock timings and the
-//! process's peak RSS go to stderr so `--scale` sweeps can attribute time
-//! to simulate / index / figures and see the memory they took.
+//! with paper-vs-measured values.  Per-phase wall-clock timings, the peak
+//! RSS reached by the end of each phase and the process's final peak RSS go
+//! to stderr so `--scale` sweeps can attribute time and memory to
+//! simulate / index / figures.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -89,8 +90,9 @@ fn main() {
         (d.join().expect("distributed run"), g.join().expect("greedy run"))
     });
     eprintln!(
-        "[all] phase simulate: {:.2}s (both measurements, concurrent)",
-        t_phase.elapsed().as_secs_f64()
+        "[all] phase simulate: {:.2}s (both measurements, concurrent; {})",
+        t_phase.elapsed().as_secs_f64(),
+        vm_hwm()
     );
 
     let t_phase = Instant::now();
@@ -99,15 +101,16 @@ fn main() {
     assert_eq!(dist_ix.recount_distinct_peers(), u64::from(dist.distinct_peers));
     assert_eq!(greedy_ix.recount_distinct_peers(), u64::from(greedy.distinct_peers));
     eprintln!(
-        "[all] phase index: {:.2}s ({} records, {} client entries)",
+        "[all] phase index: {:.2}s ({} records, {} client entries; {})",
         t_phase.elapsed().as_secs_f64(),
         dist.records.len() + greedy.records.len(),
-        dist.clients.len() + greedy.clients.len()
+        dist.clients.len() + greedy.clients.len(),
+        vm_hwm()
     );
 
     let t_phase = Instant::now();
     let artefacts = figures::all(&dist, &greedy, &dist_ix, &greedy_ix, opts.samples, opts.seed);
-    eprintln!("[all] phase figures: {:.2}s", t_phase.elapsed().as_secs_f64());
+    eprintln!("[all] phase figures: {:.2}s ({})", t_phase.elapsed().as_secs_f64(), vm_hwm());
 
     for (_, a) in &artefacts {
         println!("{}\n", a.text);
@@ -131,6 +134,12 @@ fn main() {
     if let Some(kb) = edonkey_experiments::peak_rss_kb() {
         eprintln!("[all] peak RSS: {} MB", kb / 1024);
     }
+}
+
+/// The peak RSS so far, for the phase lines: `VmHWM N MB`.
+fn vm_hwm() -> String {
+    edonkey_experiments::peak_rss_kb()
+        .map_or_else(|| "VmHWM unknown".to_string(), |kb| format!("VmHWM {} MB", kb / 1024))
 }
 
 /// Every artefact's data under its id.

@@ -177,7 +177,7 @@ mod tests {
         assert!(!sets.is_empty());
         // Coverage keeps growing with more target files (the paper's
         // conclusion that bigger target sets pay off).
-        let curves = subset_curve(&sets.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(), 10, 1);
+        let curves = subset_curve(&sets.iter().map(|(_, s)| s).collect::<Vec<_>>(), 10, 1);
         assert!(curves.last().unwrap().avg >= curves[0].avg);
     }
 
