@@ -78,7 +78,8 @@ pub struct LogIndex {
     /// Measurement duration in whole hours (≥ 1).
     hours: usize,
     /// `first_seen[s][k][peer]` = earliest time (ms) peer sent kind `k` to
-    /// a honeypot of strategy `s`; [`NEVER`] if it never did.
+    /// a honeypot of strategy `s`; [`NEVER`] if it never did.  Empty for a
+    /// strategy no honeypot uses, where every peer reads as never seen.
     first_seen: Cells,
     /// `counts[k][peer]` = number of records of kind `k` from `peer`.
     counts: [Vec<u64>; KINDS],
@@ -187,12 +188,21 @@ impl IndexBuilder {
     /// is never materialised in memory.
     pub fn new(distinct_peers: u32, strategies: &[ContentStrategy], duration: SimTime) -> Self {
         let universe = distinct_peers as usize;
+        // Only a strategy some honeypot uses gets per-peer cells.
+        let peers_of = |s: usize| {
+            let used = strategies.iter().any(|&c| strategy_idx(c) == s);
+            if used {
+                vec![NEVER; universe]
+            } else {
+                Vec::new()
+            }
+        };
         IndexBuilder {
             universe,
             days: duration.as_millis().div_ceil(MS_PER_DAY).max(1) as usize,
             hours: duration.as_millis().div_ceil(MS_PER_HOUR).max(1) as usize,
             strategy_of: strategies.iter().map(|&s| strategy_idx(s)).collect(),
-            first_seen: std::array::from_fn(|_| std::array::from_fn(|_| vec![NEVER; universe])),
+            first_seen: std::array::from_fn(|s| std::array::from_fn(|_| peers_of(s))),
             counts: std::array::from_fn(|_| vec![0; universe]),
             hourly: Default::default(),
             daily: Cells::default(),
@@ -206,9 +216,10 @@ impl IndexBuilder {
 
     /// Accumulates one record.
     pub fn push_record(&mut self, r: &AnonRecord) {
-        let at = r.at.as_millis();
-        let k = kind_idx(r.kind);
-        let s = self.strategy_of[r.honeypot as usize];
+        let at = r.at().as_millis();
+        let k = kind_idx(r.kind());
+        let hp = r.honeypot() as usize;
+        let s = self.strategy_of[hp];
         let peer = r.peer.0 as usize;
         let fs = &mut self.first_seen[s][k][peer];
         *fs = (*fs).min(at);
@@ -216,10 +227,10 @@ impl IndexBuilder {
         bump_ragged(&mut self.hourly[k], (at / MS_PER_HOUR) as usize);
         bump_ragged(&mut self.daily[s][k], (at / MS_PER_DAY) as usize);
         self.kind_first_ms[k] = self.kind_first_ms[k].min(at);
-        self.honeypot_words[r.honeypot as usize][peer / 64] |= 1u64 << (peer % 64);
+        self.honeypot_words[hp][peer / 64] |= 1u64 << (peer % 64);
         if r.file != FILE_NONE {
             observe_ragged(&mut self.file_first, r.file as usize, at);
-            if r.kind == QueryKind::StartUpload {
+            if k == kind_idx(QueryKind::StartUpload) {
                 let members = self.file_peers.entry(r.file).or_default();
                 if members.len() == members.capacity() {
                     drop_repeats(members, &mut self.seen);
@@ -254,10 +265,10 @@ impl IndexBuilder {
         let mut top_daily = Cells::default();
         if let Some(top) = busiest(&self.counts[kind_idx(QueryKind::StartUpload)]) {
             for r in records.iter().filter(|r| r.peer == top) {
-                let s = self.strategy_of[r.honeypot as usize];
+                let s = self.strategy_of[r.honeypot() as usize];
                 bump_ragged(
-                    &mut top_daily[s][kind_idx(r.kind)],
-                    (r.at.as_millis() / MS_PER_DAY) as usize,
+                    &mut top_daily[s][kind_idx(r.kind())],
+                    (r.at().as_millis() / MS_PER_DAY) as usize,
                 );
             }
         }
@@ -348,7 +359,8 @@ impl LogIndex {
         merged
     }
 
-    /// Per-peer first-seen times for one `(strategy, kind)` cell.
+    /// Per-peer first-seen times for one `(strategy, kind)` cell; empty
+    /// when no honeypot uses `strategy`.
     pub(crate) fn peer_first_cell(&self, strategy: ContentStrategy, kind: QueryKind) -> &[u64] {
         &self.first_seen[strategy_idx(strategy)][kind_idx(kind)]
     }
@@ -444,6 +456,29 @@ mod tests {
         assert_eq!(ix.honeypot_peer_sets().len(), 2, "fixture always has 2 honeypots");
         assert!(ix.honeypot_peer_sets().iter().all(|s| s.count() == 0));
         assert!(ix.file_peer_sets().is_empty());
+    }
+
+    #[test]
+    fn a_strategy_without_honeypots_gets_no_cells_and_reads_as_never_seen() {
+        let day = SimTime::from_days(1);
+        let peer = honeypot::AnonPeerId;
+        let records = [
+            AnonRecord::new(day, peer(1), 0, 0, QueryKind::StartUpload, true),
+            AnonRecord::new(day, peer(0), FILE_NONE, 0, QueryKind::Hello, true),
+        ];
+        let mut builder =
+            IndexBuilder::new(2, &[ContentStrategy::NoContent], SimTime::from_days(3));
+        builder.push_records(&records);
+        let ix = builder.finish(&records);
+        for kind in [QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart] {
+            assert!(ix.peer_first_cell(ContentStrategy::RandomContent, kind).is_empty());
+            assert_eq!(ix.peer_first_cell(ContentStrategy::NoContent, kind).len(), 2);
+            let by_strategy = ix.distinct_peers_by_strategy(kind);
+            assert_eq!(by_strategy.random_content, [0, 0, 0], "{kind:?}");
+        }
+        assert_eq!(ix.distinct_peers_by_strategy(QueryKind::StartUpload).no_content, [0, 1, 1]);
+        assert_eq!(ix.peer_first_merged(None), [day.as_millis(); 2]);
+        assert_eq!(ix.peer_first_merged(Some(QueryKind::RequestPart)), [NEVER; 2]);
     }
 
     #[test]

@@ -32,8 +32,8 @@ impl IdStatusBreakdown {
 /// server sessions; the first observation wins, as in the logs).
 pub fn id_status_breakdown(log: &MeasurementLog) -> IdStatusBreakdown {
     let mut seen: HashMap<u32, IdStatus> = HashMap::new();
-    for r in &log.records {
-        seen.entry(r.peer.0).or_insert(log.client_of(r).id_status);
+    for (r, client) in log.records_with_clients() {
+        seen.entry(r.peer.0).or_insert(client.id_status);
     }
     let mut out = IdStatusBreakdown { high: 0, low: 0 };
     for s in seen.values() {
@@ -48,8 +48,8 @@ pub fn id_status_breakdown(log: &MeasurementLog) -> IdStatusBreakdown {
 /// Distinct peers per client-software name, descending.
 pub fn client_software(log: &MeasurementLog) -> Vec<(String, u64)> {
     let mut first_name: HashMap<u32, u32> = HashMap::new();
-    for r in &log.records {
-        first_name.entry(r.peer.0).or_insert(log.client_of(r).name);
+    for (r, client) in log.records_with_clients() {
+        first_name.entry(r.peer.0).or_insert(client.name);
     }
     let mut counts: HashMap<u32, u64> = HashMap::new();
     for &n in first_name.values() {
@@ -93,7 +93,7 @@ pub fn queries_per_peer_histogram(log: &MeasurementLog, kind: QueryKind) -> Vec<
 pub fn honeypot_load_gini(log: &MeasurementLog) -> f64 {
     let mut loads = vec![0u64; log.honeypots.len()];
     for r in &log.records {
-        loads[r.honeypot as usize] += 1;
+        loads[r.honeypot() as usize] += 1;
     }
     gini(&loads)
 }

@@ -48,8 +48,8 @@ pub fn synthetic_log_with_files(entries: &[(u32, QueryKind, u32, SimTime, u32)])
                 version: 0x49,
             };
             let peer = AnonPeerId(peer);
-            let client = clients.push(peer, client);
-            AnonRecord { at, peer, file, client, honeypot: hp as u16, kind }
+            let new_client = clients.push(peer, client);
+            AnonRecord::new(at, peer, file, hp, kind, new_client)
         })
         .collect();
 

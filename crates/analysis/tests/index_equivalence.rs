@@ -37,8 +37,8 @@ fn growth_of<K: Eq + std::hash::Hash>(first: &FirstSeen<K>, days: usize) -> Peer
 
 fn peer_growth_filtered(log: &MeasurementLog, kind: Option<QueryKind>) -> PeerGrowth {
     let mut first: FirstSeen<AnonPeerId> = FirstSeen::new();
-    for r in log.records.iter().filter(|r| kind.is_none_or(|k| r.kind == k)) {
-        first.observe(r.peer, r.at);
+    for r in log.records.iter().filter(|r| kind.is_none_or(|k| r.kind() == k)) {
+        first.observe(r.peer, r.at());
     }
     growth_of(&first, days_of(log))
 }
@@ -46,7 +46,7 @@ fn peer_growth_filtered(log: &MeasurementLog, kind: Option<QueryKind>) -> PeerGr
 fn file_growth(log: &MeasurementLog) -> PeerGrowth {
     let mut first: FirstSeen<u32> = FirstSeen::new();
     for r in log.records.iter().filter(|r| r.file != FILE_NONE) {
-        first.observe(r.file, r.at);
+        first.observe(r.file, r.at());
     }
     for l in &log.shared_lists {
         for &f in &l.files {
@@ -59,14 +59,14 @@ fn file_growth(log: &MeasurementLog) -> PeerGrowth {
 fn hourly_counts(log: &MeasurementLog, kind: QueryKind) -> HourlySeries {
     let mut series = BucketSeries::hourly();
     for r in log.records_of(kind) {
-        series.record(r.at);
+        series.record(r.at());
     }
     let hours = log.duration.as_millis().div_ceil(MS_PER_HOUR).max(1) as usize;
     HourlySeries { counts: series.to_vec(hours) }
 }
 
 fn first_event_ms(log: &MeasurementLog, kind: QueryKind) -> Option<u64> {
-    log.records_of(kind).map(|r| r.at.as_millis()).min()
+    log.records_of(kind).map(|r| r.at().as_millis()).min()
 }
 
 fn is_random_content(log: &MeasurementLog, hp: u16) -> bool {
@@ -77,8 +77,8 @@ fn distinct_peers_by_strategy(log: &MeasurementLog, kind: QueryKind) -> Strategy
     let mut rc: FirstSeen<AnonPeerId> = FirstSeen::new();
     let mut nc: FirstSeen<AnonPeerId> = FirstSeen::new();
     for r in log.records_of(kind) {
-        let group = if is_random_content(log, r.honeypot) { &mut rc } else { &mut nc };
-        group.observe(r.peer, r.at);
+        let group = if is_random_content(log, r.honeypot()) { &mut rc } else { &mut nc };
+        group.observe(r.peer, r.at());
     }
     let days = days_of(log);
     StrategyComparison {
@@ -97,8 +97,8 @@ fn messages_by_strategy(
     let mut rc = BucketSeries::daily();
     let mut nc = BucketSeries::daily();
     for r in log.records_of(kind).filter(|r| from(r.peer)) {
-        let group = if is_random_content(log, r.honeypot) { &mut rc } else { &mut nc };
-        group.record(r.at);
+        let group = if is_random_content(log, r.honeypot()) { &mut rc } else { &mut nc };
+        group.record(r.at());
     }
     let days = days_of(log);
     StrategyComparison { random_content: rc.cumulative(days), no_content: nc.cumulative(days) }
@@ -122,7 +122,7 @@ fn peer_series(log: &MeasurementLog, peer: AnonPeerId, kind: QueryKind) -> Strat
 fn peer_sets_by_honeypot(log: &MeasurementLog) -> Vec<PeerSet> {
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); log.honeypots.len()];
     for r in &log.records {
-        members[r.honeypot as usize].push(r.peer.0);
+        members[r.honeypot() as usize].push(r.peer.0);
     }
     members.into_iter().map(PeerSet::from_members).collect()
 }

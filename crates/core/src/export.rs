@@ -27,16 +27,15 @@ pub fn write_query_trace(log: &MeasurementLog, mut w: impl Write) -> io::Result<
         w,
         "#timestamp_ms\thoneypot\tkind\tpeer\tport\tid_status\tuser_hash\tclient_name\tversion\tfile_hash"
     )?;
-    for r in &log.records {
-        let c = log.client_of(r);
+    for (r, c) in log.records_with_clients() {
         let file =
             if r.file == FILE_NONE { "-".to_string() } else { log.files.id(r.file).to_hex() };
         writeln!(
             w,
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.at.as_millis(),
-            r.honeypot,
-            r.kind.name(),
+            r.at().as_millis(),
+            r.honeypot(),
+            r.kind().name(),
             r.peer.0,
             c.port,
             match c.id_status {
@@ -114,22 +113,22 @@ mod tests {
                 server: ServerInfo::new("s", Ipv4::new(1, 1, 1, 1), 4661),
             }],
             records: vec![
-                AnonRecord {
-                    at: SimTime::from_secs(1),
-                    peer: AnonPeerId(0),
-                    file: FILE_NONE,
-                    client: high,
-                    honeypot: 0,
-                    kind: QueryKind::Hello,
-                },
-                AnonRecord {
-                    at: SimTime::from_secs(2),
-                    peer: AnonPeerId(0),
-                    file: f,
-                    client: low,
-                    honeypot: 0,
-                    kind: QueryKind::StartUpload,
-                },
+                AnonRecord::new(
+                    SimTime::from_secs(1),
+                    AnonPeerId(0),
+                    FILE_NONE,
+                    0,
+                    QueryKind::Hello,
+                    high,
+                ),
+                AnonRecord::new(
+                    SimTime::from_secs(2),
+                    AnonPeerId(0),
+                    f,
+                    0,
+                    QueryKind::StartUpload,
+                    low,
+                ),
             ],
             clients: clients.into_entries(),
             shared_lists: vec![AnonSharedList {

@@ -1004,7 +1004,7 @@ mod tests {
         let parts: Vec<u32> = merged
             .records
             .iter()
-            .filter(|r| r.kind == QueryKind::RequestPart)
+            .filter(|r| r.kind() == QueryKind::RequestPart)
             .map(|r| r.file)
             .collect();
         assert_eq!(parts.len(), 3);

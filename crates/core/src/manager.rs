@@ -172,9 +172,6 @@ impl Manager {
     /// If a record or shared list refers past the chunk's own tables
     /// (see [`LogChunk::check_indices`]; wire decoders reject such chunks).
     pub fn collect(&mut self, chunk: LogChunk) {
-        // An id past `u16` stays out of range (and `validate` says so)
-        // rather than wrapping onto a real honeypot.
-        let honeypot = u16::try_from(chunk.honeypot.0).unwrap_or(u16::MAX);
         self.chunks_collected += 1;
         // Translate the chunk's name and file tables into global indices,
         // counting the words of each name the global file table gains.
@@ -207,14 +204,18 @@ impl Manager {
                 name: name_map[r.name as usize],
                 version: r.version,
             };
-            self.records.push(AnonRecord {
-                at: r.at,
+            let file = if r.file == FILE_NONE { FILE_NONE } else { file_map[r.file as usize] };
+            let new_client = self.clients.push(peer, client);
+            // A time or honeypot id too wide for the record stays out of
+            // range (and `validate` says so) rather than wrapping.
+            self.records.push(AnonRecord::new(
+                r.at,
                 peer,
-                file: if r.file == FILE_NONE { FILE_NONE } else { file_map[r.file as usize] },
-                client: self.clients.push(peer, client),
-                honeypot,
-                kind: r.kind,
-            });
+                file,
+                chunk.honeypot.0,
+                r.kind,
+                new_client,
+            ));
         }
         for l in chunk.shared_lists.iter() {
             self.shared_lists.push(AnonSharedList {
@@ -383,8 +384,8 @@ mod tests {
         assert_eq!(mgr.distinct_peers(), 3, "shared IP counted once");
         let log = mgr.finalize(SimTime::from_days(1), 4, 1);
         // The shared peer got id 0 (first seen) in both honeypots' records.
-        let hp0_first = log.records.iter().find(|r| r.honeypot == 0).unwrap();
-        let hp1_first = log.records.iter().find(|r| r.honeypot == 1).unwrap();
+        let hp0_first = log.records.iter().find(|r| r.honeypot() == 0).unwrap();
+        let hp1_first = log.records.iter().find(|r| r.honeypot() == 1).unwrap();
         assert_eq!(hp0_first.peer, hp1_first.peer);
         assert_eq!(hp0_first.peer, AnonPeerId(0));
         assert!(log.validate().is_empty());
@@ -447,8 +448,9 @@ mod tests {
         // Across honeypots a peer keeps its entry; any one attribute changed
         // (port, id status, version, user, name) costs one; a returning user
         // gets a fresh one, since only the peer's latest entry is compared.
-        let entries: Vec<u32> = merged.records.iter().map(|r| r.client).collect();
-        assert_eq!(entries, [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7]);
+        let starts: Vec<bool> = merged.records.iter().map(|r| r.new_client()).collect();
+        let (t, f) = (true, false);
+        assert_eq!(starts, [t, f, f, t, t, t, t, t, t, t, f]);
         assert_eq!(merged.clients.len(), 8);
 
         let path =
@@ -898,12 +900,12 @@ mod tests {
         let merged = mgr.finalize(SimTime::from_days(1), 4, 1);
         assert_eq!(merged.files.len(), 4);
         assert_eq!(merged.records.len(), 8);
-        for r in &merged.records {
+        for (r, client) in merged.records_with_clients() {
             // Each record was logged at `secs == file pool index` by a
             // client named after it.
-            let i = r.at.as_secs() as u64;
+            let i = r.at().as_secs() as u64;
             assert_eq!(merged.files.id(r.file), pool_file(i).0);
-            assert_eq!(merged.peer_names[merged.client_of(r).name as usize], format!("client {i}"));
+            assert_eq!(merged.peer_names[client.name as usize], format!("client {i}"));
         }
     }
 }

@@ -23,32 +23,112 @@ pub struct HoneypotMeta {
     pub server: ServerInfo,
 }
 
-/// Most honeypots one measurement may hold: [`AnonRecord::honeypot`] is a
-/// `u16`, and `storage::load` rejects a file that claims more.
+/// Most honeypots one measurement may hold: a record keeps its honeypot
+/// in 14 bits, and `storage::load` rejects a file that claims more.
 pub const MAX_HONEYPOTS: usize = 10_000;
 
-/// One fully anonymised query record.  What the querying client said of
-/// itself in its HELLO is not repeated here: [`AnonRecord::client`] points
-/// at an entry of [`MeasurementLog::clients`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// A record's time, in ms, is below this (≈ 4,400 years).  The time has
+/// 47 bits of the record's stamp; their largest value, this one, is where
+/// [`AnonRecord::new`] puts a time that does not fit, so it is out of
+/// range too.
+pub const RECORD_TIME_LIMIT_MS: u64 = AT_MASK;
+
+// The stamp's bit map, low to high: time in ms (47), honeypot (14),
+// kind (2), new client (1).
+const AT_MASK: u64 = (1 << 47) - 1;
+const HONEYPOT_SHIFT: u32 = 47;
+const HONEYPOT_MAX: u32 = (1 << 14) - 1;
+const KIND_SHIFT: u32 = 61;
+const NEW_CLIENT_SHIFT: u32 = 63;
+
+/// One fully anonymised query record.  `peer` and `file` are plain
+/// fields; the time, honeypot and kind share one word, read through
+/// [`AnonRecord::at`], [`AnonRecord::honeypot`] and [`AnonRecord::kind`].
+///
+/// What the querying client said of itself in its HELLO is not here
+/// either: it is its peer's latest entry of [`MeasurementLog::clients`]
+/// at this point of the record order, and [`AnonRecord::new_client`]
+/// marks the records that appended an entry.
+/// [`MeasurementLog::records_with_clients`] pairs each record with its
+/// entry.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct AnonRecord {
-    pub at: SimTime,
+    stamp: u64,
     /// Step-2 anonymised peer identifier.
     pub peer: AnonPeerId,
     /// Index into [`MeasurementLog::files`]; [`crate::log::FILE_NONE`] for
     /// HELLO records.
     pub file: FileIdx,
-    /// Index into [`MeasurementLog::clients`].
-    pub client: u32,
-    /// `HoneypotId.0` of the honeypot that logged the query (below
-    /// [`MAX_HONEYPOTS`]).
-    pub honeypot: u16,
-    pub kind: QueryKind,
 }
 
-// The merged log is the largest thing in memory; keep its records at 24
+// The merged log is the largest thing in memory; keep its records at 16
 // bytes.
-const _: () = assert!(std::mem::size_of::<AnonRecord>() == 24);
+const _: () = assert!(std::mem::size_of::<AnonRecord>() == 16);
+
+impl AnonRecord {
+    /// Packs a record.  A time from [`RECORD_TIME_LIMIT_MS`] on is kept as
+    /// that limit and a honeypot past 14 bits as 0x3FFF: both stay out of
+    /// range, and [`MeasurementLog::validate`] reports them, instead of
+    /// wrapping onto a real time or honeypot.
+    pub fn new(
+        at: SimTime,
+        peer: AnonPeerId,
+        file: FileIdx,
+        honeypot: u32,
+        kind: QueryKind,
+        new_client: bool,
+    ) -> Self {
+        let kind: u64 = match kind {
+            QueryKind::Hello => 0,
+            QueryKind::StartUpload => 1,
+            QueryKind::RequestPart => 2,
+        };
+        let stamp = at.as_millis().min(AT_MASK)
+            | (u64::from(honeypot.min(HONEYPOT_MAX)) << HONEYPOT_SHIFT)
+            | (kind << KIND_SHIFT)
+            | (u64::from(new_client) << NEW_CLIENT_SHIFT);
+        AnonRecord { stamp, peer, file }
+    }
+
+    /// When the honeypot logged the query.
+    pub fn at(&self) -> SimTime {
+        SimTime::from_millis(self.stamp & AT_MASK)
+    }
+
+    /// `HoneypotId.0` of the honeypot that logged the query (below
+    /// [`MAX_HONEYPOTS`] in a valid log).
+    pub fn honeypot(&self) -> u16 {
+        ((self.stamp >> HONEYPOT_SHIFT) as u32 & HONEYPOT_MAX) as u16
+    }
+
+    pub fn kind(&self) -> QueryKind {
+        match (self.stamp >> KIND_SHIFT) & 0b11 {
+            0 => QueryKind::Hello,
+            1 => QueryKind::StartUpload,
+            _ => QueryKind::RequestPart,
+        }
+    }
+
+    /// Whether this record appended its peer's entry to
+    /// [`MeasurementLog::clients`] (the peer's first record, or its HELLO
+    /// attributes changed).
+    pub fn new_client(&self) -> bool {
+        self.stamp >> NEW_CLIENT_SHIFT != 0
+    }
+}
+
+impl std::fmt::Debug for AnonRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnonRecord")
+            .field("at", &self.at())
+            .field("peer", &self.peer)
+            .field("file", &self.file)
+            .field("honeypot", &self.honeypot())
+            .field("kind", &self.kind())
+            .field("new_client", &self.new_client())
+            .finish()
+    }
+}
 
 /// The HELLO attributes of a querying client, as one entry of
 /// [`MeasurementLog::clients`].
@@ -77,22 +157,23 @@ pub struct ClientTable {
 const NO_ENTRY: u32 = u32::MAX;
 
 impl ClientTable {
-    /// Returns the entry a record of `peer` with attributes `client`
-    /// points at, appending one when the peer's latest entry differs.
-    /// Grows the per-peer table to `peer`, so callers bound `peer` first.
-    pub fn push(&mut self, peer: AnonPeerId, client: AnonClient) -> u32 {
+    /// Takes the attributes of the next record, a record of `peer`, and
+    /// returns whether they start a new entry (the record's
+    /// [`AnonRecord::new_client`]): they do unless they equal the peer's
+    /// latest entry.  Grows the per-peer table to `peer`, so callers
+    /// bound `peer` first.
+    pub fn push(&mut self, peer: AnonPeerId, client: AnonClient) -> bool {
         let p = peer.0 as usize;
         if p >= self.latest.len() {
             self.latest.resize(p + 1, NO_ENTRY);
         }
         let latest = self.latest[p];
         if latest != NO_ENTRY && self.entries[latest as usize] == client {
-            return latest;
+            return false;
         }
-        let entry = self.entries.len() as u32;
+        self.latest[p] = self.entries.len() as u32;
         self.entries.push(client);
-        self.latest[p] = entry;
-        entry
+        true
     }
 
     /// The entries appended so far, in order.
@@ -118,7 +199,9 @@ pub struct MeasurementLog {
     /// Every logged query, in collection order (honeypot-major, then
     /// chronological within a honeypot's chunks).
     pub records: Vec<AnonRecord>,
-    /// The records' client attributes, filled by [`ClientTable::push`].
+    /// The records' client attributes, one entry per record that starts
+    /// one ([`AnonRecord::new_client`]), in record order; filled by
+    /// [`ClientTable::push`].
     pub clients: Vec<AnonClient>,
     /// Every shared-file list retrieved from peers.
     pub shared_lists: Vec<AnonSharedList>,
@@ -138,7 +221,7 @@ pub struct MeasurementLog {
 impl MeasurementLog {
     /// Records of a given kind.
     pub fn records_of(&self, kind: QueryKind) -> impl Iterator<Item = &AnonRecord> {
-        self.records.iter().filter(move |r| r.kind == kind)
+        self.records.iter().filter(move |r| r.kind() == kind)
     }
 
     /// Honeypot IDs using the given content strategy.
@@ -166,9 +249,30 @@ impl MeasurementLog {
         self.files.total_size()
     }
 
-    /// The HELLO attributes of the client that sent `r`.
-    pub fn client_of(&self, r: &AnonRecord) -> &AnonClient {
-        &self.clients[r.client as usize]
+    /// Every record in order, with the HELLO attributes of the client that
+    /// sent it: its peer's entry as of that record.  The walk replays
+    /// [`ClientTable::push`]: one per-peer latest entry, moved on at each
+    /// [`AnonRecord::new_client`] record.
+    ///
+    /// # Panics
+    /// When a record's peer has no entry yet, or the records start more
+    /// entries than [`MeasurementLog::clients`] holds (both of which
+    /// [`MeasurementLog::validate`] reports).
+    pub fn records_with_clients(&self) -> impl Iterator<Item = (&AnonRecord, &AnonClient)> {
+        let mut latest = vec![NO_ENTRY; self.distinct_peers as usize];
+        let mut next = 0;
+        self.records.iter().map(move |r| {
+            let p = r.peer.0 as usize;
+            if p >= latest.len() {
+                latest.resize(p + 1, NO_ENTRY);
+            }
+            let entry = &mut latest[p];
+            if r.new_client() {
+                *entry = next;
+                next += 1;
+            }
+            (r, &self.clients[*entry as usize])
+        })
     }
 
     /// Sanity checks of the dataset's internal invariants; returns a list
@@ -178,7 +282,10 @@ impl MeasurementLog {
         let mut problems = Vec::new();
         let n_names = self.peer_names.len() as u32;
         let n_files = self.files.len() as u32;
-        let n_clients = self.clients.len() as u32;
+        // Which peers have a client entry so far, and how many entries the
+        // records start.
+        let mut has_entry = vec![false; self.distinct_peers as usize];
+        let mut new_clients = 0usize;
         // Step-2 ids are dense: the highest one seen is the count − 1.
         let mut peers_seen = 0u32;
         for (i, c) in self.clients.iter().enumerate() {
@@ -195,17 +302,24 @@ impl MeasurementLog {
             if r.peer.0 >= self.distinct_peers {
                 problems.push(format!("record {i}: peer id {} out of range", r.peer.0));
             }
-            if r.client >= n_clients {
-                problems.push(format!("record {i}: client index {} out of range", r.client));
+            new_clients += usize::from(r.new_client());
+            if let Some(has) = has_entry.get_mut(r.peer.0 as usize) {
+                *has |= r.new_client();
+                if !*has {
+                    problems.push(format!("record {i}: peer {} has no client entry yet", r.peer.0));
+                }
+            }
+            if r.at().as_millis() >= RECORD_TIME_LIMIT_MS {
+                problems.push(format!("record {i}: time {} ms out of range", r.at().as_millis()));
             }
             if r.file != crate::log::FILE_NONE && r.file >= n_files {
                 problems.push(format!("record {i}: file index {} out of range", r.file));
             }
-            if r.kind == QueryKind::Hello && r.file != crate::log::FILE_NONE {
+            if r.kind() == QueryKind::Hello && r.file != crate::log::FILE_NONE {
                 problems.push(format!("record {i}: HELLO with a file index"));
             }
-            if (r.honeypot as usize) >= self.honeypots.len() {
-                problems.push(format!("record {i}: honeypot {} unknown", r.honeypot));
+            if (r.honeypot() as usize) >= self.honeypots.len() {
+                problems.push(format!("record {i}: honeypot {} unknown", r.honeypot()));
             }
             if problems.len() > 20 {
                 problems.push("… further problems suppressed".into());
@@ -227,6 +341,12 @@ impl MeasurementLog {
                 problems.push("… further problems suppressed".into());
                 return problems;
             }
+        }
+        if new_clients != self.clients.len() {
+            problems.push(format!(
+                "{new_clients} records start a client entry, but there are {} entries",
+                self.clients.len()
+            ));
         }
         if peers_seen != self.distinct_peers {
             problems.push(format!(
@@ -252,8 +372,8 @@ mod tests {
         }
     }
 
-    fn record(peer: u32, kind: QueryKind, file: FileIdx) -> AnonRecord {
-        AnonRecord { at: SimTime::ZERO, peer: AnonPeerId(peer), file, client: 0, honeypot: 0, kind }
+    fn record(peer: u32, kind: QueryKind, file: FileIdx, new_client: bool) -> AnonRecord {
+        AnonRecord::new(SimTime::ZERO, AnonPeerId(peer), file, 0, kind, new_client)
     }
 
     fn client(port: u16) -> AnonClient {
@@ -275,11 +395,11 @@ mod tests {
                 meta(1, ContentStrategy::RandomContent),
             ],
             records: vec![
-                record(0, QueryKind::Hello, FILE_NONE),
-                record(0, QueryKind::StartUpload, 0),
-                record(1, QueryKind::RequestPart, 0),
+                record(0, QueryKind::Hello, FILE_NONE, true),
+                record(0, QueryKind::StartUpload, 0, false),
+                record(1, QueryKind::RequestPart, 0, true),
             ],
-            clients: vec![client(4662)],
+            clients: vec![client(4662), client(4663)],
             shared_lists: vec![AnonSharedList {
                 at: SimTime::ZERO,
                 honeypot: HoneypotId(0),
@@ -302,18 +422,105 @@ mod tests {
     #[test]
     fn out_of_range_peer_detected() {
         let mut log = base_log();
-        log.records.push(record(99, QueryKind::Hello, FILE_NONE));
+        log.records.push(record(99, QueryKind::Hello, FILE_NONE, false));
         assert!(!log.validate().is_empty());
     }
 
     #[test]
-    fn client_indices_and_their_names_are_checked() {
+    fn the_stamp_keeps_time_honeypot_kind_and_new_client_apart() {
+        let kinds = [QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart];
+        for at in [0, 1, 86_400_000, RECORD_TIME_LIMIT_MS - 1, (1 << 47) - 1] {
+            for honeypot in [0, 1, 9_999] {
+                for kind in kinds {
+                    for new_client in [false, true] {
+                        let r = AnonRecord::new(
+                            SimTime::from_millis(at),
+                            AnonPeerId(u32::MAX),
+                            u32::MAX - 1,
+                            honeypot,
+                            kind,
+                            new_client,
+                        );
+                        let fields = (r.at().as_millis(), r.honeypot(), r.kind(), r.new_client());
+                        assert_eq!(fields, (at, honeypot as u16, kind, new_client));
+                        assert_eq!((r.peer, r.file), (AnonPeerId(u32::MAX), u32::MAX - 1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_time_or_honeypot_too_wide_is_kept_out_of_range() {
         let mut log = base_log();
-        log.records[1].client = 1;
-        assert!(log.validate().iter().any(|p| p.contains("client index 1 out of range")));
+        let r = log.records[0];
+        let wide = |at: u64, honeypot: u32| {
+            AnonRecord::new(SimTime::from_millis(at), r.peer, r.file, honeypot, r.kind(), true)
+        };
+        for at in [1 << 47, u64::MAX] {
+            assert_eq!(wide(at, 0).at().as_millis(), RECORD_TIME_LIMIT_MS);
+            assert_eq!(wide(at, 0).honeypot(), 0, "the time must not spill into the honeypot");
+        }
+        assert_eq!(wide(0, 1 << 14).honeypot(), 0x3FFF);
+        assert_eq!(wide(0, u32::MAX).honeypot(), 0x3FFF);
+        assert_eq!(wide(0, u32::MAX).kind(), QueryKind::Hello, "nor the honeypot into the kind");
+
+        log.records[0] = wide(1 << 47, 0);
+        assert_eq!(
+            log.validate(),
+            [format!("record 0: time {RECORD_TIME_LIMIT_MS} ms out of range")]
+        );
+        log.records[0] = wide(RECORD_TIME_LIMIT_MS - 1, 0);
+        assert!(log.validate().is_empty());
+        log.records[0] = wide(0, u32::MAX);
+        assert_eq!(log.validate(), ["record 0: honeypot 16383 unknown"]);
+    }
+
+    fn with_new_client(log: &mut MeasurementLog, i: usize, new_client: bool) {
+        let r = log.records[i];
+        log.records[i] = AnonRecord::new(r.at(), r.peer, r.file, 0, r.kind(), new_client);
+    }
+
+    #[test]
+    fn client_indices_and_their_names_are_checked() {
+        // An extra `new_client` bit points every later record of the peer
+        // one entry further, past the table's end.
+        let mut log = base_log();
+        with_new_client(&mut log, 1, true);
+        assert_eq!(log.validate(), ["3 records start a client entry, but there are 2 entries"]);
         let mut log = base_log();
         log.clients[0].name = 1;
         assert!(log.validate().iter().any(|p| p.contains("client 0: name index 1")));
+    }
+
+    #[test]
+    fn every_record_needs_an_entry_and_every_entry_a_record() {
+        let mut log = base_log();
+        with_new_client(&mut log, 0, false);
+        assert_eq!(
+            log.validate(),
+            [
+                "record 0: peer 0 has no client entry yet",
+                "record 1: peer 0 has no client entry yet",
+                "1 records start a client entry, but there are 2 entries",
+            ]
+        );
+        let mut log = base_log();
+        log.clients.pop();
+        assert_eq!(log.validate(), ["2 records start a client entry, but there are 1 entries"]);
+    }
+
+    #[test]
+    fn records_read_their_peers_latest_entry_in_order() {
+        let mut log = base_log();
+        log.records.push(record(0, QueryKind::Hello, FILE_NONE, true));
+        log.records.push(record(1, QueryKind::Hello, FILE_NONE, false));
+        log.records.push(record(0, QueryKind::Hello, FILE_NONE, false));
+        log.clients.push(client(7));
+        assert!(log.validate().is_empty(), "{:?}", log.validate());
+        let ports: Vec<u16> = log.records_with_clients().map(|(_, c)| c.port).collect();
+        assert_eq!(ports, [4662, 4662, 4663, 7, 4663, 7]);
+        assert!(log.records_with_clients().map(|(r, _)| r).eq(&log.records));
     }
 
     #[test]
@@ -326,6 +533,7 @@ mod tests {
         // Peer 1 appears only in a shared list; it still counts.
         let mut log = base_log();
         log.records.pop();
+        log.clients.pop();
         assert!(log.validate().is_empty());
         log.shared_lists.clear();
         assert!(log.validate().iter().any(|p| p.contains("peer ids in use are 0..1")));
@@ -335,19 +543,19 @@ mod tests {
     fn a_peer_reuses_its_latest_client_entry_until_an_attribute_changes() {
         let mut table = ClientTable::default();
         let (a, b) = (AnonPeerId(0), AnonPeerId(2));
-        assert_eq!(table.push(a, client(1)), 0);
-        assert_eq!(table.push(a, client(1)), 0);
-        assert_eq!(table.push(b, client(1)), 1, "equal attributes, another peer");
-        assert_eq!(table.push(a, client(2)), 2);
-        assert_eq!(table.push(a, client(1)), 3, "only the latest entry is reused");
-        assert_eq!(table.push(b, client(1)), 1);
+        assert!(table.push(a, client(1)));
+        assert!(!table.push(a, client(1)));
+        assert!(table.push(b, client(1)), "equal attributes, another peer");
+        assert!(table.push(a, client(2)));
+        assert!(table.push(a, client(1)), "only the latest entry is reused");
+        assert!(!table.push(b, client(1)));
         assert_eq!(table.into_entries(), vec![client(1), client(1), client(2), client(1)]);
     }
 
     #[test]
     fn hello_with_file_detected() {
         let mut log = base_log();
-        log.records.push(record(0, QueryKind::Hello, 0));
+        log.records.push(record(0, QueryKind::Hello, 0, false));
         assert!(log.validate().iter().any(|p| p.contains("HELLO with a file")));
     }
 

@@ -18,9 +18,10 @@
 //! A record on disk carries its client's HELLO attributes inline (48
 //! bytes); in memory they live once per change in
 //! [`MeasurementLog::clients`].  [`save`] writes each record from the
-//! record plus its client entry, and [`load`] hands the attributes to
-//! [`ClientTable::push`], the rule the manager's merge applies, so a
-//! loaded log equals the log saved field for field.
+//! record plus its client entry
+//! ([`MeasurementLog::records_with_clients`]), and [`load`] hands the
+//! attributes to [`ClientTable::push`], the rule the manager's merge
+//! applies, so a loaded log equals the log saved field for field.
 //!
 //! Both directions move the fixed-stride sections (records, shared-list
 //! indices) a block of `BLOCK_RECORDS` records at a time: a few hundred
@@ -37,7 +38,7 @@ use crate::anonymize::AnonPeerId;
 use crate::log::{FileTable, QueryKind, FILE_NONE};
 use crate::measurement::{
     AnonClient, AnonRecord, AnonSharedList, ClientTable, HoneypotMeta, MeasurementLog,
-    MAX_HONEYPOTS,
+    MAX_HONEYPOTS, RECORD_TIME_LIMIT_MS,
 };
 use crate::strategy::ContentStrategy;
 use crate::types::{HoneypotId, IdStatus, ServerInfo};
@@ -114,9 +115,9 @@ fn le_u64(b: &[u8]) -> u64 {
 
 /// Writes one record and its client's attributes at their fixed offsets.
 fn encode_record(r: &AnonRecord, c: &AnonClient, b: &mut [u8; RECORD_BYTES]) {
-    b[0..8].copy_from_slice(&r.at.as_millis().to_le_bytes());
-    b[8..12].copy_from_slice(&u32::from(r.honeypot).to_le_bytes());
-    b[12] = match r.kind {
+    b[0..8].copy_from_slice(&r.at().as_millis().to_le_bytes());
+    b[8..12].copy_from_slice(&u32::from(r.honeypot()).to_le_bytes());
+    b[12] = match r.kind() {
         QueryKind::Hello => 0,
         QueryKind::StartUpload => 1,
         QueryKind::RequestPart => 2,
@@ -133,8 +134,8 @@ fn encode_record(r: &AnonRecord, c: &AnonClient, b: &mut [u8; RECORD_BYTES]) {
     b[44..48].copy_from_slice(&r.file.to_le_bytes());
 }
 
-/// One record as the file holds it: the record's own fields, its
-/// client's attributes, and the honeypot still at its on-disk width.
+/// One record as the file holds it: the record's own fields, at their
+/// on-disk widths, and its client's attributes.
 struct DiskRecord {
     at: SimTime,
     honeypot: u32,
@@ -183,7 +184,7 @@ fn write_each<T, const N: usize>(
     w: &mut impl Write,
     block: &mut [u8],
     items: &[T],
-    encode: impl Fn(&T, &mut [u8; N]),
+    mut encode: impl FnMut(&T, &mut [u8; N]),
 ) -> io::Result<()> {
     for chunk in items.chunks(block.len() / N) {
         let slots = &mut block[..chunk.len() * N];
@@ -227,8 +228,10 @@ pub fn save(log: &MeasurementLog, path: &Path) -> Result<(), StorageError> {
     }
 
     w.write_all(&(log.records.len() as u64).to_le_bytes())?;
-    write_each(&mut w, &mut block, &log.records, |r, slot| {
-        encode_record(r, log.client_of(r), slot)
+    let mut records = log.records_with_clients();
+    write_each(&mut w, &mut block, &log.records, |_, slot| {
+        let (r, c) = records.next().expect("one client per record");
+        encode_record(r, c, slot)
     })?;
 
     w.write_all(&(log.shared_lists.len() as u64).to_le_bytes())?;
@@ -407,15 +410,12 @@ pub fn load(path: &Path) -> Result<MeasurementLog, StorageError> {
         if !record_in_range(&r) {
             return Err(StorageError::Corrupt("record index out of range"));
         }
+        if r.at.as_millis() >= RECORD_TIME_LIMIT_MS {
+            return Err(StorageError::Corrupt("record time out of range"));
+        }
         peers_seen = peers_seen.max(r.peer.0 + 1);
-        records.push(AnonRecord {
-            at: r.at,
-            peer: r.peer,
-            file: r.file,
-            client: clients.push(r.peer, r.client),
-            honeypot: r.honeypot as u16,
-            kind: r.kind,
-        });
+        let new_client = clients.push(r.peer, r.client);
+        records.push(AnonRecord::new(r.at, r.peer, r.file, r.honeypot, r.kind, new_client));
         Ok(())
     })?;
 

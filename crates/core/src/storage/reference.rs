@@ -147,11 +147,10 @@ fn write(log: &MeasurementLog, w: &mut Vec<u8>) -> io::Result<()> {
     }
 
     out.u64(log.records.len() as u64)?;
-    for r in &log.records {
-        let c = log.client_of(r);
-        out.u64(r.at.as_millis())?;
-        out.u32(u32::from(r.honeypot))?;
-        out.u8(kind_to_u8(r.kind))?;
+    for (r, c) in log.records_with_clients() {
+        out.u64(r.at().as_millis())?;
+        out.u32(u32::from(r.honeypot()))?;
+        out.u8(kind_to_u8(r.kind()))?;
         out.u32(r.peer.0)?;
         out.u16(c.port)?;
         out.u8(match c.id_status {
@@ -246,11 +245,7 @@ pub fn load(bytes: &[u8]) -> Result<MeasurementLog, StorageError> {
             version: inp.u32()?,
         };
         let file = inp.u32()?;
-        decoded.push((
-            AnonRecord { at, peer, file, client: 0, honeypot: 0, kind },
-            honeypot,
-            client,
-        ));
+        decoded.push((at, peer, file, honeypot, kind, client));
     }
 
     let n_lists = inp.u64()? as usize;
@@ -273,18 +268,14 @@ pub fn load(bytes: &[u8]) -> Result<MeasurementLog, StorageError> {
     let distinct_peers = inp.u32()?;
     let mut records = Vec::with_capacity(decoded.len());
     let mut clients = ClientTable::default();
-    for (mut r, honeypot, client) in decoded {
-        // `validate` would reject both; the client table must not grow to
-        // a peer id the trailer does not cover.
-        let Ok(honeypot) = u16::try_from(honeypot) else {
-            return Err(StorageError::Corrupt("indices out of range after load"));
-        };
-        if r.peer.0 >= distinct_peers {
+    for (at, peer, file, honeypot, kind, client) in decoded {
+        // `validate` would reject the peer; the client table must not grow
+        // to a peer id the trailer does not cover.
+        if peer.0 >= distinct_peers {
             return Err(StorageError::Corrupt("indices out of range after load"));
         }
-        r.honeypot = honeypot;
-        r.client = clients.push(r.peer, client);
-        records.push(r);
+        let new_client = clients.push(peer, client);
+        records.push(AnonRecord::new(at, peer, file, honeypot, kind, new_client));
     }
 
     let log = MeasurementLog {

@@ -34,22 +34,8 @@ fn sample_log() -> MeasurementLog {
             server: ServerInfo::new("srv", Ipv4::new(1, 2, 3, 4), 4661),
         }],
         records: vec![
-            AnonRecord {
-                at: SimTime::from_secs(5),
-                peer: p0,
-                file: FILE_NONE,
-                client: c0,
-                honeypot: 0,
-                kind: QueryKind::Hello,
-            },
-            AnonRecord {
-                at: SimTime::from_secs(9),
-                peer: p1,
-                file: f0,
-                client: c1,
-                honeypot: 0,
-                kind: QueryKind::StartUpload,
-            },
+            AnonRecord::new(SimTime::from_secs(5), p0, FILE_NONE, 0, QueryKind::Hello, c0),
+            AnonRecord::new(SimTime::from_secs(9), p1, f0, 0, QueryKind::StartUpload, c1),
         ],
         clients: clients.into_entries(),
         shared_lists: vec![AnonSharedList {
@@ -357,6 +343,28 @@ fn shared_list_honeypot_must_be_known() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn record_time_must_fit_its_47_bits() {
+    let log = sample_log();
+    let good = reference::save(&log);
+    let at = count_offsets(&log).records + 8;
+    assert_eq!(&good[at..at + 8], &5_000u64.to_le_bytes());
+    let path = tmp("record-time.edhp");
+    for ms in [1 << 47, RECORD_TIME_LIMIT_MS, u64::MAX] {
+        let mut bytes = good.clone();
+        bytes[at..at + 8].copy_from_slice(&ms.to_le_bytes());
+        assert_corrupt(&path, &bytes, "record time out of range");
+        assert!(reference::load(&bytes).is_err(), "{ms} ms: the reference validates what it loads");
+    }
+    let mut bytes = good.clone();
+    let last = RECORD_TIME_LIMIT_MS - 1;
+    bytes[at..at + 8].copy_from_slice(&last.to_le_bytes());
+    let back = load_bytes(&path, &bytes).unwrap();
+    assert_eq!(back.records[0].at(), SimTime::from_millis(last));
+    assert_same_log(&back, &reference::load(&bytes).unwrap());
+    std::fs::remove_file(&path).ok();
+}
+
 const NAMES: [&str; 6] = ["", "eMule 0.49b", "aMule ü", "ослик", "驴 2.2", "x"];
 
 /// A random *valid* log with exactly `n_records` records and one shared
@@ -441,18 +449,15 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
         attributes.push(client);
         let kind = *rng.choose(&[QueryKind::Hello, QueryKind::StartUpload, QueryKind::RequestPart]);
         let peer = step2(p);
-        records.push(AnonRecord {
-            at: SimTime::from_millis(rng.next_u64()),
-            peer,
-            file: if kind == QueryKind::Hello || n_files == 0 || rng.chance(0.1) {
-                FILE_NONE
-            } else {
-                rng.below(n_files) as u32
-            },
-            client: clients.push(peer, client),
-            honeypot: rng.below(honeypots.len() as u64) as u16,
-            kind,
-        });
+        let at = SimTime::from_millis(rng.below(RECORD_TIME_LIMIT_MS));
+        let file = if kind == QueryKind::Hello || n_files == 0 || rng.chance(0.1) {
+            FILE_NONE
+        } else {
+            rng.below(n_files) as u32
+        };
+        let new_client = clients.push(peer, client);
+        let honeypot = rng.below(honeypots.len() as u64) as u32;
+        records.push(AnonRecord::new(at, peer, file, honeypot, kind, new_client));
     }
     let shared_lists: Vec<AnonSharedList> = list_sizes
         .iter()
@@ -476,8 +481,9 @@ fn random_log(rng: &mut Rng, n_records: usize, list_sizes: &[usize]) -> Measurem
         shared_files_final: rng.next_u32(),
     };
     assert!(log.validate().is_empty(), "generator must produce valid logs");
-    for (r, client) in log.records.iter().zip(&attributes) {
-        assert_eq!(log.client_of(r), client, "the client table lost an attribute");
+    assert_eq!(log.records_with_clients().count(), attributes.len());
+    for ((_, read), client) in log.records_with_clients().zip(&attributes) {
+        assert_eq!(read, client, "the client table lost an attribute");
     }
     log
 }

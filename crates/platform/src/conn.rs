@@ -73,8 +73,12 @@ struct ImpairShim {
 
 impl ImpairShim {
     fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+        ms_since(self.started)
     }
+}
+
+fn ms_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_millis() as u64
 }
 
 /// A framed control connection.
@@ -227,8 +231,8 @@ impl ControlConn {
         let read = match &mut self.shim {
             None => self.decoder.read_from(&mut self.stream),
             Some(shim) => {
-                let now = shim.now_ms();
-                shim.inbound.read_from(now, &mut self.stream)
+                let started = shim.started;
+                shim.inbound.read_from(|| ms_since(started), &mut self.stream)
             }
         };
         match read {

@@ -236,11 +236,17 @@ impl ImpairedLink {
     }
 
     /// Receives up to one packet from `src` with one `read` and admits
-    /// it.  Returns the byte count, 0 at end of stream.
-    pub fn read_from(&mut self, now_ms: u64, src: &mut impl Read) -> io::Result<usize> {
+    /// it at `now_ms()`, read once the `read` returns: a read that blocks
+    /// must not date its bytes to before they arrived.  Returns the byte
+    /// count, 0 at end of stream.
+    pub fn read_from(
+        &mut self,
+        now_ms: impl FnOnce() -> u64,
+        src: &mut impl Read,
+    ) -> io::Result<usize> {
         let mut packet = [0; IMPAIR_MTU];
         let n = src.read(&mut packet)?;
-        self.admit(now_ms, &packet[..n]);
+        self.admit(now_ms(), &packet[..n]);
         Ok(n)
     }
 
@@ -318,6 +324,30 @@ mod tests {
             points.push((t, out.len() - before));
         }
         points
+    }
+
+    #[test]
+    fn bytes_are_stamped_when_their_read_returns() {
+        use std::cell::Cell;
+        /// A read that blocks for 100 ms of a fake clock before its bytes
+        /// arrive.
+        struct SlowRead<'c>(&'c Cell<u64>);
+        impl Read for SlowRead<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.0.set(self.0.get() + 100);
+                buf[..3].copy_from_slice(b"abc");
+                Ok(3)
+            }
+        }
+        let plan = ImpairPlan { delay_ms: 15, ..ImpairPlan::clean(1) };
+        let mut link = ImpairedLink::new(&plan, 0);
+        let clock = Cell::new(0);
+        assert_eq!(link.read_from(|| clock.get(), &mut SlowRead(&clock)).unwrap(), 3);
+        assert_eq!(link.next_due(), Some(115), "due 15 ms after the bytes arrived");
+        let mut out = Vec::new();
+        assert_eq!(link.due(114, &mut out), 0);
+        assert_eq!(link.due(115, &mut out), 3);
+        assert_eq!(out, b"abc");
     }
 
     #[test]

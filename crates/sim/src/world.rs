@@ -794,9 +794,13 @@ impl EdonkeyWorld {
         }
         let shared_final = self.honeypots.iter().map(|h| h.shared_files().len()).max().unwrap_or(0);
         let relaunches = self.book.relaunch_count();
+        let (stats, name_threshold) = (self.stats, self.config.name_threshold);
         let manager = self.merge.join();
-        let log = manager.finalize(duration, shared_final as u32, self.config.name_threshold);
-        SimOutput { log, stats: self.stats, relaunches, events_handled: 0 }
+        // The catalog, peers, honeypots and server are done with: free
+        // them before the name rewrite, the merge's last large step.
+        drop(self);
+        let log = manager.finalize(duration, shared_final as u32, name_threshold);
+        SimOutput { log, stats, relaunches, events_handled: 0 }
     }
 }
 
@@ -1145,8 +1149,11 @@ fn run_on<Q: PendingQueue<Event>>(
         events_handled = engine.events_handled()
     );
     let capture = world.server.take_capture();
+    let events_handled = engine.events_handled();
+    // The events still queued lie past the horizon.
+    drop(engine);
     let mut out = world.finish(duration);
-    out.events_handled = engine.events_handled();
+    out.events_handled = events_handled;
     netsim::obs_event!(
         Level::Trace,
         "sim",
